@@ -37,9 +37,8 @@ def _write_json(path, payload):
     os.replace(tmp, path)
 
 
-def _run_reference(mesh, params, bc):
-    traj = run_fine(mesh, params, bc)
-    return traj.final
+def _run_reference(mesh, params, bc, ops):
+    return run_fine(mesh, params, bc, ops=ops).final
 
 
 def _load_reference(path, mesh):
@@ -132,12 +131,12 @@ class _SpaceProvider:
 
 def run_ms_mode(spec, mesh, coarse):
     params, bc = spec.params, spec.bc
+    ops = StepOperators(mesh, params, bc)
     if spec.reference:
         ref = _load_reference(spec.reference, mesh)
     else:
-        ref = _run_reference(mesh, params, bc)
+        ref = _run_reference(mesh, params, bc, ops)
     provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
-    ops = StepOperators(mesh, params, bc)
     for m in sorted(spec.m_list):
         sub = provider.get(m, spec.oversampled)
         traj, fine_state = gmsfem.run_multiscale(
@@ -160,8 +159,8 @@ def run_ms_mode(spec, mesh, coarse):
 def _sweep_one_da(spec, mesh, coarse, darcy):
     params = spec.params.with_darcy(darcy)
     bc = spec.bc
-    ref = _run_reference(mesh, params, bc)
     ops = StepOperators(mesh, params, bc)
+    ref = _run_reference(mesh, params, bc, ops)
     provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
     results = {}
     for oversampled in (False, True):

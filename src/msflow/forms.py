@@ -99,15 +99,6 @@ def _lambda_mass(patch):
     return area[:, None, None] * template[None]
 
 
-def _velocity_at(patch, u_local, bary):
-    """Evaluate a patch-local velocity vector at volume quadrature points.
-
-    Returns (n_cells, q, 2).
-    """
-    coefs = u_local.reshape(patch.n_cells, 3, 2)
-    return np.einsum("qa,nad->nqd", bary, coefs)
-
-
 def assemble_mass(patch, params):
     """Velocity mass block of the time derivative: (1/tau) (u, v) weighted by
     the inverse permeability indicator."""
@@ -197,17 +188,17 @@ def _dirichlet_edge_terms(patch, params):
     return parts
 
 
-def _convection_volume(patch, params, u_local):
-    """Linearized convective volume term (u_lin . grad u, v) / xi^2."""
-    mesh = patch.mesh
+def convection_cell_blocks(mesh, params, cells, coefs):
+    """Scalar 3x3 blocks (test vertex, trial vertex) of the linearized
+    convective volume term (u_lin . grad u, v) / xi^2 on the given global
+    fine cells; coefs (n, 3, 2) holds u_lin's vertex values on each cell.
+    The blocks are linear in coefs."""
     bary, w = TRI_D4_BARY, TRI_D4_W
-    xi = mesh.xi(params.porosity)[patch.cells]
-    ulq = _velocity_at(patch, u_local, bary)
-    grad = mesh.grad[patch.cells]
-    adv = np.einsum("nqm,nbm->nqb", ulq, grad)
-    scale = mesh.area[patch.cells] / xi**2
-    blocks = scale[:, None, None] * np.einsum("q,qa,nqb->nab", w, bary, adv)
-    return _cell_coo(np.arange(patch.n_cells), _kron2(blocks))
+    xi = mesh.xi(params.porosity)[cells]
+    ulq = np.einsum("qa,nad->nqd", bary, coefs)
+    adv = np.einsum("nqm,nbm->nqb", ulq, mesh.grad[cells])
+    scale = mesh.area[cells] / xi**2
+    return scale[:, None, None] * np.einsum("q,qa,nqb->nab", w, bary, adv)
 
 
 def viscous_block(patch, params):
@@ -227,7 +218,9 @@ def convection_block(patch, params, u_lin):
         raise ValueError("linearization field does not match the patch")
     if not np.any(u_local):
         return sp.csr_matrix((patch.n_vdof, patch.n_vdof))
-    part = _convection_volume(patch, params, u_local)
+    coefs = u_local.reshape(patch.n_cells, 3, 2)
+    blocks = convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
+    part = _cell_coo(np.arange(patch.n_cells), _kron2(blocks))
     return _collect([part], (patch.n_vdof, patch.n_vdof))
 
 
@@ -253,23 +246,29 @@ def darcy_block(patch, params):
     return _collect(parts, (patch.n_vdof, patch.n_vdof))
 
 
+def forchheimer_cell_blocks(mesh, params, cells, coefs):
+    """Scalar 3x3 blocks of the quadratic drag on the given global (porous)
+    fine cells, weighted by the pointwise speed of the P1 field whose vertex
+    values on each cell are coefs (n, 3, 2)."""
+    bary, w = TRI_D4_BARY, TRI_D4_W
+    ulq = np.einsum("qa,nad->nqd", bary, coefs)
+    speed = np.linalg.norm(ulq, axis=2)
+    area = mesh.area[cells]
+    return (params.forchheimer / np.sqrt(params.darcy)) * area[
+        :, None, None
+    ] * np.einsum("q,nq,qa,qb->nab", w, speed, bary, bary)
+
+
 def forchheimer_block(patch, params, u_lin):
     """Quadratic porous drag weighted by the pointwise speed of u_lin."""
     if params.darcy <= 0:
         raise ValueError("darcy number must be positive")
-    mesh = patch.mesh
-    porous = np.nonzero(mesh.region[patch.cells] == POROUS)[0]
+    porous = np.nonzero(patch.mesh.region[patch.cells] == POROUS)[0]
     parts = []
     if len(porous) and params.forchheimer != 0.0:
         u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
-        bary, w = TRI_D4_BARY, TRI_D4_W
         coefs = u_local.reshape(patch.n_cells, 3, 2)[porous]
-        ulq = np.einsum("qa,nad->nqd", bary, coefs)
-        speed = np.linalg.norm(ulq, axis=2)
-        area = mesh.area[patch.cells[porous]]
-        blocks = (params.forchheimer / np.sqrt(params.darcy)) * area[
-            :, None, None
-        ] * np.einsum("q,nq,qa,qb->nab", w, speed, bary, bary)
+        blocks = forchheimer_cell_blocks(patch.mesh, params, patch.cells[porous], coefs)
         parts.append(_cell_coo(porous, _kron2(blocks)))
     return _collect(parts, (patch.n_vdof, patch.n_vdof))
 

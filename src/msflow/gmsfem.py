@@ -4,9 +4,10 @@ Offline stage: solve local steady flow problems on each coarse cell (or its
 oversampled neighborhood) with a discrete-delta boundary datum per fine
 boundary facet and Cartesian direction, restrict to the target cell, and
 reduce the resulting snapshot family through a generalized eigenproblem.
-Online stage: project the fine blocks onto the retained basis, march the
-same linearized implicit scheme on the reduced system, and reconstruct the
-fine-grid velocity from the coarse coefficients.
+Online stage: project the static fine blocks onto the retained basis and
+the nonlinear ones per coarse cell, march the same linearized implicit
+scheme on the reduced system, and reconstruct the fine-grid velocity from
+the coarse coefficients.
 """
 
 import hashlib
@@ -20,8 +21,9 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import forms
-from .errors import SingularSystemError
+from .errors import ConfigError, SingularSystemError
 from .fine_solver import StepOperators, Trajectory, run_fine
+from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_patch
 from .quadrature import EDGE_G2_W
@@ -161,6 +163,9 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     velocities to the cell.  u_lin is the global linearization field."""
     patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
     target = np.sort(coarse.cell_fine[int(i)])
+    # The snapshot rows outlive this call; allocating them before the solve's
+    # large temporaries keeps them from pinning the freed heap above them.
+    rows = np.empty((2 * len(patch.dirichlet_edges), 6 * len(target)))
 
     a = forms.assemble_convection_diffusion(patch, params, u_lin)
     d = forms.assemble_darcy_forchheimer(patch, params, u_lin)
@@ -186,9 +191,7 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
             f"relative residual {residuals[bad[0]]:.2e}"
         )
 
-    local_target = patch.local_of[target]
-    take = (6 * local_target[:, None] + np.arange(6)[None, :]).ravel()
-    rows = velocities[take, :].T.copy()
+    rows[...] = velocities[_cell_dofs(patch.local_of[target]), :].T
     if not np.all(np.isfinite(rows)):
         raise SingularSystemError(f"non-finite snapshot on coarse cell {i}")
     return SnapshotSet(
@@ -269,21 +272,22 @@ def spectral_reduce(snapshots, mesh, coarse, params, m, edge_set="boundary"):
     )
 
 
-def build_projection(cell_bases, mesh, coarse, m):
-    """Stack the per-cell bases into the global velocity projection and the
-    coarse-cell indicator rows for pressure."""
+def _cell_dofs(cells):
+    """Velocity DOFs of the given fine cells, cell by cell."""
+    return (6 * np.asarray(cells)[:, None] + np.arange(6)[None, :]).ravel()
+
+
+def _stack_projection(cell_rows, mesh, coarse, m):
+    """Global velocity projection from (coarse cell index, basis rows,
+    sorted fine target cells) triples, using the first m rows of each, and
+    the coarse-cell indicator rows for pressure."""
     n = coarse.n_cells
-    if len(cell_bases) != n:
-        raise ValueError(f"expected {n} cell bases, got {len(cell_bases)}")
     rows, cols, vals = [], [], []
-    for basis in sorted(cell_bases, key=lambda b: b.cell_index):
-        vecs = basis.fine_vectors(m)  # (m, 6 * n_target)
-        target = basis.snapshots.target_cells
-        gdof = (6 * target[:, None] + np.arange(6)[None, :]).ravel()
-        base_row = m * basis.cell_index
-        rows.append(np.repeat(base_row + np.arange(m), len(gdof)))
+    for i, vecs, target in cell_rows:
+        gdof = _cell_dofs(target)
+        rows.append(np.repeat(m * i + np.arange(m), len(gdof)))
         cols.append(np.tile(gdof, m))
-        vals.append(vecs.ravel())
+        vals.append(vecs[:m].ravel())
     r_u = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m * n, 6 * mesh.n_cells),
@@ -297,11 +301,32 @@ def build_projection(cell_bases, mesh, coarse, m):
     return r_u, r_p
 
 
+def build_projection(cell_bases, mesh, coarse, m):
+    """Stack the per-cell bases into the global velocity projection and the
+    coarse-cell indicator rows for pressure."""
+    n = coarse.n_cells
+    if len(cell_bases) != n:
+        raise ValueError(f"expected {n} cell bases, got {len(cell_bases)}")
+    cell_rows = [
+        (b.cell_index, b.fine_vectors(m), b.snapshots.target_cells)
+        for b in sorted(cell_bases, key=lambda b: b.cell_index)
+    ]
+    return _stack_projection(cell_rows, mesh, coarse, m)
+
+
 def default_thread_count():
+    """Worker count of the per-cell offline loop from MSFLOW_THREADS
+    (default 1), capped at the machine's CPU count."""
     env = os.environ.get("MSFLOW_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"MSFLOW_THREADS must be a positive integer, got {env!r}")
+    return min(threads, os.cpu_count() or 1)
 
 
 def build_multiscale_space(
@@ -354,34 +379,125 @@ def resize_space(space, mesh, coarse, m):
     )
 
 
-def _coarse_solve(upper, b_h, rhs_u, rhs_p):
-    """Solve the projected saddle system; falls back to a dense least-squares
-    solve when the sparse factorization cannot reach the residual target."""
-    n_u = upper.shape[0]
-    matrix = sp.bmat([[upper, b_h.T], [b_h, None]], format="csc")
-    rhs = np.concatenate([rhs_u, rhs_p])
+def _cell_slabs(r_u, coarse, m):
+    """Dense basis rows of each coarse cell, read from r_u: a list of
+    (sorted fine target cells, rows of shape (m, 6 * n_target))."""
+    r_u = r_u.tocsr()
+    slabs = []
+    for i in range(coarse.n_cells):
+        target = np.sort(coarse.cell_fine[i])
+        rows = r_u[m * i : m * (i + 1)]
+        on_cell = rows[:, _cell_dofs(target)]
+        if on_cell.nnz != rows.nnz:
+            raise ValueError(f"basis rows of coarse cell {i} reach outside the cell")
+        slabs.append((target, on_cell.toarray()))
+    return slabs
+
+
+class _NonlinearBlocks:
+    """r_u (C(u) + F(u)) r_u^T for u = r_u^T u_h, as one dense m x m block
+    per coarse cell.
+
+    Both terms are cellwise and every basis row lives on one coarse cell, so
+    the projection is block diagonal.  Convection is linear in u: its
+    projection is an m x m x m tensor per coarse cell, built once here and
+    contracted with the cell's coefficients each step.  The drag weight |u|
+    is not polynomial, so it is evaluated from the reconstructed field on the
+    porous fine cells only.
+    """
+
+    def __init__(self, mesh, coarse, params, r_u, m):
+        self.mesh, self.params, self.m = mesh, params, m
+        slabs = _cell_slabs(r_u, coarse, m)
+        # conv[i, k, r, s]: basis k of cell i as the convecting field,
+        # test row r, trial column s.
+        self.conv = np.empty((len(slabs), m, m, m))
+        porous = []
+        for i, (target, rows) in enumerate(slabs):
+            v = rows.reshape(m, len(target), 3, 2)
+            blocks = forms.convection_cell_blocks(
+                mesh, params, np.tile(target, m), v.reshape(-1, 3, 2)
+            ).reshape(m, len(target), 3, 3)
+            left = np.einsum("rcad,kcab->krcbd", v, blocks, optimize=True)
+            self.conv[i] = (left.reshape(m * m, -1) @ rows.T).reshape(m, m, m)
+            local = np.nonzero(mesh.region[target] == POROUS)[0]
+            if len(local) and params.forchheimer != 0.0:
+                porous.append((i, target[local], v[:, local].transpose(1, 0, 2, 3)))
+
+        # The porous fine cells grouped by coarse cell: global ids, owning
+        # coarse cell and basis values (n, m, 3, 2).
+        self.porous_coarse = np.array([i for i, _, _ in porous], dtype=np.int64)
+        sizes = [len(cells) for _, cells, _ in porous]
+        self.porous_start = np.cumsum([0] + sizes[:-1])
+        self.porous_owner = np.repeat(self.porous_coarse, sizes)
+        if porous:
+            self.porous_fine = np.concatenate([cells for _, cells, _ in porous])
+            self.porous_rows = np.concatenate([rows for _, _, rows in porous])
+
+    def __call__(self, u_h):
+        u = u_h.reshape(-1, self.m)
+        blocks = np.einsum("ik,ikrs->irs", u, self.conv)
+        if len(self.porous_coarse):
+            v = self.porous_rows
+            coefs = np.einsum("pk,pkad->pad", u[self.porous_owner], v)
+            drag = forms.forchheimer_cell_blocks(
+                self.mesh, self.params, self.porous_fine, coefs
+            )
+            per_cell = np.einsum("pkad,pab,psbd->pks", v, drag, v, optimize=True)
+            blocks[self.porous_coarse] += np.add.reduceat(per_cell, self.porous_start)
+        return blocks
+
+
+class _CoarseSaddle:
+    """The projected saddle matrix [[upper, B^T], [B, 0]] in CSC form with a
+    pattern fixed for the run: the static upper block and B, plus a dense
+    m x m diagonal block per coarse cell for the nonlinear terms."""
+
+    def __init__(self, upper, b_h, m):
+        n_u = upper.shape[0]
+        self.n = n = n_u + b_h.shape[0]
+        static = sp.bmat([[upper, b_h.T], [b_h, None]], format="csc")
+        static.sum_duplicates()
+        static_cols = np.repeat(np.arange(n), np.diff(static.indptr))
+        static_keys = static_cols * n + static.indices
+        base = m * np.arange(n_u // m)[:, None, None]
+        block_rows = base + np.arange(m)[None, :, None]
+        block_cols = base + np.arange(m)[None, None, :]
+        block_keys = block_cols * n + block_rows
+        keys = np.union1d(static_keys, block_keys.ravel())
+        self.indices = keys % n
+        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        self.base = np.zeros(len(keys))
+        self.base[np.searchsorted(keys, static_keys)] = static.data
+        self.block_pos = np.searchsorted(keys, block_keys)
+
+    def matrix(self, blocks):
+        """The saddle matrix with the per-cell blocks added to the upper block."""
+        data = self.base.copy()
+        data[self.block_pos] += blocks
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _coarse_solve(matrix, rhs, step):
+    """Sparse LU solve of the projected saddle system of online step `step`;
+    raises SingularSystemError when the factorization fails or the relative
+    residual exceeds 1e-9.  matrix is in CSC form."""
     try:
         x = sp.linalg.splu(matrix).solve(rhs)
-        fail = not np.all(np.isfinite(x))
-    except RuntimeError:
-        fail = True
-        x = None
-    scale = abs(matrix).sum(axis=1).max() or 1.0
-    if not fail:
-        resid = np.linalg.norm(matrix @ x - rhs)
-        fail = resid > 1e-9 * max(np.linalg.norm(rhs), scale * np.linalg.norm(x), 1e-300)
-    if fail:
-        warnings.warn(
-            "coarse system factorization degraded; using dense least squares",
-            RuntimeWarning,
+    except RuntimeError as exc:
+        raise SingularSystemError(
+            f"online step {step}: coarse system factorization failed: {exc}"
+        ) from exc
+    scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max() or 1.0
+    resid = np.linalg.norm(matrix @ x - rhs)
+    if not (
+        np.all(np.isfinite(x))
+        and resid <= 1e-9 * max(np.linalg.norm(rhs), scale * np.linalg.norm(x), 1e-300)
+    ):
+        raise SingularSystemError(
+            f"online step {step}: coarse system is singular (residual {resid:.2e})"
         )
-        x, *_ = np.linalg.lstsq(matrix.toarray(), rhs, rcond=None)
-        resid = np.linalg.norm(matrix @ x - rhs)
-        if resid > 1e-9 * max(np.linalg.norm(rhs), scale * np.linalg.norm(x), 1e-300):
-            raise SingularSystemError(
-                f"coarse system is singular (residual {resid:.2e})"
-            )
-    return x[:n_u], x[n_u:]
+    return x
 
 
 def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=None, ops=None):
@@ -389,7 +505,9 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     velocity.
 
     The nonlinear weights are refreshed every step from the reconstructed
-    fine-grid field of the previous coarse step; the basis stays fixed.
+    field of the previous coarse step; the basis stays fixed.  Fine-mesh
+    work happens once per call (the static projections and the convection
+    tensors); a step costs O(n_coarse m^3) plus the porous fine cells.
     Returns the coarse trajectory and the reconstructed fine state at the
     final time.
     """
@@ -399,7 +517,6 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
         space = build_multiscale_space(mesh, coarse, params, bc, m=m, oversampled=oversampled)
     r_u, r_p = space.r_u, space.r_p
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
-    patch = ops.patch
 
     m_h = (r_u @ ops.mass @ r_u.T).tocsr()
     a_static = (r_u @ ops.viscous @ r_u.T).tocsr()
@@ -408,19 +525,18 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     f_u = r_u @ ops.f_u
     f_p = r_p @ ops.f_p
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
+    nonlinear = _NonlinearBlocks(mesh, coarse, params, r_u, space.m)
+    saddle = _CoarseSaddle(m_h + a_static + d_static, b_h, space.m)
 
-    u_h = np.zeros(space.n_u)
+    n_u = space.n_u
+    u_h = np.zeros(n_u)
     p_h = np.zeros(space.n_p)
     states = [DGState(u_h.copy(), p_h.copy())]
     residuals = np.empty(params.n_steps)
     for step in range(params.n_steps):
-        u_rec = r_u.T @ u_h
-        upper = m_h + a_static + d_static
-        if np.any(u_rec):
-            upper = upper + r_u @ forms.convection_block(patch, params, u_rec) @ r_u.T
-            upper = upper + r_u @ forms.forchheimer_block(patch, params, u_rec) @ r_u.T
-        rhs_u = m_h @ u_h + f_u
-        u_h, p_h = _coarse_solve(upper.tocsr(), b_h, rhs_u, f_p)
+        rhs = np.concatenate([m_h @ u_h + f_u, f_p])
+        x = _coarse_solve(saddle.matrix(nonlinear(u_h)), rhs, step)
+        u_h, p_h = x[:n_u], x[n_u:]
         resid = np.linalg.norm(b_h @ u_h - f_p)
         denom = max(np.linalg.norm(f_p), b_scale * np.linalg.norm(u_h), 1e-300)
         residuals[step] = resid / denom
@@ -490,22 +606,8 @@ def load_space(directory, mesh, coarse, params, m, oversampled, edge_set="bounda
         return None
     _, name = min(candidates)
     data = np.load(os.path.join(directory, name))
-    n = coarse.n_cells
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        vecs = data[f"vec_{i}"][:m]
-        target = data[f"cells_{i}"]
-        gdof = (6 * target[:, None] + np.arange(6)[None, :]).ravel()
-        rows.append(np.repeat(m * i + np.arange(m), len(gdof)))
-        cols.append(np.tile(gdof, m))
-        vals.append(vecs.ravel())
-    r_u = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * n, 6 * mesh.n_cells),
-    ).tocsr()
-    pcols = np.concatenate([np.sort(coarse.cell_fine[i]) for i in range(n)])
-    prows = np.concatenate([np.full(len(coarse.cell_fine[i]), i) for i in range(n)])
-    r_p = sp.coo_matrix(
-        (np.ones(len(pcols)), (prows, pcols)), shape=(n, mesh.n_cells)
-    ).tocsr()
+    cell_rows = [
+        (i, data[f"vec_{i}"], data[f"cells_{i}"]) for i in range(coarse.n_cells)
+    ]
+    r_u, r_p = _stack_projection(cell_rows, mesh, coarse, m)
     return MultiscaleSpace(m=m, oversampled=bool(oversampled), cell_bases=[], r_u=r_u, r_p=r_p)

@@ -145,14 +145,3 @@ def coarse_cell_patch(mesh, coarse, i, oversampled=False):
     interior, boundary = edge_split(mesh, cells)
     return Patch(mesh, cells, boundary, interior)
 
-
-def boundary_facets(mesh, coarse, i, oversampled=False):
-    """Fine facets forming the boundary of coarse cell i (or of its
-    oversampled neighborhood), in deterministic edge-id order."""
-    if oversampled:
-        ids = oversample_region(coarse, i)
-        cells = np.concatenate([coarse.cell_fine[j] for j in ids])
-    else:
-        cells = coarse.cell_fine[int(i)]
-    _, boundary = edge_split(mesh, cells)
-    return boundary

@@ -234,6 +234,19 @@ def test_ms_mode_writes_reports(tmp_path):
     assert (out / "ms_m4.vtk").exists()
 
 
+def test_invalid_thread_count_exits_with_config_status(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MSFLOW_THREADS", "abc")
+    cfg = write_config(
+        tmp_path,
+        "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
+        "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
+        "[model]\npreset = test1\nn_steps = 2\n"
+        f"[run]\nmode = ms\nm = 4\nout = {tmp_path / 'out'}\n",
+    )
+    assert cli.main(["ms", "--config", str(cfg)]) == 2
+    assert "MSFLOW_THREADS" in capsys.readouterr().err
+
+
 def test_ms_mode_with_basis_cache_reuses_results(tmp_path):
     cache = tmp_path / "cache"
     text = (

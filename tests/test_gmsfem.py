@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from msflow import forms, gmsfem
+from msflow.errors import ConfigError, SingularSystemError
 from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
-from msflow.patches import coarse_cell_patch
+from msflow.patches import coarse_cell_patch, full_patch
 from msflow.saddle import SaddleSolver, SaddleSystem
 
 from conftest import make_params
@@ -302,13 +305,77 @@ class TestRunMultiscale:
             assert np.array_equal(small_rows[2 * i : 2 * i + 2], full_rows[5 * i : 5 * i + 2])
 
 
+class TestOnlineStage:
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_cell_blocks_equal_projected_fine_blocks(self, rng, m, oversampled):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params()
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(
+            mesh, coarse, params, bc, m=m, oversampled=oversampled
+        )
+        r_u = space.r_u
+        u_h = rng.standard_normal(space.n_u)
+        u_rec = r_u.T @ u_h
+        patch = full_patch(mesh)
+        fine = forms.convection_block(patch, params, u_rec) + forms.forchheimer_block(
+            patch, params, u_rec
+        )
+        want = (r_u @ fine @ r_u.T).toarray()
+        blocks = gmsfem._NonlinearBlocks(mesh, coarse, params, r_u, m)(u_h)
+        got = la.block_diag(*blocks)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_cached_space_runs_like_the_built_space(self, tmp_path):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=3)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=4)
+        gmsfem.save_space(tmp_path, mesh, params, space)
+        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, 4, False)
+        assert loaded.cell_bases == []
+        ops = StepOperators(mesh, params, bc)
+        built_traj, built = gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)
+        cached_traj, cached = gmsfem.run_multiscale(mesh, coarse, params, bc, space=loaded, ops=ops)
+        assert np.array_equal(built.velocity, cached.velocity)
+        assert np.array_equal(built.pressure, cached.pressure)
+        assert np.array_equal(built_traj.div_residuals, cached_traj.div_residuals)
+
+    def test_singular_coarse_system_raises_without_warning(self):
+        upper = sp.diags([1.0, 0.0, 2.0])  # second velocity mode decoupled
+        b_h = sp.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
+        matrix = sp.bmat([[upper, b_h.T], [b_h, None]], format="csc")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="online step 7"):
+                gmsfem._coarse_solve(matrix, np.ones(4), 7)
+
+
+class TestThreadCount:
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("MSFLOW_THREADS", raising=False)
+        assert gmsfem.default_thread_count() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_invalid_values_are_config_errors(self, monkeypatch, value):
+        monkeypatch.setenv("MSFLOW_THREADS", value)
+        with pytest.raises(ConfigError, match="MSFLOW_THREADS"):
+            gmsfem.default_thread_count()
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(gmsfem.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("MSFLOW_THREADS", "1000000")
+        assert gmsfem.default_thread_count() == 3
+        monkeypatch.setenv("MSFLOW_THREADS", "2")
+        assert gmsfem.default_thread_count() == 2
+
+
 class TestProjectedOperators:
     def test_projected_mass_symmetric_psd_and_dof_exact(self, rng):
         mesh, coarse = tiny_heterogeneous(n=2)
         params = make_params()
         bc = BoundaryData.inflow((1.0, 0.0))
-        from msflow.patches import full_patch
-
         m = 4
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=m)
         assert space.dof == m * coarse.n_cells + coarse.n_cells
