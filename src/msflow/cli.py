@@ -102,7 +102,8 @@ class _SpaceProvider:
     def get(self, m, oversampled):
         if self.spec.basis_cache:
             loaded = gmsfem.load_space(
-                self.spec.basis_cache, self.mesh, self.coarse, self.params, m, oversampled
+                self.spec.basis_cache, self.mesh, self.coarse, self.params, self.bc,
+                m, oversampled,
             )
             if loaded is not None:
                 return loaded
@@ -122,7 +123,9 @@ class _SpaceProvider:
             )
             self._built[oversampled] = space
             if self.spec.basis_cache:
-                gmsfem.save_space(self.spec.basis_cache, self.mesh, self.params, space)
+                gmsfem.save_space(
+                    self.spec.basis_cache, self.mesh, self.params, self.bc, space
+                )
         space = self._built[oversampled]
         if m == space.m:
             return space

@@ -7,7 +7,7 @@ bundles (50 steps, porosity 0.3).
 
 import os
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .geometry import CircleInclusion, DomainSpec
@@ -55,10 +55,6 @@ class RunSpec:
     reference: str = None
     other: str = None
     basis_cache: str = None
-    inclusion_mode: str = "list"
-    n_inclusions: int = 0
-    radius_range: tuple = (0.05, 0.12)
-    raw: dict = field(default_factory=dict)
 
 
 def generate_inclusions(bbox, n, radius_min, radius_max, seed, gap_frac=0.02):
@@ -180,20 +176,15 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
         porosity = 1.0
 
     inclusions_value, inc_line = _get(entries, "domain", "inclusions", "none")
-    inclusion_mode = "list"
-    n_inclusions = 0
-    radius_range = (0.05, 0.12)
     if inclusions_value.strip().lower() == "none":
         inclusions = []
     elif inclusions_value.strip().lower() == "random":
-        inclusion_mode = "random"
         value, lineno = _get(entries, "domain", "n_inclusions", "24")
         n_inclusions = _parse_int(value, lineno, "n_inclusions")
         value, lineno = _get(entries, "domain", "radius_min", "0.05")
         rmin = _parse_float(value, lineno, "radius_min")
         value, lineno = _get(entries, "domain", "radius_max", "0.12")
         rmax = _parse_float(value, lineno, "radius_max")
-        radius_range = (rmin, rmax)
         inclusions = generate_inclusions(bbox, n_inclusions, rmin, rmax, run_seed)
     else:
         inclusions = []
@@ -325,8 +316,4 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
         reference=reference,
         other=other,
         basis_cache=basis_cache,
-        inclusion_mode=inclusion_mode,
-        n_inclusions=n_inclusions,
-        radius_range=radius_range,
-        raw={k: v[0] for k, v in entries.items()},
     )

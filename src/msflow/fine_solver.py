@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import forms
 from .parameters import DGState
 from .patches import full_patch
-from .saddle import SaddleSolver, SaddleSystem
+from .saddle import SaddleSolver, SaddleSystem, relative_residual
 
 
 @dataclass
@@ -53,13 +53,7 @@ class StepOperators:
 
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""
-        resid = np.linalg.norm(self.div @ velocity - self.f_p)
-        denom = max(
-            np.linalg.norm(self.f_p),
-            self._div_scale * np.linalg.norm(velocity),
-            1e-300,
-        )
-        return resid / denom
+        return relative_residual(self.div, velocity, self.f_p, self._div_scale)
 
 
 def time_step(mesh, params, bc, state, u_lin=None, ops=None):

@@ -1,9 +1,9 @@
 """Sparse assembly of the interior-penalty DG forms.
 
 Velocity DOF layout inside a cell: index 2*a + d for vertex a (0..2) and
-component d (0 = x, 1 = y); cell c of a patch owns DOFs [6c, 6c + 6) and the
-pressure DOF c.  All assemblers act on a Patch, so the same code serves the
-global problem and the local snapshot problems.
+component d (0 = x, 1 = y); cell c of a patch owns DOFs [6c, 6c + 6)
+(cell_dofs) and the pressure DOF c.  All assemblers act on a Patch, so the
+same code serves the global problem and the local snapshot problems.
 
 The convective term and the quadratic drag carry the linearization field
 pointwise (degree-4 rule, since |u| is not polynomial); every polynomial
@@ -26,12 +26,20 @@ def _kron2(blocks):
     return out
 
 
+def cell_dofs(cells):
+    """Velocity DOF indices (n, 3, 2) of the given cells: 6c + 2a + d for
+    vertex a and component d."""
+    return (
+        6 * np.asarray(cells)[:, None, None]
+        + 2 * np.arange(3)[None, :, None]
+        + np.arange(2)[None, None, :]
+    )
+
+
 def _pair_coo(rows_cells, cols_cells, blocks6):
     """COO triplets for (n, 6, 6) blocks coupling two local cell lists."""
-    base_r = 6 * np.asarray(rows_cells)
-    base_c = 6 * np.asarray(cols_cells)
-    rows = base_r[:, None, None] + np.arange(6)[None, :, None]
-    cols = base_c[:, None, None] + np.arange(6)[None, None, :]
+    rows = cell_dofs(rows_cells).reshape(-1, 6, 1)
+    cols = cell_dofs(cols_cells).reshape(-1, 1, 6)
     rows = np.broadcast_to(rows, blocks6.shape)
     cols = np.broadcast_to(cols, blocks6.shape)
     return rows.ravel(), cols.ravel(), blocks6.ravel()
@@ -77,17 +85,8 @@ def _grad_dot_n(patch, cells_local, normal):
     return np.einsum("nam,nm->na", g, normal)
 
 
-def dirichlet_edge_points(patch):
-    """Quadrature points on the Dirichlet edges, (ne, q, 2)."""
-    pa = patch.mesh.verts[patch.dir_va]
-    pb = patch.mesh.verts[patch.dir_vb]
-    s = EDGE_G2_S
-    return pa[:, None, :] * (1.0 - s)[None, :, None] + pb[:, None, :] * s[None, :, None]
-
-
-def natural_edge_points(patch):
-    pa = patch.mesh.verts[patch.nat_va]
-    pb = patch.mesh.verts[patch.nat_vb]
+def edge_points(pa, pb):
+    """Quadrature points (ne, q, 2) on the edges with endpoints pa, pb (ne, 2)."""
     s = EDGE_G2_S
     return pa[:, None, :] * (1.0 - s)[None, :, None] + pb[:, None, :] * s[None, :, None]
 
@@ -105,13 +104,6 @@ def assemble_mass(patch, params):
     xi = patch.mesh.xi(params.porosity)[patch.cells]
     coef = 1.0 / (params.tau * xi)
     blocks = _kron2(coef[:, None, None] * _lambda_mass(patch))
-    part = _cell_coo(np.arange(patch.n_cells), blocks)
-    return _collect([part], (patch.n_vdof, patch.n_vdof))
-
-
-def velocity_mass(patch):
-    """Plain vector L2 mass matrix (no model weights), used for norms."""
-    blocks = _kron2(_lambda_mass(patch))
     part = _cell_coo(np.arange(patch.n_cells), blocks)
     return _collect([part], (patch.n_vdof, patch.n_vdof))
 
@@ -283,89 +275,56 @@ def assemble_darcy_forchheimer(patch, params, u_lin=None):
     return block
 
 
-def assemble_divergence(patch, edge_terms=True):
+def assemble_divergence(patch):
     """Pressure-velocity coupling block (pressure rows, velocity columns):
     cellwise -(q, div v) plus mean-pressure jump terms on interior edges and
     the boundary flux term on Dirichlet edges."""
     mesh = patch.mesh
-    rows, cols, vals = [], [], []
-
-    grad = mesh.grad[patch.cells]
-    area = mesh.area[patch.cells]
-    vol = -area[:, None, None] * grad  # (n, 3, 2); entry (c, b, e)
+    w = EDGE_G2_W
     c_loc = np.arange(patch.n_cells)
-    r = np.broadcast_to(c_loc[:, None, None], vol.shape)
-    c = 6 * c_loc[:, None, None] + 2 * np.arange(3)[None, :, None] + np.arange(2)[None, None, :]
-    rows.append(r.ravel())
-    cols.append(np.broadcast_to(c, vol.shape).ravel())
-    vals.append(vol.ravel())
-
-    if edge_terms and len(patch.interior_edges):
-        w = EDGE_G2_W
-        length = patch.int_len
-        normal = patch.int_normal
+    # (pressure cell, velocity cell, block (n, 3, 2)) triples; vol[c, b, e]
+    vol = -mesh.area[patch.cells][:, None, None] * mesh.grad[patch.cells]
+    parts = [(c_loc, c_loc, vol)]
+    if len(patch.interior_edges):
         lam = {"p": _edge_traces(patch, "p"), "m": _edge_traces(patch, "m")}
         cell = {"p": patch.int_cp, "m": patch.int_cm}
         sign = {"p": 1.0, "m": -1.0}
         for t in ("p", "m"):  # pressure side, averaged with weight 1/2
             for u in ("p", "m"):  # velocity trace side
-                intlam = np.einsum("q,nqa->na", w, lam[u]) * length[:, None]
-                block = 0.5 * sign[u] * intlam[:, :, None] * normal[:, None, :]
-                r = np.broadcast_to(cell[t][:, None, None], block.shape)
-                c = (
-                    6 * cell[u][:, None, None]
-                    + 2 * np.arange(3)[None, :, None]
-                    + np.arange(2)[None, None, :]
-                )
-                rows.append(r.ravel())
-                cols.append(np.broadcast_to(c, block.shape).ravel())
-                vals.append(block.ravel())
-
-    if edge_terms and len(patch.dirichlet_edges):
-        w = EDGE_G2_W
+                intlam = np.einsum("q,nqa->na", w, lam[u]) * patch.int_len[:, None]
+                block = 0.5 * sign[u] * intlam[:, :, None] * patch.int_normal[:, None, :]
+                parts.append((cell[t], cell[u], block))
+    if len(patch.dirichlet_edges):
         lam = _edge_traces(patch, "d")
         intlam = np.einsum("q,nqa->na", w, lam) * patch.dir_len[:, None]
         block = intlam[:, :, None] * patch.dir_normal[:, None, :]
-        r = np.broadcast_to(patch.dir_cell[:, None, None], block.shape)
-        c = (
-            6 * patch.dir_cell[:, None, None]
-            + 2 * np.arange(3)[None, :, None]
-            + np.arange(2)[None, None, :]
-        )
-        rows.append(r.ravel())
-        cols.append(np.broadcast_to(c, block.shape).ravel())
-        vals.append(block.ravel())
-
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(patch.n_pdof, patch.n_vdof),
-    )
-    return coo.tocsr()
+        parts.append((patch.dir_cell, patch.dir_cell, block))
+    coo = [
+        (np.broadcast_to(pc[:, None, None], b.shape).ravel(), cell_dofs(vc).ravel(), b.ravel())
+        for pc, vc, b in parts
+    ]
+    return _collect(coo, (patch.n_pdof, patch.n_vdof))
 
 
-def dirichlet_rhs_from_values(patch, params, g_quad, grad_quad=None):
-    """Momentum and continuity right-hand sides for Dirichlet data given as
-    quadrature-point values g_quad (ne, q, 2) on the patch Dirichlet edges.
+def dirichlet_facet_terms(patch, params, g_quad, grad_quad=None):
+    """Per-facet weak-Dirichlet data terms for values g_quad (ne, q, 2) at
+    the quadrature points of the patch Dirichlet edges.
 
-    The weak imposition pairs the penalty and adjoint-consistency terms so
-    that the solve drives the boundary trace to +g; grad_quad (ne, q, 2, 2)
-    adds the boundary-gradient flux of the data and defaults to zero.
+    Returns the momentum contribution (ne, 3, 2) on each facet's cell DOFs
+    and the edge integral of g (ne, 2).  The weak imposition pairs the
+    penalty and adjoint-consistency terms so that the solve drives the
+    boundary trace to +g; grad_quad (ne, q, 2, 2) adds the boundary-gradient
+    flux of the data and defaults to zero.
     """
-    f_u = np.zeros(patch.n_vdof)
-    f_p = np.zeros(patch.n_pdof)
-    nd = len(patch.dirichlet_edges)
-    if nd == 0:
-        return f_u, f_p
-    mesh = patch.mesh
     w = EDGE_G2_W
-    xi = mesh.xi(params.porosity)
+    xi = patch.mesh.xi(params.porosity)
     kappa = 1.0 / (xi[patch.cells[patch.dir_cell]] * params.reynolds)
     length = patch.dir_len
     normal = patch.dir_normal
     lam = _edge_traces(patch, "d")
     gdn = _grad_dot_n(patch, patch.dir_cell, normal)
 
-    intg = np.einsum("q,nqd->nd", w, g_quad) * length[:, None]  # edge integral of g
+    intg = np.einsum("q,nqd->nd", w, g_quad) * length[:, None]
     pen = 2.0 * params.penalty * kappa[:, None, None] * np.einsum(
         "q,nqa,nqd->nad", w, lam, g_quad
     )
@@ -376,52 +335,44 @@ def dirichlet_rhs_from_values(patch, params, g_quad, grad_quad=None):
         contrib = contrib + kappa[:, None, None] * length[:, None, None] * np.einsum(
             "q,nqa,nqd->nad", w, lam, gn
         )
-    dof = (
-        6 * patch.dir_cell[:, None, None]
-        + 2 * np.arange(3)[None, :, None]
-        + np.arange(2)[None, None, :]
-    )
-    np.add.at(f_u, dof.ravel(), contrib.ravel())
+    return contrib, intg
 
-    flux = np.einsum("nd,nd->n", intg, normal)
-    np.add.at(f_p, patch.dir_cell, flux)
+
+def dirichlet_rhs_from_values(patch, params, g_quad, grad_quad=None):
+    """Momentum and continuity right-hand sides for Dirichlet data given as
+    quadrature-point values g_quad (ne, q, 2) on the patch Dirichlet edges;
+    see dirichlet_facet_terms."""
+    f_u = np.zeros(patch.n_vdof)
+    f_p = np.zeros(patch.n_pdof)
+    contrib, intg = dirichlet_facet_terms(patch, params, g_quad, grad_quad)
+    np.add.at(f_u, cell_dofs(patch.dir_cell).ravel(), contrib.ravel())
+    np.add.at(f_p, patch.dir_cell, np.einsum("nd,nd->n", intg, patch.dir_normal))
     return f_u, f_p
 
 
 def assemble_rhs(patch, params, bc, forcing=None):
     """Right-hand sides for the global problem: weak Dirichlet data on the
     velocity sides, optional outflow traction and optional volume forcing."""
-    pts = dirichlet_edge_points(patch)
+    verts = patch.mesh.verts
+    pts = edge_points(verts[patch.dir_va], verts[patch.dir_vb])
     g_quad = bc.values(patch.dir_side, pts) if len(patch.dirichlet_edges) else pts
     grad_quad = bc.grad_values(pts) if bc.grad is not None else None
     f_u, f_p = dirichlet_rhs_from_values(patch, params, g_quad, grad_quad)
 
     if bc.traction is not None and len(patch.natural_edges):
         w = EDGE_G2_W
-        npts = natural_edge_points(patch)
-        tq = bc.traction_values(npts)
+        tq = bc.traction_values(edge_points(verts[patch.nat_va], verts[patch.nat_vb]))
         lam = _edge_traces(patch, "n")
         contrib = patch.nat_len[:, None, None] * np.einsum("q,nqa,nqd->nad", w, lam, tq)
-        dof = (
-            6 * patch.nat_cell[:, None, None]
-            + 2 * np.arange(3)[None, :, None]
-            + np.arange(2)[None, None, :]
-        )
-        np.add.at(f_u, dof.ravel(), contrib.ravel())
+        np.add.at(f_u, cell_dofs(patch.nat_cell).ravel(), contrib.ravel())
 
     if forcing is not None:
         bary, w = TRI_D4_BARY, TRI_D4_W
-        verts = patch.mesh.verts[patch.mesh.cells[patch.cells]]
-        xq = np.einsum("qa,nad->nqd", bary, verts)
+        xq = np.einsum("qa,nad->nqd", bary, verts[patch.mesh.cells[patch.cells]])
         fq = np.asarray(forcing(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
         area = patch.mesh.area[patch.cells]
         contrib = area[:, None, None] * np.einsum("q,qa,nqd->nad", w, bary, fq)
-        dof = (
-            6 * np.arange(patch.n_cells)[:, None, None]
-            + 2 * np.arange(3)[None, :, None]
-            + np.arange(2)[None, None, :]
-        )
-        np.add.at(f_u, dof.ravel(), contrib.ravel())
+        np.add.at(f_u, cell_dofs(np.arange(patch.n_cells)).ravel(), contrib.ravel())
     return f_u, f_p
 
 

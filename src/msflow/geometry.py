@@ -198,13 +198,6 @@ class CoarseGrid:
         iy = np.clip(((pts[:, 1] - y0) / (y1 - y0) * self.ny).astype(int), 0, self.ny - 1)
         return iy * self.nx + ix
 
-    def rect(self, i):
-        """Extents (x0, y0, x1, y1) of coarse cell i."""
-        x0, y0, x1, y1 = self.bbox
-        hx, hy = (x1 - x0) / self.nx, (y1 - y0) / self.ny
-        iy, ix = divmod(int(i), self.nx)
-        return (x0 + ix * hx, y0 + iy * hy, x0 + (ix + 1) * hx, y0 + (iy + 1) * hy)
-
 
 def oversample_region(coarse, i):
     """Indices of the coarse cell i plus its vertex-neighbor ring, clipped

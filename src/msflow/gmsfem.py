@@ -13,8 +13,10 @@ the coarse coefficients.
 import hashlib
 import os
 import warnings
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from zipfile import BadZipFile
 
 import numpy as np
 import scipy.linalg as la
@@ -27,7 +29,7 @@ from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_patch
 from .quadrature import EDGE_G2_W
-from .saddle import SaddleSolver, SaddleSystem
+from .saddle import RESIDUAL_TOL, SaddleSolver, SaddleSystem, relative_residual
 
 S_RANK_TOL = 1e-10
 
@@ -126,35 +128,23 @@ def compatibility_constant(patch, edge_id, direction):
 
 def _delta_rhs_batch(patch, params):
     """Right-hand sides of all delta-data local problems, one column per
-    (facet, direction) pair in row order 2k + d.
+    (facet, direction) pair in row order 2k + d: the global weak-Dirichlet
+    load of the unit datum e_d on facet k.
 
     The continuity data combines the facet flux with a uniform volume source
     sized so each column sums to zero, which the all-Dirichlet local problem
     needs for solvability.
     """
     nd = len(patch.dirichlet_edges)
-    mesh = patch.mesh
-    w = EDGE_G2_W
-    xi = mesh.xi(params.porosity)
-    kappa = 1.0 / (xi[patch.cells[patch.dir_cell]] * params.reynolds)
-    lam = forms._edge_traces(patch, "d")
-    gdn = forms._grad_dot_n(patch, patch.dir_cell, patch.dir_normal)
-    intlam = np.einsum("q,nqa->na", w, lam)  # edge-average of each trace fn
-    base = 2.0 * params.penalty * kappa[:, None] * intlam - kappa[:, None] * (
-        patch.dir_len[:, None] * gdn
-    )
-
+    ones = np.ones((nd, len(EDGE_G2_W), 2))
+    contrib, intg = forms.dirichlet_facet_terms(patch, params, ones)
+    flux = intg * patch.dir_normal  # (nd, 2): column 2k + d
+    cols = np.arange(2 * nd).reshape(nd, 1, 2)
     f_u = np.zeros((patch.n_vdof, 2 * nd))
+    f_u[forms.cell_dofs(patch.dir_cell), cols] = contrib
     f_p = np.zeros((patch.n_pdof, 2 * nd))
-    areas = mesh.area[patch.cells]
-    for k in range(nd):
-        cell = patch.dir_cell[k]
-        flux = patch.dir_len[k] * patch.dir_normal[k]  # per direction
-        for d in range(2):
-            col = 2 * k + d
-            f_u[6 * cell + 2 * np.arange(3) + d, col] = base[k]
-            f_p[cell, col] += flux[d]
-            f_p[:, col] -= (flux[d] / patch.area) * areas
+    f_p[patch.dir_cell[:, None], cols[:, 0]] += flux
+    f_p -= np.outer(patch.mesh.area[patch.cells], flux.ravel() / patch.area)
     return f_u, f_p
 
 
@@ -182,7 +172,7 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
             f"local system of coarse cell {i} (oversampled={oversampled}): {exc}"
         ) from exc
     velocities, _, residuals = solver.solve_many(f_u, f_p)
-    bad = np.nonzero(residuals > 1e-9)[0]
+    bad = np.nonzero(~(residuals <= RESIDUAL_TOL))[0]
     if len(bad):
         k, d = divmod(int(bad[0]), 2)
         raise SingularSystemError(
@@ -191,7 +181,7 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
             f"relative residual {residuals[bad[0]]:.2e}"
         )
 
-    rows[...] = velocities[_cell_dofs(patch.local_of[target]), :].T
+    rows[...] = velocities[forms.cell_dofs(patch.local_of[target]).ravel(), :].T
     if not np.all(np.isfinite(rows)):
         raise SingularSystemError(f"non-finite snapshot on coarse cell {i}")
     return SnapshotSet(
@@ -272,11 +262,6 @@ def spectral_reduce(snapshots, mesh, coarse, params, m, edge_set="boundary"):
     )
 
 
-def _cell_dofs(cells):
-    """Velocity DOFs of the given fine cells, cell by cell."""
-    return (6 * np.asarray(cells)[:, None] + np.arange(6)[None, :]).ravel()
-
-
 def _stack_projection(cell_rows, mesh, coarse, m):
     """Global velocity projection from (coarse cell index, basis rows,
     sorted fine target cells) triples, using the first m rows of each, and
@@ -284,7 +269,7 @@ def _stack_projection(cell_rows, mesh, coarse, m):
     n = coarse.n_cells
     rows, cols, vals = [], [], []
     for i, vecs, target in cell_rows:
-        gdof = _cell_dofs(target)
+        gdof = forms.cell_dofs(target).ravel()
         rows.append(np.repeat(m * i + np.arange(m), len(gdof)))
         cols.append(np.tile(gdof, m))
         vals.append(vecs[:m].ravel())
@@ -387,7 +372,7 @@ def _cell_slabs(r_u, coarse, m):
     for i in range(coarse.n_cells):
         target = np.sort(coarse.cell_fine[i])
         rows = r_u[m * i : m * (i + 1)]
-        on_cell = rows[:, _cell_dofs(target)]
+        on_cell = rows[:, forms.cell_dofs(target).ravel()]
         if on_cell.nnz != rows.nnz:
             raise ValueError(f"basis rows of coarse cell {i} reach outside the cell")
         slabs.append((target, on_cell.toarray()))
@@ -481,21 +466,18 @@ class _CoarseSaddle:
 def _coarse_solve(matrix, rhs, step):
     """Sparse LU solve of the projected saddle system of online step `step`;
     raises SingularSystemError when the factorization fails or the relative
-    residual exceeds 1e-9.  matrix is in CSC form."""
+    residual exceeds RESIDUAL_TOL.  matrix is in CSC form."""
     try:
         x = sp.linalg.splu(matrix).solve(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(
             f"online step {step}: coarse system factorization failed: {exc}"
         ) from exc
-    scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max() or 1.0
-    resid = np.linalg.norm(matrix @ x - rhs)
-    if not (
-        np.all(np.isfinite(x))
-        and resid <= 1e-9 * max(np.linalg.norm(rhs), scale * np.linalg.norm(x), 1e-300)
-    ):
+    scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
+    rel = relative_residual(matrix, x, rhs, scale)
+    if not rel <= RESIDUAL_TOL:
         raise SingularSystemError(
-            f"online step {step}: coarse system is singular (residual {resid:.2e})"
+            f"online step {step}: coarse system is singular (residual {rel:.2e})"
         )
     return x
 
@@ -537,9 +519,7 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
         rhs = np.concatenate([m_h @ u_h + f_u, f_p])
         x = _coarse_solve(saddle.matrix(nonlinear(u_h)), rhs, step)
         u_h, p_h = x[:n_u], x[n_u:]
-        resid = np.linalg.norm(b_h @ u_h - f_p)
-        denom = max(np.linalg.norm(f_p), b_scale * np.linalg.norm(u_h), 1e-300)
-        residuals[step] = resid / denom
+        residuals[step] = relative_residual(b_h, u_h, f_p, b_scale)
         states.append(DGState(u_h.copy(), p_h.copy()))
     times = params.tau * np.arange(params.n_steps + 1)
     coarse_traj = Trajectory(states, times, residuals)
@@ -547,10 +527,16 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     return coarse_traj, fine_state
 
 
-def _space_key(mesh, params, oversampled, edge_set):
+def _space_key(mesh, params, bc, oversampled, edge_set):
+    """Hash of everything the bases depend on: the mesh, the parameters and,
+    through the linearization field, the boundary data."""
+    if bc.velocity is not None or bc.grad is not None or bc.traction is not None:
+        raise ValueError("boundary data given by callables cannot key the basis cache")
     digest = hashlib.sha256()
     for arr in (mesh.verts, mesh.cells, mesh.region, mesh.coarse_id):
         digest.update(np.ascontiguousarray(arr).tobytes())
+    for side in sorted(bc.sides):
+        digest.update(side.encode() + np.asarray(bc.sides[side], dtype=float).tobytes())
     digest.update(
         repr(
             (
@@ -569,11 +555,11 @@ def _space_key(mesh, params, oversampled, edge_set):
     return digest.hexdigest()[:16]
 
 
-def save_space(directory, mesh, params, space, edge_set="boundary"):
-    """Dump eigenvalues and basis rows keyed by mesh/parameter hashes so a
+def save_space(directory, mesh, params, bc, space, edge_set="boundary"):
+    """Dump eigenvalues and basis rows keyed by the hash of the inputs so a
     later run with the same inputs can skip the offline stage."""
     os.makedirs(directory, exist_ok=True)
-    key = _space_key(mesh, params, space.oversampled, edge_set)
+    key = _space_key(mesh, params, bc, space.oversampled, edge_set)
     path = os.path.join(directory, f"basis_{key}_m{space.m}.npz")
     payload = {
         "m": np.array([space.m]),
@@ -591,23 +577,39 @@ def save_space(directory, mesh, params, space, edge_set="boundary"):
     return path
 
 
-def load_space(directory, mesh, coarse, params, m, oversampled, edge_set="boundary"):
-    """Load a cached space with basis size >= m, or None when absent."""
-    key = _space_key(mesh, params, oversampled, edge_set)
+def load_space(directory, mesh, coarse, params, bc, m, oversampled, edge_set="boundary"):
+    """Load a cached space with basis size >= m, or None when absent.  A file
+    that cannot be read or does not fit the mesh is a miss with a
+    RuntimeWarning naming it."""
+    prefix = f"basis_{_space_key(mesh, params, bc, oversampled, edge_set)}_m"
     if not os.path.isdir(directory):
         return None
     candidates = []
     for name in os.listdir(directory):
-        if name.startswith(f"basis_{key}_m") and name.endswith(".npz"):
-            stored_m = int(name[len(f"basis_{key}_m") : -4])
-            if stored_m >= m:
-                candidates.append((stored_m, name))
+        if name.startswith(prefix) and name.endswith(".npz"):
+            size = name[len(prefix) : -4]
+            if not size.isdecimal():
+                path = os.path.join(directory, name)
+                warnings.warn(f"basis cache file {path} ignored: malformed size", RuntimeWarning)
+            elif int(size) >= m:
+                candidates.append((int(size), name))
     if not candidates:
         return None
-    _, name = min(candidates)
-    data = np.load(os.path.join(directory, name))
-    cell_rows = [
-        (i, data[f"vec_{i}"], data[f"cells_{i}"]) for i in range(coarse.n_cells)
-    ]
+    stored_m, name = min(candidates)
+    path = os.path.join(directory, name)
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:
+            cell_rows = [
+                (i, data[f"vec_{i}"], data[f"cells_{i}"]) for i in range(coarse.n_cells)
+            ]
+        for i, vecs, cells in cell_rows:
+            target = np.sort(coarse.cell_fine[i])
+            if not np.array_equal(cells, target):
+                raise ValueError(f"fine cells of coarse cell {i} do not match the mesh")
+            if vecs.shape != (stored_m, 6 * len(target)) or not np.all(np.isfinite(vecs)):
+                raise ValueError(f"basis rows of coarse cell {i} are malformed")
+    except (OSError, EOFError, KeyError, TypeError, ValueError, BadZipFile, zlib.error) as exc:
+        warnings.warn(f"basis cache file {path} ignored: {exc!r}", RuntimeWarning)
+        return None
     r_u, r_p = _stack_projection(cell_rows, mesh, coarse, m)
     return MultiscaleSpace(m=m, oversampled=bool(oversampled), cell_bases=[], r_u=r_u, r_p=r_p)

@@ -95,23 +95,13 @@ class SaddleSolver:
         rhs_p = system.f_p if rhs_p is None else rhs_p
         if not (np.all(np.isfinite(rhs_u)) and np.all(np.isfinite(rhs_p))):
             raise SingularSystemError("non-finite right-hand side")
-        nu = system.n_velocity
-        if system.n_pressure == 0:
-            rhs = rhs_u
-        else:
-            rhs_p = rhs_p.copy()
-            if self.pinned:
-                rhs_p[0] = 0.0
-            rhs = np.concatenate([rhs_u, rhs_p])
-        x = self.lu.solve(rhs)
-        resid = np.linalg.norm(self.matrix @ x - rhs)
-        denom = max(np.linalg.norm(rhs), self.scale * np.linalg.norm(x), 1e-300)
-        if not np.isfinite(resid) or resid > RESIDUAL_TOL * denom:
+        u, p, rel = self.solve_many(rhs_u[:, None], rhs_p[:, None])
+        if not rel[0] <= RESIDUAL_TOL:
             raise SingularSystemError(
-                f"solve residual {resid / denom:.2e} exceeds {RESIDUAL_TOL:.0e} "
+                f"solve residual {rel[0]:.2e} exceeds {RESIDUAL_TOL:.0e} "
                 "(system singular or severely ill-conditioned)"
             )
-        return x[:nu], x[nu:]
+        return u[:, 0], p[:, 0]
 
     def solve_many(self, rhs_u_mat, rhs_p_mat):
         """Solve for a batch of right-hand sides given as columns.
@@ -120,9 +110,8 @@ class SaddleSolver:
         per input column; no exception is raised so the caller can attach
         context to a failing column.
         """
-        system = self.system
-        nu = system.n_velocity
-        if system.n_pressure == 0:
+        nu = self.system.n_velocity
+        if self.system.n_pressure == 0:
             rhs = np.asarray(rhs_u_mat, dtype=float)
         else:
             rhs_p_mat = np.array(rhs_p_mat, dtype=float, copy=True)
@@ -130,13 +119,17 @@ class SaddleSolver:
                 rhs_p_mat[0, :] = 0.0
             rhs = np.vstack([rhs_u_mat, rhs_p_mat])
         x = self.lu.solve(rhs)
-        resid = np.linalg.norm(self.matrix @ x - rhs, axis=0)
-        denom = np.maximum(
-            np.linalg.norm(rhs, axis=0),
-            self.scale * np.linalg.norm(x, axis=0),
-        )
-        rel = resid / np.maximum(denom, 1e-300)
-        return x[:nu], x[nu:], rel
+        return x[:nu], x[nu:], relative_residual(self.matrix, x, rhs, self.scale)
+
+
+def relative_residual(matrix, x, rhs, scale):
+    """|matrix x - rhs| / max(|rhs|, scale |x|), per column for 2-D x and
+    rhs; scale is the operator size (its largest absolute row sum).  Every
+    solve accepts a result only when this is at most RESIDUAL_TOL."""
+    axis = 0 if np.ndim(x) > 1 else None  # vectors keep numpy's dot-product norm
+    resid = np.linalg.norm(matrix @ x - rhs, axis=axis)
+    denom = np.maximum(np.linalg.norm(rhs, axis=axis), scale * np.linalg.norm(x, axis=axis))
+    return resid / np.maximum(denom, 1e-300)
 
 
 def solve_saddle(system, rhs=None, pin_pressure=False):

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The desk-scale multiscale
 checks share one session-cached set of reference runs and basis spaces.
 """
 
+import csv
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +253,23 @@ def test_criterion_5_conservation(rig):
         worst_fine <= 1e-9 and worst_coarse <= 1e-9,
         f"max continuity residual: fine {worst_fine:.2e}, coarse {worst_coarse:.2e}",
     )
+
+
+def test_committed_sweep_numbers(rig):
+    """The e_u cells of results/desk_test1 agree with the desk runs that
+    criteria 3 and 4 already make, to the printed digits; no extra solve."""
+    results = Path(__file__).resolve().parent.parent / "results" / "desk_test1"
+    keys = [(1e-3, False, m) for m in rig.M_LIST] + [(1e-3, True, 16), (1e-5, True, 16)]
+    mismatches = []
+    for darcy, oversampled, m in keys:
+        with open(results / f"errors_da_{darcy:g}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        row = next(r for r in rows if int(r["M"]) == m)
+        stored = row["e_u_os" if oversampled else "e_u_plain"]
+        computed = f"{100 * rig.multiscale(darcy, oversampled, m)['e_u']:.6f}"
+        if computed != stored:
+            mismatches.append(f"Da={darcy:g} M={m} os={oversampled}: {computed} != {stored}")
+    assert not mismatches, "; ".join(mismatches)
 
 
 def test_criterion_6_spectral_suite(rig):

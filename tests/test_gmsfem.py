@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.patches import coarse_cell_patch, full_patch
+from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import SaddleSolver, SaddleSystem
 
 from conftest import make_params
@@ -193,6 +195,28 @@ class TestSnapshots:
         assert np.array_equal(snap.rows[col], u_full[take])
 
 
+class TestDeltaLoads:
+    """The snapshot loads are the global weak-Dirichlet load of facet data."""
+
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_columns_combine_to_the_dirichlet_load(self, rng, oversampled):
+        mesh, coarse = tiny_heterogeneous()
+        params = make_params()
+        for i in range(coarse.n_cells):
+            patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
+            f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
+            g = rng.standard_normal((len(patch.dirichlet_edges), 2))
+            g_quad = np.repeat(g[:, None, :], len(EDGE_G2_W), axis=1)
+            load_u, load_p = forms.dirichlet_rhs_from_values(patch, params, g_quad)
+            gap_u = np.linalg.norm(f_u @ g.ravel() - load_u)
+            assert gap_u <= 1e-13 * np.linalg.norm(load_u)
+            source = (load_p.sum() / patch.area) * mesh.area[patch.cells]
+            gap_p = np.linalg.norm(f_p @ g.ravel() - (load_p - source))
+            assert gap_p <= 1e-13 * np.linalg.norm(load_p)
+            col_scale = np.abs(f_p).max(axis=0)
+            assert np.all(np.abs(f_p.sum(axis=0)) <= 1e-13 * col_scale)
+
+
 class TestSpectralReduce:
     def test_diagonal_pencil(self):
         w, v, _ = gmsfem.generalized_eigh(np.diag([1.0, 2.0]), np.eye(2))
@@ -332,8 +356,8 @@ class TestOnlineStage:
         params = make_params(n_steps=3)
         bc = BoundaryData.inflow((1.0, 0.0))
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=4)
-        gmsfem.save_space(tmp_path, mesh, params, space)
-        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, 4, False)
+        gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 4, False)
         assert loaded.cell_bases == []
         ops = StepOperators(mesh, params, bc)
         built_traj, built = gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)
@@ -420,11 +444,63 @@ class TestBasisCache:
         params = make_params(n_steps=1)
         bc = BoundaryData.inflow((1.0, 0.0))
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=4)
-        gmsfem.save_space(tmp_path, mesh, params, space)
-        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, 3, False)
+        gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 3, False)
         assert loaded is not None
         expect = gmsfem.resize_space(space, mesh, coarse, 3)
         assert np.allclose((loaded.r_u - expect.r_u).toarray(), 0.0)
         # different parameters miss the cache
         other = params.with_darcy(params.darcy * 10)
-        assert gmsfem.load_space(tmp_path, mesh, coarse, other, 3, False) is None
+        assert gmsfem.load_space(tmp_path, mesh, coarse, other, bc, 3, False) is None
+
+    def test_changed_inflow_misses_the_cache(self, tmp_path):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
+        gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        same = BoundaryData.inflow((1.0, 0.0))
+        assert gmsfem.load_space(tmp_path, mesh, coarse, params, same, 3, False) is not None
+        other = BoundaryData.inflow((1.0, 1.0))
+        assert gmsfem.load_space(tmp_path, mesh, coarse, params, other, 3, False) is None
+
+    def test_callable_boundary_data_cannot_key_the_cache(self, tmp_path):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1)
+        bc = BoundaryData(velocity=lambda x: np.ones((len(x), 2)))
+        with pytest.raises(ValueError, match="callables"):
+            gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 3, False)
+
+    @staticmethod
+    def _saved(tmp_path):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
+        path = gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        return path, (tmp_path, mesh, coarse, params, bc, 3, False)
+
+    def test_garbage_file_is_a_warned_miss(self, tmp_path):
+        path, args = self._saved(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(b"not a basis cache" * 10)
+        with pytest.warns(RuntimeWarning, match=os.path.basename(path)):
+            assert gmsfem.load_space(*args) is None
+
+    def test_altered_cell_ids_are_a_warned_miss(self, tmp_path):
+        path, args = self._saved(tmp_path)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["cells_1"] = payload["cells_1"].copy()
+        payload["cells_1"][0] = payload["cells_0"][0]
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        with pytest.warns(RuntimeWarning, match="coarse cell 1"):
+            assert gmsfem.load_space(*args) is None
+
+    def test_malformed_size_in_the_name_is_a_warned_miss(self, tmp_path):
+        path, args = self._saved(tmp_path)
+        bad = path.replace("_m3.npz", "_m3x.npz")
+        os.replace(path, bad)
+        with pytest.warns(RuntimeWarning, match=os.path.basename(bad)):
+            assert gmsfem.load_space(*args) is None

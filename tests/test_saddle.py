@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from msflow.errors import SingularSystemError
-from msflow.saddle import SaddleSolver, SaddleSystem, solve_saddle
+from msflow.saddle import SaddleSolver, SaddleSystem, relative_residual, solve_saddle
 
 
 def toy_system(n=4, rng=None):
@@ -102,3 +102,20 @@ def test_batch_solve_matches_single():
         u, p = solver.solve(rhs_u[:, j], rhs_p[:, j])
         assert np.allclose(us[:, j], u)
         assert np.allclose(ps[:, j], p)
+
+
+def test_relative_residual_is_per_column():
+    rng = np.random.default_rng(12)
+    matrix = sp.csr_matrix(rng.standard_normal((6, 6)))
+    x = rng.standard_normal((6, 3))
+    rhs = rng.standard_normal((6, 3))
+    rel = relative_residual(matrix, x, rhs, 2.0)
+    assert rel.shape == (3,)
+    for j in range(3):
+        one = relative_residual(matrix, x[:, j], rhs[:, j], 2.0)
+        expect = np.linalg.norm(matrix @ x[:, j] - rhs[:, j]) / max(
+            np.linalg.norm(rhs[:, j]), 2.0 * np.linalg.norm(x[:, j])
+        )
+        assert one == pytest.approx(rel[j], rel=1e-14)
+        assert one == pytest.approx(expect, rel=1e-14)
+    assert relative_residual(matrix, np.zeros(6), np.zeros(6), 1.0) == 0.0
