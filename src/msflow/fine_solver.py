@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import forms
 from .parameters import DGState
-from .patches import full_patch
+from .patches import full_patch, nested_dissection_order
 from .saddle import SaddleSolver, SaddleSystem, relative_residual
 
 
@@ -30,7 +30,13 @@ class Trajectory:
 
 
 class StepOperators:
-    """Blocks that persist across time steps for a fixed mesh and data."""
+    """Blocks that persist across time steps for a fixed mesh and data.
+
+    system(u_lin) attaches a nested-dissection cell order, computed on its
+    first call, so that every nonlinear step is factored in that order;
+    system(None), the constant matrix of the linear run, keeps SuperLU's
+    default ordering.
+    """
 
     def __init__(self, mesh, params, bc, forcing=None, patch=None):
         self.mesh = mesh
@@ -42,14 +48,19 @@ class StepOperators:
         self.darcy = forms.darcy_block(self.patch, params)
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
+        self._cell_order = None
 
     def system(self, u_lin=None):
         a = self.viscous
         d = self.darcy
-        if u_lin is not None and np.any(u_lin):
+        if u_lin is None:
+            return SaddleSystem(self.mass, a, d, self.div, self.f_u, self.f_p)
+        if np.any(u_lin):
             a = a + forms.convection_block(self.patch, self.params, u_lin)
             d = d + forms.forchheimer_block(self.patch, self.params, u_lin)
-        return SaddleSystem(self.mass, a, d, self.div, self.f_u, self.f_p)
+        if self._cell_order is None:
+            self._cell_order = nested_dissection_order(self.patch)
+        return SaddleSystem(self.mass, a, d, self.div, self.f_u, self.f_p, self._cell_order)
 
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""

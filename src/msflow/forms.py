@@ -158,18 +158,25 @@ def _interior_edge_terms(patch, params):
     return parts
 
 
+def _dirichlet_facets(patch, params):
+    """Per-facet data of the patch Dirichlet edges shared by the Nitsche
+    matrix and data terms: the viscosity weight kappa (ne,) of the inside
+    cell, the P1 traces (ne, q, 3) and grad lambda . n (ne, 3)."""
+    xi = patch.mesh.xi(params.porosity)
+    kappa = 1.0 / (xi[patch.cells[patch.dir_cell]] * params.reynolds)
+    lam = _edge_traces(patch, "d")
+    gdn = _grad_dot_n(patch, patch.dir_cell, patch.dir_normal)
+    return kappa, lam, gdn
+
+
 def _dirichlet_edge_terms(patch, params):
     """Weak Dirichlet (Nitsche) couplings on the patch boundary edges."""
     parts = []
     if len(patch.dirichlet_edges) == 0:
         return parts
-    mesh = patch.mesh
     w = EDGE_G2_W
-    xi = mesh.xi(params.porosity)
-    kappa = 1.0 / (xi[patch.cells[patch.dir_cell]] * params.reynolds)
+    kappa, lam, gdn = _dirichlet_facets(patch, params)
     length = patch.dir_len
-    lam = _edge_traces(patch, "d")
-    gdn = _grad_dot_n(patch, patch.dir_cell, patch.dir_normal)
     intlam = np.einsum("q,nqa->na", w, lam) * length[:, None]
     cons = -kappa[:, None, None] * np.einsum("na,nb->nab", intlam, gdn)
     symm = -kappa[:, None, None] * np.einsum("na,nb->nab", gdn, intlam)
@@ -317,12 +324,9 @@ def dirichlet_facet_terms(patch, params, g_quad, grad_quad=None):
     flux of the data and defaults to zero.
     """
     w = EDGE_G2_W
-    xi = patch.mesh.xi(params.porosity)
-    kappa = 1.0 / (xi[patch.cells[patch.dir_cell]] * params.reynolds)
+    kappa, lam, gdn = _dirichlet_facets(patch, params)
     length = patch.dir_len
     normal = patch.dir_normal
-    lam = _edge_traces(patch, "d")
-    gdn = _grad_dot_n(patch, patch.dir_cell, normal)
 
     intg = np.einsum("q,nqd->nd", w, g_quad) * length[:, None]
     pen = 2.0 * params.penalty * kappa[:, None, None] * np.einsum(

@@ -468,7 +468,7 @@ def _coarse_solve(matrix, rhs, step):
     raises SingularSystemError when the factorization fails or the relative
     residual exceeds RESIDUAL_TOL.  matrix is in CSC form."""
     try:
-        x = sp.linalg.splu(matrix).solve(rhs)
+        x = sp.linalg.splu(matrix, permc_spec="COLAMD").solve(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(
             f"online step {step}: coarse system factorization failed: {exc}"
@@ -556,18 +556,15 @@ def _space_key(mesh, params, bc, oversampled, edge_set):
 
 
 def save_space(directory, mesh, params, bc, space, edge_set="boundary"):
-    """Dump eigenvalues and basis rows keyed by the hash of the inputs so a
-    later run with the same inputs can skip the offline stage."""
+    """Write each coarse cell's basis rows and fine cells, keyed by the hash
+    of the inputs, so a later run with the same inputs can skip the offline
+    stage."""
     os.makedirs(directory, exist_ok=True)
     key = _space_key(mesh, params, bc, space.oversampled, edge_set)
     path = os.path.join(directory, f"basis_{key}_m{space.m}.npz")
-    payload = {
-        "m": np.array([space.m]),
-        "oversampled": np.array([int(space.oversampled)]),
-    }
+    payload = {}
     for basis in space.cell_bases:
         i = basis.cell_index
-        payload[f"eig_{i}"] = basis.eigenvalues
         payload[f"vec_{i}"] = basis.fine_vectors(space.m)
         payload[f"cells_{i}"] = basis.snapshots.target_cells
     tmp = path + ".tmp"

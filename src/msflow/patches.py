@@ -105,6 +105,51 @@ class Patch:
         return global_vec.reshape(self.mesh.n_cells, 6)[self.cells].ravel()
 
 
+def bisect_cells(xy, cells, edges):
+    """Split `cells` at the median of their centroids `xy[cells]` along the
+    wider extent.  Returns (low, high, separator): the cells of the lower
+    half that share an edge of `edges` (cell pairs) with the upper half form
+    the separator, so no such edge joins `low` to `high`."""
+    pts = xy[cells]
+    axis = np.argmax(np.ptp(pts, axis=0))
+    ranked = cells[np.argsort(pts[:, axis], kind="stable")]
+    low, high = ranked[: len(cells) // 2], ranked[len(cells) // 2 :]
+    in_high = np.zeros(len(xy), dtype=bool)
+    in_high[high] = True
+    cut = in_high[edges[:, 0]] != in_high[edges[:, 1]]
+    on_cut = np.zeros(len(xy), dtype=bool)
+    on_cut[edges[cut][~in_high[edges[cut]]]] = True
+    return low[~on_cut[low]], high, low[on_cut[low]]
+
+
+ND_LEAF_CELLS = 8
+
+
+def nested_dissection_order(patch):
+    """Elimination order of the patch cells (local indices) by recursive
+    coordinate bisection over the interior-edge cell graph: each part is
+    ordered as its lower half, its upper half, then the separator between
+    them, down to parts of at most ND_LEAF_CELLS cells (George, SIAM J.
+    Numer. Anal. 1973)."""
+    xy = patch.mesh.centroid[patch.cells]
+    part = np.full(patch.n_cells, -1, dtype=np.int64)
+    order = []
+
+    def dissect(cells, edges):
+        if len(cells) <= ND_LEAF_CELLS:
+            order.append(cells)
+            return
+        low, high, separator = bisect_cells(xy, cells, edges)
+        part[low], part[high], part[separator] = 0, 1, 2
+        side = part[edges]  # a copy: the recursion below reuses `part`
+        dissect(low, edges[(side == 0).all(axis=1)])
+        dissect(high, edges[(side == 1).all(axis=1)])
+        order.append(separator)
+
+    dissect(np.arange(patch.n_cells), np.column_stack([patch.int_cp, patch.int_cm]))
+    return np.concatenate(order)
+
+
 def edge_split(mesh, cells):
     """Classify mesh edges against a cell set.
 

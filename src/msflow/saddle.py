@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 
+from . import forms
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
@@ -15,7 +16,9 @@ class SaddleSystem:
     """Assembled blocks of one linearized step.
 
     mass/convdiff/drag are velocity blocks, div couples pressure rows to
-    velocity columns, f_u/f_p are the right-hand sides.
+    velocity columns, f_u/f_p are the right-hand sides.  cell_order, when
+    given, is the elimination order of the cells (a permutation of the
+    pressure DOFs) that SaddleSolver factors in.
     """
 
     mass: sp.spmatrix
@@ -24,6 +27,7 @@ class SaddleSystem:
     div: sp.spmatrix
     f_u: np.ndarray
     f_p: np.ndarray
+    cell_order: np.ndarray = None
 
     def __post_init__(self):
         nu = self.mass.shape[0]
@@ -35,6 +39,10 @@ class SaddleSystem:
             raise ValueError("divergence block does not match velocity DOFs")
         if self.f_u.shape != (nu,) or self.f_p.shape != (npr,):
             raise ValueError("right-hand side shapes do not match the blocks")
+        if self.cell_order is not None and not (
+            nu == 6 * npr and np.array_equal(np.sort(self.cell_order), np.arange(npr))
+        ):
+            raise ValueError("cell_order is not a permutation of the cells")
 
     @property
     def n_velocity(self):
@@ -62,6 +70,14 @@ class SaddleSolver:
     pin_pressure replaces the first continuity row by a zero-mean style pin
     (first pressure DOF = 0); valid only when the continuity data is
     compatible, as it is for the local snapshot problems.
+
+    Without a cell_order (and for pinned systems) SuperLU orders the columns
+    by COLAMD.  With one, the matrix is factored as P A P^T with each cell's
+    six velocity DOFs followed by its pressure DOF, cells in cell_order, and
+    no further reordering; eliminating a cell's pressure right after its
+    velocity keeps the zero pressure block pivotable on the diagonal.
+    self.matrix stays A, on which the residual is taken; self.lu then
+    factors P A P^T, and self.perm lists the rows of A in factor order.
     """
 
     def __init__(self, system, pin_pressure=False):
@@ -83,8 +99,21 @@ class SaddleSolver:
         else:
             matrix = sp.bmat([[upper, system.div.T], [system.div, None]], format="csc")
         self.scale = abs(matrix).sum(axis=1).max()
+        self.perm = None
         try:
-            self.lu = spla.splu(matrix)
+            if system.cell_order is None or pin_pressure:
+                self.lu = spla.splu(matrix, permc_spec="COLAMD")
+            else:
+                order = system.cell_order
+                self.perm = np.column_stack(
+                    [forms.cell_dofs(order).reshape(-1, 6), nu + order]
+                ).ravel()
+                self.lu = spla.splu(
+                    matrix[self.perm][:, self.perm],
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
         except RuntimeError as exc:  # SuperLU reports singularity this way
             raise SingularSystemError(f"factorization failed: {exc}") from exc
         self.matrix = matrix
@@ -118,7 +147,11 @@ class SaddleSolver:
             if self.pinned:
                 rhs_p_mat[0, :] = 0.0
             rhs = np.vstack([rhs_u_mat, rhs_p_mat])
-        x = self.lu.solve(rhs)
+        if self.perm is None:
+            x = self.lu.solve(rhs)
+        else:
+            x = np.empty_like(rhs)
+            x[self.perm] = self.lu.solve(rhs[self.perm])
         return x[:nu], x[nu:], relative_residual(self.matrix, x, rhs, self.scale)
 
 

@@ -85,3 +85,12 @@ def desk_domain():
         CircleInclusion(0.5, 0.5, 0.16),
     ]
     return DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions, porosity=0.3)
+
+
+def tiny_heterogeneous(n=2, coarse=(2, 2), radius=0.2):
+    dom = DomainSpec(
+        bbox=(0, 0, 1, 1),
+        inclusions=[CircleInclusion(0.5, 0.5, radius)],
+        porosity=0.3,
+    )
+    return generate_structured_mesh(dom, n, coarse)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from msflow import forms
+from msflow import forms, gmsfem
 from msflow.fine_solver import StepOperators, run_fine, time_step
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, DGState, ModelParameters
-from msflow.patches import full_patch
+from msflow.patches import bisect_cells, full_patch, nested_dissection_order
 
-from conftest import desk_domain, make_params
+from conftest import desk_domain, make_params, tiny_heterogeneous
 
 
 def small_channel(n=2, nx=2, ny=2, **overrides):
@@ -171,3 +172,62 @@ def test_benchmark_scaled_down_qualitative():
     assert np.all(np.diff(row) < 0)
     stats = field_statistics(traj.final, mesh)
     assert stats.porous.mean_speed < stats.fluid.mean_speed
+
+
+def _desk_patch():
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    return full_patch(mesh)
+
+
+def test_nested_dissection_order_is_a_permutation():
+    for patch in (_desk_patch(), full_patch(tiny_heterogeneous()[0])):
+        order = nested_dissection_order(patch)
+        assert np.array_equal(np.sort(order), np.arange(patch.n_cells))
+
+
+def test_separator_splits_the_interior_edge_graph():
+    patch = _desk_patch()
+    xy = patch.mesh.centroid[patch.cells]
+    edges = np.column_stack([patch.int_cp, patch.int_cm])
+    cells = np.arange(patch.n_cells)
+    low, high, separator = bisect_cells(xy, cells, edges)
+    assert np.array_equal(np.sort(np.concatenate([low, high, separator])), cells)
+    assert len(separator) < 0.1 * patch.n_cells
+    side = np.full(patch.n_cells, -1)
+    side[low], side[high] = 0, 1
+    s = side[edges]
+    assert not np.any((s[:, 0] == 0) & (s[:, 1] == 1) | (s[:, 0] == 1) & (s[:, 1] == 0))
+    # the whole order is: lower part, upper part, then the separator
+    order = nested_dissection_order(patch)
+    assert np.array_equal(order[len(order) - len(separator) :], separator)
+    assert np.array_equal(np.sort(order[: len(low)]), np.sort(low))
+
+
+def test_step_systems_carry_the_order_and_the_linear_system_does_not():
+    mesh, _ = tiny_heterogeneous()
+    ops = StepOperators(mesh, make_params(), BoundaryData.inflow((1.0, 0.0)))
+    assert ops.system(None).cell_order is None
+    first = ops.system(np.zeros(ops.patch.n_vdof)).cell_order
+    assert np.array_equal(first, nested_dissection_order(ops.patch))
+    assert ops.system(np.ones(ops.patch.n_vdof)).cell_order is first
+    assert ops.system(None).cell_order is None
+
+
+def test_linearization_field_keeps_the_colamd_factorization():
+    # the linear run's field weights every snapshot problem, so it must not
+    # change by a bit when the nonlinear steps are factored in cell order
+    mesh, _ = tiny_heterogeneous()
+    params = make_params(n_steps=3)
+    bc = BoundaryData.inflow((1.0, 0.0))
+    ops = StepOperators(mesh, params, bc)
+    ops.system(np.zeros(ops.patch.n_vdof))  # the order exists on ops
+    u_lin = gmsfem.compute_linearization_field(mesh, params, bc, ops=ops)
+
+    system = ops.system(None)
+    matrix = sp.bmat([[system.velocity_block(), system.div.T], [system.div, None]], format="csc")
+    lu = spla.splu(matrix, permc_spec="COLAMD")
+    u = np.zeros(system.n_velocity)
+    for _ in range(params.n_steps):
+        rhs = np.concatenate([ops.mass @ u + ops.f_u, ops.f_p])
+        u = lu.solve(rhs[:, None])[: system.n_velocity, 0]
+    assert np.array_equal(u_lin, u)

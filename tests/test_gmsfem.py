@@ -9,22 +9,13 @@ import scipy.sparse as sp
 from msflow import forms, gmsfem
 from msflow.errors import ConfigError, SingularSystemError
 from msflow.fine_solver import StepOperators, run_fine
-from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
+from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.patches import coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import SaddleSolver, SaddleSystem
 
-from conftest import make_params
-
-
-def tiny_heterogeneous(n=2, coarse=(2, 2), radius=0.2):
-    dom = DomainSpec(
-        bbox=(0, 0, 1, 1),
-        inclusions=[CircleInclusion(0.5, 0.5, radius)],
-        porosity=0.3,
-    )
-    return generate_structured_mesh(dom, n, coarse)
+from conftest import make_params, tiny_heterogeneous
 
 
 class TestLinearizationField:
@@ -497,6 +488,25 @@ class TestBasisCache:
             np.savez_compressed(fh, **payload)
         with pytest.warns(RuntimeWarning, match="coarse cell 1"):
             assert gmsfem.load_space(*args) is None
+
+    def test_file_with_eigenvalues_and_metadata_loads_unchanged(self, tmp_path):
+        # files written before the cache dropped its unread keys still load
+        path, args = self._saved(tmp_path)
+        current = gmsfem.load_space(*args)
+        with np.load(path) as data:
+            payload = dict(data)
+        assert not any(k.startswith("eig_") or k in ("m", "oversampled") for k in payload)
+        payload.update(m=np.array([3]), oversampled=np.array([0]))
+        for i in range(args[2].n_cells):
+            payload[f"eig_{i}"] = np.linspace(0.0, 1.0, 3)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            older = gmsfem.load_space(*args)
+        for name in ("r_u", "r_p"):
+            a, b = getattr(older, name), getattr(current, name)
+            assert np.array_equal(a.toarray(), b.toarray())
 
     def test_malformed_size_in_the_name_is_a_warned_miss(self, tmp_path):
         path, args = self._saved(tmp_path)

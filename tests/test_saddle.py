@@ -1,9 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from msflow.errors import SingularSystemError
-from msflow.saddle import SaddleSolver, SaddleSystem, relative_residual, solve_saddle
+from msflow.fine_solver import StepOperators
+from msflow.geometry import generate_structured_mesh
+from msflow.parameters import BoundaryData
+from msflow.saddle import (
+    RESIDUAL_TOL,
+    SaddleSolver,
+    SaddleSystem,
+    relative_residual,
+    solve_saddle,
+)
+
+from conftest import desk_domain, make_params, tiny_heterogeneous
 
 
 def toy_system(n=4, rng=None):
@@ -119,3 +132,55 @@ def test_relative_residual_is_per_column():
         assert one == pytest.approx(rel[j], rel=1e-14)
         assert one == pytest.approx(expect, rel=1e-14)
     assert relative_residual(matrix, np.zeros(6), np.zeros(6), 1.0) == 0.0
+
+
+def _step_system(mesh, params):
+    """The step-2 system of a nonlinear fine run (convection and drag
+    linearized at the step-1 velocity) and its right-hand side."""
+    bc = BoundaryData.inflow((1.0, 0.0))
+    ops = StepOperators(mesh, params, bc)
+    u1, _ = SaddleSolver(ops.system(np.zeros(ops.patch.n_vdof))).solve()
+    system = ops.system(u1)
+    return system, ops.mass @ u1 + ops.f_u
+
+
+@pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
+def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
+    if case == "desk":
+        mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    else:
+        mesh, _ = tiny_heterogeneous()
+    system, rhs_u = _step_system(mesh, make_params(tau=2e-4))
+    assert system.cell_order is not None
+    ordered = SaddleSolver(system)
+    colamd = SaddleSolver(dataclasses.replace(system, cell_order=None))
+    assert ordered.perm is not None and colamd.perm is None
+    x_ord = np.concatenate(ordered.solve(rhs_u, system.f_p))
+    x_col = np.concatenate(colamd.solve(rhs_u, system.f_p))
+    assert np.linalg.norm(x_ord - x_col) <= 1e-12 * np.linalg.norm(x_col)
+    _, _, rel = ordered.solve_many(rhs_u[:, None], system.f_p[:, None])
+    assert rel[0] <= RESIDUAL_TOL
+    fill = lambda s: s.lu.L.nnz + s.lu.U.nnz
+    assert fill(ordered) < fill(colamd)
+
+
+def test_pinned_system_ignores_cell_order():
+    mesh, _ = tiny_heterogeneous()
+    system, rhs_u = _step_system(mesh, make_params())
+    pinned = SaddleSolver(system, pin_pressure=True)
+    plain = SaddleSolver(dataclasses.replace(system, cell_order=None), pin_pressure=True)
+    assert pinned.perm is None
+    for a, b in zip(
+        pinned.solve_many(rhs_u[:, None], system.f_p[:, None]),
+        plain.solve_many(rhs_u[:, None], system.f_p[:, None]),
+    ):
+        assert np.array_equal(a, b)
+
+
+def test_cell_order_must_permute_the_cells():
+    mesh, _ = tiny_heterogeneous()
+    system, _ = _step_system(mesh, make_params())
+    order = system.cell_order.copy()
+    order[0] = order[1]
+    with pytest.raises(ValueError, match="cell_order"):
+        dataclasses.replace(system, cell_order=order)
