@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per assembled array, to show that two checkouts build
+bit-identical operators.
+
+Uses only the public assemblers, so it runs against any checkout's package:
+
+    python scripts/operator_digest.py > change.txt
+    python scripts/operator_digest.py /path/to/other/checkout/src > other.txt
+    diff other.txt change.txt
+
+The optional argument is the `src/` directory to import `msflow` from
+(default: this checkout's).  On the desk config (`configs/desk_test1.cfg`)
+it digests:
+
+- the `StepOperators` blocks and loads for every Darcy value of the config,
+  and the convection and Forchheimer blocks at a seeded field;
+- for every coarse patch, plain and oversampled: the viscous block, the
+  divergence, the unit-delta Dirichlet loads and the spectral pair;
+- a manufactured-data `assemble_rhs` with traction and forcing;
+- every state of a 3-step `run_fine` and its continuity residuals.
+
+A sparse matrix is hashed through its data, indices and indptr, and every
+array through its dtype and shape as well as its bytes.  Takes a few
+seconds.
+"""
+
+import dataclasses
+import hashlib
+import pathlib
+import sys
+
+import numpy as np
+import scipy.sparse as sp
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))
+
+from msflow import forms  # noqa: E402
+from msflow.config import parse_config  # noqa: E402
+from msflow.fine_solver import StepOperators, run_fine  # noqa: E402
+from msflow.geometry import generate_structured_mesh  # noqa: E402
+from msflow.parameters import BoundaryData  # noqa: E402
+from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
+from msflow.quadrature import EDGE_G2_W  # noqa: E402
+
+CONFIG = ROOT / "configs" / "desk_test1.cfg"
+
+
+def digest(array):
+    parts = (array.data, array.indices, array.indptr) if sp.issparse(array) else (array,)
+    h = hashlib.sha256()
+    for x in map(np.ascontiguousarray, parts):
+        h.update(f"{x.dtype.str}{x.shape}".encode())
+        h.update(x.tobytes())
+    return h.hexdigest()
+
+
+def show(name, array):
+    print(f"{name} {digest(array)}")
+
+
+def manufactured_bc():
+    def velocity(x):
+        return np.column_stack([np.sin(x[:, 1]) + x[:, 0] ** 2, np.cos(x[:, 0]) * x[:, 1]])
+
+    def grad(x):
+        g = np.zeros((len(x), 2, 2))
+        g[:, 0, 0], g[:, 0, 1] = 2.0 * x[:, 0], np.cos(x[:, 1])
+        g[:, 1, 0], g[:, 1, 1] = -np.sin(x[:, 0]) * x[:, 1], np.cos(x[:, 0])
+        return g
+
+    def traction(x):
+        return np.column_stack([1.0 + x[:, 1] ** 2, -0.5 * x[:, 0]])
+
+    return BoundaryData(velocity=velocity, grad=grad, traction=traction)
+
+
+def main():
+    spec = parse_config(str(CONFIG), mode="fine")
+    mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+    field = np.random.default_rng(0).standard_normal(6 * mesh.n_cells)
+
+    for darcy in spec.da_list:
+        params = spec.params.with_darcy(darcy)
+        ops = StepOperators(mesh, params, spec.bc)
+        tag = f"da={darcy:g}"
+        for name in ("mass", "div", "viscous", "darcy", "f_u", "f_p"):
+            show(f"{tag} step_operators.{name}", getattr(ops, name))
+        show(f"{tag} convection_block", forms.convection_block(ops.patch, params, field))
+        show(f"{tag} forchheimer_block", forms.forchheimer_block(ops.patch, params, field))
+
+    params = spec.params
+    for oversampled in (False, True):
+        for i in range(coarse.n_cells):
+            patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
+            tag = f"coarse{i}.{'os' if oversampled else 'plain'}"
+            show(f"{tag} viscous_block", forms.viscous_block(patch, params))
+            show(f"{tag} divergence", forms.assemble_divergence(patch))
+            ones = np.ones((len(patch.dirichlet_edges), len(EDGE_G2_W), 2))
+            contrib, intg = forms.dirichlet_facet_terms(patch, params, ones)
+            show(f"{tag} delta_load.momentum", contrib)
+            show(f"{tag} delta_load.flux", intg)
+            stiffness, trace_mass = forms.assemble_spectral_pair(patch, params)
+            show(f"{tag} spectral.stiffness", stiffness)
+            show(f"{tag} spectral.trace_mass", trace_mass)
+
+    f_u, f_p = forms.assemble_rhs(
+        full_patch(mesh), params, manufactured_bc(),
+        forcing=lambda x: np.column_stack([x[:, 0] * x[:, 1], 1.0 - x[:, 0]]),
+    )
+    show("manufactured_rhs.f_u", f_u)
+    show("manufactured_rhs.f_p", f_p)
+
+    traj = run_fine(mesh, dataclasses.replace(params, n_steps=3, t_max=None), spec.bc)
+    for step, state in enumerate(traj.states):
+        show(f"run_fine.step{step}.velocity", state.velocity)
+        show(f"run_fine.step{step}.pressure", state.pressure)
+    show("run_fine.div_residuals", traj.div_residuals)
+
+
+if __name__ == "__main__":
+    main()

@@ -85,9 +85,10 @@ def _report_payload(report):
 
 
 class _SpaceProvider:
-    """Basis spaces for every requested size, built once per oversampling
-    setting (offline eigenvectors are prefix-reusable) and round-tripped
-    through the optional file cache."""
+    """Basis spaces for every requested size: one space of size m_max per
+    oversampling setting, loaded from the optional file cache or built (and
+    then cached), and row-sliced to each smaller size (offline eigenvectors
+    are prefix-reusable)."""
 
     def __init__(self, spec, mesh, coarse, params, bc, m_max):
         self.spec = spec
@@ -96,40 +97,28 @@ class _SpaceProvider:
         self.params = params
         self.bc = bc
         self.m_max = m_max
-        self._built = {}
+        self._spaces = {}
         self._u_lin = None
 
-    def get(self, m, oversampled):
-        if self.spec.basis_cache:
-            loaded = gmsfem.load_space(
-                self.spec.basis_cache, self.mesh, self.coarse, self.params, self.bc,
-                m, oversampled,
-            )
-            if loaded is not None:
-                return loaded
-        if oversampled not in self._built:
+    def _load_or_build(self, oversampled):
+        cache = self.spec.basis_cache
+        args = (self.mesh, self.coarse, self.params, self.bc)
+        space = gmsfem.load_space(cache, *args, self.m_max, oversampled) if cache else None
+        if space is None:
             if self._u_lin is None:
-                self._u_lin = gmsfem.compute_linearization_field(
-                    self.mesh, self.params, self.bc
-                )
+                self._u_lin = gmsfem.compute_linearization_field(self.mesh, self.params, self.bc)
             space = gmsfem.build_multiscale_space(
-                self.mesh,
-                self.coarse,
-                self.params,
-                self.bc,
-                m=self.m_max,
-                oversampled=oversampled,
-                u_lin=self._u_lin,
+                *args, m=self.m_max, oversampled=oversampled, u_lin=self._u_lin
             )
-            self._built[oversampled] = space
-            if self.spec.basis_cache:
-                gmsfem.save_space(
-                    self.spec.basis_cache, self.mesh, self.params, self.bc, space
-                )
-        space = self._built[oversampled]
-        if m == space.m:
-            return space
-        return gmsfem.resize_space(space, self.mesh, self.coarse, m)
+            if cache:
+                gmsfem.save_space(cache, self.mesh, self.params, self.bc, space)
+        return space
+
+    def get(self, m, oversampled):
+        if oversampled not in self._spaces:
+            self._spaces[oversampled] = self._load_or_build(oversampled)
+        space = self._spaces[oversampled]
+        return space if m == space.m else gmsfem.resize_space(space, self.mesh, self.coarse, m)
 
 
 def run_ms_mode(spec, mesh, coarse):

@@ -38,10 +38,10 @@ class StepOperators:
     default ordering.
     """
 
-    def __init__(self, mesh, params, bc, forcing=None, patch=None):
+    def __init__(self, mesh, params, bc, forcing=None):
         self.mesh = mesh
         self.params = params
-        self.patch = patch if patch is not None else full_patch(mesh)
+        self.patch = full_patch(mesh)
         self.mass = forms.assemble_mass(self.patch, params)
         self.div = forms.assemble_divergence(self.patch)
         self.viscous = forms.viscous_block(self.patch, params)

@@ -56,38 +56,30 @@ def _collect(parts, shape):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _edge_traces(patch, which):
-    """Per-edge P1 trace tables lam (ne, q, 3) at the 2-point Gauss nodes.
-
-    which selects the side: 'p'/'m' for interior edges, 'd' for Dirichlet
-    boundary edges, 'n' for natural edges.
-    """
-    s = EDGE_G2_S
-    if which == "p":
-        ia, ib, n_edges = patch.int_ia_p, patch.int_ib_p, len(patch.interior_edges)
-    elif which == "m":
-        ia, ib, n_edges = patch.int_ia_m, patch.int_ib_m, len(patch.interior_edges)
-    elif which == "d":
-        ia, ib, n_edges = patch.dir_ia, patch.dir_ib, len(patch.dirichlet_edges)
-    else:
-        ia, ib, n_edges = patch.nat_ia, patch.nat_ib, len(patch.natural_edges)
-    lam = np.zeros((n_edges, len(s), 3))
-    if n_edges:
-        e_idx = np.arange(n_edges)[:, None]
-        q_idx = np.arange(len(s))[None, :]
-        lam[e_idx, q_idx, ia[:, None]] = 1.0 - s[None, :]
-        lam[e_idx, q_idx, ib[:, None]] = s[None, :]
-    return lam
-
-
 def _grad_dot_n(patch, cells_local, normal):
     g = patch.mesh.grad[patch.cells[cells_local]]
     return np.einsum("nam,nm->na", g, normal)
 
 
-def edge_points(pa, pb):
-    """Quadrature points (ne, q, 2) on the edges with endpoints pa, pb (ne, 2)."""
+def _kappa(patch, params, side):
+    """Viscosity weight 1 / (xi Re) of each edge's cell on one side."""
+    return 1.0 / (patch.mesh.xi(params.porosity)[patch.cells[side.cell]] * params.reynolds)
+
+
+def _trace_integral(side, length):
+    """Edge integrals of the P1 traces of one side, (ne, 3)."""
+    return np.einsum("q,nqa->na", EDGE_G2_W, side.lam) * length[:, None]
+
+
+def _trace_mass(test, trial):
+    """Unit-length edge mass of two sides' traces, (ne, 3, 3)."""
+    return np.einsum("q,nqa,nqb->nab", EDGE_G2_W, test.lam, trial.lam)
+
+
+def edge_points(mesh, edges):
+    """Quadrature points (ne, q, 2) on the given mesh edges."""
     s = EDGE_G2_S
+    pa, pb = mesh.verts[mesh.edge_verts[edges, 0]], mesh.verts[mesh.edge_verts[edges, 1]]
     return pa[:, None, :] * (1.0 - s)[None, :, None] + pb[:, None, :] * s[None, :, None]
 
 
@@ -120,71 +112,40 @@ def _diffusion_volume(patch, params):
 
 def _interior_edge_terms(patch, params):
     """Consistency, symmetry and penalty couplings on interior edges."""
-    parts = []
-    if len(patch.interior_edges) == 0:
-        return parts
-    mesh = patch.mesh
-    w = EDGE_G2_W
-    xi = mesh.xi(params.porosity)
-    kap_p = 1.0 / (xi[patch.cells[patch.int_cp]] * params.reynolds)
-    kap_m = 1.0 / (xi[patch.cells[patch.int_cm]] * params.reynolds)
+    xi = patch.mesh.xi(params.porosity)
     length = patch.int_len
-    normal = patch.int_normal
-    lam = {"p": _edge_traces(patch, "p"), "m": _edge_traces(patch, "m")}
-    gdn = {
-        "p": _grad_dot_n(patch, patch.int_cp, normal),
-        "m": _grad_dot_n(patch, patch.int_cm, normal),
-    }
-    kap = {"p": kap_p, "m": kap_m}
-    cell = {"p": patch.int_cp, "m": patch.int_cm}
-    sign = {"p": 1.0, "m": -1.0}
-    intlam = {k: np.einsum("q,nqa->na", w, v) * length[:, None] for k, v in lam.items()}
+    sides = ((patch.plus, 1.0), (patch.minus, -1.0))
+    kap = [_kappa(patch, params, side) for side, _ in sides]
+    gdn = [_grad_dot_n(patch, side.cell, patch.int_normal) for side, _ in sides]
+    intlam = [_trace_integral(side, length) for side, _ in sides]
     # Mean of the permeability-Reynolds-size product over the two sides.
     pen_weight = params.penalty / (params.reynolds * length * 0.5 * (
-        xi[patch.cells[patch.int_cp]] + xi[patch.cells[patch.int_cm]]
+        xi[patch.cells[patch.plus.cell]] + xi[patch.cells[patch.minus.cell]]
     ))
-    for t in ("p", "m"):
-        for u in ("p", "m"):
-            cons = -0.5 * sign[t] * kap[u][:, None, None] * np.einsum(
+    parts = []
+    for t, (test, st) in enumerate(sides):
+        for u, (trial, su) in enumerate(sides):
+            cons = -0.5 * st * kap[u][:, None, None] * np.einsum(
                 "na,nb->nab", intlam[t], gdn[u]
             )
-            symm = -0.5 * sign[u] * kap[t][:, None, None] * np.einsum(
+            symm = -0.5 * su * kap[t][:, None, None] * np.einsum(
                 "na,nb->nab", gdn[t], intlam[u]
             )
-            pen = (sign[t] * sign[u] * pen_weight * length)[:, None, None] * np.einsum(
-                "q,nqa,nqb->nab", w, lam[t], lam[u]
-            )
-            parts.append(_pair_coo(cell[t], cell[u], _kron2(cons + symm + pen)))
+            pen = (st * su * pen_weight * length)[:, None, None] * _trace_mass(test, trial)
+            parts.append(_pair_coo(test.cell, trial.cell, _kron2(cons + symm + pen)))
     return parts
-
-
-def _dirichlet_facets(patch, params):
-    """Per-facet data of the patch Dirichlet edges shared by the Nitsche
-    matrix and data terms: the viscosity weight kappa (ne,) of the inside
-    cell, the P1 traces (ne, q, 3) and grad lambda . n (ne, 3)."""
-    xi = patch.mesh.xi(params.porosity)
-    kappa = 1.0 / (xi[patch.cells[patch.dir_cell]] * params.reynolds)
-    lam = _edge_traces(patch, "d")
-    gdn = _grad_dot_n(patch, patch.dir_cell, patch.dir_normal)
-    return kappa, lam, gdn
 
 
 def _dirichlet_edge_terms(patch, params):
     """Weak Dirichlet (Nitsche) couplings on the patch boundary edges."""
-    parts = []
-    if len(patch.dirichlet_edges) == 0:
-        return parts
-    w = EDGE_G2_W
-    kappa, lam, gdn = _dirichlet_facets(patch, params)
-    length = patch.dir_len
-    intlam = np.einsum("q,nqa->na", w, lam) * length[:, None]
+    side = patch.dirichlet
+    kappa = _kappa(patch, params, side)
+    gdn = _grad_dot_n(patch, side.cell, patch.dir_normal)
+    intlam = _trace_integral(side, patch.dir_len)
     cons = -kappa[:, None, None] * np.einsum("na,nb->nab", intlam, gdn)
     symm = -kappa[:, None, None] * np.einsum("na,nb->nab", gdn, intlam)
-    pen = (2.0 * params.penalty * kappa)[:, None, None] * np.einsum(
-        "q,nqa,nqb->nab", w, lam, lam
-    )
-    parts.append(_pair_coo(patch.dir_cell, patch.dir_cell, _kron2(cons + symm + pen)))
-    return parts
+    pen = (2.0 * params.penalty * kappa)[:, None, None] * _trace_mass(side, side)
+    return [_pair_coo(side.cell, side.cell, _kron2(cons + symm + pen))]
 
 
 def convection_cell_blocks(mesh, params, cells, coefs):
@@ -287,25 +248,19 @@ def assemble_divergence(patch):
     cellwise -(q, div v) plus mean-pressure jump terms on interior edges and
     the boundary flux term on Dirichlet edges."""
     mesh = patch.mesh
-    w = EDGE_G2_W
     c_loc = np.arange(patch.n_cells)
     # (pressure cell, velocity cell, block (n, 3, 2)) triples; vol[c, b, e]
     vol = -mesh.area[patch.cells][:, None, None] * mesh.grad[patch.cells]
     parts = [(c_loc, c_loc, vol)]
-    if len(patch.interior_edges):
-        lam = {"p": _edge_traces(patch, "p"), "m": _edge_traces(patch, "m")}
-        cell = {"p": patch.int_cp, "m": patch.int_cm}
-        sign = {"p": 1.0, "m": -1.0}
-        for t in ("p", "m"):  # pressure side, averaged with weight 1/2
-            for u in ("p", "m"):  # velocity trace side
-                intlam = np.einsum("q,nqa->na", w, lam[u]) * patch.int_len[:, None]
-                block = 0.5 * sign[u] * intlam[:, :, None] * patch.int_normal[:, None, :]
-                parts.append((cell[t], cell[u], block))
-    if len(patch.dirichlet_edges):
-        lam = _edge_traces(patch, "d")
-        intlam = np.einsum("q,nqa->na", w, lam) * patch.dir_len[:, None]
-        block = intlam[:, :, None] * patch.dir_normal[:, None, :]
-        parts.append((patch.dir_cell, patch.dir_cell, block))
+    sides = ((patch.plus, 1.0), (patch.minus, -1.0))
+    for pres, _ in sides:  # pressure side, averaged with weight 1/2
+        for vel, sign in sides:  # velocity trace side
+            intlam = _trace_integral(vel, patch.int_len)
+            block = 0.5 * sign * intlam[:, :, None] * patch.int_normal[:, None, :]
+            parts.append((pres.cell, vel.cell, block))
+    side = patch.dirichlet
+    intlam = _trace_integral(side, patch.dir_len)
+    parts.append((side.cell, side.cell, intlam[:, :, None] * patch.dir_normal[:, None, :]))
     coo = [
         (np.broadcast_to(pc[:, None, None], b.shape).ravel(), cell_dofs(vc).ravel(), b.ravel())
         for pc, vc, b in parts
@@ -324,20 +279,22 @@ def dirichlet_facet_terms(patch, params, g_quad, grad_quad=None):
     flux of the data and defaults to zero.
     """
     w = EDGE_G2_W
-    kappa, lam, gdn = _dirichlet_facets(patch, params)
+    side = patch.dirichlet
+    kappa = _kappa(patch, params, side)
+    gdn = _grad_dot_n(patch, side.cell, patch.dir_normal)
     length = patch.dir_len
     normal = patch.dir_normal
 
     intg = np.einsum("q,nqd->nd", w, g_quad) * length[:, None]
     pen = 2.0 * params.penalty * kappa[:, None, None] * np.einsum(
-        "q,nqa,nqd->nad", w, lam, g_quad
+        "q,nqa,nqd->nad", w, side.lam, g_quad
     )
     symm = -kappa[:, None, None] * np.einsum("na,nd->nad", gdn, intg)
     contrib = pen + symm
     if grad_quad is not None:
         gn = np.einsum("nqde,ne->nqd", grad_quad, normal)
         contrib = contrib + kappa[:, None, None] * length[:, None, None] * np.einsum(
-            "q,nqa,nqd->nad", w, lam, gn
+            "q,nqa,nqd->nad", w, side.lam, gn
         )
     return contrib, intg
 
@@ -349,8 +306,9 @@ def dirichlet_rhs_from_values(patch, params, g_quad, grad_quad=None):
     f_u = np.zeros(patch.n_vdof)
     f_p = np.zeros(patch.n_pdof)
     contrib, intg = dirichlet_facet_terms(patch, params, g_quad, grad_quad)
-    np.add.at(f_u, cell_dofs(patch.dir_cell).ravel(), contrib.ravel())
-    np.add.at(f_p, patch.dir_cell, np.einsum("nd,nd->n", intg, patch.dir_normal))
+    cells = patch.dirichlet.cell
+    np.add.at(f_u, cell_dofs(cells).ravel(), contrib.ravel())
+    np.add.at(f_p, cells, np.einsum("nd,nd->n", intg, patch.dir_normal))
     return f_u, f_p
 
 
@@ -358,17 +316,17 @@ def assemble_rhs(patch, params, bc, forcing=None):
     """Right-hand sides for the global problem: weak Dirichlet data on the
     velocity sides, optional outflow traction and optional volume forcing."""
     verts = patch.mesh.verts
-    pts = edge_points(verts[patch.dir_va], verts[patch.dir_vb])
+    pts = edge_points(patch.mesh, patch.dirichlet_edges)
     g_quad = bc.values(patch.dir_side, pts) if len(patch.dirichlet_edges) else pts
     grad_quad = bc.grad_values(pts) if bc.grad is not None else None
     f_u, f_p = dirichlet_rhs_from_values(patch, params, g_quad, grad_quad)
 
     if bc.traction is not None and len(patch.natural_edges):
         w = EDGE_G2_W
-        tq = bc.traction_values(edge_points(verts[patch.nat_va], verts[patch.nat_vb]))
-        lam = _edge_traces(patch, "n")
-        contrib = patch.nat_len[:, None, None] * np.einsum("q,nqa,nqd->nad", w, lam, tq)
-        np.add.at(f_u, cell_dofs(patch.nat_cell).ravel(), contrib.ravel())
+        tq = bc.traction_values(edge_points(patch.mesh, patch.natural_edges))
+        side = patch.natural
+        contrib = patch.nat_len[:, None, None] * np.einsum("q,nqa,nqd->nad", w, side.lam, tq)
+        np.add.at(f_u, cell_dofs(side.cell).ravel(), contrib.ravel())
 
     if forcing is not None:
         bary, w = TRI_D4_BARY, TRI_D4_W
@@ -380,37 +338,18 @@ def assemble_rhs(patch, params, bc, forcing=None):
     return f_u, f_p
 
 
-def assemble_spectral_pair(patch, params, edge_set="boundary"):
+def assemble_spectral_pair(patch, params):
     """Operator pair of the local model-reduction eigenproblem.
 
     Returns (stiffness, trace_mass) on the patch velocity DOFs: the stiffness
     is the viscous volume term plus the interior-edge couplings (no Dirichlet
     terms, drag or convection); the trace mass integrates u . v over the
-    patch boundary facets, or over the interior edges when edge_set is
-    "interior".
+    patch boundary facets.
     """
-    parts = [_diffusion_volume(patch, params)]
-    parts += _interior_edge_terms(patch, params)
-    a_loc = _collect(parts, (patch.n_vdof, patch.n_vdof))
-
-    s_parts = []
-    w = EDGE_G2_W
-    if edge_set == "boundary":
-        if len(patch.dirichlet_edges):
-            lam = _edge_traces(patch, "d")
-            mass = patch.dir_len[:, None, None] * np.einsum("q,nqa,nqb->nab", w, lam, lam)
-            s_parts.append(_pair_coo(patch.dir_cell, patch.dir_cell, _kron2(mass)))
-    elif edge_set == "interior":
-        if len(patch.interior_edges):
-            lam = {"p": _edge_traces(patch, "p"), "m": _edge_traces(patch, "m")}
-            cell = {"p": patch.int_cp, "m": patch.int_cm}
-            for t in ("p", "m"):
-                for u in ("p", "m"):
-                    mass = 0.25 * patch.int_len[:, None, None] * np.einsum(
-                        "q,nqa,nqb->nab", w, lam[t], lam[u]
-                    )
-                    s_parts.append(_pair_coo(cell[t], cell[u], _kron2(mass)))
-    else:
-        raise ValueError(f"unknown edge_set {edge_set!r}")
-    s_loc = _collect(s_parts, (patch.n_vdof, patch.n_vdof))
+    shape = (patch.n_vdof, patch.n_vdof)
+    parts = [_diffusion_volume(patch, params)] + _interior_edge_terms(patch, params)
+    a_loc = _collect(parts, shape)
+    side = patch.dirichlet
+    mass = patch.dir_len[:, None, None] * _trace_mass(side, side)
+    s_loc = _collect([_pair_coo(side.cell, side.cell, _kron2(mass))], shape)
     return a_loc, s_loc

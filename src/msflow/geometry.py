@@ -366,11 +366,46 @@ def load_mesh(path, coarse_dims=None):
     The coarse overlay comes from the file's `coarse nx ny` line or the
     coarse_dims argument; coarse assignments are validated against centroids.
     """
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         raw = fh.read().splitlines()
 
     def fail(lineno, msg):
         raise MeshFormatError(f"{path}:{lineno + 1}: {msg}")
+
+    def number(lineno, kind, text):
+        try:
+            value = kind(text)
+        except ValueError:
+            fail(lineno, f"{text!r} is not {'an integer' if kind is int else 'a number'}")
+        if not np.isfinite(value):
+            fail(lineno, f"{text!r} is not finite")
+        return value
+
+    def section(i, what):
+        """(line index, tokens) of each row of the section headed at line i;
+        rows starting with an id come in id order, and the ids must run over
+        0..count-1, each exactly once."""
+        head = raw[i].split()
+        if len(head) != 2 or not head[1].isdecimal():
+            fail(i, f"expected '{head[0]} <count>'")
+        count = int(head[1])
+        if i + count >= len(raw):
+            fail(len(raw) - 1, f"{head[0]} section ends after {len(raw) - 1 - i} of {count} rows")
+        rows = [(n, raw[n].split()) for n in range(i + 1, i + 1 + count)]
+        for n, t in rows:
+            if len(t) != len(what.split()):
+                fail(n, f"expected '{what}'")
+        if not what.startswith("id "):
+            return rows
+        by_id = [None] * count
+        for n, t in rows:
+            c = number(n, int, t[0])
+            if not 0 <= c < count:
+                fail(n, f"id {c} outside 0..{count - 1}")
+            if by_id[c] is not None:
+                fail(n, f"id {c} already given on line {by_id[c][0] + 1}")
+            by_id[c] = (n, t)
+        return by_id
 
     if not raw or raw[0].strip() != "msflow-mesh v1":
         fail(0, "missing 'msflow-mesh v1' header")
@@ -385,54 +420,39 @@ def load_mesh(path, coarse_dims=None):
             i += 1
             continue
         tok = line.split()
+        rows = []
         if tok[0] == "coarse":
             if len(tok) != 3:
                 fail(i, "expected 'coarse nx ny'")
-            dims = (int(tok[1]), int(tok[2]))
-            i += 1
+            dims = (number(i, int, tok[1]), number(i, int, tok[2]))
+            if min(dims) < 1:
+                fail(i, "coarse dimensions must be at least 1")
         elif tok[0] == "vertices":
-            count = int(tok[1])
-            verts = np.empty((count, 2))
-            for k in range(count):
-                t = raw[i + 1 + k].split()
-                if len(t) != 3:
-                    fail(i + 1 + k, "expected 'id x y'")
-                verts[int(t[0])] = (float(t[1]), float(t[2]))
-            i += 1 + count
+            rows = section(i, "id x y")
+            verts = np.array([[number(n, float, v) for v in t[1:]] for n, t in rows])
         elif tok[0] == "cells":
-            count = int(tok[1])
-            cells = np.empty((count, 3), dtype=np.int64)
-            region = np.empty(count, dtype=np.int8)
-            coarse_id = np.empty(count, dtype=np.int64)
-            for k in range(count):
-                t = raw[i + 1 + k].split()
-                if len(t) != 6:
-                    fail(i + 1 + k, "expected 'id v0 v1 v2 region coarse_id'")
-                c = int(t[0])
-                cells[c] = (int(t[1]), int(t[2]), int(t[3]))
+            rows = section(i, "id v0 v1 v2 region coarse_id")
+            for n, t in rows:
                 if t[4] not in REGION_CODES:
-                    fail(i + 1 + k, f"unknown region tag {t[4]!r}")
-                region[c] = REGION_CODES[t[4]]
-                coarse_id[c] = int(t[5])
-            i += 1 + count
+                    fail(n, f"unknown region tag {t[4]!r}")
+            cells = np.array([[number(n, int, v) for v in t[1:4]] for n, t in rows], dtype=np.int64)
+            region = np.array([REGION_CODES[t[4]] for _, t in rows], dtype=np.int8)
+            coarse_id = np.array([number(n, int, t[5]) for n, t in rows], dtype=np.int64)
         elif tok[0] == "boundary":
-            count = int(tok[1])
-            for k in range(count):
-                t = raw[i + 1 + k].split()
-                if len(t) != 3 or t[2] not in SIDE_CODES:
-                    fail(i + 1 + k, "expected 'v0 v1 side'")
-                key = (min(int(t[0]), int(t[1])), max(int(t[0]), int(t[1])))
-                boundary_labels[key] = SIDE_CODES[t[2]]
-            i += 1 + count
+            rows = section(i, "v0 v1 side")
+            for n, t in rows:
+                if t[2] not in SIDE_CODES:
+                    fail(n, "expected 'v0 v1 side'")
+                va, vb = number(n, int, t[0]), number(n, int, t[1])
+                boundary_labels[(min(va, vb), max(va, vb))] = SIDE_CODES[t[2]]
         else:
             fail(i, f"unknown section {tok[0]!r}")
+        i += 1 + len(rows)
 
-    if verts is None or cells is None:
-        raise MeshFormatError(f"{path}: missing vertices or cells section")
+    if verts is None or cells is None or not len(verts) or not len(cells):
+        raise MeshFormatError(f"{path}: missing or empty vertices or cells section")
     if dims is None:
-        raise MeshFormatError(
-            f"{path}: no 'coarse nx ny' line and no coarse_dims given"
-        )
+        raise MeshFormatError(f"{path}: no 'coarse nx ny' line and no coarse_dims given")
     if cells.min() < 0 or cells.max() >= len(verts):
         bad = int(np.argmax((cells < 0) | (cells >= len(verts))).item() // 3)
         raise MeshFormatError(f"{path}: cell {bad} references a missing vertex")

@@ -140,10 +140,11 @@ def _delta_rhs_batch(patch, params):
     contrib, intg = forms.dirichlet_facet_terms(patch, params, ones)
     flux = intg * patch.dir_normal  # (nd, 2): column 2k + d
     cols = np.arange(2 * nd).reshape(nd, 1, 2)
+    cells = patch.dirichlet.cell
     f_u = np.zeros((patch.n_vdof, 2 * nd))
-    f_u[forms.cell_dofs(patch.dir_cell), cols] = contrib
+    f_u[forms.cell_dofs(cells), cols] = contrib
     f_p = np.zeros((patch.n_pdof, 2 * nd))
-    f_p[patch.dir_cell[:, None], cols[:, 0]] += flux
+    f_p[cells[:, None], cols[:, 0]] += flux
     f_p -= np.outer(patch.mesh.area[patch.cells], flux.ravel() / patch.area)
     return f_u, f_p
 
@@ -227,7 +228,7 @@ def generalized_eigh(a, s, rank_tol=S_RANK_TOL):
     return lam, vectors, (a_f, 0.5 * (s_f + s_f.T), z)
 
 
-def spectral_reduce(snapshots, mesh, coarse, params, m, edge_set="boundary"):
+def spectral_reduce(snapshots, mesh, coarse, params, m):
     """Reduce a snapshot set to its m smoothest modes.
 
     The pencil pairs the viscous stiffness (volume plus interior-edge
@@ -241,7 +242,7 @@ def spectral_reduce(snapshots, mesh, coarse, params, m, edge_set="boundary"):
     n_snap = snapshots.n_snapshots
     if not 1 <= m <= n_snap:
         raise ValueError(f"basis size {m} outside 1..{n_snap}")
-    a_loc, s_loc = forms.assemble_spectral_pair(patch, params, edge_set=edge_set)
+    a_loc, s_loc = forms.assemble_spectral_pair(patch, params)
     r = snapshots.rows
     a_snap = r @ (a_loc @ r.T)
     s_snap = r @ (s_loc @ r.T)
@@ -322,7 +323,6 @@ def build_multiscale_space(
     m=10,
     oversampled=False,
     u_lin=None,
-    edge_set="boundary",
     threads=None,
 ):
     """Offline stage: linearization field, per-cell snapshots and spectral
@@ -335,7 +335,7 @@ def build_multiscale_space(
 
     def one_cell(i):
         snap = build_snapshots(mesh, coarse, params, i, oversampled, u_lin)
-        return spectral_reduce(snap, mesh, coarse, params, m, edge_set=edge_set)
+        return spectral_reduce(snap, mesh, coarse, params, m)
 
     indices = range(coarse.n_cells)
     if threads > 1:
@@ -351,16 +351,18 @@ def build_multiscale_space(
 
 
 def resize_space(space, mesh, coarse, m):
-    """Same cell bases, different retained count (prefix of the eigenvectors)."""
-    if not space.cell_bases:
-        raise ValueError("space carries no cell bases to resize")
-    r_u, r_p = build_projection(space.cell_bases, mesh, coarse, m)
+    """The same space with the first m basis rows of every coarse cell: a
+    row slice of r_u, which equals build_projection(bases, mesh, coarse, m)
+    because a smaller basis is a prefix of the eigenvectors."""
+    if not 1 <= m <= space.m:
+        raise ValueError(f"basis size {m} outside 1..{space.m} of the space")
+    rows = (space.m * np.arange(coarse.n_cells)[:, None] + np.arange(m)).ravel()
     return MultiscaleSpace(
         m=m,
         oversampled=space.oversampled,
         cell_bases=space.cell_bases,
-        r_u=r_u,
-        r_p=r_p,
+        r_u=space.r_u[rows],
+        r_p=space.r_p,
     )
 
 
@@ -527,7 +529,7 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     return coarse_traj, fine_state
 
 
-def _space_key(mesh, params, bc, oversampled, edge_set):
+def _space_key(mesh, params, bc, oversampled):
     """Hash of everything the bases depend on: the mesh, the parameters and,
     through the linearization field, the boundary data."""
     if bc.velocity is not None or bc.grad is not None or bc.traction is not None:
@@ -548,19 +550,18 @@ def _space_key(mesh, params, bc, oversampled, edge_set):
                 params.tau,
                 params.n_steps,
                 bool(oversampled),
-                edge_set,
             )
         ).encode()
     )
     return digest.hexdigest()[:16]
 
 
-def save_space(directory, mesh, params, bc, space, edge_set="boundary"):
+def save_space(directory, mesh, params, bc, space):
     """Write each coarse cell's basis rows and fine cells, keyed by the hash
     of the inputs, so a later run with the same inputs can skip the offline
     stage."""
     os.makedirs(directory, exist_ok=True)
-    key = _space_key(mesh, params, bc, space.oversampled, edge_set)
+    key = _space_key(mesh, params, bc, space.oversampled)
     path = os.path.join(directory, f"basis_{key}_m{space.m}.npz")
     payload = {}
     for basis in space.cell_bases:
@@ -574,11 +575,11 @@ def save_space(directory, mesh, params, bc, space, edge_set="boundary"):
     return path
 
 
-def load_space(directory, mesh, coarse, params, bc, m, oversampled, edge_set="boundary"):
+def load_space(directory, mesh, coarse, params, bc, m, oversampled):
     """Load a cached space with basis size >= m, or None when absent.  A file
     that cannot be read or does not fit the mesh is a miss with a
     RuntimeWarning naming it."""
-    prefix = f"basis_{_space_key(mesh, params, bc, oversampled, edge_set)}_m"
+    prefix = f"basis_{_space_key(mesh, params, bc, oversampled)}_m"
     if not os.path.isdir(directory):
         return None
     candidates = []

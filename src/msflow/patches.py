@@ -4,14 +4,34 @@ local snapshot problems.
 A patch is a set of fine cells with a local DOF numbering (6 velocity DOFs
 and 1 pressure DOF per cell), its interior edges, and its Dirichlet boundary
 edges.  For the full mesh the Dirichlet edges are the velocity-boundary
-sides; the outflow side is natural and gets no edge terms.  For a coarse-cell
-patch every bounding edge is Dirichlet, which is what the snapshot problems
-need.
+sides; the outflow side is natural and carries only the optional traction.
+For a coarse-cell patch every bounding edge is Dirichlet, which is what the
+snapshot problems need.
+
+Every edge integral reads the traces of the cells on its edges through one
+EdgeSide record per side: plus and minus on interior edges, dirichlet and
+natural on boundary edges.
 """
 
 import numpy as np
 
 from .geometry import INTERIOR, DIRICHLET_SIDES, oversample_region
+from .quadrature import EDGE_G2_S
+
+
+class EdgeSide:
+    """One side of an edge list: the patch-local cell on each edge and that
+    cell's P1 traces lam (ne, q, 3) at the edge Gauss points."""
+
+    def __init__(self, patch, edges, cells):
+        ends = patch.mesh.edge_verts[edges]
+        # hit[e, j, a]: endpoint j of edge e is local vertex a of its cell
+        hit = patch.mesh.cells[cells][:, None, :] == ends[:, :, None]
+        if not np.all(hit.any(axis=2)):
+            raise ValueError("edge endpoint is not a vertex of the adjacent cell")
+        s = EDGE_G2_S
+        self.cell = patch.local_of[cells]
+        self.lam = hit[:, 0, None, :] * (1.0 - s)[:, None] + hit[:, 1, None, :] * s[:, None]
 
 
 class Patch:
@@ -22,11 +42,30 @@ class Patch:
             raise ValueError("empty cell patch")
         self.local_of = np.full(mesh.n_cells, -1, dtype=np.int64)
         self.local_of[self.cells] = np.arange(len(self.cells))
-        self.interior_edges = np.asarray(interior_edges, dtype=np.int64)
-        self.dirichlet_edges = np.asarray(dirichlet_edges, dtype=np.int64)
-        self.natural_edges = np.asarray(natural_edges, dtype=np.int64)
+        self.interior_edges = ie = np.asarray(interior_edges, dtype=np.int64)
+        self.dirichlet_edges = de = np.asarray(dirichlet_edges, dtype=np.int64)
+        self.natural_edges = ng = np.asarray(natural_edges, dtype=np.int64)
         self.area = float(mesh.area[self.cells].sum())
-        self._build_edge_maps()
+
+        self.int_len = mesh.edge_length[ie]
+        self.int_normal = mesh.edge_normal[ie]
+        self.plus = EdgeSide(self, ie, mesh.edge_cells[ie, 0])
+        self.minus = EdgeSide(self, ie, mesh.edge_cells[ie, 1])
+
+        # The inside cell of a Dirichlet edge is whichever adjacent cell
+        # belongs to the patch; orient the stored normal outward from it.
+        # Boundary edges of the global mesh already point outward from their
+        # only cell; interior edges point K+ -> K-.
+        c0, c1 = mesh.edge_cells[de, 0], mesh.edge_cells[de, 1]
+        in0 = self.local_of[c0] >= 0
+        sign = np.where(c1 < 0, 1.0, np.where(in0, 1.0, -1.0))
+        self.dir_len = mesh.edge_length[de]
+        self.dir_normal = mesh.edge_normal[de] * sign[:, None]
+        self.dir_side = mesh.edge_side[de]
+        self.dirichlet = EdgeSide(self, de, np.where(in0, c0, c1))
+
+        self.nat_len = mesh.edge_length[ng]
+        self.natural = EdgeSide(self, ng, mesh.edge_cells[ng, 0])
 
     @property
     def n_cells(self):
@@ -39,66 +78,6 @@ class Patch:
     @property
     def n_pdof(self):
         return self.n_cells
-
-    def _local_vertex_index(self, cells, verts):
-        """Local index (0..2) of each given vertex id within each given cell."""
-        cv = self.mesh.cells[cells]
-        idx = np.argmax(cv == verts[:, None], axis=1)
-        if not np.all(cv[np.arange(len(cells)), idx] == verts):
-            raise ValueError("edge endpoint is not a vertex of the adjacent cell")
-        return idx
-
-    def _build_edge_maps(self):
-        mesh = self.mesh
-        ie = self.interior_edges
-        self.int_len = mesh.edge_length[ie]
-        self.int_normal = mesh.edge_normal[ie]
-        self.int_cp = self.local_of[mesh.edge_cells[ie, 0]] if len(ie) else np.empty(0, dtype=np.int64)
-        self.int_cm = self.local_of[mesh.edge_cells[ie, 1]] if len(ie) else np.empty(0, dtype=np.int64)
-        va, vb = (mesh.edge_verts[ie, 0], mesh.edge_verts[ie, 1]) if len(ie) else (np.empty(0, dtype=np.int64),) * 2
-        if len(ie):
-            self.int_ia_p = self._local_vertex_index(mesh.edge_cells[ie, 0], va)
-            self.int_ib_p = self._local_vertex_index(mesh.edge_cells[ie, 0], vb)
-            self.int_ia_m = self._local_vertex_index(mesh.edge_cells[ie, 1], va)
-            self.int_ib_m = self._local_vertex_index(mesh.edge_cells[ie, 1], vb)
-        else:
-            self.int_ia_p = self.int_ib_p = self.int_ia_m = self.int_ib_m = np.empty(0, dtype=np.int64)
-
-        de = self.dirichlet_edges
-        self.dir_len = mesh.edge_length[de]
-        self.dir_va = mesh.edge_verts[de, 0] if len(de) else np.empty(0, dtype=np.int64)
-        self.dir_vb = mesh.edge_verts[de, 1] if len(de) else np.empty(0, dtype=np.int64)
-        # The inside cell is whichever adjacent cell belongs to the patch;
-        # orient the stored normal outward from it.
-        if len(de):
-            c0, c1 = mesh.edge_cells[de, 0], mesh.edge_cells[de, 1]
-            in0 = self.local_of[c0] >= 0
-            inside = np.where(in0, c0, c1)
-            self.dir_cell = self.local_of[inside]
-            # Boundary edges of the global mesh already point outward from
-            # their only cell; interior edges point K+ -> K-.
-            sign = np.where(c1 < 0, 1.0, np.where(in0, 1.0, -1.0))
-            self.dir_normal = mesh.edge_normal[de] * sign[:, None]
-            self.dir_ia = self._local_vertex_index(inside, self.dir_va)
-            self.dir_ib = self._local_vertex_index(inside, self.dir_vb)
-        else:
-            self.dir_cell = np.empty(0, dtype=np.int64)
-            self.dir_normal = np.empty((0, 2))
-            self.dir_ia = self.dir_ib = np.empty(0, dtype=np.int64)
-        self.dir_side = mesh.edge_side[de] if len(de) else np.empty(0, dtype=np.int8)
-
-        ng = self.natural_edges
-        self.nat_len = mesh.edge_length[ng]
-        if len(ng):
-            self.nat_va = mesh.edge_verts[ng, 0]
-            self.nat_vb = mesh.edge_verts[ng, 1]
-            self.nat_cell = self.local_of[mesh.edge_cells[ng, 0]]
-            self.nat_ia = self._local_vertex_index(mesh.edge_cells[ng, 0], self.nat_va)
-            self.nat_ib = self._local_vertex_index(mesh.edge_cells[ng, 0], self.nat_vb)
-        else:
-            self.nat_va = self.nat_vb = np.empty(0, dtype=np.int64)
-            self.nat_cell = np.empty(0, dtype=np.int64)
-            self.nat_ia = self.nat_ib = np.empty(0, dtype=np.int64)
 
     def restrict_velocity(self, global_vec):
         """Restrict a global fine velocity vector to patch-local layout."""
@@ -146,7 +125,7 @@ def nested_dissection_order(patch):
         dissect(high, edges[(side == 1).all(axis=1)])
         order.append(separator)
 
-    dissect(np.arange(patch.n_cells), np.column_stack([patch.int_cp, patch.int_cm]))
+    dissect(np.arange(patch.n_cells), np.column_stack([patch.plus.cell, patch.minus.cell]))
     return np.concatenate(order)
 
 

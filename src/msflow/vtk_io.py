@@ -71,49 +71,58 @@ def read_vtk_state(path):
 
     Returns (points, cells, DGState, region).
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    with open(path, errors="replace") as fh:
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    lines.append(("eof", "<eof>"))
     idx = 0
 
-    def expect(prefix):
+    def fail(msg):
+        raise MeshFormatError(f"{path}:{lines[idx][0]}: {msg}")
+
+    def expect(prefix, counted=False):
+        """Step over the next line, which must start with prefix and, when
+        counted, give a row count as its second word; returns that count."""
         nonlocal idx
-        if idx >= len(lines) or not lines[idx].startswith(prefix):
-            got = lines[idx] if idx < len(lines) else "<eof>"
-            raise MeshFormatError(f"{path}: expected {prefix!r}, got {got!r}")
-        line = lines[idx]
+        tok = lines[idx][1].split()
+        if lines[idx][0] == "eof" or not lines[idx][1].startswith(prefix) or (
+            counted and not (len(tok) > 1 and tok[1].isdecimal())
+        ):
+            fail(f"expected {prefix + (' <count>' if counted else '')!r}, got {lines[idx][1]!r}")
         idx += 1
-        return line
+        return int(tok[1]) if counted else None
+
+    def rows(n_rows, width, kind):
+        """The next n_rows lines as an (n_rows, width) array of kind."""
+        nonlocal idx
+        out = np.empty((n_rows, width), dtype=kind)
+        for k in range(n_rows):
+            tok = lines[idx][1].split()
+            if lines[idx][0] == "eof" or len(tok) != width:
+                fail(f"expected a row of {width} values, got {lines[idx][1]!r}")
+            try:
+                out[k] = [kind(v) for v in tok]
+            except ValueError as exc:
+                fail(str(exc))
+            idx += 1
+        return out
 
     expect("# vtk DataFile Version")
-    idx += 1  # title
+    expect("")  # title
     expect("ASCII")
     expect("DATASET UNSTRUCTURED_GRID")
-    n_pts = int(expect("POINTS").split()[1])
-    points = np.array(
-        [[float(v) for v in lines[idx + k].split()] for k in range(n_pts)]
-    )[:, :2]
-    idx += n_pts
-    n_cells = int(expect("CELLS").split()[1])
-    cells = np.array(
-        [[int(v) for v in lines[idx + k].split()[1:]] for k in range(n_cells)],
-        dtype=np.int64,
-    )
-    idx += n_cells
+    points = rows(expect("POINTS", counted=True), 3, float)[:, :2]
+    n_cells = expect("CELLS", counted=True)
+    cells = rows(n_cells, 4, int)[:, 1:].astype(np.int64)
     expect("CELL_TYPES")
-    idx += n_cells
+    rows(n_cells, 1, int)
     expect("CELL_DATA")
     expect("SCALARS pressure")
     expect("LOOKUP_TABLE")
-    pressure = np.array([float(lines[idx + k]) for k in range(n_cells)])
-    idx += n_cells
+    pressure = rows(n_cells, 1, float)[:, 0]
     expect("SCALARS region")
     expect("LOOKUP_TABLE")
-    region = np.array([int(lines[idx + k]) for k in range(n_cells)], dtype=np.int8)
-    idx += n_cells
+    region = rows(n_cells, 1, int)[:, 0].astype(np.int8)
     expect("FIELD")
     expect("velocity_dg")
-    velocity = np.array(
-        [[float(v) for v in lines[idx + k].split()] for k in range(n_cells)]
-    ).ravel()
-    idx += n_cells
+    velocity = rows(n_cells, 6, float).ravel()
     return points, cells, DGState(velocity, pressure), region

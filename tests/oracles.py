@@ -142,7 +142,7 @@ def convdiff_energy(mesh, params, patch, u_vec, v_vec, ulin_vec=None):
         total += weight * edge_integrate(penalty, pa, pb)
 
     for k, e in enumerate(patch.dirichlet_edges):
-        c = patch.cells[patch.dir_cell[k]]
+        c = patch.cells[patch.dirichlet.cell[k]]
         pa, pb, _, length = _edge_geometry(mesh, e)
         n = _outward_normal(mesh, e, c)
 
@@ -199,7 +199,7 @@ def divergence_action(mesh, patch, q_vec, v_vec):
 
         total += mean_q * edge_integrate(jump_vn, pa, pb)
     for k, e in enumerate(patch.dirichlet_edges):
-        c = patch.cells[patch.dir_cell[k]]
+        c = patch.cells[patch.dirichlet.cell[k]]
         pa, pb, _, _ = _edge_geometry(mesh, e)
         n = _outward_normal(mesh, e, c)
         total += q[c] * edge_integrate(lambda p, c=c, n=n: vf[c](p) @ n, pa, pb)
@@ -215,7 +215,7 @@ def rhs_functionals(mesh, params, patch, g_func, v_vec, q_vec, grad_func=None):
     f_val = 0.0
     l_val = 0.0
     for k, e in enumerate(patch.dirichlet_edges):
-        c = patch.cells[patch.dir_cell[k]]
+        c = patch.cells[patch.dirichlet.cell[k]]
         pa, pb, _, length = _edge_geometry(mesh, e)
         n = _outward_normal(mesh, e, c)
 

@@ -1,11 +1,15 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from msflow import cli
+from msflow import cli, gmsfem
 from msflow.config import generate_inclusions, parse_config
 from msflow.errors import ConfigError
+from msflow.parameters import BoundaryData
+
+from conftest import make_params, tiny_heterogeneous
 
 TINY_SWEEP = """
 [domain]
@@ -273,3 +277,48 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     status = cli.main(["fine", "--config", str(cfg)])
     assert status == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["vertices x\n", "vertices 3\n0 0.0 0.0\n"])
+def test_cli_reports_mesh_file_errors(tmp_path, capsys, body):
+    mesh = tmp_path / "bad_mesh.txt"
+    mesh.write_text("msflow-mesh v1\ncoarse 1 1\n" + body)
+    cfg = write_config(
+        tmp_path,
+        f"[mesh]\nsource = load\npath = {mesh}\n"
+        f"[model]\npreset = test1\nn_steps = 2\n[run]\nmode = fine\nout = {tmp_path / 'out'}\n",
+    )
+    assert cli.main(["fine", "--config", str(cfg)]) == 2
+    assert f"error: {mesh}:" in capsys.readouterr().err
+
+
+def test_space_provider_builds_or_loads_once_per_flag(tmp_path, monkeypatch):
+    mesh, coarse = tiny_heterogeneous(n=2)
+    params = make_params(n_steps=1)
+    bc = BoundaryData.inflow((1.0, 0.0))
+    spec = SimpleNamespace(basis_cache=str(tmp_path / "cache"))
+    calls = []
+
+    def record(name):
+        original = getattr(gmsfem, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gmsfem, name, wrapper)
+
+    record("build_multiscale_space")
+    record("load_space")
+
+    def spaces():
+        provider = cli._SpaceProvider(spec, mesh, coarse, params, bc, 4)
+        return [provider.get(m, False) for m in (2, 3, 4)]
+
+    built = spaces()
+    assert calls == ["load_space", "build_multiscale_space"]  # a miss, one build at m_max
+    loaded = spaces()
+    assert calls == ["load_space", "build_multiscale_space", "load_space"]
+    for a, b in zip(built, loaded):
+        assert a.m == b.m and np.array_equal(a.r_u.toarray(), b.r_u.toarray())
+    assert loaded[-1].cell_bases == []

@@ -135,13 +135,13 @@ def test_boundary_trace_convergence():
         u, _ = SaddleSolver(SaddleSystem(zero, a, zero, b, f_u, f_p)).solve()
         coefs = u.reshape(mesh.n_cells, 3, 2)
         total = 0.0
-        for k in range(len(patch.dirichlet_edges)):
-            c = patch.dir_cell[k]
-            pa = mesh.verts[patch.dir_va[k]]
-            pb = mesh.verts[patch.dir_vb[k]]
+        for k, (va, vb) in enumerate(mesh.edge_verts[patch.dirichlet_edges]):
+            c = patch.dirichlet.cell[k]
+            pa = mesh.verts[va]
+            pb = mesh.verts[vb]
             pts = pa[None, :] * (1 - EDGE_G2_S)[:, None] + pb[None, :] * EDGE_G2_S[:, None]
-            ia = list(mesh.cells[patch.cells[c]]).index(patch.dir_va[k])
-            ib = list(mesh.cells[patch.cells[c]]).index(patch.dir_vb[k])
+            ia = list(mesh.cells[patch.cells[c]]).index(va)
+            ib = list(mesh.cells[patch.cells[c]]).index(vb)
             trace = (
                 coefs[patch.cells[c], ia][None, :] * (1 - EDGE_G2_S)[:, None]
                 + coefs[patch.cells[c], ib][None, :] * EDGE_G2_S[:, None]
@@ -188,7 +188,7 @@ def test_nested_dissection_order_is_a_permutation():
 def test_separator_splits_the_interior_edge_graph():
     patch = _desk_patch()
     xy = patch.mesh.centroid[patch.cells]
-    edges = np.column_stack([patch.int_cp, patch.int_cm])
+    edges = np.column_stack([patch.plus.cell, patch.minus.cell])
     cells = np.arange(patch.n_cells)
     low, high, separator = bisect_cells(xy, cells, edges)
     assert np.array_equal(np.sort(np.concatenate([low, high, separator])), cells)

@@ -12,9 +12,10 @@ from msflow.geometry import (
     generate_structured_mesh,
 )
 from msflow.parameters import BoundaryData
-from msflow.patches import Patch, coarse_cell_patch, full_patch
+from msflow.patches import EdgeSide, Patch, coarse_cell_patch, full_patch
+from msflow.quadrature import EDGE_G2_S
 
-from conftest import make_params, perturbed_grid_mesh, random_rect_two_cells
+from conftest import desk_domain, make_params, perturbed_grid_mesh, random_rect_two_cells
 
 
 def single_triangle_mesh(porous=False):
@@ -361,6 +362,42 @@ class TestLocality:
         local = Patch(mesh, patch.cells, [], patch.interior_edges)
         a_local = forms.assemble_convection_diffusion(local, params)
         assert abs(a_local - a_sub).max() < 1e-14 * max(abs(a_sub).max(), 1.0)
+
+
+class TestEdgeSide:
+    @staticmethod
+    def _patch(kind):
+        mesh, coarse = generate_structured_mesh(desk_domain(), 8, (4, 4))
+        if kind == "full":
+            return full_patch(mesh)
+        return coarse_cell_patch(mesh, coarse, 5, oversampled=True)
+
+    @pytest.mark.parametrize("kind", ["full", "oversampled"])
+    def test_traces_reproduce_the_edge_points(self, kind):
+        patch = self._patch(kind)
+        mesh = patch.mesh
+        points = {}
+        for name, edges in (
+            ("plus", patch.interior_edges),
+            ("minus", patch.interior_edges),
+            ("dirichlet", patch.dirichlet_edges),
+            ("natural", patch.natural_edges),
+        ):
+            side = getattr(patch, name)
+            assert side.lam.shape == (len(edges), len(EDGE_G2_S), 3)
+            assert np.abs(side.lam.sum(axis=2) - 1.0).max(initial=0.0) <= 1e-15
+            corners = mesh.verts[mesh.cells[patch.cells[side.cell]]]
+            points[name] = np.einsum("nqa,nad->nqd", side.lam, corners)
+            assert np.allclose(points[name], forms.edge_points(mesh, edges), rtol=0, atol=1e-15)
+        assert np.array_equal(points["plus"], points["minus"])
+        assert (len(patch.natural_edges) > 0) == (kind == "full")
+
+    def test_cell_without_the_edge_is_rejected(self):
+        patch = self._patch("full")
+        edges = patch.dirichlet_edges[:1]
+        far = np.array([patch.cells[-1]])
+        with pytest.raises(ValueError, match="not a vertex"):
+            EdgeSide(patch, edges, far)
 
 
 @given(seed=st.integers(0, 10_000))

@@ -319,6 +319,41 @@ class TestRunMultiscale:
         for i in range(coarse.n_cells):
             assert np.array_equal(small_rows[2 * i : 2 * i + 2], full_rows[5 * i : 5 * i + 2])
 
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_resize_slice_equals_the_built_projection(self, oversampled):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(
+            mesh, coarse, params, bc, m=5, oversampled=oversampled
+        )
+        for m in (2, 4, 5):
+            small = gmsfem.resize_space(space, mesh, coarse, m)
+            r_u, r_p = gmsfem.build_projection(space.cell_bases, mesh, coarse, m)
+            for got, want in ((small.r_u, r_u), (small.r_p, r_p)):
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+        # at m = 1 build_projection multiplies by a single eigenvector, a
+        # matrix-vector product that rounds differently from the slice
+        small = gmsfem.resize_space(space, mesh, coarse, 1)
+        r_u, _ = gmsfem.build_projection(space.cell_bases, mesh, coarse, 1)
+        assert abs(small.r_u - r_u).max() <= 1e-12 * abs(r_u).max()
+        with pytest.raises(ValueError, match="basis size 6"):
+            gmsfem.resize_space(space, mesh, coarse, 6)
+
+    def test_loaded_space_resizes(self, tmp_path):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=4)
+        gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 4, False)
+        small = gmsfem.resize_space(loaded, mesh, coarse, 2)
+        want = gmsfem.resize_space(space, mesh, coarse, 2)
+        assert small.m == 2
+        assert np.array_equal(small.r_u.toarray(), want.r_u.toarray())
+        assert np.array_equal(small.r_p.toarray(), want.r_p.toarray())
+
 
 class TestOnlineStage:
     @pytest.mark.parametrize("m", [2, 5])
@@ -412,21 +447,6 @@ class TestConcurrency:
         )
         for a, b in zip(serial.cell_bases, threaded.cell_bases):
             assert np.allclose(a.eigenvalues, b.eigenvalues, rtol=1e-12, atol=1e-12)
-
-
-class TestSpectralEdgeSet:
-    def test_interior_switch_changes_the_pencil(self):
-        mesh, coarse = tiny_heterogeneous(n=3)
-        params = make_params()
-        ulin = np.zeros(6 * mesh.n_cells)
-        snap = gmsfem.build_snapshots(mesh, coarse, params, 0, False, ulin)
-        boundary = gmsfem.spectral_reduce(snap, mesh, coarse, params, m=4)
-        interior = gmsfem.spectral_reduce(
-            snap, mesh, coarse, params, m=4, edge_set="interior"
-        )
-        assert not np.allclose(boundary.eigenvalues[:4], interior.eigenvalues[:4])
-        with pytest.raises(ValueError, match="edge_set"):
-            gmsfem.spectral_reduce(snap, mesh, coarse, params, m=2, edge_set="nope")
 
 
 class TestBasisCache:

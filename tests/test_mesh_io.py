@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,57 @@ def test_missing_coarse_dims(tmp_path):
         load_mesh(path)
     mesh, coarse = load_mesh(path, coarse_dims=(1, 1))
     assert coarse.n_cells == 1
+
+
+SQUARE = (
+    "msflow-mesh v1\n"
+    "coarse 1 1\n"
+    "vertices 4\n0 0.0 0.0\n1 1.0 0.0\n2 1.0 1.0\n3 0.0 1.0\n"
+    "cells 2\n0 0 1 2 fluid 0\n1 0 2 3 fluid 0\n"
+    "boundary 4\n0 1 bottom\n1 2 right\n2 3 top\n0 3 left\n"
+)
+
+
+def test_square_loads(tmp_path):
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE)
+    mesh, coarse = load_mesh(path)
+    assert (mesh.n_verts, mesh.n_cells, coarse.n_cells) == (4, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("vertices 4", "vertices x", "3: expected 'vertices <count>'"),
+        ("vertices 4", "vertices", "3: expected 'vertices <count>'"),
+        ("0 3 left\n", "", "14: boundary section ends after 3 of 4 rows"),
+        ("1 1.0 0.0", "1 one 0.0", "5: 'one' is not a number"),
+        ("1 1.0 0.0", "1 nan 0.0", "5: 'nan' is not finite"),
+        ("3 0.0 1.0", "4 0.0 1.0", "7: id 4 outside 0..3"),
+        ("3 0.0 1.0", "2 0.0 1.0", "7: id 2 already given on line 6"),
+        ("1 0 2 3 fluid 0", "0 0 2 3 fluid 0", "10: id 0 already given on line 9"),
+        ("1 0 2 3 fluid 0", "1 0 2 x fluid 0", "10: 'x' is not an integer"),
+        ("0 1 bottom", "0 1.5 bottom", "12: '1.5' is not an integer"),
+        ("coarse 1 1", "coarse 0 1", "2: coarse dimensions must be at least 1"),
+    ],
+)
+def test_malformed_file_names_path_and_line(tmp_path, old, new, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(SQUARE.replace(old, new, 1))
+    with pytest.raises(MeshFormatError, match=re.escape(f"{path}:{where}")):
+        load_mesh(path)
+
+
+def test_truncated_vertex_section(tmp_path):
+    path = tmp_path / "cut.txt"
+    path.write_text("msflow-mesh v1\ncoarse 1 1\nvertices 4\n0 0.0 0.0\n1 1.0 0.0\n")
+    where = f"{path}:5: vertices section ends after 2 of 4 rows"
+    with pytest.raises(MeshFormatError, match=re.escape(where)):
+        load_mesh(path)
+
+
+def test_binary_file_is_a_format_error(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(bytes(range(256)))
+    with pytest.raises(MeshFormatError, match="header"):
+        load_mesh(path)

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from msflow import vtk_io
+from msflow.errors import MeshFormatError
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import DGState
 
@@ -60,7 +63,8 @@ def test_vertex_average_of_continuous_field_is_exact(rng):
 def test_reader_rejects_foreign_layout(tmp_path):
     path = tmp_path / "bad.vtk"
     path.write_text("# vtk DataFile Version 3.0\nx\nASCII\nDATASET STRUCTURED_POINTS\n")
-    with pytest.raises(Exception):
+    where = f"{path}:4: expected 'DATASET UNSTRUCTURED_GRID'"
+    with pytest.raises(MeshFormatError, match=re.escape(where)):
         vtk_io.read_vtk_state(path)
 
 
@@ -75,3 +79,36 @@ def test_parses_with_external_reader_when_available(tmp_path):
     assert len(data.points) == 4
     assert data.cells[0].data.shape == (2, 3)
     assert np.allclose(data.cell_data["pressure"][0], state.pressure)
+
+
+def _two_cell_file(tmp_path, rng):
+    mesh, _ = generate_structured_mesh(DomainSpec(bbox=(0, 0, 1, 1)), 1, (1, 1))
+    path = tmp_path / "two.vtk"
+    vtk_io.export_vtk(mesh, DGState(rng.standard_normal(12), rng.standard_normal(2)), path)
+    return path, path.read_text().splitlines()
+
+
+def test_truncated_file_is_a_format_error(tmp_path, rng):
+    path, lines = _two_cell_file(tmp_path, rng)
+    cut = lines.index("velocity_dg 6 2 double") + 2  # keeps the first velocity row
+    path.write_text("\n".join(lines[:cut]) + "\n")
+    with pytest.raises(MeshFormatError, match=re.escape(f"{path}:eof: expected a row of 6 values")):
+        vtk_io.read_vtk_state(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("POINTS 4 double", "POINTS x double", "expected 'POINTS <count>'"),
+        ("CELLS 2 8", "CELLS", "expected 'CELLS <count>'"),
+        ("3 0 1 3", "3 0 1", "expected a row of 4 values, got '3 0 1'"),
+        ("3 0 1 3", "3 0 1 z", "invalid literal for int()"),
+    ],
+)
+def test_malformed_line_is_named(tmp_path, rng, old, new, message):
+    path, lines = _two_cell_file(tmp_path, rng)
+    n = lines.index(old)
+    lines[n] = new
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=re.escape(f"{path}:{n + 1}: {message}")):
+        vtk_io.read_vtk_state(path)
