@@ -129,6 +129,14 @@ def _parse_int(value, lineno, key):
         raise ConfigError(f"key {key!r}: not an integer: {value!r}", line=lineno) from None
 
 
+def _parse_count(value, lineno, key):
+    """A positive integer: a mesh resolution or a step count."""
+    count = _parse_int(value, lineno, key)
+    if count < 1:
+        raise ConfigError(f"key {key!r}: must be at least 1, got {count}", line=lineno)
+    return count
+
+
 def _parse_floats(value, lineno, key, count=None):
     parts = value.split()
     if count is not None and len(parts) != count:
@@ -204,11 +212,11 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
     if mesh_source not in ("generate", "load"):
         raise ConfigError(f"mesh source must be generate or load, got {value!r}", line=lineno)
     value, lineno = _get(entries, "mesh", "nx", "4")
-    nx = _parse_int(value, lineno, "nx")
+    nx = _parse_count(value, lineno, "nx")
     value, lineno = _get(entries, "mesh", "ny", "4")
-    ny = _parse_int(value, lineno, "ny")
+    ny = _parse_count(value, lineno, "ny")
     value, lineno = _get(entries, "mesh", "n_per_coarse", "8")
-    n_per_coarse = _parse_int(value, lineno, "n_per_coarse")
+    n_per_coarse = _parse_count(value, lineno, "n_per_coarse")
     mesh_path, path_line = _get(entries, "mesh", "path")
     if mesh_source == "load":
         if mesh_path is None:
@@ -217,7 +225,7 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
             raise ConfigError(f"mesh file not found: {mesh_path}", line=path_line)
 
     value, lineno = _get(entries, "model", "n_steps", "50")
-    n_steps = _parse_int(value, lineno, "n_steps")
+    n_steps = _parse_count(value, lineno, "n_steps")
     if preset is not None:
         if preset not in TEST_PRESETS:
             raise ConfigError(f"unknown preset {preset!r}", line=preset_line)

@@ -5,9 +5,9 @@ oversampled neighborhood) with a discrete-delta boundary datum per fine
 boundary facet and Cartesian direction, restrict to the target cell, and
 reduce the resulting snapshot family through a generalized eigenproblem.
 Online stage: project the static fine blocks onto the retained basis and
-the nonlinear ones per coarse cell, march the same linearized implicit
-scheme on the reduced system, and reconstruct the fine-grid velocity from
-the coarse coefficients.
+the nonlinear ones per coarse cell, once per basis family, march the same
+linearized implicit scheme on the reduced system, and reconstruct the
+fine-grid velocity from the coarse coefficients.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from zipfile import BadZipFile
 
 import numpy as np
@@ -28,7 +28,7 @@ from .fine_solver import StepOperators, Trajectory, run_fine
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_patch
-from .quadrature import EDGE_G2_W
+from .quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
 from .saddle import RESIDUAL_TOL, SaddleSolver, SaddleSystem, relative_residual
 
 S_RANK_TOL = 1e-10
@@ -86,13 +86,22 @@ class CellBasis:
 
 @dataclass
 class MultiscaleSpace:
-    """Retained per-cell bases with the global projection operators."""
+    """Retained per-cell bases with the global projection operators.
+
+    family holds the online operators of the basis family the space belongs
+    to; resize_space hands it to every slice (see _Family).
+    """
 
     m: int
     oversampled: bool
     cell_bases: list
     r_u: sp.csr_matrix  # (m * n_coarse, 6 * n_fine)
     r_p: sp.csr_matrix  # (n_coarse, n_fine)
+    family: "_Family" = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.family is None:
+            self.family = _Family(self.m, self.r_u, self.r_p)
 
     @property
     def n_u(self):
@@ -350,19 +359,26 @@ def build_multiscale_space(
     )
 
 
+def _prefix_rows(m_max, n_coarse, m):
+    """Indices of the first m of every coarse cell's m_max basis rows."""
+    return (m_max * np.arange(n_coarse)[:, None] + np.arange(m)).ravel()
+
+
 def resize_space(space, mesh, coarse, m):
     """The same space with the first m basis rows of every coarse cell: a
     row slice of r_u, which equals build_projection(bases, mesh, coarse, m)
-    because a smaller basis is a prefix of the eigenvectors."""
+    because a smaller basis is a prefix of the eigenvectors.  The slice
+    shares the space's family, so its online operators are prefixes too."""
     if not 1 <= m <= space.m:
         raise ValueError(f"basis size {m} outside 1..{space.m} of the space")
-    rows = (space.m * np.arange(coarse.n_cells)[:, None] + np.arange(m)).ravel()
+    rows = _prefix_rows(space.m, coarse.n_cells, m)
     return MultiscaleSpace(
         m=m,
         oversampled=space.oversampled,
         cell_bases=space.cell_bases,
         r_u=space.r_u[rows],
         r_p=space.r_p,
+        family=space.family,
     )
 
 
@@ -387,52 +403,141 @@ class _NonlinearBlocks:
 
     Both terms are cellwise and every basis row lives on one coarse cell, so
     the projection is block diagonal.  Convection is linear in u: its
-    projection is an m x m x m tensor per coarse cell, built once here and
-    contracted with the cell's coefficients each step.  The drag weight |u|
-    is not polynomial, so it is evaluated from the reconstructed field on the
-    porous fine cells only.
+    projection is an m x m x m tensor per coarse cell, contracted with the
+    cell's coefficients each step.  The drag weight |u| is not polynomial,
+    so it is evaluated at the degree-4 quadrature points of the porous fine
+    cells, from the basis values stored there; each coarse cell's drag block
+    is the Gram matrix of its porous cells' values weighted by the speed.
     """
 
-    def __init__(self, mesh, coarse, params, r_u, m):
-        self.mesh, self.params, self.m = mesh, params, m
+    def __init__(self, conv, quad, drag_weight, owner):
+        self.conv = conv  # (n_coarse, m, m, m): convecting k, test r, trial s
+        self.quad = quad  # (n_porous, 2q, m): basis values, row 2j + d at point j
+        self.drag_weight = drag_weight  # (n_porous, q): rule weight x area x drag factor
+        self.owner = owner  # coarse cell of each porous fine cell, ascending
+        # Each coarse cell's rows of quad.reshape(-1, m).
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        stops = np.append(starts[1:], len(owner))
+        rows = quad.shape[1]
+        self.spans = [(owner[a], slice(rows * a, rows * b)) for a, b in zip(starts, stops)]
+
+    @classmethod
+    def build(cls, mesh, coarse, params, r_u, m):
+        """The blocks of the basis rows r_u, m per coarse cell, from the
+        basis values and gradients at the quadrature points of each fine
+        cell: the degree-4 rule is exact for the convective integrand."""
+        n_q = len(TRI_D4_W)
         slabs = _cell_slabs(r_u, coarse, m)
-        # conv[i, k, r, s]: basis k of cell i as the convecting field,
-        # test row r, trial column s.
-        self.conv = np.empty((len(slabs), m, m, m))
-        porous = []
+        conv = np.empty((len(slabs), m, m, m))
+        quad, weight, owner = [], [], []
         for i, (target, rows) in enumerate(slabs):
-            v = rows.reshape(m, len(target), 3, 2)
-            blocks = forms.convection_cell_blocks(
-                mesh, params, np.tile(target, m), v.reshape(-1, 3, 2)
-            ).reshape(m, len(target), 3, 3)
-            left = np.einsum("rcad,kcab->krcbd", v, blocks, optimize=True)
-            self.conv[i] = (left.reshape(m * m, -1) @ rows.T).reshape(m, m, m)
+            n = len(target)
+            v = rows.reshape(m, n, 3, 2).transpose(1, 3, 2, 0)  # [c, d, vertex, k]
+            values = TRI_D4_BARY @ v  # [c, d, j, k]: component d at point j
+            grads = mesh.grad[target].transpose(0, 2, 1)[:, None] @ v  # [c, d, e, s]: d_e of d
+            w = TRI_D4_W * (mesh.area[target] / mesh.xi(params.porosity)[target] ** 2)[:, None]
+            weighted = values * w[:, None, :, None]
+            # conv[k, r, s] sums w v_r,d v_k,e d_e v_s,d over cells c, points j, d and e.
+            rks = np.zeros((m * m, m))
+            for d in range(2):
+                for e in range(2):
+                    gram = weighted[:, d].transpose(0, 2, 1) @ values[:, e]  # [c, r, k]
+                    rks += gram.reshape(n, m * m).T @ grads[:, d, e]
+            conv[i] = rks.reshape(m, m, m).transpose(1, 0, 2)
             local = np.nonzero(mesh.region[target] == POROUS)[0]
             if len(local) and params.forchheimer != 0.0:
-                porous.append((i, target[local], v[:, local].transpose(1, 0, 2, 3)))
+                quad.append(values[local].transpose(0, 2, 1, 3).reshape(len(local), 2 * n_q, m))
+                weight.append(TRI_D4_W * mesh.area[target[local]][:, None])
+                owner.append(np.full(len(local), i))
+        if not quad:
+            return cls(conv, np.empty((0, 2 * n_q, m)), np.empty((0, n_q)), np.empty(0, int))
+        factor = params.forchheimer / np.sqrt(params.darcy)
+        return cls(conv, np.concatenate(quad), factor * np.concatenate(weight), np.concatenate(owner))
 
-        # The porous fine cells grouped by coarse cell: global ids, owning
-        # coarse cell and basis values (n, m, 3, 2).
-        self.porous_coarse = np.array([i for i, _, _ in porous], dtype=np.int64)
-        sizes = [len(cells) for _, cells, _ in porous]
-        self.porous_start = np.cumsum([0] + sizes[:-1])
-        self.porous_owner = np.repeat(self.porous_coarse, sizes)
-        if porous:
-            self.porous_fine = np.concatenate([cells for _, cells, _ in porous])
-            self.porous_rows = np.concatenate([rows for _, _, rows in porous])
+    def prefix(self, m):
+        """The blocks of the first m basis rows of every coarse cell."""
+        return _NonlinearBlocks(
+            np.ascontiguousarray(self.conv[:, :m, :m, :m]),
+            np.ascontiguousarray(self.quad[:, :, :m]),
+            self.drag_weight,
+            self.owner,
+        )
 
     def __call__(self, u_h):
-        u = u_h.reshape(-1, self.m)
-        blocks = np.einsum("ik,ikrs->irs", u, self.conv)
-        if len(self.porous_coarse):
-            v = self.porous_rows
-            coefs = np.einsum("pk,pkad->pad", u[self.porous_owner], v)
-            drag = forms.forchheimer_cell_blocks(
-                self.mesh, self.params, self.porous_fine, coefs
-            )
-            per_cell = np.einsum("pkad,pab,psbd->pks", v, drag, v, optimize=True)
-            blocks[self.porous_coarse] += np.add.reduceat(per_cell, self.porous_start)
+        n, m = self.conv.shape[:2]
+        u = u_h.reshape(n, m)
+        blocks = (u[:, None, :] @ self.conv.reshape(n, m, m * m)).reshape(n, m, m)
+        if self.spans:
+            at_points = (self.quad @ u[self.owner][:, :, None]).reshape(len(self.owner), -1, 2)
+            speed = np.sqrt((at_points * at_points).sum(axis=2))
+            flat = self.quad.reshape(-1, m)
+            weighted = flat * np.repeat((self.drag_weight * speed).ravel(), 2)[:, None]
+            for i, rows in self.spans:
+                blocks[i] += flat[rows].T @ weighted[rows]
         return blocks
+
+
+@dataclass
+class _OnlineOperators:
+    """The projected operators of one basis size: static blocks, loads and
+    the nonlinear per-cell blocks."""
+
+    mass: sp.csr_matrix  # r_u M r_u^T
+    upper: sp.csr_matrix  # r_u (M + A + D) r_u^T
+    div: sp.csr_matrix  # r_p B r_u^T
+    f_u: np.ndarray
+    f_p: np.ndarray
+    nonlinear: _NonlinearBlocks
+
+
+class _Family:
+    """The fine-mesh work of the online stage, done once per basis family: a
+    built or loaded space and every resize_space slice of it.
+
+    The record is an _OnlineOperators at the family's largest size m_max.
+    It is built on the first run_multiscale of the family and rebuilt when a
+    call brings other step operators (compared by identity) or other
+    parameters (by value).  A size m reads the first m basis rows of every
+    coarse cell from it; the static blocks so read equal the products of the
+    sliced projection bit for bit.
+    """
+
+    def __init__(self, m_max, r_u, r_p):
+        self.m_max, self.r_u, self.r_p = m_max, r_u, r_p
+        self.record = None  # (ops, params, _OnlineOperators at m_max)
+
+    def operators(self, mesh, coarse, params, ops, m):
+        """The family's online operators at basis size m."""
+        # Concurrent first calls may each build a record; either one is valid.
+        record = self.record
+        if record is None or record[0] is not ops or record[1] != params:
+            record = (ops, params, self._build(mesh, coarse, params, ops))
+            self.record = record
+        full = record[2]
+        if m == self.m_max:
+            return full
+        rows = _prefix_rows(self.m_max, coarse.n_cells, m)
+        return _OnlineOperators(
+            mass=full.mass[rows][:, rows],
+            upper=full.upper[rows][:, rows],
+            div=full.div[:, rows],
+            f_u=full.f_u[rows],
+            f_p=full.f_p,
+            nonlinear=full.nonlinear.prefix(m),
+        )
+
+    def _build(self, mesh, coarse, params, ops):
+        r_u, r_p = self.r_u, self.r_p
+        mass = (r_u @ ops.mass @ r_u.T).tocsr()
+        upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
+        return _OnlineOperators(
+            mass=mass,
+            upper=upper,
+            div=(r_p @ ops.div @ r_u.T).tocsr(),
+            f_u=r_u @ ops.f_u,
+            f_p=r_p @ ops.f_p,
+            nonlinear=_NonlinearBlocks.build(mesh, coarse, params, r_u, self.m_max),
+        )
 
 
 class _CoarseSaddle:
@@ -490,27 +595,22 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
 
     The nonlinear weights are refreshed every step from the reconstructed
     field of the previous coarse step; the basis stays fixed.  Fine-mesh
-    work happens once per call (the static projections and the convection
-    tensors); a step costs O(n_coarse m^3) plus the porous fine cells.
-    Returns the coarse trajectory and the reconstructed fine state at the
-    final time.
+    work happens once per basis family (see _Family): the first call on a
+    space or any resize_space slice of it projects the static blocks and
+    builds the convection tensors and porous quadrature values at the
+    family's largest size, and every call reads their m-prefix.  A step
+    costs O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
+    coarse trajectory and the reconstructed fine state at the final time.
     """
     if space is None:
         if m is None:
             raise ValueError("either a space or a basis size m is required")
         space = build_multiscale_space(mesh, coarse, params, bc, m=m, oversampled=oversampled)
-    r_u, r_p = space.r_u, space.r_p
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
-
-    m_h = (r_u @ ops.mass @ r_u.T).tocsr()
-    a_static = (r_u @ ops.viscous @ r_u.T).tocsr()
-    d_static = (r_u @ ops.darcy @ r_u.T).tocsr()
-    b_h = (r_p @ ops.div @ r_u.T).tocsr()
-    f_u = r_u @ ops.f_u
-    f_p = r_p @ ops.f_p
+    online = space.family.operators(mesh, coarse, params, ops, space.m)
+    m_h, b_h, f_u, f_p = online.mass, online.div, online.f_u, online.f_p
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
-    nonlinear = _NonlinearBlocks(mesh, coarse, params, r_u, space.m)
-    saddle = _CoarseSaddle(m_h + a_static + d_static, b_h, space.m)
+    saddle = _CoarseSaddle(online.upper, b_h, space.m)
 
     n_u = space.n_u
     u_h = np.zeros(n_u)
@@ -519,13 +619,13 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     residuals = np.empty(params.n_steps)
     for step in range(params.n_steps):
         rhs = np.concatenate([m_h @ u_h + f_u, f_p])
-        x = _coarse_solve(saddle.matrix(nonlinear(u_h)), rhs, step)
+        x = _coarse_solve(saddle.matrix(online.nonlinear(u_h)), rhs, step)
         u_h, p_h = x[:n_u], x[n_u:]
         residuals[step] = relative_residual(b_h, u_h, f_p, b_scale)
         states.append(DGState(u_h.copy(), p_h.copy()))
     times = params.tau * np.arange(params.n_steps + 1)
     coarse_traj = Trajectory(states, times, residuals)
-    fine_state = DGState(r_u.T @ u_h, r_p.T @ p_h)
+    fine_state = DGState(space.r_u.T @ u_h, space.r_p.T @ p_h)
     return coarse_traj, fine_state
 
 

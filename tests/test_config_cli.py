@@ -279,6 +279,21 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key", [("mesh", "nx"), ("mesh", "ny"), ("mesh", "n_per_coarse"), ("model", "n_steps")]
+)
+def test_cli_rejects_counts_below_one(tmp_path, capsys, section, key):
+    cfg = write_config(
+        tmp_path,
+        f"[model]\npreset = test1\n[{section}]\n{key} = 0\n"
+        f"[run]\nmode = fine\nout = {tmp_path / 'out'}\n",
+    )
+    with pytest.raises(ConfigError, match=f"line 4: key '{key}': must be at least 1, got 0"):
+        parse_config(cfg)
+    assert cli.main(["fine", "--config", str(cfg)]) == 2
+    assert f"error: line 4: key '{key}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("body", ["vertices x\n", "vertices 3\n0 0.0 0.0\n"])
 def test_cli_reports_mesh_file_errors(tmp_path, capsys, body):
     mesh = tmp_path / "bad_mesh.txt"

@@ -356,15 +356,16 @@ class TestRunMultiscale:
 
 
 class TestOnlineStage:
-    @pytest.mark.parametrize("m", [2, 5])
-    @pytest.mark.parametrize("oversampled", [False, True])
-    def test_cell_blocks_equal_projected_fine_blocks(self, rng, m, oversampled):
+    @staticmethod
+    def _check_cell_blocks(rng, m_built, m, oversampled):
         mesh, coarse = tiny_heterogeneous(n=2)
         params = make_params()
         bc = BoundaryData.inflow((1.0, 0.0))
         space = gmsfem.build_multiscale_space(
-            mesh, coarse, params, bc, m=m, oversampled=oversampled
+            mesh, coarse, params, bc, m=m_built, oversampled=oversampled
         )
+        if m != m_built:
+            space = gmsfem.resize_space(space, mesh, coarse, m)
         r_u = space.r_u
         u_h = rng.standard_normal(space.n_u)
         u_rec = r_u.T @ u_h
@@ -373,9 +374,40 @@ class TestOnlineStage:
             patch, params, u_rec
         )
         want = (r_u @ fine @ r_u.T).toarray()
-        blocks = gmsfem._NonlinearBlocks(mesh, coarse, params, r_u, m)(u_h)
-        got = la.block_diag(*blocks)
+        ops = StepOperators(mesh, params, bc)
+        online = space.family.operators(mesh, coarse, params, ops, m)
+        got = la.block_diag(*online.nonlinear(u_h))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_cell_blocks_equal_projected_fine_blocks(self, rng, m, oversampled):
+        self._check_cell_blocks(rng, m, m, oversampled)
+
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_sliced_cell_blocks_equal_projected_fine_blocks(self, rng, oversampled):
+        self._check_cell_blocks(rng, 5, 2, oversampled)
+
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_sliced_static_blocks_equal_the_sliced_products(self, oversampled):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params()
+        bc = BoundaryData.inflow((1.0, 0.0))
+        ops = StepOperators(mesh, params, bc)
+        space = gmsfem.build_multiscale_space(
+            mesh, coarse, params, bc, m=5, oversampled=oversampled
+        )
+        small = gmsfem.resize_space(space, mesh, coarse, 2)
+        online = small.family.operators(mesh, coarse, params, ops, 2)
+        r_u, r_p = small.r_u, small.r_p
+        mass = (r_u @ ops.mass @ r_u.T).tocsr()
+        upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
+        div = (r_p @ ops.div @ r_u.T).tocsr()
+        for got, want in ((online.mass, mass), (online.upper, upper), (online.div, div)):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(online.f_u, r_u @ ops.f_u)
+        assert np.array_equal(online.f_p, r_p @ ops.f_p)
 
     def test_cached_space_runs_like_the_built_space(self, tmp_path):
         mesh, coarse = tiny_heterogeneous(n=2)
@@ -400,6 +432,84 @@ class TestOnlineStage:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="online step 7"):
                 gmsfem._coarse_solve(matrix, np.ones(4), 7)
+
+
+def _run(mesh, coarse, params, bc, space, ops):
+    return gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)[1]
+
+
+def _fresh(space):
+    """The same bases in a new family, so nothing is reused."""
+    return gmsfem.MultiscaleSpace(
+        m=space.m, oversampled=space.oversampled, cell_bases=space.cell_bases,
+        r_u=space.r_u, r_p=space.r_p,
+    )
+
+
+def _assert_close(got, want, rel):
+    for a, b in ((got.velocity, want.velocity), (got.pressure, want.pressure)):
+        assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+class TestFamilyRecord:
+    """The online operators built once per family and read as prefixes."""
+
+    @pytest.fixture(params=[False, True], ids=["plain", "oversampled"])
+    def setting(self, request):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=3)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        ops = StepOperators(mesh, params, bc)
+        space = gmsfem.build_multiscale_space(
+            mesh, coarse, params, bc, m=5, oversampled=request.param
+        )
+        return mesh, coarse, params, bc, ops, space
+
+    def test_slice_runs_like_a_space_built_at_its_size(self, setting):
+        mesh, coarse, params, bc, ops, space = setting
+        _run(mesh, coarse, params, bc, space, ops)  # builds the record at m = 5
+        small = gmsfem.resize_space(space, mesh, coarse, 2)
+        assert small.family is space.family
+        direct = gmsfem.build_multiscale_space(
+            mesh, coarse, params, bc, m=2, oversampled=space.oversampled
+        )
+        want = _run(mesh, coarse, params, bc, direct, ops)
+        _assert_close(_run(mesh, coarse, params, bc, small, ops), want, 1e-12)
+
+    def test_loaded_family_runs_like_the_built_family(self, setting, tmp_path):
+        mesh, coarse, params, bc, ops, space = setting
+        gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 5, space.oversampled)
+        for m in (5, 2):
+            want = _run(mesh, coarse, params, bc, gmsfem.resize_space(space, mesh, coarse, m), ops)
+            got = _run(mesh, coarse, params, bc, gmsfem.resize_space(loaded, mesh, coarse, m), ops)
+            assert np.array_equal(got.velocity, want.velocity)
+            assert np.array_equal(got.pressure, want.pressure)
+
+    def test_other_step_operators_rebuild_the_record(self, setting):
+        mesh, coarse, params, bc, ops, space = setting
+        small = gmsfem.resize_space(space, mesh, coarse, 2)
+        _run(mesh, coarse, params, bc, small, ops)
+        other_bc = BoundaryData.inflow((0.5, 0.25))
+        other_ops = StepOperators(mesh, params, other_bc)
+        got = _run(mesh, coarse, params, other_bc, small, other_ops)
+        want = _run(mesh, coarse, params, other_bc, _fresh(small), other_ops)
+        assert np.array_equal(got.velocity, want.velocity)
+        assert np.array_equal(got.pressure, want.pressure)
+        stale = _run(mesh, coarse, params, bc, _fresh(small), ops)
+        assert not np.allclose(got.velocity, stale.velocity)
+
+    def test_other_parameters_rebuild_the_record(self, setting):
+        mesh, coarse, params, bc, ops, space = setting
+        _run(mesh, coarse, params, bc, space, ops)
+        porous = make_params(n_steps=3, porosity=0.6)
+        small = gmsfem.resize_space(space, mesh, coarse, 2)
+        got = _run(mesh, coarse, porous, bc, small, ops)
+        want = _run(mesh, coarse, porous, bc, _fresh(small), ops)
+        assert np.array_equal(got.velocity, want.velocity)
+        assert np.array_equal(got.pressure, want.pressure)
+        stale = _run(mesh, coarse, params, bc, _fresh(small), ops)
+        assert not np.allclose(got.velocity, stale.velocity)
 
 
 class TestThreadCount:
