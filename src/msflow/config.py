@@ -117,9 +117,12 @@ def _get(entries, section, key, default=None):
 
 def _parse_float(value, lineno, key):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number: {value!r}", line=lineno) from None
+    if not np.isfinite(number):
+        raise ConfigError(f"key {key!r}: not a finite number: {value!r}", line=lineno)
+    return number
 
 
 def _parse_int(value, lineno, key):
@@ -276,11 +279,12 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
         value, lineno = _get(entries, "run", "m")
         m_list = [_parse_int(value, lineno, "m")] if value is not None else []
     value, lineno = _get(entries, "run", "da_list")
-    da_list = (
-        [_parse_float(v, lineno, "da_list") for v in value.split()]
-        if value is not None
-        else [darcy]
-    )
+    da_list = [darcy]
+    if value is not None:
+        da_list = [_parse_float(v, lineno, "da_list") for v in value.split()]
+        for da in da_list:
+            if da <= 0:
+                raise ConfigError(f"key 'da_list': must be positive, got {da:g}", line=lineno)
     value, lineno = _get(entries, "run", "oversampled", "false")
     oversampled = _parse_bool(value, lineno, "oversampled")
     out_value, _ = _get(entries, "run", "out", "msflow_out")

@@ -6,13 +6,23 @@ keeps both weights at zero (viscous/Darcy evolution only); it provides the
 linearization field for the multiscale basis construction.
 """
 
-import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+import scipy.sparse as sp
 
 from . import forms
+from .geometry import POROUS
 from .parameters import DGState
 from .patches import full_patch, nested_dissection_order
-from .saddle import SaddleSolver, SaddleSystem, relative_residual
+from .saddle import (
+    OrderedSaddleSystem,
+    SaddleSolver,
+    SaddleSystem,
+    merged_pattern,
+    relative_residual,
+)
 
 
 @dataclass
@@ -32,10 +42,12 @@ class Trajectory:
 class StepOperators:
     """Blocks that persist across time steps for a fixed mesh and data.
 
-    system(u_lin) attaches a nested-dissection cell order, computed on its
-    first call, so that every nonlinear step is factored in that order;
-    system(None), the constant matrix of the linear run, keeps SuperLU's
-    default ordering.
+    system(None), the constant matrix of the linear run, is a SaddleSystem
+    of blocks, which SaddleSolver orders by COLAMD.  system(u_lin), the
+    matrix of a nonlinear step, is an OrderedSaddleSystem in the
+    nested-dissection cell order; its ordered pattern is built on the first
+    call and kept (see _OrderedStep).  run_fine holds a pattern of its own
+    for its loop, so that the pattern is freed when the run ends.
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
@@ -48,23 +60,84 @@ class StepOperators:
         self.darcy = forms.darcy_block(self.patch, params)
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
-        self._cell_order = None
+        self._step = None
+
+    @cached_property
+    def cell_order(self):
+        """Nested-dissection elimination order of the cells, computed on
+        first use."""
+        return nested_dissection_order(self.patch)
 
     def system(self, u_lin=None):
-        a = self.viscous
-        d = self.darcy
         if u_lin is None:
-            return SaddleSystem(self.mass, a, d, self.div, self.f_u, self.f_p)
-        if np.any(u_lin):
-            a = a + forms.convection_block(self.patch, self.params, u_lin)
-            d = d + forms.forchheimer_block(self.patch, self.params, u_lin)
-        if self._cell_order is None:
-            self._cell_order = nested_dissection_order(self.patch)
-        return SaddleSystem(self.mass, a, d, self.div, self.f_u, self.f_p, self._cell_order)
+            return SaddleSystem(self.mass, self.viscous, self.darcy, self.div, self.f_u, self.f_p)
+        if self._step is None:
+            self._step = _OrderedStep(self)
+        return self._step.system(u_lin)
 
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""
         return relative_residual(self.div, velocity, self.f_p, self._div_scale)
+
+
+class _OrderedStep:
+    """The saddle matrix of the nonlinear steps, kept in factor order.
+
+    The order lists the cells by nested dissection, each cell's six
+    velocity DOFs followed by its pressure DOF.  Convection and the
+    quadratic drag are cell-local, so a step changes only the two
+    component-diagonal 3x3 velocity blocks of every cell.  The static matrix
+    is permuted into CSC form once; a step copies its data and writes
+    (m + (v + c)) + (d + f) at the cell-block entries, with m, v, d the
+    stored mass, viscous and Darcy values there and c, f the convection and
+    Forchheimer cell blocks.  These are the additions, in the same order,
+    of summing the CSR blocks mass + (viscous + conv) + (darcy + forch), so
+    the matrix is the permuted block sum bit for bit.
+    """
+
+    def __init__(self, ops):
+        patch = ops.patch
+        n = patch.n_cells
+        order = ops.cell_order
+        self.perm = np.column_stack([forms.cell_dofs(order).reshape(-1, 6), 6 * n + order]).ravel()
+        position = np.empty_like(self.perm)
+        position[self.perm] = np.arange(len(self.perm))
+        upper = (ops.mass + ops.viscous + ops.darcy).tocsr()
+        static = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
+        # Entry [c, d, a, b] couples test vertex a to trial vertex b in
+        # component d of cell c.
+        dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
+        rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
+        cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
+        self.pattern, self.pos = merged_pattern(
+            static[self.perm][:, self.perm], position[rows], position[cols]
+        )
+        self.m, self.v, d = (
+            np.asarray(block[rows.ravel(), cols.ravel()]).reshape(n, 2, 3, 3)
+            for block in (ops.mass, ops.viscous, ops.darcy)
+        )
+        self.porous = np.nonzero(patch.mesh.region[patch.cells] == POROUS)[0]
+        self.d = d[self.porous]
+        self.patch, self.params, self.f_u, self.f_p = patch, ops.params, ops.f_u, ops.f_p
+
+    def system(self, u_lin):
+        """The ordered saddle system linearized at the global field u_lin."""
+        patch, params = self.patch, self.params
+        u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
+        coefs = u_local.reshape(patch.n_cells, 3, 2)
+        conv = forms.convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
+        values = self.m + (self.v + conv[:, None])
+        drag = self.d
+        if len(self.porous) and params.forchheimer != 0.0:
+            forch = forms.forchheimer_cell_blocks(
+                patch.mesh, params, patch.cells[self.porous], coefs[self.porous]
+            )
+            drag = drag + forch[:, None]
+        values[self.porous] += drag
+        data = self.pattern.data.copy()
+        data[self.pos] = values
+        matrix = sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr), self.pattern.shape)
+        return OrderedSaddleSystem(matrix, self.perm, self.f_u, self.f_p)
 
 
 def time_step(mesh, params, bc, state, u_lin=None, ops=None):
@@ -96,13 +169,13 @@ def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None):
     residuals = np.empty(params.n_steps)
 
     solver = SaddleSolver(ops.system(None)) if linear else None
+    ordered = None if linear else _OrderedStep(ops)
     for step in range(params.n_steps):
         rhs_u = ops.mass @ state.velocity + ops.f_u
         if linear:
             u, p = solver.solve(rhs_u, ops.f_p)
         else:
-            system = ops.system(state.velocity)
-            u, p = SaddleSolver(system).solve(rhs_u, ops.f_p)
+            u, p = SaddleSolver(ordered.system(state.velocity)).solve(rhs_u, ops.f_p)
         state = DGState(u, p)
         residuals[step] = ops.div_residual(u)
         states.append(state)

@@ -15,7 +15,7 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from zipfile import BadZipFile
 
 import numpy as np
@@ -29,7 +29,7 @@ from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_patch
 from .quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
-from .saddle import RESIDUAL_TOL, SaddleSolver, SaddleSystem, relative_residual
+from .saddle import RESIDUAL_TOL, SaddleSolver, SaddleSystem, merged_pattern, relative_residual
 
 S_RANK_TOL = 1e-10
 
@@ -479,8 +479,8 @@ class _NonlinearBlocks:
 
 @dataclass
 class _OnlineOperators:
-    """The projected operators of one basis size: static blocks, loads and
-    the nonlinear per-cell blocks."""
+    """The projected operators of one basis size: static blocks, loads, the
+    nonlinear per-cell blocks and the coarse saddle pattern."""
 
     mass: sp.csr_matrix  # r_u M r_u^T
     upper: sp.csr_matrix  # r_u (M + A + D) r_u^T
@@ -488,43 +488,48 @@ class _OnlineOperators:
     f_u: np.ndarray
     f_p: np.ndarray
     nonlinear: _NonlinearBlocks
+    saddle: "_CoarseSaddle" = None
 
 
 class _Family:
     """The fine-mesh work of the online stage, done once per basis family: a
     built or loaded space and every resize_space slice of it.
 
-    The record is an _OnlineOperators at the family's largest size m_max.
-    It is built on the first run_multiscale of the family and rebuilt when a
-    call brings other step operators (compared by identity) or other
-    parameters (by value).  A size m reads the first m basis rows of every
-    coarse cell from it; the static blocks so read equal the products of the
-    sliced projection bit for bit.
+    The record is an _OnlineOperators at the family's largest size m_max,
+    plus the coarse saddle pattern of every size run so far.  It is built
+    on the first run_multiscale of the family and rebuilt when a call brings
+    other step operators (compared by identity) or other parameters (by
+    value).  A size m reads the first m basis rows of every coarse cell from
+    it; the static blocks so read equal the products of the sliced
+    projection bit for bit.
     """
 
     def __init__(self, m_max, r_u, r_p):
         self.m_max, self.r_u, self.r_p = m_max, r_u, r_p
-        self.record = None  # (ops, params, _OnlineOperators at m_max)
+        self.record = None  # (ops, params, _OnlineOperators at m_max, {m: _CoarseSaddle})
 
     def operators(self, mesh, coarse, params, ops, m):
         """The family's online operators at basis size m."""
         # Concurrent first calls may each build a record; either one is valid.
         record = self.record
         if record is None or record[0] is not ops or record[1] != params:
-            record = (ops, params, self._build(mesh, coarse, params, ops))
+            record = (ops, params, self._build(mesh, coarse, params, ops), {})
             self.record = record
-        full = record[2]
-        if m == self.m_max:
-            return full
-        rows = _prefix_rows(self.m_max, coarse.n_cells, m)
-        return _OnlineOperators(
-            mass=full.mass[rows][:, rows],
-            upper=full.upper[rows][:, rows],
-            div=full.div[:, rows],
-            f_u=full.f_u[rows],
-            f_p=full.f_p,
-            nonlinear=full.nonlinear.prefix(m),
-        )
+        full, saddles = record[2], record[3]
+        online = full
+        if m != self.m_max:
+            rows = _prefix_rows(self.m_max, coarse.n_cells, m)
+            online = _OnlineOperators(
+                mass=full.mass[rows][:, rows],
+                upper=full.upper[rows][:, rows],
+                div=full.div[:, rows],
+                f_u=full.f_u[rows],
+                f_p=full.f_p,
+                nonlinear=full.nonlinear.prefix(m),
+            )
+        if m not in saddles:
+            saddles[m] = _CoarseSaddle(online.upper, online.div, m)
+        return replace(online, saddle=saddles[m])
 
     def _build(self, mesh, coarse, params, ops):
         r_u, r_p = self.r_u, self.r_p
@@ -542,32 +547,21 @@ class _Family:
 
 class _CoarseSaddle:
     """The projected saddle matrix [[upper, B^T], [B, 0]] in CSC form with a
-    pattern fixed for the run: the static upper block and B, plus a dense
-    m x m diagonal block per coarse cell for the nonlinear terms."""
+    pattern fixed per family and size: the static upper block and B, plus a
+    dense m x m diagonal block per coarse cell for the nonlinear terms."""
 
     def __init__(self, upper, b_h, m):
-        n_u = upper.shape[0]
-        self.n = n = n_u + b_h.shape[0]
         static = sp.bmat([[upper, b_h.T], [b_h, None]], format="csc")
-        static.sum_duplicates()
-        static_cols = np.repeat(np.arange(n), np.diff(static.indptr))
-        static_keys = static_cols * n + static.indices
-        base = m * np.arange(n_u // m)[:, None, None]
-        block_rows = base + np.arange(m)[None, :, None]
-        block_cols = base + np.arange(m)[None, None, :]
-        block_keys = block_cols * n + block_rows
-        keys = np.union1d(static_keys, block_keys.ravel())
-        self.indices = keys % n
-        self.indptr = np.searchsorted(keys // n, np.arange(n + 1))
-        self.base = np.zeros(len(keys))
-        self.base[np.searchsorted(keys, static_keys)] = static.data
-        self.block_pos = np.searchsorted(keys, block_keys)
+        base = m * np.arange(upper.shape[0] // m)[:, None, None]
+        rows = base + np.arange(m)[None, :, None]
+        cols = base + np.arange(m)[None, None, :]
+        self.base, self.block_pos = merged_pattern(static, rows, cols)
 
     def matrix(self, blocks):
         """The saddle matrix with the per-cell blocks added to the upper block."""
-        data = self.base.copy()
+        data = self.base.data.copy()
         data[self.block_pos] += blocks
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        return sp.csc_matrix((data, self.base.indices, self.base.indptr), shape=self.base.shape)
 
 
 def _coarse_solve(matrix, rhs, step):
@@ -598,8 +592,9 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     work happens once per basis family (see _Family): the first call on a
     space or any resize_space slice of it projects the static blocks and
     builds the convection tensors and porous quadrature values at the
-    family's largest size, and every call reads their m-prefix.  A step
-    costs O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
+    family's largest size, and every call reads their m-prefix; the coarse
+    saddle pattern is built once per family and size.  A step costs
+    O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
     coarse trajectory and the reconstructed fine state at the final time.
     """
     if space is None:
@@ -610,7 +605,7 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     online = space.family.operators(mesh, coarse, params, ops, space.m)
     m_h, b_h, f_u, f_p = online.mass, online.div, online.f_u, online.f_p
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
-    saddle = _CoarseSaddle(online.upper, b_h, space.m)
+    saddle = online.saddle
 
     n_u = space.n_u
     u_h = np.zeros(n_u)

@@ -10,8 +10,8 @@ from .geometry import SIDE_NAMES, DIRICHLET_SIDES
 class ModelParameters:
     """Nondimensional flow parameters and time discretization.
 
-    reynolds, darcy > 0; forchheimer >= 0; porosity in (0, 1]; penalty > 0.
-    t_max defaults to tau * n_steps and must match it when given.
+    All finite: reynolds, darcy > 0; forchheimer >= 0; porosity in (0, 1];
+    penalty > 0.  t_max defaults to tau * n_steps and must match it when given.
     """
 
     reynolds: float
@@ -24,6 +24,9 @@ class ModelParameters:
     t_max: float = None
 
     def __post_init__(self):
+        numbers = [self.reynolds, self.darcy, self.forchheimer, self.porosity, self.tau, self.penalty]
+        if not np.all(np.isfinite(numbers + [0.0 if self.t_max is None else self.t_max])):
+            raise ValueError("model parameters must be finite")
         if self.reynolds <= 0 or self.darcy <= 0 or self.tau <= 0 or self.penalty <= 0:
             raise ValueError("reynolds, darcy, tau and penalty must be positive")
         if self.forchheimer < 0:

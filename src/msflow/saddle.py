@@ -5,7 +5,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 
-from . import forms
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
@@ -16,9 +15,8 @@ class SaddleSystem:
     """Assembled blocks of one linearized step.
 
     mass/convdiff/drag are velocity blocks, div couples pressure rows to
-    velocity columns, f_u/f_p are the right-hand sides.  cell_order, when
-    given, is the elimination order of the cells (a permutation of the
-    pressure DOFs) that SaddleSolver factors in.
+    velocity columns, f_u/f_p are the right-hand sides.  SaddleSolver
+    assembles [[M+A+D, B^T], [B, 0]] from them and orders it by COLAMD.
     """
 
     mass: sp.spmatrix
@@ -27,7 +25,6 @@ class SaddleSystem:
     div: sp.spmatrix
     f_u: np.ndarray
     f_p: np.ndarray
-    cell_order: np.ndarray = None
 
     def __post_init__(self):
         nu = self.mass.shape[0]
@@ -39,10 +36,6 @@ class SaddleSystem:
             raise ValueError("divergence block does not match velocity DOFs")
         if self.f_u.shape != (nu,) or self.f_p.shape != (npr,):
             raise ValueError("right-hand side shapes do not match the blocks")
-        if self.cell_order is not None and not (
-            nu == 6 * npr and np.array_equal(np.sort(self.cell_order), np.arange(npr))
-        ):
-            raise ValueError("cell_order is not a permutation of the cells")
 
     @property
     def n_velocity(self):
@@ -63,57 +56,101 @@ class SaddleSystem:
             raise ValueError(f"mass block asymmetry {delta / scale:.2e} exceeds {tol:.0e}")
 
 
+@dataclass
+class OrderedSaddleSystem:
+    """A whole saddle matrix already in factor order.
+
+    matrix is P S P^T in CSC form, where S = [[M+A+D, B^T], [B, 0]] has the
+    velocity DOFs first and the pressure DOFs after them: row i of matrix is
+    row perm[i] of S.  f_u/f_p are the right-hand sides in S's order.
+    """
+
+    matrix: sp.csc_matrix
+    perm: np.ndarray
+    f_u: np.ndarray
+    f_p: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.f_u) + len(self.f_p)
+        if self.matrix.shape != (n, n):
+            raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
+        if not np.array_equal(np.sort(self.perm), np.arange(n)):
+            raise ValueError("perm is not a permutation of the unknowns")
+
+    @property
+    def n_velocity(self):
+        return len(self.f_u)
+
+    @property
+    def n_pressure(self):
+        return len(self.f_p)
+
+
+def merged_pattern(matrix, rows, cols):
+    """The CSC pattern of matrix extended by the entries (rows, cols).
+
+    Returns the extended matrix, canonical (sorted, without duplicates) and
+    holding matrix's values with zeros at the added entries, and the data
+    positions of (rows, cols) in it, in the broadcast shape of rows and cols.
+    """
+    matrix = matrix.tocsc(copy=True)
+    matrix.sum_duplicates()
+    n_rows, n_cols = matrix.shape
+    keys = np.repeat(np.arange(n_cols, dtype=np.int64), np.diff(matrix.indptr))
+    keys = keys * n_rows + matrix.indices
+    wanted = np.asarray(cols, dtype=np.int64) * n_rows + np.asarray(rows, dtype=np.int64)
+    found = np.searchsorted(keys, wanted)
+    if len(keys) and np.array_equal(keys[np.minimum(found, len(keys) - 1)], wanted):
+        return matrix, found.astype(matrix.indices.dtype)  # every entry is stored already
+    # Sorted unique keys; np.union1d hashes them, which is far slower here.
+    merged = np.sort(np.concatenate([keys, wanted.ravel()]), kind="stable")
+    merged = merged[np.append(True, merged[1:] != merged[:-1])]
+    data = np.zeros(len(merged))
+    data[np.searchsorted(merged, keys)] = matrix.data
+    indptr = np.searchsorted(merged // n_rows, np.arange(n_cols + 1))
+    extended = sp.csc_matrix((data, merged % n_rows, indptr), shape=matrix.shape)
+    return extended, np.searchsorted(merged, wanted).astype(extended.indices.dtype)
+
+
 class SaddleSolver:
     """LU factorization of [[M+A+D, B^T], [B, 0]] reused across right-hand
     sides.
 
-    pin_pressure replaces the first continuity row by a zero-mean style pin
-    (first pressure DOF = 0); valid only when the continuity data is
-    compatible, as it is for the local snapshot problems.
+    A SaddleSystem is assembled from its blocks and factored with SuperLU's
+    COLAMD column order.  pin_pressure replaces the first continuity row by
+    a zero-mean style pin (first pressure DOF = 0); valid only when the
+    continuity data is compatible, as it is for the local snapshot problems.
 
-    Without a cell_order (and for pinned systems) SuperLU orders the columns
-    by COLAMD.  With one, the matrix is factored as P A P^T with each cell's
-    six velocity DOFs followed by its pressure DOF, cells in cell_order, and
-    no further reordering; eliminating a cell's pressure right after its
-    velocity keeps the zero pressure block pivotable on the diagonal.
-    self.matrix stays A, on which the residual is taken; self.lu then
-    factors P A P^T, and self.perm lists the rows of A in factor order.
+    An OrderedSaddleSystem is factored as it is: no further reordering and
+    diagonal pivots, in symmetric mode.  Its order must eliminate each
+    cell's pressure after the cell's velocity, which keeps the zero
+    pressure block pivotable on the diagonal.  self.perm is then its perm,
+    and the right-hand sides and the solution are permuted around the
+    triangular solves.
+
+    self.matrix is the factored matrix; the residual gate is taken on it.
     """
 
     def __init__(self, system, pin_pressure=False):
         self.system = system
         self.pinned = bool(pin_pressure)
-        nu, npr = system.n_velocity, system.n_pressure
-        upper = system.velocity_block()
-        if not np.all(np.isfinite(upper.data)):
-            raise SingularSystemError("non-finite entries in assembled blocks")
-        if npr == 0:
-            matrix = upper.tocsc()
-        elif pin_pressure:
-            div = system.div.tolil(copy=True)
-            div[0, :] = 0.0
-            pin = sp.coo_matrix(([1.0], ([0], [0])), shape=(npr, npr))
-            matrix = sp.bmat(
-                [[upper, system.div.T], [div.tocsr(), pin]], format="csc"
+        if isinstance(system, OrderedSaddleSystem):
+            if self.pinned:
+                raise ValueError("an ordered system cannot be pinned")
+            self.perm = system.perm
+            matrix = system.matrix
+            options = dict(
+                permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
             )
         else:
-            matrix = sp.bmat([[upper, system.div.T], [system.div, None]], format="csc")
+            self.perm = None
+            matrix = _block_matrix(system, self.pinned)
+            options = dict(permc_spec="COLAMD")
+        if not np.all(np.isfinite(matrix.data)):
+            raise SingularSystemError("non-finite entries in assembled blocks")
         self.scale = abs(matrix).sum(axis=1).max()
-        self.perm = None
         try:
-            if system.cell_order is None or pin_pressure:
-                self.lu = spla.splu(matrix, permc_spec="COLAMD")
-            else:
-                order = system.cell_order
-                self.perm = np.column_stack(
-                    [forms.cell_dofs(order).reshape(-1, 6), nu + order]
-                ).ravel()
-                self.lu = spla.splu(
-                    matrix[self.perm][:, self.perm],
-                    permc_spec="NATURAL",
-                    diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True),
-                )
+            self.lu = spla.splu(matrix, **options)
         except RuntimeError as exc:  # SuperLU reports singularity this way
             raise SingularSystemError(f"factorization failed: {exc}") from exc
         self.matrix = matrix
@@ -149,10 +186,29 @@ class SaddleSolver:
             rhs = np.vstack([rhs_u_mat, rhs_p_mat])
         if self.perm is None:
             x = self.lu.solve(rhs)
+            rel = relative_residual(self.matrix, x, rhs, self.scale)
         else:
-            x = np.empty_like(rhs)
-            x[self.perm] = self.lu.solve(rhs[self.perm])
-        return x[:nu], x[nu:], relative_residual(self.matrix, x, rhs, self.scale)
+            rhs = rhs[self.perm]
+            y = self.lu.solve(rhs)
+            rel = relative_residual(self.matrix, y, rhs, self.scale)
+            x = np.empty_like(y)
+            x[self.perm] = y
+        return x[:nu], x[nu:], rel
+
+
+def _block_matrix(system, pinned):
+    """The CSC saddle matrix of a SaddleSystem, with the first continuity
+    row replaced by the pressure pin when pinned."""
+    upper = system.velocity_block()
+    npr = system.n_pressure
+    if npr == 0:
+        return upper.tocsc()
+    if pinned:
+        div = system.div.tolil(copy=True)
+        div[0, :] = 0.0
+        pin = sp.coo_matrix(([1.0], ([0], [0])), shape=(npr, npr))
+        return sp.bmat([[upper, system.div.T], [div.tocsr(), pin]], format="csc")
+    return sp.bmat([[upper, system.div.T], [system.div, None]], format="csc")
 
 
 def relative_residual(matrix, x, rhs, scale):

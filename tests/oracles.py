@@ -4,11 +4,20 @@ Everything here avoids the package's quadrature tables and basis code:
 triangles are integrated with a tensor Gauss rule under a Duffy transform,
 edges with high-order Gauss-Legendre, and P1 fields are evaluated by solving
 the 3x3 vertex interpolation system per cell.
+
+The block-assembled fine step at the end is the reference for the ordered
+step matrix: the convection and Forchheimer blocks as CSR matrices summed
+into the velocity block, sp.bmat, a fancy-index permutation into the
+nested-dissection cell order, and a SuperLU factor in that order.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from msflow import forms
 from msflow.geometry import POROUS
+from msflow.patches import nested_dissection_order
 
 
 def duffy_points(order=10):
@@ -235,3 +244,48 @@ def rhs_functionals(mesh, params, patch, g_func, v_vec, q_vec, grad_func=None):
             f_val += kappa[c] * edge_integrate(gterm, pa, pb)
         l_val += q[c] * edge_integrate(lambda p, n=n: np.asarray(g_func(p)) @ n, pa, pb)
     return f_val, l_val
+
+
+def block_step_matrix(ops, u_lin):
+    """The saddle matrix of the nonlinear fine step linearized at u_lin,
+    assembled from CSR blocks and permuted into the nested-dissection cell
+    order (each cell's six velocity DOFs, then its pressure DOF).  Returns
+    the permuted matrix, with sorted indices, and the permutation."""
+    a, d = ops.viscous, ops.darcy
+    if np.any(u_lin):
+        a = a + forms.convection_block(ops.patch, ops.params, u_lin)
+        d = d + forms.forchheimer_block(ops.patch, ops.params, u_lin)
+    upper = (ops.mass + a + d).tocsr()
+    matrix = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
+    order = nested_dissection_order(ops.patch)
+    perm = np.column_stack(
+        [forms.cell_dofs(order).reshape(-1, 6), ops.patch.n_vdof + order]
+    ).ravel()
+    ordered = matrix[perm][:, perm]
+    ordered.sort_indices()
+    return ordered, perm
+
+
+def block_step_solve(ops, u_lin, rhs_u):
+    """Velocity and pressure of the block-assembled step: a SuperLU factor of
+    the permuted matrix with no further reordering and diagonal pivots."""
+    matrix, perm = block_step_matrix(ops, u_lin)
+    lu = spla.splu(
+        matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+    )
+    rhs = np.concatenate([rhs_u, ops.f_p])[:, None]
+    x = np.empty_like(rhs)
+    x[perm] = lu.solve(rhs[perm])
+    nu = ops.patch.n_vdof
+    return x[:nu, 0], x[nu:, 0]
+
+
+def block_run_fine(ops, n_steps):
+    """The nonlinear fine loop from the zero state on block-assembled steps;
+    returns the (velocity, pressure) of every layer."""
+    u, p = np.zeros(ops.patch.n_vdof), np.zeros(ops.patch.n_pdof)
+    layers = [(u, p)]
+    for _ in range(n_steps):
+        u, p = block_step_solve(ops, u, ops.mass @ u + ops.f_u)
+        layers.append((u, p))
+    return layers

@@ -294,6 +294,43 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, section, key):
     assert f"error: line 4: key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("run", "da_list", "1e-3 nan"),
+        ("model", "da", "inf"),
+        ("model", "re", "nan"),
+        ("domain", "bbox", "0 0 1 -inf"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
+    cfg = write_config(
+        tmp_path,
+        f"[model]\npreset = test1\n[{section}]\n{key} = {value}\n"
+        f"[run]\nmode = sweep\nm_list = 2\nout = {tmp_path / 'out'}\n",
+    )
+    bad = value.split()[-1]
+    with pytest.raises(ConfigError, match=f"line 4: key '{key}': not a finite number: '{bad}'"):
+        parse_config(cfg)
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert f"error: line 4: key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, bad", [("1e-3 -1", "-1"), ("0", "0")])
+def test_cli_rejects_darcy_list_values_below_zero(tmp_path, capsys, value, bad):
+    cfg = write_config(
+        tmp_path,
+        f"[model]\npreset = test1\n[run]\nda_list = {value}\n"
+        f"mode = sweep\nm_list = 2\nout = {tmp_path / 'out'}\n",
+    )
+    with pytest.raises(ConfigError, match=f"line 4: key 'da_list': must be positive, got {bad}"):
+        parse_config(cfg)
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert "error: line 4: key 'da_list': must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body", ["vertices x\n", "vertices 3\n0 0.0 0.0\n"])
 def test_cli_reports_mesh_file_errors(tmp_path, capsys, body):
     mesh = tmp_path / "bad_mesh.txt"

@@ -3,11 +3,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from msflow import forms, gmsfem
 from msflow.fine_solver import StepOperators, run_fine, time_step
-from msflow.geometry import DomainSpec, generate_structured_mesh
+from msflow.geometry import POROUS, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, DGState, ModelParameters
 from msflow.patches import bisect_cells, full_patch, nested_dissection_order
+from msflow.saddle import OrderedSaddleSystem, SaddleSystem
 
 from conftest import desk_domain, make_params, tiny_heterogeneous
 
@@ -206,11 +208,47 @@ def test_separator_splits_the_interior_edge_graph():
 def test_step_systems_carry_the_order_and_the_linear_system_does_not():
     mesh, _ = tiny_heterogeneous()
     ops = StepOperators(mesh, make_params(), BoundaryData.inflow((1.0, 0.0)))
-    assert ops.system(None).cell_order is None
-    first = ops.system(np.zeros(ops.patch.n_vdof)).cell_order
-    assert np.array_equal(first, nested_dissection_order(ops.patch))
-    assert ops.system(np.ones(ops.patch.n_vdof)).cell_order is first
-    assert ops.system(None).cell_order is None
+    assert isinstance(ops.system(None), SaddleSystem)
+    zero = np.zeros(ops.patch.n_vdof)
+    first = ops.system(zero)
+    assert isinstance(first, OrderedSaddleSystem)
+    assert np.array_equal(first.perm, oracles.block_step_matrix(ops, zero)[1])
+    second = ops.system(np.ones(ops.patch.n_vdof))
+    assert second.perm is first.perm  # the ordered pattern is built once
+    assert np.shares_memory(second.matrix.indices, first.matrix.indices)
+    assert isinstance(ops.system(None), SaddleSystem)
+
+
+@pytest.fixture(params=[1.0, 0.0], ids=["forchheimer", "no_forchheimer"])
+def tiny_step(request):
+    mesh, _ = tiny_heterogeneous()
+    assert np.any(mesh.region == POROUS)
+    params = make_params(forchheimer=request.param, n_steps=4)
+    bc = BoundaryData.inflow((1.0, 0.0))
+    return mesh, params, bc, StepOperators(mesh, params, bc)
+
+
+def test_ordered_step_matrix_equals_the_permuted_blocks(tiny_step):
+    _, _, _, ops = tiny_step
+    n = ops.patch.n_vdof
+    u1, _ = oracles.block_step_solve(ops, np.zeros(n), ops.f_u)
+    fields = (np.zeros(n), u1, np.random.default_rng(3).standard_normal(n))
+    for u_lin in fields:  # step 0, step 1 and a rough field
+        got = ops.system(u_lin).matrix.copy()
+        got.sort_indices()
+        want, _ = oracles.block_step_matrix(ops, u_lin)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_run_fine_equals_the_block_assembled_loop(tiny_step):
+    mesh, params, bc, ops = tiny_step
+    traj = run_fine(mesh, params, bc, ops=ops)
+    want = oracles.block_run_fine(ops, params.n_steps)
+    assert len(traj.states) == len(want)
+    for state, (u, p) in zip(traj.states, want):
+        assert np.array_equal(state.velocity, u)
+        assert np.array_equal(state.pressure, p)
 
 
 def test_linearization_field_keeps_the_colamd_factorization():

@@ -499,6 +499,29 @@ class TestFamilyRecord:
         stale = _run(mesh, coarse, params, bc, _fresh(small), ops)
         assert not np.allclose(got.velocity, stale.velocity)
 
+    def test_coarse_pattern_is_built_once_per_size(self, setting, monkeypatch):
+        mesh, coarse, params, bc, ops, space = setting
+        built = []
+
+        class CountingSaddle(gmsfem._CoarseSaddle):
+            def __init__(self, upper, b_h, m):
+                built.append(m)
+                super().__init__(upper, b_h, m)
+
+        monkeypatch.setattr(gmsfem, "_CoarseSaddle", CountingSaddle)
+        for s in (space, gmsfem.resize_space(space, mesh, coarse, 2)):
+            runs = [
+                gmsfem.run_multiscale(mesh, coarse, params, bc, space=s, ops=ops)
+                for _ in range(2)
+            ]
+            (traj_a, fine_a), (traj_b, fine_b) = runs
+            for a, b in zip(traj_a.states, traj_b.states):
+                assert np.array_equal(a.velocity, b.velocity)
+                assert np.array_equal(a.pressure, b.pressure)
+            assert np.array_equal(fine_a.velocity, fine_b.velocity)
+            assert np.array_equal(fine_a.pressure, fine_b.pressure)
+        assert built == [5, 2]
+
     def test_other_parameters_rebuild_the_record(self, setting):
         mesh, coarse, params, bc, ops, space = setting
         _run(mesh, coarse, params, bc, space, ops)

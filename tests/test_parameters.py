@@ -35,6 +35,27 @@ class TestModelParameters:
         with pytest.raises(ValueError):
             ModelParameters(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("reynolds", np.nan),
+            ("darcy", np.nan),
+            ("forchheimer", np.inf),
+            ("porosity", np.nan),
+            ("tau", np.inf),
+            ("penalty", np.nan),
+            ("t_max", np.nan),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = dict(
+            reynolds=1.0, darcy=1e-3, forchheimer=1.0, porosity=0.3,
+            tau=0.01, n_steps=5,
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            ModelParameters(**kwargs)
+
     def test_with_darcy_keeps_everything_else(self):
         p = ModelParameters(2.0, 1e-3, 3.0, 0.4, tau=0.02, n_steps=10, penalty=6.0)
         q = p.with_darcy(1e-5)

@@ -3,15 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import oracles
+from msflow import forms
 from msflow.errors import SingularSystemError
 from msflow.fine_solver import StepOperators
 from msflow.geometry import generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.saddle import (
     RESIDUAL_TOL,
+    OrderedSaddleSystem,
     SaddleSolver,
     SaddleSystem,
+    merged_pattern,
     relative_residual,
     solve_saddle,
 )
@@ -134,14 +139,39 @@ def test_relative_residual_is_per_column():
     assert relative_residual(matrix, np.zeros(6), np.zeros(6), 1.0) == 0.0
 
 
+@pytest.mark.parametrize("extra", [True, False], ids=["new_entries", "stored_entries"])
+def test_merged_pattern_keeps_values_and_finds_entries(extra):
+    rng = np.random.default_rng(4)
+    matrix = sp.random(9, 7, density=0.3, format="csc", random_state=rng)
+    stored = matrix.tocoo()
+    rows, cols = stored.row[:5], stored.col[:5]
+    if extra:
+        missing = np.argwhere(matrix.toarray() == 0)[:4]
+        rows = np.concatenate([rows, missing[:, 0], missing[:1, 0]])  # one added twice
+        cols = np.concatenate([cols, missing[:, 1], missing[:1, 1]])
+    merged, pos = merged_pattern(matrix, rows, cols)
+    assert merged.has_canonical_format
+    assert np.array_equal(merged.toarray(), matrix.toarray())
+    assert merged.nnz == matrix.nnz + (4 if extra else 0)
+    keys = np.repeat(np.arange(7), np.diff(merged.indptr)) * 9 + merged.indices
+    assert np.array_equal(keys[pos], cols * 9 + rows)
+
+
 def _step_system(mesh, params):
-    """The step-2 system of a nonlinear fine run (convection and drag
-    linearized at the step-1 velocity) and its right-hand side."""
-    bc = BoundaryData.inflow((1.0, 0.0))
-    ops = StepOperators(mesh, params, bc)
+    """The step operators and the step-1 velocity of a nonlinear fine run;
+    step 2 is linearized at that velocity."""
+    ops = StepOperators(mesh, params, BoundaryData.inflow((1.0, 0.0)))
     u1, _ = SaddleSolver(ops.system(np.zeros(ops.patch.n_vdof))).solve()
-    system = ops.system(u1)
-    return system, ops.mass @ u1 + ops.f_u
+    return ops, u1
+
+
+def _block_system(ops, u_lin):
+    """The step linearized at u_lin as a SaddleSystem of CSR blocks."""
+    conv = forms.convection_block(ops.patch, ops.params, u_lin)
+    forch = forms.forchheimer_block(ops.patch, ops.params, u_lin)
+    return SaddleSystem(
+        ops.mass, ops.viscous + conv, ops.darcy + forch, ops.div, ops.f_u, ops.f_p
+    )
 
 
 @pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
@@ -150,14 +180,19 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
         mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     else:
         mesh, _ = tiny_heterogeneous()
-    system, rhs_u = _step_system(mesh, make_params(tau=2e-4))
-    assert system.cell_order is not None
+    ops, u1 = _step_system(mesh, make_params(tau=2e-4))
+    system = ops.system(u1)
+    rhs_u = ops.mass @ u1 + ops.f_u
+    assert isinstance(system, OrderedSaddleSystem)
+    _, perm = oracles.block_step_matrix(ops, u1)
+    assert np.array_equal(system.perm, perm)
     ordered = SaddleSolver(system)
-    colamd = SaddleSolver(dataclasses.replace(system, cell_order=None))
-    assert ordered.perm is not None and colamd.perm is None
+    colamd = SaddleSolver(_block_system(ops, u1))
+    assert ordered.perm is system.perm and colamd.perm is None
     x_ord = np.concatenate(ordered.solve(rhs_u, system.f_p))
     x_col = np.concatenate(colamd.solve(rhs_u, system.f_p))
     assert np.linalg.norm(x_ord - x_col) <= 1e-12 * np.linalg.norm(x_col)
+    assert np.array_equal(x_ord, np.concatenate(oracles.block_step_solve(ops, u1, rhs_u)))
     _, _, rel = ordered.solve_many(rhs_u[:, None], system.f_p[:, None])
     assert rel[0] <= RESIDUAL_TOL
     fill = lambda s: s.lu.L.nnz + s.lu.U.nnz
@@ -165,22 +200,34 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
 
 
 def test_pinned_system_ignores_cell_order():
+    # a pinned system is assembled from its blocks and ordered by COLAMD;
+    # an ordered system cannot be pinned
     mesh, _ = tiny_heterogeneous()
-    system, rhs_u = _step_system(mesh, make_params())
+    ops, u1 = _step_system(mesh, make_params())
+    system = _block_system(ops, u1)
+    rhs_u = ops.mass @ u1 + ops.f_u
     pinned = SaddleSolver(system, pin_pressure=True)
-    plain = SaddleSolver(dataclasses.replace(system, cell_order=None), pin_pressure=True)
     assert pinned.perm is None
-    for a, b in zip(
-        pinned.solve_many(rhs_u[:, None], system.f_p[:, None]),
-        plain.solve_many(rhs_u[:, None], system.f_p[:, None]),
-    ):
-        assert np.array_equal(a, b)
+    div = system.div.tolil(copy=True)
+    div[0, :] = 0.0
+    pin = sp.coo_matrix(([1.0], ([0], [0])), shape=(system.n_pressure,) * 2)
+    matrix = sp.bmat(
+        [[system.velocity_block(), system.div.T], [div.tocsr(), pin]], format="csc"
+    )
+    rhs_p = system.f_p.copy()
+    rhs_p[0] = 0.0
+    want = spla.splu(matrix, permc_spec="COLAMD").solve(np.concatenate([rhs_u, rhs_p])[:, None])
+    u, p, _ = pinned.solve_many(rhs_u[:, None], system.f_p[:, None])
+    assert np.array_equal(np.vstack([u, p]), want)
+    with pytest.raises(ValueError, match="pinned"):
+        SaddleSolver(ops.system(u1), pin_pressure=True)
 
 
 def test_cell_order_must_permute_the_cells():
     mesh, _ = tiny_heterogeneous()
-    system, _ = _step_system(mesh, make_params())
-    order = system.cell_order.copy()
-    order[0] = order[1]
-    with pytest.raises(ValueError, match="cell_order"):
-        dataclasses.replace(system, cell_order=order)
+    ops, u1 = _step_system(mesh, make_params())
+    system = ops.system(u1)
+    perm = system.perm.copy()
+    perm[0] = perm[1]
+    with pytest.raises(ValueError, match="perm"):
+        dataclasses.replace(system, perm=perm)
