@@ -2,7 +2,7 @@
 """Print one SHA-256 per assembled array, to show that two checkouts build
 bit-identical operators.
 
-Uses only the public assemblers, so it runs against any checkout's package:
+Uses only public calls, so it runs against any checkout's package:
 
     python scripts/operator_digest.py > change.txt
     python scripts/operator_digest.py /path/to/other/checkout/src > other.txt
@@ -17,10 +17,14 @@ it digests:
 - for every coarse patch, plain and oversampled: the viscous block, the
   divergence, the unit-delta Dirichlet loads and the spectral pair;
 - a manufactured-data `assemble_rhs` with traction and forcing;
-- every state of a 3-step `run_fine` and its continuity residuals.
+- every state of a 3-step `run_fine` and its continuity residuals;
+- the multiscale stage at Da=1e-3: the plain `r_u` and `r_p` at M=16, their
+  `resize_space` slices at M=2, 4 and 8, the final coarse and fine states of
+  `run_multiscale` at every size, and `r_u` after a `save_space` /
+  `load_space` round trip through a temporary directory.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
-array through its dtype and shape as well as its bytes.  Takes a few
+array through its dtype and shape as well as its bytes.  Takes about ten
 seconds.
 """
 
@@ -28,6 +32,7 @@ import dataclasses
 import hashlib
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +40,7 @@ import scipy.sparse as sp
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))
 
-from msflow import forms  # noqa: E402
+from msflow import forms, gmsfem  # noqa: E402
 from msflow.config import parse_config  # noqa: E402
 from msflow.fine_solver import StepOperators, run_fine  # noqa: E402
 from msflow.geometry import generate_structured_mesh  # noqa: E402
@@ -44,6 +49,8 @@ from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
 from msflow.quadrature import EDGE_G2_W  # noqa: E402
 
 CONFIG = ROOT / "configs" / "desk_test1.cfg"
+MS_DARCY = 1e-3
+MS_SIZES = (2, 4, 8, 16)
 
 
 def digest(array):
@@ -116,6 +123,29 @@ def main():
         show(f"run_fine.step{step}.velocity", state.velocity)
         show(f"run_fine.step{step}.pressure", state.pressure)
     show("run_fine.div_residuals", traj.div_residuals)
+
+    multiscale(mesh, coarse, spec.params.with_darcy(MS_DARCY), spec.bc)
+
+
+def multiscale(mesh, coarse, params, bc):
+    """The plain offline and online stages at MS_DARCY, and a cache round trip."""
+    ops = StepOperators(mesh, params, bc)
+    m_max = max(MS_SIZES)
+    space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=m_max)
+    for m in MS_SIZES:
+        sub = space if m == m_max else gmsfem.resize_space(space, mesh, coarse, m)
+        tag = f"ms.da={MS_DARCY:g}.m{m}"
+        show(f"{tag} r_u", sub.r_u)
+        show(f"{tag} r_p", sub.r_p)
+        traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space=sub, ops=ops)
+        show(f"{tag} coarse.velocity", traj.final.velocity)
+        show(f"{tag} coarse.pressure", traj.final.pressure)
+        show(f"{tag} fine.velocity", fine_state.velocity)
+        show(f"{tag} fine.pressure", fine_state.pressure)
+    with tempfile.TemporaryDirectory() as cache:
+        gmsfem.save_space(cache, mesh, params, bc, space)
+        loaded = gmsfem.load_space(cache, mesh, coarse, params, bc, m_max, False)
+    show(f"ms.da={MS_DARCY:g}.m{m_max} cached.r_u", loaded.r_u)
 
 
 if __name__ == "__main__":

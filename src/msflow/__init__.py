@@ -4,7 +4,6 @@ circular porous inclusions."""
 from .analysis import (
     ErrorReport,
     coarse_average,
-    dof_counts,
     dof_fine,
     dof_multiscale,
     error_pressure,
@@ -31,13 +30,12 @@ from .gmsfem import (
     build_multiscale_space,
     build_projection,
     build_snapshots,
-    compatibility_constant,
     compute_linearization_field,
     run_multiscale,
     spectral_reduce,
 )
 from .parameters import BoundaryData, DGState, ModelParameters, preset_parameters
 from .patches import Patch, coarse_cell_patch, full_patch
-from .saddle import SaddleSolver, SaddleSystem, solve_saddle
+from .saddle import SaddleSolver, SaddleSystem
 
 __version__ = "0.1.0"

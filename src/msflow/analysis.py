@@ -76,10 +76,6 @@ def dof_multiscale(n_coarse_cells, m):
     return (int(m) + 1) * int(n_coarse_cells)
 
 
-def dof_counts(mesh, coarse, m):
-    return dof_fine(mesh.n_cells), dof_multiscale(coarse.n_cells, m)
-
-
 @dataclass
 class RegionStats:
     area: float

@@ -44,9 +44,7 @@ class SnapshotSet:
     """
 
     cell_index: int
-    oversampled: bool
     target_cells: np.ndarray  # sorted global fine-cell ids of the coarse cell
-    facet_edges: np.ndarray  # global edge ids carrying the delta data
     rows: np.ndarray  # (2 * n_facets, 6 * len(target_cells))
 
     @property
@@ -56,52 +54,39 @@ class SnapshotSet:
 
 @dataclass
 class CellBasis:
-    """All generalized eigenpairs of one cell's snapshot reduction; a basis
-    of any size m is the prefix of the eigenvector list.
+    """The velocity basis of one coarse cell: its first m fine rows, in
+    ascending eigenvalue order, so a basis of any smaller size is a prefix.
 
-    a_snap/s_snap are the operator pair on the (rank-filtered) snapshot
-    family and reduced_vectors holds the eigenvectors in that family's
-    coordinates, so residual and orthogonality checks are well posed even
-    when the raw restricted snapshots were numerically dependent.
+    eigenvalues holds every pencil eigenvalue of the cell's snapshot family,
+    not only the m retained.
     """
 
     cell_index: int
+    target_cells: np.ndarray  # sorted global fine-cell ids of the coarse cell
     eigenvalues: np.ndarray
-    snap_vectors: np.ndarray  # (n_raw_snapshots, n_pairs), raw coordinates
-    snapshots: SnapshotSet
-    a_snap: np.ndarray
-    s_snap: np.ndarray
-    reduced_vectors: np.ndarray  # (n_pairs, n_pairs), columns s_snap-orthonormal
-
-    def fine_vectors(self, m):
-        """First m basis vectors on the target cell's local velocity DOFs,
-        returned as rows (m, 6 * n_target_cells)."""
-        if not 1 <= m <= self.snap_vectors.shape[1]:
-            raise ValueError(
-                f"basis size {m} outside 1..{self.snap_vectors.shape[1]} "
-                f"for coarse cell {self.cell_index}"
-            )
-        return (self.snapshots.rows.T @ self.snap_vectors[:, :m]).T
+    rows: np.ndarray  # (m, 6 * len(target_cells))
 
 
 @dataclass
 class MultiscaleSpace:
     """Retained per-cell bases with the global projection operators.
 
-    family holds the online operators of the basis family the space belongs
-    to; resize_space hands it to every slice (see _Family).
+    cell_bases holds one CellBasis per coarse cell, in cell order, with at
+    least m rows each; r_u stacks the first m rows of every one.  family
+    holds the online operators of the basis family the space belongs to;
+    resize_space hands it to every slice (see _Family).
     """
 
     m: int
     oversampled: bool
-    cell_bases: list
+    cell_bases: list  # of CellBasis
     r_u: sp.csr_matrix  # (m * n_coarse, 6 * n_fine)
     r_p: sp.csr_matrix  # (n_coarse, n_fine)
     family: "_Family" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family is None:
-            self.family = _Family(self.m, self.r_u, self.r_p)
+            self.family = _Family(self.m, self.cell_bases, self.r_u, self.r_p)
 
     @property
     def n_u(self):
@@ -121,18 +106,6 @@ def compute_linearization_field(mesh, params, bc, ops=None):
     evolution, used to weight the local snapshot problems."""
     traj = run_fine(mesh, params, bc, linear=True, ops=ops)
     return traj.final.velocity.copy()
-
-
-def compatibility_constant(patch, edge_id, direction):
-    """Uniform mass source balancing the boundary flux of a unit delta on
-    the given patch boundary facet: |facet| (e_dir . n_out) / |patch|."""
-    pos = np.nonzero(patch.dirichlet_edges == edge_id)[0]
-    if len(pos) != 1:
-        raise ValueError(f"edge {edge_id} is not a boundary facet of the patch")
-    k = int(pos[0])
-    if patch.area <= 0.0:
-        raise ValueError("patch has zero area")
-    return float(patch.dir_len[k] * patch.dir_normal[k, direction] / patch.area)
 
 
 def _delta_rhs_batch(patch, params):
@@ -194,13 +167,7 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     rows[...] = velocities[forms.cell_dofs(patch.local_of[target]).ravel(), :].T
     if not np.all(np.isfinite(rows)):
         raise SingularSystemError(f"non-finite snapshot on coarse cell {i}")
-    return SnapshotSet(
-        cell_index=int(i),
-        oversampled=bool(oversampled),
-        target_cells=target,
-        facet_edges=patch.dirichlet_edges.copy(),
-        rows=rows,
-    )
+    return SnapshotSet(cell_index=int(i), target_cells=target, rows=rows)
 
 
 def generalized_eigh(a, s, rank_tol=S_RANK_TOL):
@@ -237,25 +204,26 @@ def generalized_eigh(a, s, rank_tol=S_RANK_TOL):
     return lam, vectors, (a_f, 0.5 * (s_f + s_f.T), z)
 
 
-def spectral_reduce(snapshots, mesh, coarse, params, m):
-    """Reduce a snapshot set to its m smoothest modes.
-
-    The pencil pairs the viscous stiffness (volume plus interior-edge
-    couplings on the target cell, no boundary or drag terms) against the
-    boundary-trace mass, both projected through the snapshot rows; the m
-    eigenvectors of smallest eigenvalue become the cell's velocity basis.
-    """
+def snapshot_pencil(snapshots, mesh, coarse, params):
+    """The spectral pencil of a snapshot set: the viscous stiffness (volume
+    plus interior-edge couplings on the target cell, no boundary or drag
+    terms) and the boundary-trace mass, both projected through the snapshot
+    rows."""
     patch = coarse_cell_patch(mesh, coarse, snapshots.cell_index, oversampled=False)
     if not np.array_equal(patch.cells, snapshots.target_cells):
         raise ValueError("snapshot set does not match the coarse cell")
+    a_loc, s_loc = forms.assemble_spectral_pair(patch, params)
+    r = snapshots.rows
+    return r @ (a_loc @ r.T), r @ (s_loc @ r.T)
+
+
+def spectral_reduce(snapshots, mesh, coarse, params, m):
+    """Reduce a snapshot set to its m smoothest modes: the m eigenvectors of
+    smallest eigenvalue of its pencil, as fine rows on the target cell."""
     n_snap = snapshots.n_snapshots
     if not 1 <= m <= n_snap:
         raise ValueError(f"basis size {m} outside 1..{n_snap}")
-    a_loc, s_loc = forms.assemble_spectral_pair(patch, params)
-    r = snapshots.rows
-    a_snap = r @ (a_loc @ r.T)
-    s_snap = r @ (s_loc @ r.T)
-    w, v, (a_f, s_f, z) = generalized_eigh(a_snap, s_snap)
+    w, v, _ = generalized_eigh(*snapshot_pencil(snapshots, mesh, coarse, params))
     if m > len(w):
         raise ValueError(
             f"coarse cell {snapshots.cell_index}: only {len(w)} independent "
@@ -263,26 +231,27 @@ def spectral_reduce(snapshots, mesh, coarse, params, m):
         )
     return CellBasis(
         cell_index=snapshots.cell_index,
+        target_cells=snapshots.target_cells,
         eigenvalues=w,
-        snap_vectors=v,
-        snapshots=snapshots,
-        a_snap=a_f,
-        s_snap=s_f,
-        reduced_vectors=z,
+        rows=(snapshots.rows.T @ v[:, :m]).T,
     )
 
 
-def _stack_projection(cell_rows, mesh, coarse, m):
-    """Global velocity projection from (coarse cell index, basis rows,
-    sorted fine target cells) triples, using the first m rows of each, and
-    the coarse-cell indicator rows for pressure."""
+def build_projection(cell_bases, mesh, coarse, m):
+    """Stack the first m rows of every cell basis into the global velocity
+    projection, and the coarse-cell indicator rows for pressure."""
     n = coarse.n_cells
+    if len(cell_bases) != n:
+        raise ValueError(f"expected {n} cell bases, got {len(cell_bases)}")
     rows, cols, vals = [], [], []
-    for i, vecs, target in cell_rows:
-        gdof = forms.cell_dofs(target).ravel()
+    for basis in cell_bases:
+        i = basis.cell_index
+        if not 1 <= m <= len(basis.rows):
+            raise ValueError(f"basis size {m} outside 1..{len(basis.rows)} for coarse cell {i}")
+        gdof = forms.cell_dofs(basis.target_cells).ravel()
         rows.append(np.repeat(m * i + np.arange(m), len(gdof)))
         cols.append(np.tile(gdof, m))
-        vals.append(vecs[:m].ravel())
+        vals.append(basis.rows[:m].ravel())
     r_u = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m * n, 6 * mesh.n_cells),
@@ -294,19 +263,6 @@ def _stack_projection(cell_rows, mesh, coarse, m):
         (np.ones(len(pcols)), (prows, pcols)), shape=(n, mesh.n_cells)
     ).tocsr()
     return r_u, r_p
-
-
-def build_projection(cell_bases, mesh, coarse, m):
-    """Stack the per-cell bases into the global velocity projection and the
-    coarse-cell indicator rows for pressure."""
-    n = coarse.n_cells
-    if len(cell_bases) != n:
-        raise ValueError(f"expected {n} cell bases, got {len(cell_bases)}")
-    cell_rows = [
-        (b.cell_index, b.fine_vectors(m), b.snapshots.target_cells)
-        for b in sorted(cell_bases, key=lambda b: b.cell_index)
-    ]
-    return _stack_projection(cell_rows, mesh, coarse, m)
 
 
 def default_thread_count():
@@ -382,21 +338,6 @@ def resize_space(space, mesh, coarse, m):
     )
 
 
-def _cell_slabs(r_u, coarse, m):
-    """Dense basis rows of each coarse cell, read from r_u: a list of
-    (sorted fine target cells, rows of shape (m, 6 * n_target))."""
-    r_u = r_u.tocsr()
-    slabs = []
-    for i in range(coarse.n_cells):
-        target = np.sort(coarse.cell_fine[i])
-        rows = r_u[m * i : m * (i + 1)]
-        on_cell = rows[:, forms.cell_dofs(target).ravel()]
-        if on_cell.nnz != rows.nnz:
-            raise ValueError(f"basis rows of coarse cell {i} reach outside the cell")
-        slabs.append((target, on_cell.toarray()))
-    return slabs
-
-
 class _NonlinearBlocks:
     """r_u (C(u) + F(u)) r_u^T for u = r_u^T u_h, as one dense m x m block
     per coarse cell.
@@ -422,17 +363,18 @@ class _NonlinearBlocks:
         self.spans = [(owner[a], slice(rows * a, rows * b)) for a, b in zip(starts, stops)]
 
     @classmethod
-    def build(cls, mesh, coarse, params, r_u, m):
-        """The blocks of the basis rows r_u, m per coarse cell, from the
-        basis values and gradients at the quadrature points of each fine
-        cell: the degree-4 rule is exact for the convective integrand."""
+    def build(cls, mesh, params, cell_bases, m):
+        """The blocks of the first m rows of every cell basis (in cell
+        order), from the basis values and gradients at the quadrature points
+        of each fine cell: the degree-4 rule is exact for the convective
+        integrand."""
         n_q = len(TRI_D4_W)
-        slabs = _cell_slabs(r_u, coarse, m)
-        conv = np.empty((len(slabs), m, m, m))
+        conv = np.empty((len(cell_bases), m, m, m))
         quad, weight, owner = [], [], []
-        for i, (target, rows) in enumerate(slabs):
+        for basis in cell_bases:
+            i, target = basis.cell_index, basis.target_cells
             n = len(target)
-            v = rows.reshape(m, n, 3, 2).transpose(1, 3, 2, 0)  # [c, d, vertex, k]
+            v = basis.rows[:m].reshape(m, n, 3, 2).transpose(1, 3, 2, 0)  # [c, d, vertex, k]
             values = TRI_D4_BARY @ v  # [c, d, j, k]: component d at point j
             grads = mesh.grad[target].transpose(0, 2, 1)[:, None] @ v  # [c, d, e, s]: d_e of d
             w = TRI_D4_W * (mesh.area[target] / mesh.xi(params.porosity)[target] ** 2)[:, None]
@@ -504,8 +446,8 @@ class _Family:
     projection bit for bit.
     """
 
-    def __init__(self, m_max, r_u, r_p):
-        self.m_max, self.r_u, self.r_p = m_max, r_u, r_p
+    def __init__(self, m_max, cell_bases, r_u, r_p):
+        self.m_max, self.cell_bases, self.r_u, self.r_p = m_max, cell_bases, r_u, r_p
         self.record = None  # (ops, params, _OnlineOperators at m_max, {m: _CoarseSaddle})
 
     def operators(self, mesh, coarse, params, ops, m):
@@ -513,7 +455,7 @@ class _Family:
         # Concurrent first calls may each build a record; either one is valid.
         record = self.record
         if record is None or record[0] is not ops or record[1] != params:
-            record = (ops, params, self._build(mesh, coarse, params, ops), {})
+            record = (ops, params, self._build(mesh, params, ops), {})
             self.record = record
         full, saddles = record[2], record[3]
         online = full
@@ -531,7 +473,7 @@ class _Family:
             saddles[m] = _CoarseSaddle(online.upper, online.div, m)
         return replace(online, saddle=saddles[m])
 
-    def _build(self, mesh, coarse, params, ops):
+    def _build(self, mesh, params, ops):
         r_u, r_p = self.r_u, self.r_p
         mass = (r_u @ ops.mass @ r_u.T).tocsr()
         upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
@@ -541,7 +483,7 @@ class _Family:
             div=(r_p @ ops.div @ r_u.T).tocsr(),
             f_u=r_u @ ops.f_u,
             f_p=r_p @ ops.f_p,
-            nonlinear=_NonlinearBlocks.build(mesh, coarse, params, r_u, self.m_max),
+            nonlinear=_NonlinearBlocks.build(mesh, params, self.cell_bases, self.m_max),
         )
 
 
@@ -652,17 +594,18 @@ def _space_key(mesh, params, bc, oversampled):
 
 
 def save_space(directory, mesh, params, bc, space):
-    """Write each coarse cell's basis rows and fine cells, keyed by the hash
-    of the inputs, so a later run with the same inputs can skip the offline
-    stage."""
+    """Write each coarse cell's first space.m basis rows, fine cells and
+    eigenvalues, keyed by the hash of the inputs, so a later run with the
+    same inputs can skip the offline stage."""
     os.makedirs(directory, exist_ok=True)
     key = _space_key(mesh, params, bc, space.oversampled)
     path = os.path.join(directory, f"basis_{key}_m{space.m}.npz")
     payload = {}
     for basis in space.cell_bases:
         i = basis.cell_index
-        payload[f"vec_{i}"] = basis.fine_vectors(space.m)
-        payload[f"cells_{i}"] = basis.snapshots.target_cells
+        payload[f"vec_{i}"] = basis.rows[: space.m]
+        payload[f"cells_{i}"] = basis.target_cells
+        payload[f"eig_{i}"] = basis.eigenvalues
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         np.savez_compressed(fh, **payload)
@@ -692,17 +635,21 @@ def load_space(directory, mesh, coarse, params, bc, m, oversampled):
     path = os.path.join(directory, name)
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
-            cell_rows = [
-                (i, data[f"vec_{i}"], data[f"cells_{i}"]) for i in range(coarse.n_cells)
+            bases = [
+                CellBasis(i, data[f"cells_{i}"], data[f"eig_{i}"], data[f"vec_{i}"])
+                for i in range(coarse.n_cells)
             ]
-        for i, vecs, cells in cell_rows:
+        for i, basis in enumerate(bases):
             target = np.sort(coarse.cell_fine[i])
-            if not np.array_equal(cells, target):
+            if not np.array_equal(basis.target_cells, target):
                 raise ValueError(f"fine cells of coarse cell {i} do not match the mesh")
-            if vecs.shape != (stored_m, 6 * len(target)) or not np.all(np.isfinite(vecs)):
+            rows, eig = basis.rows, basis.eigenvalues
+            if rows.shape != (stored_m, 6 * len(target)) or not np.all(np.isfinite(rows)):
                 raise ValueError(f"basis rows of coarse cell {i} are malformed")
+            if eig.ndim != 1 or len(eig) < stored_m or not np.all(np.isfinite(eig)):
+                raise ValueError(f"eigenvalues of coarse cell {i} are malformed")
     except (OSError, EOFError, KeyError, TypeError, ValueError, BadZipFile, zlib.error) as exc:
         warnings.warn(f"basis cache file {path} ignored: {exc!r}", RuntimeWarning)
         return None
-    r_u, r_p = _stack_projection(cell_rows, mesh, coarse, m)
-    return MultiscaleSpace(m=m, oversampled=bool(oversampled), cell_bases=[], r_u=r_u, r_p=r_p)
+    r_u, r_p = build_projection(bases, mesh, coarse, m)
+    return MultiscaleSpace(m=m, oversampled=bool(oversampled), cell_bases=bases, r_u=r_u, r_p=r_p)

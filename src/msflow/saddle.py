@@ -219,11 +219,3 @@ def relative_residual(matrix, x, rhs, scale):
     resid = np.linalg.norm(matrix @ x - rhs, axis=axis)
     denom = np.maximum(np.linalg.norm(rhs, axis=axis), scale * np.linalg.norm(x, axis=axis))
     return resid / np.maximum(denom, 1e-300)
-
-
-def solve_saddle(system, rhs=None, pin_pressure=False):
-    """One-shot factor-and-solve; rhs defaults to the assembled (f_u, f_p)."""
-    solver = SaddleSolver(system, pin_pressure=pin_pressure)
-    if rhs is None:
-        return solver.solve()
-    return solver.solve(rhs[0], rhs[1])

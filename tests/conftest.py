@@ -94,3 +94,14 @@ def tiny_heterogeneous(n=2, coarse=(2, 2), radius=0.2):
         porosity=0.3,
     )
     return generate_structured_mesh(dom, n, coarse)
+
+
+def assert_same_bases(got, want):
+    """Two lists of cell bases hold the same cells, rows and eigenvalues, bit
+    for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.cell_index == b.cell_index
+        for name in ("target_cells", "rows", "eigenvalues"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)

@@ -128,9 +128,8 @@ class TestDofCounts:
 
     def test_mesh_variant(self):
         mesh, coarse = small_mesh()
-        dof_h, dof_ms = analysis.dof_counts(mesh, coarse, 3)
-        assert dof_h == 7 * mesh.n_cells
-        assert dof_ms == 4 * coarse.n_cells
+        assert analysis.dof_fine(mesh.n_cells) == 7 * mesh.n_cells
+        assert analysis.dof_multiscale(coarse.n_cells, 3) == 4 * coarse.n_cells
 
 
 class TestFieldStatistics:

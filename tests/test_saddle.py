@@ -18,7 +18,6 @@ from msflow.saddle import (
     SaddleSystem,
     merged_pattern,
     relative_residual,
-    solve_saddle,
 )
 
 from conftest import desk_domain, make_params, tiny_heterogeneous
@@ -37,7 +36,7 @@ def toy_system(n=4, rng=None):
 def test_identity_blocks():
     # [[I, I], [I, 0]]: velocity equals the continuity data, pressure the rest
     system = toy_system()
-    u, p = solve_saddle(system)
+    u, p = SaddleSolver(system).solve()
     assert np.allclose(u, system.f_p, atol=1e-12)
     assert np.allclose(p, system.f_u - system.f_p, atol=1e-12)
 
@@ -52,7 +51,7 @@ def test_empty_pressure_reduces_to_velocity_solve():
         sp.csr_matrix(spd), zero, zero, sp.csr_matrix((0, n)),
         rng.standard_normal(n), np.zeros(0),
     )
-    u, p = solve_saddle(system)
+    u, p = SaddleSolver(system).solve()
     assert p.size == 0
     expected = np.linalg.solve(spd, system.f_u)
     assert np.max(np.abs(u - expected)) < 1e-11 * np.max(np.abs(expected))
@@ -66,7 +65,7 @@ def test_block_transpose_consistency():
     b = sp.csr_matrix(rng.standard_normal((npr, nu)))
     zero = sp.csr_matrix((nu, nu))
     system = SaddleSystem(spd, zero, zero, b, rng.standard_normal(nu), rng.standard_normal(npr))
-    u, p = solve_saddle(system)
+    u, p = SaddleSolver(system).solve()
     # momentum row uses B^T, continuity row uses B
     upper = system.velocity_block()
     assert np.max(np.abs(upper @ u + b.T @ p - system.f_u)) < 1e-9
@@ -79,7 +78,7 @@ def test_singular_system_reported():
     singular = sp.csr_matrix(np.zeros((n, n)))
     system = SaddleSystem(singular, zero, zero, sp.csr_matrix((0, n)), np.ones(n), np.zeros(0))
     with pytest.raises(SingularSystemError):
-        solve_saddle(system)
+        SaddleSolver(system).solve()
 
 
 def test_nan_rhs_rejected():
