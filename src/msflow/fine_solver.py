@@ -15,12 +15,12 @@ import scipy.sparse as sp
 from . import forms
 from .geometry import POROUS
 from .parameters import DGState
-from .patches import full_patch, nested_dissection_order
+from .patches import ND_LEAF_CELLS, full_patch, nested_dissection_order
 from .saddle import (
     OrderedSaddleSystem,
     SaddleSolver,
     SaddleSystem,
-    merged_pattern,
+    ordered_pattern,
     relative_residual,
 )
 
@@ -64,9 +64,11 @@ class StepOperators:
 
     @cached_property
     def cell_order(self):
-        """Nested-dissection elimination order of the cells, computed on
-        first use."""
-        return nested_dissection_order(self.patch)
+        """Nested-dissection elimination order of the cells over the
+        interior-edge cell graph, computed on first use."""
+        patch = self.patch
+        edges = np.column_stack([patch.plus.cell, patch.minus.cell])
+        return nested_dissection_order(patch.mesh.centroid[patch.cells], edges, ND_LEAF_CELLS)
 
     def system(self, u_lin=None):
         if u_lin is None:
@@ -100,18 +102,13 @@ class _OrderedStep:
         n = patch.n_cells
         order = ops.cell_order
         self.perm = np.column_stack([forms.cell_dofs(order).reshape(-1, 6), 6 * n + order]).ravel()
-        position = np.empty_like(self.perm)
-        position[self.perm] = np.arange(len(self.perm))
         upper = (ops.mass + ops.viscous + ops.darcy).tocsr()
-        static = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
         # Entry [c, d, a, b] couples test vertex a to trial vertex b in
         # component d of cell c.
         dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
         rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
         cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
-        self.pattern, self.pos = merged_pattern(
-            static[self.perm][:, self.perm], position[rows], position[cols]
-        )
+        self.pattern, self.pos = ordered_pattern(upper, ops.div, self.perm, rows, cols)
         self.m, self.v, d = (
             np.asarray(block[rows.ravel(), cols.ravel()]).reshape(n, 2, 3, 3)
             for block in (ops.mass, ops.viscous, ops.darcy)

@@ -27,9 +27,16 @@ from .errors import ConfigError, SingularSystemError
 from .fine_solver import StepOperators, Trajectory, run_fine
 from .geometry import POROUS
 from .parameters import DGState
-from .patches import coarse_cell_patch
+from .patches import coarse_cell_order, coarse_cell_patch
 from .quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
-from .saddle import RESIDUAL_TOL, SaddleSolver, SaddleSystem, merged_pattern, relative_residual
+from .saddle import (
+    RESIDUAL_TOL,
+    OrderedSaddleSystem,
+    SaddleSolver,
+    SaddleSystem,
+    ordered_pattern,
+    relative_residual,
+)
 
 S_RANK_TOL = 1e-10
 
@@ -292,11 +299,13 @@ def build_multiscale_space(
 ):
     """Offline stage: linearization field, per-cell snapshots and spectral
     reduction (cell-parallel), and the global projection operators."""
+    threads = default_thread_count() if threads is None else int(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
     if u_lin is None:
         if bc is None:
             raise ValueError("either boundary data or a linearization field is needed")
         u_lin = compute_linearization_field(mesh, params, bc)
-    threads = default_thread_count() if threads is None else max(1, int(threads))
 
     def one_cell(i):
         snap = build_snapshots(mesh, coarse, params, i, oversampled, u_lin)
@@ -470,7 +479,7 @@ class _Family:
                 nonlinear=full.nonlinear.prefix(m),
             )
         if m not in saddles:
-            saddles[m] = _CoarseSaddle(online.upper, online.div, m)
+            saddles[m] = _CoarseSaddle(online.upper, online.div, coarse_cell_order(coarse))
         return replace(online, saddle=saddles[m])
 
     def _build(self, mesh, params, ops):
@@ -488,41 +497,43 @@ class _Family:
 
 
 class _CoarseSaddle:
-    """The projected saddle matrix [[upper, B^T], [B, 0]] in CSC form with a
-    pattern fixed per family and size: the static upper block and B, plus a
-    dense m x m diagonal block per coarse cell for the nonlinear terms."""
+    """The projected saddle matrix [[upper, B^T], [B, 0]] of one basis size,
+    kept in factor order in CSC form with a pattern fixed per family and
+    size: the static upper block and B, plus a dense m x m diagonal block
+    per coarse cell for the nonlinear terms.
 
-    def __init__(self, upper, b_h, m):
-        static = sp.bmat([[upper, b_h.T], [b_h, None]], format="csc")
-        base = m * np.arange(upper.shape[0] // m)[:, None, None]
+    The order lists the coarse cells in cell_order, each cell's m velocity
+    unknowns followed by its pressure unknown, so a cell's pressure is
+    eliminated right after its own velocity; SaddleSolver factors the
+    matrix in that order with diagonal pivots, as it does the fine step.
+    """
+
+    def __init__(self, upper, b_h, cell_order):
+        n = len(cell_order)
+        m = upper.shape[0] // n
+        velocity = m * cell_order[:, None] + np.arange(m)
+        self.perm = np.column_stack([velocity, m * n + cell_order]).ravel()
+        base = m * np.arange(n)[:, None, None]
         rows = base + np.arange(m)[None, :, None]
         cols = base + np.arange(m)[None, None, :]
-        self.base, self.block_pos = merged_pattern(static, rows, cols)
+        self.base, self.block_pos = ordered_pattern(upper, b_h, self.perm, rows, cols)
 
     def matrix(self, blocks):
-        """The saddle matrix with the per-cell blocks added to the upper block."""
+        """The ordered matrix with the per-cell blocks added to the upper
+        block."""
         data = self.base.data.copy()
         data[self.block_pos] += blocks
         return sp.csc_matrix((data, self.base.indices, self.base.indptr), shape=self.base.shape)
 
-
-def _coarse_solve(matrix, rhs, step):
-    """Sparse LU solve of the projected saddle system of online step `step`;
-    raises SingularSystemError when the factorization fails or the relative
-    residual exceeds RESIDUAL_TOL.  matrix is in CSC form."""
-    try:
-        x = sp.linalg.splu(matrix, permc_spec="COLAMD").solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(
-            f"online step {step}: coarse system factorization failed: {exc}"
-        ) from exc
-    scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
-    rel = relative_residual(matrix, x, rhs, scale)
-    if not rel <= RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"online step {step}: coarse system is singular (residual {rel:.2e})"
-        )
-    return x
+    def solve(self, blocks, rhs_u, rhs_p, step):
+        """Velocity and pressure of online step `step`, whose nonlinear
+        blocks are `blocks`; a failed factorization or a residual above
+        RESIDUAL_TOL raises SingularSystemError naming the step."""
+        system = OrderedSaddleSystem(self.matrix(blocks), self.perm, rhs_u, rhs_p)
+        try:
+            return SaddleSolver(system).solve()
+        except SingularSystemError as exc:
+            raise SingularSystemError(f"online step {step}: coarse system: {exc}") from exc
 
 
 def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=None, ops=None):
@@ -549,15 +560,12 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
     saddle = online.saddle
 
-    n_u = space.n_u
-    u_h = np.zeros(n_u)
+    u_h = np.zeros(space.n_u)
     p_h = np.zeros(space.n_p)
     states = [DGState(u_h.copy(), p_h.copy())]
     residuals = np.empty(params.n_steps)
     for step in range(params.n_steps):
-        rhs = np.concatenate([m_h @ u_h + f_u, f_p])
-        x = _coarse_solve(saddle.matrix(online.nonlinear(u_h)), rhs, step)
-        u_h, p_h = x[:n_u], x[n_u:]
+        u_h, p_h = saddle.solve(online.nonlinear(u_h), m_h @ u_h + f_u, f_p, step)
         residuals[step] = relative_residual(b_h, u_h, f_p, b_scale)
         states.append(DGState(u_h.copy(), p_h.copy()))
     times = params.tau * np.arange(params.n_steps + 1)

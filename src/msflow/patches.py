@@ -104,18 +104,17 @@ def bisect_cells(xy, cells, edges):
 ND_LEAF_CELLS = 8
 
 
-def nested_dissection_order(patch):
-    """Elimination order of the patch cells (local indices) by recursive
-    coordinate bisection over the interior-edge cell graph: each part is
-    ordered as its lower half, its upper half, then the separator between
-    them, down to parts of at most ND_LEAF_CELLS cells (George, SIAM J.
-    Numer. Anal. 1973)."""
-    xy = patch.mesh.centroid[patch.cells]
-    part = np.full(patch.n_cells, -1, dtype=np.int64)
+def nested_dissection_order(xy, edges, leaf):
+    """Elimination order of the cells 0..len(xy)-1, with centroids xy, by
+    recursive coordinate bisection over the cell graph whose edges are the
+    cell pairs `edges`: each part is ordered as its lower half, its upper
+    half, then the separator between them, down to parts of at most `leaf`
+    cells (George, SIAM J. Numer. Anal. 1973)."""
+    part = np.full(len(xy), -1, dtype=np.int64)
     order = []
 
     def dissect(cells, edges):
-        if len(cells) <= ND_LEAF_CELLS:
+        if len(cells) <= leaf:
             order.append(cells)
             return
         low, high, separator = bisect_cells(xy, cells, edges)
@@ -125,8 +124,27 @@ def nested_dissection_order(patch):
         dissect(high, edges[(side == 1).all(axis=1)])
         order.append(separator)
 
-    dissect(np.arange(patch.n_cells), np.column_stack([patch.plus.cell, patch.minus.cell]))
+    dissect(np.arange(len(xy)), edges)
     return np.concatenate(order)
+
+
+def coarse_cell_order(coarse):
+    """Nested-dissection order of the coarse cells over the cells that share
+    an edge, down to single cells: each coarse cell is already a dense block
+    of the coarse saddle matrix, so larger leaves only add fill."""
+    x0, y0, x1, y1 = coarse.bbox
+    iy, ix = np.divmod(np.arange(coarse.n_cells), coarse.nx)
+    xy = np.column_stack(
+        [x0 + (ix + 0.5) * (x1 - x0) / coarse.nx, y0 + (iy + 0.5) * (y1 - y0) / coarse.ny]
+    )
+    cells = np.arange(coarse.n_cells).reshape(coarse.ny, coarse.nx)
+    edges = np.concatenate(
+        [
+            np.column_stack([cells[:, :-1].ravel(), cells[:, 1:].ravel()]),  # side by side
+            np.column_stack([cells[:-1].ravel(), cells[1:].ravel()]),  # one above the other
+        ]
+    )
+    return nested_dissection_order(xy, edges, 1)
 
 
 def edge_split(mesh, cells):

@@ -112,6 +112,18 @@ def merged_pattern(matrix, rows, cols):
     return extended, np.searchsorted(merged, wanted).astype(extended.indices.dtype)
 
 
+def ordered_pattern(upper, div, perm, rows, cols):
+    """The static saddle matrix [[upper, div^T], [div, 0]] permuted into the
+    order perm (row i is row perm[i] of the unpermuted matrix), in CSC form
+    with its pattern extended by the entries (rows, cols) of the unpermuted
+    numbering; returns it and the data positions of those entries, as
+    merged_pattern does."""
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm))
+    static = sp.bmat([[upper, div.T], [div, None]], format="csc")
+    return merged_pattern(static[perm][:, perm], position[rows], position[cols])
+
+
 class SaddleSolver:
     """LU factorization of [[M+A+D, B^T], [B, 0]] reused across right-hand
     sides.
@@ -148,7 +160,7 @@ class SaddleSolver:
             options = dict(permc_spec="COLAMD")
         if not np.all(np.isfinite(matrix.data)):
             raise SingularSystemError("non-finite entries in assembled blocks")
-        self.scale = abs(matrix).sum(axis=1).max()
+        self.scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
         try:
             self.lu = spla.splu(matrix, **options)
         except RuntimeError as exc:  # SuperLU reports singularity this way

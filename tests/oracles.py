@@ -8,7 +8,10 @@ the 3x3 vertex interpolation system per cell.
 The block-assembled fine step at the end is the reference for the ordered
 step matrix: the convection and Forchheimer blocks as CSR matrices summed
 into the velocity block, sp.bmat, a fancy-index permutation into the
-nested-dissection cell order, and a SuperLU factor in that order.
+nested-dissection cell order, and a SuperLU factor in that order.  That
+order comes from a copy of the recursion written for a patch (its
+interior-edge graph, leaves of 8 cells), the reference for the package's
+general nested_dissection_order.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from msflow import forms
 from msflow.geometry import POROUS
-from msflow.patches import nested_dissection_order
+from msflow.patches import bisect_cells
 
 
 def duffy_points(order=10):
@@ -246,6 +249,28 @@ def rhs_functionals(mesh, params, patch, g_func, v_vec, q_vec, grad_func=None):
     return f_val, l_val
 
 
+def patch_nested_dissection(patch):
+    """Nested-dissection order of the patch cells over the interior-edge cell
+    graph, in parts of at most 8 cells: the fine-step cell order."""
+    xy = patch.mesh.centroid[patch.cells]
+    part = np.full(patch.n_cells, -1, dtype=np.int64)
+    order = []
+
+    def dissect(cells, edges):
+        if len(cells) <= 8:
+            order.append(cells)
+            return
+        low, high, separator = bisect_cells(xy, cells, edges)
+        part[low], part[high], part[separator] = 0, 1, 2
+        side = part[edges]
+        dissect(low, edges[(side == 0).all(axis=1)])
+        dissect(high, edges[(side == 1).all(axis=1)])
+        order.append(separator)
+
+    dissect(np.arange(patch.n_cells), np.column_stack([patch.plus.cell, patch.minus.cell]))
+    return np.concatenate(order)
+
+
 def block_step_matrix(ops, u_lin):
     """The saddle matrix of the nonlinear fine step linearized at u_lin,
     assembled from CSR blocks and permuted into the nested-dissection cell
@@ -257,7 +282,7 @@ def block_step_matrix(ops, u_lin):
         d = d + forms.forchheimer_block(ops.patch, ops.params, u_lin)
     upper = (ops.mass + a + d).tocsr()
     matrix = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
-    order = nested_dissection_order(ops.patch)
+    order = patch_nested_dissection(ops.patch)
     perm = np.column_stack(
         [forms.cell_dofs(order).reshape(-1, 6), ops.patch.n_vdof + order]
     ).ravel()

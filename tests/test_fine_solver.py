@@ -8,7 +8,7 @@ from msflow import forms, gmsfem
 from msflow.fine_solver import StepOperators, run_fine, time_step
 from msflow.geometry import POROUS, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, DGState, ModelParameters
-from msflow.patches import bisect_cells, full_patch, nested_dissection_order
+from msflow.patches import ND_LEAF_CELLS, bisect_cells, full_patch, nested_dissection_order
 from msflow.saddle import OrderedSaddleSystem, SaddleSystem
 
 from conftest import desk_domain, make_params, tiny_heterogeneous
@@ -182,9 +182,11 @@ def _desk_patch():
 
 
 def test_nested_dissection_order_is_a_permutation():
-    for patch in (_desk_patch(), full_patch(tiny_heterogeneous()[0])):
-        order = nested_dissection_order(patch)
-        assert np.array_equal(np.sort(order), np.arange(patch.n_cells))
+    for mesh in (_desk_patch().mesh, tiny_heterogeneous()[0]):
+        order = StepOperators(mesh, make_params(), BoundaryData.inflow((1.0, 0.0))).cell_order
+        assert np.array_equal(np.sort(order), np.arange(mesh.n_cells))
+        # the generalized recursion keeps the fine-step order bit for bit
+        assert np.array_equal(order, oracles.patch_nested_dissection(full_patch(mesh)))
 
 
 def test_separator_splits_the_interior_edge_graph():
@@ -200,7 +202,7 @@ def test_separator_splits_the_interior_edge_graph():
     s = side[edges]
     assert not np.any((s[:, 0] == 0) & (s[:, 1] == 1) | (s[:, 0] == 1) & (s[:, 1] == 0))
     # the whole order is: lower part, upper part, then the separator
-    order = nested_dissection_order(patch)
+    order = nested_dissection_order(xy, edges, ND_LEAF_CELLS)
     assert np.array_equal(order[len(order) - len(separator) :], separator)
     assert np.array_equal(np.sort(order[: len(low)]), np.sort(low))
 

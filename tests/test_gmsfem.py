@@ -12,11 +12,11 @@ from msflow.errors import ConfigError, SingularSystemError
 from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
-from msflow.patches import coarse_cell_patch, full_patch
+from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import SaddleSolver, SaddleSystem
 
-from conftest import assert_same_bases, make_params, tiny_heterogeneous
+from conftest import assert_same_bases, desk_domain, make_params, tiny_heterogeneous
 
 
 class TestLinearizationField:
@@ -207,6 +207,23 @@ class TestSpectralReduce:
         ortho = z[:, :4].T @ s @ z[:, :4]
         assert np.max(np.abs(ortho - np.eye(4))) < 1e-10
 
+    def test_basis_rows_are_the_smallest_modes(self):
+        mesh, coarse = generate_structured_mesh(desk_domain(), 8, (4, 4))
+        params = make_params()
+        u_lin = gmsfem.compute_linearization_field(mesh, params, BoundaryData.inflow((1.0, 0.0)))
+        m, i = 8, 5
+        basis = gmsfem.spectral_reduce(
+            gmsfem.build_snapshots(mesh, coarse, params, i, False, u_lin), mesh, coarse, params, m
+        )
+        fresh = gmsfem.build_snapshots(mesh, coarse, params, i, False, u_lin)
+        a, s = gmsfem.snapshot_pencil(fresh, mesh, coarse, params)
+        # snapshot coefficients of each basis row, then its Rayleigh quotient
+        c = la.lstsq(fresh.rows.T, basis.rows.T)[0]
+        quotient = np.einsum("ik,ij,jk->k", c, a, c) / np.einsum("ik,ij,jk->k", c, s, c)
+        w = basis.eigenvalues
+        assert np.all(np.diff(w) >= 0)
+        assert np.allclose(quotient, w[:m], rtol=1e-10, atol=0)
+
     def test_m_out_of_range(self):
         mesh, coarse = tiny_heterogeneous(n=2)
         params = make_params()
@@ -387,11 +404,11 @@ class TestOnlineStage:
     def test_singular_coarse_system_raises_without_warning(self):
         upper = sp.diags([1.0, 0.0, 2.0])  # second velocity mode decoupled
         b_h = sp.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
-        matrix = sp.bmat([[upper, b_h.T], [b_h, None]], format="csc")
+        saddle = gmsfem._CoarseSaddle(upper, b_h, np.array([0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="online step 7"):
-                gmsfem._coarse_solve(matrix, np.ones(4), 7)
+                saddle.solve(np.zeros((1, 3, 3)), np.ones(3), np.ones(1), 7)
 
 
 def _run(mesh, coarse, params, bc, space, ops):
@@ -464,9 +481,9 @@ class TestFamilyRecord:
         built = []
 
         class CountingSaddle(gmsfem._CoarseSaddle):
-            def __init__(self, upper, b_h, m):
-                built.append(m)
-                super().__init__(upper, b_h, m)
+            def __init__(self, upper, b_h, cell_order):
+                built.append(upper.shape[0] // len(cell_order))
+                super().__init__(upper, b_h, cell_order)
 
         monkeypatch.setattr(gmsfem, "_CoarseSaddle", CountingSaddle)
         for s in (space, gmsfem.resize_space(space, mesh, coarse, 2)):
@@ -482,6 +499,23 @@ class TestFamilyRecord:
             assert np.array_equal(fine_a.pressure, fine_b.pressure)
         assert built == [5, 2]
 
+    def test_ordered_coarse_matrix_equals_the_permuted_blocks(self, setting):
+        mesh, coarse, params, bc, ops, space = setting
+        rng = np.random.default_rng(5)
+        for m in (5, 2):
+            online = space.family.operators(mesh, coarse, params, ops, m)
+            blocks = online.nonlinear(rng.standard_normal(m * coarse.n_cells))
+            upper = online.upper + sp.block_diag(blocks)
+            saddle = sp.bmat([[upper, online.div.T], [online.div, None]], format="csc")
+            perm = online.saddle.perm
+            want = saddle[perm][:, perm]
+            got = online.saddle.matrix(blocks)
+            for x in (got, want):
+                x.eliminate_zeros()  # the fixed pattern may store zeros
+                x.sort_indices()
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_other_parameters_rebuild_the_record(self, setting):
         mesh, coarse, params, bc, ops, space = setting
         _run(mesh, coarse, params, bc, space, ops)
@@ -495,13 +529,43 @@ class TestFamilyRecord:
         assert not np.allclose(got.velocity, stale.velocity)
 
 
+@pytest.mark.parametrize(
+    "shape, separator", [((4, 4), [1, 5, 9, 13]), ((3, 5), [4, 5, 6])], ids=["4x4", "3x5"]
+)
+def test_coarse_order_puts_each_cell_pressure_after_its_velocity(shape, separator):
+    mesh, coarse = generate_structured_mesh(desk_domain(), 1, shape)
+    n, m = coarse.n_cells, 3
+    order = coarse_cell_order(coarse)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    # the first cut splits the wider side; the cells next to it come last
+    assert np.array_equal(np.sort(order[-len(separator) :]), separator)
+    upper, b_h = sp.identity(m * n, format="csr"), sp.csr_matrix((n, m * n))
+    perm = gmsfem._CoarseSaddle(upper, b_h, order).perm
+    assert np.array_equal(np.sort(perm), np.arange((m + 1) * n))
+    unknowns = perm.reshape(n, m + 1)  # one row per cell in elimination order
+    assert np.array_equal(unknowns[:, :m], m * order[:, None] + np.arange(m))
+    assert np.array_equal(unknowns[:, m], m * n + order)
+
+
 class TestThreadCount:
     def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv("MSFLOW_THREADS", raising=False)
         assert gmsfem.default_thread_count() == 1
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", "2.5", "0", "-3"] + [pytest.param(v, id=f"argument{v}") for v in (0, -3)],
+    )
     def test_invalid_values_are_config_errors(self, monkeypatch, value):
+        # A bad MSFLOW_THREADS is a ConfigError; a bad threads argument of
+        # build_multiscale_space is a ValueError naming it, not one worker.
+        if isinstance(value, int):
+            mesh, coarse = tiny_heterogeneous(n=2)
+            with pytest.raises(ValueError, match=f"positive integer, got {value}$"):
+                gmsfem.build_multiscale_space(
+                    mesh, coarse, make_params(), u_lin=np.zeros(6 * mesh.n_cells), threads=value
+                )
+            return
         monkeypatch.setenv("MSFLOW_THREADS", value)
         with pytest.raises(ConfigError, match="MSFLOW_THREADS"):
             gmsfem.default_thread_count()
