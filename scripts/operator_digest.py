@@ -18,13 +18,16 @@ it digests:
   divergence, the unit-delta Dirichlet loads and the spectral pair;
 - a manufactured-data `assemble_rhs` with traction and forcing;
 - every state of a 3-step `run_fine` and its continuity residuals;
-- the multiscale stage at Da=1e-3: the plain `r_u` and `r_p` at M=16, their
-  `resize_space` slices at M=2, 4 and 8, the final coarse and fine states of
-  `run_multiscale` at every size, and `r_u` after a `save_space` /
-  `load_space` round trip through a temporary directory.
+- the multiscale stage at Da=1e-3: the linearization field, the plain
+  `r_u` and `r_p` at M=16, their `resize_space` slices at M=2, 4 and 8, the
+  final coarse and fine states of `run_multiscale` at every size, `r_u`
+  after a `save_space` / `load_space` round trip through a temporary
+  directory, every coarse cell's eigenvalues in the plain and the
+  oversampled space, and the oversampled `r_u` and `r_p` at M=16.  The
+  eigenvalues and the two `r_u` cover every pinned snapshot solve.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
-array through its dtype and shape as well as its bytes.  Takes about ten
+array through its dtype and shape as well as its bytes.  Takes about twenty
 seconds.
 """
 
@@ -128,10 +131,13 @@ def main():
 
 
 def multiscale(mesh, coarse, params, bc):
-    """The plain offline and online stages at MS_DARCY, and a cache round trip."""
+    """The offline stage at MS_DARCY, plain and oversampled, the plain
+    online stage and a cache round trip."""
     ops = StepOperators(mesh, params, bc)
     m_max = max(MS_SIZES)
-    space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=m_max)
+    u_lin = gmsfem.compute_linearization_field(mesh, params, bc)
+    show(f"ms.da={MS_DARCY:g} linearization_field", u_lin)
+    space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=m_max, u_lin=u_lin)
     for m in MS_SIZES:
         sub = space if m == m_max else gmsfem.resize_space(space, mesh, coarse, m)
         tag = f"ms.da={MS_DARCY:g}.m{m}"
@@ -146,6 +152,15 @@ def multiscale(mesh, coarse, params, bc):
         gmsfem.save_space(cache, mesh, params, bc, space)
         loaded = gmsfem.load_space(cache, mesh, coarse, params, bc, m_max, False)
     show(f"ms.da={MS_DARCY:g}.m{m_max} cached.r_u", loaded.r_u)
+    over = gmsfem.build_multiscale_space(
+        mesh, coarse, params, bc, m=m_max, oversampled=True, u_lin=u_lin
+    )
+    for kind, built in (("plain", space), ("os", over)):
+        for basis in built.cell_bases:
+            tag = f"ms.da={MS_DARCY:g}.{kind} coarse{basis.cell_index}"
+            show(f"{tag}.eigenvalues", basis.eigenvalues)
+    show(f"ms.da={MS_DARCY:g}.m{m_max} os.r_u", over.r_u)
+    show(f"ms.da={MS_DARCY:g}.m{m_max} os.r_p", over.r_p)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ import sys
 
 from . import analysis, gmsfem, vtk_io
 from .config import parse_config
-from .errors import MsflowError
+from .errors import ConfigError, MsflowError
 from .fine_solver import StepOperators, run_fine
 from .geometry import generate_structured_mesh, load_mesh, save_mesh
 from .parameters import DGState
+from .patches import coarse_cell_patch
 
 
 def _build_mesh(spec):
@@ -121,8 +122,23 @@ class _SpaceProvider:
         return space if m == space.m else gmsfem.resize_space(space, self.mesh, self.coarse, m)
 
 
+def _check_basis_size(m, mesh, coarse, settings):
+    """Reject a basis size above a coarse cell's snapshot count, two per
+    boundary facet of its plain or oversampled patch, before any solve."""
+    for oversampled in settings:
+        for i in range(coarse.n_cells):
+            patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
+            n_snap = 2 * len(patch.dirichlet_edges)
+            if m > n_snap:
+                kind = "oversampled patch" if oversampled else "patch"
+                raise ConfigError(
+                    f"basis size {m} exceeds the {n_snap} snapshots of coarse cell {i} ({kind})"
+                )
+
+
 def run_ms_mode(spec, mesh, coarse):
     params, bc = spec.params, spec.bc
+    _check_basis_size(max(spec.m_list), mesh, coarse, (spec.oversampled,))
     ops = StepOperators(mesh, params, bc)
     if spec.reference:
         ref = _load_reference(spec.reference, mesh)
@@ -184,6 +200,7 @@ def write_sweep_csv(path, m_list, results, coarse):
 
 
 def run_sweep_mode(spec, mesh, coarse):
+    _check_basis_size(max(spec.m_list), mesh, coarse, (False, True))
     for darcy in spec.da_list:
         results = _sweep_one_da(spec, mesh, coarse, darcy)
         path = os.path.join(spec.out_dir, f"errors_da_{darcy:g}.csv")

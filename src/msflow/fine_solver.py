@@ -16,13 +16,7 @@ from . import forms
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import ND_LEAF_CELLS, full_patch, nested_dissection_order
-from .saddle import (
-    OrderedSaddleSystem,
-    SaddleSolver,
-    SaddleSystem,
-    ordered_pattern,
-    relative_residual,
-)
+from .saddle import SaddleSolver, SaddleSystem, ordered_pattern, relative_residual, saddle_matrix
 
 
 @dataclass
@@ -42,12 +36,12 @@ class Trajectory:
 class StepOperators:
     """Blocks that persist across time steps for a fixed mesh and data.
 
-    system(None), the constant matrix of the linear run, is a SaddleSystem
-    of blocks, which SaddleSolver orders by COLAMD.  system(u_lin), the
-    matrix of a nonlinear step, is an OrderedSaddleSystem in the
-    nested-dissection cell order; its ordered pattern is built on the first
-    call and kept (see _OrderedStep).  run_fine holds a pattern of its own
-    for its loop, so that the pattern is freed when the run ends.
+    system(None), the constant system of the linear run, is left for
+    SaddleSolver to order by COLAMD.  system(u_lin), the system of a
+    nonlinear step, comes in the nested-dissection cell order; its ordered
+    pattern is built on the first call and kept (see _OrderedStep).
+    run_fine holds a pattern of its own for its loop, so that the pattern is
+    freed when the run ends.
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
@@ -72,7 +66,8 @@ class StepOperators:
 
     def system(self, u_lin=None):
         if u_lin is None:
-            return SaddleSystem(self.mass, self.viscous, self.darcy, self.div, self.f_u, self.f_p)
+            upper = self.mass + self.viscous + self.darcy
+            return SaddleSystem(saddle_matrix(upper, self.div), self.f_u, self.f_p)
         if self._step is None:
             self._step = _OrderedStep(self)
         return self._step.system(u_lin)
@@ -102,7 +97,7 @@ class _OrderedStep:
         n = patch.n_cells
         order = ops.cell_order
         self.perm = np.column_stack([forms.cell_dofs(order).reshape(-1, 6), 6 * n + order]).ravel()
-        upper = (ops.mass + ops.viscous + ops.darcy).tocsr()
+        upper = ops.mass + ops.viscous + ops.darcy
         # Entry [c, d, a, b] couples test vertex a to trial vertex b in
         # component d of cell c.
         dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
@@ -134,7 +129,7 @@ class _OrderedStep:
         data = self.pattern.data.copy()
         data[self.pos] = values
         matrix = sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr), self.pattern.shape)
-        return OrderedSaddleSystem(matrix, self.perm, self.f_u, self.f_p)
+        return SaddleSystem(matrix, self.f_u, self.f_p, self.perm)
 
 
 def time_step(mesh, params, bc, state, u_lin=None, ops=None):

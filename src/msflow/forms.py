@@ -184,16 +184,6 @@ def convection_block(patch, params, u_lin):
     return _collect([part], (patch.n_vdof, patch.n_vdof))
 
 
-def assemble_convection_diffusion(patch, params, u_lin=None):
-    """Convection-diffusion block: viscous volume and edge terms plus the
-    convective term linearized at u_lin (global fine layout; None means zero,
-    which drops convection and leaves a symmetric block)."""
-    block = viscous_block(patch, params)
-    if u_lin is not None:
-        block = block + convection_block(patch, params, u_lin)
-    return block
-
-
 def darcy_block(patch, params):
     """Linear porous drag; zero rows and columns on fluid cells."""
     if params.darcy <= 0:
@@ -231,16 +221,6 @@ def forchheimer_block(patch, params, u_lin):
         blocks = forchheimer_cell_blocks(patch.mesh, params, patch.cells[porous], coefs)
         parts.append(_cell_coo(porous, _kron2(blocks)))
     return _collect(parts, (patch.n_vdof, patch.n_vdof))
-
-
-def assemble_darcy_forchheimer(patch, params, u_lin=None):
-    """Porous drag block: Darcy term plus quadratic drag weighted by the
-    pointwise speed of the linearization field.  Fluid cells contribute
-    nothing."""
-    block = darcy_block(patch, params)
-    if u_lin is not None:
-        block = block + forchheimer_block(patch, params, u_lin)
-    return block
 
 
 def assemble_divergence(patch):

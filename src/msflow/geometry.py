@@ -109,7 +109,6 @@ class TriMesh:
         self.edge_normal = None  # (ne, 2) unit normal, plus -> minus / outward
         self.edge_length = None  # (ne,)
         self.edge_side = None  # (ne,) INTERIOR or side code
-        self.cell_edges = None  # (nc, 3) edge id opposite each local vertex
 
     @property
     def n_cells(self):
@@ -226,7 +225,7 @@ def build_edge_topology(mesh):
         v = mesh.cells[c]
         for a in range(3):
             key = (min(v[(a + 1) % 3], v[(a + 2) % 3]), max(v[(a + 1) % 3], v[(a + 2) % 3]))
-            incidence.setdefault(key, []).append((c, a))
+            incidence.setdefault(key, []).append(c)
     keys = sorted(incidence)
 
     ne = len(keys)
@@ -235,7 +234,6 @@ def build_edge_topology(mesh):
     edge_normal = np.empty((ne, 2))
     edge_length = np.empty(ne)
     edge_side = np.full(ne, INTERIOR, dtype=np.int8)
-    cell_edges = np.full((mesh.n_cells, 3), -1, dtype=np.int64)
 
     x0, y0, x1, y1 = mesh.bbox
     tol = 1e-9 * max(x1 - x0, y1 - y0)
@@ -251,16 +249,13 @@ def build_edge_topology(mesh):
         if length <= 0.0:
             raise MeshFormatError(f"edge {key} has zero length")
         n = np.array([t[1], -t[0]]) / length
-        for c, a in adj:
-            cell_edges[c, a] = e
         if len(adj) == 2:
-            cp = min(adj[0][0], adj[1][0])
-            cm = max(adj[0][0], adj[1][0])
+            cp, cm = min(adj), max(adj)
             edge_cells[e] = (cp, cm)
             if np.dot(n, mesh.centroid[cm] - mesh.centroid[cp]) < 0.0:
                 n = -n
         else:
-            c = adj[0][0]
+            c = adj[0]
             edge_cells[e, 0] = c
             if np.dot(n, mesh.centroid[c] - 0.5 * (pa + pb)) > 0.0:
                 n = -n
@@ -285,7 +280,6 @@ def build_edge_topology(mesh):
     mesh.edge_normal = edge_normal
     mesh.edge_length = edge_length
     mesh.edge_side = edge_side
-    mesh.cell_edges = cell_edges
     return mesh
 
 

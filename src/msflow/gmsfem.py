@@ -15,7 +15,7 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from zipfile import BadZipFile
 
 import numpy as np
@@ -31,11 +31,11 @@ from .patches import coarse_cell_order, coarse_cell_patch
 from .quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
 from .saddle import (
     RESIDUAL_TOL,
-    OrderedSaddleSystem,
     SaddleSolver,
     SaddleSystem,
     ordered_pattern,
     relative_residual,
+    saddle_matrix,
 )
 
 S_RANK_TOL = 1e-10
@@ -147,16 +147,13 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     # large temporaries keeps them from pinning the freed heap above them.
     rows = np.empty((2 * len(patch.dirichlet_edges), 6 * len(target)))
 
-    a = forms.assemble_convection_diffusion(patch, params, u_lin)
-    d = forms.assemble_darcy_forchheimer(patch, params, u_lin)
-    b = forms.assemble_divergence(patch)
+    a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, u_lin)
+    d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, u_lin)
+    matrix = saddle_matrix(a + d, forms.assemble_divergence(patch), pin=True)
     f_u, f_p = _delta_rhs_batch(patch, params)
-    system = SaddleSystem(
-        sp.csr_matrix((patch.n_vdof, patch.n_vdof)), a, d, b,
-        np.zeros(patch.n_vdof), np.zeros(patch.n_pdof),
-    )
+    f_p[0, :] = 0.0  # the pinned row
     try:
-        solver = SaddleSolver(system, pin_pressure=True)
+        solver = SaddleSolver(SaddleSystem(matrix, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof)))
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"local system of coarse cell {i} (oversampled={oversampled}): {exc}"
@@ -430,8 +427,8 @@ class _NonlinearBlocks:
 
 @dataclass
 class _OnlineOperators:
-    """The projected operators of one basis size: static blocks, loads, the
-    nonlinear per-cell blocks and the coarse saddle pattern."""
+    """The projected operators of one basis size: static blocks, loads and
+    the nonlinear per-cell blocks."""
 
     mass: sp.csr_matrix  # r_u M r_u^T
     upper: sp.csr_matrix  # r_u (M + A + D) r_u^T
@@ -439,48 +436,43 @@ class _OnlineOperators:
     f_u: np.ndarray
     f_p: np.ndarray
     nonlinear: _NonlinearBlocks
-    saddle: "_CoarseSaddle" = None
 
 
 class _Family:
     """The fine-mesh work of the online stage, done once per basis family: a
     built or loaded space and every resize_space slice of it.
 
-    The record is an _OnlineOperators at the family's largest size m_max,
-    plus the coarse saddle pattern of every size run so far.  It is built
-    on the first run_multiscale of the family and rebuilt when a call brings
-    other step operators (compared by identity) or other parameters (by
-    value).  A size m reads the first m basis rows of every coarse cell from
-    it; the static blocks so read equal the products of the sliced
-    projection bit for bit.
+    The record is an _OnlineOperators at the family's largest size m_max.
+    It is built on the first run_multiscale of the family and rebuilt when a
+    call brings other step operators (compared by identity) or other
+    parameters (by value).  A size m reads the first m basis rows of every
+    coarse cell from it; the static blocks so read equal the products of the
+    sliced projection bit for bit.
     """
 
     def __init__(self, m_max, cell_bases, r_u, r_p):
         self.m_max, self.cell_bases, self.r_u, self.r_p = m_max, cell_bases, r_u, r_p
-        self.record = None  # (ops, params, _OnlineOperators at m_max, {m: _CoarseSaddle})
+        self.record = None  # (ops, params, _OnlineOperators at m_max)
 
     def operators(self, mesh, coarse, params, ops, m):
         """The family's online operators at basis size m."""
         # Concurrent first calls may each build a record; either one is valid.
         record = self.record
         if record is None or record[0] is not ops or record[1] != params:
-            record = (ops, params, self._build(mesh, params, ops), {})
+            record = (ops, params, self._build(mesh, params, ops))
             self.record = record
-        full, saddles = record[2], record[3]
-        online = full
-        if m != self.m_max:
-            rows = _prefix_rows(self.m_max, coarse.n_cells, m)
-            online = _OnlineOperators(
-                mass=full.mass[rows][:, rows],
-                upper=full.upper[rows][:, rows],
-                div=full.div[:, rows],
-                f_u=full.f_u[rows],
-                f_p=full.f_p,
-                nonlinear=full.nonlinear.prefix(m),
-            )
-        if m not in saddles:
-            saddles[m] = _CoarseSaddle(online.upper, online.div, coarse_cell_order(coarse))
-        return replace(online, saddle=saddles[m])
+        full = record[2]
+        if m == self.m_max:
+            return full
+        rows = _prefix_rows(self.m_max, coarse.n_cells, m)
+        return _OnlineOperators(
+            mass=full.mass[rows][:, rows],
+            upper=full.upper[rows][:, rows],
+            div=full.div[:, rows],
+            f_u=full.f_u[rows],
+            f_p=full.f_p,
+            nonlinear=full.nonlinear.prefix(m),
+        )
 
     def _build(self, mesh, params, ops):
         r_u, r_p = self.r_u, self.r_p
@@ -498,9 +490,9 @@ class _Family:
 
 class _CoarseSaddle:
     """The projected saddle matrix [[upper, B^T], [B, 0]] of one basis size,
-    kept in factor order in CSC form with a pattern fixed per family and
-    size: the static upper block and B, plus a dense m x m diagonal block
-    per coarse cell for the nonlinear terms.
+    kept in factor order in CSC form with a pattern fixed for the run: the
+    static upper block and B, plus a dense m x m diagonal block per coarse
+    cell for the nonlinear terms.
 
     The order lists the coarse cells in cell_order, each cell's m velocity
     unknowns followed by its pressure unknown, so a cell's pressure is
@@ -529,7 +521,7 @@ class _CoarseSaddle:
         """Velocity and pressure of online step `step`, whose nonlinear
         blocks are `blocks`; a failed factorization or a residual above
         RESIDUAL_TOL raises SingularSystemError naming the step."""
-        system = OrderedSaddleSystem(self.matrix(blocks), self.perm, rhs_u, rhs_p)
+        system = SaddleSystem(self.matrix(blocks), rhs_u, rhs_p, self.perm)
         try:
             return SaddleSolver(system).solve()
         except SingularSystemError as exc:
@@ -546,7 +538,7 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     space or any resize_space slice of it projects the static blocks and
     builds the convection tensors and porous quadrature values at the
     family's largest size, and every call reads their m-prefix; the coarse
-    saddle pattern is built once per family and size.  A step costs
+    saddle pattern is built once per call.  A step costs
     O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
     coarse trajectory and the reconstructed fine state at the final time.
     """
@@ -558,7 +550,7 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     online = space.family.operators(mesh, coarse, params, ops, space.m)
     m_h, b_h, f_u, f_p = online.mass, online.div, online.f_u, online.f_p
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
-    saddle = online.saddle
+    saddle = _CoarseSaddle(online.upper, b_h, coarse_cell_order(coarse))
 
     u_h = np.zeros(space.n_u)
     p_h = np.zeros(space.n_p)

@@ -1,16 +1,11 @@
 """Quadrature rules on triangles and edges.
 
-Volume rules are given in barycentric coordinates with weights that sum to
-one (multiply by the cell area).  Edge rules are given on the unit interval.
+The volume rule is given in barycentric coordinates with weights that sum
+to one (multiply by the cell area); the edge rule is given on the unit
+interval.
 """
 
 import numpy as np
-
-# Edge-midpoint rule, exact for polynomials of total degree <= 2.
-TRI_MIDPOINT_BARY = np.array(
-    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-)
-TRI_MIDPOINT_W = np.full(3, 1.0 / 3.0)
 
 # Six-point degree-4 rule (two symmetric orbits), used for integrands that
 # carry a non-polynomial weight such as |u|.
@@ -31,13 +26,4 @@ TRI_D4_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 # Two-point Gauss rule on [0, 1], exact for degree <= 3.
 EDGE_G2_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_G2_W = np.array([0.5, 0.5])
-
-
-def triangle_rule(degree):
-    """Return (barycentric points, weights) exact for the given degree."""
-    if degree <= 2:
-        return TRI_MIDPOINT_BARY, TRI_MIDPOINT_W
-    if degree <= 4:
-        return TRI_D4_BARY, TRI_D4_W
-    raise ValueError(f"no triangle rule of degree {degree}")
 

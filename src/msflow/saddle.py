@@ -12,78 +12,39 @@ RESIDUAL_TOL = 1e-9
 
 @dataclass
 class SaddleSystem:
-    """Assembled blocks of one linearized step.
+    """One saddle system: its matrix and right-hand sides.
 
-    mass/convdiff/drag are velocity blocks, div couples pressure rows to
-    velocity columns, f_u/f_p are the right-hand sides.  SaddleSolver
-    assembles [[M+A+D, B^T], [B, 0]] from them and orders it by COLAMD.
+    With perm None, matrix is S = [[M+A+D, B^T], [B, 0]], or S pinned, as
+    saddle_matrix builds it: velocity DOFs first and pressure DOFs after
+    them; SaddleSolver orders it by COLAMD.  Otherwise matrix is P S P^T in
+    CSC form, already in factor order: row i of matrix is row perm[i] of S.
+    f_u/f_p are the right-hand sides in S's order.
     """
 
-    mass: sp.spmatrix
-    convdiff: sp.spmatrix
-    drag: sp.spmatrix
-    div: sp.spmatrix
+    matrix: sp.spmatrix
     f_u: np.ndarray
     f_p: np.ndarray
-
-    def __post_init__(self):
-        nu = self.mass.shape[0]
-        npr = self.div.shape[0]
-        for name, block in (("convdiff", self.convdiff), ("drag", self.drag)):
-            if block.shape != (nu, nu):
-                raise ValueError(f"{name} block shape {block.shape} != ({nu}, {nu})")
-        if self.div.shape[1] != nu:
-            raise ValueError("divergence block does not match velocity DOFs")
-        if self.f_u.shape != (nu,) or self.f_p.shape != (npr,):
-            raise ValueError("right-hand side shapes do not match the blocks")
-
-    @property
-    def n_velocity(self):
-        return self.mass.shape[0]
-
-    @property
-    def n_pressure(self):
-        return self.div.shape[0]
-
-    def velocity_block(self):
-        return (self.mass + self.convdiff + self.drag).tocsr()
-
-    def check_mass_symmetry(self, tol=1e-10):
-        m = self.mass
-        delta = abs(m - m.T).max()
-        scale = abs(m).max() or 1.0
-        if delta > tol * scale:
-            raise ValueError(f"mass block asymmetry {delta / scale:.2e} exceeds {tol:.0e}")
-
-
-@dataclass
-class OrderedSaddleSystem:
-    """A whole saddle matrix already in factor order.
-
-    matrix is P S P^T in CSC form, where S = [[M+A+D, B^T], [B, 0]] has the
-    velocity DOFs first and the pressure DOFs after them: row i of matrix is
-    row perm[i] of S.  f_u/f_p are the right-hand sides in S's order.
-    """
-
-    matrix: sp.csc_matrix
-    perm: np.ndarray
-    f_u: np.ndarray
-    f_p: np.ndarray
+    perm: np.ndarray = None
 
     def __post_init__(self):
         n = len(self.f_u) + len(self.f_p)
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
-        if not np.array_equal(np.sort(self.perm), np.arange(n)):
+        if self.perm is not None and not np.array_equal(np.sort(self.perm), np.arange(n)):
             raise ValueError("perm is not a permutation of the unknowns")
 
-    @property
-    def n_velocity(self):
-        return len(self.f_u)
 
-    @property
-    def n_pressure(self):
-        return len(self.f_p)
+def saddle_matrix(upper, div, pin=False):
+    """The CSC saddle matrix [[upper, div^T], [div, 0]].  pin replaces the
+    first continuity row by the pin p_0 = rhs_p[0], which the local snapshot
+    problems use: their continuity data is compatible, so the caller sets
+    that row of rhs_p to zero."""
+    lower, corner = div, None
+    if pin:
+        lower = div.tolil(copy=True)
+        lower[0, :] = 0.0
+        corner = sp.coo_matrix(([1.0], ([0], [0])), shape=(div.shape[0],) * 2)
+    return sp.bmat([[upper, div.T], [lower, corner]], format="csc")
 
 
 def merged_pattern(matrix, rows, cols):
@@ -120,44 +81,33 @@ def ordered_pattern(upper, div, perm, rows, cols):
     merged_pattern does."""
     position = np.empty_like(perm)
     position[perm] = np.arange(len(perm))
-    static = sp.bmat([[upper, div.T], [div, None]], format="csc")
+    static = saddle_matrix(upper, div)
     return merged_pattern(static[perm][:, perm], position[rows], position[cols])
 
 
 class SaddleSolver:
-    """LU factorization of [[M+A+D, B^T], [B, 0]] reused across right-hand
-    sides.
+    """LU factorization of a SaddleSystem reused across right-hand sides.
 
-    A SaddleSystem is assembled from its blocks and factored with SuperLU's
-    COLAMD column order.  pin_pressure replaces the first continuity row by
-    a zero-mean style pin (first pressure DOF = 0); valid only when the
-    continuity data is compatible, as it is for the local snapshot problems.
-
-    An OrderedSaddleSystem is factored as it is: no further reordering and
+    A system without perm is factored with SuperLU's COLAMD column order.
+    A system with perm is factored as it is: no further reordering and
     diagonal pivots, in symmetric mode.  Its order must eliminate each
     cell's pressure after the cell's velocity, which keeps the zero
-    pressure block pivotable on the diagonal.  self.perm is then its perm,
-    and the right-hand sides and the solution are permuted around the
-    triangular solves.
+    pressure block pivotable on the diagonal; the right-hand sides and the
+    solution are permuted around the triangular solves.
 
     self.matrix is the factored matrix; the residual gate is taken on it.
     """
 
-    def __init__(self, system, pin_pressure=False):
+    def __init__(self, system):
         self.system = system
-        self.pinned = bool(pin_pressure)
-        if isinstance(system, OrderedSaddleSystem):
-            if self.pinned:
-                raise ValueError("an ordered system cannot be pinned")
-            self.perm = system.perm
-            matrix = system.matrix
+        self.perm = system.perm
+        matrix = system.matrix.tocsc()
+        if self.perm is None:
+            options = dict(permc_spec="COLAMD")
+        else:
             options = dict(
                 permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
             )
-        else:
-            self.perm = None
-            matrix = _block_matrix(system, self.pinned)
-            options = dict(permc_spec="COLAMD")
         if not np.all(np.isfinite(matrix.data)):
             raise SingularSystemError("non-finite entries in assembled blocks")
         self.scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
@@ -188,14 +138,8 @@ class SaddleSolver:
         per input column; no exception is raised so the caller can attach
         context to a failing column.
         """
-        nu = self.system.n_velocity
-        if self.system.n_pressure == 0:
-            rhs = np.asarray(rhs_u_mat, dtype=float)
-        else:
-            rhs_p_mat = np.array(rhs_p_mat, dtype=float, copy=True)
-            if self.pinned:
-                rhs_p_mat[0, :] = 0.0
-            rhs = np.vstack([rhs_u_mat, rhs_p_mat])
+        nu = len(self.system.f_u)
+        rhs = np.vstack([rhs_u_mat, rhs_p_mat]).astype(float, copy=False)
         if self.perm is None:
             x = self.lu.solve(rhs)
             rel = relative_residual(self.matrix, x, rhs, self.scale)
@@ -206,21 +150,6 @@ class SaddleSolver:
             x = np.empty_like(y)
             x[self.perm] = y
         return x[:nu], x[nu:], rel
-
-
-def _block_matrix(system, pinned):
-    """The CSC saddle matrix of a SaddleSystem, with the first continuity
-    row replaced by the pressure pin when pinned."""
-    upper = system.velocity_block()
-    npr = system.n_pressure
-    if npr == 0:
-        return upper.tocsc()
-    if pinned:
-        div = system.div.tolil(copy=True)
-        div[0, :] = 0.0
-        pin = sp.coo_matrix(([1.0], ([0], [0])), shape=(npr, npr))
-        return sp.bmat([[upper, system.div.T], [div.tocsr(), pin]], format="csc")
-    return sp.bmat([[upper, system.div.T], [system.div, None]], format="csc")
 
 
 def relative_residual(matrix, x, rhs, scale):

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
 
 import oracles
 from msflow import analysis, forms, gmsfem
@@ -19,7 +18,7 @@ from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.patches import coarse_cell_patch, full_patch
-from msflow.saddle import SaddleSolver, SaddleSystem
+from msflow.saddle import SaddleSolver, SaddleSystem, saddle_matrix
 
 from conftest import desk_domain, make_params, random_rect_two_cells
 
@@ -187,11 +186,9 @@ def test_criterion_2_manufactured_convergence():
         dom = DomainSpec(bbox=(0, 0, 1, 1))
         mesh, _ = generate_structured_mesh(dom, n, (1, 1))
         patch = full_patch(mesh)
-        a = forms.assemble_convection_diffusion(patch, params)
-        b = forms.assemble_divergence(patch)
+        matrix = saddle_matrix(forms.viscous_block(patch, params), forms.assemble_divergence(patch))
         f_u, f_p = forms.assemble_rhs(patch, params, bc, forcing=forcing)
-        zero = sp.csr_matrix(a.shape)
-        u, _ = SaddleSolver(SaddleSystem(zero, a, zero, b, f_u, f_p)).solve()
+        u, _ = SaddleSolver(SaddleSystem(matrix, f_u, f_p)).solve()
         from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
 
         verts = mesh.verts[mesh.cells]
@@ -334,7 +331,7 @@ def test_criterion_7_oracle_equivalence():
         worst_form = max(
             worst_form, rel(v @ (m @ u), oracles.mass_energy(mesh, params, u, v))
         )
-        a_zero = forms.assemble_convection_diffusion(patch, params)
+        a_zero = forms.viscous_block(patch, params)
         worst_form = max(
             worst_form,
             rel(
@@ -342,7 +339,7 @@ def test_criterion_7_oracle_equivalence():
                 oracles.convdiff_energy(mesh, params, patch, u, v, None),
             ),
         )
-        a_lin = forms.assemble_convection_diffusion(patch, params, ulin)
+        a_lin = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
         worst_form = max(
             worst_form,
             rel(
@@ -351,7 +348,7 @@ def test_criterion_7_oracle_equivalence():
             ),
         )
         mesh.region[:] = 1
-        d = forms.assemble_darcy_forchheimer(patch, params, ulin_const)
+        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin_const)
         worst_form = max(
             worst_form,
             rel(v @ (d @ u), oracles.drag_energy(mesh, params, u, v, ulin_const)),
@@ -385,8 +382,8 @@ def test_criterion_7_oracle_equivalence():
     for i in range(coarse.n_cells):
         snap = gmsfem.build_snapshots(mesh, coarse, params, i, False, ulin)
         patch = coarse_cell_patch(mesh, coarse, i)
-        a = forms.assemble_convection_diffusion(patch, params, ulin)
-        d = forms.assemble_darcy_forchheimer(patch, params, ulin)
+        a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
         b = forms.assemble_divergence(patch)
         f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
         nu, npr = patch.n_vdof, patch.n_pdof

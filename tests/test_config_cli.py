@@ -251,6 +251,35 @@ def test_invalid_thread_count_exits_with_config_status(tmp_path, monkeypatch, ca
     assert "MSFLOW_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, run, message",
+    [
+        ("sweep", "m_list = 2 40", "basis size 40 exceeds the 16 snapshots of coarse cell 0 (patch)"),
+        ("ms", "m = 17\noversampled = false", "basis size 17 exceeds the 16 snapshots"),
+        ("ms", "m = 33\noversampled = true", "basis size 33 exceeds the 32 snapshots"),
+    ],
+    ids=["sweep", "ms_plain", "ms_oversampled"],
+)
+def test_basis_size_above_the_snapshot_count_exits_before_any_solve(
+    tmp_path, monkeypatch, capsys, mode, run, message
+):
+    # two fine facets per coarse side: 8 facets and 16 snapshots on a plain
+    # patch, 16 facets and 32 snapshots on the oversampled (whole) domain
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the fine reference ran")
+
+    monkeypatch.setattr(cli, "run_fine", no_solve)
+    cfg = write_config(
+        tmp_path,
+        "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
+        "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"
+        "[model]\npreset = test1\nn_steps = 2\n"
+        f"[run]\nmode = {mode}\n{run}\nda_list = 1e-3\nout = {tmp_path / 'out'}\n",
+    )
+    assert cli.main([mode, "--config", str(cfg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_ms_mode_with_basis_cache_reuses_results(tmp_path):
     cache = tmp_path / "cache"
     text = (

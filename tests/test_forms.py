@@ -32,7 +32,6 @@ def single_triangle_mesh(porous=False):
     )
     mesh.edge_length = np.array([np.sqrt(2.0), 1.0, 1.0])
     mesh.edge_side = np.array([0, 0, 2], dtype=np.int8)
-    mesh.cell_edges = np.array([[0, 1, 2]])
     return mesh
 
 
@@ -82,7 +81,8 @@ class TestMass:
         mesh.region[::2] = 1
         params = make_params(forchheimer=2.0)
         ulin = rng.standard_normal(6 * mesh.n_cells)
-        d = forms.assemble_darcy_forchheimer(full_patch(mesh), params, ulin)
+        patch = full_patch(mesh)
+        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
         assert abs(d - d.T).max() < 1e-12 * abs(d).max()
 
 
@@ -90,7 +90,7 @@ class TestConvectionDiffusion:
     def test_symmetric_without_linearization(self, rng):
         mesh, _ = perturbed_grid_mesh(rng)
         params = make_params()
-        a = forms.assemble_convection_diffusion(full_patch(mesh), params)
+        a = forms.viscous_block(full_patch(mesh), params)
         assert abs(a - a.T).max() < 1e-10 * abs(a).max()
 
     def test_continuous_interior_hat_energy(self):
@@ -110,7 +110,7 @@ class TestConvectionDiffusion:
             for a_loc in range(3):
                 if mesh.cells[c, a_loc] == center:
                     coefs[c, a_loc] = (1.0, 1.0)
-        a = forms.assemble_convection_diffusion(patch, params)
+        a = forms.viscous_block(patch, params)
         grad_energy = 0.0
         for c in range(mesh.n_cells):
             g = np.einsum("ad,am->dm", coefs[c], mesh.grad[c])
@@ -123,7 +123,7 @@ class TestConvectionDiffusion:
         params = make_params(porosity=1.0)
         patch = full_patch(mesh)
         u = np.tile([2.0, -1.0], 3 * mesh.n_cells)
-        a = forms.assemble_convection_diffusion(patch, params)
+        a = forms.viscous_block(patch, params)
         # constant field: gradients and jumps vanish; only the Dirichlet-side
         # penalty 2*gamma/(h Re) |c|^2 per boundary edge survives
         expected = sum(
@@ -140,16 +140,14 @@ class TestConvectionDiffusion:
         u = rng.standard_normal(12)
         v = rng.standard_normal(12)
         ulin = rng.standard_normal(12)
-        a = forms.assemble_convection_diffusion(patch, params, u_lin=ulin)
+        a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
         expected = oracles.convdiff_energy(mesh, params, patch, u, v, ulin)
         assert v @ (a @ u) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         mesh, _ = random_rect_two_cells(rng)
         with pytest.raises(ValueError):
-            forms.assemble_convection_diffusion(
-                full_patch(mesh), make_params(), u_lin=np.ones(7)
-            )
+            forms.convection_block(full_patch(mesh), make_params(), np.ones(7))
 
 
 class TestDarcyForchheimer:
@@ -157,14 +155,14 @@ class TestDarcyForchheimer:
         dom = DomainSpec(bbox=(0, 0, 1, 1))
         mesh, _ = generate_structured_mesh(dom, 2, (1, 1))
         params = make_params()
-        d = forms.assemble_darcy_forchheimer(full_patch(mesh), params, None)
+        d = forms.darcy_block(full_patch(mesh), params)
         assert d.nnz == 0
 
     def test_constant_darcy_energy(self):
         mesh = single_triangle_mesh(porous=True)
         params = make_params(forchheimer=0.0, reynolds=1.0, darcy=1e-3)
         patch = volume_only_patch(mesh)
-        d = forms.assemble_darcy_forchheimer(patch, params, None)
+        d = forms.darcy_block(patch, params)
         u = np.tile([1.0, 0.0], 3)
         assert u @ (d @ u) == pytest.approx(0.5 * 1000.0, rel=1e-13)
 
@@ -173,8 +171,8 @@ class TestDarcyForchheimer:
         params = make_params(forchheimer=1.0, reynolds=7.0, darcy=1e-4)
         patch = volume_only_patch(mesh)
         ulin = np.tile([3.0, 4.0], 3)  # |u_lin| = 5 everywhere
-        d = forms.assemble_darcy_forchheimer(patch, params, ulin)
-        d0 = forms.assemble_darcy_forchheimer(patch, params, None)
+        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
+        d0 = forms.darcy_block(patch, params)
         u = np.tile([1.0, 0.0], 3)
         forch = u @ (d @ u) - u @ (d0 @ u)
         assert forch == pytest.approx(1.0 / np.sqrt(1e-4) * 5.0 * 0.5, rel=1e-13)
@@ -189,7 +187,7 @@ class TestDarcyForchheimer:
         u = rng.standard_normal(12)
         v = rng.standard_normal(12)
         ulin = np.repeat(rng.standard_normal((2, 2)), 3, axis=0).ravel()
-        d = forms.assemble_darcy_forchheimer(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
         expected = oracles.drag_energy(mesh, params, u, v, ulin)
         assert v @ (d @ u) == pytest.approx(expected, rel=1e-12)
 
@@ -203,7 +201,7 @@ class TestDarcyForchheimer:
         u = rng.standard_normal(patch.n_vdof)
         v = rng.standard_normal(patch.n_vdof)
         ulin = rng.standard_normal(patch.n_vdof)
-        d = forms.assemble_darcy_forchheimer(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
         expected = oracles.drag_energy(mesh, params, u, v, ulin)
         # |u_lin| has kinks where the field crosses zero, so the gap is a few
         # percent on wildly oscillating data; it vanishes on smooth fields
@@ -327,9 +325,9 @@ class TestJumpCalculus:
         nodal = rng.standard_normal((mesh.n_verts, 2))
         coefs = nodal[mesh.cells]
         u = coefs.ravel()
-        a_full = forms.assemble_convection_diffusion(patch, params)
+        a_full = forms.viscous_block(patch, params)
         nobnd = Patch(mesh, np.arange(mesh.n_cells), [], patch.interior_edges)
-        a_nobnd = forms.assemble_convection_diffusion(nobnd, params)
+        a_nobnd = forms.viscous_block(nobnd, params)
         # interior-edge terms of a continuous field reduce to the volume term
         grad_energy = 0.0
         for c in range(mesh.n_cells):
@@ -339,7 +337,7 @@ class TestJumpCalculus:
         # and the full form only adds boundary-edge contributions
         boundary_part = u @ (a_full @ u) - u @ (a_nobnd @ u)
         patch_b = Patch(mesh, np.arange(mesh.n_cells), patch.dirichlet_edges, [])
-        a_bonly = forms.assemble_convection_diffusion(patch_b, params)
+        a_bonly = forms.viscous_block(patch_b, params)
         assert boundary_part == pytest.approx(
             u @ (a_bonly @ u) - grad_energy, rel=1e-10
         )
@@ -356,11 +354,11 @@ class TestLocality:
             e for e in patch.interior_edges
         ]
         sub = Patch(mesh, np.arange(mesh.n_cells), [], interior_global)
-        a_globalized = forms.assemble_convection_diffusion(sub, params)
+        a_globalized = forms.viscous_block(sub, params)
         pdofs = (6 * patch.cells[:, None] + np.arange(6)[None, :]).ravel()
         a_sub = a_globalized[np.ix_(pdofs, pdofs)]
         local = Patch(mesh, patch.cells, [], patch.interior_edges)
-        a_local = forms.assemble_convection_diffusion(local, params)
+        a_local = forms.viscous_block(local, params)
         assert abs(a_local - a_sub).max() < 1e-14 * max(abs(a_sub).max(), 1.0)
 
 
@@ -420,12 +418,12 @@ def test_forms_match_oracles_on_random_rectangles(seed):
     assert v @ (m @ u) == pytest.approx(
         oracles.mass_energy(mesh, params, u, v), rel=1e-12, abs=1e-13
     )
-    a = forms.assemble_convection_diffusion(patch, params, ulin)
+    a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
     assert v @ (a @ u) == pytest.approx(
         oracles.convdiff_energy(mesh, params, patch, u, v, ulin), rel=1e-12, abs=1e-12
     )
     ulin_const = np.repeat(rng.standard_normal((2, 2)), 3, axis=0).ravel()
-    d = forms.assemble_darcy_forchheimer(patch, params, ulin_const)
+    d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin_const)
     assert v @ (d @ u) == pytest.approx(
         oracles.drag_energy(mesh, params, u, v, ulin_const), rel=1e-12, abs=1e-12
     )

@@ -107,16 +107,15 @@ class TestEdgeTopology:
         # sum of h_E * n_outward over each cell's edges closes the polygon
         dom = desk_domain()
         mesh, _ = generate_structured_mesh(dom, 4, (2, 2))
-        for c in range(mesh.n_cells):
-            total = np.zeros(2)
-            for e in mesh.cell_edges[c]:
-                n = mesh.edge_normal[e]
-                if mesh.edge_cells[e, 0] != c:
-                    n = -n
-                elif mesh.edge_cells[e, 1] == -1:
-                    pass  # boundary normal already outward
-                total += mesh.edge_length[e] * n
-            assert np.linalg.norm(total) < 1e-13
+        weighted = mesh.edge_length[:, None] * mesh.edge_normal  # out of edge_cells[:, 0]
+        inner = mesh.edge_cells[:, 1] >= 0
+        total = np.zeros((mesh.n_cells, 2))
+        np.add.at(total, mesh.edge_cells[:, 0], weighted)
+        np.add.at(total, mesh.edge_cells[inner, 1], -weighted[inner])
+        counts = np.bincount(mesh.edge_cells[:, 0], minlength=mesh.n_cells)
+        counts += np.bincount(mesh.edge_cells[inner, 1], minlength=mesh.n_cells)
+        assert np.all(counts == 3)
+        assert np.linalg.norm(total, axis=1).max() < 1e-13
 
     def test_shared_by_three_cells_rejected(self):
         from msflow.geometry import TriMesh, build_edge_topology

@@ -14,7 +14,7 @@ from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
-from msflow.saddle import SaddleSolver, SaddleSystem
+from msflow.saddle import SaddleSolver, SaddleSystem, saddle_matrix
 
 from conftest import assert_same_bases, desk_domain, make_params, tiny_heterogeneous
 
@@ -32,12 +32,11 @@ class TestLinearizationField:
         bc = BoundaryData.inflow((1.0, 0.0))
         traj = run_fine(mesh, params, bc, linear=True)
         ops = StepOperators(mesh, params, bc)
-        system = ops.system(None)
-        upper = system.velocity_block()
+        upper = ops.mass + ops.viscous + ops.darcy
         u_prev = traj.states[-2].velocity
         u, p = traj.final.velocity, traj.final.pressure
-        r_u = upper @ u + system.div.T @ p - (ops.mass @ u_prev + ops.f_u)
-        r_p = system.div @ u - ops.f_p
+        r_u = upper @ u + ops.div.T @ p - (ops.mass @ u_prev + ops.f_u)
+        r_p = ops.div @ u - ops.f_p
         scale = max(np.linalg.norm(ops.mass @ u_prev + ops.f_u), 1e-300)
         assert np.linalg.norm(np.concatenate([r_u, r_p])) <= 1e-9 * scale
 
@@ -50,12 +49,25 @@ class TestLinearizationField:
         assert np.array_equal(u1, u2)
 
 
-def local_blocks(mesh, params, patch, u_lin):
-    a = forms.assemble_convection_diffusion(patch, params, u_lin)
-    d = forms.assemble_darcy_forchheimer(patch, params, u_lin)
+def local_upper(params, patch, u_lin):
+    """The velocity block of a snapshot problem linearized at u_lin."""
+    a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, u_lin)
+    return a + (forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, u_lin))
+
+
+def local_system(params, patch, u_lin):
+    """The pinned snapshot system of a patch with zero loads; the caller
+    zeroes the pinned row of every continuity load it solves for."""
     b = forms.assemble_divergence(patch)
-    zero = sp.csr_matrix((patch.n_vdof, patch.n_vdof))
-    return SaddleSystem(zero, a, d, b, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof))
+    matrix = saddle_matrix(local_upper(params, patch, u_lin), b, pin=True)
+    return SaddleSystem(matrix, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof))
+
+
+def pinned_loads(patch, params):
+    """The unit-delta loads of a patch with the pinned row zeroed."""
+    f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
+    f_p[0, :] = 0.0
+    return f_u, f_p
 
 
 class TestSnapshots:
@@ -63,8 +75,8 @@ class TestSnapshots:
         mesh, coarse = tiny_heterogeneous()
         params = make_params()
         patch = coarse_cell_patch(mesh, coarse, 0)
-        system = local_blocks(mesh, params, patch, np.zeros(6 * mesh.n_cells))
-        u, p = SaddleSolver(system, pin_pressure=True).solve()
+        system = local_system(params, patch, np.zeros(6 * mesh.n_cells))
+        u, p = SaddleSolver(system).solve()
         assert np.all(u == 0.0) and np.all(p == 0.0)
 
     def test_counts_and_shapes(self):
@@ -87,10 +99,9 @@ class TestSnapshots:
         ulin = np.zeros(6 * mesh.n_cells)
         snap = gmsfem.build_snapshots(mesh, coarse, params, 0, False, ulin)
         patch = coarse_cell_patch(mesh, coarse, 0)
-        system = local_blocks(mesh, params, patch, ulin)
         f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
-        upper = system.velocity_block().toarray()
-        div = system.div.toarray()
+        upper = local_upper(params, patch, ulin).toarray()
+        div = forms.assemble_divergence(patch).toarray()
         nu, npr = upper.shape[0], div.shape[0]
         dense = np.zeros((nu + npr, nu + npr))
         dense[:nu, :nu] = upper
@@ -110,9 +121,8 @@ class TestSnapshots:
         mesh, coarse = tiny_heterogeneous()
         params = make_params()
         patch = coarse_cell_patch(mesh, coarse, 0)
-        system = local_blocks(mesh, params, patch, np.zeros(6 * mesh.n_cells))
-        solver = SaddleSolver(system, pin_pressure=True)
-        f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
+        solver = SaddleSolver(local_system(params, patch, np.zeros(6 * mesh.n_cells)))
+        f_u, f_p = pinned_loads(patch, params)
         u1, p1 = solver.solve(f_u[:, 3], f_p[:, 3])
         u2, p2 = solver.solve(2.0 * f_u[:, 3], 2.0 * f_p[:, 3])
         assert np.allclose(u2, 2.0 * u1, rtol=1e-12, atol=1e-14)
@@ -138,9 +148,8 @@ class TestSnapshots:
         ulin = np.zeros(6 * mesh.n_cells)
         snap = gmsfem.build_snapshots(mesh, coarse, params, 0, True, ulin)
         plus = coarse_cell_patch(mesh, coarse, 0, oversampled=True)
-        system = local_blocks(mesh, params, plus, ulin)
-        solver = SaddleSolver(system, pin_pressure=True)
-        f_u, f_p = gmsfem._delta_rhs_batch(plus, params)
+        solver = SaddleSolver(local_system(params, plus, ulin))
+        f_u, f_p = pinned_loads(plus, params)
         col = 5
         u_full, _ = solver.solve(f_u[:, col], f_p[:, col])
         target = np.sort(coarse.cell_fine[0])
@@ -476,16 +485,10 @@ class TestFamilyRecord:
         stale = _run(mesh, coarse, params, bc, _fresh(small), ops)
         assert not np.allclose(got.velocity, stale.velocity)
 
-    def test_coarse_pattern_is_built_once_per_size(self, setting, monkeypatch):
+    def test_coarse_pattern_is_built_once_per_size(self, setting):
+        # each run builds the coarse pattern of its size; a rerun of the same
+        # space, built or sliced, repeats the first run bit for bit
         mesh, coarse, params, bc, ops, space = setting
-        built = []
-
-        class CountingSaddle(gmsfem._CoarseSaddle):
-            def __init__(self, upper, b_h, cell_order):
-                built.append(upper.shape[0] // len(cell_order))
-                super().__init__(upper, b_h, cell_order)
-
-        monkeypatch.setattr(gmsfem, "_CoarseSaddle", CountingSaddle)
         for s in (space, gmsfem.resize_space(space, mesh, coarse, 2)):
             runs = [
                 gmsfem.run_multiscale(mesh, coarse, params, bc, space=s, ops=ops)
@@ -497,7 +500,6 @@ class TestFamilyRecord:
                 assert np.array_equal(a.pressure, b.pressure)
             assert np.array_equal(fine_a.velocity, fine_b.velocity)
             assert np.array_equal(fine_a.pressure, fine_b.pressure)
-        assert built == [5, 2]
 
     def test_ordered_coarse_matrix_equals_the_permuted_blocks(self, setting):
         mesh, coarse, params, bc, ops, space = setting
@@ -507,9 +509,9 @@ class TestFamilyRecord:
             blocks = online.nonlinear(rng.standard_normal(m * coarse.n_cells))
             upper = online.upper + sp.block_diag(blocks)
             saddle = sp.bmat([[upper, online.div.T], [online.div, None]], format="csc")
-            perm = online.saddle.perm
-            want = saddle[perm][:, perm]
-            got = online.saddle.matrix(blocks)
+            ordered = gmsfem._CoarseSaddle(online.upper, online.div, coarse_cell_order(coarse))
+            want = saddle[ordered.perm][:, ordered.perm]
+            got = ordered.matrix(blocks)
             for x in (got, want):
                 x.eliminate_zeros()  # the fixed pattern may store zeros
                 x.sort_indices()

@@ -7,9 +7,6 @@ from msflow.quadrature import (
     EDGE_G2_W,
     TRI_D4_BARY,
     TRI_D4_W,
-    TRI_MIDPOINT_BARY,
-    TRI_MIDPOINT_W,
-    triangle_rule,
 )
 
 
@@ -23,13 +20,9 @@ def bary_monomial_integral(p, q, r, area=0.5):
     )
 
 
-@pytest.mark.parametrize(
-    "bary,weights,degree",
-    [(TRI_MIDPOINT_BARY, TRI_MIDPOINT_W, 2), (TRI_D4_BARY, TRI_D4_W, 4)],
-)
-def test_triangle_rules_exact_for_barycentric_monomials(bary, weights, degree):
-    area = 0.5
-    for total in range(degree + 1):
+def test_degree4_rule_exact_for_barycentric_monomials():
+    bary, weights, area = TRI_D4_BARY, TRI_D4_W, 0.5
+    for total in range(5):
         for p in range(total + 1):
             for q in range(total - p + 1):
                 r = total - p - q
@@ -45,16 +38,6 @@ def test_edge_rule_exact_to_degree_three():
         assert approx == pytest.approx(1.0 / (k + 1), rel=1e-14)
 
 
-def test_rule_lookup():
-    bary, w = triangle_rule(2)
-    assert len(w) == 3
-    bary, w = triangle_rule(4)
-    assert len(w) == 6
-    with pytest.raises(ValueError):
-        triangle_rule(9)
-
-
 def test_weights_normalized():
-    assert TRI_MIDPOINT_W.sum() == pytest.approx(1.0, abs=1e-15)
     assert TRI_D4_W.sum() == pytest.approx(1.0, abs=1e-15)
     assert EDGE_G2_W.sum() == pytest.approx(1.0, abs=1e-15)

@@ -13,11 +13,11 @@ from msflow.geometry import generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.saddle import (
     RESIDUAL_TOL,
-    OrderedSaddleSystem,
     SaddleSolver,
     SaddleSystem,
     merged_pattern,
     relative_residual,
+    saddle_matrix,
 )
 
 from conftest import desk_domain, make_params, tiny_heterogeneous
@@ -26,11 +26,9 @@ from conftest import desk_domain, make_params, tiny_heterogeneous
 def toy_system(n=4, rng=None):
     rng = rng or np.random.default_rng(0)
     eye = sp.identity(n, format="csr")
-    zero = sp.csr_matrix((n, n))
-    b = sp.identity(n, format="csr")
     f_u = rng.standard_normal(n)
     f_p = rng.standard_normal(n)
-    return SaddleSystem(eye, zero, zero, b, f_u, f_p)
+    return SaddleSystem(saddle_matrix(eye, eye), f_u, f_p)
 
 
 def test_identity_blocks():
@@ -46,11 +44,8 @@ def test_empty_pressure_reduces_to_velocity_solve():
     n = 12
     raw = rng.standard_normal((n, n))
     spd = raw @ raw.T + n * np.eye(n)
-    zero = sp.csr_matrix((n, n))
-    system = SaddleSystem(
-        sp.csr_matrix(spd), zero, zero, sp.csr_matrix((0, n)),
-        rng.standard_normal(n), np.zeros(0),
-    )
+    matrix = saddle_matrix(sp.csr_matrix(spd), sp.csr_matrix((0, n)))
+    system = SaddleSystem(matrix, rng.standard_normal(n), np.zeros(0))
     u, p = SaddleSolver(system).solve()
     assert p.size == 0
     expected = np.linalg.solve(spd, system.f_u)
@@ -63,20 +58,19 @@ def test_block_transpose_consistency():
     raw = rng.standard_normal((nu, nu))
     spd = sp.csr_matrix(raw @ raw.T + nu * np.eye(nu))
     b = sp.csr_matrix(rng.standard_normal((npr, nu)))
-    zero = sp.csr_matrix((nu, nu))
-    system = SaddleSystem(spd, zero, zero, b, rng.standard_normal(nu), rng.standard_normal(npr))
+    matrix = saddle_matrix(spd, b)
+    system = SaddleSystem(matrix, rng.standard_normal(nu), rng.standard_normal(npr))
     u, p = SaddleSolver(system).solve()
     # momentum row uses B^T, continuity row uses B
-    upper = system.velocity_block()
-    assert np.max(np.abs(upper @ u + b.T @ p - system.f_u)) < 1e-9
+    assert np.max(np.abs(spd @ u + b.T @ p - system.f_u)) < 1e-9
     assert np.max(np.abs(b @ u - system.f_p)) < 1e-9
 
 
 def test_singular_system_reported():
     n = 3
-    zero = sp.csr_matrix((n, n))
     singular = sp.csr_matrix(np.zeros((n, n)))
-    system = SaddleSystem(singular, zero, zero, sp.csr_matrix((0, n)), np.ones(n), np.zeros(0))
+    matrix = saddle_matrix(singular, sp.csr_matrix((0, n)))
+    system = SaddleSystem(matrix, np.ones(n), np.zeros(0))
     with pytest.raises(SingularSystemError):
         SaddleSolver(system).solve()
 
@@ -93,18 +87,10 @@ def test_nan_rhs_rejected():
 def test_shape_validation():
     n = 4
     eye = sp.identity(n, format="csr")
-    with pytest.raises(ValueError):
-        SaddleSystem(eye, eye, sp.identity(n + 1, format="csr"),
-                     sp.csr_matrix((2, n)), np.zeros(n), np.zeros(2))
-
-
-def test_mass_symmetry_check():
-    n = 4
-    skew = sp.csr_matrix(np.triu(np.ones((n, n)), 1))
-    zero = sp.csr_matrix((n, n))
-    system = SaddleSystem(skew, zero, zero, sp.csr_matrix((0, n)), np.zeros(n), np.zeros(0))
-    with pytest.raises(ValueError, match="asymmetry"):
-        system.check_mass_symmetry()
+    with pytest.raises(ValueError):  # the divergence does not fit the velocity block
+        saddle_matrix(eye, sp.csr_matrix((2, n + 1)))
+    with pytest.raises(ValueError, match="matrix shape"):
+        SaddleSystem(saddle_matrix(eye, sp.csr_matrix((2, n))), np.zeros(n), np.zeros(3))
 
 
 def test_batch_solve_matches_single():
@@ -164,13 +150,12 @@ def _step_system(mesh, params):
     return ops, u1
 
 
-def _block_system(ops, u_lin):
-    """The step linearized at u_lin as a SaddleSystem of CSR blocks."""
+def _block_upper(ops, u_lin):
+    """The velocity block of the step linearized at u_lin, summed from the
+    CSR blocks."""
     conv = forms.convection_block(ops.patch, ops.params, u_lin)
     forch = forms.forchheimer_block(ops.patch, ops.params, u_lin)
-    return SaddleSystem(
-        ops.mass, ops.viscous + conv, ops.darcy + forch, ops.div, ops.f_u, ops.f_p
-    )
+    return ops.mass + (ops.viscous + conv) + (ops.darcy + forch)
 
 
 @pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
@@ -182,11 +167,11 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
     ops, u1 = _step_system(mesh, make_params(tau=2e-4))
     system = ops.system(u1)
     rhs_u = ops.mass @ u1 + ops.f_u
-    assert isinstance(system, OrderedSaddleSystem)
     _, perm = oracles.block_step_matrix(ops, u1)
     assert np.array_equal(system.perm, perm)
     ordered = SaddleSolver(system)
-    colamd = SaddleSolver(_block_system(ops, u1))
+    block = saddle_matrix(_block_upper(ops, u1), ops.div)
+    colamd = SaddleSolver(SaddleSystem(block, ops.f_u, ops.f_p))
     assert ordered.perm is system.perm and colamd.perm is None
     x_ord = np.concatenate(ordered.solve(rhs_u, system.f_p))
     x_col = np.concatenate(colamd.solve(rhs_u, system.f_p))
@@ -199,27 +184,27 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
 
 
 def test_pinned_system_ignores_cell_order():
-    # a pinned system is assembled from its blocks and ordered by COLAMD;
-    # an ordered system cannot be pinned
+    # the pinned matrix replaces the first continuity row by p_0; it has no
+    # perm, so SaddleSolver orders it by COLAMD
     mesh, _ = tiny_heterogeneous()
     ops, u1 = _step_system(mesh, make_params())
-    system = _block_system(ops, u1)
+    upper = _block_upper(ops, u1)
+    matrix = saddle_matrix(upper, ops.div, pin=True)
+    nu, npr = ops.div.shape[1], ops.div.shape[0]
+    dense = np.zeros((nu + npr, nu + npr))
+    dense[:nu, :nu] = upper.toarray()
+    dense[:nu, nu:] = ops.div.T.toarray()
+    dense[nu + 1 :, :nu] = ops.div.toarray()[1:]
+    dense[nu, nu] = 1.0
+    assert np.array_equal(matrix.toarray(), dense)
     rhs_u = ops.mass @ u1 + ops.f_u
-    pinned = SaddleSolver(system, pin_pressure=True)
-    assert pinned.perm is None
-    div = system.div.tolil(copy=True)
-    div[0, :] = 0.0
-    pin = sp.coo_matrix(([1.0], ([0], [0])), shape=(system.n_pressure,) * 2)
-    matrix = sp.bmat(
-        [[system.velocity_block(), system.div.T], [div.tocsr(), pin]], format="csc"
-    )
-    rhs_p = system.f_p.copy()
+    rhs_p = ops.f_p.copy()
     rhs_p[0] = 0.0
+    pinned = SaddleSolver(SaddleSystem(matrix, rhs_u, rhs_p))
+    assert pinned.perm is None
     want = spla.splu(matrix, permc_spec="COLAMD").solve(np.concatenate([rhs_u, rhs_p])[:, None])
-    u, p, _ = pinned.solve_many(rhs_u[:, None], system.f_p[:, None])
+    u, p, _ = pinned.solve_many(rhs_u[:, None], rhs_p[:, None])
     assert np.array_equal(np.vstack([u, p]), want)
-    with pytest.raises(ValueError, match="pinned"):
-        SaddleSolver(ops.system(u1), pin_pressure=True)
 
 
 def test_cell_order_must_permute_the_cells():
