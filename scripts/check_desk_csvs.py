@@ -9,11 +9,19 @@ every differing cell: file, M, column, committed value and new value.
 Takes a few minutes.
 
     python scripts/check_desk_csvs.py
+    python scripts/check_desk_csvs.py --rtol 1e-6
+
+With --rtol TOL it compares the numbers instead of the bytes: it prints the
+largest relative change of each column over all files and rows, and exits 0
+only when every change is at most TOL and the files, headers and M rows are
+the same.
 """
 
+import argparse
 import contextlib
 import filecmp
 import io
+import math
 import pathlib
 import sys
 import tempfile
@@ -65,7 +73,59 @@ def differing_cells(name, committed, new):
     return lines
 
 
-def run():
+def relative_change(want, got):
+    """|got - want| / |want| of two CSV cells: 0 for equal text, inf for a
+    change from zero or to or from a value that is not finite."""
+    if want == got:
+        return 0.0
+    w, g = float(want), float(got)
+    change = abs(g - w) / abs(w) if w else math.inf
+    return change if math.isfinite(change) else math.inf
+
+
+def column_changes(committed, new):
+    """The largest relative change of each column of two CSV texts, as
+    {column: (change, M)}; None when their headers, M rows or row lengths
+    differ."""
+    old_rows = [line.split(",") for line in committed.splitlines() if line]
+    new_rows = [line.split(",") for line in new.splitlines() if line]
+    same_m = [row[0] for row in old_rows] == [row[0] for row in new_rows]
+    if not old_rows or not same_m or old_rows[0] != new_rows[0]:
+        return None
+    changes = {}
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        if len(old_row) != len(new_row) or len(old_row) != len(old_rows[0]):
+            return None
+        for col, want, got in zip(old_rows[0][1:], old_row[1:], new_row[1:]):
+            change = relative_change(want, got)
+            if col not in changes or change > changes[col][0]:
+                changes[col] = (change, old_row[0])
+    return changes
+
+
+def report_rtol(texts, rtol):
+    """Print the largest relative change per column over the CSV text pairs
+    {name: (committed, new)}; returns 0 when every change is at most rtol
+    and every pair has the same layout, else 1."""
+    worst, status = {}, 0
+    for name, (committed, new) in sorted(texts.items()):
+        changes = column_changes(committed, new)
+        if changes is None:
+            print(f"DIFFERS: {name}: header, M rows or row lengths differ")
+            status = 1
+            continue
+        for col, (change, m) in changes.items():
+            if col not in worst or change > worst[col][0]:
+                worst[col] = (change, name, m)
+    for col, (change, name, m) in worst.items():
+        verdict = "ok" if change <= rtol else "EXCEEDS"
+        print(f"{col}: largest relative change {change:.3e} ({name}, M={m}) {verdict}")
+        status = status if change <= rtol else 1
+    print(f"{'within' if status == 0 else 'not within'} rtol {rtol:g}")
+    return status
+
+
+def run(rtol=None):
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = pathlib.Path(tmp)
         with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
@@ -75,6 +135,16 @@ def run():
             print(f"msflow sweep exited with status {status}")
             return 1
         want, bad = check(out_dir)
+        if rtol is not None:
+            got = sorted(p.name for p in out_dir.glob("errors_da_*.csv"))
+            if not want or got != want:
+                print(f"sweep CSVs {got} do not match {want} under {COMMITTED}")
+                return 1
+            texts = {
+                name: ((COMMITTED / name).read_text(), (out_dir / name).read_text())
+                for name in want
+            }
+            return report_rtol(texts, rtol)
         for name in bad:
             print(f"DIFFERS: {name}")
             old, new = COMMITTED / name, out_dir / name
@@ -91,4 +161,8 @@ def run():
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--rtol", type=float, default=None, help="compare numbers within this relative tolerance"
+    )
+    sys.exit(run(parser.parse_args().rtol))

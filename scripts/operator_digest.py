@@ -23,8 +23,9 @@ it digests:
   final coarse and fine states of `run_multiscale` at every size, `r_u`
   after a `save_space` / `load_space` round trip through a temporary
   directory, every coarse cell's eigenvalues in the plain and the
-  oversampled space, and the oversampled `r_u` and `r_p` at M=16.  The
-  eigenvalues and the two `r_u` cover every pinned snapshot solve.
+  oversampled space, the oversampled `r_u` and `r_p` at M=16, and the final
+  coarse and fine states of the oversampled `run_multiscale` at every size.
+  The eigenvalues and the two `r_u` cover every pinned snapshot solve.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
 array through its dtype and shape as well as its bytes.  Takes about twenty
@@ -131,8 +132,8 @@ def main():
 
 
 def multiscale(mesh, coarse, params, bc):
-    """The offline stage at MS_DARCY, plain and oversampled, the plain
-    online stage and a cache round trip."""
+    """The offline stage at MS_DARCY, plain and oversampled, the online
+    stage of both and a cache round trip."""
     ops = StepOperators(mesh, params, bc)
     m_max = max(MS_SIZES)
     u_lin = gmsfem.compute_linearization_field(mesh, params, bc)
@@ -143,11 +144,7 @@ def multiscale(mesh, coarse, params, bc):
         tag = f"ms.da={MS_DARCY:g}.m{m}"
         show(f"{tag} r_u", sub.r_u)
         show(f"{tag} r_p", sub.r_p)
-        traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space=sub, ops=ops)
-        show(f"{tag} coarse.velocity", traj.final.velocity)
-        show(f"{tag} coarse.pressure", traj.final.pressure)
-        show(f"{tag} fine.velocity", fine_state.velocity)
-        show(f"{tag} fine.pressure", fine_state.pressure)
+        online(mesh, coarse, params, bc, sub, ops, tag)
     with tempfile.TemporaryDirectory() as cache:
         gmsfem.save_space(cache, mesh, params, bc, space)
         loaded = gmsfem.load_space(cache, mesh, coarse, params, bc, m_max, False)
@@ -161,6 +158,18 @@ def multiscale(mesh, coarse, params, bc):
             show(f"{tag}.eigenvalues", basis.eigenvalues)
     show(f"ms.da={MS_DARCY:g}.m{m_max} os.r_u", over.r_u)
     show(f"ms.da={MS_DARCY:g}.m{m_max} os.r_p", over.r_p)
+    for m in MS_SIZES:
+        sub = over if m == m_max else gmsfem.resize_space(over, mesh, coarse, m)
+        online(mesh, coarse, params, bc, sub, ops, f"ms.da={MS_DARCY:g}.m{m} os")
+
+
+def online(mesh, coarse, params, bc, space, ops, tag):
+    """The final coarse and fine states of run_multiscale on a space."""
+    traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)
+    show(f"{tag} coarse.velocity", traj.final.velocity)
+    show(f"{tag} coarse.pressure", traj.final.pressure)
+    show(f"{tag} fine.velocity", fine_state.velocity)
+    show(f"{tag} fine.pressure", fine_state.pressure)
 
 
 if __name__ == "__main__":

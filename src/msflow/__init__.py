@@ -12,7 +12,7 @@ from .analysis import (
     field_statistics,
 )
 from .errors import ConfigError, MeshFormatError, MsflowError, SingularSystemError
-from .fine_solver import StepOperators, Trajectory, run_fine, time_step
+from .fine_solver import StepOperators, Trajectory, run_fine
 from .geometry import (
     CircleInclusion,
     CoarseGrid,

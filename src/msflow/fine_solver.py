@@ -10,13 +10,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import forms
+from .errors import SingularSystemError
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import ND_LEAF_CELLS, full_patch, nested_dissection_order
-from .saddle import SaddleSolver, SaddleSystem, ordered_pattern, relative_residual, saddle_matrix
+from .saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, relative_residual, saddle_matrix
 
 
 @dataclass
@@ -81,29 +81,26 @@ class _OrderedStep:
     """The saddle matrix of the nonlinear steps, kept in factor order.
 
     The order lists the cells by nested dissection, each cell's six
-    velocity DOFs followed by its pressure DOF.  Convection and the
-    quadratic drag are cell-local, so a step changes only the two
-    component-diagonal 3x3 velocity blocks of every cell.  The static matrix
-    is permuted into CSC form once; a step copies its data and writes
-    (m + (v + c)) + (d + f) at the cell-block entries, with m, v, d the
-    stored mass, viscous and Darcy values there and c, f the convection and
-    Forchheimer cell blocks.  These are the additions, in the same order,
-    of summing the CSR blocks mass + (viscous + conv) + (darcy + forch), so
-    the matrix is the permuted block sum bit for bit.
+    velocity DOFs followed by its pressure DOF (see CellOrderedSaddle).
+    Convection and the quadratic drag are cell-local, so a step changes only
+    the two component-diagonal 3x3 velocity blocks of every cell.  A step
+    writes (m + (v + c)) + (d + f) at the cell-block entries, with m, v, d
+    the stored mass, viscous and Darcy values there and c, f the convection
+    and Forchheimer cell blocks.  These are the additions, in the same
+    order, of summing the CSR blocks mass + (viscous + conv) + (darcy +
+    forch), so the matrix is the permuted block sum bit for bit.
     """
 
     def __init__(self, ops):
         patch = ops.patch
         n = patch.n_cells
-        order = ops.cell_order
-        self.perm = np.column_stack([forms.cell_dofs(order).reshape(-1, 6), 6 * n + order]).ravel()
         upper = ops.mass + ops.viscous + ops.darcy
         # Entry [c, d, a, b] couples test vertex a to trial vertex b in
         # component d of cell c.
         dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
         rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
         cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
-        self.pattern, self.pos = ordered_pattern(upper, ops.div, self.perm, rows, cols)
+        self.saddle = CellOrderedSaddle(upper, ops.div, ops.cell_order, rows, cols)
         self.m, self.v, d = (
             np.asarray(block[rows.ravel(), cols.ravel()]).reshape(n, 2, 3, 3)
             for block in (ops.mass, ops.viscous, ops.darcy)
@@ -126,50 +123,43 @@ class _OrderedStep:
             )
             drag = drag + forch[:, None]
         values[self.porous] += drag
-        data = self.pattern.data.copy()
-        data[self.pos] = values
-        matrix = sp.csc_matrix((data, self.pattern.indices, self.pattern.indptr), self.pattern.shape)
-        return SaddleSystem(matrix, self.f_u, self.f_p, self.perm)
+        return self.saddle.system(values, self.f_u, self.f_p)
 
 
-def time_step(mesh, params, bc, state, u_lin=None, ops=None):
-    """Advance one implicit step from the given state.
-
-    The linearization field defaults to the state's own velocity (previous
-    layer); pass an explicit field (e.g. zeros) to control it.
-    """
-    ops = ops if ops is not None else StepOperators(mesh, params, bc)
-    state.validate(ops.patch.n_cells)
-    if u_lin is None:
-        u_lin = state.velocity
-    system = ops.system(u_lin)
-    rhs_u = ops.mass @ state.velocity + ops.f_u
-    u, p = SaddleSolver(system).solve(rhs_u, ops.f_p)
-    return DGState(u, p)
+def march(step_solve, mass, f_u, n_p, div_residual, params, label):
+    """The implicit loop from the zero state, shared by the fine and the
+    coarse runs: step k solves step_solve(u, mass @ u + f_u) for the
+    velocity and pressure of layer k + 1 from the velocity u of layer k, and
+    records div_residual of the new velocity.  A SingularSystemError is
+    raised again naming the step as "{label} {k}"."""
+    state = DGState(np.zeros(mass.shape[0]), np.zeros(n_p))
+    states = [state]
+    residuals = np.empty(params.n_steps)
+    for step in range(params.n_steps):
+        try:
+            state = DGState(*step_solve(state.velocity, mass @ state.velocity + f_u))
+        except SingularSystemError as exc:
+            raise SingularSystemError(f"{label} {step}: {exc}") from exc
+        residuals[step] = div_residual(state.velocity)
+        states.append(state)
+    times = params.tau * np.arange(params.n_steps + 1)
+    return Trajectory(states, times, residuals)
 
 
 def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None):
     """Run the implicit loop from the zero state and record every layer.
 
     linear=True freezes convection and the quadratic drag at zero throughout,
-    which makes the step matrix constant (factored once).
+    which makes the step matrix constant (factored once, by COLAMD).
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc, forcing=forcing)
-    n_cells = ops.patch.n_cells
-    state = DGState.zeros(n_cells)
-    states = [state]
-    residuals = np.empty(params.n_steps)
-
-    solver = SaddleSolver(ops.system(None)) if linear else None
+    linear_solver = SaddleSolver(ops.system(None)) if linear else None
     ordered = None if linear else _OrderedStep(ops)
-    for step in range(params.n_steps):
-        rhs_u = ops.mass @ state.velocity + ops.f_u
-        if linear:
-            u, p = solver.solve(rhs_u, ops.f_p)
-        else:
-            u, p = SaddleSolver(ordered.system(state.velocity)).solve(rhs_u, ops.f_p)
-        state = DGState(u, p)
-        residuals[step] = ops.div_residual(u)
-        states.append(state)
-    times = params.tau * np.arange(params.n_steps + 1)
-    return Trajectory(states, times, residuals)
+
+    def step_solve(u, rhs_u):
+        solver = linear_solver if ordered is None else SaddleSolver(ordered.system(u))
+        return solver.solve(rhs_u, ops.f_p)
+
+    return march(
+        step_solve, ops.mass, ops.f_u, ops.patch.n_cells, ops.div_residual, params, "fine step"
+    )

@@ -24,16 +24,16 @@ import scipy.sparse as sp
 
 from . import forms
 from .errors import ConfigError, SingularSystemError
-from .fine_solver import StepOperators, Trajectory, run_fine
+from .fine_solver import StepOperators, march, run_fine
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_order, coarse_cell_patch
 from .quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
 from .saddle import (
     RESIDUAL_TOL,
+    CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
-    ordered_pattern,
     relative_residual,
     saddle_matrix,
 )
@@ -229,9 +229,9 @@ def spectral_reduce(snapshots, mesh, coarse, params, m):
         raise ValueError(f"basis size {m} outside 1..{n_snap}")
     w, v, _ = generalized_eigh(*snapshot_pencil(snapshots, mesh, coarse, params))
     if m > len(w):
-        raise ValueError(
-            f"coarse cell {snapshots.cell_index}: only {len(w)} independent "
-            f"modes available, cannot retain {m}"
+        raise ConfigError(
+            f"basis size {m} exceeds the {len(w)} modes kept of the {n_snap} "
+            f"snapshots of coarse cell {snapshots.cell_index}"
         )
     return CellBasis(
         cell_index=snapshots.cell_index,
@@ -488,46 +488,6 @@ class _Family:
         )
 
 
-class _CoarseSaddle:
-    """The projected saddle matrix [[upper, B^T], [B, 0]] of one basis size,
-    kept in factor order in CSC form with a pattern fixed for the run: the
-    static upper block and B, plus a dense m x m diagonal block per coarse
-    cell for the nonlinear terms.
-
-    The order lists the coarse cells in cell_order, each cell's m velocity
-    unknowns followed by its pressure unknown, so a cell's pressure is
-    eliminated right after its own velocity; SaddleSolver factors the
-    matrix in that order with diagonal pivots, as it does the fine step.
-    """
-
-    def __init__(self, upper, b_h, cell_order):
-        n = len(cell_order)
-        m = upper.shape[0] // n
-        velocity = m * cell_order[:, None] + np.arange(m)
-        self.perm = np.column_stack([velocity, m * n + cell_order]).ravel()
-        base = m * np.arange(n)[:, None, None]
-        rows = base + np.arange(m)[None, :, None]
-        cols = base + np.arange(m)[None, None, :]
-        self.base, self.block_pos = ordered_pattern(upper, b_h, self.perm, rows, cols)
-
-    def matrix(self, blocks):
-        """The ordered matrix with the per-cell blocks added to the upper
-        block."""
-        data = self.base.data.copy()
-        data[self.block_pos] += blocks
-        return sp.csc_matrix((data, self.base.indices, self.base.indptr), shape=self.base.shape)
-
-    def solve(self, blocks, rhs_u, rhs_p, step):
-        """Velocity and pressure of online step `step`, whose nonlinear
-        blocks are `blocks`; a failed factorization or a residual above
-        RESIDUAL_TOL raises SingularSystemError naming the step."""
-        system = SaddleSystem(self.matrix(blocks), rhs_u, rhs_p, self.perm)
-        try:
-            return SaddleSolver(system).solve()
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"online step {step}: coarse system: {exc}") from exc
-
-
 def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=None, ops=None):
     """Online stage: march the projected system and reconstruct the fine
     velocity.
@@ -538,7 +498,8 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     space or any resize_space slice of it projects the static blocks and
     builds the convection tensors and porous quadrature values at the
     family's largest size, and every call reads their m-prefix; the coarse
-    saddle pattern is built once per call.  A step costs
+    saddle pattern is built once per call and the steps run in the fine
+    run's loop (fine_solver.march).  A step costs
     O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
     coarse trajectory and the reconstructed fine state at the final time.
     """
@@ -548,21 +509,27 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
         space = build_multiscale_space(mesh, coarse, params, bc, m=m, oversampled=oversampled)
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
     online = space.family.operators(mesh, coarse, params, ops, space.m)
-    m_h, b_h, f_u, f_p = online.mass, online.div, online.f_u, online.f_p
+    b_h, f_p = online.div, online.f_p
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
-    saddle = _CoarseSaddle(online.upper, b_h, coarse_cell_order(coarse))
+    # A dense m x m block per coarse cell holds the nonlinear terms.
+    n, m = coarse.n_cells, space.m
+    base = m * np.arange(n)[:, None, None]
+    rows = base + np.arange(m)[None, :, None]
+    cols = base + np.arange(m)[None, None, :]
+    saddle = CellOrderedSaddle(online.upper, b_h, coarse_cell_order(coarse), rows, cols)
 
-    u_h = np.zeros(space.n_u)
-    p_h = np.zeros(space.n_p)
-    states = [DGState(u_h.copy(), p_h.copy())]
-    residuals = np.empty(params.n_steps)
-    for step in range(params.n_steps):
-        u_h, p_h = saddle.solve(online.nonlinear(u_h), m_h @ u_h + f_u, f_p, step)
-        residuals[step] = relative_residual(b_h, u_h, f_p, b_scale)
-        states.append(DGState(u_h.copy(), p_h.copy()))
-    times = params.tau * np.arange(params.n_steps + 1)
-    coarse_traj = Trajectory(states, times, residuals)
-    fine_state = DGState(space.r_u.T @ u_h, space.r_p.T @ p_h)
+    def step_solve(u_h, rhs_u):
+        blocks = online.nonlinear(u_h)
+        return SaddleSolver(saddle.system(saddle.static + blocks, rhs_u, f_p)).solve()
+
+    def div_residual(u_h):
+        return relative_residual(b_h, u_h, f_p, b_scale)
+
+    coarse_traj = march(
+        step_solve, online.mass, online.f_u, space.n_p, div_residual, params, "online step"
+    )
+    final = coarse_traj.final
+    fine_state = DGState(space.r_u.T @ final.velocity, space.r_p.T @ final.pressure)
     return coarse_traj, fine_state
 
 

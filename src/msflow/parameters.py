@@ -96,9 +96,6 @@ class DGState:
     def zeros(n_cells):
         return DGState(np.zeros(6 * n_cells), np.zeros(n_cells))
 
-    def copy(self):
-        return DGState(self.velocity.copy(), self.pressure.copy())
-
 
 class BoundaryData:
     """Velocity data on the Dirichlet sides plus optional analytic extras.

@@ -73,16 +73,38 @@ def merged_pattern(matrix, rows, cols):
     return extended, np.searchsorted(merged, wanted).astype(extended.indices.dtype)
 
 
-def ordered_pattern(upper, div, perm, rows, cols):
-    """The static saddle matrix [[upper, div^T], [div, 0]] permuted into the
-    order perm (row i is row perm[i] of the unpermuted matrix), in CSC form
-    with its pattern extended by the entries (rows, cols) of the unpermuted
-    numbering; returns it and the data positions of those entries, as
-    merged_pattern does."""
-    position = np.empty_like(perm)
-    position[perm] = np.arange(len(perm))
-    static = saddle_matrix(upper, div)
-    return merged_pattern(static[perm][:, perm], position[rows], position[cols])
+class CellOrderedSaddle:
+    """The saddle matrix [[upper, div^T], [div, 0]] in a cell order, kept in
+    CSC form with a pattern fixed for its lifetime.
+
+    perm lists each cell in order as its k = upper.shape[0] // len(order)
+    velocity unknowns followed by its pressure unknown, so SaddleSolver
+    factors the matrix as it stands, with diagonal pivots.  The pattern is
+    extended by the entries (rows, cols) of the unpermuted numbering (see
+    merged_pattern), at the data positions pos.
+    """
+
+    def __init__(self, upper, div, order, rows, cols):
+        k = upper.shape[0] // len(order)
+        velocity = k * order[:, None] + np.arange(k)
+        self.perm = np.column_stack([velocity, k * len(order) + order]).ravel()
+        position = np.empty_like(self.perm)
+        position[self.perm] = np.arange(len(self.perm))
+        static = saddle_matrix(upper, div)[self.perm][:, self.perm]
+        self.pattern, self.pos = merged_pattern(static, position[rows], position[cols])
+
+    @property
+    def static(self):
+        """The static values stored at the entries (rows, cols)."""
+        return self.pattern.data[self.pos]
+
+    def system(self, values, f_u, f_p):
+        """The ordered system with values at the entries (rows, cols)."""
+        pattern = self.pattern
+        data = pattern.data.copy()
+        data[self.pos] = values
+        matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        return SaddleSystem(matrix, f_u, f_p, self.perm)
 
 
 class SaddleSolver:

@@ -280,6 +280,21 @@ def test_basis_size_above_the_snapshot_count_exits_before_any_solve(
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_basis_size_above_the_kept_rank_exits_with_config_status(tmp_path, capsys):
+    # 32 snapshots per oversampled cell, of which the rank filter keeps 27
+    cfg = write_config(
+        tmp_path,
+        "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
+        "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"
+        "[model]\npreset = test1\nn_steps = 2\n"
+        f"[run]\nmode = ms\nm = 30\noversampled = true\nout = {tmp_path / 'out'}\n",
+    )
+    with pytest.warns(RuntimeWarning, match="keeping 27 of 32"):
+        assert cli.main(["ms", "--config", str(cfg)]) == 2
+    message = "basis size 30 exceeds the 27 modes kept of the 32 snapshots of coarse cell 0"
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_ms_mode_with_basis_cache_reuses_results(tmp_path):
     cache = tmp_path / "cache"
     text = (

@@ -5,10 +5,12 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from msflow import forms, gmsfem
-from msflow.fine_solver import StepOperators, run_fine, time_step
+from msflow.errors import SingularSystemError
+from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import POROUS, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, DGState, ModelParameters
 from msflow.patches import ND_LEAF_CELLS, bisect_cells, full_patch, nested_dissection_order
+from msflow.saddle import SaddleSolver
 
 from conftest import desk_domain, make_params, tiny_heterogeneous
 
@@ -31,12 +33,19 @@ def test_zero_data_zero_trajectory():
     assert traj.times[-1] == pytest.approx(params.t_max)
 
 
+def step(ops, state, u_lin):
+    """One implicit step from state, linearized at u_lin."""
+    rhs_u = ops.mass @ state.velocity + ops.f_u
+    return DGState(*SaddleSolver(ops.system(u_lin)).solve(rhs_u, ops.f_p))
+
+
 def test_single_step_equals_run_with_one_step():
     mesh, _, params = small_channel(n=2, **{"n_steps": 1})
     bc = BoundaryData.inflow((1.0, 0.0))
     traj = run_fine(mesh, params, bc)
     ops = StepOperators(mesh, params, bc)
-    state = time_step(mesh, params, bc, DGState.zeros(mesh.n_cells), ops=ops)
+    zero = DGState.zeros(mesh.n_cells)
+    state = step(ops, zero, zero.velocity)
     assert np.allclose(traj.final.velocity, state.velocity)
     assert np.allclose(traj.final.pressure, state.pressure)
 
@@ -47,7 +56,8 @@ def test_stokes_step_matches_dense_oracle():
     params = make_params(porosity=1.0, forchheimer=0.0)
     bc = BoundaryData.inflow((1.0, 0.0))
     ops = StepOperators(mesh, params, bc)
-    state = time_step(mesh, params, bc, DGState.zeros(mesh.n_cells), u_lin=None, ops=ops)
+    zero = DGState.zeros(mesh.n_cells)
+    state = step(ops, zero, zero.velocity)
     # dense solve of the same assembled block system
     upper = (ops.mass + ops.viscous + ops.darcy).toarray()
     b = ops.div.toarray()
@@ -60,6 +70,16 @@ def test_stokes_step_matches_dense_oracle():
     x = np.linalg.solve(full, rhs)
     assert np.max(np.abs(state.velocity - x[:n_u])) < 1e-10 * max(1.0, np.abs(x).max())
     assert np.max(np.abs(state.pressure - x[n_u:])) < 1e-10 * max(1.0, np.abs(x).max())
+
+
+@pytest.mark.parametrize("linear", [True, False], ids=["linear", "nonlinear"])
+def test_failed_step_names_the_fine_step(linear):
+    mesh, _, params = small_channel(n=2, **{"n_steps": 3})
+    bc = BoundaryData.inflow((1.0, 0.0))
+    ops = StepOperators(mesh, params, bc)
+    ops.f_u[0] = np.nan
+    with pytest.raises(SingularSystemError, match="^fine step 0: non-finite right-hand side"):
+        run_fine(mesh, params, bc, linear=linear, ops=ops)
 
 
 def test_divergence_residual_recorded():
@@ -100,7 +120,7 @@ def test_energy_dissipation_linear_regime():
     energies = []
     for _ in range(5):
         energies.append(state.velocity @ (ops.mass @ state.velocity))
-        state = time_step(mesh, params, bc, state, u_lin=np.zeros(6 * mesh.n_cells), ops=ops)
+        state = step(ops, state, np.zeros(6 * mesh.n_cells))
     energies.append(state.velocity @ (ops.mass @ state.velocity))
     assert all(b <= a * (1 + 1e-12) for a, b in zip(energies, energies[1:]))
 

@@ -9,14 +9,25 @@ import scipy.sparse as sp
 
 from msflow import forms, gmsfem
 from msflow.errors import ConfigError, SingularSystemError
-from msflow.fine_solver import StepOperators, run_fine
+from msflow.fine_solver import StepOperators, march, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
-from msflow.saddle import SaddleSolver, SaddleSystem, saddle_matrix
+from msflow.saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, saddle_matrix
 
 from conftest import assert_same_bases, desk_domain, make_params, tiny_heterogeneous
+
+
+def coarse_saddle(upper, b_h, order):
+    """The ordered coarse saddle with a dense m x m block per coarse cell,
+    as run_multiscale builds it."""
+    n = len(order)
+    m = upper.shape[0] // n
+    base = m * np.arange(n)[:, None, None]
+    rows = base + np.arange(m)[None, :, None]
+    cols = base + np.arange(m)[None, None, :]
+    return CellOrderedSaddle(upper, b_h, order, rows, cols)
 
 
 class TestLinearizationField:
@@ -413,11 +424,21 @@ class TestOnlineStage:
     def test_singular_coarse_system_raises_without_warning(self):
         upper = sp.diags([1.0, 0.0, 2.0])  # second velocity mode decoupled
         b_h = sp.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
-        saddle = gmsfem._CoarseSaddle(upper, b_h, np.array([0]))
+        saddle = coarse_saddle(upper, b_h, np.array([0]))
+        steps = iter(range(10))
+
+        def step_solve(u_h, rhs_u):
+            # the nonlinear block couples the second mode until step 7
+            blocks = np.eye(3)[None] * (next(steps) < 7)
+            return SaddleSolver(saddle.system(saddle.static + blocks, rhs_u, np.ones(1))).solve()
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularSystemError, match="online step 7"):
-                saddle.solve(np.zeros((1, 3, 3)), np.ones(3), np.ones(1), 7)
+            with pytest.raises(SingularSystemError, match="^online step 7: "):
+                march(
+                    step_solve, sp.identity(3), np.ones(3), 1, lambda u_h: 0.0,
+                    make_params(n_steps=10), "online step",
+                )
 
 
 def _run(mesh, coarse, params, bc, space, ops):
@@ -509,9 +530,9 @@ class TestFamilyRecord:
             blocks = online.nonlinear(rng.standard_normal(m * coarse.n_cells))
             upper = online.upper + sp.block_diag(blocks)
             saddle = sp.bmat([[upper, online.div.T], [online.div, None]], format="csc")
-            ordered = gmsfem._CoarseSaddle(online.upper, online.div, coarse_cell_order(coarse))
+            ordered = coarse_saddle(online.upper, online.div, coarse_cell_order(coarse))
             want = saddle[ordered.perm][:, ordered.perm]
-            got = ordered.matrix(blocks)
+            got = ordered.system(ordered.static + blocks, online.f_u, online.f_p).matrix
             for x in (got, want):
                 x.eliminate_zeros()  # the fixed pattern may store zeros
                 x.sort_indices()
@@ -542,7 +563,7 @@ def test_coarse_order_puts_each_cell_pressure_after_its_velocity(shape, separato
     # the first cut splits the wider side; the cells next to it come last
     assert np.array_equal(np.sort(order[-len(separator) :]), separator)
     upper, b_h = sp.identity(m * n, format="csr"), sp.csr_matrix((n, m * n))
-    perm = gmsfem._CoarseSaddle(upper, b_h, order).perm
+    perm = coarse_saddle(upper, b_h, order).perm
     assert np.array_equal(np.sort(perm), np.arange((m + 1) * n))
     unknowns = perm.reshape(n, m + 1)  # one row per cell in elimination order
     assert np.array_equal(unknowns[:, :m], m * order[:, None] + np.arange(m))
