@@ -89,7 +89,10 @@ class _SpaceProvider:
     """Basis spaces for every requested size: one space of size m_max per
     oversampling setting, loaded from the optional file cache or built (and
     then cached), and row-sliced to each smaller size (offline eigenvectors
-    are prefix-reusable)."""
+    are prefix-reusable).
+
+    The ms and sweep modes get their m_max spaces before the fine reference,
+    so a basis size above a coarse cell's kept rank fails before that run."""
 
     def __init__(self, spec, mesh, coarse, params, bc, m_max):
         self.spec = spec
@@ -139,12 +142,13 @@ def _check_basis_size(m, mesh, coarse, settings):
 def run_ms_mode(spec, mesh, coarse):
     params, bc = spec.params, spec.bc
     _check_basis_size(max(spec.m_list), mesh, coarse, (spec.oversampled,))
+    provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
+    provider.get(provider.m_max, spec.oversampled)
     ops = StepOperators(mesh, params, bc)
     if spec.reference:
         ref = _load_reference(spec.reference, mesh)
     else:
         ref = _run_reference(mesh, params, bc, ops)
-    provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
     for m in sorted(spec.m_list):
         sub = provider.get(m, spec.oversampled)
         traj, fine_state = gmsfem.run_multiscale(
@@ -167,9 +171,11 @@ def run_ms_mode(spec, mesh, coarse):
 def _sweep_one_da(spec, mesh, coarse, darcy):
     params = spec.params.with_darcy(darcy)
     bc = spec.bc
+    provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
+    for oversampled in (False, True):
+        provider.get(provider.m_max, oversampled)
     ops = StepOperators(mesh, params, bc)
     ref = _run_reference(mesh, params, bc, ops)
-    provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
     results = {}
     for oversampled in (False, True):
         for m in spec.m_list:

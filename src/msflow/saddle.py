@@ -8,6 +8,14 @@ from dataclasses import dataclass
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
+# The precision rule of SaddleSolver.  SINGLE_MIN lies above every coarse
+# online system and below every fine step: a float32 factor of a few hundred
+# unknowns saves nothing, and each correction costs a solve and a product.
+# REFINE_TARGET is the float64 unit roundoff; a float64 factor leaves 4e-19
+# to 7e-17 on the fine steps, so a lower target can be out of reach.
+SINGLE_MIN = 4096
+REFINE_TARGET = np.finfo(float).eps / 2
+REFINE_MAX = 5
 
 
 @dataclass
@@ -117,7 +125,16 @@ class SaddleSolver:
     pressure block pivotable on the diagonal; the right-hand sides and the
     solution are permuted around the triangular solves.
 
-    self.matrix is the factored matrix; the residual gate is taken on it.
+    A system with perm and at least SINGLE_MIN unknowns is factored from a
+    float32 copy of its matrix (single is True); each solve refines the
+    float32 solution y by y -= LU32^-1 (A y - rhs), with A and the residual
+    in float64, until the relative residual reaches REFINE_TARGET
+    (corrections counts the corrections of the last solve).  If the float32
+    factor fails or a solve misses the target within REFINE_MAX
+    corrections, the solver factors the float64 matrix, solves directly
+    from then on and sets fell_back.
+
+    self.matrix is the float64 matrix; the residual gate is taken on it.
     """
 
     def __init__(self, system):
@@ -125,19 +142,46 @@ class SaddleSolver:
         self.perm = system.perm
         matrix = system.matrix.tocsc()
         if self.perm is None:
-            options = dict(permc_spec="COLAMD")
+            self._options = dict(permc_spec="COLAMD")
         else:
-            options = dict(
+            self._options = dict(
                 permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
             )
         if not np.all(np.isfinite(matrix.data)):
             raise SingularSystemError("non-finite entries in assembled blocks")
         self.scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
+        self.matrix = matrix
+        self.corrections = 0
+        self.fell_back = False
+        self.single = self.perm is not None and matrix.shape[0] >= SINGLE_MIN
+        self.lu = self._single_factor() if self.single else self._factor()
+        if self.lu is None:
+            self._fall_back()
+
+    def _single_factor(self):
+        """The factor of self.matrix rounded to float32, or None when there
+        is none."""
+        with np.errstate(over="ignore"):  # entries beyond float32 range become inf
+            single = self.matrix.astype(np.float32)
+        if np.all(np.isfinite(single.data)):
+            try:
+                return spla.splu(single, **self._options)
+            except RuntimeError:  # singular in float32
+                pass
+        return None
+
+    def _factor(self):
+        """The float64 factor of self.matrix."""
         try:
-            self.lu = spla.splu(matrix, **options)
+            return spla.splu(self.matrix, **self._options)
         except RuntimeError as exc:  # SuperLU reports singularity this way
             raise SingularSystemError(f"factorization failed: {exc}") from exc
-        self.matrix = matrix
+
+    def _fall_back(self):
+        """Drop the float32 factor (before the float64 one is made, to keep
+        the peak memory down) and factor the float64 matrix."""
+        self.single, self.fell_back, self.lu = False, True, None
+        self.lu = self._factor()
 
     def solve(self, rhs_u=None, rhs_p=None):
         system = self.system
@@ -158,27 +202,51 @@ class SaddleSolver:
 
         Returns (velocities, pressures, relative residuals) with one column
         per input column; no exception is raised so the caller can attach
-        context to a failing column.
+        context to a failing column (a float64 factor made on falling back
+        can still raise SingularSystemError).
         """
         nu = len(self.system.f_u)
         rhs = np.vstack([rhs_u_mat, rhs_p_mat]).astype(float, copy=False)
-        if self.perm is None:
-            x = self.lu.solve(rhs)
-            rel = relative_residual(self.matrix, x, rhs, self.scale)
-        else:
+        if self.perm is not None:
             rhs = rhs[self.perm]
+        self.corrections = 0
+        y, rel = self._refine(rhs) if self.single else (None, None)
+        if y is None:
             y = self.lu.solve(rhs)
             rel = relative_residual(self.matrix, y, rhs, self.scale)
-            x = np.empty_like(y)
-            x[self.perm] = y
+        if self.perm is None:
+            return y[:nu], y[nu:], rel
+        x = np.empty_like(y)
+        x[self.perm] = y
         return x[:nu], x[nu:], rel
+
+    def _refine(self, rhs):
+        """The float32 solution refined to REFINE_TARGET and its relative
+        residuals, or (None, None) after falling back to float64."""
+        y = self.lu.solve(rhs.astype(np.float32)).astype(float)
+        while np.all(np.isfinite(y)):
+            resid = self.matrix @ y - rhs
+            rel = _residual_ratio(resid, y, rhs, self.scale)
+            if np.all(rel <= REFINE_TARGET):
+                return y, rel
+            if self.corrections == REFINE_MAX:
+                break
+            y -= self.lu.solve(resid.astype(np.float32))
+            self.corrections += 1
+        self._fall_back()
+        return None, None
 
 
 def relative_residual(matrix, x, rhs, scale):
     """|matrix x - rhs| / max(|rhs|, scale |x|), per column for 2-D x and
     rhs; scale is the operator size (its largest absolute row sum).  Every
     solve accepts a result only when this is at most RESIDUAL_TOL."""
+    return _residual_ratio(matrix @ x - rhs, x, rhs, scale)
+
+
+def _residual_ratio(resid, x, rhs, scale):
+    """relative_residual from the residual resid = matrix x - rhs."""
     axis = 0 if np.ndim(x) > 1 else None  # vectors keep numpy's dot-product norm
-    resid = np.linalg.norm(matrix @ x - rhs, axis=axis)
+    resid = np.linalg.norm(resid, axis=axis)
     denom = np.maximum(np.linalg.norm(rhs, axis=axis), scale * np.linalg.norm(x, axis=axis))
     return resid / np.maximum(denom, 1e-300)

@@ -280,8 +280,13 @@ def test_basis_size_above_the_snapshot_count_exits_before_any_solve(
     assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_basis_size_above_the_kept_rank_exits_with_config_status(tmp_path, capsys):
-    # 32 snapshots per oversampled cell, of which the rank filter keeps 27
+def test_basis_size_above_the_kept_rank_exits_with_config_status(tmp_path, monkeypatch, capsys):
+    # 32 snapshots per oversampled cell, of which the rank filter keeps 27;
+    # the offline build finds that before the fine reference runs
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the fine reference ran")
+
+    monkeypatch.setattr(cli, "run_fine", no_reference)
     cfg = write_config(
         tmp_path,
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"

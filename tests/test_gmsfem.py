@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from msflow import forms, gmsfem
 from msflow.errors import ConfigError, SingularSystemError
@@ -532,7 +533,18 @@ class TestFamilyRecord:
             saddle = sp.bmat([[upper, online.div.T], [online.div, None]], format="csc")
             ordered = coarse_saddle(online.upper, online.div, coarse_cell_order(coarse))
             want = saddle[ordered.perm][:, ordered.perm]
-            got = ordered.system(ordered.static + blocks, online.f_u, online.f_p).matrix
+            system = ordered.system(ordered.static + blocks, online.f_u, online.f_p)
+            got = system.matrix
+            # a coarse system is factored and solved in float64, as it stands
+            solver = SaddleSolver(system)
+            u, p, _ = solver.solve_many(online.f_u[:, None], online.f_p[:, None])
+            assert not solver.single and solver.corrections == 0
+            lu = spla.splu(
+                got, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+            )
+            x = np.empty((len(ordered.perm), 1))
+            x[ordered.perm] = lu.solve(np.concatenate([online.f_u, online.f_p])[ordered.perm, None])
+            assert np.array_equal(np.vstack([u, p]), x)
             for x in (got, want):
                 x.eliminate_zeros()  # the fixed pattern may store zeros
                 x.sort_indices()

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from msflow import forms
+from msflow import analysis, forms, saddle
+from msflow.config import parse_config
 from msflow.errors import SingularSystemError
 from msflow.fine_solver import StepOperators
 from msflow.geometry import generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.saddle import (
+    REFINE_MAX,
     RESIDUAL_TOL,
+    SINGLE_MIN,
     SaddleSolver,
     SaddleSystem,
     merged_pattern,
@@ -21,6 +25,9 @@ from msflow.saddle import (
 )
 
 from conftest import desk_domain, make_params, tiny_heterogeneous
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def toy_system(n=4, rng=None):
@@ -73,6 +80,17 @@ def test_singular_system_reported():
     system = SaddleSystem(matrix, np.ones(n), np.zeros(0))
     with pytest.raises(SingularSystemError):
         SaddleSolver(system).solve()
+
+
+def test_singular_system_reported_after_the_float32_factor(monkeypatch):
+    # an ordered system at SINGLE_MIN unknowns fails its float32 factor and
+    # then its float64 one
+    monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    n = 3
+    matrix = saddle_matrix(sp.csr_matrix((n, n)), sp.csr_matrix((0, n)))
+    system = SaddleSystem(matrix, np.ones(n), np.zeros(0), np.arange(n))
+    with pytest.raises(SingularSystemError, match="factorization failed"):
+        SaddleSolver(system)
 
 
 def test_nan_rhs_rejected():
@@ -173,10 +191,16 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
     block = saddle_matrix(_block_upper(ops, u1), ops.div)
     colamd = SaddleSolver(SaddleSystem(block, ops.f_u, ops.f_p))
     assert ordered.perm is system.perm and colamd.perm is None
+    # the desk step (14,336 unknowns) is factored in float32, the tiny one
+    # and every COLAMD system in float64
+    assert ordered.single == (case == "desk") and not colamd.single
     x_ord = np.concatenate(ordered.solve(rhs_u, system.f_p))
     x_col = np.concatenate(colamd.solve(rhs_u, system.f_p))
+    assert colamd.corrections == 0 and (ordered.corrections > 0) == (case == "desk")
     assert np.linalg.norm(x_ord - x_col) <= 1e-12 * np.linalg.norm(x_col)
     assert np.array_equal(x_ord, np.concatenate(oracles.block_step_solve(ops, u1, rhs_u)))
+    rhs = np.concatenate([rhs_u, system.f_p])[:, None]
+    assert np.array_equal(x_col, spla.splu(block, permc_spec="COLAMD").solve(rhs)[:, 0])
     _, _, rel = ordered.solve_many(rhs_u[:, None], system.f_p[:, None])
     assert rel[0] <= RESIDUAL_TOL
     fill = lambda s: s.lu.L.nnz + s.lu.U.nnz
@@ -215,3 +239,77 @@ def test_cell_order_must_permute_the_cells():
     perm[0] = perm[1]
     with pytest.raises(ValueError, match="perm"):
         dataclasses.replace(system, perm=perm)
+
+
+def _ordered_direct(matrix, perm, rhs):
+    """The solution of a float64 factor of the ordered matrix."""
+    x = np.empty_like(rhs)
+    x[perm] = spla.splu(matrix, **ORDERED).solve(rhs[perm])
+    return x
+
+
+def test_large_ordered_step_is_refined_from_a_float32_factor():
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops, u1 = _step_system(mesh, make_params(tau=2e-4))
+    system = ops.system(u1)
+    assert system.matrix.shape[0] >= SINGLE_MIN
+    solver = SaddleSolver(system)
+    assert solver.single and solver.lu.U.dtype == np.float32
+    rhs_u = ops.mass @ u1 + ops.f_u
+    u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+    assert 1 <= solver.corrections <= 2 and not solver.fell_back
+    assert rel[0] <= 1e-16
+    want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
+    got = np.concatenate([u[:, 0], p[:, 0]])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _scaled_step(scale):
+    """The tiny fine step with its matrix and loads scaled."""
+    ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
+    system = ops.system(u1)
+    rhs_u = scale * (ops.mass @ u1 + ops.f_u)
+    return SaddleSystem(scale * system.matrix, rhs_u, scale * system.f_p, system.perm)
+
+
+def _near_singular():
+    # float32 rounds the 1 + 3e-7 to 1 + 3.6e-7: each correction removes
+    # only about four fifths of the error
+    matrix = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 3e-7]]))
+    return SaddleSystem(matrix, np.ones(1), np.zeros(1), np.arange(2))
+
+
+@pytest.mark.parametrize(
+    "make, when",
+    [
+        (lambda: _scaled_step(1e40), "factor"),  # entries beyond float32 range
+        (lambda: _scaled_step(1e-50), "factor"),  # entries that underflow to zero
+        (_near_singular, "solve"),  # refinement that misses its target
+    ],
+    ids=["overflow", "underflow", "refinement"],
+)
+def test_float32_failure_falls_back_to_the_float64_answer(make, when, monkeypatch):
+    monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    system = make()
+    solver = SaddleSolver(system)
+    assert solver.fell_back == (when == "factor") and solver.single == (when == "solve")
+    u, p, rel = solver.solve_many(system.f_u[:, None], system.f_p[:, None])
+    assert solver.fell_back and not solver.single
+    assert solver.corrections == (REFINE_MAX if when == "solve" else 0)
+    assert solver.lu.U.dtype == np.float64
+    rhs = np.concatenate([system.f_u, system.f_p])
+    want = _ordered_direct(system.matrix, system.perm, rhs[:, None])
+    assert np.array_equal(np.vstack([u, p]), want)
+    assert rel[0] <= RESIDUAL_TOL
+    assert np.array_equal(np.concatenate(solver.solve()), want[:, 0])
+
+
+@pytest.mark.parametrize("config", ["desk_test1", "paper_like"])
+def test_single_precision_takes_the_fine_steps_and_no_coarse_system(config):
+    # the precision follows the system size: every coarse online system of a
+    # committed config stays in float64, every fine step goes to float32
+    spec = parse_config(str(CONFIGS / f"{config}.cfg"), mode="sweep")
+    n_coarse = spec.nx * spec.ny
+    n_fine = 2 * n_coarse * spec.n_per_coarse**2
+    coarse = analysis.dof_multiscale(n_coarse, max(spec.m_list))
+    assert coarse < SINGLE_MIN <= analysis.dof_fine(n_fine)
