@@ -39,9 +39,10 @@ class StepOperators:
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.  system(u_lin), the system of a
     nonlinear step, comes in the nested-dissection cell order; its ordered
-    pattern is built on the first call and kept (see _OrderedStep).
-    run_fine holds a pattern of its own for its loop, so that the pattern is
-    freed when the run ends.
+    pattern and the float32 factor of its static matrix are built on the
+    first call and kept on ops (see _OrderedStep).  run_fine holds a pattern
+    and factor of its own for its loop, so that they are freed when the run
+    ends; a step's answer is the same from either.
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
@@ -89,6 +90,11 @@ class _OrderedStep:
     and Forchheimer cell blocks.  These are the additions, in the same
     order, of summing the CSR blocks mass + (viscous + conv) + (darcy +
     forch), so the matrix is the permuted block sum bit for bit.
+
+    The static matrix of self.saddle, mass + viscous + Darcy with the
+    divergence, is the step-0 matrix bit for bit; from SINGLE_MIN unknowns
+    on, every step is refined from its float32 factor, made on the first
+    step and kept as long as this object (see SaddleSolver).
     """
 
     def __init__(self, ops):

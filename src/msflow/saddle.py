@@ -1,9 +1,11 @@
 """Direct solution of the indefinite velocity-pressure block systems."""
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from dataclasses import dataclass
 
 from .errors import SingularSystemError
 
@@ -16,6 +18,14 @@ RESIDUAL_TOL = 1e-9
 SINGLE_MIN = 4096
 REFINE_TARGET = np.finfo(float).eps / 2
 REFINE_MAX = 5
+# A refinement from a CellOrderedSaddle's kept factor misses when a
+# correction does not halve the residual, or after KEPT_MAX corrections.  A
+# correction costs 1/32 to 1/38 of a float32 factor of a fine step (desk and
+# paper_like), so a kept solve within KEPT_MAX corrections costs at most
+# about what a factor of its own and the two corrections after it cost.
+KEPT_MAX = 40
+# The options of a system factored in its own (perm) order.
+ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 @dataclass
@@ -26,13 +36,16 @@ class SaddleSystem:
     saddle_matrix builds it: velocity DOFs first and pressure DOFs after
     them; SaddleSolver orders it by COLAMD.  Otherwise matrix is P S P^T in
     CSC form, already in factor order: row i of matrix is row perm[i] of S.
-    f_u/f_p are the right-hand sides in S's order.
+    f_u/f_p are the right-hand sides in S's order.  kept_lu is the float32
+    factor of the static matrix of the CellOrderedSaddle the system came
+    from, or None.
     """
 
     matrix: sp.spmatrix
     f_u: np.ndarray
     f_p: np.ndarray
     perm: np.ndarray = None
+    kept_lu: object = None
 
     def __post_init__(self):
         n = len(self.f_u) + len(self.f_p)
@@ -90,6 +103,12 @@ class CellOrderedSaddle:
     factors the matrix as it stands, with diagonal pivots.  The pattern is
     extended by the entries (rows, cols) of the unpermuted numbering (see
     merged_pattern), at the data positions pos.
+
+    From SINGLE_MIN unknowns on, every system carries kept_lu, the float32
+    factor of the static matrix (pattern), made on the first system() call
+    and held as long as the saddle.  SaddleSolver refines each solve from
+    it and factors a system itself only when that misses, so a solve
+    depends on its system and this static matrix alone.
     """
 
     def __init__(self, upper, div, order, rows, cols):
@@ -106,13 +125,20 @@ class CellOrderedSaddle:
         """The static values stored at the entries (rows, cols)."""
         return self.pattern.data[self.pos]
 
+    @cached_property
+    def kept_lu(self):
+        """The float32 factor of the static matrix, or None when float32
+        cannot hold or factor it."""
+        return _float32_factor(self.pattern, ORDERED)
+
     def system(self, values, f_u, f_p):
         """The ordered system with values at the entries (rows, cols)."""
         pattern = self.pattern
         data = pattern.data.copy()
         data[self.pos] = values
         matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        return SaddleSystem(matrix, f_u, f_p, self.perm)
+        kept_lu = self.kept_lu if len(self.perm) >= SINGLE_MIN else None
+        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu)
 
 
 class SaddleSolver:
@@ -125,28 +151,29 @@ class SaddleSolver:
     pressure block pivotable on the diagonal; the right-hand sides and the
     solution are permuted around the triangular solves.
 
-    A system with perm and at least SINGLE_MIN unknowns is factored from a
-    float32 copy of its matrix (single is True); each solve refines the
-    float32 solution y by y -= LU32^-1 (A y - rhs), with A and the residual
-    in float64, until the relative residual reaches REFINE_TARGET
-    (corrections counts the corrections of the last solve).  If the float32
-    factor fails or a solve misses the target within REFINE_MAX
-    corrections, the solver factors the float64 matrix, solves directly
-    from then on and sets fell_back.
+    A system with perm and at least SINGLE_MIN unknowns is solved in mixed
+    precision (single is True): a float32 solution y is refined by
+    y -= LU32^-1 (A y - rhs), with A and the residual in float64, until the
+    relative residual reaches REFINE_TARGET.  The chain of factors is:
 
-    self.matrix is the float64 matrix; the residual gate is taken on it.
+    * the system's kept_lu (kept is True), with no factor of its own,
+      until the refinement misses (see KEPT_MAX);
+    * then its own float32 factor, for that solve and every later one;
+    * then, if that factor fails or a solve misses the target within
+      REFINE_MAX corrections, its float64 factor and direct solves from
+      then on (fell_back is True, single False).
+
+    kept tells whether the kept factor served the last solve, corrections
+    counts the corrections of the last solve over both float32 factors, and
+    lu is the factor in use.  self.matrix is the float64 matrix; the
+    residual gate is taken on it.
     """
 
     def __init__(self, system):
         self.system = system
         self.perm = system.perm
         matrix = system.matrix.tocsc()
-        if self.perm is None:
-            self._options = dict(permc_spec="COLAMD")
-        else:
-            self._options = dict(
-                permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-            )
+        self._options = dict(permc_spec="COLAMD") if self.perm is None else ORDERED
         if not np.all(np.isfinite(matrix.data)):
             raise SingularSystemError("non-finite entries in assembled blocks")
         self.scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
@@ -154,21 +181,21 @@ class SaddleSolver:
         self.corrections = 0
         self.fell_back = False
         self.single = self.perm is not None and matrix.shape[0] >= SINGLE_MIN
-        self.lu = self._single_factor() if self.single else self._factor()
+        self.kept = self.single and system.kept_lu is not None
+        if self.kept:
+            self.lu = system.kept_lu
+        elif self.single:
+            self._own_single()
+        else:
+            self.lu = self._factor()
+
+    def _own_single(self):
+        """Factor self.matrix rounded to float32, or fall back to float64
+        when float32 cannot hold or factor it."""
+        self.kept = False
+        self.lu = _float32_factor(self.matrix, self._options)
         if self.lu is None:
             self._fall_back()
-
-    def _single_factor(self):
-        """The factor of self.matrix rounded to float32, or None when there
-        is none."""
-        with np.errstate(over="ignore"):  # entries beyond float32 range become inf
-            single = self.matrix.astype(np.float32)
-        if np.all(np.isfinite(single.data)):
-            try:
-                return spla.splu(single, **self._options)
-            except RuntimeError:  # singular in float32
-                pass
-        return None
 
     def _factor(self):
         """The float64 factor of self.matrix."""
@@ -210,7 +237,15 @@ class SaddleSolver:
         if self.perm is not None:
             rhs = rhs[self.perm]
         self.corrections = 0
-        y, rel = self._refine(rhs) if self.single else (None, None)
+        y = None
+        if self.kept:
+            y, rel = self._refine(rhs, KEPT_MAX, halving=True)
+            if y is None:
+                self._own_single()
+        if self.single and y is None:
+            y, rel = self._refine(rhs, REFINE_MAX)
+            if y is None:
+                self._fall_back()
         if y is None:
             y = self.lu.solve(rhs)
             rel = relative_residual(self.matrix, y, rhs, self.scale)
@@ -220,21 +255,40 @@ class SaddleSolver:
         x[self.perm] = y
         return x[:nu], x[nu:], rel
 
-    def _refine(self, rhs):
-        """The float32 solution refined to REFINE_TARGET and its relative
-        residuals, or (None, None) after falling back to float64."""
+    def _refine(self, rhs, limit, halving=False):
+        """The float32 solution of self.lu refined to REFINE_TARGET and its
+        relative residuals, or (None, None) on a miss: a non-finite value,
+        limit corrections short of the target, or with halving, a
+        correction that did not halve the largest residual."""
         y = self.lu.solve(rhs.astype(np.float32)).astype(float)
-        while np.all(np.isfinite(y)):
+        last = np.inf
+        for k in range(limit + 1):
+            if not np.all(np.isfinite(y)):
+                break
             resid = self.matrix @ y - rhs
             rel = _residual_ratio(resid, y, rhs, self.scale)
             if np.all(rel <= REFINE_TARGET):
                 return y, rel
-            if self.corrections == REFINE_MAX:
+            if k == limit or (halving and not rel.max() <= last / 2):
                 break
+            last = rel.max()
             y -= self.lu.solve(resid.astype(np.float32))
             self.corrections += 1
-        self._fall_back()
         return None, None
+
+
+def _float32_factor(matrix, options):
+    """The SuperLU factor of matrix rounded to float32, or None when an
+    entry leaves float32 range or SuperLU finds the rounded matrix
+    singular."""
+    with np.errstate(over="ignore"):  # entries beyond float32 range become inf
+        single = matrix.astype(np.float32)
+    if np.all(np.isfinite(single.data)):
+        try:
+            return spla.splu(single, **options)
+        except RuntimeError:  # singular in float32
+            pass
+    return None
 
 
 def relative_residual(matrix, x, rhs, scale):

@@ -269,6 +269,24 @@ def test_run_fine_equals_the_block_assembled_loop(tiny_step):
         assert np.array_equal(state.pressure, p)
 
 
+def test_run_fine_equals_the_step_loop_on_the_same_operators():
+    # a step's answer depends on its system and the kept static factor, not
+    # on earlier steps, so run_fine (which holds its own) and a loop over
+    # ops.system agree bit for bit, the second loop too
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    params = make_params(tau=2e-4, n_steps=3)
+    bc = BoundaryData.inflow((1.0, 0.0))
+    ops = StepOperators(mesh, params, bc)
+    traj = run_fine(mesh, params, bc, ops=ops)
+    for _ in range(2):
+        u = np.zeros(ops.patch.n_vdof)
+        for state in traj.states[1:]:
+            solver = SaddleSolver(ops.system(u))
+            u, p = solver.solve(ops.mass @ u + ops.f_u, ops.f_p)
+            assert solver.kept
+            assert np.array_equal(u, state.velocity) and np.array_equal(p, state.pressure)
+
+
 def test_linearization_field_keeps_the_colamd_factorization():
     # the linear run's field weights every snapshot problem, so it must not
     # change by a bit when the nonlinear steps are factored in cell order

@@ -12,11 +12,12 @@ from msflow.config import parse_config
 from msflow.errors import SingularSystemError
 from msflow.fine_solver import StepOperators
 from msflow.geometry import generate_structured_mesh
-from msflow.parameters import BoundaryData
+from msflow.parameters import BoundaryData, preset_parameters
 from msflow.saddle import (
     REFINE_MAX,
     RESIDUAL_TOL,
     SINGLE_MIN,
+    CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
     merged_pattern,
@@ -249,19 +250,69 @@ def _ordered_direct(matrix, perm, rhs):
 
 
 def test_large_ordered_step_is_refined_from_a_float32_factor():
+    # the step is refined from the saddle's kept float32 factor of its
+    # static matrix and makes no factor of its own
     mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     ops, u1 = _step_system(mesh, make_params(tau=2e-4))
     system = ops.system(u1)
     assert system.matrix.shape[0] >= SINGLE_MIN
+    assert system.kept_lu is ops.system(np.zeros(ops.patch.n_vdof)).kept_lu  # one per saddle
     solver = SaddleSolver(system)
-    assert solver.single and solver.lu.U.dtype == np.float32
+    assert solver.single and solver.kept and solver.lu is system.kept_lu
+    assert solver.lu.U.dtype == np.float32
     rhs_u = ops.mass @ u1 + ops.f_u
     u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
-    assert 1 <= solver.corrections <= 2 and not solver.fell_back
+    assert solver.kept and solver.lu is system.kept_lu and not solver.fell_back
+    assert 1 <= solver.corrections <= 6
     assert rel[0] <= 1e-16
     want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
     got = np.concatenate([u[:, 0], p[:, 0]])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
+    # a step far from the static matrix: the kept refinement diverges, and
+    # the solve then equals that of the same system without a kept factor
+    monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
+    velocity = np.arange(ops.patch.n_vdof)
+    ordered = CellOrderedSaddle(
+        ops.mass + ops.viscous + ops.darcy, ops.div, ops.cell_order, velocity, velocity
+    )
+    rhs_u = ops.mass @ u1 + ops.f_u
+    system = ordered.system(100.0 * ordered.static, rhs_u, ops.f_p)
+    assert system.kept_lu is not None and system.kept_lu is ordered.kept_lu
+    solver = SaddleSolver(system)
+    assert solver.kept and solver.lu is system.kept_lu
+    u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+    assert not solver.kept and solver.single and solver.lu is not system.kept_lu
+    own = SaddleSolver(dataclasses.replace(system, kept_lu=None))
+    assert not own.kept
+    u_own, p_own, rel_own = own.solve_many(rhs_u[:, None], system.f_p[:, None])
+    assert np.array_equal(u, u_own) and np.array_equal(p, p_own)
+    assert np.array_equal(rel, rel_own) and rel[0] <= RESIDUAL_TOL
+    assert solver.corrections > own.corrections  # the kept ones came first
+
+
+def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
+    # desk test3 (Re=100) at Da=1e-4 takes the most corrections from the
+    # kept factor; the answer is checked on the inputs, not on stored
+    # statistics
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    params = preset_parameters("test3", 1e-4)
+    ops = StepOperators(mesh, params, BoundaryData.inflow((1.0, 0.0)))
+    u = np.zeros(ops.patch.n_vdof)
+    for _ in range(10):
+        system = ops.system(u)
+        rhs_u = ops.mass @ u + ops.f_u
+        solver = SaddleSolver(system)
+        u_mat, p_mat, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+        assert solver.single and not solver.fell_back
+        assert rel[0] <= RESIDUAL_TOL
+        got = np.concatenate([u_mat[:, 0], p_mat[:, 0]])
+        want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        u = u_mat[:, 0]
 
 
 def _scaled_step(scale):
