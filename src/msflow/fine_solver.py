@@ -39,10 +39,12 @@ class StepOperators:
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.  system(u_lin), the system of a
     nonlinear step, comes in the nested-dissection cell order; its ordered
-    pattern and the float32 factor of its static matrix are built on the
-    first call and kept on ops (see _OrderedStep).  run_fine holds a pattern
-    and factor of its own for its loop, so that they are freed when the run
-    ends; a step's answer is the same from either.
+    pattern and the kept float32 factor of its static matrix are built on
+    the first call and kept on ops (see _OrderedStep).  run_fine holds a
+    pattern and factor of its own for its loop, so that they are freed when
+    the run ends; a step's answer is the same from either.  A step that
+    misses the kept factor is solved by a float64 factor of its own (see
+    SaddleSolver).
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
@@ -94,7 +96,8 @@ class _OrderedStep:
     The static matrix of self.saddle, mass + viscous + Darcy with the
     divergence, is the step-0 matrix bit for bit; from SINGLE_MIN unknowns
     on, every step is refined from its float32 factor, made on the first
-    step and kept as long as this object (see SaddleSolver).
+    step and kept as long as this object, and a step that misses it gets a
+    float64 factor of its own (see SaddleSolver).
     """
 
     def __init__(self, ops):

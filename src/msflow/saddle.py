@@ -10,19 +10,19 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
-# The precision rule of SaddleSolver.  SINGLE_MIN lies above every coarse
-# online system and below every fine step: a float32 factor of a few hundred
-# unknowns saves nothing, and each correction costs a solve and a product.
-# REFINE_TARGET is the float64 unit roundoff; a float64 factor leaves 4e-19
-# to 7e-17 on the fine steps, so a lower target can be out of reach.
+# The precision rule of CellOrderedSaddle.  SINGLE_MIN lies above every
+# coarse online system and below every fine step: a float32 factor of a few
+# hundred unknowns saves nothing, and each correction costs a solve and a
+# product.  REFINE_TARGET is the float64 unit roundoff; a float64 factor
+# leaves 4e-19 to 7e-17 on the fine steps, so a lower target can be out of
+# reach.
 SINGLE_MIN = 4096
 REFINE_TARGET = np.finfo(float).eps / 2
-REFINE_MAX = 5
 # A refinement from a CellOrderedSaddle's kept factor misses when a
 # correction does not halve the residual, or after KEPT_MAX corrections.  A
-# correction costs 1/32 to 1/38 of a float32 factor of a fine step (desk and
-# paper_like), so a kept solve within KEPT_MAX corrections costs at most
-# about what a factor of its own and the two corrections after it cost.
+# correction costs 2.0-2.5 ms on desk and 22.5 ms at paper_like scale, so
+# KEPT_MAX of them cost about the float64 factor and solve that a miss takes
+# (88.8 ms on desk; 0.9 s against 1.03 s at paper_like scale).
 KEPT_MAX = 40
 # The options of a system factored in its own (perm) order.
 ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -107,8 +107,8 @@ class CellOrderedSaddle:
     From SINGLE_MIN unknowns on, every system carries kept_lu, the float32
     factor of the static matrix (pattern), made on the first system() call
     and held as long as the saddle.  SaddleSolver refines each solve from
-    it and factors a system itself only when that misses, so a solve
-    depends on its system and this static matrix alone.
+    it and factors a system itself, in float64, only when that misses, so a
+    solve depends on its system and this static matrix alone.
     """
 
     def __init__(self, upper, div, order, rows, cols):
@@ -127,9 +127,19 @@ class CellOrderedSaddle:
 
     @cached_property
     def kept_lu(self):
-        """The float32 factor of the static matrix, or None when float32
-        cannot hold or factor it."""
-        return _float32_factor(self.pattern, ORDERED)
+        """The float32 SuperLU factor of the static matrix, or None below
+        SINGLE_MIN unknowns, when an entry leaves float32 range or when
+        SuperLU finds the rounded matrix singular."""
+        if len(self.perm) < SINGLE_MIN:
+            return None
+        with np.errstate(over="ignore"):  # entries beyond float32 range become inf
+            single = self.pattern.astype(np.float32)
+        if not np.all(np.isfinite(single.data)):
+            return None
+        try:
+            return spla.splu(single, **ORDERED)
+        except RuntimeError:  # singular in float32
+            return None
 
     def system(self, values, f_u, f_p):
         """The ordered system with values at the entries (rows, cols)."""
@@ -137,8 +147,7 @@ class CellOrderedSaddle:
         data = pattern.data.copy()
         data[self.pos] = values
         matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        kept_lu = self.kept_lu if len(self.perm) >= SINGLE_MIN else None
-        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu)
+        return SaddleSystem(matrix, f_u, f_p, self.perm, self.kept_lu)
 
 
 class SaddleSolver:
@@ -151,21 +160,17 @@ class SaddleSolver:
     pressure block pivotable on the diagonal; the right-hand sides and the
     solution are permuted around the triangular solves.
 
-    A system with perm and at least SINGLE_MIN unknowns is solved in mixed
-    precision (single is True): a float32 solution y is refined by
-    y -= LU32^-1 (A y - rhs), with A and the residual in float64, until the
-    relative residual reaches REFINE_TARGET.  The chain of factors is:
-
-    * the system's kept_lu (kept is True), with no factor of its own,
-      until the refinement misses (see KEPT_MAX);
-    * then its own float32 factor, for that solve and every later one;
-    * then, if that factor fails or a solve misses the target within
-      REFINE_MAX corrections, its float64 factor and direct solves from
-      then on (fell_back is True, single False).
+    A system with kept_lu (see CellOrderedSaddle) is solved in mixed
+    precision with no factor of its own: a float32 solution y of kept_lu is
+    refined by y -= LU32^-1 (A y - rhs), with A and the residual in float64,
+    until the relative residual reaches REFINE_TARGET.  On a miss (see
+    KEPT_MAX) the solver makes its float64 factor, which solves that
+    right-hand side and every later one directly.  A system without kept_lu
+    gets its float64 factor at once.
 
     kept tells whether the kept factor served the last solve, corrections
-    counts the corrections of the last solve over both float32 factors, and
-    lu is the factor in use.  self.matrix is the float64 matrix; the
+    counts the corrections of the last solve (a missed refinement's too),
+    and lu is the factor in use.  self.matrix is the float64 matrix; the
     residual gate is taken on it.
     """
 
@@ -179,23 +184,8 @@ class SaddleSolver:
         self.scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
         self.matrix = matrix
         self.corrections = 0
-        self.fell_back = False
-        self.single = self.perm is not None and matrix.shape[0] >= SINGLE_MIN
-        self.kept = self.single and system.kept_lu is not None
-        if self.kept:
-            self.lu = system.kept_lu
-        elif self.single:
-            self._own_single()
-        else:
-            self.lu = self._factor()
-
-    def _own_single(self):
-        """Factor self.matrix rounded to float32, or fall back to float64
-        when float32 cannot hold or factor it."""
-        self.kept = False
-        self.lu = _float32_factor(self.matrix, self._options)
-        if self.lu is None:
-            self._fall_back()
+        self.kept = system.kept_lu is not None
+        self.lu = system.kept_lu if self.kept else self._factor()
 
     def _factor(self):
         """The float64 factor of self.matrix."""
@@ -203,12 +193,6 @@ class SaddleSolver:
             return spla.splu(self.matrix, **self._options)
         except RuntimeError as exc:  # SuperLU reports singularity this way
             raise SingularSystemError(f"factorization failed: {exc}") from exc
-
-    def _fall_back(self):
-        """Drop the float32 factor (before the float64 one is made, to keep
-        the peak memory down) and factor the float64 matrix."""
-        self.single, self.fell_back, self.lu = False, True, None
-        self.lu = self._factor()
 
     def solve(self, rhs_u=None, rhs_p=None):
         system = self.system
@@ -229,24 +213,19 @@ class SaddleSolver:
 
         Returns (velocities, pressures, relative residuals) with one column
         per input column; no exception is raised so the caller can attach
-        context to a failing column (a float64 factor made on falling back
-        can still raise SingularSystemError).
+        context to a failing column (a float64 factor made on a miss of the
+        kept factor can still raise SingularSystemError).
         """
         nu = len(self.system.f_u)
         rhs = np.vstack([rhs_u_mat, rhs_p_mat]).astype(float, copy=False)
         if self.perm is not None:
             rhs = rhs[self.perm]
         self.corrections = 0
-        y = None
         if self.kept:
-            y, rel = self._refine(rhs, KEPT_MAX, halving=True)
+            y, rel = self._refine(rhs)
             if y is None:
-                self._own_single()
-        if self.single and y is None:
-            y, rel = self._refine(rhs, REFINE_MAX)
-            if y is None:
-                self._fall_back()
-        if y is None:
+                self.kept, self.lu = False, self._factor()
+        if not self.kept:
             y = self.lu.solve(rhs)
             rel = relative_residual(self.matrix, y, rhs, self.scale)
         if self.perm is None:
@@ -255,40 +234,26 @@ class SaddleSolver:
         x[self.perm] = y
         return x[:nu], x[nu:], rel
 
-    def _refine(self, rhs, limit, halving=False):
-        """The float32 solution of self.lu refined to REFINE_TARGET and its
-        relative residuals, or (None, None) on a miss: a non-finite value,
-        limit corrections short of the target, or with halving, a
-        correction that did not halve the largest residual."""
+    def _refine(self, rhs):
+        """The float32 solution of the kept factor refined to REFINE_TARGET
+        and its relative residuals, or (None, None) on a miss: a non-finite
+        value, a correction that did not halve the largest residual, or
+        KEPT_MAX corrections short of the target."""
         y = self.lu.solve(rhs.astype(np.float32)).astype(float)
         last = np.inf
-        for k in range(limit + 1):
+        for k in range(KEPT_MAX + 1):
             if not np.all(np.isfinite(y)):
                 break
             resid = self.matrix @ y - rhs
             rel = _residual_ratio(resid, y, rhs, self.scale)
             if np.all(rel <= REFINE_TARGET):
                 return y, rel
-            if k == limit or (halving and not rel.max() <= last / 2):
+            if k == KEPT_MAX or not rel.max() <= last / 2:
                 break
             last = rel.max()
             y -= self.lu.solve(resid.astype(np.float32))
             self.corrections += 1
         return None, None
-
-
-def _float32_factor(matrix, options):
-    """The SuperLU factor of matrix rounded to float32, or None when an
-    entry leaves float32 range or SuperLU finds the rounded matrix
-    singular."""
-    with np.errstate(over="ignore"):  # entries beyond float32 range become inf
-        single = matrix.astype(np.float32)
-    if np.all(np.isfinite(single.data)):
-        try:
-            return spla.splu(single, **options)
-        except RuntimeError:  # singular in float32
-            pass
-    return None
 
 
 def relative_residual(matrix, x, rhs, scale):

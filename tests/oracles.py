@@ -9,8 +9,8 @@ The block-assembled fine step at the end is the reference for the ordered
 step matrix: the convection and Forchheimer blocks as CSR matrices summed
 into the velocity block, sp.bmat, a fancy-index permutation into the
 nested-dissection cell order, and a SuperLU factor in that order (from
-saddle.SINGLE_MIN unknowns on, float32 factors, first of the step-0 matrix,
-with float64 refinement).  That order comes from a copy of the recursion
+saddle.SINGLE_MIN unknowns on, the float32 factor of the step-0 matrix with
+float64 refinement, and on a miss the float64 factor).  That order comes from a copy of the recursion
 written for a patch (its interior-edge graph, leaves of 8 cells), the
 reference for the package's general nested_dissection_order.
 """
@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from msflow import forms
 from msflow.geometry import POROUS
 from msflow.patches import bisect_cells
-from msflow.saddle import KEPT_MAX, REFINE_MAX, REFINE_TARGET, SINGLE_MIN
+from msflow.saddle import KEPT_MAX, REFINE_TARGET, SINGLE_MIN
 
 
 def duffy_points(order=10):
@@ -300,9 +300,8 @@ def block_step_solve(ops, u_lin, rhs_u):
     From saddle.SINGLE_MIN unknowns on, a float32 solution y is refined in
     float64 by y -= LU^-1 (A y - rhs) until |A y - rhs| / max(|rhs|, s |y|)
     <= REFINE_TARGET, s being the largest absolute row sum of A.  LU is
-    first the float32 factor of the step-0 matrix, block_step_matrix(ops,
-    0), for up to KEPT_MAX corrections that each halve the residual; then
-    the float32 factor of A, for up to REFINE_MAX corrections; then the
+    the float32 factor of the step-0 matrix, block_step_matrix(ops, 0), for
+    up to KEPT_MAX corrections that each halve the residual; on a miss the
     float64 factor of A solves.
     """
     matrix, perm = block_step_matrix(ops, u_lin)
@@ -312,11 +311,8 @@ def block_step_solve(ops, u_lin, rhs_u):
     if matrix.shape[0] >= SINGLE_MIN:
         scale = abs(matrix).sum(axis=1).max()
         static, _ = block_step_matrix(ops, np.zeros(ops.patch.n_vdof))
-        for source, limit, halving in ((static, KEPT_MAX, True), (matrix, REFINE_MAX, False)):
-            lu = spla.splu(source.astype(np.float32), **options)
-            y = _refined(matrix, lu, rhs, scale, limit, halving)
-            if y is not None:
-                break
+        lu = spla.splu(static.astype(np.float32), **options)
+        y = _refined(matrix, lu, rhs, scale)
     if y is None:
         y = spla.splu(matrix, **options).solve(rhs)
     x = np.empty_like(y)
@@ -325,19 +321,19 @@ def block_step_solve(ops, u_lin, rhs_u):
     return x[:nu, 0], x[nu:, 0]
 
 
-def _refined(matrix, lu, rhs, scale, limit, halving):
+def _refined(matrix, lu, rhs, scale):
     """The float32 solution of lu refined to REFINE_TARGET on matrix, or
-    None when limit corrections (or, with halving, one that does not halve
-    the relative residual) leave it short."""
+    None when a correction does not halve the relative residual or KEPT_MAX
+    corrections leave it short."""
     norm = np.linalg.norm
     y = lu.solve(rhs.astype(np.float32)).astype(float)
     last = np.inf
-    for k in range(limit + 1):
+    for k in range(KEPT_MAX + 1):
         resid = matrix @ y - rhs
         rel = norm(resid) / max(norm(rhs), scale * norm(y))
         if rel <= REFINE_TARGET:
             return y
-        if k == limit or (halving and not rel <= last / 2):
+        if k == KEPT_MAX or not rel <= last / 2:
             return None
         last = rel
         y = y - lu.solve(resid.astype(np.float32))

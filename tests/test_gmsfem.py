@@ -538,7 +538,7 @@ class TestFamilyRecord:
             # a coarse system is factored and solved in float64, as it stands
             solver = SaddleSolver(system)
             u, p, _ = solver.solve_many(online.f_u[:, None], online.f_p[:, None])
-            assert not solver.single and solver.corrections == 0
+            assert system.kept_lu is None and not solver.kept and solver.corrections == 0
             lu = spla.splu(
                 got, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
             )

@@ -15,7 +15,6 @@ from msflow.geometry import generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.saddle import (
     KEPT_MAX,
-    REFINE_MAX,
     RESIDUAL_TOL,
     SINGLE_MIN,
     CellOrderedSaddle,
@@ -85,12 +84,16 @@ def test_singular_system_reported():
 
 
 def test_singular_system_reported_after_the_float32_factor(monkeypatch):
-    # an ordered system at SINGLE_MIN unknowns fails its float32 factor and
-    # then its float64 one
+    # a saddle of at least SINGLE_MIN unknowns with a singular static matrix
+    # keeps no float32 factor, and its system fails its float64 one
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
     n = 3
-    matrix = saddle_matrix(sp.csr_matrix((n, n)), sp.csr_matrix((0, n)))
-    system = SaddleSystem(matrix, np.ones(n), np.zeros(0), np.arange(n))
+    diagonal = np.arange(n)
+    ordered = CellOrderedSaddle(
+        sp.csr_matrix((n, n)), sp.csr_matrix((1, n)), np.arange(1), diagonal, diagonal
+    )
+    assert ordered.kept_lu is None
+    system = ordered.system(np.zeros(n), np.ones(n), np.zeros(1))
     with pytest.raises(SingularSystemError, match="factorization failed"):
         SaddleSolver(system)
 
@@ -193,9 +196,9 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
     block = saddle_matrix(_block_upper(ops, u1), ops.div)
     colamd = SaddleSolver(SaddleSystem(block, ops.f_u, ops.f_p))
     assert ordered.perm is system.perm and colamd.perm is None
-    # the desk step (14,336 unknowns) is factored in float32, the tiny one
-    # and every COLAMD system in float64
-    assert ordered.single == (case == "desk") and not colamd.single
+    # the desk step (14,336 unknowns) is refined from the kept float32
+    # factor, the tiny one and every COLAMD system factored in float64
+    assert ordered.kept == (case == "desk") and not colamd.kept
     x_ord = np.concatenate(ordered.solve(rhs_u, system.f_p))
     x_col = np.concatenate(colamd.solve(rhs_u, system.f_p))
     assert colamd.corrections == 0 and (ordered.corrections > 0) == (case == "desk")
@@ -259,11 +262,11 @@ def test_large_ordered_step_is_refined_from_a_float32_factor():
     assert system.matrix.shape[0] >= SINGLE_MIN
     assert system.kept_lu is ops.system(np.zeros(ops.patch.n_vdof)).kept_lu  # one per saddle
     solver = SaddleSolver(system)
-    assert solver.single and solver.kept and solver.lu is system.kept_lu
+    assert solver.kept and solver.lu is system.kept_lu
     assert solver.lu.U.dtype == np.float32
     rhs_u = ops.mass @ u1 + ops.f_u
     u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
-    assert solver.kept and solver.lu is system.kept_lu and not solver.fell_back
+    assert solver.kept and solver.lu is system.kept_lu
     assert 1 <= solver.corrections <= 6
     assert rel[0] <= 1e-16
     want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
@@ -273,7 +276,8 @@ def test_large_ordered_step_is_refined_from_a_float32_factor():
 
 def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
     # a step far from the static matrix: the kept refinement stalls, and
-    # the solve then equals that of the same system without a kept factor
+    # the solve then equals that of the same system without a kept factor,
+    # from a float64 factor
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
     ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
     velocity = np.arange(ops.patch.n_vdof)
@@ -286,15 +290,15 @@ def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
     solver = SaddleSolver(system)
     assert solver.kept and solver.lu is system.kept_lu
     u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
-    assert not solver.kept and solver.single and solver.lu is not system.kept_lu
+    assert not solver.kept and solver.lu.U.dtype == np.float64
     own = SaddleSolver(dataclasses.replace(system, kept_lu=None))
-    assert not own.kept
+    assert not own.kept and own.lu.U.dtype == np.float64
     u_own, p_own, rel_own = own.solve_many(rhs_u[:, None], system.f_p[:, None])
     assert np.array_equal(u, u_own) and np.array_equal(p, p_own)
     assert np.array_equal(rel, rel_own) and rel[0] <= RESIDUAL_TOL
     # the kept refinement stopped at a correction that did not halve the
     # residual, before KEPT_MAX
-    assert own.corrections < solver.corrections < own.corrections + KEPT_MAX
+    assert own.corrections == 0 < solver.corrections < KEPT_MAX
 
 
 def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
@@ -310,7 +314,7 @@ def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
         rhs_u = ops.mass @ u + ops.f_u
         solver = SaddleSolver(system)
         u_mat, p_mat, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
-        assert solver.single and not solver.fell_back
+        assert system.kept_lu is not None and solver.kept and solver.lu is system.kept_lu
         assert rel[0] <= RESIDUAL_TOL
         got = np.concatenate([u_mat[:, 0], p_mat[:, 0]])
         want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
@@ -318,26 +322,31 @@ def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
         u = u_mat[:, 0]
 
 
-def _scaled_step(scale):
-    """The tiny fine step with its matrix and loads scaled."""
+def _scaled_saddle_system(scale):
+    """A system of the tiny fine step's saddle with its matrix and loads
+    scaled; the saddle keeps no float32 factor."""
     ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
-    system = ops.system(u1)
+    velocity = np.arange(ops.patch.n_vdof)
+    upper = scale * (ops.mass + ops.viscous + ops.darcy)
+    ordered = CellOrderedSaddle(upper, scale * ops.div, ops.cell_order, velocity, velocity)
+    assert ordered.kept_lu is None
     rhs_u = scale * (ops.mass @ u1 + ops.f_u)
-    return SaddleSystem(scale * system.matrix, rhs_u, scale * system.f_p, system.perm)
+    return ordered.system(ordered.static, rhs_u, scale * ops.f_p)
 
 
 def _near_singular():
-    # float32 rounds the 1 + 3e-7 to 1 + 3.6e-7: each correction removes
-    # only about four fifths of the error
-    matrix = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 3e-7]]))
-    return SaddleSystem(matrix, np.ones(1), np.zeros(1), np.arange(2))
+    # float32 rounds the 1 + 1.75e-7 to 1 + 1.19e-7: the first correction
+    # from the float32 factor takes the residual only from 2.0e-8 to 1.7e-8
+    matrix = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1.75e-7]]))
+    kept_lu = spla.splu(matrix.astype(np.float32), **ORDERED)
+    return SaddleSystem(matrix, np.ones(1), np.zeros(1), np.arange(2), kept_lu)
 
 
 @pytest.mark.parametrize(
     "make, when",
     [
-        (lambda: _scaled_step(1e40), "factor"),  # entries beyond float32 range
-        (lambda: _scaled_step(1e-50), "factor"),  # entries that underflow to zero
+        (lambda: _scaled_saddle_system(1e40), "factor"),  # entries beyond float32 range
+        (lambda: _scaled_saddle_system(1e-50), "factor"),  # entries that underflow to zero
         (_near_singular, "solve"),  # refinement that misses its target
     ],
     ids=["overflow", "underflow", "refinement"],
@@ -346,16 +355,40 @@ def test_float32_failure_falls_back_to_the_float64_answer(make, when, monkeypatc
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
     system = make()
     solver = SaddleSolver(system)
-    assert solver.fell_back == (when == "factor") and solver.single == (when == "solve")
+    assert (system.kept_lu is None) == (when == "factor") and solver.kept == (when == "solve")
     u, p, rel = solver.solve_many(system.f_u[:, None], system.f_p[:, None])
-    assert solver.fell_back and not solver.single
-    assert solver.corrections == (REFINE_MAX if when == "solve" else 0)
+    assert not solver.kept
+    # a kept refinement stopped at a correction that did not halve the
+    # residual, before KEPT_MAX; a system without kept_lu refines nothing
+    assert solver.corrections < KEPT_MAX and (solver.corrections > 0) == (when == "solve")
     assert solver.lu.U.dtype == np.float64
     rhs = np.concatenate([system.f_u, system.f_p])
     want = _ordered_direct(system.matrix, system.perm, rhs[:, None])
     assert np.array_equal(np.vstack([u, p]), want)
     assert rel[0] <= RESIDUAL_TOL
     assert np.array_equal(np.concatenate(solver.solve()), want[:, 0])
+
+
+def test_large_ordered_system_without_a_kept_factor_is_factored_once_in_float64(monkeypatch):
+    # SaddleSolver makes no float32 factor of its own: a desk step without
+    # the kept factor is factored once, in float64, and solved directly
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops, u1 = _step_system(mesh, make_params(tau=2e-4))
+    system = dataclasses.replace(ops.system(u1), kept_lu=None)
+    assert system.matrix.shape[0] >= SINGLE_MIN
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a.dtype) or splu(a, **kw))
+    solver = SaddleSolver(system)
+    rhs_u = ops.mass @ u1 + ops.f_u
+    u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+    assert factored == [np.float64]
+    assert not solver.kept and solver.corrections == 0 and solver.lu.U.dtype == np.float64
+    assert rel[0] <= RESIDUAL_TOL
+    rhs = np.concatenate([rhs_u, system.f_p])
+    want = np.empty_like(rhs)
+    want[system.perm] = splu(system.matrix, **ORDERED).solve(rhs[system.perm])
+    assert np.array_equal(np.concatenate([u[:, 0], p[:, 0]]), want)
 
 
 @pytest.mark.parametrize("config", ["desk_test1", "paper_like"])
