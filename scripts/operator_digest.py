@@ -9,8 +9,9 @@ Uses only public calls, so it runs against any checkout's package:
     diff other.txt change.txt
 
 The optional argument is the `src/` directory to import `msflow` from
-(default: this checkout's).  On the desk config (`configs/desk_test1.cfg`)
-it digests:
+(default: this checkout's).  It digests the five edge arrays of the desk
+and the paper_like meshes (`configs/desk_test1.cfg`, `configs/paper_like.cfg`),
+and on the desk config:
 
 - the `StepOperators` blocks and loads for every Darcy value of the config,
   and the convection and Forchheimer blocks at a seeded field;
@@ -53,6 +54,8 @@ from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
 from msflow.quadrature import EDGE_G2_W  # noqa: E402
 
 CONFIG = ROOT / "configs" / "desk_test1.cfg"
+PAPER_CONFIG = ROOT / "configs" / "paper_like.cfg"
+EDGE_ARRAYS = ("edge_verts", "edge_cells", "edge_normal", "edge_length", "edge_side")
 MS_DARCY = 1e-3
 MS_SIZES = (2, 4, 8, 16)
 
@@ -86,9 +89,18 @@ def manufactured_bc():
     return BoundaryData(velocity=velocity, grad=grad, traction=traction)
 
 
-def main():
-    spec = parse_config(str(CONFIG), mode="fine")
+def config_mesh(path):
+    spec = parse_config(str(path), mode="fine")
     mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+    return spec, mesh, coarse
+
+
+def main():
+    for tag, path in (("desk", CONFIG), ("paper_like", PAPER_CONFIG)):
+        built = config_mesh(path)[1]
+        for name in EDGE_ARRAYS:
+            show(f"{tag}.mesh.{name}", getattr(built, name))
+    spec, mesh, coarse = config_mesh(CONFIG)
     field = np.random.default_rng(0).standard_normal(6 * mesh.n_cells)
 
     for darcy in spec.da_list:

@@ -8,6 +8,11 @@ same code serves the global problem and the local snapshot problems.
 The convective term and the quadratic drag carry the linearization field
 pointwise (degree-4 rule, since |u| is not polynomial); every polynomial
 integrand uses rules that are exact for its degree.
+
+A sparse block is assembled from parts, dense per-cell or per-edge blocks
+with row and column indices that broadcast to them, which _collect writes
+into one triplet buffer in a fixed order: reordering the parts changes the
+last bits of the operators.
 """
 
 import numpy as np
@@ -37,12 +42,11 @@ def cell_dofs(cells):
 
 
 def _pair_coo(rows_cells, cols_cells, blocks6):
-    """COO triplets for (n, 6, 6) blocks coupling two local cell lists."""
+    """Triplets of (n, 6, 6) blocks coupling two local cell lists: row and
+    column indices that broadcast to the blocks, and the blocks."""
     rows = cell_dofs(rows_cells).reshape(-1, 6, 1)
     cols = cell_dofs(cols_cells).reshape(-1, 1, 6)
-    rows = np.broadcast_to(rows, blocks6.shape)
-    cols = np.broadcast_to(cols, blocks6.shape)
-    return rows.ravel(), cols.ravel(), blocks6.ravel()
+    return rows, cols, blocks6
 
 
 def _cell_coo(local_cells, blocks6):
@@ -50,10 +54,25 @@ def _cell_coo(local_cells, blocks6):
 
 
 def _collect(parts, shape):
-    rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    cols = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    vals = np.concatenate([p[2] for p in parts]) if parts else np.empty(0)
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    """CSR matrix of the triplets (rows, cols, vals) of all parts, rows and
+    cols broadcasting to vals.  The triplets go into one buffer in part
+    order, C order within a part: coo -> csr sums duplicate entries in that
+    order.  The list is emptied once copied, to free its blocks before the
+    conversion."""
+    total = sum(vals.size for _, _, vals in parts)
+    # scipy keeps int32 indices while the shape and the entry count fit
+    index = np.int32 if max(total, *shape) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
+    data = np.empty(total)
+    start = 0
+    for r, c, vals in parts:
+        stop = start + vals.size
+        rows[start:stop].reshape(vals.shape)[...] = r
+        cols[start:stop].reshape(vals.shape)[...] = c
+        data[start:stop].reshape(vals.shape)[...] = vals
+        start = stop
+    parts.clear()
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 def _grad_dot_n(patch, cells_local, normal):
@@ -152,13 +171,24 @@ def convection_cell_blocks(mesh, params, cells, coefs):
     """Scalar 3x3 blocks (test vertex, trial vertex) of the linearized
     convective volume term (u_lin . grad u, v) / xi^2 on the given global
     fine cells; coefs (n, 3, 2) holds u_lin's vertex values on each cell.
-    The blocks are linear in coefs."""
-    bary, w = TRI_D4_BARY, TRI_D4_W
+    The blocks are linear in coefs.  Each sum starts from zero and runs in
+    index order (vertices a, components m, points q), as np.einsum's do."""
+    bary = TRI_D4_BARY
+    wbary = TRI_D4_W[:, None] * bary  # (q, a)
+    grad = mesh.grad[cells]
+    n, n_q = len(cells), len(bary)
+    ulq = np.zeros((n, n_q, 2))  # u_lin at the points
+    for a in range(3):
+        ulq += bary[:, a, None] * coefs[:, None, a]
+    adv = np.zeros((n, n_q, 3))  # u_lin . grad lambda_b at the points
+    for m in range(2):
+        adv += ulq[:, :, None, m] * grad[:, None, :, m]
+    blocks = np.zeros((n, 3, 3))
+    for q in range(n_q):
+        blocks += wbary[q, :, None] * adv[:, q, None, :]
     xi = mesh.xi(params.porosity)[cells]
-    ulq = np.einsum("qa,nad->nqd", bary, coefs)
-    adv = np.einsum("nqm,nbm->nqb", ulq, mesh.grad[cells])
     scale = mesh.area[cells] / xi**2
-    return scale[:, None, None] * np.einsum("q,qa,nqb->nab", w, bary, adv)
+    return scale[:, None, None] * blocks
 
 
 def viscous_block(patch, params):
@@ -241,10 +271,7 @@ def assemble_divergence(patch):
     side = patch.dirichlet
     intlam = _trace_integral(side, patch.dir_len)
     parts.append((side.cell, side.cell, intlam[:, :, None] * patch.dir_normal[:, None, :]))
-    coo = [
-        (np.broadcast_to(pc[:, None, None], b.shape).ravel(), cell_dofs(vc).ravel(), b.ravel())
-        for pc, vc, b in parts
-    ]
+    coo = [(pc[:, None, None], cell_dofs(vc), b) for pc, vc, b in parts]
     return _collect(coo, (patch.n_pdof, patch.n_vdof))
 
 

@@ -2,7 +2,9 @@
 
 The fine mesh carries per-cell region tags (fluid / porous) and a coarse-cell
 id; oriented edge topology is built explicitly because the DG forms need a
-fixed plus/minus convention on every interior edge.
+fixed plus/minus convention on every interior edge.  It takes no loop over
+cells or edges: one stable sort of the cells' vertex pairs groups each
+edge's cells, and the rest are array expressions over the edges.
 """
 
 import numpy as np
@@ -216,70 +218,65 @@ def oversample_region(coarse, i):
 def build_edge_topology(mesh):
     """Populate oriented edge arrays on the mesh.
 
+    Edges are numbered in the order of their (lower, higher) vertex ids.
     Interior edges store (K+, K-) with the lower cell index as K+ and the
     unit normal pointing from K+ into K-.  Boundary edges store the single
     adjacent cell, an outward normal and the bounding-box side they lie on.
+    An edge of more than two cells, of zero length, or on the boundary but
+    off every bbox side raises MeshFormatError naming the first such edge.
     """
-    incidence = {}
-    for c in range(mesh.n_cells):
-        v = mesh.cells[c]
-        for a in range(3):
-            key = (min(v[(a + 1) % 3], v[(a + 2) % 3]), max(v[(a + 1) % 3], v[(a + 2) % 3]))
-            incidence.setdefault(key, []).append(c)
-    keys = sorted(incidence)
+    # Triple 3c + a is the edge of cell c opposite its vertex a.
+    ends = mesh.cells[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    key = lo * mesh.n_verts + hi
+    order = np.argsort(key, kind="stable")  # cells ascending within an edge
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=len(key))
+    cell = order // 3
 
-    ne = len(keys)
-    edge_verts = np.empty((ne, 2), dtype=np.int64)
-    edge_cells = np.full((ne, 2), -1, dtype=np.int64)
-    edge_normal = np.empty((ne, 2))
-    edge_length = np.empty(ne)
-    edge_side = np.full(ne, INTERIOR, dtype=np.int8)
+    edge_verts = np.column_stack([lo[order[first]], hi[order[first]]])
+    edge_cells = np.full((len(first), 2), -1, dtype=np.int64)
+    edge_cells[:, 0] = cell[first]
+    inner = count > 1
+    edge_cells[inner, 1] = cell[first[inner] + 1]
+
+    pa, pb = mesh.verts[edge_verts[:, 0]], mesh.verts[edge_verts[:, 1]]
+    t = pb - pa
+    edge_length = np.hypot(t[:, 0], t[:, 1])
+    mid = 0.5 * (pa + pb)
 
     x0, y0, x1, y1 = mesh.bbox
     tol = 1e-9 * max(x1 - x0, y1 - y0)
+    on_side = [
+        (abs(pa[:, axis] - value) < tol) & (abs(pb[:, axis] - value) < tol)
+        for axis, value in ((0, x0), (0, x1), (1, y0), (1, y1))
+    ]
+    side = np.select(on_side, [LEFT, RIGHT, BOTTOM, TOP], default=INTERIOR)
+    off_bbox = ~inner & (side == INTERIOR)
+    faults = (count > 2) | (edge_length <= 0.0) | off_bbox
+    if faults.any():
+        e = int(np.argmax(faults))
+        edge = tuple(int(v) for v in edge_verts[e])
+        if count[e] > 2:
+            raise MeshFormatError(f"edge {edge} shared by more than two cells")
+        if edge_length[e] <= 0.0:
+            raise MeshFormatError(f"edge {edge} has zero length")
+        raise MeshFormatError(
+            f"boundary edge {edge} near {mid[e]} does not lie on a bbox side"
+        )
 
-    for e, key in enumerate(keys):
-        adj = incidence[key]
-        if len(adj) > 2:
-            raise MeshFormatError(f"edge {key} shared by more than two cells")
-        edge_verts[e] = key
-        pa, pb = mesh.verts[key[0]], mesh.verts[key[1]]
-        t = pb - pa
-        length = float(np.hypot(t[0], t[1]))
-        if length <= 0.0:
-            raise MeshFormatError(f"edge {key} has zero length")
-        n = np.array([t[1], -t[0]]) / length
-        if len(adj) == 2:
-            cp, cm = min(adj), max(adj)
-            edge_cells[e] = (cp, cm)
-            if np.dot(n, mesh.centroid[cm] - mesh.centroid[cp]) < 0.0:
-                n = -n
-        else:
-            c = adj[0]
-            edge_cells[e, 0] = c
-            if np.dot(n, mesh.centroid[c] - 0.5 * (pa + pb)) > 0.0:
-                n = -n
-            mid = 0.5 * (pa + pb)
-            if abs(pa[0] - x0) < tol and abs(pb[0] - x0) < tol:
-                edge_side[e] = LEFT
-            elif abs(pa[0] - x1) < tol and abs(pb[0] - x1) < tol:
-                edge_side[e] = RIGHT
-            elif abs(pa[1] - y0) < tol and abs(pb[1] - y0) < tol:
-                edge_side[e] = BOTTOM
-            elif abs(pa[1] - y1) < tol and abs(pb[1] - y1) < tol:
-                edge_side[e] = TOP
-            else:
-                raise MeshFormatError(
-                    f"boundary edge {key} near {mid} does not lie on a bbox side"
-                )
-        edge_normal[e] = n
-        edge_length[e] = length
+    normal = np.column_stack([t[:, 1], -t[:, 0]]) / edge_length[:, None]
+    # Point away from K+ (or the only cell): toward K-, or the edge midpoint.
+    away = np.where(inner[:, None], mesh.centroid[edge_cells[:, 1]], mid)
+    away = away - mesh.centroid[edge_cells[:, 0]]
+    flip = normal[:, 0] * away[:, 0] + normal[:, 1] * away[:, 1] < 0.0
 
     mesh.edge_verts = edge_verts
     mesh.edge_cells = edge_cells
-    mesh.edge_normal = edge_normal
+    mesh.edge_normal = np.where(flip[:, None], -normal, normal)
     mesh.edge_length = edge_length
-    mesh.edge_side = edge_side
+    mesh.edge_side = np.where(inner, INTERIOR, side).astype(np.int8)
     return mesh
 
 
@@ -303,18 +300,14 @@ def generate_structured_mesh(domain, n_per_coarse, coarse_dims):
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (ax + 1) + i
-
+    # Square (i, j), row by row, splits into cells 2k and 2k + 1, k = j ax + i.
+    j, i = np.divmod(np.arange(ax * ay), ax)
+    v00 = j * (ax + 1) + i
+    v10, v01 = v00 + 1, v00 + ax + 1
+    v11 = v01 + 1
     cells = np.empty((2 * ax * ay, 3), dtype=np.int64)
-    k = 0
-    for j in range(ay):
-        for i in range(ax):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells[k] = (v00, v10, v11)
-            cells[k + 1] = (v00, v11, v01)
-            k += 2
+    cells[0::2] = np.column_stack([v00, v10, v11])
+    cells[1::2] = np.column_stack([v00, v11, v01])
 
     centroids = verts[cells].mean(axis=1)
     region = np.where(domain.porous_mask(centroids), POROUS, FLUID)

@@ -5,6 +5,12 @@ triangles are integrated with a tensor Gauss rule under a Duffy transform,
 edges with high-order Gauss-Legendre, and P1 fields are evaluated by solving
 the 3x3 vertex interpolation system per cell.
 
+Three more references pin faster package code to the same bits, so they
+follow its arithmetic rather than avoid it: loop_edge_topology (the edge
+arrays, one edge at a time), concatenated_csr (the sparse assembly, from
+concatenated triplet copies) and einsum_convection_blocks (the convection
+cell blocks as einsum contractions).
+
 The block-assembled fine step at the end is the reference for the ordered
 step matrix: the convection and Forchheimer blocks as CSR matrices summed
 into the velocity block, sp.bmat, a fancy-index permutation into the
@@ -20,9 +26,99 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from msflow import forms
-from msflow.geometry import POROUS
+from msflow.errors import MeshFormatError
+from msflow.geometry import BOTTOM, INTERIOR, LEFT, POROUS, RIGHT, TOP
 from msflow.patches import bisect_cells
+from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
 from msflow.saddle import KEPT_MAX, REFINE_TARGET, SINGLE_MIN
+
+
+def loop_edge_topology(mesh):
+    """Reference edge topology, one edge at a time from a dict of incident
+    cells: (edge_verts, edge_cells, edge_normal, edge_length, edge_side) as
+    build_edge_topology sets them, raising its MeshFormatError for the first
+    faulty edge in vertex-pair order."""
+    incidence = {}
+    for c in range(mesh.n_cells):
+        v = [int(x) for x in mesh.cells[c]]
+        for a in range(3):
+            key = (min(v[(a + 1) % 3], v[(a + 2) % 3]), max(v[(a + 1) % 3], v[(a + 2) % 3]))
+            incidence.setdefault(key, []).append(c)
+    keys = sorted(incidence)
+
+    ne = len(keys)
+    edge_verts = np.empty((ne, 2), dtype=np.int64)
+    edge_cells = np.full((ne, 2), -1, dtype=np.int64)
+    edge_normal = np.empty((ne, 2))
+    edge_length = np.empty(ne)
+    edge_side = np.full(ne, INTERIOR, dtype=np.int8)
+
+    x0, y0, x1, y1 = mesh.bbox
+    tol = 1e-9 * max(x1 - x0, y1 - y0)
+
+    for e, key in enumerate(keys):
+        adj = incidence[key]
+        if len(adj) > 2:
+            raise MeshFormatError(f"edge {key} shared by more than two cells")
+        edge_verts[e] = key
+        pa, pb = mesh.verts[key[0]], mesh.verts[key[1]]
+        t = pb - pa
+        length = float(np.hypot(t[0], t[1]))
+        if length <= 0.0:
+            raise MeshFormatError(f"edge {key} has zero length")
+        n = np.array([t[1], -t[0]]) / length
+        if len(adj) == 2:
+            cp, cm = min(adj), max(adj)
+            edge_cells[e] = (cp, cm)
+            if np.dot(n, mesh.centroid[cm] - mesh.centroid[cp]) < 0.0:
+                n = -n
+        else:
+            c = adj[0]
+            edge_cells[e, 0] = c
+            if np.dot(n, mesh.centroid[c] - 0.5 * (pa + pb)) > 0.0:
+                n = -n
+            mid = 0.5 * (pa + pb)
+            if abs(pa[0] - x0) < tol and abs(pb[0] - x0) < tol:
+                edge_side[e] = LEFT
+            elif abs(pa[0] - x1) < tol and abs(pb[0] - x1) < tol:
+                edge_side[e] = RIGHT
+            elif abs(pa[1] - y0) < tol and abs(pb[1] - y0) < tol:
+                edge_side[e] = BOTTOM
+            elif abs(pa[1] - y1) < tol and abs(pb[1] - y1) < tol:
+                edge_side[e] = TOP
+            else:
+                raise MeshFormatError(
+                    f"boundary edge {key} near {mid} does not lie on a bbox side"
+                )
+        edge_normal[e] = n
+        edge_length[e] = length
+    return edge_verts, edge_cells, edge_normal, edge_length, edge_side
+
+
+def concatenated_csr(parts, shape):
+    """Reference for forms._collect: every part's rows, cols and vals
+    broadcast and raveled to int64 / float64 copies, concatenated, and
+    converted coo -> csr."""
+    rows, cols, vals = [], [], []
+    for r, c, v in parts:
+        rows.append(np.broadcast_to(r, v.shape).ravel().astype(np.int64))
+        cols.append(np.broadcast_to(c, v.shape).ravel().astype(np.int64))
+        vals.append(v.ravel())
+    rows = np.concatenate(rows) if parts else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(cols) if parts else np.empty(0, dtype=np.int64)
+    vals = np.concatenate(vals) if parts else np.empty(0)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def einsum_convection_blocks(mesh, params, cells, coefs):
+    """Reference for forms.convection_cell_blocks: the same sums as
+    np.einsum contractions."""
+    bary, w = TRI_D4_BARY, TRI_D4_W
+    xi = mesh.xi(params.porosity)[cells]
+    ulq = np.einsum("qa,nad->nqd", bary, coefs)
+    adv = np.einsum("nqm,nbm->nqb", ulq, mesh.grad[cells])
+    scale = mesh.area[cells] / xi**2
+    return scale[:, None, None] * np.einsum("q,qa,nqb->nab", w, bary, adv)
 
 
 def duffy_points(order=10):

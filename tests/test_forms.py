@@ -1,9 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from msflow import forms
+from msflow.config import parse_config
 from msflow.geometry import (
     CoarseGrid,
     DomainSpec,
@@ -16,6 +20,16 @@ from msflow.patches import EdgeSide, Patch, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_S
 
 from conftest import desk_domain, make_params, perturbed_grid_mesh, random_rect_two_cells
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """Parameters, mesh and coarse grid of the desk config."""
+    spec = parse_config(str(CONFIGS / "desk_test1.cfg"), mode="fine")
+    mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+    return spec.params, mesh, coarse
 
 
 def single_triangle_mesh(porous=False):
@@ -396,6 +410,64 @@ class TestEdgeSide:
         far = np.array([patch.cells[-1]])
         with pytest.raises(ValueError, match="not a vertex"):
             EdgeSide(patch, edges, far)
+
+
+class TestAssemblyOrder:
+    @staticmethod
+    def _assembled(patch, params, field):
+        stiffness, trace_mass = forms.assemble_spectral_pair(patch, params)
+        return {
+            "mass": forms.assemble_mass(patch, params),
+            "viscous": forms.viscous_block(patch, params),
+            "convection": forms.convection_block(patch, params, field),
+            "darcy": forms.darcy_block(patch, params),
+            "forchheimer": forms.forchheimer_block(patch, params, field),
+            "divergence": forms.assemble_divergence(patch),
+            "stiffness": stiffness,
+            "trace_mass": trace_mass,
+        }
+
+    @pytest.mark.parametrize("kind", ["full", "oversampled"])
+    def test_collect_equals_the_concatenated_csr(self, desk, kind, monkeypatch):
+        # same triplet order, so coo -> csr sums the duplicates alike
+        params, mesh, coarse = desk
+        if kind == "full":
+            patch = full_patch(mesh)
+        else:
+            patch = coarse_cell_patch(mesh, coarse, 5, oversampled=True)
+        field = np.random.default_rng(0).standard_normal(6 * mesh.n_cells)
+        got = self._assembled(patch, params, field)
+        monkeypatch.setattr(forms, "_collect", oracles.concatenated_csr)
+        want = self._assembled(patch, params, field)
+        assert want["darcy"].nnz and want["forchheimer"].nnz
+        for name, expected in want.items():
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got[name], part), getattr(expected, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+
+    def test_viscous_block_transient_memory_is_bounded(self, desk):
+        # at most 5x the returned CSR's bytes: no raveled int64 index copies
+        params, mesh, _ = desk
+        patch = full_patch(mesh)
+        forms.viscous_block(patch, params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            block = forms.viscous_block(patch, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+        assert peak <= 5 * held
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 1e3])
+    def test_convection_blocks_equal_the_einsum_form(self, desk, scale):
+        params, mesh, _ = desk
+        cells = np.arange(mesh.n_cells)
+        coefs = scale * np.random.default_rng(1).standard_normal((mesh.n_cells, 3, 2))
+        got = forms.convection_cell_blocks(mesh, params, cells, coefs)
+        want = oracles.einsum_convection_blocks(mesh, params, cells, coefs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @given(seed=st.integers(0, 10_000))

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from msflow.config import parse_config
 from msflow.errors import MeshFormatError
 from msflow.geometry import (
     FLUID,
@@ -9,11 +13,18 @@ from msflow.geometry import (
     POROUS,
     CircleInclusion,
     DomainSpec,
+    TriMesh,
+    build_edge_topology,
     generate_structured_mesh,
+    load_mesh,
     oversample_region,
+    save_mesh,
 )
 
-from conftest import desk_domain
+from conftest import desk_domain, perturbed_grid_mesh, random_rect_two_cells
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EDGE_ARRAYS = ("edge_verts", "edge_cells", "edge_normal", "edge_length", "edge_side")
 
 
 class TestDomainSpec:
@@ -70,6 +81,17 @@ class TestGenerate:
         mesh.validate(coarse)
         assert sum(len(f) for f in coarse.cell_fine) == mesh.n_cells
 
+    @pytest.mark.parametrize("n, dims", [(1, (1, 1)), (3, (2, 5)), (2, (4, 1))])
+    def test_cells_split_each_square_row_by_row(self, n, dims):
+        mesh, _ = generate_structured_mesh(DomainSpec(bbox=(0, 0, 1, 1)), n, dims)
+        ax, ay = dims[0] * n, dims[1] * n
+        want = []
+        for j in range(ay):
+            for i in range(ax):
+                v00, v01 = j * (ax + 1) + i, (j + 1) * (ax + 1) + i
+                want += [(v00, v00 + 1, v01 + 1), (v00, v01 + 1, v01)]
+        assert mesh.cells.dtype == np.int64 and np.array_equal(mesh.cells, want)
+
     def test_zero_subdivision_rejected(self):
         dom = DomainSpec(bbox=(0, 0, 1, 1))
         with pytest.raises(ValueError):
@@ -118,14 +140,86 @@ class TestEdgeTopology:
         assert np.linalg.norm(total, axis=1).max() < 1e-13
 
     def test_shared_by_three_cells_rejected(self):
-        from msflow.geometry import TriMesh, build_edge_topology
-
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0]])
         cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 2]])  # edge (0,1) used thrice
         mesh = TriMesh(verts, cells, np.zeros(3, dtype=np.int8),
                        np.zeros(3, dtype=int), (0, -1, 1, 1))
         with pytest.raises(MeshFormatError, match="more than two"):
             build_edge_topology(mesh)
+
+
+def _square(bbox=(0.0, 0.0, 1.0, 1.0)):
+    """The unit square as cells (0, 1, 2) and (0, 2, 3), with the given
+    bounding box."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cells = np.array([[0, 1, 2], [0, 2, 3]])
+    return TriMesh(verts, cells, np.zeros(2, dtype=np.int8), np.zeros(2, dtype=int), bbox)
+
+
+def _shuffled(mesh, rng):
+    """The same triangulation with its cells in random order, each starting
+    at a random vertex (still counter-clockwise)."""
+    order = rng.permutation(mesh.n_cells)
+    turn = rng.integers(3, size=mesh.n_cells)
+    cells = mesh.cells[order][np.arange(mesh.n_cells)[:, None], (np.arange(3) + turn[:, None]) % 3]
+    return TriMesh(mesh.verts, cells, mesh.region[order], mesh.coarse_id[order], mesh.bbox)
+
+
+def _topology_mesh(kind, rng, tmp_path):
+    if kind in ("desk", "desk_shuffled"):
+        spec = parse_config(str(CONFIGS / "desk_test1.cfg"), mode="fine")
+        mesh, _ = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+        return _shuffled(mesh, rng) if kind == "desk_shuffled" else mesh
+    if kind == "perturbed":
+        return perturbed_grid_mesh(rng, n=5)[0]
+    if kind == "loaded":
+        mesh, coarse = generate_structured_mesh(desk_domain(), 3, (4, 4))
+        save_mesh(tmp_path / "mesh.txt", mesh, coarse)
+        return load_mesh(tmp_path / "mesh.txt")[0]
+    # Draw until the rectangle is split along the wanted diagonal.
+    while True:
+        mesh = random_rect_two_cells(rng)[0]
+        if (mesh.cells[0, 2] == 2) == (kind == "two_cells_02"):
+            return mesh
+
+
+@pytest.mark.parametrize(
+    "kind", ["desk", "desk_shuffled", "perturbed", "two_cells_02", "two_cells_13", "loaded"]
+)
+def test_edge_topology_equals_the_edge_loop(kind, rng, tmp_path):
+    mesh = _topology_mesh(kind, rng, tmp_path)
+    want = oracles.loop_edge_topology(mesh)
+    build_edge_topology(mesh)
+    for name, expected in zip(EDGE_ARRAYS, want):
+        got = getattr(mesh, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def _collapsed():
+    mesh = _square()
+    mesh.verts[1] = mesh.verts[0]  # after construction: edge (0, 1) has no length
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_collapsed, "edge (0, 1) has zero length"),
+        (lambda: _square(bbox=(0.0, 0.0, 2.0, 1.0)), "boundary edge (1, 2) near [1.  0.5] "),
+        (lambda: _square(bbox=(0.0, -1.0, 1.0, 1.0)), "boundary edge (0, 1) near [0.5 0. ] "),
+    ],
+    ids=["zero_length", "off_right", "off_bottom"],
+)
+def test_faulty_edge_is_named_like_the_edge_loop(make, message):
+    # the first faulty edge in vertex-pair order is reported; the collapsed
+    # square's edge (1, 2) also leaves the bbox, but comes after (0, 1)
+    with pytest.raises(MeshFormatError) as want:
+        oracles.loop_edge_topology(make())
+    with pytest.raises(MeshFormatError) as got:
+        build_edge_topology(make())
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
 
 
 class TestOversample:
