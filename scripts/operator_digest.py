@@ -14,7 +14,8 @@ and the paper_like meshes (`configs/desk_test1.cfg`, `configs/paper_like.cfg`),
 and on the desk config:
 
 - the `StepOperators` blocks and loads for every Darcy value of the config,
-  and the convection and Forchheimer blocks at a seeded field;
+  the convection and Forchheimer blocks at a seeded field, and the step
+  matrices `ops.system(None)` (linear) and `ops.system(field)` (ordered);
 - for every coarse patch, plain and oversampled: the viscous block, the
   divergence, the unit-delta Dirichlet loads and the spectral pair;
 - a manufactured-data `assemble_rhs` with traction and forcing;
@@ -111,6 +112,8 @@ def main():
             show(f"{tag} step_operators.{name}", getattr(ops, name))
         show(f"{tag} convection_block", forms.convection_block(ops.patch, params, field))
         show(f"{tag} forchheimer_block", forms.forchheimer_block(ops.patch, params, field))
+        show(f"{tag} system(None).matrix", ops.system(None).matrix)
+        show(f"{tag} system(field).matrix", ops.system(field).matrix)
 
     params = spec.params
     for oversampled in (False, True):

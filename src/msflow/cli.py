@@ -44,7 +44,10 @@ def _run_reference(mesh, params, bc, ops):
 
 def _load_reference(path, mesh):
     _, _, state, _ = vtk_io.read_vtk_state(path)
-    state.validate(mesh.n_cells)
+    try:
+        state.validate(mesh.n_cells)
+    except ValueError as exc:
+        raise MsflowError(f"{path}: {exc} (not a state on this run's mesh)") from exc
     return state
 
 
@@ -142,12 +145,11 @@ def _check_basis_size(m, mesh, coarse, settings):
 def run_ms_mode(spec, mesh, coarse):
     params, bc = spec.params, spec.bc
     _check_basis_size(max(spec.m_list), mesh, coarse, (spec.oversampled,))
+    ref = _load_reference(spec.reference, mesh) if spec.reference else None
     provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
     provider.get(provider.m_max, spec.oversampled)
     ops = StepOperators(mesh, params, bc)
-    if spec.reference:
-        ref = _load_reference(spec.reference, mesh)
-    else:
+    if ref is None:
         ref = _run_reference(mesh, params, bc, ops)
     for m in sorted(spec.m_list):
         sub = provider.get(m, spec.oversampled)

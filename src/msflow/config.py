@@ -192,10 +192,20 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
     elif inclusions_value.strip().lower() == "random":
         value, lineno = _get(entries, "domain", "n_inclusions", "24")
         n_inclusions = _parse_int(value, lineno, "n_inclusions")
-        value, lineno = _get(entries, "domain", "radius_min", "0.05")
-        rmin = _parse_float(value, lineno, "radius_min")
+        if n_inclusions < 0:
+            message = f"key 'n_inclusions': must be at least 0, got {n_inclusions}"
+            raise ConfigError(message, line=lineno)
+        value, rmin_line = _get(entries, "domain", "radius_min", "0.05")
+        rmin = _parse_float(value, rmin_line, "radius_min")
+        if rmin <= 0:
+            raise ConfigError(f"key 'radius_min': must be positive, got {rmin:g}", line=rmin_line)
         value, lineno = _get(entries, "domain", "radius_max", "0.12")
         rmax = _parse_float(value, lineno, "radius_max")
+        if rmax < rmin:
+            raise ConfigError(
+                f"key 'radius_max': {rmax:g} is below radius_min {rmin:g}",
+                line=lineno if lineno is not None else rmin_line,
+            )
         inclusions = generate_inclusions(bbox, n_inclusions, rmin, rmax, run_seed)
     else:
         inclusions = []

@@ -36,15 +36,16 @@ class Trajectory:
 class StepOperators:
     """Blocks that persist across time steps for a fixed mesh and data.
 
+    A step freezes convection and the quadratic drag at the previous layer,
+    so its matrix is the static saddle of mass + viscous + Darcy and the
+    divergence plus cell blocks: step_saddle() holds the static matrix in
+    the nested-dissection cell order, step_blocks(u_lin) the convection and
+    drag of each cell.  system(u_lin) adds them on a saddle built on the
+    first call and kept on ops, with the kept float32 factor of its static
+    matrix; run_fine steps on a saddle of its own, so that its factor is
+    freed when the run ends, and a step's answer is the same from either.
     system(None), the constant system of the linear run, is left for
-    SaddleSolver to order by COLAMD.  system(u_lin), the system of a
-    nonlinear step, comes in the nested-dissection cell order; its ordered
-    pattern and the kept float32 factor of its static matrix are built on
-    the first call and kept on ops (see _OrderedStep).  run_fine holds a
-    pattern and factor of its own for its loop, so that they are freed when
-    the run ends; a step's answer is the same from either.  A step that
-    misses the kept factor is solved by a float64 factor of its own (see
-    SaddleSolver).
+    SaddleSolver to order by COLAMD.
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
@@ -57,7 +58,8 @@ class StepOperators:
         self.darcy = forms.darcy_block(self.patch, params)
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
-        self._step = None
+        self._porous = np.nonzero(self.mesh.region[self.patch.cells] == POROUS)[0]
+        self._saddle = None
 
     @cached_property
     def cell_order(self):
@@ -67,72 +69,53 @@ class StepOperators:
         edges = np.column_stack([patch.plus.cell, patch.minus.cell])
         return nested_dissection_order(patch.mesh.centroid[patch.cells], edges, ND_LEAF_CELLS)
 
+    def step_saddle(self):
+        """A new CellOrderedSaddle of mass + viscous + Darcy and the
+        divergence in cell_order; its step entries [c, d, a, b] couple test
+        vertex a to trial vertex b in component d of cell c."""
+        n = self.patch.n_cells
+        dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
+        rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
+        cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
+        upper = self.mass + self.viscous + self.darcy
+        return CellOrderedSaddle(upper, self.div, self.cell_order, rows, cols)
+
+    def step_blocks(self, u_lin):
+        """Convection plus drag linearized at the global field u_lin, one
+        scalar 3x3 block per cell, (n, 1, 3, 3): the same in both velocity
+        components."""
+        patch, params, porous = self.patch, self.params, self._porous
+        u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
+        coefs = u_local.reshape(patch.n_cells, 3, 2)
+        blocks = forms.convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
+        if len(porous) and params.forchheimer != 0.0:
+            blocks[porous] += forms.forchheimer_cell_blocks(
+                patch.mesh, params, patch.cells[porous], coefs[porous]
+            )
+        return blocks[:, None]
+
     def system(self, u_lin=None):
         if u_lin is None:
             upper = self.mass + self.viscous + self.darcy
             return SaddleSystem(saddle_matrix(upper, self.div), self.f_u, self.f_p)
-        if self._step is None:
-            self._step = _OrderedStep(self)
-        return self._step.system(u_lin)
+        if self._saddle is None:
+            self._saddle = self.step_saddle()
+        saddle = self._saddle
+        return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p)
 
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""
         return relative_residual(self.div, velocity, self.f_p, self._div_scale)
 
 
-class _OrderedStep:
-    """The saddle matrix of the nonlinear steps, kept in factor order.
+def ordered_step(saddle, blocks, f_p):
+    """march's step_solve on a CellOrderedSaddle: the step from u solves the
+    system of values saddle.static + blocks(u) with the loads (rhs_u, f_p)."""
 
-    The order lists the cells by nested dissection, each cell's six
-    velocity DOFs followed by its pressure DOF (see CellOrderedSaddle).
-    Convection and the quadratic drag are cell-local, so a step changes only
-    the two component-diagonal 3x3 velocity blocks of every cell.  A step
-    writes (m + (v + c)) + (d + f) at the cell-block entries, with m, v, d
-    the stored mass, viscous and Darcy values there and c, f the convection
-    and Forchheimer cell blocks.  These are the additions, in the same
-    order, of summing the CSR blocks mass + (viscous + conv) + (darcy +
-    forch), so the matrix is the permuted block sum bit for bit.
+    def step_solve(u, rhs_u):
+        return SaddleSolver(saddle.system(saddle.static + blocks(u), rhs_u, f_p)).solve()
 
-    The static matrix of self.saddle, mass + viscous + Darcy with the
-    divergence, is the step-0 matrix bit for bit; from SINGLE_MIN unknowns
-    on, every step is refined from its float32 factor, made on the first
-    step and kept as long as this object, and a step that misses it gets a
-    float64 factor of its own (see SaddleSolver).
-    """
-
-    def __init__(self, ops):
-        patch = ops.patch
-        n = patch.n_cells
-        upper = ops.mass + ops.viscous + ops.darcy
-        # Entry [c, d, a, b] couples test vertex a to trial vertex b in
-        # component d of cell c.
-        dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
-        rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
-        cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
-        self.saddle = CellOrderedSaddle(upper, ops.div, ops.cell_order, rows, cols)
-        self.m, self.v, d = (
-            np.asarray(block[rows.ravel(), cols.ravel()]).reshape(n, 2, 3, 3)
-            for block in (ops.mass, ops.viscous, ops.darcy)
-        )
-        self.porous = np.nonzero(patch.mesh.region[patch.cells] == POROUS)[0]
-        self.d = d[self.porous]
-        self.patch, self.params, self.f_u, self.f_p = patch, ops.params, ops.f_u, ops.f_p
-
-    def system(self, u_lin):
-        """The ordered saddle system linearized at the global field u_lin."""
-        patch, params = self.patch, self.params
-        u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
-        coefs = u_local.reshape(patch.n_cells, 3, 2)
-        conv = forms.convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
-        values = self.m + (self.v + conv[:, None])
-        drag = self.d
-        if len(self.porous) and params.forchheimer != 0.0:
-            forch = forms.forchheimer_cell_blocks(
-                patch.mesh, params, patch.cells[self.porous], coefs[self.porous]
-            )
-            drag = drag + forch[:, None]
-        values[self.porous] += drag
-        return self.saddle.system(values, self.f_u, self.f_p)
+    return step_solve
 
 
 def march(step_solve, mass, f_u, n_p, div_residual, params, label):
@@ -162,13 +145,11 @@ def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None):
     which makes the step matrix constant (factored once, by COLAMD).
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc, forcing=forcing)
-    linear_solver = SaddleSolver(ops.system(None)) if linear else None
-    ordered = None if linear else _OrderedStep(ops)
-
-    def step_solve(u, rhs_u):
-        solver = linear_solver if ordered is None else SaddleSolver(ordered.system(u))
-        return solver.solve(rhs_u, ops.f_p)
-
+    if linear:
+        solver = SaddleSolver(ops.system(None))
+        step_solve = lambda u, rhs_u: solver.solve(rhs_u, ops.f_p)
+    else:
+        step_solve = ordered_step(ops.step_saddle(), ops.step_blocks, ops.f_p)
     return march(
         step_solve, ops.mass, ops.f_u, ops.patch.n_cells, ops.div_residual, params, "fine step"
     )

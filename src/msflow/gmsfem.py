@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .errors import ConfigError, SingularSystemError
-from .fine_solver import StepOperators, march, run_fine
+from .fine_solver import StepOperators, march, ordered_step, run_fine
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_order, coarse_cell_patch
@@ -499,7 +499,7 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     builds the convection tensors and porous quadrature values at the
     family's largest size, and every call reads their m-prefix; the coarse
     saddle pattern is built once per call and the steps run in the fine
-    run's loop (fine_solver.march).  A step costs
+    run's loop and step (fine_solver.march and ordered_step).  A step costs
     O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
     coarse trajectory and the reconstructed fine state at the final time.
     """
@@ -518,13 +518,10 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     cols = base + np.arange(m)[None, None, :]
     saddle = CellOrderedSaddle(online.upper, b_h, coarse_cell_order(coarse), rows, cols)
 
-    def step_solve(u_h, rhs_u):
-        blocks = online.nonlinear(u_h)
-        return SaddleSolver(saddle.system(saddle.static + blocks, rhs_u, f_p)).solve()
-
     def div_residual(u_h):
         return relative_residual(b_h, u_h, f_p, b_scale)
 
+    step_solve = ordered_step(saddle, online.nonlinear, f_p)
     coarse_traj = march(
         step_solve, online.mass, online.f_u, space.n_p, div_residual, params, "online step"
     )

@@ -96,7 +96,9 @@ def merged_pattern(matrix, rows, cols):
 
 class CellOrderedSaddle:
     """The saddle matrix [[upper, div^T], [div, 0]] in a cell order, kept in
-    CSC form with a pattern fixed for its lifetime.
+    CSC form with a pattern fixed for its lifetime.  This static matrix is
+    the part of a time step that does not change; a step adds its
+    cell-local blocks to the static values at the entries (rows, cols).
 
     perm lists each cell in order as its k = upper.shape[0] // len(order)
     velocity unknowns followed by its pressure unknown, so SaddleSolver
@@ -120,10 +122,14 @@ class CellOrderedSaddle:
         static = saddle_matrix(upper, div)[self.perm][:, self.perm]
         self.pattern, self.pos = merged_pattern(static, position[rows], position[cols])
 
-    @property
+    @cached_property
     def static(self):
-        """The static values stored at the entries (rows, cols)."""
-        return self.pattern.data[self.pos]
+        """The static values at the entries (rows, cols), gathered once and
+        read-only; a step adds its blocks to them (see
+        fine_solver.ordered_step)."""
+        values = self.pattern.data[self.pos]
+        values.flags.writeable = False
+        return values
 
     @cached_property
     def kept_lu(self):
@@ -142,7 +148,8 @@ class CellOrderedSaddle:
             return None
 
     def system(self, values, f_u, f_p):
-        """The ordered system with values at the entries (rows, cols)."""
+        """The ordered system with values at the entries (rows, cols), and
+        the static values everywhere else."""
         pattern = self.pattern
         data = pattern.data.copy()
         data[self.pos] = values

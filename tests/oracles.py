@@ -371,14 +371,15 @@ def patch_nested_dissection(patch):
 
 def block_step_matrix(ops, u_lin):
     """The saddle matrix of the nonlinear fine step linearized at u_lin,
-    assembled from CSR blocks and permuted into the nested-dissection cell
+    assembled from CSR blocks, the static mass + viscous + Darcy plus
+    convection + Forchheimer, and permuted into the nested-dissection cell
     order (each cell's six velocity DOFs, then its pressure DOF).  Returns
     the permuted matrix, with sorted indices, and the permutation."""
-    a, d = ops.viscous, ops.darcy
+    upper = ops.mass + ops.viscous + ops.darcy
     if np.any(u_lin):
-        a = a + forms.convection_block(ops.patch, ops.params, u_lin)
-        d = d + forms.forchheimer_block(ops.patch, ops.params, u_lin)
-    upper = (ops.mass + a + d).tocsr()
+        conv = forms.convection_block(ops.patch, ops.params, u_lin)
+        upper = upper + (conv + forms.forchheimer_block(ops.patch, ops.params, u_lin))
+    upper = upper.tocsr()
     matrix = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
     order = patch_nested_dissection(ops.patch)
     perm = np.column_stack(

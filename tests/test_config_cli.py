@@ -222,6 +222,29 @@ def test_mesh_mode_and_compare_self(tmp_path):
     assert result["e_p_percent"] == 0.0
 
 
+@pytest.mark.parametrize("mode", ["compare", "ms"])
+def test_reference_from_another_mesh_names_the_file(tmp_path, capsys, monkeypatch, mode):
+    out = tmp_path / "out"
+    mesh_block = "[mesh]\nnx = 2\nny = 2\nn_per_coarse = {}\n"
+    head = "[domain]\ninclusions = 0.0 0.0 0.3\n[model]\npreset = test1\nn_steps = 2\n"
+    cfg = write_config(tmp_path, head + mesh_block.format(2) + f"[run]\nout = {out}\n")
+    assert cli.main(["fine", "--config", str(cfg)]) == 0
+    coarse_vtk = out / "fine.vtk"  # 32 cells; the runs below have 72
+    run = f"[run]\nreference = {coarse_vtk}\nother = {coarse_vtk}\nm = 4\nout = {out}\n"
+    cfg = write_config(tmp_path, head + mesh_block.format(3) + run, name=f"{mode}.cfg")
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(gmsfem, "compute_linearization_field", no_basis)
+    monkeypatch.setattr(gmsfem, "build_multiscale_space", no_basis)
+    capsys.readouterr()
+    assert cli.main([mode, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {coarse_vtk}: velocity has 192 coefficients, expected 432" in err
+    assert not list(out.glob("ms_*"))
+
+
 def test_ms_mode_writes_reports(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -377,6 +400,28 @@ def test_cli_rejects_darcy_list_values_below_zero(tmp_path, capsys, value, bad):
         parse_config(cfg)
     assert cli.main(["sweep", "--config", str(cfg)]) == 2
     assert "error: line 4: key 'da_list': must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ("radius_min = 0\nradius_max = 0.1", "line 5: key 'radius_min': must be positive, got 0"),
+        ("radius_min = 0.2\nradius_max = 0.1", "line 6: key 'radius_max': 0.1 is below radius_min 0.2"),
+        ("n_inclusions = -3", "line 5: key 'n_inclusions': must be at least 0, got -3"),
+    ],
+    ids=["radius_min_zero", "radius_range_inverted", "negative_count"],
+)
+def test_cli_rejects_bad_random_inclusions(tmp_path, capsys, keys, message):
+    cfg = write_config(
+        tmp_path,
+        f"[model]\npreset = test1\n[domain]\ninclusions = random\n{keys}\n"
+        f"[run]\nmode = fine\nout = {tmp_path / 'out'}\n",
+    )
+    with pytest.raises(ConfigError, match=message):
+        parse_config(cfg)
+    assert cli.main(["fine", "--config", str(cfg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
