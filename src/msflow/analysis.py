@@ -4,17 +4,16 @@ and region statistics for qualitative checks."""
 import numpy as np
 from dataclasses import dataclass, field
 
+from .forms import LAMBDA_MASS
 from .geometry import FLUID, POROUS
 from .quadrature import TRI_D4_BARY, TRI_D4_W
-
-_LAMBDA_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 def _pair_l2(mesh, vel_a, vel_b):
     """Broken L2 inner product of two piecewise-P1 vector fields."""
     ca = vel_a.reshape(mesh.n_cells, 3, 2)
     cb = vel_b.reshape(mesh.n_cells, 3, 2)
-    per_cell = np.einsum("nad,ab,nbd->n", ca, _LAMBDA_MASS, cb)
+    per_cell = np.einsum("nad,ab,nbd->n", ca, LAMBDA_MASS, cb)
     return float(np.dot(mesh.area, per_cell))
 
 

@@ -38,10 +38,6 @@ def _write_json(path, payload):
     os.replace(tmp, path)
 
 
-def _run_reference(mesh, params, bc, ops):
-    return run_fine(mesh, params, bc, ops=ops).final
-
-
 def _load_reference(path, mesh):
     _, _, state, _ = vtk_io.read_vtk_state(path)
     try:
@@ -88,44 +84,24 @@ def _report_payload(report):
     }
 
 
-class _SpaceProvider:
-    """Basis spaces for every requested size: one space of size m_max per
-    oversampling setting, loaded from the optional file cache or built (and
-    then cached), and row-sliced to each smaller size (offline eigenvectors
-    are prefix-reusable).
-
-    The ms and sweep modes get their m_max spaces before the fine reference,
-    so a basis size above a coarse cell's kept rank fails before that run."""
-
-    def __init__(self, spec, mesh, coarse, params, bc, m_max):
-        self.spec = spec
-        self.mesh = mesh
-        self.coarse = coarse
-        self.params = params
-        self.bc = bc
-        self.m_max = m_max
-        self._spaces = {}
-        self._u_lin = None
-
-    def _load_or_build(self, oversampled):
-        cache = self.spec.basis_cache
-        args = (self.mesh, self.coarse, self.params, self.bc)
-        space = gmsfem.load_space(cache, *args, self.m_max, oversampled) if cache else None
+def _spaces(spec, mesh, coarse, params, settings, ops):
+    """The basis space of size max(spec.m_list) for each oversampling
+    setting, loaded from the optional file cache or built (and then cached).
+    Spaces that miss the cache share one linearization field, the linear
+    run on ops."""
+    cache, bc = spec.basis_cache, spec.bc
+    spaces, u_lin = {}, None
+    for oversampled in settings:
+        args = (mesh, coarse, params, bc, max(spec.m_list), oversampled)
+        space = gmsfem.load_space(cache, *args) if cache else None
         if space is None:
-            if self._u_lin is None:
-                self._u_lin = gmsfem.compute_linearization_field(self.mesh, self.params, self.bc)
-            space = gmsfem.build_multiscale_space(
-                *args, m=self.m_max, oversampled=oversampled, u_lin=self._u_lin
-            )
+            if u_lin is None:
+                u_lin = gmsfem.compute_linearization_field(mesh, params, bc, ops=ops)
+            space = gmsfem.build_multiscale_space(*args, u_lin=u_lin)
             if cache:
-                gmsfem.save_space(cache, self.mesh, self.params, self.bc, space)
-        return space
-
-    def get(self, m, oversampled):
-        if oversampled not in self._spaces:
-            self._spaces[oversampled] = self._load_or_build(oversampled)
-        space = self._spaces[oversampled]
-        return space if m == space.m else gmsfem.resize_space(space, self.mesh, self.coarse, m)
+                gmsfem.save_space(cache, mesh, params, bc, space)
+        spaces[oversampled] = space
+    return spaces
 
 
 def _check_basis_size(m, mesh, coarse, settings):
@@ -142,24 +118,34 @@ def _check_basis_size(m, mesh, coarse, settings):
                 )
 
 
-def run_ms_mode(spec, mesh, coarse):
-    params, bc = spec.params, spec.bc
-    _check_basis_size(max(spec.m_list), mesh, coarse, (spec.oversampled,))
-    ref = _load_reference(spec.reference, mesh) if spec.reference else None
-    provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
-    provider.get(provider.m_max, spec.oversampled)
-    ops = StepOperators(mesh, params, bc)
+def _multiscale_runs(spec, mesh, coarse, params, settings, ref=None):
+    """The multiscale runs of one Darcy value on one StepOperators.  The
+    spaces come before the fine reference (run unless ref is given), so a
+    basis size above a coarse cell's kept rank fails before that run; the
+    smaller sizes are row slices (offline eigenvectors are prefix-reusable).
+    Yields (m, oversampled, fine_state, report), m ascending per setting."""
+    ops = StepOperators(mesh, params, spec.bc)
+    spaces = _spaces(spec, mesh, coarse, params, settings, ops)
     if ref is None:
-        ref = _run_reference(mesh, params, bc, ops)
-    for m in sorted(spec.m_list):
-        sub = provider.get(m, spec.oversampled)
-        traj, fine_state = gmsfem.run_multiscale(
-            mesh, coarse, params, bc, space=sub, ops=ops
-        )
-        report = analysis.make_report(
-            ref, fine_state.velocity, traj.final.pressure, mesh, coarse, m,
-            spec.oversampled, params,
-        )
+        ref = run_fine(mesh, params, spec.bc, ops=ops).final
+    for oversampled in settings:
+        space = spaces[oversampled]
+        for m in sorted(spec.m_list):
+            sub = space if m == space.m else gmsfem.resize_space(space, mesh, coarse, m)
+            traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, spec.bc, sub, ops=ops)
+            report = analysis.make_report(
+                ref, fine_state.velocity, traj.final.pressure, mesh, coarse, m,
+                oversampled, params,
+            )
+            yield m, oversampled, fine_state, report
+
+
+def run_ms_mode(spec, mesh, coarse):
+    settings = (spec.oversampled,)
+    _check_basis_size(max(spec.m_list), mesh, coarse, settings)
+    ref = _load_reference(spec.reference, mesh) if spec.reference else None
+    runs = _multiscale_runs(spec, mesh, coarse, spec.params, settings, ref)
+    for m, _, fine_state, report in runs:
         vtk_io.export_vtk(mesh, fine_state, os.path.join(spec.out_dir, f"ms_m{m}.vtk"))
         _write_json(os.path.join(spec.out_dir, f"ms_report_m{m}.json"), _report_payload(report))
         e_u, e_s, e_p = report.percent()
@@ -168,29 +154,6 @@ def run_ms_mode(spec, mesh, coarse):
             f"e_u={e_u:.3f}% e_s={e_s:.3f}% e_p={e_p:.3f}%"
         )
     return 0
-
-
-def _sweep_one_da(spec, mesh, coarse, darcy):
-    params = spec.params.with_darcy(darcy)
-    bc = spec.bc
-    provider = _SpaceProvider(spec, mesh, coarse, params, bc, max(spec.m_list))
-    for oversampled in (False, True):
-        provider.get(provider.m_max, oversampled)
-    ops = StepOperators(mesh, params, bc)
-    ref = _run_reference(mesh, params, bc, ops)
-    results = {}
-    for oversampled in (False, True):
-        for m in spec.m_list:
-            sub = provider.get(m, oversampled)
-            traj, fine_state = gmsfem.run_multiscale(
-                mesh, coarse, params, bc, space=sub, ops=ops
-            )
-            report = analysis.make_report(
-                ref, fine_state.velocity, traj.final.pressure, mesh, coarse, m,
-                oversampled, params,
-            )
-            results[(m, oversampled)] = report
-    return results
 
 
 def write_sweep_csv(path, m_list, results, coarse):
@@ -208,9 +171,11 @@ def write_sweep_csv(path, m_list, results, coarse):
 
 
 def run_sweep_mode(spec, mesh, coarse):
-    _check_basis_size(max(spec.m_list), mesh, coarse, (False, True))
+    settings = (False, True)
+    _check_basis_size(max(spec.m_list), mesh, coarse, settings)
     for darcy in spec.da_list:
-        results = _sweep_one_da(spec, mesh, coarse, darcy)
+        runs = _multiscale_runs(spec, mesh, coarse, spec.params.with_darcy(darcy), settings)
+        results = {(m, oversampled): report for m, oversampled, _, report in runs}
         path = os.path.join(spec.out_dir, f"errors_da_{darcy:g}.csv")
         write_sweep_csv(path, spec.m_list, results, coarse)
         print(f"Da={darcy:g}: wrote {path}")

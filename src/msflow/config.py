@@ -301,7 +301,7 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
     final_out = out_dir or out_value
     reference, ref_line = _get(entries, "run", "reference")
     other, other_line = _get(entries, "run", "other")
-    basis_cache, _ = _get(entries, "run", "basis_cache")
+    basis_cache, cache_line = _get(entries, "run", "basis_cache")
 
     if run_mode in ("ms", "sweep") and not m_list:
         raise ConfigError(f"mode {run_mode!r} requires m or m_list")
@@ -315,6 +315,8 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
                 raise ConfigError(f"{label} file not found: {p}", line=ln)
     if reference is not None and run_mode == "ms" and not os.path.exists(reference):
         raise ConfigError(f"reference file not found: {reference}", line=ref_line)
+    if basis_cache is not None and os.path.exists(basis_cache) and not os.path.isdir(basis_cache):
+        raise ConfigError(f"key 'basis_cache': not a directory: {basis_cache}", line=cache_line)
     try:
         os.makedirs(final_out, exist_ok=True)
     except OSError as exc:

@@ -21,6 +21,9 @@ import scipy.sparse as sp
 from .geometry import POROUS
 from .quadrature import TRI_D4_BARY, TRI_D4_W, EDGE_G2_S, EDGE_G2_W
 
+# Integrals of lambda_a lambda_b over a P1 triangle of unit area.
+LAMBDA_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
 
 def _kron2(blocks):
     """Expand per-cell scalar 3x3 blocks to 6x6 vector blocks (components
@@ -105,8 +108,7 @@ def edge_points(mesh, edges):
 def _lambda_mass(patch):
     """Exact per-cell integrals of lambda_a lambda_b, (n, 3, 3)."""
     area = patch.mesh.area[patch.cells]
-    template = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return area[:, None, None] * template[None]
+    return area[:, None, None] * LAMBDA_MASS[None]
 
 
 def assemble_mass(patch, params):

@@ -23,7 +23,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import forms
-from .errors import ConfigError, SingularSystemError
+from .errors import ConfigError, MsflowError, SingularSystemError
 from .fine_solver import StepOperators, march, ordered_step, run_fine
 from .geometry import POROUS
 from .parameters import DGState
@@ -284,21 +284,11 @@ def default_thread_count():
     return min(threads, os.cpu_count() or 1)
 
 
-def build_multiscale_space(
-    mesh,
-    coarse,
-    params,
-    bc=None,
-    m=10,
-    oversampled=False,
-    u_lin=None,
-    threads=None,
-):
-    """Offline stage: linearization field, per-cell snapshots and spectral
-    reduction (cell-parallel), and the global projection operators."""
-    threads = default_thread_count() if threads is None else int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads}")
+def build_multiscale_space(mesh, coarse, params, bc=None, m=10, oversampled=False, u_lin=None):
+    """Offline stage: linearization field (unless u_lin is given), per-cell
+    snapshots and spectral reduction, and the global projection operators.
+    The cells run on default_thread_count() workers (MSFLOW_THREADS)."""
+    threads = default_thread_count()
     if u_lin is None:
         if bc is None:
             raise ValueError("either boundary data or a linearization field is needed")
@@ -488,9 +478,9 @@ class _Family:
         )
 
 
-def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=None, ops=None):
-    """Online stage: march the projected system and reconstruct the fine
-    velocity.
+def run_multiscale(mesh, coarse, params, bc, space, ops=None):
+    """Online stage on a built, loaded or resized space: march the projected
+    system and reconstruct the fine velocity.
 
     The nonlinear weights are refreshed every step from the reconstructed
     field of the previous coarse step; the basis stays fixed.  Fine-mesh
@@ -500,13 +490,10 @@ def run_multiscale(mesh, coarse, params, bc, m=None, oversampled=False, space=No
     family's largest size, and every call reads their m-prefix; the coarse
     saddle pattern is built once per call and the steps run in the fine
     run's loop and step (fine_solver.march and ordered_step).  A step costs
-    O(n_coarse m^3) plus O(m^2) per porous fine cell.  Returns the
+    O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the fine step
+    operators of params and bc) is built when not given.  Returns the
     coarse trajectory and the reconstructed fine state at the final time.
     """
-    if space is None:
-        if m is None:
-            raise ValueError("either a space or a basis size m is required")
-        space = build_multiscale_space(mesh, coarse, params, bc, m=m, oversampled=oversampled)
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
     online = space.family.operators(mesh, coarse, params, ops, space.m)
     b_h, f_p = online.div, online.f_p
@@ -560,8 +547,8 @@ def _space_key(mesh, params, bc, oversampled):
 def save_space(directory, mesh, params, bc, space):
     """Write each coarse cell's first space.m basis rows, fine cells and
     eigenvalues, keyed by the hash of the inputs, so a later run with the
-    same inputs can skip the offline stage."""
-    os.makedirs(directory, exist_ok=True)
+    same inputs can skip the offline stage.  An OSError on the way is an
+    MsflowError naming the file."""
     key = _space_key(mesh, params, bc, space.oversampled)
     path = os.path.join(directory, f"basis_{key}_m{space.m}.npz")
     payload = {}
@@ -571,9 +558,13 @@ def save_space(directory, mesh, params, bc, space):
         payload[f"cells_{i}"] = basis.target_cells
         payload[f"eig_{i}"] = basis.eigenvalues
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **payload)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise MsflowError(f"basis cache file {path} not saved: {exc}") from exc
     return path
 
 

@@ -74,8 +74,10 @@ def merged_pattern(matrix, rows, cols):
     Returns the extended matrix, canonical (sorted, without duplicates) and
     holding matrix's values with zeros at the added entries, and the data
     positions of (rows, cols) in it, in the broadcast shape of rows and cols.
+    A CSC input is canonicalized in place, and is itself the result when
+    every entry is stored already.
     """
-    matrix = matrix.tocsc(copy=True)
+    matrix = matrix.tocsc()
     matrix.sum_duplicates()
     n_rows, n_cols = matrix.shape
     keys = np.repeat(np.arange(n_cols, dtype=np.int64), np.diff(matrix.indptr))

@@ -7,6 +7,7 @@ import pytest
 from msflow import cli, gmsfem
 from msflow.config import generate_inclusions, parse_config
 from msflow.errors import ConfigError
+from msflow.fine_solver import StepOperators
 from msflow.parameters import BoundaryData
 
 from conftest import assert_same_bases, make_params, tiny_heterogeneous
@@ -442,7 +443,8 @@ def test_space_provider_builds_or_loads_once_per_flag(tmp_path, monkeypatch):
     mesh, coarse = tiny_heterogeneous(n=2)
     params = make_params(n_steps=1)
     bc = BoundaryData.inflow((1.0, 0.0))
-    spec = SimpleNamespace(basis_cache=str(tmp_path / "cache"))
+    spec = SimpleNamespace(basis_cache=str(tmp_path / "cache"), m_list=[2, 4, 3], bc=bc)
+    ops = StepOperators(mesh, params, bc)
     calls = []
 
     def record(name):
@@ -458,8 +460,9 @@ def test_space_provider_builds_or_loads_once_per_flag(tmp_path, monkeypatch):
     record("load_space")
 
     def spaces():
-        provider = cli._SpaceProvider(spec, mesh, coarse, params, bc, 4)
-        return [provider.get(m, False) for m in (2, 3, 4)]
+        space = cli._spaces(spec, mesh, coarse, params, (False,), ops)[False]
+        assert space.m == 4
+        return [gmsfem.resize_space(space, mesh, coarse, m) for m in (2, 3, 4)]
 
     built = spaces()
     assert calls == ["load_space", "build_multiscale_space"]  # a miss, one build at m_max
@@ -468,3 +471,69 @@ def test_space_provider_builds_or_loads_once_per_flag(tmp_path, monkeypatch):
     for a, b in zip(built, loaded):
         assert a.m == b.m and np.array_equal(a.r_u.toarray(), b.r_u.toarray())
     assert_same_bases(loaded[-1].cell_bases, built[-1].cell_bases)
+
+
+TINY_MS = (
+    "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
+    "[mesh]\nnx = 2\nny = 2\nn_per_coarse = {n}\n"
+    "[model]\npreset = test1\nn_steps = 2\nda = 1e-3\n"
+    "[run]\n{run}\nout = {out}\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["ms", "sweep"])
+def test_basis_cache_that_is_a_file_exits_before_any_basis(tmp_path, monkeypatch, capsys, mode):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory\n")
+    out = tmp_path / "out"
+    run = f"m = 4\nbasis_cache = {cache}"
+    cfg = write_config(tmp_path, TINY_MS.format(n=3, run=run, out=out))
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(gmsfem, "compute_linearization_field", no_basis)
+    monkeypatch.setattr(gmsfem, "build_multiscale_space", no_basis)
+    message = f"line 14: key 'basis_cache': not a directory: {cache}"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(cfg)
+    assert cli.main([mode, "--config", str(cfg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_ms_and_sweep_give_the_same_errors(tmp_path):
+    ms_out, sweep_out = tmp_path / "ms", tmp_path / "sweep"
+    ms_cfg = write_config(
+        tmp_path,
+        TINY_MS.format(n=3, run="m = 4\noversampled = false", out=ms_out),
+        name="ms.cfg",
+    )
+    sweep_cfg = write_config(
+        tmp_path,
+        TINY_MS.format(n=3, run="m_list = 4\nda_list = 1e-3", out=sweep_out),
+        name="sweep.cfg",
+    )
+    assert cli.main(["ms", "--config", str(ms_cfg)]) == 0
+    assert cli.main(["sweep", "--config", str(sweep_cfg)]) == 0
+    report = json.loads((ms_out / "ms_report_m4.json").read_text())
+    header, row = (sweep_out / "errors_da_0.001.csv").read_text().splitlines()
+    plain = dict(zip(header.split(","), row.split(",")))
+    assert row.startswith("4,")
+    for key in ("e_u", "e_s", "e_p"):
+        assert f"{report[key + '_percent']:.6f}" == plain[key + "_plain"]
+
+
+def test_sweep_builds_one_step_operators_per_darcy_value(tmp_path, monkeypatch):
+    darcy_values = []
+    init = cli.StepOperators.__init__
+
+    def counting_init(self, mesh, params, *args, **kwargs):
+        darcy_values.append(params.darcy)
+        init(self, mesh, params, *args, **kwargs)
+
+    monkeypatch.setattr(cli.StepOperators, "__init__", counting_init)
+    run = "m_list = 2 4\nda_list = 1e-4 1e-3"
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=tmp_path / "out"))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    assert darcy_values == [1e-4, 1e-3]

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from msflow import forms, gmsfem
-from msflow.errors import ConfigError, SingularSystemError
+from msflow.errors import ConfigError, MsflowError, SingularSystemError
 from msflow.fine_solver import StepOperators, march, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
@@ -298,7 +298,8 @@ class TestRunMultiscale:
         mesh, coarse = tiny_heterogeneous(n=2)
         params = make_params(n_steps=2)
         bc = BoundaryData()
-        traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, m=2)
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=2)
+        traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space)
         assert np.all(traj.final.velocity == 0.0)
         assert np.all(fine_state.velocity == 0.0)
 
@@ -306,7 +307,8 @@ class TestRunMultiscale:
         mesh, coarse = tiny_heterogeneous(n=3)
         params = make_params(n_steps=3)
         bc = BoundaryData.inflow((1.0, 0.0))
-        traj, _ = gmsfem.run_multiscale(mesh, coarse, params, bc, m=6)
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=6)
+        traj, _ = gmsfem.run_multiscale(mesh, coarse, params, bc, space)
         assert traj.div_residuals.max() <= 1e-9
 
     def test_resize_reuses_bases(self):
@@ -587,20 +589,8 @@ class TestThreadCount:
         monkeypatch.delenv("MSFLOW_THREADS", raising=False)
         assert gmsfem.default_thread_count() == 1
 
-    @pytest.mark.parametrize(
-        "value",
-        ["abc", "2.5", "0", "-3"] + [pytest.param(v, id=f"argument{v}") for v in (0, -3)],
-    )
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
     def test_invalid_values_are_config_errors(self, monkeypatch, value):
-        # A bad MSFLOW_THREADS is a ConfigError; a bad threads argument of
-        # build_multiscale_space is a ValueError naming it, not one worker.
-        if isinstance(value, int):
-            mesh, coarse = tiny_heterogeneous(n=2)
-            with pytest.raises(ValueError, match=f"positive integer, got {value}$"):
-                gmsfem.build_multiscale_space(
-                    mesh, coarse, make_params(), u_lin=np.zeros(6 * mesh.n_cells), threads=value
-                )
-            return
         monkeypatch.setenv("MSFLOW_THREADS", value)
         with pytest.raises(ConfigError, match="MSFLOW_THREADS"):
             gmsfem.default_thread_count()
@@ -628,12 +618,16 @@ class TestProjectedOperators:
 
 
 class TestConcurrency:
-    def test_threaded_build_matches_serial(self):
+    def test_threaded_build_matches_serial(self, monkeypatch):
         mesh, coarse = tiny_heterogeneous(n=2)
         params = make_params()
         bc = BoundaryData.inflow((1.0, 0.0))
-        serial = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3, threads=1)
-        threaded = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3, threads=4)
+        monkeypatch.setattr(gmsfem.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("MSFLOW_THREADS", "1")
+        serial = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
+        monkeypatch.setenv("MSFLOW_THREADS", "4")
+        assert gmsfem.default_thread_count() == 4
+        threaded = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
         assert np.array_equal(
             np.abs(serial.r_u.toarray()), np.abs(threaded.r_u.toarray())
         )
@@ -673,6 +667,18 @@ class TestBasisCache:
         bc = BoundaryData(velocity=lambda x: np.ones((len(x), 2)))
         with pytest.raises(ValueError, match="callables"):
             gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 3, False)
+
+    def test_unwritable_cache_names_the_file(self, tmp_path):
+        mesh, coarse = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
+        blocker = tmp_path / "cache"
+        blocker.write_text("a file, not a directory\n")
+        name = rf"{blocker}/basis_\w+_m3\.npz"
+        with pytest.raises(MsflowError, match=f"basis cache file {name} not saved"):
+            gmsfem.save_space(blocker, mesh, params, bc, space)
+        assert not any(tmp_path.glob("**/*.npz*"))
 
     @staticmethod
     def _saved(tmp_path):

@@ -158,6 +158,7 @@ def test_merged_pattern_keeps_values_and_finds_entries(extra):
         rows = np.concatenate([rows, missing[:, 0], missing[:1, 0]])  # one added twice
         cols = np.concatenate([cols, missing[:, 1], missing[:1, 1]])
     merged, pos = merged_pattern(matrix, rows, cols)
+    assert (merged is matrix) == (not extra)  # no copy when every entry is stored
     assert merged.has_canonical_format
     assert np.array_equal(merged.toarray(), matrix.toarray())
     assert merged.nnz == matrix.nnz + (4 if extra else 0)
