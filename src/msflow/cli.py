@@ -8,6 +8,7 @@ import os
 import sys
 
 from . import analysis, gmsfem, vtk_io
+from .atomic import atomic_write
 from .config import parse_config
 from .errors import ConfigError, MsflowError
 from .fine_solver import StepOperators, run_fine
@@ -31,11 +32,9 @@ def _stats_dict(stats):
 
 
 def _write_json(path, payload):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _load_reference(path, mesh):
@@ -143,6 +142,7 @@ def _multiscale_runs(spec, mesh, coarse, params, settings, ref=None):
 def run_ms_mode(spec, mesh, coarse):
     settings = (spec.oversampled,)
     _check_basis_size(max(spec.m_list), mesh, coarse, settings)
+    gmsfem.default_thread_count()  # a bad MSFLOW_THREADS fails before any solve
     ref = _load_reference(spec.reference, mesh) if spec.reference else None
     runs = _multiscale_runs(spec, mesh, coarse, spec.params, settings, ref)
     for m, _, fine_state, report in runs:
@@ -164,15 +164,14 @@ def write_sweep_csv(path, m_list, results, coarse):
         dof = analysis.dof_multiscale(coarse.n_cells, m)
         cells = [str(m), str(dof)] + [f"{v:.6f}" for v in (*plain, *os_)]
         lines.append(",".join(cells))
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def run_sweep_mode(spec, mesh, coarse):
     settings = (False, True)
     _check_basis_size(max(spec.m_list), mesh, coarse, settings)
+    gmsfem.default_thread_count()
     for darcy in spec.da_list:
         runs = _multiscale_runs(spec, mesh, coarse, spec.params.with_darcy(darcy), settings)
         results = {(m, oversampled): report for m, oversampled, _, report in runs}

@@ -16,22 +16,17 @@ from .parameters import BoundaryData, ModelParameters, TEST_PRESETS
 _SECTIONS = {
     "domain": {"bbox", "porosity", "inclusions", "n_inclusions", "radius_min", "radius_max"},
     "mesh": {"source", "nx", "ny", "n_per_coarse", "path"},
-    "model": {"preset", "re", "forchheimer", "t_max", "n_steps", "da", "gamma", "porosity"},
+    "model": {"preset", "re", "forchheimer", "t_max", "n_steps", "da", "gamma"},
     "bc": {"inflow"},
-    "run": {
-        "mode",
-        "m",
-        "m_list",
-        "da_list",
-        "oversampled",
-        "out",
-        "seed",
-        "reference",
-        "other",
-        "basis_cache",
-    },
+    "run": {"m_list", "da_list", "oversampled", "out", "seed", "reference", "other", "basis_cache"},
 }
-_MODES = ("mesh", "fine", "ms", "sweep", "compare")
+# The allowed range of each number key, checked where its value is parsed.
+_POSITIVE = ("must be positive", lambda x: x > 0)
+_LIMITS = {
+    "porosity": ("must lie in (0, 1]", lambda x: 0 < x <= 1),
+    "forchheimer": ("must be at least 0", lambda x: x >= 0),
+    **dict.fromkeys(("re", "t_max", "da", "gamma", "da_list", "radius_min"), _POSITIVE),
+}
 
 
 @dataclass
@@ -51,7 +46,6 @@ class RunSpec:
     da_list: list
     oversampled: bool
     out_dir: str
-    seed: int
     reference: str = None
     other: str = None
     basis_cache: str = None
@@ -107,6 +101,9 @@ def _parse_sections(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", line=lineno)
+        if (section, key) in entries:
+            first = entries[section, key][1]
+            raise ConfigError(f"key {key!r} in section [{section}] repeats line {first}", line=lineno)
         entries[(section, key)] = (value, lineno)
     return entries
 
@@ -122,6 +119,9 @@ def _parse_float(value, lineno, key):
         raise ConfigError(f"key {key!r}: not a number: {value!r}", line=lineno) from None
     if not np.isfinite(number):
         raise ConfigError(f"key {key!r}: not a finite number: {value!r}", line=lineno)
+    rule, holds = _LIMITS.get(key, (None, lambda x: True))
+    if not holds(number):
+        raise ConfigError(f"key {key!r}: {rule}, got {number:g}", line=lineno)
     return number
 
 
@@ -149,6 +149,16 @@ def _parse_floats(value, lineno, key, count=None):
     return [_parse_float(p, lineno, key) for p in parts]
 
 
+def _parse_list(value, lineno, key, parse):
+    """Space-separated values, none repeated: each names one CSV row or file."""
+    values = [parse(v, lineno, key) for v in value.split()]
+    names = [f"{v:g}" for v in values]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"key {key!r}: {name} is repeated", line=lineno)
+    return values
+
+
 def _parse_bool(value, lineno, key):
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -158,10 +168,10 @@ def _parse_bool(value, lineno, key):
     raise ConfigError(f"key {key!r}: not a boolean: {value!r}", line=lineno)
 
 
-def parse_config(path, mode=None, out_dir=None, seed=None):
-    """Parse and validate a config file into a RunSpec.
+def parse_config(path, mode, out_dir=None, seed=None):
+    """Parse and validate a config file into a RunSpec for the given mode.
 
-    mode/out_dir/seed, when given (e.g. from the command line), override the
+    out_dir/seed, when given (e.g. from the command line), override the
     file's [run] entries.
     """
     if not os.path.exists(path):
@@ -171,20 +181,15 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
     value, lineno = _get(entries, "domain", "bbox", "-1 -1 1 1")
     x0, y0, x1, y1 = _parse_floats(value, lineno, "bbox", count=4)
     bbox = (x0, y0, x1, y1)
+    if not (x1 > x0 and y1 > y0):
+        raise ConfigError(f"key 'bbox': x1 and y1 must exceed x0 and y0, got {value}", line=lineno)
 
     value, lineno = _get(entries, "run", "seed", "0")
     run_seed = _parse_int(value, lineno, "seed") if seed is None else int(seed)
 
     preset, preset_line = _get(entries, "model", "preset")
-    porosity_value, porosity_line = _get(entries, "domain", "porosity")
-    if porosity_value is None:
-        porosity_value, porosity_line = _get(entries, "model", "porosity")
-    if porosity_value is not None:
-        porosity = _parse_float(porosity_value, porosity_line, "porosity")
-    elif preset is not None:
-        porosity = 0.3
-    else:
-        porosity = 1.0
+    value, lineno = _get(entries, "domain", "porosity", "1" if preset is None else "0.3")
+    porosity = _parse_float(value, lineno, "porosity")
 
     inclusions_value, inc_line = _get(entries, "domain", "inclusions", "none")
     if inclusions_value.strip().lower() == "none":
@@ -197,8 +202,6 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
             raise ConfigError(message, line=lineno)
         value, rmin_line = _get(entries, "domain", "radius_min", "0.05")
         rmin = _parse_float(value, rmin_line, "radius_min")
-        if rmin <= 0:
-            raise ConfigError(f"key 'radius_min': must be positive, got {rmin:g}", line=rmin_line)
         value, lineno = _get(entries, "domain", "radius_max", "0.12")
         rmax = _parse_float(value, lineno, "radius_max")
         if rmax < rmin:
@@ -277,24 +280,10 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
     gx, gy = _parse_floats(value, lineno, "inflow", count=2)
     bc = BoundaryData.inflow((gx, gy))
 
-    value, lineno = _get(entries, "run", "mode", "fine")
-    run_mode = (mode or value).lower()
-    if run_mode not in _MODES:
-        raise ConfigError(f"unknown mode {value!r}", line=lineno)
-
-    value, lineno = _get(entries, "run", "m_list")
-    if value is not None:
-        m_list = [_parse_int(v, lineno, "m_list") for v in value.split()]
-    else:
-        value, lineno = _get(entries, "run", "m")
-        m_list = [_parse_int(value, lineno, "m")] if value is not None else []
+    value, lineno = _get(entries, "run", "m_list", "")
+    m_list = _parse_list(value, lineno, "m_list", _parse_count)
     value, lineno = _get(entries, "run", "da_list")
-    da_list = [darcy]
-    if value is not None:
-        da_list = [_parse_float(v, lineno, "da_list") for v in value.split()]
-        for da in da_list:
-            if da <= 0:
-                raise ConfigError(f"key 'da_list': must be positive, got {da:g}", line=lineno)
+    da_list = [darcy] if value is None else _parse_list(value, lineno, "da_list", _parse_float)
     value, lineno = _get(entries, "run", "oversampled", "false")
     oversampled = _parse_bool(value, lineno, "oversampled")
     out_value, _ = _get(entries, "run", "out", "msflow_out")
@@ -303,17 +292,15 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
     other, other_line = _get(entries, "run", "other")
     basis_cache, cache_line = _get(entries, "run", "basis_cache")
 
-    if run_mode in ("ms", "sweep") and not m_list:
-        raise ConfigError(f"mode {run_mode!r} requires m or m_list")
-    if any(m < 1 for m in m_list):
-        raise ConfigError("basis sizes must be positive")
-    if run_mode == "compare":
+    if mode in ("ms", "sweep") and not m_list:
+        raise ConfigError(f"mode {mode!r} requires m_list")
+    if mode == "compare":
         for label, p, ln in (("reference", reference, ref_line), ("other", other, other_line)):
             if p is None:
                 raise ConfigError(f"compare mode requires {label}")
             if not os.path.exists(p):
                 raise ConfigError(f"{label} file not found: {p}", line=ln)
-    if reference is not None and run_mode == "ms" and not os.path.exists(reference):
+    if reference is not None and mode == "ms" and not os.path.exists(reference):
         raise ConfigError(f"reference file not found: {reference}", line=ref_line)
     if basis_cache is not None and os.path.exists(basis_cache) and not os.path.isdir(basis_cache):
         raise ConfigError(f"key 'basis_cache': not a directory: {basis_cache}", line=cache_line)
@@ -331,12 +318,11 @@ def parse_config(path, mode=None, out_dir=None, seed=None):
         mesh_path=mesh_path,
         params=params,
         bc=bc,
-        mode=run_mode,
+        mode=mode,
         m_list=m_list,
         da_list=da_list,
         oversampled=oversampled,
         out_dir=final_out,
-        seed=run_seed,
         reference=reference,
         other=other,
         basis_cache=basis_cache,

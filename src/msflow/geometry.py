@@ -10,6 +10,7 @@ edge's cells, and the rest are array expressions over the edges.
 import numpy as np
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
 from .errors import MeshFormatError
 
 FLUID = 0
@@ -343,7 +344,7 @@ def save_mesh(path, mesh, coarse):
     for e in boundary:
         va, vb = mesh.edge_verts[e]
         lines.append(f"{va} {vb} {SIDE_NAMES[int(mesh.edge_side[e])]}")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -23,6 +23,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import forms
+from .atomic import atomic_write
 from .errors import ConfigError, MsflowError, SingularSystemError
 from .fine_solver import StepOperators, march, ordered_step, run_fine
 from .geometry import POROUS
@@ -557,12 +558,10 @@ def save_space(directory, mesh, params, bc, space):
         payload[f"vec_{i}"] = basis.rows[: space.m]
         payload[f"cells_{i}"] = basis.target_cells
         payload[f"eig_{i}"] = basis.eigenvalues
-    tmp = path + ".tmp"
     try:
         os.makedirs(directory, exist_ok=True)
-        with open(tmp, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             np.savez_compressed(fh, **payload)
-        os.replace(tmp, path)
     except OSError as exc:
         raise MsflowError(f"basis cache file {path} not saved: {exc}") from exc
     return path

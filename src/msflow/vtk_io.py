@@ -3,6 +3,7 @@ this package writes (round-trips the discontinuous velocity bit-exactly)."""
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import MeshFormatError
 from .parameters import DGState
 
@@ -62,7 +63,7 @@ def export_vtk(mesh, state, path, title="msflow fields"):
     lines.append("VECTORS velocity double")
     for vx, vy in vertex_averaged_velocity(mesh, state):
         lines.append(f"{_fmt(vx)} {_fmt(vy)} 0.0")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,6 @@ preset = test1
 n_steps = 2
 
 [run]
-mode = sweep
 m_list = 5 10 15 20 25
 da_list = 1e-5 1e-4 1e-3
 seed = 3
@@ -46,11 +46,11 @@ class TestParse:
     def test_preset_test2(self, tmp_path):
         path = write_config(
             tmp_path,
-            "[model]\npreset = test2\n[run]\nmode = fine\nout = {out}\n".format(
+            "[model]\npreset = test2\n[run]\nout = {out}\n".format(
                 out=tmp_path / "out"
             ),
         )
-        spec = parse_config(path)
+        spec = parse_config(path, "fine")
         assert spec.params.reynolds == 10.0
         assert spec.params.forchheimer == 10.0
         assert spec.params.t_max == pytest.approx(0.1)
@@ -60,9 +60,9 @@ class TestParse:
     def test_preset_test3(self, tmp_path):
         path = write_config(
             tmp_path,
-            f"[model]\npreset = test3\n[run]\nmode = fine\nout = {tmp_path/'out'}\n",
+            f"[model]\npreset = test3\n[run]\nout = {tmp_path/'out'}\n",
         )
-        spec = parse_config(path)
+        spec = parse_config(path, "fine")
         assert spec.params.reynolds == 100.0
         assert spec.params.forchheimer == 1.0
         assert spec.params.t_max == pytest.approx(1.0)
@@ -72,31 +72,31 @@ class TestParse:
             tmp_path, "[model]\npreset = test1\nda = not-a-number\n"
         )
         with pytest.raises(ConfigError, match=r"line 3.*'da'"):
-            parse_config(path)
+            parse_config(path, "fine")
 
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, "[model]\nwhatever = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(path)
+            parse_config(path, "fine")
 
     def test_unknown_section(self, tmp_path):
         path = write_config(tmp_path, "[nope]\nx = 1\n")
         with pytest.raises(ConfigError, match="unknown section"):
-            parse_config(path)
+            parse_config(path, "fine")
 
     def test_ms_requires_m(self, tmp_path):
-        path = write_config(tmp_path, "[model]\npreset = test1\n[run]\nmode = ms\n")
+        path = write_config(tmp_path, "[model]\npreset = test1\n[run]\n")
         with pytest.raises(ConfigError, match="requires m"):
-            parse_config(path)
+            parse_config(path, "ms")
 
     def test_literal_inclusions(self, tmp_path):
         path = write_config(
             tmp_path,
             "[domain]\ninclusions = 0.0 0.0 0.2 ; -0.5 0.4 0.1\n"
-            "[model]\npreset = test1\n[run]\nmode = fine\n"
+            "[model]\npreset = test1\n[run]\n"
             f"out = {tmp_path/'o'}\n",
         )
-        spec = parse_config(path)
+        spec = parse_config(path, "fine")
         assert len(spec.domain.inclusions) == 2
         assert spec.domain.inclusions[1].radius == pytest.approx(0.1)
 
@@ -107,7 +107,7 @@ class TestParse:
             "[model]\npreset = test1\n",
         )
         with pytest.raises(ConfigError, match="overlap"):
-            parse_config(path)
+            parse_config(path, "fine")
 
 
 class TestInclusionGenerator:
@@ -186,7 +186,7 @@ def test_fine_mode_without_inclusions(tmp_path):
         "[domain]\nbbox = -1 -1 1 1\ninclusions = none\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = fine\nout = {out}\n",
+        f"[run]\nout = {out}\n",
     )
     assert cli.main(["fine", "--config", str(cfg)]) == 0
     stats = json.loads((out / "fine_stats.json").read_text())
@@ -202,7 +202,7 @@ def test_mesh_mode_and_compare_self(tmp_path):
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.3\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = fine\nout = {out}\n",
+        f"[run]\nout = {out}\n",
     )
     assert cli.main(["mesh", "--config", str(cfg)]) == 0
     assert (out / "mesh.txt").exists()
@@ -213,7 +213,7 @@ def test_mesh_mode_and_compare_self(tmp_path):
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.3\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = compare\nreference = {fine_vtk}\nother = {fine_vtk}\n"
+        f"[run]\nreference = {fine_vtk}\nother = {fine_vtk}\n"
         f"out = {out}\n",
         name="cmp.cfg",
     )
@@ -231,7 +231,7 @@ def test_reference_from_another_mesh_names_the_file(tmp_path, capsys, monkeypatc
     cfg = write_config(tmp_path, head + mesh_block.format(2) + f"[run]\nout = {out}\n")
     assert cli.main(["fine", "--config", str(cfg)]) == 0
     coarse_vtk = out / "fine.vtk"  # 32 cells; the runs below have 72
-    run = f"[run]\nreference = {coarse_vtk}\nother = {coarse_vtk}\nm = 4\nout = {out}\n"
+    run = f"[run]\nreference = {coarse_vtk}\nother = {coarse_vtk}\nm_list = 4\nout = {out}\n"
     cfg = write_config(tmp_path, head + mesh_block.format(3) + run, name=f"{mode}.cfg")
 
     def no_basis(*args, **kwargs):
@@ -253,7 +253,7 @@ def test_ms_mode_writes_reports(tmp_path):
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = ms\nm = 4\noversampled = false\nout = {out}\n",
+        f"[run]\nm_list = 4\noversampled = false\nout = {out}\n",
     )
     assert cli.main(["ms", "--config", str(cfg)]) == 0
     report = json.loads((out / "ms_report_m4.json").read_text())
@@ -269,7 +269,7 @@ def test_invalid_thread_count_exits_with_config_status(tmp_path, monkeypatch, ca
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = ms\nm = 4\nout = {tmp_path / 'out'}\n",
+        f"[run]\nm_list = 4\nout = {tmp_path / 'out'}\n",
     )
     assert cli.main(["ms", "--config", str(cfg)]) == 2
     assert "MSFLOW_THREADS" in capsys.readouterr().err
@@ -279,8 +279,8 @@ def test_invalid_thread_count_exits_with_config_status(tmp_path, monkeypatch, ca
     "mode, run, message",
     [
         ("sweep", "m_list = 2 40", "basis size 40 exceeds the 16 snapshots of coarse cell 0 (patch)"),
-        ("ms", "m = 17\noversampled = false", "basis size 17 exceeds the 16 snapshots"),
-        ("ms", "m = 33\noversampled = true", "basis size 33 exceeds the 32 snapshots"),
+        ("ms", "m_list = 17\noversampled = false", "basis size 17 exceeds the 16 snapshots"),
+        ("ms", "m_list = 33\noversampled = true", "basis size 33 exceeds the 32 snapshots"),
     ],
     ids=["sweep", "ms_plain", "ms_oversampled"],
 )
@@ -298,7 +298,7 @@ def test_basis_size_above_the_snapshot_count_exits_before_any_solve(
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = {mode}\n{run}\nda_list = 1e-3\nout = {tmp_path / 'out'}\n",
+        f"[run]\n{run}\nda_list = 1e-3\nout = {tmp_path / 'out'}\n",
     )
     assert cli.main([mode, "--config", str(cfg)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -316,7 +316,7 @@ def test_basis_size_above_the_kept_rank_exits_with_config_status(tmp_path, monke
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        f"[run]\nmode = ms\nm = 30\noversampled = true\nout = {tmp_path / 'out'}\n",
+        f"[run]\nm_list = 30\noversampled = true\nout = {tmp_path / 'out'}\n",
     )
     with pytest.warns(RuntimeWarning, match="keeping 27 of 32"):
         assert cli.main(["ms", "--config", str(cfg)]) == 2
@@ -330,7 +330,7 @@ def test_ms_mode_with_basis_cache_reuses_results(tmp_path):
         "[domain]\nbbox = -1 -1 1 1\ninclusions = 0.0 0.0 0.35\n"
         "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n"
         "[model]\npreset = test1\nn_steps = 2\n"
-        "[run]\nmode = ms\nm = 4\noversampled = false\n"
+        "[run]\nm_list = 4\noversampled = false\n"
         f"basis_cache = {cache}\nout = {{out}}\n"
     )
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -359,10 +359,10 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, section, key):
     cfg = write_config(
         tmp_path,
         f"[model]\npreset = test1\n[{section}]\n{key} = 0\n"
-        f"[run]\nmode = fine\nout = {tmp_path / 'out'}\n",
+        f"[run]\nout = {tmp_path / 'out'}\n",
     )
     with pytest.raises(ConfigError, match=f"line 4: key '{key}': must be at least 1, got 0"):
-        parse_config(cfg)
+        parse_config(cfg, "fine")
     assert cli.main(["fine", "--config", str(cfg)]) == 2
     assert f"error: line 4: key '{key}'" in capsys.readouterr().err
 
@@ -380,11 +380,11 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
     cfg = write_config(
         tmp_path,
         f"[model]\npreset = test1\n[{section}]\n{key} = {value}\n"
-        f"[run]\nmode = sweep\nm_list = 2\nout = {tmp_path / 'out'}\n",
+        f"[run]\nm_list = 2\nout = {tmp_path / 'out'}\n",
     )
     bad = value.split()[-1]
     with pytest.raises(ConfigError, match=f"line 4: key '{key}': not a finite number: '{bad}'"):
-        parse_config(cfg)
+        parse_config(cfg, "sweep")
     assert cli.main(["sweep", "--config", str(cfg)]) == 2
     assert f"error: line 4: key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -395,10 +395,10 @@ def test_cli_rejects_darcy_list_values_below_zero(tmp_path, capsys, value, bad):
     cfg = write_config(
         tmp_path,
         f"[model]\npreset = test1\n[run]\nda_list = {value}\n"
-        f"mode = sweep\nm_list = 2\nout = {tmp_path / 'out'}\n",
+        f"m_list = 2\nout = {tmp_path / 'out'}\n",
     )
     with pytest.raises(ConfigError, match=f"line 4: key 'da_list': must be positive, got {bad}"):
-        parse_config(cfg)
+        parse_config(cfg, "sweep")
     assert cli.main(["sweep", "--config", str(cfg)]) == 2
     assert "error: line 4: key 'da_list': must be positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -417,10 +417,10 @@ def test_cli_rejects_bad_random_inclusions(tmp_path, capsys, keys, message):
     cfg = write_config(
         tmp_path,
         f"[model]\npreset = test1\n[domain]\ninclusions = random\n{keys}\n"
-        f"[run]\nmode = fine\nout = {tmp_path / 'out'}\n",
+        f"[run]\nout = {tmp_path / 'out'}\n",
     )
     with pytest.raises(ConfigError, match=message):
-        parse_config(cfg)
+        parse_config(cfg, "fine")
     assert cli.main(["fine", "--config", str(cfg)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -433,7 +433,7 @@ def test_cli_reports_mesh_file_errors(tmp_path, capsys, body):
     cfg = write_config(
         tmp_path,
         f"[mesh]\nsource = load\npath = {mesh}\n"
-        f"[model]\npreset = test1\nn_steps = 2\n[run]\nmode = fine\nout = {tmp_path / 'out'}\n",
+        f"[model]\npreset = test1\nn_steps = 2\n[run]\nout = {tmp_path / 'out'}\n",
     )
     assert cli.main(["fine", "--config", str(cfg)]) == 2
     assert f"error: {mesh}:" in capsys.readouterr().err
@@ -486,7 +486,7 @@ def test_basis_cache_that_is_a_file_exits_before_any_basis(tmp_path, monkeypatch
     cache = tmp_path / "cache"
     cache.write_text("not a directory\n")
     out = tmp_path / "out"
-    run = f"m = 4\nbasis_cache = {cache}"
+    run = f"m_list = 4\nbasis_cache = {cache}"
     cfg = write_config(tmp_path, TINY_MS.format(n=3, run=run, out=out))
 
     def no_basis(*args, **kwargs):
@@ -496,7 +496,7 @@ def test_basis_cache_that_is_a_file_exits_before_any_basis(tmp_path, monkeypatch
     monkeypatch.setattr(gmsfem, "build_multiscale_space", no_basis)
     message = f"line 14: key 'basis_cache': not a directory: {cache}"
     with pytest.raises(ConfigError, match=message):
-        parse_config(cfg)
+        parse_config(cfg, mode)
     assert cli.main([mode, "--config", str(cfg)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(out.glob("*"))
@@ -506,7 +506,7 @@ def test_ms_and_sweep_give_the_same_errors(tmp_path):
     ms_out, sweep_out = tmp_path / "ms", tmp_path / "sweep"
     ms_cfg = write_config(
         tmp_path,
-        TINY_MS.format(n=3, run="m = 4\noversampled = false", out=ms_out),
+        TINY_MS.format(n=3, run="m_list = 4\noversampled = false", out=ms_out),
         name="ms.cfg",
     )
     sweep_cfg = write_config(
@@ -537,3 +537,91 @@ def test_sweep_builds_one_step_operators_per_darcy_value(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=tmp_path / "out"))
     assert cli.main(["sweep", "--config", str(cfg)]) == 0
     assert darcy_values == [1e-4, 1e-3]
+
+
+@pytest.mark.parametrize(
+    "section, entry, key",
+    [("run", "mode = sweep", "mode"), ("run", "m = 4", "m"), ("model", "porosity = 0.9", "porosity")],
+    ids=["run_mode", "run_m", "model_porosity"],
+)
+def test_removed_second_spellings_are_unknown_keys(tmp_path, capsys, section, entry, key):
+    cfg = write_config(
+        tmp_path,
+        "[domain]\nporosity = 0.3\n[model]\npreset = test1\n[run]\nm_list = 2 4\n"
+        f"out = {tmp_path / 'out'}\n[{section}]\n{entry}\n",
+    )
+    message = f"line 9: unknown key '{key}' in section [{section}]"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(cfg, "sweep")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_repeated_key_names_both_lines(tmp_path):
+    cfg = write_config(tmp_path, "[run]\nm_list = 2\n[model]\npreset = test1\n[run]\nm_list = 4\n")
+    with pytest.raises(ConfigError, match=r"line 6: key 'm_list' in section \[run\] repeats line 2"):
+        parse_config(cfg, "sweep")
+
+
+@pytest.mark.parametrize("mode", ["ms", "sweep"])
+def test_bad_thread_count_exits_before_the_linear_run(tmp_path, monkeypatch, capsys, mode):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setenv("MSFLOW_THREADS", "abc")
+    monkeypatch.setattr(gmsfem, "compute_linearization_field", no_solve)
+    monkeypatch.setattr(gmsfem, "build_multiscale_space", no_solve)
+    monkeypatch.setattr(cli, "run_fine", no_solve)
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run="m_list = 4", out=tmp_path / "out"))
+    assert cli.main([mode, "--config", str(cfg)]) == 2
+    assert "error: MSFLOW_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
+
+
+# Every number key sits on its own line, so an error can be traced to it.
+VALUES = dict(
+    bbox="-1 -1 1 1", porosity="0.3", re="1", forchheimer="1", t_max="0.1", da="1e-3",
+    gamma="4", m_list="2 4", da_list="1e-3",
+)
+VALUES_CONFIG = (
+    "[domain]\nbbox = {bbox}\nporosity = {porosity}\ninclusions = 0.0 0.0 0.3\n"  # lines 1-4
+    "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"  # lines 5-8
+    "[model]\nre = {re}\nforchheimer = {forchheimer}\nt_max = {t_max}\nn_steps = 2\n"  # 9-13
+    "da = {da}\ngamma = {gamma}\n"  # lines 14-15
+    "[run]\nm_list = {m_list}\nda_list = {da_list}\nout = {out}\n"  # lines 16-19
+)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("bbox", "1 -1 -1 1", "line 2: key 'bbox': x1 and y1 must exceed x0 and y0, got 1 -1 -1 1"),
+        ("porosity", "1.5", "line 3: key 'porosity': must lie in (0, 1], got 1.5"),
+        ("porosity", "0", "line 3: key 'porosity': must lie in (0, 1], got 0"),
+        ("re", "0", "line 10: key 're': must be positive, got 0"),
+        ("forchheimer", "-1", "line 11: key 'forchheimer': must be at least 0, got -1"),
+        ("t_max", "-1", "line 12: key 't_max': must be positive, got -1"),
+        ("da", "-1", "line 14: key 'da': must be positive, got -1"),
+        ("gamma", "0", "line 15: key 'gamma': must be positive, got 0"),
+        ("m_list", "3 2 3", "line 17: key 'm_list': 3 is repeated"),
+        ("m_list", "2 0", "line 17: key 'm_list': must be at least 1, got 0"),
+        ("da_list", "1e-3 0.001", "line 18: key 'da_list': 0.001 is repeated"),
+    ],
+    ids=[
+        "bbox_inverted", "porosity_above_one", "porosity_zero", "re_zero", "forchheimer_negative",
+        "t_max_negative", "da_negative", "gamma_zero", "m_list_repeat", "m_list_zero",
+        "da_list_repeat",
+    ],
+)
+def test_cli_names_the_key_and_line_of_a_bad_value(
+    tmp_path, monkeypatch, capsys, key, value, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(gmsfem, "compute_linearization_field", no_solve)
+    monkeypatch.setattr(cli, "run_fine", no_solve)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, VALUES_CONFIG.format(**{**VALUES, key: value}, out=out))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
