@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from msflow import cli, gmsfem
-from msflow.config import generate_inclusions, parse_config
+from msflow.config import _KEYS, generate_inclusions, parse_config
 from msflow.errors import ConfigError
 from msflow.fine_solver import StepOperators
 from msflow.parameters import BoundaryData
@@ -374,6 +375,13 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, section, key):
         ("model", "da", "inf"),
         ("model", "re", "nan"),
         ("domain", "bbox", "0 0 1 -inf"),
+        ("domain", "porosity", "nan"),
+        ("domain", "radius_min", "inf"),
+        ("domain", "radius_max", "nan"),
+        ("model", "forchheimer", "-inf"),
+        ("model", "t_max", "inf"),
+        ("model", "gamma", "nan"),
+        ("bc", "inflow", "1 nan"),
     ],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
@@ -579,11 +587,11 @@ def test_bad_thread_count_exits_before_the_linear_run(tmp_path, monkeypatch, cap
 
 # Every number key sits on its own line, so an error can be traced to it.
 VALUES = dict(
-    bbox="-1 -1 1 1", porosity="0.3", re="1", forchheimer="1", t_max="0.1", da="1e-3",
-    gamma="4", m_list="2 4", da_list="1e-3",
+    bbox="-1 -1 1 1", porosity="0.3", inclusions="0.0 0.0 0.3", re="1", forchheimer="1",
+    t_max="0.1", da="1e-3", gamma="4", m_list="2 4", da_list="1e-3",
 )
 VALUES_CONFIG = (
-    "[domain]\nbbox = {bbox}\nporosity = {porosity}\ninclusions = 0.0 0.0 0.3\n"  # lines 1-4
+    "[domain]\nbbox = {bbox}\nporosity = {porosity}\ninclusions = {inclusions}\n"  # lines 1-4
     "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"  # lines 5-8
     "[model]\nre = {re}\nforchheimer = {forchheimer}\nt_max = {t_max}\nn_steps = 2\n"  # 9-13
     "da = {da}\ngamma = {gamma}\n"  # lines 14-15
@@ -599,7 +607,12 @@ VALUES_CONFIG = (
         ("porosity", "0", "line 3: key 'porosity': must lie in (0, 1], got 0"),
         ("re", "0", "line 10: key 're': must be positive, got 0"),
         ("forchheimer", "-1", "line 11: key 'forchheimer': must be at least 0, got -1"),
+        (
+            "inclusions", "0 0 -0.1",
+            "line 4: key 'inclusions': inclusion radius must be positive, got -0.1",
+        ),
         ("t_max", "-1", "line 12: key 't_max': must be positive, got -1"),
+        ("t_max", "5e-324", "line 12: key 't_max': 5e-324 over 2 steps gives a zero time step"),
         ("da", "-1", "line 14: key 'da': must be positive, got -1"),
         ("gamma", "0", "line 15: key 'gamma': must be positive, got 0"),
         ("m_list", "3 2 3", "line 17: key 'm_list': 3 is repeated"),
@@ -608,8 +621,8 @@ VALUES_CONFIG = (
     ],
     ids=[
         "bbox_inverted", "porosity_above_one", "porosity_zero", "re_zero", "forchheimer_negative",
-        "t_max_negative", "da_negative", "gamma_zero", "m_list_repeat", "m_list_zero",
-        "da_list_repeat",
+        "inclusion_radius_negative", "t_max_negative", "t_max_underflow", "da_negative",
+        "gamma_zero", "m_list_repeat", "m_list_zero", "da_list_repeat",
     ],
 )
 def test_cli_names_the_key_and_line_of_a_bad_value(
@@ -625,3 +638,70 @@ def test_cli_names_the_key_and_line_of_a_bad_value(
     assert cli.main(["sweep", "--config", str(cfg)]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, args, message",
+    [
+        ("[domain]\nradius_min = 0\n", [], "line 2: key 'radius_min': must be positive, got 0"),
+        ("[domain]\nn_inclusions = -3\n", [], "line 2: key 'n_inclusions': must be at least 0, got -3"),
+        ("[run]\nseed = abc\n", ["--seed", "3"], "line 2: key 'seed': not an integer: 'abc'"),
+    ],
+    ids=["radius_min_without_random", "n_inclusions_without_random", "seed_under_override"],
+)
+def test_keys_the_run_does_not_read_are_still_checked(tmp_path, capsys, entries, args, message):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, entries + f"[domain]\ninclusions = none\n[model]\npreset = test1\n[run]\nout = {out}\n"
+    )
+    assert cli.main(["fine", "--config", str(cfg), *args]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [("desk_test1", mode) for mode in ("mesh", "fine", "ms", "sweep")]
+    + [("paper_like", mode) for mode in ("fine", "sweep")],
+)
+def test_committed_configs_parse_to_their_settings(tmp_path, name, mode):
+    """perfbench parses these files in its set-up, with and without a seed."""
+    path = ROOT / "configs" / f"{name}.cfg"
+    spec = parse_config(path, mode, out_dir=str(tmp_path))
+    params = spec.params
+    assert (params.reynolds, params.forchheimer, params.n_steps) == (1.0, 1.0, 50)
+    assert params.t_max == pytest.approx(0.01)
+    assert params.tau == 0.01 / 50
+    assert params.darcy == 1e-3
+    assert params.porosity == spec.domain.porosity == 0.3
+    assert spec.da_list == [1e-5, 1e-4, 1e-3]
+    assert spec.mode == mode and spec.out_dir == str(tmp_path)
+    assert spec.domain.bbox == (-1.0, -1.0, 1.0, 1.0)
+    if name == "desk_test1":
+        assert spec.m_list == [2, 4, 8, 16]
+        assert (spec.nx, spec.ny, spec.n_per_coarse) == (4, 4, 8)
+        assert len(spec.domain.inclusions) == 4  # literal disks: the seed places none
+        assert parse_config(path, mode, out_dir=str(tmp_path), seed=5).domain == spec.domain
+    else:
+        assert spec.m_list == [5, 10, 15, 20, 25]
+        assert (spec.nx, spec.ny, spec.n_per_coarse) == (10, 10, 8)
+        assert spec.basis_cache == "results/paper_like/basis_cache"
+        bbox = spec.domain.bbox
+        assert spec.domain.inclusions == generate_inclusions(bbox, 24, 0.05, 0.12, seed=7)
+        override = parse_config(path, mode, out_dir=str(tmp_path), seed=5)
+        assert override.domain.inclusions == generate_inclusions(bbox, 24, 0.05, 0.12, seed=5)
+
+
+def test_readme_config_table_lists_every_key_and_default():
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]*) \|", readme, flags=re.MULTILINE)
+    listed = {(section, key): cell.strip() for section, key, cell in rows}
+    assert len(listed) == len(rows)
+    declared = {(section, key): entry[0] for section, keys in _KEYS.items() for key, entry in keys.items()}
+    assert listed.keys() == declared.keys()
+    for (section, key), default in declared.items():
+        if default:  # not None or empty: the README says what applies instead
+            assert listed[section, key] == f"`{default}`", (section, key)
