@@ -31,13 +31,15 @@ def _number(text, rule=None, holds=None):
     return number
 
 
-def _integer(text, least=None):
+def _integer(text, least=None, most=None):
     try:
         number = int(text)
     except ValueError:
         raise ValueError(f"not an integer: {text!r}") from None
     if least is not None and number < least:
         raise ValueError(f"must be at least {least}, got {number}")
+    if most is not None and number > most:
+        raise ValueError(f"must be at most {most}, got {number}")
     return number
 
 
@@ -89,7 +91,9 @@ def _directory(text):
     return text
 
 
-_COUNT = partial(_integer, least=1)  # a mesh resolution, step count or basis size
+# A mesh resolution, step count or basis size.  The upper bound keeps every
+# count an int32 array size and t_max / n_steps a float.
+_COUNT = partial(_integer, least=1, most=np.iinfo(np.int32).max)
 _POSITIVE = partial(_number, rule="must be positive", holds=lambda x: x > 0)
 _BOOLEANS = {"true": True, "yes": True, "1": True, "on": True}
 _BOOLEANS.update(dict.fromkeys(("false", "no", "0", "off"), False))

@@ -46,6 +46,11 @@ class StepOperators:
     freed when the run ends, and a step's answer is the same from either.
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.
+
+    mass, viscous and darcy store no zeros: eliminate_zeros() drops the
+    zero cross-component entries of forms._kron2's cell blocks and keeps
+    every other value's bits.  div keeps its explicit zeros, since COLAMD
+    orders the linear run on its pattern.
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
@@ -56,6 +61,8 @@ class StepOperators:
         self.div = forms.assemble_divergence(self.patch)
         self.viscous = forms.viscous_block(self.patch, params)
         self.darcy = forms.darcy_block(self.patch, params)
+        for block in (self.mass, self.viscous, self.darcy):
+            block.eliminate_zeros()
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
         self._porous = np.nonzero(self.mesh.region[self.patch.cells] == POROUS)[0]
@@ -77,7 +84,7 @@ class StepOperators:
         dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
         rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
         cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
-        upper = self.mass + self.viscous + self.darcy
+        upper = (self.mass + self.viscous + self.darcy).tocsc()  # read as it is, see permuted_saddle
         return CellOrderedSaddle(upper, self.div, self.cell_order, rows, cols)
 
     def step_blocks(self, u_lin):

@@ -68,6 +68,56 @@ def saddle_matrix(upper, div, pin=False):
     return sp.bmat([[upper, div.T], [lower, corner]], format="csc")
 
 
+def permuted_saddle(upper, div, position):
+    """The canonical CSC matrix P S P^T of S = saddle_matrix(upper, div):
+    row and column position[g] of it are row and column g of S.
+
+    Each column is copied straight from the blocks, a velocity column g
+    from column g of upper and of div, a pressure column p from row p of
+    div, so S, its triplets and a permuted copy are never formed.  A CSC
+    upper is used as it is.
+    """
+    n_u = upper.shape[0]
+    n = n_u + div.shape[0]
+    upper, div_cols, div_rows = upper.tocsc(), div.tocsc(), div.tocsr()
+    in_upper = np.diff(upper.indptr)
+    counts = np.concatenate([in_upper + np.diff(div_cols.indptr), np.diff(div_rows.indptr)])
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    position = position.astype(index)
+    indptr = np.zeros(n + 1, dtype=index)
+    indptr[1 + position] = counts
+    np.cumsum(indptr, out=indptr)
+    start = indptr[position]  # where column g of S starts
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    parts = ((upper, start[:n_u], 0), (div_cols, start[:n_u] + in_upper, n_u), (div_rows, start[n_u:], 0))
+    for block, first, row_offset in parts:
+        dest = np.repeat(first - block.indptr[:-1], np.diff(block.indptr))
+        dest += np.arange(block.nnz, dtype=dest.dtype)
+        data[dest] = block.data
+        indices[dest] = position[row_offset:][block.indices]
+    matrix = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    matrix.sum_duplicates()
+    return matrix
+
+
+def _locate(matrix, rows, cols):
+    """Data positions of the entries (rows, cols) of a canonical CSC matrix,
+    found by a binary search of each entry's column, and whether each is
+    stored."""
+    indptr, indices = matrix.indptr, matrix.indices
+    rows = rows.astype(indices.dtype)
+    found, end = indptr[cols], indptr[cols + 1]
+    step = 1 << int(np.diff(indptr).max(initial=0)).bit_length()
+    while step > 1:  # found counts the entries of the column above each row
+        step >>= 1
+        probe = found + step
+        found += step * ((probe <= end) & (indices.take(probe - 1, mode="clip") < rows))
+    stored = found < end
+    stored[stored] = indices[found[stored]] == rows[stored]
+    return found, stored
+
+
 def merged_pattern(matrix, rows, cols):
     """The CSC pattern of matrix extended by the entries (rows, cols).
 
@@ -79,13 +129,14 @@ def merged_pattern(matrix, rows, cols):
     """
     matrix = matrix.tocsc()
     matrix.sum_duplicates()
+    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    found, stored = _locate(matrix, rows, cols)
+    if stored.all():
+        return matrix, found.astype(matrix.indices.dtype)
     n_rows, n_cols = matrix.shape
     keys = np.repeat(np.arange(n_cols, dtype=np.int64), np.diff(matrix.indptr))
     keys = keys * n_rows + matrix.indices
-    wanted = np.asarray(cols, dtype=np.int64) * n_rows + np.asarray(rows, dtype=np.int64)
-    found = np.searchsorted(keys, wanted)
-    if len(keys) and np.array_equal(keys[np.minimum(found, len(keys) - 1)], wanted):
-        return matrix, found.astype(matrix.indices.dtype)  # every entry is stored already
+    wanted = cols.astype(np.int64) * n_rows + rows
     # Sorted unique keys; np.union1d hashes them, which is far slower here.
     merged = np.sort(np.concatenate([keys, wanted.ravel()]), kind="stable")
     merged = merged[np.append(True, merged[1:] != merged[:-1])]
@@ -121,7 +172,7 @@ class CellOrderedSaddle:
         self.perm = np.column_stack([velocity, k * len(order) + order]).ravel()
         position = np.empty_like(self.perm)
         position[self.perm] = np.arange(len(self.perm))
-        static = saddle_matrix(upper, div)[self.perm][:, self.perm]
+        static = permuted_saddle(upper, div, position)
         self.pattern, self.pos = merged_pattern(static, position[rows], position[cols])
 
     @cached_property
@@ -140,10 +191,12 @@ class CellOrderedSaddle:
         SuperLU finds the rounded matrix singular."""
         if len(self.perm) < SINGLE_MIN:
             return None
+        pattern = self.pattern
         with np.errstate(over="ignore"):  # entries beyond float32 range become inf
-            single = self.pattern.astype(np.float32)
-        if not np.all(np.isfinite(single.data)):
+            data = pattern.data.astype(np.float32)
+        if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
             return None
+        single = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
         try:
             return spla.splu(single, **ORDERED)
         except RuntimeError:  # singular in float32
@@ -152,11 +205,11 @@ class CellOrderedSaddle:
     def system(self, values, f_u, f_p):
         """The ordered system with values at the entries (rows, cols), and
         the static values everywhere else."""
-        pattern = self.pattern
+        kept_lu, pattern = self.kept_lu, self.pattern
         data = pattern.data.copy()
         data[self.pos] = values
         matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        return SaddleSystem(matrix, f_u, f_p, self.perm, self.kept_lu)
+        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu)
 
 
 class SaddleSolver:

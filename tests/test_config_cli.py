@@ -588,12 +588,12 @@ def test_bad_thread_count_exits_before_the_linear_run(tmp_path, monkeypatch, cap
 # Every number key sits on its own line, so an error can be traced to it.
 VALUES = dict(
     bbox="-1 -1 1 1", porosity="0.3", inclusions="0.0 0.0 0.3", re="1", forchheimer="1",
-    t_max="0.1", da="1e-3", gamma="4", m_list="2 4", da_list="1e-3",
+    t_max="0.1", n_steps="2", da="1e-3", gamma="4", m_list="2 4", da_list="1e-3",
 )
 VALUES_CONFIG = (
     "[domain]\nbbox = {bbox}\nporosity = {porosity}\ninclusions = {inclusions}\n"  # lines 1-4
     "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 2\n"  # lines 5-8
-    "[model]\nre = {re}\nforchheimer = {forchheimer}\nt_max = {t_max}\nn_steps = 2\n"  # 9-13
+    "[model]\nre = {re}\nforchheimer = {forchheimer}\nt_max = {t_max}\nn_steps = {n_steps}\n"  # 9-13
     "da = {da}\ngamma = {gamma}\n"  # lines 14-15
     "[run]\nm_list = {m_list}\nda_list = {da_list}\nout = {out}\n"  # lines 16-19
 )
@@ -613,6 +613,10 @@ VALUES_CONFIG = (
         ),
         ("t_max", "-1", "line 12: key 't_max': must be positive, got -1"),
         ("t_max", "5e-324", "line 12: key 't_max': 5e-324 over 2 steps gives a zero time step"),
+        (
+            "n_steps", "1" + "0" * 400,
+            f"line 13: key 'n_steps': must be at most 2147483647, got 1{'0' * 400}",
+        ),
         ("da", "-1", "line 14: key 'da': must be positive, got -1"),
         ("gamma", "0", "line 15: key 'gamma': must be positive, got 0"),
         ("m_list", "3 2 3", "line 17: key 'm_list': 3 is repeated"),
@@ -621,7 +625,8 @@ VALUES_CONFIG = (
     ],
     ids=[
         "bbox_inverted", "porosity_above_one", "porosity_zero", "re_zero", "forchheimer_negative",
-        "inclusion_radius_negative", "t_max_negative", "t_max_underflow", "da_negative",
+        "inclusion_radius_negative", "t_max_negative", "t_max_underflow", "n_steps_overflow",
+        "da_negative",
         "gamma_zero", "m_list_repeat", "m_list_zero", "da_list_repeat",
     ],
 )

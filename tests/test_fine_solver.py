@@ -224,6 +224,37 @@ def test_separator_splits_the_interior_edge_graph():
     assert np.array_equal(np.sort(order[: len(low)]), np.sort(low))
 
 
+@pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
+def test_step_blocks_store_no_zeros_and_keep_their_assembled_values(case):
+    # forms._kron2 writes the zero cross-component entries of each cell
+    # block; the step operators drop them and keep every other value's bits.
+    # The divergence keeps its explicit zeros: COLAMD orders the linear
+    # run's system on its pattern.
+    if case == "desk":
+        mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    else:
+        mesh, _ = tiny_heterogeneous()
+    params = make_params()
+    ops = StepOperators(mesh, params, BoundaryData.inflow((1.0, 0.0)))
+    assembled = {
+        "mass": forms.assemble_mass(ops.patch, params),
+        "viscous": forms.viscous_block(ops.patch, params),
+        "darcy": forms.darcy_block(ops.patch, params),
+    }
+    for name, want in assembled.items():
+        got = getattr(ops, name)
+        assert got.nnz and np.all(got.data != 0), name
+        assert np.any(want.data == 0), name
+        want.eliminate_zeros()
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+    want = forms.assemble_divergence(ops.patch)
+    assert np.any(ops.div.data == 0)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(ops.div, part).tobytes() == getattr(want, part).tobytes()
+
+
 def test_step_systems_carry_the_order_and_the_linear_system_does_not():
     mesh, _ = tiny_heterogeneous()
     ops = StepOperators(mesh, make_params(), BoundaryData.inflow((1.0, 0.0)))

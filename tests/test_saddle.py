@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,26 @@ def test_merged_pattern_keeps_values_and_finds_entries(extra):
     assert np.array_equal(keys[pos], cols * 9 + rows)
 
 
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_permuted_saddle_equals_the_permuted_saddle_matrix(fmt):
+    # an unsymmetric upper and a div with explicit zeros, which stay stored
+    rng = np.random.default_rng(7)
+    n_u, n_p = 12, 5
+    upper = sp.random(n_u, n_u, density=0.3, format=fmt, random_state=rng)
+    div = sp.random(n_p, n_u, density=0.4, format="csr", random_state=rng)
+    div.data[::3] = 0.0
+    perm = rng.permutation(n_u + n_p)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm))
+    got = saddle.permuted_saddle(upper, div, position)
+    want = saddle_matrix(upper, div)[perm][:, perm]
+    want.sort_indices()
+    assert got.format == "csc" and got.has_canonical_format
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
 def _step_system(mesh, params):
     """The step operators and the step-1 velocity of a nonlinear fine run;
     step 2 is linearized at that velocity."""
@@ -321,6 +342,43 @@ def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
         want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         u = u_mat[:, 0]
+
+
+def _traced(call):
+    """call()'s result and its tracemalloc peak above the memory traced at
+    its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_step_saddle_and_its_kept_factor_stay_lean():
+    # the desk step (14,336 unknowns, above SINGLE_MIN).  step_saddle()
+    # copies each column of the static matrix straight from the blocks, at
+    # most 2.5 times what it keeps (3.1 times with the saddle's triplets
+    # and a permuted copy).  The float32 factor shares the pattern's indices
+    # and indptr, and the first system() makes it before it copies the
+    # float64 values, so only those values are alive at once: a copy of the
+    # indices, or the float64 values held through the factor, breaks a bound.
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops = StepOperators(mesh, make_params(tau=2e-4), BoundaryData.inflow((1.0, 0.0)))
+    ops.cell_order
+    ordered, peak = _traced(ops.step_saddle)
+    pattern = ordered.pattern
+    held = sum(a.nbytes for a in (pattern.data, pattern.indices, pattern.indptr, ordered.pos, ordered.perm))
+    assert len(ordered.perm) >= SINGLE_MIN and peak <= 2.5 * held
+    values = ordered.static + ops.step_blocks(np.zeros(ops.patch.n_vdof))
+    system, peak = _traced(lambda: ordered.system(values, ops.f_u, ops.f_p))
+    assert system.kept_lu is ordered.kept_lu is not None
+    assert peak <= 8 * pattern.nnz + 2**19
+    fresh = ops.step_saddle()
+    _, peak = _traced(lambda: fresh.kept_lu)
+    assert peak <= 4 * pattern.nnz + 2**16
 
 
 def _scaled_saddle_system(scale):
