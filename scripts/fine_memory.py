@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Split the memory of a fine run's first step by stage.
+"""Split the memory of a fine run's first step by stage, then read the peak
+of the full run.
 
 Builds the mesh and the `StepOperators` of the desk or the paper_like config
 (`configs/desk_test1.cfg`, `configs/paper_like.cfg`), then makes step 0 of
@@ -11,18 +12,22 @@ Builds the mesh and the `StepOperators` of the desk or the paper_like config
     saddle.kept_lu
     SaddleSolver(saddle.system(saddle.static + ops.step_blocks(u), rhs_u, f_p)).solve()
 
-After each stage it prints the process's resident set (VmRSS) and its
-high-water mark (VmHWM) from /proc/self/status, and the tracemalloc peak of
-the stage above the memory traced at its start, with the memory the stage
-leaves traced.  tracemalloc sees numpy's arrays but not SuperLU's factor,
-and its own bookkeeping adds a little to the resident set; --no-tracemalloc
-reads the resident set without it.  Uses only public calls, so it runs
+It then releases that saddle and system, and its last stage is a
+full-length `run_fine(..., ops=ops)` (50 steps on both configs), whose
+trajectory it keeps until the row is printed.  After each stage it prints
+the process's resident set (VmRSS) and its high-water mark (VmHWM) from
+/proc/self/status, and the tracemalloc peak of the stage above the memory
+traced at its start, with the memory the stage leaves traced.  VmHWM is
+the process's, so the last row cannot read below the step-0 stages.
+tracemalloc sees numpy's arrays but not SuperLU's factor, and its own
+bookkeeping adds a little to the resident set; --no-tracemalloc reads the
+resident set without it.  Uses only public calls, so it runs
 against any checkout's package:
 
     python scripts/fine_memory.py --scale paper
     python scripts/fine_memory.py --scale desk --src /path/to/other/checkout/src
 
-Linux only (it reads /proc).  Takes about 2 seconds on desk and 10 on
+Linux only (it reads /proc).  Takes about 3 seconds on desk and 20 on
 paper_like.
 """
 
@@ -55,13 +60,14 @@ class Stages:
     def __init__(self, traced):
         self.traced = traced
         print(ROW.format("stage", "VmRSS MB", "VmHWM MB", "traced peak", "traced kept"))
-        self.start = self._reset()
+        self.restart()
 
-    def _reset(self):
-        if not self.traced:
-            return 0
-        tracemalloc.reset_peak()
-        return tracemalloc.get_traced_memory()[0]
+    def restart(self):
+        """Start the next stage at the memory traced now."""
+        self.start = 0
+        if self.traced:
+            tracemalloc.reset_peak()
+            self.start = tracemalloc.get_traced_memory()[0]
 
     def mark(self, name):
         peak = kept = "-"
@@ -70,7 +76,7 @@ class Stages:
             peak = f"+{(top - self.start) / MB:.1f}"
             kept = f"{(current - self.start) / MB:+.1f}"
         print(ROW.format(name, f"{status_mb('VmRSS'):.1f}", f"{status_mb('VmHWM'):.1f}", peak, kept))
-        self.start = self._reset()
+        self.restart()
 
 
 def main():
@@ -82,7 +88,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from msflow.config import parse_config
-    from msflow.fine_solver import StepOperators
+    from msflow.fine_solver import StepOperators, run_fine
     from msflow.geometry import generate_structured_mesh
     from msflow.saddle import SaddleSolver
 
@@ -104,6 +110,10 @@ def main():
     SaddleSolver(system).solve()
     stages.mark("first solve")
     print(f"{len(saddle.perm)} unknowns, step pattern nnz {saddle.pattern.nnz}")
+    del saddle, system
+    stages.restart()
+    traj = run_fine(mesh, spec.params, spec.bc, ops=ops)
+    stages.mark(f"run_fine, {len(traj.div_residuals)} steps")
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 """Print one SHA-256 per assembled array, to show that two checkouts build
 bit-identical operators.
 
-Uses only public calls, so it runs against any checkout's package:
+Uses only public calls, and reads the `run_fine` layers through the run's
+observer, so it runs against the package of any checkout whose `run_fine`
+takes `observe`.  To compare against an older checkout, run that
+checkout's own copy of the script:
 
     python scripts/operator_digest.py > change.txt
-    python scripts/operator_digest.py /path/to/other/checkout/src > other.txt
+    (cd /path/to/other/checkout && python scripts/operator_digest.py) > other.txt
     diff other.txt change.txt
 
 The optional argument is the `src/` directory to import `msflow` from
@@ -19,7 +22,8 @@ and on the desk config:
 - for every coarse patch, plain and oversampled: the viscous block, the
   divergence, the unit-delta Dirichlet loads and the spectral pair;
 - a manufactured-data `assemble_rhs` with traction and forcing;
-- every state of a 3-step `run_fine` and its continuity residuals;
+- every state of a 3-step `run_fine`, the zero state as step0, and its
+  continuity residuals;
 - the multiscale stage at Da=1e-3: the linearization field, the plain
   `r_u` and `r_p` at M=16, their `resize_space` slices at M=2, 4 and 8, the
   final coarse and fine states of `run_multiscale` at every size, `r_u`
@@ -50,7 +54,7 @@ from msflow import forms, gmsfem  # noqa: E402
 from msflow.config import parse_config  # noqa: E402
 from msflow.fine_solver import StepOperators, run_fine  # noqa: E402
 from msflow.geometry import generate_structured_mesh  # noqa: E402
-from msflow.parameters import BoundaryData  # noqa: E402
+from msflow.parameters import BoundaryData, DGState  # noqa: E402
 from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
 from msflow.quadrature import EDGE_G2_W  # noqa: E402
 
@@ -137,8 +141,10 @@ def main():
     show("manufactured_rhs.f_u", f_u)
     show("manufactured_rhs.f_p", f_p)
 
-    traj = run_fine(mesh, dataclasses.replace(params, n_steps=3, t_max=None), spec.bc)
-    for step, state in enumerate(traj.states):
+    layers = [DGState.zeros(mesh.n_cells)]
+    short = dataclasses.replace(params, n_steps=3, t_max=None)
+    traj = run_fine(mesh, short, spec.bc, observe=lambda step, state, solver: layers.append(state))
+    for step, state in enumerate(layers):
         show(f"run_fine.step{step}.velocity", state.velocity)
         show(f"run_fine.step{step}.pressure", state.pressure)
     show("run_fine.div_residuals", traj.div_residuals)

@@ -2,18 +2,16 @@
 """Count how the desk fine steps are solved: from the kept float32 factor
 or by a float64 factor of their own, and with how many corrections.
 
-Steps each desk bundle (`configs/desk_test1.cfg` with presets test1, test2
-and test3 at every Darcy value of the config) from the zero state by hand,
-
-    solver = SaddleSolver(ops.system(u))
-    u, p = solver.solve(ops.mass @ u + ops.f_u, ops.f_p)
-
-which is `run_fine` bit for bit, and prints per bundle the corrections of
-its steps (min-max and median), the number of steps served by the kept
-factor and by a float64 factor, and the median, range and total of the
-time per step.  `solve` raises if a step misses the residual gate.  Uses
-only public calls and attributes, so it runs against any checkout's
-package:
+Runs `run_fine` on each desk bundle (`configs/desk_test1.cfg` with presets
+test1, test2 and test3 at every Darcy value of the config) and reads every
+step's `SaddleSolver` through the run's observer.  Prints per bundle the
+corrections of its steps (min-max and median), the number of steps served
+by the kept factor and by a float64 factor, and the median, range and total
+of the time per step, from one observed step to the next; step 0 includes
+building the run's step saddle and its kept factor.  `run_fine` raises if a
+step misses the residual gate.  Uses only public calls and attributes, so
+it runs against the package of any checkout whose `run_fine` takes
+`observe`:
 
     python scripts/solve_paths.py
     python scripts/solve_paths.py --preset test3 --darcy 1e-4
@@ -36,20 +34,21 @@ ROW = "{:<18}{:>5}  {:<22}{:>5}{:>9}  {:<19}{:>7}"
 
 
 def step_paths(mesh, params, bc):
-    """Per step: corrections, whether the kept factor served it, whether a
-    float64 factor did, and its wall time."""
-    from msflow.fine_solver import StepOperators
-    from msflow.saddle import SaddleSolver
+    """Per step of run_fine: corrections, whether the kept factor served it,
+    whether a float64 factor did, and its wall time."""
+    from msflow.fine_solver import StepOperators, run_fine
 
     ops = StepOperators(mesh, params, bc)
-    u = np.zeros(ops.patch.n_vdof)
     rows = []
-    for _ in range(params.n_steps):
-        start = time.perf_counter()
-        solver = SaddleSolver(ops.system(u))
-        u, _ = solver.solve(ops.mass @ u + ops.f_u, ops.f_p)
-        seconds = time.perf_counter() - start
-        rows.append((solver.corrections, solver.kept, solver.lu.U.dtype == np.float64, seconds))
+    start = time.perf_counter()
+
+    def observe(step, state, solver):
+        nonlocal start
+        now = time.perf_counter()
+        rows.append((solver.corrections, solver.kept, solver.lu.U.dtype == np.float64, now - start))
+        start = now
+
+    run_fine(mesh, params, bc, ops=ops, observe=observe)
     return rows
 
 

@@ -21,16 +21,10 @@ from .saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, relative_resi
 
 @dataclass
 class Trajectory:
-    """States at layers 0..n_steps (layer 0 is the zero initial condition),
-    their times, and the continuity residual accepted at each step."""
+    """The last layer and the continuity residual accepted at each step."""
 
-    states: list
-    times: np.ndarray
+    final: DGState
     div_residuals: np.ndarray
-
-    @property
-    def final(self):
-        return self.states[-1]
 
 
 class StepOperators:
@@ -66,7 +60,6 @@ class StepOperators:
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
         self._porous = np.nonzero(self.mesh.region[self.patch.cells] == POROUS)[0]
-        self._saddle = None
 
     @cached_property
     def cell_order(self):
@@ -75,6 +68,11 @@ class StepOperators:
         patch = self.patch
         edges = np.column_stack([patch.plus.cell, patch.minus.cell])
         return nested_dissection_order(patch.mesh.centroid[patch.cells], edges, ND_LEAF_CELLS)
+
+    @cached_property
+    def _saddle(self):
+        """The step saddle that system() steps on, built on first use."""
+        return self.step_saddle()
 
     def step_saddle(self):
         """A new CellOrderedSaddle of mass + viscous + Darcy and the
@@ -105,8 +103,6 @@ class StepOperators:
         if u_lin is None:
             upper = self.mass + self.viscous + self.darcy
             return SaddleSystem(saddle_matrix(upper, self.div), self.f_u, self.f_p)
-        if self._saddle is None:
-            self._saddle = self.step_saddle()
         saddle = self._saddle
         return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p)
 
@@ -120,33 +116,35 @@ def ordered_step(saddle, blocks, f_p):
     system of values saddle.static + blocks(u) with the loads (rhs_u, f_p)."""
 
     def step_solve(u, rhs_u):
-        return SaddleSolver(saddle.system(saddle.static + blocks(u), rhs_u, f_p)).solve()
+        solver = SaddleSolver(saddle.system(saddle.static + blocks(u), rhs_u, f_p))
+        return (*solver.solve(), solver)
 
     return step_solve
 
 
-def march(step_solve, mass, f_u, n_p, div_residual, params, label):
+def march(step_solve, mass, f_u, n_p, div_residual, params, label, observe=None):
     """The implicit loop from the zero state, shared by the fine and the
-    coarse runs: step k solves step_solve(u, mass @ u + f_u) for the
-    velocity and pressure of layer k + 1 from the velocity u of layer k, and
-    records div_residual of the new velocity.  A SingularSystemError is
-    raised again naming the step as "{label} {k}"."""
+    coarse runs: step k gets layer k + 1 and its SaddleSolver as (u, p,
+    solver) = step_solve(u_k, mass @ u_k + f_u), records div_residual(u),
+    then calls observe(k, state, solver) if given.  Only the last layer is
+    kept.  A SingularSystemError is raised again as "{label} {k}: ..."."""
     state = DGState(np.zeros(mass.shape[0]), np.zeros(n_p))
-    states = [state]
     residuals = np.empty(params.n_steps)
     for step in range(params.n_steps):
         try:
-            state = DGState(*step_solve(state.velocity, mass @ state.velocity + f_u))
+            u, p, solver = step_solve(state.velocity, mass @ state.velocity + f_u)
         except SingularSystemError as exc:
             raise SingularSystemError(f"{label} {step}: {exc}") from exc
+        state = DGState(u, p)
         residuals[step] = div_residual(state.velocity)
-        states.append(state)
-    times = params.tau * np.arange(params.n_steps + 1)
-    return Trajectory(states, times, residuals)
+        if observe is not None:
+            observe(step, state, solver)
+        del solver  # no step matrix outlives its step
+    return Trajectory(state, residuals)
 
 
-def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None):
-    """Run the implicit loop from the zero state and record every layer.
+def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None, observe=None):
+    """Run the implicit loop from the zero state (see march for observe).
 
     linear=True freezes convection and the quadratic drag at zero throughout,
     which makes the step matrix constant (factored once, by COLAMD).
@@ -154,9 +152,10 @@ def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None):
     ops = ops if ops is not None else StepOperators(mesh, params, bc, forcing=forcing)
     if linear:
         solver = SaddleSolver(ops.system(None))
-        step_solve = lambda u, rhs_u: solver.solve(rhs_u, ops.f_p)
+        step_solve = lambda u, rhs_u: (*solver.solve(rhs_u, ops.f_p), solver)
     else:
         step_solve = ordered_step(ops.step_saddle(), ops.step_blocks, ops.f_p)
     return march(
-        step_solve, ops.mass, ops.f_u, ops.patch.n_cells, ops.div_residual, params, "fine step"
+        step_solve, ops.mass, ops.f_u, ops.patch.n_cells, ops.div_residual, params, "fine step",
+        observe,
     )

@@ -112,8 +112,7 @@ class MultiscaleSpace:
 def compute_linearization_field(mesh, params, bc, ops=None):
     """Final-time velocity of the linear (convection- and drag-frozen)
     evolution, used to weight the local snapshot problems."""
-    traj = run_fine(mesh, params, bc, linear=True, ops=ops)
-    return traj.final.velocity.copy()
+    return run_fine(mesh, params, bc, linear=True, ops=ops).final.velocity
 
 
 def _delta_rhs_batch(patch, params):
@@ -479,7 +478,7 @@ class _Family:
         )
 
 
-def run_multiscale(mesh, coarse, params, bc, space, ops=None):
+def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
     """Online stage on a built, loaded or resized space: march the projected
     system and reconstruct the fine velocity.
 
@@ -492,8 +491,9 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None):
     saddle pattern is built once per call and the steps run in the fine
     run's loop and step (fine_solver.march and ordered_step).  A step costs
     O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the fine step
-    operators of params and bc) is built when not given.  Returns the
-    coarse trajectory and the reconstructed fine state at the final time.
+    operators of params and bc) is built when not given; observe sees each
+    coarse step (see march).  Returns the coarse trajectory and the
+    reconstructed fine state at the final time.
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
     online = space.family.operators(mesh, coarse, params, ops, space.m)
@@ -509,13 +509,12 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None):
     def div_residual(u_h):
         return relative_residual(b_h, u_h, f_p, b_scale)
 
-    step_solve = ordered_step(saddle, online.nonlinear, f_p)
     coarse_traj = march(
-        step_solve, online.mass, online.f_u, space.n_p, div_residual, params, "online step"
+        ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, space.n_p,
+        div_residual, params, "online step", observe,
     )
     final = coarse_traj.final
-    fine_state = DGState(space.r_u.T @ final.velocity, space.r_p.T @ final.pressure)
-    return coarse_traj, fine_state
+    return coarse_traj, DGState(space.r_u.T @ final.velocity, space.r_p.T @ final.pressure)
 
 
 def _space_key(mesh, params, bc, oversampled):

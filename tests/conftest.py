@@ -25,6 +25,12 @@ def make_params(**overrides):
     return ModelParameters(**base)
 
 
+def layers(states):
+    """An observer for run_fine and run_multiscale (see fine_solver.march)
+    that appends every state it sees to states."""
+    return lambda step, state, solver: states.append(state)
+
+
 def unit_square_mesh(n=1, porous=False):
     """n x n squares on the unit square, optionally all tagged porous."""
     inclusions = [CircleInclusion(0.5, 0.5, 0.49)] if porous else []

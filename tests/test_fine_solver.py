@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,7 @@ from msflow.parameters import BoundaryData, DGState, ModelParameters
 from msflow.patches import ND_LEAF_CELLS, bisect_cells, full_patch, nested_dissection_order
 from msflow.saddle import SaddleSolver
 
-from conftest import desk_domain, make_params, tiny_heterogeneous
+from conftest import desk_domain, layers, make_params, tiny_heterogeneous
 
 
 def small_channel(n=2, nx=2, ny=2, **overrides):
@@ -25,12 +27,13 @@ def small_channel(n=2, nx=2, ny=2, **overrides):
 def test_zero_data_zero_trajectory():
     mesh, _, params = small_channel(n=2, **{"n_steps": 3})
     bc = BoundaryData()
-    traj = run_fine(mesh, params, bc)
-    for state in traj.states:
+    states = []
+    traj = run_fine(mesh, params, bc, observe=layers(states))
+    for state in states:
         assert np.all(state.velocity == 0.0)
         assert np.all(state.pressure == 0.0)
-    assert len(traj.states) == params.n_steps + 1
-    assert traj.times[-1] == pytest.approx(params.t_max)
+    assert len(states) == params.n_steps
+    assert traj.final is states[-1]
 
 
 def step(ops, state, u_lin):
@@ -292,10 +295,11 @@ def test_ordered_step_matrix_equals_the_permuted_blocks(tiny_step):
 
 def test_run_fine_equals_the_block_assembled_loop(tiny_step):
     mesh, params, bc, ops = tiny_step
-    traj = run_fine(mesh, params, bc, ops=ops)
+    states = [DGState.zeros(mesh.n_cells)]
+    run_fine(mesh, params, bc, ops=ops, observe=layers(states))
     want = oracles.block_run_fine(ops, params.n_steps)
-    assert len(traj.states) == len(want)
-    for state, (u, p) in zip(traj.states, want):
+    assert len(states) == len(want)
+    for state, (u, p) in zip(states, want):
         assert np.array_equal(state.velocity, u)
         assert np.array_equal(state.pressure, p)
 
@@ -303,19 +307,61 @@ def test_run_fine_equals_the_block_assembled_loop(tiny_step):
 def test_run_fine_equals_the_step_loop_on_the_same_operators():
     # a step's answer depends on its system and the kept static factor, not
     # on earlier steps, so run_fine (which holds its own) and a loop over
-    # ops.system agree bit for bit, the second loop too
+    # ops.system agree bit for bit, the second loop too, and so does the
+    # solve path that the observer sees
     mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     params = make_params(tau=2e-4, n_steps=3)
     bc = BoundaryData.inflow((1.0, 0.0))
     ops = StepOperators(mesh, params, bc)
-    traj = run_fine(mesh, params, bc, ops=ops)
+    steps = []
+
+    def observe(step, state, solver):
+        steps.append((state, solver.kept, solver.corrections))
+
+    run_fine(mesh, params, bc, ops=ops, observe=observe)
+    assert len(steps) == params.n_steps
     for _ in range(2):
         u = np.zeros(ops.patch.n_vdof)
-        for state in traj.states[1:]:
+        for state, kept, corrections in steps:
             solver = SaddleSolver(ops.system(u))
             u, p = solver.solve(ops.mass @ u + ops.f_u, ops.f_p)
-            assert solver.kept
+            assert solver.kept and kept
+            assert solver.corrections == corrections
             assert np.array_equal(u, state.velocity) and np.array_equal(p, state.pressure)
+
+
+def test_a_returned_run_holds_one_state_and_the_observer_sees_every_step():
+    # march keeps only the last layer, so the memory that a returned
+    # trajectory holds does not grow with the number of steps
+    mesh, _ = generate_structured_mesh(desk_domain(), 4, (4, 4))
+    bc = BoundaryData.inflow((1.0, 0.0))
+    ops = StepOperators(mesh, make_params(), bc)
+    run_fine(mesh, make_params(n_steps=2), bc, ops=ops)  # first-use caches, untraced
+    one_state = DGState.zeros(mesh.n_cells)
+    state_bytes = one_state.velocity.nbytes + one_state.pressure.nbytes
+
+    def held(n_steps):
+        """The traced memory that a returned run of n_steps holds, the run,
+        and the steps and last state its observer saw."""
+        seen = {"steps": []}
+
+        def observe(step, state, solver):
+            seen["steps"].append(step)
+            seen["state"] = state
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = run_fine(mesh, make_params(n_steps=n_steps), bc, ops=ops, observe=observe)
+            return tracemalloc.get_traced_memory()[0] - base, traj, seen
+        finally:
+            tracemalloc.stop()
+
+    short, _, _ = held(2)
+    long, traj, seen = held(20)
+    assert long - short < state_bytes
+    assert seen["steps"] == list(range(20))
+    assert seen["state"] is traj.final
 
 
 def test_linearization_field_keeps_the_colamd_factorization():

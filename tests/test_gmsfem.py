@@ -17,7 +17,7 @@ from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, saddle_matrix
 
-from conftest import assert_same_bases, desk_domain, make_params, tiny_heterogeneous
+from conftest import assert_same_bases, desk_domain, layers, make_params, tiny_heterogeneous
 
 
 def coarse_saddle(upper, b_h, order):
@@ -42,10 +42,11 @@ class TestLinearizationField:
         mesh, coarse = tiny_heterogeneous()
         params = make_params(n_steps=3)
         bc = BoundaryData.inflow((1.0, 0.0))
-        traj = run_fine(mesh, params, bc, linear=True)
+        states = []
+        traj = run_fine(mesh, params, bc, linear=True, observe=layers(states))
         ops = StepOperators(mesh, params, bc)
         upper = ops.mass + ops.viscous + ops.darcy
-        u_prev = traj.states[-2].velocity
+        u_prev = states[-2].velocity
         u, p = traj.final.velocity, traj.final.pressure
         r_u = upper @ u + ops.div.T @ p - (ops.mass @ u_prev + ops.f_u)
         r_p = ops.div @ u - ops.f_p
@@ -433,7 +434,8 @@ class TestOnlineStage:
         def step_solve(u_h, rhs_u):
             # the nonlinear block couples the second mode until step 7
             blocks = np.eye(3)[None] * (next(steps) < 7)
-            return SaddleSolver(saddle.system(saddle.static + blocks, rhs_u, np.ones(1))).solve()
+            solver = SaddleSolver(saddle.system(saddle.static + blocks, rhs_u, np.ones(1)))
+            return (*solver.solve(), solver)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -514,12 +516,15 @@ class TestFamilyRecord:
         # space, built or sliced, repeats the first run bit for bit
         mesh, coarse, params, bc, ops, space = setting
         for s in (space, gmsfem.resize_space(space, mesh, coarse, 2)):
-            runs = [
-                gmsfem.run_multiscale(mesh, coarse, params, bc, space=s, ops=ops)
-                for _ in range(2)
-            ]
-            (traj_a, fine_a), (traj_b, fine_b) = runs
-            for a, b in zip(traj_a.states, traj_b.states):
+            states_a, states_b = [], []
+            _, fine_a = gmsfem.run_multiscale(
+                mesh, coarse, params, bc, space=s, ops=ops, observe=layers(states_a)
+            )
+            _, fine_b = gmsfem.run_multiscale(
+                mesh, coarse, params, bc, space=s, ops=ops, observe=layers(states_b)
+            )
+            assert len(states_a) == len(states_b) == params.n_steps
+            for a, b in zip(states_a, states_b):
                 assert np.array_equal(a.velocity, b.velocity)
                 assert np.array_equal(a.pressure, b.pressure)
             assert np.array_equal(fine_a.velocity, fine_b.velocity)
