@@ -4,7 +4,8 @@ bit-identical operators.
 
 Uses only public calls, and reads the `run_fine` layers through the run's
 observer, so it runs against the package of any checkout whose `run_fine`
-takes `observe`.  To compare against an older checkout, run that
+takes `observe` and whose `forms` has `linearized_cell_blocks` and
+`cell_block_matrix`.  To compare against an older checkout, run that
 checkout's own copy of the script:
 
     python scripts/operator_digest.py > change.txt
@@ -17,8 +18,10 @@ and the paper_like meshes (`configs/desk_test1.cfg`, `configs/paper_like.cfg`),
 and on the desk config:
 
 - the `StepOperators` blocks and loads for every Darcy value of the config,
-  the convection and Forchheimer blocks at a seeded field, and the step
-  matrices `ops.system(None)` (linear) and `ops.system(field)` (ordered);
+  the convection and Forchheimer blocks at a seeded field (labelled
+  `convection_block` and `forchheimer_block`, as older checkouts print
+  them), and the step matrices `ops.system(None)` (linear) and
+  `ops.system(field)` (ordered);
 - for every coarse patch, plain and oversampled: the viscous block, the
   divergence, the unit-delta Dirichlet loads and the spectral pair;
 - a manufactured-data `assemble_rhs` with traction and forcing;
@@ -114,8 +117,10 @@ def main():
         tag = f"da={darcy:g}"
         for name in ("mass", "div", "viscous", "darcy", "f_u", "f_p"):
             show(f"{tag} step_operators.{name}", getattr(ops, name))
-        show(f"{tag} convection_block", forms.convection_block(ops.patch, params, field))
-        show(f"{tag} forchheimer_block", forms.forchheimer_block(ops.patch, params, field))
+        convection, porous, drag = forms.linearized_cell_blocks(ops.patch, params, field)
+        every = np.arange(ops.patch.n_cells)
+        show(f"{tag} convection_block", forms.cell_block_matrix(ops.patch, every, convection))
+        show(f"{tag} forchheimer_block", forms.cell_block_matrix(ops.patch, porous, drag))
         show(f"{tag} system(None).matrix", ops.system(None).matrix)
         show(f"{tag} system(field).matrix", ops.system(field).matrix)
 

@@ -143,18 +143,18 @@ class ErrorReport:
         return 100.0 * self.e_u, 100.0 * self.e_s, 100.0 * self.e_p
 
 
-def make_report(ref_state, ms_fine_velocity, ms_coarse_pressure, mesh, coarse, m, oversampled, params=None):
+def make_report(ref_state, ms_fine_velocity, ms_coarse_pressure, mesh, coarse, m, oversampled, params):
     """Assemble the error report of one multiscale run."""
     e_u = error_velocity(ref_state.velocity, ms_fine_velocity, mesh)
     e_s = error_stress(ref_state.velocity, ms_fine_velocity, mesh)
     e_p = error_pressure(ref_state.pressure, ms_coarse_pressure, mesh, coarse)
-    meta = {"m": int(m), "oversampled": bool(oversampled)}
-    if params is not None:
-        meta.update(
-            reynolds=params.reynolds,
-            darcy=params.darcy,
-            forchheimer=params.forchheimer,
-        )
+    meta = {
+        "m": int(m),
+        "oversampled": bool(oversampled),
+        "reynolds": params.reynolds,
+        "darcy": params.darcy,
+        "forchheimer": params.forchheimer,
+    }
     return ErrorReport(
         e_u=e_u,
         e_s=e_s,

@@ -122,7 +122,9 @@ def _multiscale_runs(spec, mesh, coarse, params, settings, ref=None):
     spaces come before the fine reference (run unless ref is given), so a
     basis size above a coarse cell's kept rank fails before that run; the
     smaller sizes are row slices (offline eigenvectors are prefix-reusable).
-    Yields (m, oversampled, fine_state, report), m ascending per setting."""
+    Yields (m, oversampled, fine_state, report), m ascending per setting;
+    an undefined relative error (a zero reference) is an MsflowError naming
+    the run."""
     ops = StepOperators(mesh, params, spec.bc)
     spaces = _spaces(spec, mesh, coarse, params, settings, ops)
     if ref is None:
@@ -132,10 +134,14 @@ def _multiscale_runs(spec, mesh, coarse, params, settings, ref=None):
         for m in sorted(spec.m_list):
             sub = space if m == space.m else gmsfem.resize_space(space, mesh, coarse, m)
             traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, spec.bc, sub, ops=ops)
-            report = analysis.make_report(
-                ref, fine_state.velocity, traj.final.pressure, mesh, coarse, m,
-                oversampled, params,
-            )
+            try:
+                report = analysis.make_report(
+                    ref, fine_state.velocity, traj.final.pressure, mesh, coarse, m,
+                    oversampled, params,
+                )
+            except ValueError as exc:
+                kind = "oversampled" if oversampled else "plain"
+                raise MsflowError(f"Da={params.darcy:g}, M={m}, {kind}: {exc}") from exc
             yield m, oversampled, fine_state, report
 
 
@@ -184,10 +190,13 @@ def run_sweep_mode(spec, mesh, coarse):
 def run_compare_mode(spec, mesh, coarse):
     ref = _load_reference(spec.reference, mesh)
     other = _load_reference(spec.other, mesh)
-    e_u = analysis.error_velocity(ref.velocity, other.velocity, mesh)
-    e_s = analysis.error_stress(ref.velocity, other.velocity, mesh)
-    p_other = analysis.coarse_average(other.pressure, mesh, coarse)
-    e_p = analysis.error_pressure(ref.pressure, p_other, mesh, coarse)
+    try:
+        e_u = analysis.error_velocity(ref.velocity, other.velocity, mesh)
+        e_s = analysis.error_stress(ref.velocity, other.velocity, mesh)
+        p_other = analysis.coarse_average(other.pressure, mesh, coarse)
+        e_p = analysis.error_pressure(ref.pressure, p_other, mesh, coarse)
+    except ValueError as exc:
+        raise MsflowError(f"{spec.other} against {spec.reference}: {exc}") from exc
     payload = {
         "e_u_percent": 100.0 * e_u,
         "e_s_percent": 100.0 * e_s,

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import forms
 from .errors import SingularSystemError
-from .geometry import POROUS
 from .parameters import DGState
 from .patches import ND_LEAF_CELLS, full_patch, nested_dissection_order
 from .saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, relative_residual, saddle_matrix
@@ -59,7 +58,6 @@ class StepOperators:
             block.eliminate_zeros()
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
-        self._porous = np.nonzero(self.mesh.region[self.patch.cells] == POROUS)[0]
 
     @cached_property
     def cell_order(self):
@@ -89,14 +87,8 @@ class StepOperators:
         """Convection plus drag linearized at the global field u_lin, one
         scalar 3x3 block per cell, (n, 1, 3, 3): the same in both velocity
         components."""
-        patch, params, porous = self.patch, self.params, self._porous
-        u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
-        coefs = u_local.reshape(patch.n_cells, 3, 2)
-        blocks = forms.convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
-        if len(porous) and params.forchheimer != 0.0:
-            blocks[porous] += forms.forchheimer_cell_blocks(
-                patch.mesh, params, patch.cells[porous], coefs[porous]
-            )
+        blocks, porous, drag = forms.linearized_cell_blocks(self.patch, self.params, u_lin)
+        blocks[porous] += drag
         return blocks[:, None]
 
     def system(self, u_lin=None):

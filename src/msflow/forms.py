@@ -56,6 +56,12 @@ def _cell_coo(local_cells, blocks6):
     return _pair_coo(local_cells, local_cells, blocks6)
 
 
+def cell_block_matrix(patch, cells, blocks):
+    """The patch's velocity matrix of scalar 3x3 blocks (n, 3, 3) on its
+    local cells, the same in both components."""
+    return _collect([_cell_coo(cells, _kron2(blocks))], (patch.n_vdof, patch.n_vdof))
+
+
 def _collect(parts, shape):
     """CSR matrix of the triplets (rows, cols, vals) of all parts, rows and
     cols broadcasting to vals.  The triplets go into one buffer in part
@@ -116,9 +122,8 @@ def assemble_mass(patch, params):
     the inverse permeability indicator."""
     xi = patch.mesh.xi(params.porosity)[patch.cells]
     coef = 1.0 / (params.tau * xi)
-    blocks = _kron2(coef[:, None, None] * _lambda_mass(patch))
-    part = _cell_coo(np.arange(patch.n_cells), blocks)
-    return _collect([part], (patch.n_vdof, patch.n_vdof))
+    blocks = coef[:, None, None] * _lambda_mass(patch)
+    return cell_block_matrix(patch, np.arange(patch.n_cells), blocks)
 
 
 def _diffusion_volume(patch, params):
@@ -203,29 +208,13 @@ def viscous_block(patch, params):
     return _collect(parts, (patch.n_vdof, patch.n_vdof))
 
 
-def convection_block(patch, params, u_lin):
-    """Convective volume term linearized at the global fine field u_lin."""
-    u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
-    if u_local.shape != (patch.n_vdof,):
-        raise ValueError("linearization field does not match the patch")
-    if not np.any(u_local):
-        return sp.csr_matrix((patch.n_vdof, patch.n_vdof))
-    coefs = u_local.reshape(patch.n_cells, 3, 2)
-    blocks = convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
-    part = _cell_coo(np.arange(patch.n_cells), _kron2(blocks))
-    return _collect([part], (patch.n_vdof, patch.n_vdof))
-
-
 def darcy_block(patch, params):
     """Linear porous drag; zero rows and columns on fluid cells."""
     if params.darcy <= 0:
         raise ValueError("darcy number must be positive")
     porous = np.nonzero(patch.mesh.region[patch.cells] == POROUS)[0]
-    parts = []
-    if len(porous):
-        blocks = _lambda_mass(patch)[porous] / (params.reynolds * params.darcy)
-        parts.append(_cell_coo(porous, _kron2(blocks)))
-    return _collect(parts, (patch.n_vdof, patch.n_vdof))
+    blocks = _lambda_mass(patch)[porous] / (params.reynolds * params.darcy)
+    return cell_block_matrix(patch, porous, blocks)
 
 
 def forchheimer_cell_blocks(mesh, params, cells, coefs):
@@ -241,18 +230,19 @@ def forchheimer_cell_blocks(mesh, params, cells, coefs):
     ] * np.einsum("q,nq,qa,qb->nab", w, speed, bary, bary)
 
 
-def forchheimer_block(patch, params, u_lin):
-    """Quadratic porous drag weighted by the pointwise speed of u_lin."""
-    if params.darcy <= 0:
-        raise ValueError("darcy number must be positive")
-    porous = np.nonzero(patch.mesh.region[patch.cells] == POROUS)[0]
-    parts = []
-    if len(porous) and params.forchheimer != 0.0:
-        u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
-        coefs = u_local.reshape(patch.n_cells, 3, 2)[porous]
-        blocks = forchheimer_cell_blocks(patch.mesh, params, patch.cells[porous], coefs)
-        parts.append(_cell_coo(porous, _kron2(blocks)))
-    return _collect(parts, (patch.n_vdof, patch.n_vdof))
+def linearized_cell_blocks(patch, params, u_lin):
+    """Convection and quadratic drag of a patch frozen at the global fine
+    field u_lin: (convection (n, 3, 3) on every local cell, the local drag
+    cells, drag (len(drag cells), 3, 3)).  The drag cells are the porous
+    cells, none when params.forchheimer is 0."""
+    u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
+    coefs = u_local.reshape(patch.n_cells, 3, 2)
+    convection = convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
+    porous = np.flatnonzero(
+        (patch.mesh.region[patch.cells] == POROUS) & (params.forchheimer != 0.0)
+    )
+    drag = forchheimer_cell_blocks(patch.mesh, params, patch.cells[porous], coefs[porous])
+    return convection, porous, drag
 
 
 def assemble_divergence(patch):
@@ -360,5 +350,4 @@ def assemble_spectral_pair(patch, params):
     a_loc = _collect(parts, shape)
     side = patch.dirichlet
     mass = patch.dir_len[:, None, None] * _trace_mass(side, side)
-    s_loc = _collect([_pair_coo(side.cell, side.cell, _kron2(mass))], shape)
-    return a_loc, s_loc
+    return a_loc, cell_block_matrix(patch, side.cell, mass)

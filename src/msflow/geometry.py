@@ -76,11 +76,6 @@ class DomainSpec:
                         f"inclusions at ({a.cx}, {a.cy}) and ({b.cx}, {b.cy}) overlap"
                     )
 
-    @property
-    def area(self):
-        x0, y0, x1, y1 = self.bbox
-        return (x1 - x0) * (y1 - y0)
-
     def porous_mask(self, pts):
         """True for points inside any inclusion disk (closed)."""
         pts = np.atleast_2d(pts)

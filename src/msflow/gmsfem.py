@@ -147,8 +147,10 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     # large temporaries keeps them from pinning the freed heap above them.
     rows = np.empty((2 * len(patch.dirichlet_edges), 6 * len(target)))
 
-    a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, u_lin)
-    d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, u_lin)
+    convection, porous, drag = forms.linearized_cell_blocks(patch, params, u_lin)
+    every = np.arange(patch.n_cells)
+    a = forms.viscous_block(patch, params) + forms.cell_block_matrix(patch, every, convection)
+    d = forms.darcy_block(patch, params) + forms.cell_block_matrix(patch, porous, drag)
     matrix = saddle_matrix(a + d, forms.assemble_divergence(patch), pin=True)
     f_u, f_p = _delta_rhs_batch(patch, params)
     f_p[0, :] = 0.0  # the pinned row
@@ -174,12 +176,12 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     return SnapshotSet(cell_index=int(i), target_cells=target, rows=rows)
 
 
-def generalized_eigh(a, s, rank_tol=S_RANK_TOL):
+def generalized_eigh(a, s):
     """Ascending eigenpairs of the symmetric pencil (a, s) with a singular
     or ill-conditioned right operator handled by rank-revealing whitening.
 
     Directions outside the numerical range of s (relative eigenvalue below
-    rank_tol) correspond to infinite pencil eigenvalues and are dropped; for
+    S_RANK_TOL) correspond to infinite pencil eigenvalues and are dropped; for
     a well-conditioned s this reduces to the ordinary generalized solve.
 
     Returns (eigenvalues, vectors, filtered) where vectors are in the
@@ -190,7 +192,7 @@ def generalized_eigh(a, s, rank_tol=S_RANK_TOL):
     a = 0.5 * (a + a.T)
     s = 0.5 * (s + s.T)
     sw, q = la.eigh(s)
-    keep = sw > rank_tol * max(sw[-1], 0.0)
+    keep = sw > S_RANK_TOL * max(sw[-1], 0.0)
     if not np.any(keep):
         raise ValueError("trace-mass operator of the snapshot family is zero")
     if not np.all(keep):
@@ -304,7 +306,6 @@ def build_multiscale_space(mesh, coarse, params, bc=None, m=10, oversampled=Fals
             bases = list(pool.map(one_cell, indices))
     else:
         bases = [one_cell(i) for i in indices]
-    bases.sort(key=lambda b: b.cell_index)
     r_u, r_p = build_projection(bases, mesh, coarse, m)
     return MultiscaleSpace(
         m=m, oversampled=bool(oversampled), cell_bases=bases, r_u=r_u, r_p=r_p

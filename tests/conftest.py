@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msflow import forms
 from msflow.geometry import (
     CircleInclusion,
     DomainSpec,
@@ -23,6 +24,17 @@ def make_params(**overrides):
     )
     base.update(overrides)
     return ModelParameters(**base)
+
+
+def linearized_matrices(patch, params, u_lin):
+    """The convection and the quadratic drag of a patch frozen at the global
+    field u_lin, as sparse matrices on its velocity DOFs."""
+    convection, porous, drag = forms.linearized_cell_blocks(patch, params, u_lin)
+    every = np.arange(patch.n_cells)
+    return (
+        forms.cell_block_matrix(patch, every, convection),
+        forms.cell_block_matrix(patch, porous, drag),
+    )
 
 
 def layers(states):

@@ -12,13 +12,14 @@ concatenated triplet copies) and einsum_convection_blocks (the convection
 cell blocks as einsum contractions).
 
 The block-assembled fine step at the end is the reference for the ordered
-step matrix: the convection and Forchheimer blocks as CSR matrices summed
-into the velocity block, sp.bmat, a fancy-index permutation into the
-nested-dissection cell order, and a SuperLU factor in that order (from
-saddle.SINGLE_MIN unknowns on, the float32 factor of the step-0 matrix with
-float64 refinement, and on a miss the float64 factor).  That order comes from a copy of the recursion
-written for a patch (its interior-edge graph, leaves of 8 cells), the
-reference for the package's general nested_dissection_order.
+step matrix: the convection and Forchheimer blocks as CSR matrices
+(conftest.linearized_matrices) summed into the velocity block, sp.bmat, a
+fancy-index permutation into the nested-dissection cell order, and a
+SuperLU factor in that order (from saddle.SINGLE_MIN unknowns on, the
+float32 factor of the step-0 matrix with float64 refinement, and on a miss
+the float64 factor).  That order comes from a copy of the recursion written
+for a patch (its interior-edge graph, leaves of 8 cells), the reference for
+the package's general nested_dissection_order.
 """
 
 import numpy as np
@@ -31,6 +32,8 @@ from msflow.geometry import BOTTOM, INTERIOR, LEFT, POROUS, RIGHT, TOP
 from msflow.patches import bisect_cells
 from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
 from msflow.saddle import KEPT_MAX, REFINE_TARGET, SINGLE_MIN
+
+from conftest import linearized_matrices
 
 
 def loop_edge_topology(mesh):
@@ -377,8 +380,8 @@ def block_step_matrix(ops, u_lin):
     the permuted matrix, with sorted indices, and the permutation."""
     upper = ops.mass + ops.viscous + ops.darcy
     if np.any(u_lin):
-        conv = forms.convection_block(ops.patch, ops.params, u_lin)
-        upper = upper + (conv + forms.forchheimer_block(ops.patch, ops.params, u_lin))
+        conv, drag = linearized_matrices(ops.patch, ops.params, u_lin)
+        upper = upper + (conv + drag)
     upper = upper.tocsr()
     matrix = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
     order = patch_nested_dissection(ops.patch)

@@ -20,7 +20,7 @@ from msflow.parameters import BoundaryData, preset_parameters
 from msflow.patches import coarse_cell_patch, full_patch
 from msflow.saddle import SaddleSolver, SaddleSystem, saddle_matrix
 
-from conftest import desk_domain, make_params, random_rect_two_cells
+from conftest import desk_domain, linearized_matrices, make_params, random_rect_two_cells
 
 
 def _report(criterion, passed, detail):
@@ -339,7 +339,7 @@ def test_criterion_7_oracle_equivalence():
                 oracles.convdiff_energy(mesh, params, patch, u, v, None),
             ),
         )
-        a_lin = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
+        a_lin = forms.viscous_block(patch, params) + linearized_matrices(patch, params, ulin)[0]
         worst_form = max(
             worst_form,
             rel(
@@ -348,7 +348,7 @@ def test_criterion_7_oracle_equivalence():
             ),
         )
         mesh.region[:] = 1
-        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin_const)
+        d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin_const)[1]
         worst_form = max(
             worst_form,
             rel(v @ (d @ u), oracles.drag_energy(mesh, params, u, v, ulin_const)),
@@ -382,8 +382,9 @@ def test_criterion_7_oracle_equivalence():
     for i in range(coarse.n_cells):
         snap = gmsfem.build_snapshots(mesh, coarse, params, i, False, ulin)
         patch = coarse_cell_patch(mesh, coarse, i)
-        a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
-        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
+        conv, drag = linearized_matrices(patch, params, ulin)
+        a = forms.viscous_block(patch, params) + conv
+        d = forms.darcy_block(patch, params) + drag
         b = forms.assemble_divergence(patch)
         f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
         nu, npr = patch.n_vdof, patch.n_pdof

@@ -487,6 +487,7 @@ TINY_MS = (
     "[model]\npreset = test1\nn_steps = 2\nda = 1e-3\n"
     "[run]\n{run}\nout = {out}\n"
 )
+ZERO_INFLOW = "[bc]\ninflow = 0 0\n"
 
 
 @pytest.mark.parametrize("mode", ["ms", "sweep"])
@@ -508,6 +509,32 @@ def test_basis_cache_that_is_a_file_exits_before_any_basis(tmp_path, monkeypatch
     assert cli.main([mode, "--config", str(cfg)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("mode", ["ms", "sweep"])
+def test_zero_reference_names_the_run(tmp_path, capsys, mode):
+    run = "m_list = 4\nda_list = 1e-3"
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=tmp_path / "out") + ZERO_INFLOW)
+    capsys.readouterr()
+    assert cli.main([mode, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: Da=0.001, M=4, plain: reference velocity norm is zero"]
+
+
+def test_zero_reference_compare_names_both_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run="", out=out) + ZERO_INFLOW)
+    assert cli.main(["fine", "--config", str(cfg)]) == 0
+    fine_vtk = out / "fine.vtk"
+    run = f"reference = {fine_vtk}\nother = {fine_vtk}"
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=out), name="cmp.cfg")
+    capsys.readouterr()
+    assert cli.main(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: {fine_vtk} against {fine_vtk}: reference velocity norm is zero"
+    ]
+    assert not (out / "compare.json").exists()
 
 
 def test_ms_and_sweep_give_the_same_errors(tmp_path):

@@ -9,6 +9,7 @@ import oracles
 from msflow import forms
 from msflow.config import parse_config
 from msflow.geometry import (
+    POROUS,
     CoarseGrid,
     DomainSpec,
     TriMesh,
@@ -19,7 +20,14 @@ from msflow.parameters import BoundaryData
 from msflow.patches import EdgeSide, Patch, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_S
 
-from conftest import desk_domain, make_params, perturbed_grid_mesh, random_rect_two_cells
+from conftest import (
+    desk_domain,
+    linearized_matrices,
+    make_params,
+    perturbed_grid_mesh,
+    random_rect_two_cells,
+    tiny_heterogeneous,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -96,7 +104,7 @@ class TestMass:
         params = make_params(forchheimer=2.0)
         ulin = rng.standard_normal(6 * mesh.n_cells)
         patch = full_patch(mesh)
-        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin)[1]
         assert abs(d - d.T).max() < 1e-12 * abs(d).max()
 
 
@@ -154,14 +162,14 @@ class TestConvectionDiffusion:
         u = rng.standard_normal(12)
         v = rng.standard_normal(12)
         ulin = rng.standard_normal(12)
-        a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
+        a = forms.viscous_block(patch, params) + linearized_matrices(patch, params, ulin)[0]
         expected = oracles.convdiff_energy(mesh, params, patch, u, v, ulin)
         assert v @ (a @ u) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         mesh, _ = random_rect_two_cells(rng)
         with pytest.raises(ValueError):
-            forms.convection_block(full_patch(mesh), make_params(), np.ones(7))
+            forms.linearized_cell_blocks(full_patch(mesh), make_params(), np.ones(7))
 
 
 class TestDarcyForchheimer:
@@ -185,7 +193,7 @@ class TestDarcyForchheimer:
         params = make_params(forchheimer=1.0, reynolds=7.0, darcy=1e-4)
         patch = volume_only_patch(mesh)
         ulin = np.tile([3.0, 4.0], 3)  # |u_lin| = 5 everywhere
-        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin)[1]
         d0 = forms.darcy_block(patch, params)
         u = np.tile([1.0, 0.0], 3)
         forch = u @ (d @ u) - u @ (d0 @ u)
@@ -201,7 +209,7 @@ class TestDarcyForchheimer:
         u = rng.standard_normal(12)
         v = rng.standard_normal(12)
         ulin = np.repeat(rng.standard_normal((2, 2)), 3, axis=0).ravel()
-        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin)[1]
         expected = oracles.drag_energy(mesh, params, u, v, ulin)
         assert v @ (d @ u) == pytest.approx(expected, rel=1e-12)
 
@@ -215,11 +223,34 @@ class TestDarcyForchheimer:
         u = rng.standard_normal(patch.n_vdof)
         v = rng.standard_normal(patch.n_vdof)
         ulin = rng.standard_normal(patch.n_vdof)
-        d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin)
+        d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin)[1]
         expected = oracles.drag_energy(mesh, params, u, v, ulin)
         # |u_lin| has kinks where the field crosses zero, so the gap is a few
         # percent on wildly oscillating data; it vanishes on smooth fields
         assert v @ (d @ u) == pytest.approx(expected, rel=5e-2)
+
+
+class TestLinearizedCellBlocks:
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_patch_blocks_are_the_full_patch_blocks_of_its_cells(self, oversampled):
+        mesh, coarse = tiny_heterogeneous()
+        field = np.random.default_rng(2).standard_normal(6 * mesh.n_cells)
+        for forchheimer in (1.0, 0.0):
+            params = make_params(forchheimer=forchheimer)
+            conv_all, porous_all, drag_all = forms.linearized_cell_blocks(
+                full_patch(mesh), params, field
+            )
+            n_drag = 0
+            for i in range(coarse.n_cells):
+                patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
+                conv, porous, drag = forms.linearized_cell_blocks(patch, params, field)
+                assert conv.tobytes() == conv_all[patch.cells].tobytes()
+                in_patch = np.flatnonzero(mesh.region[patch.cells] == POROUS)
+                assert np.array_equal(porous, in_patch if forchheimer else [])
+                want = drag_all[np.searchsorted(porous_all, patch.cells[porous])]
+                assert drag.shape == want.shape and drag.tobytes() == want.tobytes()
+                n_drag += len(porous)
+            assert (n_drag > 0) == (forchheimer != 0.0)
 
 
 class TestDivergence:
@@ -416,12 +447,13 @@ class TestAssemblyOrder:
     @staticmethod
     def _assembled(patch, params, field):
         stiffness, trace_mass = forms.assemble_spectral_pair(patch, params)
+        convection, forchheimer = linearized_matrices(patch, params, field)
         return {
             "mass": forms.assemble_mass(patch, params),
             "viscous": forms.viscous_block(patch, params),
-            "convection": forms.convection_block(patch, params, field),
+            "convection": convection,
             "darcy": forms.darcy_block(patch, params),
-            "forchheimer": forms.forchheimer_block(patch, params, field),
+            "forchheimer": forchheimer,
             "divergence": forms.assemble_divergence(patch),
             "stiffness": stiffness,
             "trace_mass": trace_mass,
@@ -490,12 +522,12 @@ def test_forms_match_oracles_on_random_rectangles(seed):
     assert v @ (m @ u) == pytest.approx(
         oracles.mass_energy(mesh, params, u, v), rel=1e-12, abs=1e-13
     )
-    a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, ulin)
+    a = forms.viscous_block(patch, params) + linearized_matrices(patch, params, ulin)[0]
     assert v @ (a @ u) == pytest.approx(
         oracles.convdiff_energy(mesh, params, patch, u, v, ulin), rel=1e-12, abs=1e-12
     )
     ulin_const = np.repeat(rng.standard_normal((2, 2)), 3, axis=0).ravel()
-    d = forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, ulin_const)
+    d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin_const)[1]
     assert v @ (d @ u) == pytest.approx(
         oracles.drag_energy(mesh, params, u, v, ulin_const), rel=1e-12, abs=1e-12
     )

@@ -264,8 +264,8 @@ def test_mesh_invariants(nx, ny, n, with_inclusion):
     inclusions = [CircleInclusion(0.1, -0.2, 0.4)] if with_inclusion else []
     dom = DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions, porosity=0.5)
     mesh, coarse = generate_structured_mesh(dom, n, (nx, ny))
-    # partition of the box area
-    assert mesh.area.sum() == pytest.approx(dom.area, rel=1e-12)
+    # partition of the 2 x 2 box
+    assert mesh.area.sum() == pytest.approx(4.0, rel=1e-12)
     # edge handshake
     interior = int((mesh.edge_cells[:, 1] >= 0).sum())
     boundary = mesh.n_edges - interior

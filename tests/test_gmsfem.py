@@ -17,7 +17,14 @@ from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, saddle_matrix
 
-from conftest import assert_same_bases, desk_domain, layers, make_params, tiny_heterogeneous
+from conftest import (
+    assert_same_bases,
+    desk_domain,
+    layers,
+    linearized_matrices,
+    make_params,
+    tiny_heterogeneous,
+)
 
 
 def coarse_saddle(upper, b_h, order):
@@ -64,8 +71,8 @@ class TestLinearizationField:
 
 def local_upper(params, patch, u_lin):
     """The velocity block of a snapshot problem linearized at u_lin."""
-    a = forms.viscous_block(patch, params) + forms.convection_block(patch, params, u_lin)
-    return a + (forms.darcy_block(patch, params) + forms.forchheimer_block(patch, params, u_lin))
+    conv, drag = linearized_matrices(patch, params, u_lin)
+    return (forms.viscous_block(patch, params) + conv) + (forms.darcy_block(patch, params) + drag)
 
 
 def local_system(params, patch, u_lin):
@@ -371,9 +378,8 @@ class TestOnlineStage:
         u_h = rng.standard_normal(space.n_u)
         u_rec = r_u.T @ u_h
         patch = full_patch(mesh)
-        fine = forms.convection_block(patch, params, u_rec) + forms.forchheimer_block(
-            patch, params, u_rec
-        )
+        conv, drag = linearized_matrices(patch, params, u_rec)
+        fine = conv + drag
         want = (r_u @ fine @ r_u.T).toarray()
         ops = StepOperators(mesh, params, bc)
         online = space.family.operators(mesh, coarse, params, ops, m)

@@ -26,7 +26,7 @@ from msflow.saddle import (
     saddle_matrix,
 )
 
-from conftest import desk_domain, make_params, tiny_heterogeneous
+from conftest import desk_domain, linearized_matrices, make_params, tiny_heterogeneous
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -198,8 +198,7 @@ def _step_system(mesh, params):
 def _block_upper(ops, u_lin):
     """The velocity block of the step linearized at u_lin, summed from the
     CSR blocks."""
-    conv = forms.convection_block(ops.patch, ops.params, u_lin)
-    forch = forms.forchheimer_block(ops.patch, ops.params, u_lin)
+    conv, forch = linearized_matrices(ops.patch, ops.params, u_lin)
     return ops.mass + (ops.viscous + conv) + (ops.darcy + forch)
 
 
