@@ -249,9 +249,8 @@ def parse_config(path, mode, out_dir=None, seed=None):
     if inclusions == "random":
         run_seed = value["seed"] if seed is None else int(seed)
         inclusions = generate_inclusions(value["bbox"], value["n_inclusions"], rmin, rmax, run_seed)
-    porosity = value["porosity"] or (1.0 if value["preset"] is None else 0.3)  # a given one is > 0
     try:
-        domain = DomainSpec(bbox=value["bbox"], inclusions=inclusions, porosity=porosity)
+        domain = DomainSpec(bbox=value["bbox"], inclusions=inclusions)
     except ValueError as exc:
         raise ConfigError(str(exc), line=line.get("inclusions")) from exc
 
@@ -270,6 +269,7 @@ def parse_config(path, mode, out_dir=None, seed=None):
     if tau == 0:
         message = f"key 't_max': {t_max!r} over {n_steps} steps gives a zero time step"
         raise ConfigError(message, line=line.get("t_max"))
+    porosity = value["porosity"] or (1.0 if value["preset"] is None else 0.3)  # a given one is > 0
     params = ModelParameters(
         reynolds=reynolds, darcy=value["da"], forchheimer=forchheimer, porosity=porosity,
         tau=tau, n_steps=n_steps, penalty=value["gamma"],

@@ -210,8 +210,6 @@ def viscous_block(patch, params):
 
 def darcy_block(patch, params):
     """Linear porous drag; zero rows and columns on fluid cells."""
-    if params.darcy <= 0:
-        raise ValueError("darcy number must be positive")
     porous = np.nonzero(patch.mesh.region[patch.cells] == POROUS)[0]
     blocks = _lambda_mass(patch)[porous] / (params.reynolds * params.darcy)
     return cell_block_matrix(patch, porous, blocks)

@@ -49,14 +49,11 @@ class DomainSpec:
 
     bbox: tuple  # (x0, y0, x1, y1)
     inclusions: list = field(default_factory=list)
-    porosity: float = 1.0
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.bbox
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"domain bbox has no area: {self.bbox}")
-        if not 0.0 < self.porosity <= 1.0:
-            raise ValueError(f"porosity must lie in (0, 1], got {self.porosity}")
         for inc in self.inclusions:
             if (
                 inc.cx - inc.radius <= x0
@@ -165,7 +162,12 @@ class TriMesh:
 
 
 class CoarseGrid:
-    """Structured rectangular coarse overlay of the fine triangulation."""
+    """Structured rectangular coarse overlay of the fine triangulation.
+
+    cell_fine[i] lists the fine cells of coarse cell i in ascending order (a
+    stable sort of the coarse ids) and is read-only: patches and cell bases
+    share its memory.
+    """
 
     def __init__(self, nx, ny, bbox, mesh):
         self.nx = int(nx)
@@ -178,6 +180,7 @@ class CoarseGrid:
             raise MeshFormatError("fine cell with coarse id outside the grid")
         order = np.argsort(ids, kind="stable")
         bounds = np.searchsorted(ids[order], np.arange(self.n_cells + 1))
+        order.flags.writeable = False
         self.cell_fine = [order[bounds[i] : bounds[i + 1]] for i in range(self.n_cells)]
         if any(len(f) == 0 for f in self.cell_fine):
             raise MeshFormatError("coarse cell without fine cells")
@@ -343,11 +346,11 @@ def save_mesh(path, mesh, coarse):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_mesh(path, coarse_dims=None):
+def load_mesh(path):
     """Read the mesh text format and rebuild topology.
 
-    The coarse overlay comes from the file's `coarse nx ny` line or the
-    coarse_dims argument; coarse assignments are validated against centroids.
+    The coarse overlay comes from the file's `coarse nx ny` line; coarse
+    assignments are validated against centroids.
     """
     with open(path, errors="replace") as fh:
         raw = fh.read().splitlines()
@@ -393,9 +396,8 @@ def load_mesh(path, coarse_dims=None):
     if not raw or raw[0].strip() != "msflow-mesh v1":
         fail(0, "missing 'msflow-mesh v1' header")
 
-    verts = cells = region = coarse_id = None
+    verts = cells = region = coarse_id = dims = None
     boundary_labels = {}
-    dims = coarse_dims
     i = 1
     while i < len(raw):
         line = raw[i].strip()
@@ -435,7 +437,7 @@ def load_mesh(path, coarse_dims=None):
     if verts is None or cells is None or not len(verts) or not len(cells):
         raise MeshFormatError(f"{path}: missing or empty vertices or cells section")
     if dims is None:
-        raise MeshFormatError(f"{path}: no 'coarse nx ny' line and no coarse_dims given")
+        raise MeshFormatError(f"{path}: no 'coarse nx ny' line")
     if cells.min() < 0 or cells.max() >= len(verts):
         bad = int(np.argmax((cells < 0) | (cells >= len(verts))).item() // 3)
         raise MeshFormatError(f"{path}: cell {bad} references a missing vertex")

@@ -5,7 +5,7 @@ oversampled neighborhood) with a discrete-delta boundary datum per fine
 boundary facet and Cartesian direction, restrict to the target cell, and
 reduce the resulting snapshot family through a generalized eigenproblem.
 Online stage: project the static fine blocks onto the retained basis and
-the nonlinear ones per coarse cell, once per basis family, march the same
+the nonlinear ones per coarse cell, once per root space, march the same
 linearized implicit scheme on the reduced system, and reconstruct the
 fine-grid velocity from the coarse coefficients.
 """
@@ -15,7 +15,7 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from zipfile import BadZipFile
 
 import numpy as np
@@ -80,9 +80,10 @@ class MultiscaleSpace:
     """Retained per-cell bases with the global projection operators.
 
     cell_bases holds one CellBasis per coarse cell, in cell order, with at
-    least m rows each; r_u stacks the first m rows of every one.  family
-    holds the online operators of the basis family the space belongs to;
-    resize_space hands it to every slice (see _Family).
+    least m rows each; r_u stacks the first m rows of every one.  root is
+    None on a built or loaded space and, on a resize_space slice, the space
+    it was cut from; the root alone keeps the online record of every size
+    (see _online_operators).
     """
 
     m: int
@@ -90,23 +91,8 @@ class MultiscaleSpace:
     cell_bases: list  # of CellBasis
     r_u: sp.csr_matrix  # (m * n_coarse, 6 * n_fine)
     r_p: sp.csr_matrix  # (n_coarse, n_fine)
-    family: "_Family" = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.family is None:
-            self.family = _Family(self.m, self.cell_bases, self.r_u, self.r_p)
-
-    @property
-    def n_u(self):
-        return self.r_u.shape[0]
-
-    @property
-    def n_p(self):
-        return self.r_p.shape[0]
-
-    @property
-    def dof(self):
-        return self.n_u + self.n_p
+    root: "MultiscaleSpace" = field(default=None, repr=False, compare=False)
+    online: tuple = field(default=None, init=False, repr=False, compare=False)  # on the root
 
 
 def compute_linearization_field(mesh, params, bc, ops=None):
@@ -142,7 +128,7 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     """Solve the local snapshot problems of coarse cell i and restrict the
     velocities to the cell.  u_lin is the global linearization field."""
     patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
-    target = np.sort(coarse.cell_fine[int(i)])
+    target = coarse.cell_fine[int(i)]
     # The snapshot rows outlive this call; allocating them before the solve's
     # large temporaries keeps them from pinning the freed heap above them.
     rows = np.empty((2 * len(patch.dirichlet_edges), 6 * len(target)))
@@ -263,11 +249,8 @@ def build_projection(cell_bases, mesh, coarse, m):
         shape=(m * n, 6 * mesh.n_cells),
     ).tocsr()
 
-    pcols = np.concatenate([np.sort(coarse.cell_fine[i]) for i in range(n)])
-    prows = np.concatenate([np.full(len(coarse.cell_fine[i]), i) for i in range(n)])
-    r_p = sp.coo_matrix(
-        (np.ones(len(pcols)), (prows, pcols)), shape=(n, mesh.n_cells)
-    ).tocsr()
+    fine = np.arange(mesh.n_cells)
+    r_p = sp.coo_matrix((np.ones(len(fine)), (mesh.coarse_id, fine)), shape=(n, len(fine))).tocsr()
     return r_u, r_p
 
 
@@ -321,18 +304,11 @@ def resize_space(space, mesh, coarse, m):
     """The same space with the first m basis rows of every coarse cell: a
     row slice of r_u, which equals build_projection(bases, mesh, coarse, m)
     because a smaller basis is a prefix of the eigenvectors.  The slice
-    shares the space's family, so its online operators are prefixes too."""
+    names the root space, so its online operators are prefixes too."""
     if not 1 <= m <= space.m:
         raise ValueError(f"basis size {m} outside 1..{space.m} of the space")
     rows = _prefix_rows(space.m, coarse.n_cells, m)
-    return MultiscaleSpace(
-        m=m,
-        oversampled=space.oversampled,
-        cell_bases=space.cell_bases,
-        r_u=space.r_u[rows],
-        r_p=space.r_p,
-        family=space.family,
-    )
+    return replace(space, m=m, r_u=space.r_u[rows], root=space.root or space)
 
 
 class _NonlinearBlocks:
@@ -429,54 +405,44 @@ class _OnlineOperators:
     nonlinear: _NonlinearBlocks
 
 
-class _Family:
-    """The fine-mesh work of the online stage, done once per basis family: a
-    built or loaded space and every resize_space slice of it.
+def _online_operators(space, mesh, coarse, params, ops):
+    """The online operators of a space, read from its root's record.
 
-    The record is an _OnlineOperators at the family's largest size m_max.
-    It is built on the first run_multiscale of the family and rebuilt when a
-    call brings other step operators (compared by identity) or other
+    The record is an _OnlineOperators at the root's size.  It is built on
+    the first run_multiscale of the root or any slice of it, and rebuilt
+    when a call brings other step operators (compared by identity) or other
     parameters (by value).  A size m reads the first m basis rows of every
     coarse cell from it; the static blocks so read equal the products of the
     sliced projection bit for bit.
     """
-
-    def __init__(self, m_max, cell_bases, r_u, r_p):
-        self.m_max, self.cell_bases, self.r_u, self.r_p = m_max, cell_bases, r_u, r_p
-        self.record = None  # (ops, params, _OnlineOperators at m_max)
-
-    def operators(self, mesh, coarse, params, ops, m):
-        """The family's online operators at basis size m."""
-        # Concurrent first calls may each build a record; either one is valid.
-        record = self.record
-        if record is None or record[0] is not ops or record[1] != params:
-            record = (ops, params, self._build(mesh, params, ops))
-            self.record = record
-        full = record[2]
-        if m == self.m_max:
-            return full
-        rows = _prefix_rows(self.m_max, coarse.n_cells, m)
-        return _OnlineOperators(
-            mass=full.mass[rows][:, rows],
-            upper=full.upper[rows][:, rows],
-            div=full.div[:, rows],
-            f_u=full.f_u[rows],
-            f_p=full.f_p,
-            nonlinear=full.nonlinear.prefix(m),
-        )
-
-    def _build(self, mesh, params, ops):
-        r_u, r_p = self.r_u, self.r_p
+    root = space.root or space
+    # Concurrent first calls may each build a record; either one is valid.
+    record = root.online
+    if record is None or record[0] is not ops or record[1] != params:
+        r_u, r_p = root.r_u, root.r_p
         mass = (r_u @ ops.mass @ r_u.T).tocsr()
         upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
-        return _OnlineOperators(
+        full = _OnlineOperators(
             mass=mass,
             upper=upper,
             div=(r_p @ ops.div @ r_u.T).tocsr(),
             f_u=r_u @ ops.f_u,
             f_p=r_p @ ops.f_p,
-            nonlinear=_NonlinearBlocks.build(mesh, params, self.cell_bases, self.m_max),
+            nonlinear=_NonlinearBlocks.build(mesh, params, root.cell_bases, root.m),
         )
+        record = root.online = (ops, params, full)
+    full = record[2]
+    if space.m == root.m:
+        return full
+    rows = _prefix_rows(root.m, coarse.n_cells, space.m)
+    return _OnlineOperators(
+        mass=full.mass[rows][:, rows],
+        upper=full.upper[rows][:, rows],
+        div=full.div[:, rows],
+        f_u=full.f_u[rows],
+        f_p=full.f_p,
+        nonlinear=full.nonlinear.prefix(space.m),
+    )
 
 
 def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
@@ -485,10 +451,10 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
 
     The nonlinear weights are refreshed every step from the reconstructed
     field of the previous coarse step; the basis stays fixed.  Fine-mesh
-    work happens once per basis family (see _Family): the first call on a
-    space or any resize_space slice of it projects the static blocks and
-    builds the convection tensors and porous quadrature values at the
-    family's largest size, and every call reads their m-prefix; the coarse
+    work happens once per root space (see _online_operators): the first call
+    on a space or any resize_space slice of it projects the static blocks
+    and builds the convection tensors and porous quadrature values at the
+    root's size, and every call reads their m-prefix; the coarse
     saddle pattern is built once per call and the steps run in the fine
     run's loop and step (fine_solver.march and ordered_step).  A step costs
     O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the fine step
@@ -497,7 +463,7 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
     reconstructed fine state at the final time.
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
-    online = space.family.operators(mesh, coarse, params, ops, space.m)
+    online = _online_operators(space, mesh, coarse, params, ops)
     b_h, f_p = online.div, online.f_p
     b_scale = abs(b_h).sum(axis=1).max() or 1.0
     # A dense m x m block per coarse cell holds the nonlinear terms.
@@ -511,7 +477,7 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
         return relative_residual(b_h, u_h, f_p, b_scale)
 
     coarse_traj = march(
-        ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, space.n_p,
+        ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, space.r_p.shape[0],
         div_residual, params, "online step", observe,
     )
     final = coarse_traj.final
@@ -594,7 +560,7 @@ def load_space(directory, mesh, coarse, params, bc, m, oversampled):
                 for i in range(coarse.n_cells)
             ]
         for i, basis in enumerate(bases):
-            target = np.sort(coarse.cell_fine[i])
+            target = coarse.cell_fine[i]
             if not np.array_equal(basis.target_cells, target):
                 raise ValueError(f"fine cells of coarse cell {i} do not match the mesh")
             rows, eig = basis.rows, basis.eigenvalues

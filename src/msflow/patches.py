@@ -183,7 +183,7 @@ def coarse_cell_patch(mesh, coarse, i, oversampled=False):
         cells = np.concatenate([coarse.cell_fine[j] for j in ids])
         cells.sort()
     else:
-        cells = np.sort(coarse.cell_fine[int(i)])
+        cells = coarse.cell_fine[int(i)]
     interior, boundary = edge_split(mesh, cells)
     return Patch(mesh, cells, boundary, interior)
 

@@ -46,7 +46,7 @@ def layers(states):
 def unit_square_mesh(n=1, porous=False):
     """n x n squares on the unit square, optionally all tagged porous."""
     inclusions = [CircleInclusion(0.5, 0.5, 0.49)] if porous else []
-    dom = DomainSpec(bbox=(0.0, 0.0, 1.0, 1.0), inclusions=inclusions, porosity=0.3)
+    dom = DomainSpec(bbox=(0.0, 0.0, 1.0, 1.0), inclusions=inclusions)
     mesh, coarse = generate_structured_mesh(dom, n, (1, 1))
     if porous:
         mesh.region[:] = 1
@@ -102,15 +102,11 @@ def desk_domain():
         CircleInclusion(-0.45, 0.5, 0.2),
         CircleInclusion(0.5, 0.5, 0.16),
     ]
-    return DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions, porosity=0.3)
+    return DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions)
 
 
 def tiny_heterogeneous(n=2, coarse=(2, 2), radius=0.2):
-    dom = DomainSpec(
-        bbox=(0, 0, 1, 1),
-        inclusions=[CircleInclusion(0.5, 0.5, radius)],
-        porosity=0.3,
-    )
+    dom = DomainSpec(bbox=(0, 0, 1, 1), inclusions=[CircleInclusion(0.5, 0.5, radius)])
     return generate_structured_mesh(dom, n, coarse)
 
 

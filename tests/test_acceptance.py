@@ -373,8 +373,7 @@ def test_criterion_7_oracle_equivalence():
         worst_form = max(worst_form, rel(v @ f_u, f_exp), rel(q @ f_p, l_exp))
 
     # local snapshot solves against a dense bordered solve
-    dom = DomainSpec(bbox=(0, 0, 1, 1), inclusions=[CircleInclusion(0.5, 0.5, 0.3)],
-                     porosity=0.3)
+    dom = DomainSpec(bbox=(0, 0, 1, 1), inclusions=[CircleInclusion(0.5, 0.5, 0.3)])
     mesh, coarse = generate_structured_mesh(dom, 2, (2, 2))
     params = make_params()
     ulin = np.zeros(6 * mesh.n_cells)

@@ -708,7 +708,7 @@ def test_committed_configs_parse_to_their_settings(tmp_path, name, mode):
     assert params.t_max == pytest.approx(0.01)
     assert params.tau == 0.01 / 50
     assert params.darcy == 1e-3
-    assert params.porosity == spec.domain.porosity == 0.3
+    assert params.porosity == 0.3
     assert spec.da_list == [1e-5, 1e-4, 1e-3]
     assert spec.mode == mode and spec.out_dir == str(tmp_path)
     assert spec.domain.bbox == (-1.0, -1.0, 1.0, 1.0)

@@ -41,10 +41,6 @@ class TestDomainSpec:
         with pytest.raises(ValueError, match="overlap"):
             DomainSpec(bbox=(0, 0, 1, 1), inclusions=incs)
 
-    def test_rejects_bad_porosity(self):
-        with pytest.raises(ValueError, match="porosity"):
-            DomainSpec(bbox=(0, 0, 1, 1), porosity=0.0)
-
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError, match="radius"):
             CircleInclusion(0.5, 0.5, 0.0)
@@ -262,7 +258,7 @@ class TestOversample:
 @settings(max_examples=20, deadline=None)
 def test_mesh_invariants(nx, ny, n, with_inclusion):
     inclusions = [CircleInclusion(0.1, -0.2, 0.4)] if with_inclusion else []
-    dom = DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions, porosity=0.5)
+    dom = DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions)
     mesh, coarse = generate_structured_mesh(dom, n, (nx, ny))
     # partition of the 2 x 2 box
     assert mesh.area.sum() == pytest.approx(4.0, rel=1e-12)

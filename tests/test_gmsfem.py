@@ -1,6 +1,8 @@
+import gc
 import io
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from msflow import forms, gmsfem
+from msflow import analysis, forms, gmsfem
 from msflow.errors import ConfigError, MsflowError, SingularSystemError
 from msflow.fine_solver import StepOperators, march, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
@@ -275,7 +277,7 @@ class TestProjection:
             for k in range(3):
                 row = r_u.getrow(3 * i + k)
                 assert set(row.indices).issubset(allowed)
-        assert space.dof == 3 * coarse.n_cells + coarse.n_cells
+        assert space.r_u.shape == (3 * coarse.n_cells, 6 * mesh.n_cells)
         assert space.r_p.shape == (coarse.n_cells, mesh.n_cells)
         # pressure rows are coarse-cell indicators
         for i in range(coarse.n_cells):
@@ -288,13 +290,14 @@ class TestProjection:
         params = make_params()
         bc = BoundaryData.inflow((1.0, 0.0))
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
-        w = rng.standard_normal(space.n_u)
+        n_u = space.r_u.shape[0]
+        w = rng.standard_normal(n_u)
         gram = (space.r_u @ space.r_u.T).toarray()
         explicit = np.array(
             [
                 [space.r_u.getrow(i).toarray().ravel() @ space.r_u.getrow(j).toarray().ravel()
-                 for j in range(space.n_u)]
-                for i in range(space.n_u)
+                 for j in range(n_u)]
+                for i in range(n_u)
             ]
         )
         assert np.allclose(gram, explicit, atol=1e-12)
@@ -375,14 +378,14 @@ class TestOnlineStage:
         if m != m_built:
             space = gmsfem.resize_space(space, mesh, coarse, m)
         r_u = space.r_u
-        u_h = rng.standard_normal(space.n_u)
+        u_h = rng.standard_normal(r_u.shape[0])
         u_rec = r_u.T @ u_h
         patch = full_patch(mesh)
         conv, drag = linearized_matrices(patch, params, u_rec)
         fine = conv + drag
         want = (r_u @ fine @ r_u.T).toarray()
         ops = StepOperators(mesh, params, bc)
-        online = space.family.operators(mesh, coarse, params, ops, m)
+        online = gmsfem._online_operators(space, mesh, coarse, params, ops)
         got = la.block_diag(*online.nonlinear(u_h))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -405,7 +408,7 @@ class TestOnlineStage:
             mesh, coarse, params, bc, m=5, oversampled=oversampled
         )
         small = gmsfem.resize_space(space, mesh, coarse, 2)
-        online = small.family.operators(mesh, coarse, params, ops, 2)
+        online = gmsfem._online_operators(small, mesh, coarse, params, ops)
         r_u, r_p = small.r_u, small.r_p
         mass = (r_u @ ops.mass @ r_u.T).tocsr()
         upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
@@ -457,7 +460,7 @@ def _run(mesh, coarse, params, bc, space, ops):
 
 
 def _fresh(space):
-    """The same bases in a new family, so nothing is reused."""
+    """The same bases in a new root space, so nothing is reused."""
     return gmsfem.MultiscaleSpace(
         m=space.m, oversampled=space.oversampled, cell_bases=space.cell_bases,
         r_u=space.r_u, r_p=space.r_p,
@@ -470,7 +473,7 @@ def _assert_close(got, want, rel):
 
 
 class TestFamilyRecord:
-    """The online operators built once per family and read as prefixes."""
+    """The online operators built once per root space and read as prefixes."""
 
     @pytest.fixture(params=[False, True], ids=["plain", "oversampled"])
     def setting(self, request):
@@ -487,12 +490,42 @@ class TestFamilyRecord:
         mesh, coarse, params, bc, ops, space = setting
         _run(mesh, coarse, params, bc, space, ops)  # builds the record at m = 5
         small = gmsfem.resize_space(space, mesh, coarse, 2)
-        assert small.family is space.family
+        assert small.root is space and space.root is None
         direct = gmsfem.build_multiscale_space(
             mesh, coarse, params, bc, m=2, oversampled=space.oversampled
         )
         want = _run(mesh, coarse, params, bc, direct, ops)
         _assert_close(_run(mesh, coarse, params, bc, small, ops), want, 1e-12)
+
+    def test_slice_of_a_slice_runs_like_a_direct_slice(self, setting):
+        mesh, coarse, params, bc, ops, space = setting
+        twice = gmsfem.resize_space(gmsfem.resize_space(space, mesh, coarse, 4), mesh, coarse, 2)
+        direct = gmsfem.resize_space(space, mesh, coarse, 2)
+        assert twice.root is direct.root is space
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(twice.r_u, name), getattr(direct.r_u, name))
+        got = _run(mesh, coarse, params, bc, twice, ops)
+        want = _run(mesh, coarse, params, bc, direct, ops)
+        assert np.array_equal(got.velocity, want.velocity)
+        assert np.array_equal(got.pressure, want.pressure)
+
+    def test_built_space_is_freed_without_the_cycle_collector(self, setting):
+        # the root keeps the record and names no space, so a run on a slice
+        # leaves no reference cycle: the space goes with its last name
+        mesh, coarse, params, bc, ops, space = setting
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            root = _fresh(space)
+            small = gmsfem.resize_space(root, mesh, coarse, 2)
+            _run(mesh, coarse, params, bc, small, ops)
+            assert root.online is not None and small.online is None
+            ref = weakref.ref(root)
+            del root, small
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_loaded_family_runs_like_the_built_family(self, setting, tmp_path):
         mesh, coarse, params, bc, ops, space = setting
@@ -540,7 +573,8 @@ class TestFamilyRecord:
         mesh, coarse, params, bc, ops, space = setting
         rng = np.random.default_rng(5)
         for m in (5, 2):
-            online = space.family.operators(mesh, coarse, params, ops, m)
+            sized = gmsfem.resize_space(space, mesh, coarse, m)
+            online = gmsfem._online_operators(sized, mesh, coarse, params, ops)
             blocks = online.nonlinear(rng.standard_normal(m * coarse.n_cells))
             upper = online.upper + sp.block_diag(blocks)
             saddle = sp.bmat([[upper, online.div.T], [online.div, None]], format="csc")
@@ -621,7 +655,8 @@ class TestProjectedOperators:
         bc = BoundaryData.inflow((1.0, 0.0))
         m = 4
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=m)
-        assert space.dof == m * coarse.n_cells + coarse.n_cells
+        n_dof = space.r_u.shape[0] + space.r_p.shape[0]
+        assert n_dof == analysis.dof_multiscale(coarse.n_cells, m)
         mass = forms.assemble_mass(full_patch(mesh), params)
         m_h = (space.r_u @ mass @ space.r_u.T).toarray()
         assert np.max(np.abs(m_h - m_h.T)) < 1e-12 * np.abs(m_h).max()

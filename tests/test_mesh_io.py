@@ -5,11 +5,15 @@ import pytest
 
 from msflow.errors import MeshFormatError
 from msflow.geometry import (
+    CoarseGrid,
     DomainSpec,
+    TriMesh,
+    build_edge_topology,
     generate_structured_mesh,
     load_mesh,
     save_mesh,
 )
+from msflow.patches import coarse_cell_patch
 
 from conftest import desk_domain
 
@@ -25,6 +29,26 @@ def test_round_trip_identity(tmp_path):
     assert np.array_equal(loaded.region, mesh.region)
     assert np.array_equal(loaded.coarse_id, mesh.coarse_id)
     assert (lcoarse.nx, lcoarse.ny) == (coarse.nx, coarse.ny)
+
+
+def test_coarse_cells_list_their_fine_cells_ascending_and_read_only(tmp_path):
+    mesh, coarse = generate_structured_mesh(desk_domain(), 2, (3, 3))
+    perm = np.random.default_rng(3).permutation(mesh.n_cells)
+    shuffled = TriMesh(
+        mesh.verts, mesh.cells[perm], mesh.region[perm], mesh.coarse_id[perm], mesh.bbox
+    )
+    build_edge_topology(shuffled)
+    path = tmp_path / "shuffled.txt"
+    save_mesh(path, shuffled, CoarseGrid(coarse.nx, coarse.ny, coarse.bbox, shuffled))
+    loaded, lcoarse = load_mesh(path)
+    assert np.array_equal(loaded.coarse_id, mesh.coarse_id[perm])
+    for i, fine in enumerate(lcoarse.cell_fine):
+        assert np.array_equal(fine, np.flatnonzero(loaded.coarse_id == i))
+        assert np.all(np.diff(fine) > 0)
+        assert not fine.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fine[0] = 0
+        assert coarse_cell_patch(loaded, lcoarse, i).cells is fine
 
 
 def test_loaded_edges_match_generated(tmp_path):
@@ -104,8 +128,6 @@ def test_missing_coarse_dims(tmp_path):
     )
     with pytest.raises(MeshFormatError, match="coarse"):
         load_mesh(path)
-    mesh, coarse = load_mesh(path, coarse_dims=(1, 1))
-    assert coarse.n_cells == 1
 
 
 SQUARE = (
