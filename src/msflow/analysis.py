@@ -65,6 +65,16 @@ def error_pressure(p_ref, p_ms, mesh, coarse):
     return float(np.sqrt(np.dot(coarse.cell_area, diff**2) / ref_sq))
 
 
+def check_reference(ref_state, mesh, coarse):
+    """Raise make_report's ValueError at once when a reference norm that its
+    relative errors divide by is zero: each error of the reference against
+    itself divides by the same norm."""
+    error_velocity(ref_state.velocity, ref_state.velocity, mesh)
+    error_stress(ref_state.velocity, ref_state.velocity, mesh)
+    p_bar = coarse_average(ref_state.pressure, mesh, coarse)
+    error_pressure(ref_state.pressure, p_bar, mesh, coarse)
+
+
 def dof_fine(n_fine_cells):
     """Fine system size: 6 velocity + 1 pressure DOF per cell."""
     return 7 * int(n_fine_cells)

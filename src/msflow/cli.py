@@ -117,18 +117,31 @@ def _check_basis_size(m, mesh, coarse, settings):
                 )
 
 
+def _check_reference(ref, mesh, coarse, params):
+    """An MsflowError naming the Darcy value when the relative errors
+    against ref are undefined (a zero reference)."""
+    try:
+        analysis.check_reference(ref, mesh, coarse)
+    except ValueError as exc:
+        raise MsflowError(f"Da={params.darcy:g}: {exc}") from exc
+
+
 def _multiscale_runs(spec, mesh, coarse, params, settings, ref=None):
     """The multiscale runs of one Darcy value on one StepOperators.  The
     spaces come before the fine reference (run unless ref is given), so a
     basis size above a coarse cell's kept rank fails before that run; the
     smaller sizes are row slices (offline eigenvectors are prefix-reusable).
-    Yields (m, oversampled, fine_state, report), m ascending per setting;
-    an undefined relative error (a zero reference) is an MsflowError naming
-    the run."""
+    Yields (m, oversampled, fine_state, report), m ascending per setting.
+    A zero reference is an MsflowError as soon as the reference exists: a
+    given ref before any space is built, a computed one before the first
+    online run."""
+    if ref is not None:
+        _check_reference(ref, mesh, coarse, params)
     ops = StepOperators(mesh, params, spec.bc)
     spaces = _spaces(spec, mesh, coarse, params, settings, ops)
     if ref is None:
         ref = run_fine(mesh, params, spec.bc, ops=ops).final
+        _check_reference(ref, mesh, coarse, params)
     for oversampled in settings:
         space = spaces[oversampled]
         for m in sorted(spec.m_list):

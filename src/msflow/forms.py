@@ -179,23 +179,27 @@ def convection_cell_blocks(mesh, params, cells, coefs):
     convective volume term (u_lin . grad u, v) / xi^2 on the given global
     fine cells; coefs (n, 3, 2) holds u_lin's vertex values on each cell.
     The blocks are linear in coefs.  Each sum starts from zero and runs in
-    index order (vertices a, components m, points q), as np.einsum's do."""
+    index order (vertices a, components m, points q), as np.einsum's do.
+    The operands are laid out (point, component, cell), so every product
+    runs over contiguous cells."""
     bary = TRI_D4_BARY
     wbary = TRI_D4_W[:, None] * bary  # (q, a)
-    grad = mesh.grad[cells]
+    coefs = np.ascontiguousarray(np.transpose(coefs, (1, 2, 0)))  # (a, m, cell)
+    grad = np.ascontiguousarray(mesh.grad[cells].transpose(2, 1, 0))  # (m, b, cell)
     n, n_q = len(cells), len(bary)
-    ulq = np.zeros((n, n_q, 2))  # u_lin at the points
+    ulq = np.zeros((n_q, 2, n))  # u_lin at the points
     for a in range(3):
-        ulq += bary[:, a, None] * coefs[:, None, a]
-    adv = np.zeros((n, n_q, 3))  # u_lin . grad lambda_b at the points
+        ulq += bary[:, a, None, None] * coefs[a]
+    adv = np.zeros((n_q, 3, n))  # u_lin . grad lambda_b at the points
     for m in range(2):
-        adv += ulq[:, :, None, m] * grad[:, None, :, m]
-    blocks = np.zeros((n, 3, 3))
+        adv += ulq[:, m, None] * grad[m]
+    blocks = np.zeros((3, 3, n))
     for q in range(n_q):
-        blocks += wbary[q, :, None] * adv[:, q, None, :]
+        blocks += wbary[q, :, None, None] * adv[q]
     xi = mesh.xi(params.porosity)[cells]
-    scale = mesh.area[cells] / xi**2
-    return scale[:, None, None] * blocks
+    out = np.empty((n, 3, 3))
+    np.multiply(mesh.area[cells] / xi**2, blocks, out=out.transpose(1, 2, 0))
+    return out
 
 
 def viscous_block(patch, params):

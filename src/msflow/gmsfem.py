@@ -102,7 +102,8 @@ def compute_linearization_field(mesh, params, bc, ops=None):
 
 
 def _delta_rhs_batch(patch, params):
-    """Right-hand sides of all delta-data local problems, one column per
+    """Right-hand sides of all delta-data local problems, stacked as
+    [f_u; f_p] in one (n_vdof + n_pdof, 2 n_facets) array, one column per
     (facet, direction) pair in row order 2k + d: the global weak-Dirichlet
     load of the unit datum e_d on facet k.
 
@@ -116,12 +117,12 @@ def _delta_rhs_batch(patch, params):
     flux = intg * patch.dir_normal  # (nd, 2): column 2k + d
     cols = np.arange(2 * nd).reshape(nd, 1, 2)
     cells = patch.dirichlet.cell
-    f_u = np.zeros((patch.n_vdof, 2 * nd))
+    rhs = np.zeros((patch.n_vdof + patch.n_pdof, 2 * nd))
+    f_u, f_p = rhs[: patch.n_vdof], rhs[patch.n_vdof :]  # views
     f_u[forms.cell_dofs(cells), cols] = contrib
-    f_p = np.zeros((patch.n_pdof, 2 * nd))
     f_p[cells[:, None], cols[:, 0]] += flux
     f_p -= np.outer(patch.mesh.area[patch.cells], flux.ravel() / patch.area)
-    return f_u, f_p
+    return rhs
 
 
 def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
@@ -138,15 +139,15 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     a = forms.viscous_block(patch, params) + forms.cell_block_matrix(patch, every, convection)
     d = forms.darcy_block(patch, params) + forms.cell_block_matrix(patch, porous, drag)
     matrix = saddle_matrix(a + d, forms.assemble_divergence(patch), pin=True)
-    f_u, f_p = _delta_rhs_batch(patch, params)
-    f_p[0, :] = 0.0  # the pinned row
+    rhs = _delta_rhs_batch(patch, params)
+    rhs[patch.n_vdof] = 0.0  # the pinned row
     try:
         solver = SaddleSolver(SaddleSystem(matrix, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof)))
     except SingularSystemError as exc:
         raise SingularSystemError(
             f"local system of coarse cell {i} (oversampled={oversampled}): {exc}"
         ) from exc
-    velocities, _, residuals = solver.solve_many(f_u, f_p)
+    solutions, residuals = solver.solve_stacked(rhs)
     bad = np.nonzero(~(residuals <= RESIDUAL_TOL))[0]
     if len(bad):
         k, d = divmod(int(bad[0]), 2)
@@ -156,7 +157,7 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
             f"relative residual {residuals[bad[0]]:.2e}"
         )
 
-    rows[...] = velocities[forms.cell_dofs(patch.local_of[target]).ravel(), :].T
+    rows[...] = solutions[forms.cell_dofs(patch.local_of[target]).ravel(), :].T
     if not np.all(np.isfinite(rows)):
         raise SingularSystemError(f"non-finite snapshot on coarse cell {i}")
     return SnapshotSet(cell_index=int(i), target_cells=target, rows=rows)

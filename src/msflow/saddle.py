@@ -10,6 +10,8 @@ import scipy.sparse.linalg as spla
 from .errors import SingularSystemError
 
 RESIDUAL_TOL = 1e-9
+# Columns per block of a batch's residual (see column_residuals).
+RESIDUAL_BLOCK = 16
 # The precision rule of CellOrderedSaddle.  SINGLE_MIN lies above every
 # coarse online system and below every fine step: a float32 factor of a few
 # hundred unknowns saves nothing, and each correction costs a solve and a
@@ -243,7 +245,10 @@ class SaddleSolver:
         self._options = dict(permc_spec="COLAMD") if self.perm is None else ORDERED
         if not np.all(np.isfinite(matrix.data)):
             raise SingularSystemError("non-finite entries in assembled blocks")
-        self.scale = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
+        # The largest absolute row sum, each row summed in storage order on
+        # the matrix's own indices: no copy of them.
+        size = sp.csc_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
+        self.scale = (size @ np.ones(matrix.shape[1])).max()
         self.matrix = matrix
         self.corrections = 0
         self.kept = system.kept_lu is not None
@@ -257,29 +262,34 @@ class SaddleSolver:
             raise SingularSystemError(f"factorization failed: {exc}") from exc
 
     def solve(self, rhs_u=None, rhs_p=None):
+        """The velocity and pressure of one right-hand side, the system's
+        loads by default.  Raises SingularSystemError unless its relative
+        residual is at most RESIDUAL_TOL."""
         system = self.system
         rhs_u = system.f_u if rhs_u is None else rhs_u
         rhs_p = system.f_p if rhs_p is None else rhs_p
         if not (np.all(np.isfinite(rhs_u)) and np.all(np.isfinite(rhs_p))):
             raise SingularSystemError("non-finite right-hand side")
-        u, p, rel = self.solve_many(rhs_u[:, None], rhs_p[:, None])
-        if not rel[0] <= RESIDUAL_TOL:
+        x, rel = self.solve_stacked(np.concatenate([rhs_u, rhs_p]))
+        if not rel <= RESIDUAL_TOL:
             raise SingularSystemError(
-                f"solve residual {rel[0]:.2e} exceeds {RESIDUAL_TOL:.0e} "
+                f"solve residual {rel:.2e} exceeds {RESIDUAL_TOL:.0e} "
                 "(system singular or severely ill-conditioned)"
             )
-        return u[:, 0], p[:, 0]
+        nu = len(system.f_u)
+        return x[:nu], x[nu:]
 
-    def solve_many(self, rhs_u_mat, rhs_p_mat):
-        """Solve for a batch of right-hand sides given as columns.
+    def solve_stacked(self, rhs):
+        """Solve for a stacked right-hand side [rhs_u; rhs_p], taken as it
+        is: a vector, or a batch with one column per right-hand side.
 
-        Returns (velocities, pressures, relative residuals) with one column
-        per input column; no exception is raised so the caller can attach
-        context to a failing column (a float64 factor made on a miss of the
-        kept factor can still raise SingularSystemError).
+        Returns the stacked solution, shaped as rhs, and its relative
+        residual per column (see column_residuals).  No exception is raised
+        for a large residual, so the caller can attach context to a failing
+        column (a float64 factor made on a miss of the kept factor can
+        still raise SingularSystemError).
         """
-        nu = len(self.system.f_u)
-        rhs = np.vstack([rhs_u_mat, rhs_p_mat]).astype(float, copy=False)
+        rhs = np.asarray(rhs, dtype=float)
         if self.perm is not None:
             rhs = rhs[self.perm]
         self.corrections = 0
@@ -289,12 +299,12 @@ class SaddleSolver:
                 self.kept, self.lu = False, self._factor()
         if not self.kept:
             y = self.lu.solve(rhs)
-            rel = relative_residual(self.matrix, y, rhs, self.scale)
+            rel = column_residuals(self.matrix, y, rhs, self.scale)
         if self.perm is None:
-            return y[:nu], y[nu:], rel
+            return y, rel
         x = np.empty_like(y)
         x[self.perm] = y
-        return x[:nu], x[nu:], rel
+        return x, rel
 
     def _refine(self, rhs):
         """The float32 solution of the kept factor refined to REFINE_TARGET
@@ -307,7 +317,7 @@ class SaddleSolver:
             if not np.all(np.isfinite(y)):
                 break
             resid = self.matrix @ y - rhs
-            rel = _residual_ratio(resid, y, rhs, self.scale)
+            rel = _residual_ratio(resid, y, rhs, self.scale, axis=0)
             if np.all(rel <= REFINE_TARGET):
                 return y, rel
             if k == KEPT_MAX or not rel.max() <= last / 2:
@@ -319,15 +329,33 @@ class SaddleSolver:
 
 
 def relative_residual(matrix, x, rhs, scale):
-    """|matrix x - rhs| / max(|rhs|, scale |x|), per column for 2-D x and
-    rhs; scale is the operator size (its largest absolute row sum).  Every
-    solve accepts a result only when this is at most RESIDUAL_TOL."""
-    return _residual_ratio(matrix @ x - rhs, x, rhs, scale)
+    """|matrix x - rhs| / max(|rhs|, scale |x|); scale is the operator size
+    (its largest absolute row sum).  Vectors x and rhs keep numpy's
+    dot-product norm; 2-D ones give one value per column (see
+    column_residuals)."""
+    if np.ndim(x) > 1:
+        return column_residuals(matrix, x, rhs, scale)
+    return _residual_ratio(matrix @ x - rhs, x, rhs, scale, axis=None)
 
 
-def _residual_ratio(resid, x, rhs, scale):
-    """relative_residual from the residual resid = matrix x - rhs."""
-    axis = 0 if np.ndim(x) > 1 else None  # vectors keep numpy's dot-product norm
+def column_residuals(matrix, x, rhs, scale):
+    """relative_residual per column of x and rhs, from column norms (a
+    vector is one column), taken RESIDUAL_BLOCK columns at a time: no
+    product, residual or norm temporary is as wide as a batch.  Every solve
+    accepts a column only when this is at most RESIDUAL_TOL."""
+    if np.ndim(x) == 1:
+        return _residual_ratio(matrix @ x - rhs, x, rhs, scale, axis=0)
+    rel = np.empty(x.shape[1])
+    for start in range(0, x.shape[1], RESIDUAL_BLOCK):
+        cols = slice(start, start + RESIDUAL_BLOCK)
+        block, rhs_block = x[:, cols], rhs[:, cols]
+        rel[cols] = _residual_ratio(matrix @ block - rhs_block, block, rhs_block, scale, axis=0)
+    return rel
+
+
+def _residual_ratio(resid, x, rhs, scale, axis):
+    """relative_residual from the residual resid = matrix x - rhs, with the
+    norms taken along axis (None: the dot-product norm of a vector)."""
     resid = np.linalg.norm(resid, axis=axis)
     denom = np.maximum(np.linalg.norm(rhs, axis=axis), scale * np.linalg.norm(x, axis=axis))
     return resid / np.maximum(denom, 1e-300)

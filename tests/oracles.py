@@ -20,6 +20,10 @@ float32 factor of the step-0 matrix with float64 refinement, and on a miss
 the float64 factor).  That order comes from a copy of the recursion written
 for a patch (its interior-edge graph, leaves of 8 cells), the reference for
 the package's general nested_dissection_order.
+
+two_part_snapshot_rows is the reference for the offline stage's stacked
+snapshot solve: the delta loads built as two arrays, joined by np.vstack,
+and one COLAMD solve of the whole batch.
 """
 
 import numpy as np
@@ -29,9 +33,9 @@ import scipy.sparse.linalg as spla
 from msflow import forms
 from msflow.errors import MeshFormatError
 from msflow.geometry import BOTTOM, INTERIOR, LEFT, POROUS, RIGHT, TOP
-from msflow.patches import bisect_cells
-from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
-from msflow.saddle import KEPT_MAX, REFINE_TARGET, SINGLE_MIN
+from msflow.patches import bisect_cells, coarse_cell_patch
+from msflow.quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
+from msflow.saddle import KEPT_MAX, REFINE_TARGET, SINGLE_MIN, saddle_matrix
 
 from conftest import linearized_matrices
 
@@ -448,3 +452,38 @@ def block_run_fine(ops, n_steps):
         u, p = block_step_solve(ops, u, ops.mass @ u + ops.f_u)
         layers.append((u, p))
     return layers
+
+
+def snapshot_problem(mesh, coarse, params, i, oversampled, u_lin):
+    """The pinned snapshot system of coarse cell i: (patch, matrix, f_u,
+    f_p), the unit-delta loads as a momentum and a continuity array, one
+    column per facet k and direction d (column 2k + d), with the pinned
+    continuity row zeroed."""
+    patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
+    convection, porous, drag = forms.linearized_cell_blocks(patch, params, u_lin)
+    every = np.arange(patch.n_cells)
+    a = forms.viscous_block(patch, params) + forms.cell_block_matrix(patch, every, convection)
+    d = forms.darcy_block(patch, params) + forms.cell_block_matrix(patch, porous, drag)
+    matrix = saddle_matrix(a + d, forms.assemble_divergence(patch), pin=True)
+    nd = len(patch.dirichlet_edges)
+    contrib, intg = forms.dirichlet_facet_terms(patch, params, np.ones((nd, len(EDGE_G2_W), 2)))
+    flux = intg * patch.dir_normal
+    cols = np.arange(2 * nd).reshape(nd, 1, 2)
+    cells = patch.dirichlet.cell
+    f_u = np.zeros((patch.n_vdof, 2 * nd))
+    f_u[forms.cell_dofs(cells), cols] = contrib
+    f_p = np.zeros((patch.n_pdof, 2 * nd))
+    f_p[cells[:, None], cols[:, 0]] += flux
+    f_p -= np.outer(patch.mesh.area[patch.cells], flux.ravel() / patch.area)
+    f_p[0, :] = 0.0
+    return patch, matrix, f_u, f_p
+
+
+def two_part_snapshot_rows(mesh, coarse, params, i, oversampled, u_lin):
+    """The snapshot rows of coarse cell i from np.vstack of the two load
+    arrays and one COLAMD solve of the whole batch, restricted to the
+    cell."""
+    patch, matrix, f_u, f_p = snapshot_problem(mesh, coarse, params, i, oversampled, u_lin)
+    x = spla.splu(matrix, permc_spec="COLAMD").solve(np.vstack([f_u, f_p]))
+    local = patch.local_of[coarse.cell_fine[i]]
+    return x[forms.cell_dofs(local).ravel(), :].T

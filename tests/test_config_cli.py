@@ -511,14 +511,34 @@ def test_basis_cache_that_is_a_file_exits_before_any_basis(tmp_path, monkeypatch
     assert not list(out.glob("*"))
 
 
+def _no_call(*args, **kwargs):
+    raise AssertionError("called after the reference was known to be zero")
+
+
 @pytest.mark.parametrize("mode", ["ms", "sweep"])
-def test_zero_reference_names_the_run(tmp_path, capsys, mode):
+def test_zero_reference_names_the_run(tmp_path, monkeypatch, capsys, mode):
+    # a computed reference is checked before the first online run
     run = "m_list = 4\nda_list = 1e-3"
     cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=tmp_path / "out") + ZERO_INFLOW)
+    monkeypatch.setattr(gmsfem, "run_multiscale", _no_call)
     capsys.readouterr()
     assert cli.main([mode, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: Da=0.001, M=4, plain: reference velocity norm is zero"]
+    assert err.splitlines() == ["error: Da=0.001: reference velocity norm is zero"]
+
+
+def test_zero_loaded_reference_fails_before_any_space(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run="", out=out) + ZERO_INFLOW)
+    assert cli.main(["fine", "--config", str(cfg)]) == 0
+    run = f"m_list = 4\nreference = {out / 'fine.vtk'}"
+    cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=out) + ZERO_INFLOW, name="ms.cfg")
+    for name in ("load_space", "compute_linearization_field", "build_multiscale_space"):
+        monkeypatch.setattr(gmsfem, name, _no_call)
+    capsys.readouterr()
+    assert cli.main(["ms", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: Da=0.001: reference velocity norm is zero"]
 
 
 def test_zero_reference_compare_names_both_files(tmp_path, capsys):

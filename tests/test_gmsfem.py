@@ -10,6 +10,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from msflow import analysis, forms, gmsfem
 from msflow.errors import ConfigError, MsflowError, SingularSystemError
 from msflow.fine_solver import StepOperators, march, run_fine
@@ -17,7 +18,13 @@ from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
-from msflow.saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, saddle_matrix
+from msflow.saddle import (
+    CellOrderedSaddle,
+    SaddleSolver,
+    SaddleSystem,
+    column_residuals,
+    saddle_matrix,
+)
 
 from conftest import (
     assert_same_bases,
@@ -86,10 +93,11 @@ def local_system(params, patch, u_lin):
 
 
 def pinned_loads(patch, params):
-    """The unit-delta loads of a patch with the pinned row zeroed."""
-    f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
-    f_p[0, :] = 0.0
-    return f_u, f_p
+    """The unit-delta loads of a patch with the pinned row zeroed, as
+    momentum and continuity rows."""
+    rhs = gmsfem._delta_rhs_batch(patch, params)
+    rhs[patch.n_vdof] = 0.0
+    return rhs[: patch.n_vdof], rhs[patch.n_vdof :]
 
 
 class TestSnapshots:
@@ -121,7 +129,7 @@ class TestSnapshots:
         ulin = np.zeros(6 * mesh.n_cells)
         snap = gmsfem.build_snapshots(mesh, coarse, params, 0, False, ulin)
         patch = coarse_cell_patch(mesh, coarse, 0)
-        f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
+        loads = gmsfem._delta_rhs_batch(patch, params)
         upper = local_upper(params, patch, ulin).toarray()
         div = forms.assemble_divergence(patch).toarray()
         nu, npr = upper.shape[0], div.shape[0]
@@ -132,12 +140,50 @@ class TestSnapshots:
         pinned[0, :] = 0.0
         dense[nu:, :nu] = pinned
         dense[nu, nu] = 1.0
-        for col in range(f_u.shape[1]):
-            rhs = np.concatenate([f_u[:, col], f_p[:, col]])
+        for col in range(loads.shape[1]):
+            rhs = loads[:, col].copy()
             rhs[nu] = 0.0
             x = np.linalg.solve(dense, rhs)
             scale = max(np.abs(x[:nu]).max(), 1.0)
             assert np.max(np.abs(snap.rows[col] - x[:nu])) < 1e-10 * scale
+
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_rows_equal_the_two_part_batch_solve(self, oversampled):
+        # the stacked loads change no bit: np.vstack of the momentum and the
+        # continuity loads and one solve of the whole batch give the rows
+        mesh, coarse = tiny_heterogeneous()
+        params = make_params()
+        bc = BoundaryData.inflow((1.0, 0.0))
+        u_lin = gmsfem.compute_linearization_field(mesh, params, bc)
+        for i in range(coarse.n_cells):
+            snap = gmsfem.build_snapshots(mesh, coarse, params, i, oversampled, u_lin)
+            want = oracles.two_part_snapshot_rows(mesh, coarse, params, i, oversampled, u_lin)
+            assert snap.rows.shape == want.shape and np.array_equal(snap.rows, want)
+
+    def test_first_failing_column_is_named(self, monkeypatch):
+        # a gate between two columns' residuals fails some columns; the
+        # error names the facet k and direction d of the first, column 2k + d
+        mesh, coarse = tiny_heterogeneous()
+        params = make_params()
+        u_lin = gmsfem.compute_linearization_field(mesh, params, BoundaryData.inflow((1.0, 0.0)))
+        patch, matrix, f_u, f_p = oracles.snapshot_problem(mesh, coarse, params, 0, True, u_lin)
+        rhs = np.vstack([f_u, f_p])
+        solver = SaddleSolver(SaddleSystem(matrix, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof)))
+        x = solver.lu.solve(rhs)
+        per = np.array(
+            [column_residuals(matrix, x[:, j], rhs[:, j], solver.scale) for j in range(rhs.shape[1])]
+        )
+        # the gate sits in the widest gap between neighbours in the middle half
+        ranked = np.sort(per)
+        lo, hi = len(ranked) // 4, 3 * len(ranked) // 4
+        k = lo + int(np.argmax(ranked[lo + 1 : hi] / ranked[lo : hi - 1]))
+        assert ranked[k + 1] > (1.0 + 1e-6) * ranked[k] > 0.0
+        monkeypatch.setattr(gmsfem, "RESIDUAL_TOL", np.sqrt(ranked[k] * ranked[k + 1]))
+        first = int(np.flatnonzero(per > gmsfem.RESIDUAL_TOL)[0])
+        facet, d = divmod(first, 2)
+        edge = patch.dirichlet_edges[facet]
+        with pytest.raises(SingularSystemError, match=rf"facet {facet} \(edge {edge}\), direction {d}:"):
+            gmsfem.build_snapshots(mesh, coarse, params, 0, True, u_lin)
 
     def test_snapshot_linearity_in_delta_scale(self):
         mesh, coarse = tiny_heterogeneous()
@@ -189,7 +235,9 @@ class TestDeltaLoads:
         params = make_params()
         for i in range(coarse.n_cells):
             patch = coarse_cell_patch(mesh, coarse, i, oversampled=oversampled)
-            f_u, f_p = gmsfem._delta_rhs_batch(patch, params)
+            loads = gmsfem._delta_rhs_batch(patch, params)
+            assert loads.shape == (patch.n_vdof + patch.n_pdof, 2 * len(patch.dirichlet_edges))
+            f_u, f_p = loads[: patch.n_vdof], loads[patch.n_vdof :]
             g = rng.standard_normal((len(patch.dirichlet_edges), 2))
             g_quad = np.repeat(g[:, None, :], len(EDGE_G2_W), axis=1)
             load_u, load_p = forms.dirichlet_rhs_from_values(patch, params, g_quad)
@@ -584,14 +632,14 @@ class TestFamilyRecord:
             got = system.matrix
             # a coarse system is factored and solved in float64, as it stands
             solver = SaddleSolver(system)
-            u, p, _ = solver.solve_many(online.f_u[:, None], online.f_p[:, None])
+            stacked, _ = solver.solve_stacked(np.concatenate([online.f_u, online.f_p])[:, None])
             assert system.kept_lu is None and not solver.kept and solver.corrections == 0
             lu = spla.splu(
                 got, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
             )
             x = np.empty((len(ordered.perm), 1))
             x[ordered.perm] = lu.solve(np.concatenate([online.f_u, online.f_p])[ordered.perm, None])
-            assert np.array_equal(np.vstack([u, p]), x)
+            assert np.array_equal(stacked, x)
             for x in (got, want):
                 x.eliminate_zeros()  # the fixed pattern may store zeros
                 x.sort_indices()

@@ -21,6 +21,7 @@ from msflow.saddle import (
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    column_residuals,
     merged_pattern,
     relative_residual,
     saddle_matrix,
@@ -121,14 +122,14 @@ def test_batch_solve_matches_single():
     rng = np.random.default_rng(11)
     system = toy_system(rng=rng)
     solver = SaddleSolver(system)
-    rhs_u = rng.standard_normal((4, 5))
-    rhs_p = rng.standard_normal((4, 5))
-    us, ps, res = solver.solve_many(rhs_u, rhs_p)
+    rhs = rng.standard_normal((8, 5))  # stacked [rhs_u; rhs_p], one column each
+    x, res = solver.solve_stacked(rhs)
+    assert x.shape == rhs.shape and res.shape == (5,)
     assert np.all(res < 1e-12)
     for j in range(5):
-        u, p = solver.solve(rhs_u[:, j], rhs_p[:, j])
-        assert np.allclose(us[:, j], u)
-        assert np.allclose(ps[:, j], p)
+        u, p = solver.solve(rhs[:4, j], rhs[4:, j])
+        assert np.allclose(x[:4, j], u)
+        assert np.allclose(x[4:, j], p)
 
 
 def test_relative_residual_is_per_column():
@@ -227,10 +228,71 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
     assert np.array_equal(x_ord, np.concatenate(oracles.block_step_solve(ops, u1, rhs_u)))
     rhs = np.concatenate([rhs_u, system.f_p])[:, None]
     assert np.array_equal(x_col, spla.splu(block, permc_spec="COLAMD").solve(rhs)[:, 0])
-    _, _, rel = ordered.solve_many(rhs_u[:, None], system.f_p[:, None])
-    assert rel[0] <= RESIDUAL_TOL
+    _, rel = ordered.solve_stacked(np.concatenate([rhs_u, system.f_p]))
+    assert rel <= RESIDUAL_TOL
     fill = lambda s: s.lu.L.nnz + s.lu.U.nnz
     assert fill(ordered) < fill(colamd)
+
+
+@pytest.mark.parametrize("path", ["kept", "colamd"])
+def test_a_vector_solves_as_its_one_column_batch(path):
+    # solve() hands solve_stacked a vector: solution, corrections and
+    # residual are those of the same right-hand side as an (n, 1) batch, on
+    # the refined desk step and on the COLAMD linear step
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops, u1 = _step_system(mesh, make_params(tau=2e-4))
+    system = ops.system(u1) if path == "kept" else ops.system(None)
+    rhs = np.concatenate([ops.mass @ u1 + ops.f_u, ops.f_p])
+    vector, column = SaddleSolver(system), SaddleSolver(system)
+    x, rel = vector.solve_stacked(rhs)
+    x_col, rel_col = column.solve_stacked(rhs[:, None])
+    assert vector.kept == column.kept == (path == "kept")
+    assert vector.corrections == column.corrections
+    assert x.shape == rhs.shape and np.array_equal(x, x_col[:, 0])
+    assert np.ndim(rel) == 0 and rel.tobytes() == rel_col[0].tobytes()
+    u, p = SaddleSolver(system).solve(rhs[: ops.patch.n_vdof], ops.f_p)
+    assert np.array_equal(np.concatenate([u, p]), x)
+
+
+def _snapshot_batch():
+    """The pinned oversampled snapshot system of a tiny coarse cell, its
+    solver and the stacked loads, from the oracle's two load arrays."""
+    mesh, coarse = tiny_heterogeneous(n=4)
+    u_lin = np.random.default_rng(3).standard_normal(6 * mesh.n_cells)
+    patch, matrix, f_u, f_p = oracles.snapshot_problem(mesh, coarse, make_params(), 0, True, u_lin)
+    system = SaddleSystem(matrix, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof))
+    return SaddleSolver(system), np.vstack([f_u, f_p])
+
+
+@pytest.mark.parametrize("block", [saddle.RESIDUAL_BLOCK, 3])
+def test_column_residuals_equal_the_per_column_residuals(block, monkeypatch):
+    # a batch's residual, taken block columns at a time, equals each
+    # column's own residual to roundoff and passes the same gates; the 64
+    # columns make four full blocks of 16, and 21 blocks of 3 and a last
+    # block of one
+    monkeypatch.setattr(saddle, "RESIDUAL_BLOCK", block)
+    solver, rhs = _snapshot_batch()
+    assert rhs.shape[1] == 64
+    x, rel = solver.solve_stacked(rhs)
+    per = np.array(
+        [column_residuals(solver.matrix, x[:, j], rhs[:, j], solver.scale) for j in range(rhs.shape[1])]
+    )
+    assert rel.shape == per.shape and np.all(per > 0.0)
+    assert np.allclose(rel, per, rtol=1e-12, atol=0.0)
+    for gate in np.concatenate([per * (1.0 - 1e-6), per * (1.0 + 1e-6), [RESIDUAL_TOL]]):
+        assert np.array_equal(rel <= gate, per <= gate)
+
+
+def test_scale_is_the_row_sum_of_a_bincount():
+    # the largest absolute row sum, summed in storage order on the matrix's
+    # own indices, has the bits of np.bincount over the entries, on a desk
+    # fine step system and on a pinned snapshot system
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops, u1 = _step_system(mesh, make_params(tau=2e-4))
+    for solver in (SaddleSolver(ops.system(u1)), _snapshot_batch()[0]):
+        matrix = solver.matrix
+        want = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
+        assert solver.scale.tobytes() == want.tobytes()
 
 
 def test_pinned_system_ignores_cell_order():
@@ -253,8 +315,8 @@ def test_pinned_system_ignores_cell_order():
     pinned = SaddleSolver(SaddleSystem(matrix, rhs_u, rhs_p))
     assert pinned.perm is None
     want = spla.splu(matrix, permc_spec="COLAMD").solve(np.concatenate([rhs_u, rhs_p])[:, None])
-    u, p, _ = pinned.solve_many(rhs_u[:, None], rhs_p[:, None])
-    assert np.array_equal(np.vstack([u, p]), want)
+    x, _ = pinned.solve_stacked(np.concatenate([rhs_u, rhs_p])[:, None])
+    assert np.array_equal(x, want)
 
 
 def test_cell_order_must_permute_the_cells():
@@ -286,12 +348,11 @@ def test_large_ordered_step_is_refined_from_a_float32_factor():
     assert solver.kept and solver.lu is system.kept_lu
     assert solver.lu.U.dtype == np.float32
     rhs_u = ops.mass @ u1 + ops.f_u
-    u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+    got, rel = solver.solve_stacked(np.concatenate([rhs_u, system.f_p]))
     assert solver.kept and solver.lu is system.kept_lu
     assert 1 <= solver.corrections <= 6
-    assert rel[0] <= 1e-16
+    assert rel <= 1e-16
     want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
-    got = np.concatenate([u[:, 0], p[:, 0]])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -310,13 +371,14 @@ def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
     assert system.kept_lu is not None and system.kept_lu is ordered.kept_lu
     solver = SaddleSolver(system)
     assert solver.kept and solver.lu is system.kept_lu
-    u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+    rhs = np.concatenate([rhs_u, system.f_p])
+    x, rel = solver.solve_stacked(rhs)
     assert not solver.kept and solver.lu.U.dtype == np.float64
     own = SaddleSolver(dataclasses.replace(system, kept_lu=None))
     assert not own.kept and own.lu.U.dtype == np.float64
-    u_own, p_own, rel_own = own.solve_many(rhs_u[:, None], system.f_p[:, None])
-    assert np.array_equal(u, u_own) and np.array_equal(p, p_own)
-    assert np.array_equal(rel, rel_own) and rel[0] <= RESIDUAL_TOL
+    x_own, rel_own = own.solve_stacked(rhs)
+    assert np.array_equal(x, x_own)
+    assert rel == rel_own and rel <= RESIDUAL_TOL
     # the kept refinement stopped at a correction that did not halve the
     # residual, before KEPT_MAX
     assert own.corrections == 0 < solver.corrections < KEPT_MAX
@@ -334,13 +396,12 @@ def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
         system = ops.system(u)
         rhs_u = ops.mass @ u + ops.f_u
         solver = SaddleSolver(system)
-        u_mat, p_mat, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+        got, rel = solver.solve_stacked(np.concatenate([rhs_u, system.f_p]))
         assert system.kept_lu is not None and solver.kept and solver.lu is system.kept_lu
-        assert rel[0] <= RESIDUAL_TOL
-        got = np.concatenate([u_mat[:, 0], p_mat[:, 0]])
+        assert rel <= RESIDUAL_TOL
         want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        u = u_mat[:, 0]
+        u = got[: ops.patch.n_vdof]
 
 
 def _traced(call):
@@ -414,7 +475,7 @@ def test_float32_failure_falls_back_to_the_float64_answer(make, when, monkeypatc
     system = make()
     solver = SaddleSolver(system)
     assert (system.kept_lu is None) == (when == "factor") and solver.kept == (when == "solve")
-    u, p, rel = solver.solve_many(system.f_u[:, None], system.f_p[:, None])
+    x, rel = solver.solve_stacked(np.concatenate([system.f_u, system.f_p])[:, None])
     assert not solver.kept
     # a kept refinement stopped at a correction that did not halve the
     # residual, before KEPT_MAX; a system without kept_lu refines nothing
@@ -422,7 +483,7 @@ def test_float32_failure_falls_back_to_the_float64_answer(make, when, monkeypatc
     assert solver.lu.U.dtype == np.float64
     rhs = np.concatenate([system.f_u, system.f_p])
     want = _ordered_direct(system.matrix, system.perm, rhs[:, None])
-    assert np.array_equal(np.vstack([u, p]), want)
+    assert np.array_equal(x, want)
     assert rel[0] <= RESIDUAL_TOL
     assert np.array_equal(np.concatenate(solver.solve()), want[:, 0])
 
@@ -439,14 +500,14 @@ def test_large_ordered_system_without_a_kept_factor_is_factored_once_in_float64(
     monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a.dtype) or splu(a, **kw))
     solver = SaddleSolver(system)
     rhs_u = ops.mass @ u1 + ops.f_u
-    u, p, rel = solver.solve_many(rhs_u[:, None], system.f_p[:, None])
+    rhs = np.concatenate([rhs_u, system.f_p])
+    x, rel = solver.solve_stacked(rhs)
     assert factored == [np.float64]
     assert not solver.kept and solver.corrections == 0 and solver.lu.U.dtype == np.float64
-    assert rel[0] <= RESIDUAL_TOL
-    rhs = np.concatenate([rhs_u, system.f_p])
+    assert rel <= RESIDUAL_TOL
     want = np.empty_like(rhs)
     want[system.perm] = splu(system.matrix, **ORDERED).solve(rhs[system.perm])
-    assert np.array_equal(np.concatenate([u[:, 0], p[:, 0]]), want)
+    assert np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("config", ["desk_test1", "paper_like"])
