@@ -15,7 +15,15 @@ from . import forms
 from .errors import SingularSystemError
 from .parameters import DGState
 from .patches import ND_LEAF_CELLS, full_patch, nested_dissection_order
-from .saddle import CellOrderedSaddle, SaddleSolver, SaddleSystem, relative_residual, saddle_matrix
+from .saddle import (
+    REFRESH_AFTER,
+    SINGLE_MIN,
+    CellOrderedSaddle,
+    SaddleSolver,
+    SaddleSystem,
+    relative_residual,
+    saddle_matrix,
+)
 
 
 @dataclass
@@ -34,9 +42,11 @@ class StepOperators:
     divergence plus cell blocks: step_saddle() holds the static matrix in
     the nested-dissection cell order, step_blocks(u_lin) the convection and
     drag of each cell.  system(u_lin) adds them on a saddle built on the
-    first call and kept on ops, with the kept float32 factor of its static
-    matrix; run_fine steps on a saddle of its own, so that its factor is
-    freed when the run ends, and a step's answer is the same from either.
+    first call and kept on ops, with the kept factor of its static matrix;
+    run_fine steps on a saddle of its own, so that its factor is freed when
+    the run ends.  From SINGLE_MIN unknowns on, a step's answer is the same
+    from either; below, run_fine may refresh its factor (see ordered_step)
+    and system() hands out the static one.
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.
 
@@ -105,11 +115,31 @@ class StepOperators:
 
 def ordered_step(saddle, blocks, f_p):
     """march's step_solve on a CellOrderedSaddle: the step from u solves the
-    system of values saddle.static + blocks(u) with the loads (rhs_u, f_p)."""
+    system of values saddle.static + blocks(u) with the loads (rhs_u, f_p).
+
+    Below SINGLE_MIN unknowns, where the saddle's kept factor is float64,
+    the run refreshes the factor it refines from.  A step that missed leaves
+    its own factor to the steps after it; after a step that took more than
+    REFRESH_AFTER corrections, the next step is factored directly and its
+    factor is kept.  The refreshed factor lives in this closure, not on the
+    saddle, so every run starts from the static factor and its answers
+    depend on its own sequence of systems alone.
+    """
+    refreshed, due = None, False  # the run's factor; factor the next step directly
 
     def step_solve(u, rhs_u):
-        solver = SaddleSolver(saddle.system(saddle.static + blocks(u), rhs_u, f_p))
-        return (*solver.solve(), solver)
+        nonlocal refreshed, due
+        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p)
+        refreshes = system.kept_lu is not None and len(saddle.perm) < SINGLE_MIN
+        if refreshes and (due or refreshed is not None):
+            system.kept_lu = None if due else refreshed
+        solver = SaddleSolver(system)
+        u, p = solver.solve()
+        if refreshes:
+            if not solver.kept:
+                refreshed = solver.lu
+            due = solver.kept and solver.corrections > REFRESH_AFTER
+        return u, p, solver
 
     return step_solve
 

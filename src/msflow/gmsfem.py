@@ -384,10 +384,13 @@ class _NonlinearBlocks:
         u = u_h.reshape(n, m)
         blocks = (u[:, None, :] @ self.conv.reshape(n, m, m * m)).reshape(n, m, m)
         if self.spans:
-            at_points = (self.quad @ u[self.owner][:, :, None]).reshape(len(self.owner), -1, 2)
-            speed = np.sqrt((at_points * at_points).sum(axis=2))
+            n_porous = len(self.owner)
+            at_points = (self.quad @ u[self.owner][:, :, None]).reshape(n_porous, -1, 2)
+            a0, a1 = at_points[:, :, 0], at_points[:, :, 1]
+            speed = np.sqrt(a0 * a0 + a1 * a1)
+            by_point = self.quad.reshape(n_porous, -1, 2, m)  # [cell, point, component, k]
+            weighted = (by_point * (self.drag_weight * speed)[:, :, None, None]).reshape(-1, m)
             flat = self.quad.reshape(-1, m)
-            weighted = flat * np.repeat((self.drag_weight * speed).ravel(), 2)[:, None]
             for i, rows in self.spans:
                 blocks[i] += flat[rows].T @ weighted[rows]
         return blocks

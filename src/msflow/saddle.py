@@ -20,6 +20,13 @@ RESIDUAL_BLOCK = 16
 # reach.
 SINGLE_MIN = 4096
 REFINE_TARGET = np.finfo(float).eps / 2
+# Below SINGLE_MIN the kept factor is float64, from KEPT_MIN unknowns on: a
+# run on it refines each step with a few triangular solves, and refreshes it
+# from a step's own factor after a step that missed or that took more than
+# REFRESH_AFTER corrections (see fine_solver.ordered_step).  Smaller systems
+# are factored directly, which costs less than the corrections.
+KEPT_MIN = 100
+REFRESH_AFTER = 4
 # A refinement from a CellOrderedSaddle's kept factor misses when a
 # correction does not halve the residual, or after KEPT_MAX corrections.  A
 # correction costs 2.0-2.5 ms on desk and 22.5 ms at paper_like scale, so
@@ -38,9 +45,9 @@ class SaddleSystem:
     saddle_matrix builds it: velocity DOFs first and pressure DOFs after
     them; SaddleSolver orders it by COLAMD.  Otherwise matrix is P S P^T in
     CSC form, already in factor order: row i of matrix is row perm[i] of S.
-    f_u/f_p are the right-hand sides in S's order.  kept_lu is the float32
-    factor of the static matrix of the CellOrderedSaddle the system came
-    from, or None.
+    f_u/f_p are the right-hand sides in S's order.  kept_lu is the factor
+    that SaddleSolver refines the system's solves from (see
+    CellOrderedSaddle.kept_lu and fine_solver.ordered_step), or None.
     """
 
     matrix: sp.spmatrix
@@ -53,8 +60,6 @@ class SaddleSystem:
         n = len(self.f_u) + len(self.f_p)
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
-        if self.perm is not None and not np.array_equal(np.sort(self.perm), np.arange(n)):
-            raise ValueError("perm is not a permutation of the unknowns")
 
 
 def saddle_matrix(upper, div, pin=False):
@@ -161,17 +166,23 @@ class CellOrderedSaddle:
     extended by the entries (rows, cols) of the unpermuted numbering (see
     merged_pattern), at the data positions pos.
 
-    From SINGLE_MIN unknowns on, every system carries kept_lu, the float32
-    factor of the static matrix (pattern), made on the first system() call
-    and held as long as the saddle.  SaddleSolver refines each solve from
-    it and factors a system itself, in float64, only when that misses, so a
-    solve depends on its system and this static matrix alone.
+    From KEPT_MIN unknowns on, every system carries kept_lu, a factor of
+    the static matrix (pattern), made on the first system() call and held
+    as long as the saddle: float32 from SINGLE_MIN unknowns on, float64
+    below.  SaddleSolver refines each solve from it and factors a system
+    itself, in float64, only when that misses.  So a solve of system()
+    depends on its system and this static matrix alone; a run below
+    SINGLE_MIN may refresh the factor it refines from, and keeps that
+    factor to itself (see fine_solver.ordered_step).
     """
 
     def __init__(self, upper, div, order, rows, cols):
         k = upper.shape[0] // len(order)
         velocity = k * order[:, None] + np.arange(k)
         self.perm = np.column_stack([velocity, k * len(order) + order]).ravel()
+        n = upper.shape[0] + div.shape[0]
+        if not np.array_equal(np.sort(self.perm), np.arange(n)):
+            raise ValueError("perm is not a permutation: order must list every cell once")
         position = np.empty_like(self.perm)
         position[self.perm] = np.arange(len(self.perm))
         static = permuted_saddle(upper, div, position)
@@ -188,20 +199,23 @@ class CellOrderedSaddle:
 
     @cached_property
     def kept_lu(self):
-        """The float32 SuperLU factor of the static matrix, or None below
-        SINGLE_MIN unknowns, when an entry leaves float32 range or when
-        SuperLU finds the rounded matrix singular."""
-        if len(self.perm) < SINGLE_MIN:
+        """The SuperLU factor of the static matrix: float32 from SINGLE_MIN
+        unknowns on, float64 from KEPT_MIN on.  None below KEPT_MIN, when
+        an entry leaves float32 range or when SuperLU finds the matrix (as
+        rounded) singular."""
+        n, pattern = len(self.perm), self.pattern
+        if n < KEPT_MIN:
             return None
-        pattern = self.pattern
-        with np.errstate(over="ignore"):  # entries beyond float32 range become inf
-            data = pattern.data.astype(np.float32)
-        if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
-            return None
-        single = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        data = pattern.data
+        if n >= SINGLE_MIN:
+            with np.errstate(over="ignore"):  # entries beyond float32 range become inf
+                data = data.astype(np.float32)
+            if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
+                return None
+        static = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
         try:
-            return spla.splu(single, **ORDERED)
-        except RuntimeError:  # singular in float32
+            return spla.splu(static, **ORDERED)
+        except RuntimeError:  # singular
             return None
 
     def system(self, values, f_u, f_p):
@@ -224,10 +238,11 @@ class SaddleSolver:
     pressure block pivotable on the diagonal; the right-hand sides and the
     solution are permuted around the triangular solves.
 
-    A system with kept_lu (see CellOrderedSaddle) is solved in mixed
-    precision with no factor of its own: a float32 solution y of kept_lu is
-    refined by y -= LU32^-1 (A y - rhs), with A and the residual in float64,
-    until the relative residual reaches REFINE_TARGET.  On a miss (see
+    A system with kept_lu (see CellOrderedSaddle) is solved with no factor
+    of its own: a solution y of kept_lu, in the factor's precision (float32
+    from SINGLE_MIN unknowns on, float64 below), is refined by
+    y -= LU^-1 (A y - rhs), with A and the residual in float64, until the
+    relative residual reaches REFINE_TARGET.  On a miss (see
     KEPT_MAX) the solver makes its float64 factor, which solves that
     right-hand side and every later one directly.  A system without kept_lu
     gets its float64 factor at once.
@@ -307,11 +322,12 @@ class SaddleSolver:
         return x, rel
 
     def _refine(self, rhs):
-        """The float32 solution of the kept factor refined to REFINE_TARGET
-        and its relative residuals, or (None, None) on a miss: a non-finite
-        value, a correction that did not halve the largest residual, or
-        KEPT_MAX corrections short of the target."""
-        y = self.lu.solve(rhs.astype(np.float32)).astype(float)
+        """The solution of the kept factor refined to REFINE_TARGET and its
+        relative residuals, or (None, None) on a miss: a non-finite value, a
+        correction that did not halve the largest residual, or KEPT_MAX
+        corrections short of the target."""
+        precision = np.float32 if len(rhs) >= SINGLE_MIN else float
+        y = self.lu.solve(rhs.astype(precision, copy=False)).astype(float, copy=False)
         last = np.inf
         for k in range(KEPT_MAX + 1):
             if not np.all(np.isfinite(y)):
@@ -323,7 +339,7 @@ class SaddleSolver:
             if k == KEPT_MAX or not rel.max() <= last / 2:
                 break
             last = rel.max()
-            y -= self.lu.solve(resid.astype(np.float32))
+            y -= self.lu.solve(resid.astype(precision, copy=False))
             self.corrections += 1
         return None, None
 

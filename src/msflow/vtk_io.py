@@ -8,63 +8,52 @@ from .errors import MeshFormatError
 from .parameters import DGState
 
 
-def _fmt(x):
-    # repr of a Python float round-trips exactly, which the re-import relies on
-    return repr(float(x))
-
-
 def vertex_averaged_velocity(mesh, state):
     """Average the discontinuous vertex values over adjacent cells, for
-    visualization only."""
-    out = np.zeros((mesh.n_verts, 2))
-    count = np.zeros(mesh.n_verts)
-    coefs = state.velocity.reshape(mesh.n_cells, 3, 2)
-    for a in range(3):
-        np.add.at(out, mesh.cells[:, a], coefs[:, a, :])
-        np.add.at(count, mesh.cells[:, a], 1.0)
+    visualization only.  Each vertex sums its cells' values in the order
+    (cell vertex a, then cell), one bincount over both components."""
+    order = mesh.cells.T.ravel()  # cells[:, 0], then cells[:, 1], then cells[:, 2]
+    coefs = state.velocity.reshape(mesh.n_cells, 3, 2).transpose(1, 0, 2).ravel()
+    bins = (2 * order[:, None] + np.arange(2)).ravel()
+    out = np.bincount(bins, weights=coefs, minlength=2 * mesh.n_verts).reshape(-1, 2)
+    count = np.bincount(order, minlength=mesh.n_verts).astype(float)
     count[count == 0] = 1.0
     return out / count[:, None]
+
+
+# Rows formatted per write: a block's Python values are all that is alive.
+WRITE_BLOCK = 4096
+
+
+def _write_rows(fh, line, array):
+    """Write line.format(*row) for every row of a 2-D array, from tolist()
+    values, WRITE_BLOCK rows at a time."""
+    for start in range(0, len(array), WRITE_BLOCK):
+        fh.write("".join(line.format(*row) for row in array[start : start + WRITE_BLOCK].tolist()))
 
 
 def export_vtk(mesh, state, path, title="msflow fields"):
     """Write an unstructured-grid VTK file with cell pressure, region tags,
     the raw 6-coefficient DG velocity as cell data and a vertex-averaged
-    velocity as point data."""
+    velocity as point data.  Every float is written as the repr of a Python
+    float, which round-trips exactly; the re-import relies on that."""
     state.validate(mesh.n_cells)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_verts} double",
-    ]
-    for x, y in mesh.verts:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0.0")
-    lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
-    for v in mesh.cells:
-        lines.append(f"3 {v[0]} {v[1]} {v[2]}")
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend(["5"] * mesh.n_cells)
-
-    lines.append(f"CELL_DATA {mesh.n_cells}")
-    lines.append("SCALARS pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(p) for p in state.pressure)
-    lines.append("SCALARS region int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(r)) for r in mesh.region)
-    lines.append("FIELD dgdata 1")
-    lines.append(f"velocity_dg 6 {mesh.n_cells} double")
-    coefs = state.velocity.reshape(mesh.n_cells, 6)
-    for row in coefs:
-        lines.append(" ".join(_fmt(v) for v in row))
-
-    lines.append(f"POINT_DATA {mesh.n_verts}")
-    lines.append("VECTORS velocity double")
-    for vx, vy in vertex_averaged_velocity(mesh, state):
-        lines.append(f"{_fmt(vx)} {_fmt(vy)} 0.0")
+    n, n_verts = mesh.n_cells, mesh.n_verts
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {n_verts} double\n")
+        _write_rows(fh, "{!r} {!r} 0.0\n", mesh.verts.astype(float, copy=False))
+        fh.write(f"CELLS {n} {4 * n}\n")
+        _write_rows(fh, "3 {} {} {}\n", mesh.cells)
+        fh.write(f"CELL_TYPES {n}\n" + "5\n" * n)
+        fh.write(f"CELL_DATA {n}\nSCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        _write_rows(fh, "{!r}\n", state.pressure.astype(float, copy=False)[:, None])
+        fh.write("SCALARS region int 1\nLOOKUP_TABLE default\n")
+        _write_rows(fh, "{}\n", mesh.region[:, None])
+        fh.write(f"FIELD dgdata 1\nvelocity_dg 6 {n} double\n")
+        _write_rows(fh, " ".join(["{!r}"] * 6) + "\n", state.velocity.astype(float, copy=False).reshape(n, 6))
+        fh.write(f"POINT_DATA {n_verts}\nVECTORS velocity double\n")
+        _write_rows(fh, "{!r} {!r} 0.0\n", vertex_averaged_velocity(mesh, state))
 
 
 def read_vtk_state(path):

@@ -5,19 +5,22 @@ triangles are integrated with a tensor Gauss rule under a Duffy transform,
 edges with high-order Gauss-Legendre, and P1 fields are evaluated by solving
 the 3x3 vertex interpolation system per cell.
 
-Three more references pin faster package code to the same bits, so they
+Five more references pin faster package code to the same bits, so they
 follow its arithmetic rather than avoid it: loop_edge_topology (the edge
 arrays, one edge at a time), concatenated_csr (the sparse assembly, from
-concatenated triplet copies) and einsum_convection_blocks (the convection
-cell blocks as einsum contractions).
+concatenated triplet copies), einsum_convection_blocks (the convection
+cell blocks as einsum contractions), repeated_weight_blocks (the online drag
+blocks, through np.repeat) and add_at_vtk_text (the VTK text, one value and
+one np.add.at at a time).
 
 The block-assembled fine step at the end is the reference for the ordered
 step matrix: the convection and Forchheimer blocks as CSR matrices
 (conftest.linearized_matrices) summed into the velocity block, sp.bmat, a
 fancy-index permutation into the nested-dissection cell order, and a
-SuperLU factor in that order (from saddle.SINGLE_MIN unknowns on, the
-float32 factor of the step-0 matrix with float64 refinement, and on a miss
-the float64 factor).  That order comes from a copy of the recursion written
+SuperLU factor in that order (from saddle.KEPT_MIN unknowns on, a kept
+factor of the step-0 matrix with float64 refinement, float32 from
+SINGLE_MIN on; on a miss, the float64 factor; block_run_fine applies the
+run's refresh rule below SINGLE_MIN).  That order comes from a copy of the recursion written
 for a patch (its interior-edge graph, leaves of 8 cells), the reference for
 the package's general nested_dissection_order.
 
@@ -35,7 +38,7 @@ from msflow.errors import MeshFormatError
 from msflow.geometry import BOTTOM, INTERIOR, LEFT, POROUS, RIGHT, TOP
 from msflow.patches import bisect_cells, coarse_cell_patch
 from msflow.quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
-from msflow.saddle import KEPT_MAX, REFINE_TARGET, SINGLE_MIN, saddle_matrix
+from msflow.saddle import KEPT_MAX, KEPT_MIN, REFINE_TARGET, REFRESH_AFTER, SINGLE_MIN, saddle_matrix
 
 from conftest import linearized_matrices
 
@@ -397,59 +400,98 @@ def block_step_matrix(ops, u_lin):
     return ordered, perm
 
 
-def block_step_solve(ops, u_lin, rhs_u):
-    """Velocity and pressure of the block-assembled step: a SuperLU factor of
-    the permuted matrix with no further reordering and diagonal pivots.
+_ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
-    From saddle.SINGLE_MIN unknowns on, a float32 solution y is refined in
-    float64 by y -= LU^-1 (A y - rhs) until |A y - rhs| / max(|rhs|, s |y|)
-    <= REFINE_TARGET, s being the largest absolute row sum of A.  LU is
-    the float32 factor of the step-0 matrix, block_step_matrix(ops, 0), for
-    up to KEPT_MAX corrections that each halve the residual; on a miss the
-    float64 factor of A solves.
+
+def block_static_factor(ops):
+    """The kept factor of the block-assembled steps: the factor of the
+    step-0 matrix, block_step_matrix(ops, 0), float32 from saddle.SINGLE_MIN
+    unknowns on and float64 from KEPT_MIN on; None below KEPT_MIN or when
+    SuperLU finds it singular."""
+    static, _ = block_step_matrix(ops, np.zeros(ops.patch.n_vdof))
+    n = static.shape[0]
+    if n < KEPT_MIN:
+        return None
+    try:
+        return spla.splu(static.astype(np.float32 if n >= SINGLE_MIN else float), **_ORDERED)
+    except RuntimeError:
+        return None
+
+
+def block_step(ops, u_lin, rhs_u, lu):
+    """The block-assembled step solved from the factor lu, or directly when
+    lu is None; returns (u, p, corrections, own).
+
+    A solution y of lu, in its precision (float32 from saddle.SINGLE_MIN
+    unknowns on, float64 below), is refined in float64 by
+    y -= LU^-1 (A y - rhs) until |A y - rhs| / max(|rhs|, s |y|) <=
+    REFINE_TARGET, s being the largest absolute row sum of A, for up to
+    KEPT_MAX corrections that each halve the residual.  On a miss, or with
+    no lu, the float64 factor own of A solves (a SuperLU factor of the
+    permuted matrix with no further reordering and diagonal pivots); own is
+    None when lu served.
     """
     matrix, perm = block_step_matrix(ops, u_lin)
-    options = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     rhs = np.concatenate([rhs_u, ops.f_p])[perm][:, None]
-    y = None
-    if matrix.shape[0] >= SINGLE_MIN:
+    y, corrections, own = None, 0, None
+    if lu is not None:
         scale = abs(matrix).sum(axis=1).max()
-        static, _ = block_step_matrix(ops, np.zeros(ops.patch.n_vdof))
-        lu = spla.splu(static.astype(np.float32), **options)
-        y = _refined(matrix, lu, rhs, scale)
+        y, corrections = _refined(matrix, lu, rhs, scale)
     if y is None:
-        y = spla.splu(matrix, **options).solve(rhs)
+        own = spla.splu(matrix, **_ORDERED)
+        y = own.solve(rhs)
     x = np.empty_like(y)
     x[perm] = y
     nu = ops.patch.n_vdof
-    return x[:nu, 0], x[nu:, 0]
+    return x[:nu, 0], x[nu:, 0], corrections, own
+
+
+def block_step_solve(ops, u_lin, rhs_u):
+    """Velocity and pressure of the block-assembled step, refined from
+    block_static_factor(ops) (see block_step)."""
+    u, p, _, _ = block_step(ops, u_lin, rhs_u, block_static_factor(ops))
+    return u, p
 
 
 def _refined(matrix, lu, rhs, scale):
-    """The float32 solution of lu refined to REFINE_TARGET on matrix, or
-    None when a correction does not halve the relative residual or KEPT_MAX
-    corrections leave it short."""
+    """The solution of lu refined to REFINE_TARGET on matrix, or None when
+    a correction does not halve the relative residual or KEPT_MAX
+    corrections leave it short; and the corrections made."""
     norm = np.linalg.norm
-    y = lu.solve(rhs.astype(np.float32)).astype(float)
+    precision = np.float32 if matrix.shape[0] >= SINGLE_MIN else float
+    y = lu.solve(rhs.astype(precision)).astype(float)
     last = np.inf
     for k in range(KEPT_MAX + 1):
         resid = matrix @ y - rhs
         rel = norm(resid) / max(norm(rhs), scale * norm(y))
         if rel <= REFINE_TARGET:
-            return y
+            return y, k
         if k == KEPT_MAX or not rel <= last / 2:
-            return None
+            return None, k
         last = rel
-        y = y - lu.solve(resid.astype(np.float32))
+        y = y - lu.solve(resid.astype(precision))
 
 
 def block_run_fine(ops, n_steps):
     """The nonlinear fine loop from the zero state on block-assembled steps;
-    returns the (velocity, pressure) of every layer."""
+    returns the (velocity, pressure) of every layer.
+
+    Every step is refined from block_static_factor(ops) from SINGLE_MIN
+    unknowns on.  Below, a run on a kept factor refreshes it: a step that
+    missed hands its own factor to the steps after it, and after a step of
+    more than REFRESH_AFTER corrections the next step is factored directly
+    and its factor kept.
+    """
     u, p = np.zeros(ops.patch.n_vdof), np.zeros(ops.patch.n_pdof)
     layers = [(u, p)]
+    kept = block_static_factor(ops)
+    refreshes = kept is not None and ops.patch.n_vdof + ops.patch.n_pdof < SINGLE_MIN
+    due = False
     for _ in range(n_steps):
-        u, p = block_step_solve(ops, u, ops.mass @ u + ops.f_u)
+        u, p, corrections, own = block_step(ops, u, ops.mass @ u + ops.f_u, None if due else kept)
+        if refreshes:
+            kept = kept if own is None else own
+            due = own is None and corrections > REFRESH_AFTER
         layers.append((u, p))
     return layers
 
@@ -487,3 +529,52 @@ def two_part_snapshot_rows(mesh, coarse, params, i, oversampled, u_lin):
     x = spla.splu(matrix, permc_spec="COLAMD").solve(np.vstack([f_u, f_p]))
     local = patch.local_of[coarse.cell_fine[i]]
     return x[forms.cell_dofs(local).ravel(), :].T
+
+
+def repeated_weight_blocks(nonlinear, u_h):
+    """gmsfem._NonlinearBlocks.__call__ as first written: the speed as a sum
+    over the length-2 component axis, and the drag weight repeated once per
+    component with np.repeat."""
+    n, m = nonlinear.conv.shape[:2]
+    u = u_h.reshape(n, m)
+    blocks = (u[:, None, :] @ nonlinear.conv.reshape(n, m, m * m)).reshape(n, m, m)
+    if nonlinear.spans:
+        at_points = (nonlinear.quad @ u[nonlinear.owner][:, :, None]).reshape(len(nonlinear.owner), -1, 2)
+        speed = np.sqrt((at_points * at_points).sum(axis=2))
+        flat = nonlinear.quad.reshape(-1, m)
+        weighted = flat * np.repeat((nonlinear.drag_weight * speed).ravel(), 2)[:, None]
+        for i, rows in nonlinear.spans:
+            blocks[i] += flat[rows].T @ weighted[rows]
+    return blocks
+
+
+def add_at_vtk_text(mesh, state, title="msflow fields"):
+    """The text of vtk_io.export_vtk as first written: one repr(float(x))
+    per value, and the vertex averages summed by np.add.at, one cell vertex
+    at a time."""
+    fmt = lambda x: repr(float(x))
+    out = np.zeros((mesh.n_verts, 2))
+    count = np.zeros(mesh.n_verts)
+    coefs = state.velocity.reshape(mesh.n_cells, 3, 2)
+    for a in range(3):
+        np.add.at(out, mesh.cells[:, a], coefs[:, a, :])
+        np.add.at(count, mesh.cells[:, a], 1.0)
+    count[count == 0] = 1.0
+    averaged = out / count[:, None]
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines.append(f"POINTS {mesh.n_verts} double")
+    lines.extend(f"{fmt(x)} {fmt(y)} 0.0" for x, y in mesh.verts)
+    lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
+    lines.extend(f"3 {v[0]} {v[1]} {v[2]}" for v in mesh.cells)
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines.extend(["5"] * mesh.n_cells)
+    lines.append(f"CELL_DATA {mesh.n_cells}")
+    lines.extend(["SCALARS pressure double 1", "LOOKUP_TABLE default"])
+    lines.extend(fmt(p) for p in state.pressure)
+    lines.extend(["SCALARS region int 1", "LOOKUP_TABLE default"])
+    lines.extend(str(int(r)) for r in mesh.region)
+    lines.extend(["FIELD dgdata 1", f"velocity_dg 6 {mesh.n_cells} double"])
+    lines.extend(" ".join(fmt(v) for v in row) for row in state.velocity.reshape(mesh.n_cells, 6))
+    lines.extend([f"POINT_DATA {mesh.n_verts}", "VECTORS velocity double"])
+    lines.extend(f"{fmt(vx)} {fmt(vy)} 0.0" for vx, vy in averaged)
+    return "\n".join(lines) + "\n"

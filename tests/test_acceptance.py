@@ -13,12 +13,12 @@ import pytest
 import scipy.linalg as la
 
 import oracles
-from msflow import analysis, forms, gmsfem
+from msflow import analysis, forms, gmsfem, saddle
 from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.patches import coarse_cell_patch, full_patch
-from msflow.saddle import SaddleSolver, SaddleSystem, saddle_matrix
+from msflow.saddle import REFRESH_AFTER, SaddleSolver, SaddleSystem, saddle_matrix
 
 from conftest import desk_domain, linearized_matrices, make_params, random_rect_two_cells
 
@@ -269,6 +269,28 @@ def test_committed_sweep_numbers(rig):
         if computed != stored:
             mismatches.append(f"Da={darcy:g} M={m} os={oversampled}: {computed} != {stored}")
     assert not mismatches, "; ".join(mismatches)
+
+
+def test_online_steps_refine_from_the_static_factor(rig, monkeypatch):
+    """Desk test1 at M=16 (272 coarse unknowns, from saddle.KEPT_MIN on):
+    every online step is refined from the static matrix's float64 factor
+    with at most REFRESH_AFTER corrections, and the run ends within 1e-12
+    of one that factors every step."""
+    darcy = 1e-3
+    args = (rig.mesh, rig.coarse, rig.params(darcy), rig.bc)
+    steps = []
+    observe = lambda step, state, solver: steps.append((solver.kept, solver.corrections, solver.lu))
+    _, refined = gmsfem.run_multiscale(*args, space=rig.space(darcy, False), ops=rig.ops(darcy), observe=observe)
+    static = steps[0][2]
+    assert static.U.dtype == np.float64 and static.shape[0] >= saddle.KEPT_MIN
+    assert len(steps) == 50
+    assert all(kept and corrections <= REFRESH_AFTER and lu is static for kept, corrections, lu in steps)
+    monkeypatch.setattr(saddle, "KEPT_MIN", static.shape[0] + 1)
+    steps.clear()
+    _, factored = gmsfem.run_multiscale(*args, space=rig.space(darcy, False), ops=rig.ops(darcy), observe=observe)
+    assert len(steps) == 50 and not any(kept or corrections for kept, corrections, _ in steps)
+    for got, want in ((refined.velocity, factored.velocity), (refined.pressure, factored.pressure)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_criterion_6_spectral_suite(rig):

@@ -8,11 +8,11 @@ import scipy.sparse.linalg as spla
 import oracles
 from msflow import forms, gmsfem
 from msflow.errors import SingularSystemError
-from msflow.fine_solver import StepOperators, run_fine
+from msflow.fine_solver import StepOperators, march, ordered_step, run_fine
 from msflow.geometry import POROUS, DomainSpec, generate_structured_mesh
-from msflow.parameters import BoundaryData, DGState, ModelParameters
+from msflow.parameters import BoundaryData, DGState, ModelParameters, preset_parameters
 from msflow.patches import ND_LEAF_CELLS, bisect_cells, full_patch, nested_dissection_order
-from msflow.saddle import SaddleSolver
+from msflow.saddle import KEPT_MIN, REFRESH_AFTER, SINGLE_MIN, SaddleSolver
 
 from conftest import desk_domain, layers, make_params, tiny_heterogeneous
 
@@ -302,6 +302,69 @@ def test_run_fine_equals_the_block_assembled_loop(tiny_step):
     for state, (u, p) in zip(states, want):
         assert np.array_equal(state.velocity, u)
         assert np.array_equal(state.pressure, p)
+
+
+def test_a_run_over_the_budget_refreshes_a_factor_it_keeps_to_itself(tiny_step):
+    # the tiny step (224 unknowns) is refined from a float64 factor.  Step 1
+    # takes more than REFRESH_AFTER corrections from the static one, so step
+    # 2 is factored directly and its factor serves step 3.  That factor
+    # stays with the run: two runs on one saddle, and run_fine, agree bit
+    # for bit, and the saddle still holds its static factor.
+    mesh, params, bc, ops = tiny_step
+    shared = ops.step_saddle()
+    static = shared.kept_lu
+    assert static is not None and KEPT_MIN <= len(shared.perm) < SINGLE_MIN
+    runs = []
+    for run in ("shared", "shared", "run_fine"):
+        steps = []
+
+        def observe(step, state, solver):
+            steps.append((state, solver.kept, solver.corrections, solver.system.kept_lu, solver.lu))
+
+        if run == "shared":
+            step_solve = ordered_step(shared, ops.step_blocks, ops.f_p)
+            march(step_solve, ops.mass, ops.f_u, mesh.n_cells, ops.div_residual, params, "fine step", observe)
+        else:
+            run_fine(mesh, params, bc, ops=ops, observe=observe)
+        runs.append(steps)
+        assert shared.kept_lu is static
+    first = runs[0]
+    assert [(kept, corrections > REFRESH_AFTER) for _, kept, corrections, _, _ in first[:3]] == [
+        (True, False), (True, True), (False, False)
+    ]
+    assert first[0][3] is first[1][3] is static
+    refreshed = first[2][4]
+    assert first[2][3] is None and refreshed.U.dtype == np.float64
+    assert first[3][1] and first[3][3] is first[3][4] is refreshed
+    for other in runs[1:]:
+        assert [step[1:3] for step in other] == [step[1:3] for step in first]
+        for (got, *_), (want, *_) in zip(other, first):
+            assert np.array_equal(got.velocity, want.velocity)
+            assert np.array_equal(got.pressure, want.pressure)
+
+
+def test_a_missed_step_hands_its_factor_to_the_next_step():
+    # test3 (Re=100) on the tiny mesh: step 1 misses its refinement from the
+    # static factor, so its own float64 factor serves step 2, which takes
+    # more than REFRESH_AFTER corrections; step 3 refreshes, and step 4
+    # refines from step 3's factor.  The run equals the block-assembled loop
+    # under the same rule bit for bit.
+    mesh, _ = tiny_heterogeneous()
+    params = preset_parameters("test3", 1e-3, n_steps=10)
+    bc = BoundaryData.inflow((1.0, 0.0))
+    ops = StepOperators(mesh, params, bc)
+    steps = []
+    run_fine(mesh, params, bc, ops=ops, observe=lambda k, state, solver: steps.append((state, solver)))
+    zero, missed, served, refresh, after = (solver for _, solver in steps[:5])
+    assert zero.kept and not missed.kept and missed.corrections > 0
+    assert missed.system.kept_lu is zero.lu and missed.lu.U.dtype == np.float64
+    assert served.kept and served.system.kept_lu is served.lu is missed.lu
+    assert served.corrections > REFRESH_AFTER
+    assert not refresh.kept and refresh.system.kept_lu is None and refresh.corrections == 0
+    assert after.system.kept_lu is refresh.lu
+    want = oracles.block_run_fine(ops, params.n_steps)[1:]
+    for (state, _), (u, p) in zip(steps, want, strict=True):
+        assert np.array_equal(state.velocity, u) and np.array_equal(state.pressure, p)
 
 
 def test_run_fine_equals_the_step_loop_on_the_same_operators():

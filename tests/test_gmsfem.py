@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 import oracles
 from msflow import analysis, forms, gmsfem
 from msflow.errors import ConfigError, MsflowError, SingularSystemError
-from msflow.fine_solver import StepOperators, march, run_fine
+from msflow.fine_solver import StepOperators, march, ordered_step, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
@@ -502,6 +502,38 @@ class TestOnlineStage:
                     make_params(n_steps=10), "online step",
                 )
 
+    @pytest.mark.parametrize("singular", ["static", "step"])
+    def test_singular_system_from_a_kept_factor_raises_without_warning(self, singular, monkeypatch):
+        # from KEPT_MIN unknowns on, the coarse run refines from a float64
+        # factor of the static matrix.  A singular static matrix keeps none,
+        # so the run factors every step; a step singular only itself misses
+        # its refinement.  Either way step 7 fails its own factor.
+        monkeypatch.setattr("msflow.saddle.KEPT_MIN", 1)
+        upper = sp.diags([1.0, 0.0 if singular == "static" else 1.0, 2.0])
+        b_h = sp.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
+        ordered = coarse_saddle(upper, b_h, np.array([0]))
+        assert (ordered.kept_lu is None) == (singular == "static")
+        steps = iter(range(10))
+        paths = []
+
+        def blocks(u_h):
+            # static: the block couples the second mode until step 7;
+            # step: from step 7 on it cancels the second mode's diagonal
+            late = next(steps) >= 7
+            if singular == "static":
+                return np.eye(3)[None] * (not late)
+            return -np.diag([0.0, 1.0, 0.0])[None] * late
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="^online step 7: factorization failed"):
+                march(
+                    ordered_step(ordered, blocks, np.ones(1)), sp.identity(3), np.ones(3), 1,
+                    lambda u_h: 0.0, make_params(n_steps=10), "online step",
+                    lambda step, state, solver: paths.append(solver.kept),
+                )
+        assert paths == [singular == "step"] * 7
+
 
 def _run(mesh, coarse, params, bc, space, ops):
     return gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)[1]
@@ -645,6 +677,18 @@ class TestFamilyRecord:
                 x.sort_indices()
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_drag_blocks_equal_the_repeated_weight_formula(self, setting):
+        mesh, coarse, params, bc, ops, space = setting
+        rng = np.random.default_rng(9)
+        for m in (5, 2):
+            sized = gmsfem.resize_space(space, mesh, coarse, m)
+            nonlinear = gmsfem._online_operators(sized, mesh, coarse, params, ops).nonlinear
+            assert nonlinear.spans  # the porous cells carry drag
+            for _ in range(3):
+                u_h = rng.standard_normal(m * coarse.n_cells)
+                want = oracles.repeated_weight_blocks(nonlinear, u_h)
+                assert np.array_equal(nonlinear(u_h), want)
 
     def test_other_parameters_rebuild_the_record(self, setting):
         mesh, coarse, params, bc, ops, space = setting

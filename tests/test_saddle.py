@@ -16,6 +16,7 @@ from msflow.geometry import generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.saddle import (
     KEPT_MAX,
+    KEPT_MIN,
     RESIDUAL_TOL,
     SINGLE_MIN,
     CellOrderedSaddle,
@@ -89,6 +90,7 @@ def test_singular_system_reported_after_the_float32_factor(monkeypatch):
     # a saddle of at least SINGLE_MIN unknowns with a singular static matrix
     # keeps no float32 factor, and its system fails its float64 one
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    monkeypatch.setattr(saddle, "KEPT_MIN", 1)
     n = 3
     diagonal = np.arange(n)
     ordered = CellOrderedSaddle(
@@ -219,11 +221,15 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
     colamd = SaddleSolver(SaddleSystem(block, ops.f_u, ops.f_p))
     assert ordered.perm is system.perm and colamd.perm is None
     # the desk step (14,336 unknowns) is refined from the kept float32
-    # factor, the tiny one and every COLAMD system factored in float64
-    assert ordered.kept == (case == "desk") and not colamd.kept
+    # factor, the tiny one (224, from KEPT_MIN on) from a kept float64
+    # factor; every COLAMD system is factored in float64
+    assert KEPT_MIN <= system.matrix.shape[0] and ordered.kept and not colamd.kept
+    single = system.matrix.shape[0] >= SINGLE_MIN
+    assert single == (case == "desk") and ordered.lu is system.kept_lu
+    assert ordered.lu.U.dtype == (np.float32 if single else np.float64)
     x_ord = np.concatenate(ordered.solve(rhs_u, system.f_p))
     x_col = np.concatenate(colamd.solve(rhs_u, system.f_p))
-    assert colamd.corrections == 0 and (ordered.corrections > 0) == (case == "desk")
+    assert ordered.kept and colamd.corrections == 0 < ordered.corrections
     assert np.linalg.norm(x_ord - x_col) <= 1e-12 * np.linalg.norm(x_col)
     assert np.array_equal(x_ord, np.concatenate(oracles.block_step_solve(ops, u1, rhs_u)))
     rhs = np.concatenate([rhs_u, system.f_p])[:, None]
@@ -320,13 +326,17 @@ def test_pinned_system_ignores_cell_order():
 
 
 def test_cell_order_must_permute_the_cells():
+    # the saddle checks its perm once, where it builds it from the order;
+    # its systems carry that perm unchecked
     mesh, _ = tiny_heterogeneous()
-    ops, u1 = _step_system(mesh, make_params())
-    system = ops.system(u1)
-    perm = system.perm.copy()
-    perm[0] = perm[1]
-    with pytest.raises(ValueError, match="perm"):
-        dataclasses.replace(system, perm=perm)
+    ops, _ = _step_system(mesh, make_params())
+    upper = ops.mass + ops.viscous + ops.darcy
+    velocity = np.arange(ops.patch.n_vdof)
+    order = ops.cell_order.copy()
+    CellOrderedSaddle(upper, ops.div, order, velocity, velocity)
+    for bad in (np.append(order[:-1], order[0]), order[:-1], np.append(order, 0)):
+        with pytest.raises(ValueError, match="perm is not a permutation"):
+            CellOrderedSaddle(upper, ops.div, bad, velocity, velocity)
 
 
 def _ordered_direct(matrix, perm, rhs):

@@ -1,14 +1,19 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from msflow import vtk_io
+from msflow.config import parse_config
 from msflow.errors import MeshFormatError
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import DGState
 
 from conftest import desk_domain
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_minimal_two_triangle_file(tmp_path, rng):
@@ -58,6 +63,21 @@ def test_vertex_average_of_continuous_field_is_exact(rng):
     state = DGState(nodal[mesh.cells].ravel(), np.zeros(mesh.n_cells))
     averaged = vtk_io.vertex_averaged_velocity(mesh, state)
     assert np.allclose(averaged, nodal, atol=1e-14)
+
+
+@pytest.mark.parametrize("config", ["desk_test1", "paper_like"])
+def test_export_writes_the_bytes_of_the_add_at_writer(tmp_path, rng, config):
+    # values over 60 decades, exact zeros and negative zeros; the vertex
+    # averages sum in the order of np.add.at, one cell vertex at a time
+    spec = parse_config(str(CONFIGS / f"{config}.cfg"), mode="sweep")
+    mesh, _ = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+    velocity = rng.standard_normal(6 * mesh.n_cells) * np.exp(rng.uniform(-70, 70, 6 * mesh.n_cells))
+    velocity[::7] = 0.0
+    velocity[1::11] = -0.0
+    state = DGState(velocity, rng.standard_normal(mesh.n_cells))
+    path = tmp_path / "fields.vtk"
+    vtk_io.export_vtk(mesh, state, path, title=config)
+    assert path.read_bytes() == oracles.add_at_vtk_text(mesh, state, title=config).encode()
 
 
 def test_reader_rejects_foreign_layout(tmp_path):
