@@ -20,6 +20,7 @@ Takes about 5 minutes for the nine bundles and the default rules.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 import time
@@ -34,7 +35,7 @@ from msflow import fine_solver, gmsfem, saddle  # noqa: E402
 from msflow.config import parse_config  # noqa: E402
 from msflow.fine_solver import StepOperators  # noqa: E402
 from msflow.geometry import generate_structured_mesh  # noqa: E402
-from msflow.parameters import preset_parameters  # noqa: E402
+from msflow.parameters import TEST_PRESETS  # noqa: E402
 
 CONFIG = ROOT / "configs" / "desk_test1.cfg"
 FACTOR_EVERY_STEP = (sys.maxsize, saddle.REFRESH_AFTER)
@@ -69,7 +70,11 @@ def main():
     print("run".ljust(36) + "factor ms" + "".join(f"  {f}:{b} (kept, corrections)".rjust(26) for f, b in rules))
     for preset in args.preset:
         for darcy in spec.da_list:
-            params = preset_parameters(preset, darcy, spec.params.n_steps, spec.params.porosity)
+            reynolds, forchheimer, t_max = TEST_PRESETS[preset]
+            params = dataclasses.replace(
+                spec.params, reynolds=reynolds, forchheimer=forchheimer, darcy=darcy,
+                tau=t_max / spec.params.n_steps, t_max=None,
+            )
             ops = StepOperators(mesh, params, spec.bc)
             u_lin = gmsfem.compute_linearization_field(mesh, params, spec.bc)
             for oversampled in (False, True):

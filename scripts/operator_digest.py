@@ -36,6 +36,12 @@ and on the desk config:
   coarse and fine states of the oversampled `run_multiscale` at every size.
   The eigenvalues and the two `r_u` cover every pinned snapshot solve.
 
+Last come `gmsfem.BASIS_VERSION` (`None` in checkouts before it) and the
+basis-cache keys of the plain and the oversampled space at Da=1e-3, read
+from the names of the files `save_space` writes.  Bases that move while
+the version stays the same show as changed eigenvalue or `r_u` lines under
+an unchanged `basis_version` line.
+
 A sparse matrix is hashed through its data, indices and indptr, and every
 array through its dtype and shape as well as its bytes.  Takes about twenty
 seconds.
@@ -172,7 +178,7 @@ def multiscale(mesh, coarse, params, bc):
         show(f"{tag} r_p", sub.r_p)
         online(mesh, coarse, params, bc, sub, ops, tag)
     with tempfile.TemporaryDirectory() as cache:
-        gmsfem.save_space(cache, mesh, params, bc, space)
+        plain_file = gmsfem.save_space(cache, mesh, params, bc, space)
         loaded = gmsfem.load_space(cache, mesh, coarse, params, bc, m_max, False)
     show(f"ms.da={MS_DARCY:g}.m{m_max} cached.r_u", loaded.r_u)
     over = gmsfem.build_multiscale_space(
@@ -187,6 +193,11 @@ def multiscale(mesh, coarse, params, bc):
     for m in MS_SIZES:
         sub = over if m == m_max else gmsfem.resize_space(over, mesh, coarse, m)
         online(mesh, coarse, params, bc, sub, ops, f"ms.da={MS_DARCY:g}.m{m} os")
+    with tempfile.TemporaryDirectory() as cache:
+        os_file = gmsfem.save_space(cache, mesh, params, bc, over)
+    print(f"basis_version {getattr(gmsfem, 'BASIS_VERSION', None)}")
+    for kind, path in (("plain", plain_file), ("os", os_file)):
+        print(f"ms.da={MS_DARCY:g}.{kind} cache_key {pathlib.Path(path).name.split('_')[1]}")
 
 
 def online(mesh, coarse, params, bc, space, ops, tag):

@@ -34,6 +34,7 @@ Takes about 2 minutes for the nine bundles at both levels.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 import time
@@ -119,14 +120,18 @@ def main():
     from msflow.config import parse_config
     from msflow.fine_solver import run_fine
     from msflow.geometry import generate_structured_mesh
-    from msflow.parameters import preset_parameters
+    from msflow.parameters import TEST_PRESETS
 
     spec = parse_config(str(CONFIG), mode="sweep")
     mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
     print(ROW.format("run", "steps", "corrections (median)", "kept", "own", "refresh", "ms/step (range)", "total s"))
     for preset in args.preset:
         for darcy in args.darcy or spec.da_list:
-            params = preset_parameters(preset, darcy, spec.params.n_steps, spec.params.porosity)
+            reynolds, forchheimer, t_max = TEST_PRESETS[preset]
+            params = dataclasses.replace(
+                spec.params, reynolds=reynolds, forchheimer=forchheimer, darcy=darcy,
+                tau=t_max / spec.params.n_steps, t_max=None,
+            )
             bundle = f"{preset}, Da={darcy:g}"
             if "fine" in args.level:
                 observe, steps = observer()

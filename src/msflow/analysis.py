@@ -2,7 +2,7 @@
 and region statistics for qualitative checks."""
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .forms import LAMBDA_MASS
 from .geometry import FLUID, POROUS
@@ -154,17 +154,12 @@ class ErrorReport:
 
 
 def make_report(ref_state, ms_fine_velocity, ms_coarse_pressure, mesh, coarse, m, oversampled, params):
-    """Assemble the error report of one multiscale run."""
+    """Assemble the error report of one multiscale run.  Its metadata holds
+    every field of params, m and the oversampling flag."""
     e_u = error_velocity(ref_state.velocity, ms_fine_velocity, mesh)
     e_s = error_stress(ref_state.velocity, ms_fine_velocity, mesh)
     e_p = error_pressure(ref_state.pressure, ms_coarse_pressure, mesh, coarse)
-    meta = {
-        "m": int(m),
-        "oversampled": bool(oversampled),
-        "reynolds": params.reynolds,
-        "darcy": params.darcy,
-        "forchheimer": params.forchheimer,
-    }
+    meta = {**asdict(params), "m": int(m), "oversampled": bool(oversampled)}
     return ErrorReport(
         e_u=e_u,
         e_s=e_s,

@@ -52,14 +52,10 @@ def _pair_coo(rows_cells, cols_cells, blocks6):
     return rows, cols, blocks6
 
 
-def _cell_coo(local_cells, blocks6):
-    return _pair_coo(local_cells, local_cells, blocks6)
-
-
 def cell_block_matrix(patch, cells, blocks):
     """The patch's velocity matrix of scalar 3x3 blocks (n, 3, 3) on its
     local cells, the same in both components."""
-    return _collect([_cell_coo(cells, _kron2(blocks))], (patch.n_vdof, patch.n_vdof))
+    return _collect([_pair_coo(cells, cells, _kron2(blocks))], (patch.n_vdof, patch.n_vdof))
 
 
 def _collect(parts, shape):
@@ -133,7 +129,8 @@ def _diffusion_volume(patch, params):
     grad = mesh.grad[patch.cells]
     gg = np.einsum("nam,nbm->nab", grad, grad)
     blocks = _kron2((kappa * mesh.area[patch.cells])[:, None, None] * gg)
-    return _cell_coo(np.arange(patch.n_cells), blocks)
+    every = np.arange(patch.n_cells)
+    return _pair_coo(every, every, blocks)
 
 
 def _interior_edge_terms(patch, params):

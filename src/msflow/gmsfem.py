@@ -15,7 +15,7 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from zipfile import BadZipFile
 
 import numpy as np
@@ -40,6 +40,9 @@ from .saddle import (
 )
 
 S_RANK_TOL = 1e-10
+# Part of every basis-cache key: a change that moves the bits of a basis
+# bumps it, so files saved before that change miss.
+BASIS_VERSION = 1
 
 
 @dataclass
@@ -489,8 +492,9 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
 
 
 def _space_key(mesh, params, bc, oversampled):
-    """Hash of everything the bases depend on: the mesh, the parameters and,
-    through the linearization field, the boundary data."""
+    """Hash of everything the bases depend on: the mesh, every parameter
+    field, the oversampling flag, BASIS_VERSION and, through the
+    linearization field, the boundary data."""
     if bc.velocity is not None or bc.grad is not None or bc.traction is not None:
         raise ValueError("boundary data given by callables cannot key the basis cache")
     digest = hashlib.sha256()
@@ -498,20 +502,7 @@ def _space_key(mesh, params, bc, oversampled):
         digest.update(np.ascontiguousarray(arr).tobytes())
     for side in sorted(bc.sides):
         digest.update(side.encode() + np.asarray(bc.sides[side], dtype=float).tobytes())
-    digest.update(
-        repr(
-            (
-                params.reynolds,
-                params.darcy,
-                params.forchheimer,
-                params.porosity,
-                params.penalty,
-                params.tau,
-                params.n_steps,
-                bool(oversampled),
-            )
-        ).encode()
-    )
+    digest.update(repr((asdict(params), bool(oversampled), BASIS_VERSION)).encode())
     return digest.hexdigest()[:16]
 
 

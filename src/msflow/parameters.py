@@ -1,7 +1,7 @@
 """Model parameters, discrete states and boundary data."""
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geometry import SIDE_NAMES, DIRICHLET_SIDES
 
@@ -41,10 +41,7 @@ class ModelParameters:
             raise ValueError("t_max does not equal tau * n_steps")
 
     def with_darcy(self, darcy):
-        return ModelParameters(
-            self.reynolds, darcy, self.forchheimer, self.porosity,
-            self.tau, self.n_steps, self.penalty,
-        )
+        return replace(self, darcy=darcy, t_max=None)
 
 
 # Reynolds number, Forchheimer coefficient and final time of the three

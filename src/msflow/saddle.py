@@ -345,12 +345,9 @@ class SaddleSolver:
 
 
 def relative_residual(matrix, x, rhs, scale):
-    """|matrix x - rhs| / max(|rhs|, scale |x|); scale is the operator size
-    (its largest absolute row sum).  Vectors x and rhs keep numpy's
-    dot-product norm; 2-D ones give one value per column (see
-    column_residuals)."""
-    if np.ndim(x) > 1:
-        return column_residuals(matrix, x, rhs, scale)
+    """|matrix x - rhs| / max(|rhs|, scale |x|) of vectors x and rhs, with
+    numpy's dot-product norm; scale is the operator size (its largest
+    absolute row sum).  column_residuals takes one per column."""
     return _residual_ratio(matrix @ x - rhs, x, rhs, scale, axis=None)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ def make_params(**overrides):
     )
     base.update(overrides)
     return ModelParameters(**base)
+
+
+@dataclass(frozen=True)
+class WiderParameters(ModelParameters):
+    """ModelParameters with one more defaulted field, as an option that
+    changes the bases would add: code that rebuilds or keys the parameters
+    from a hand-kept list of fields drops it."""
+
+    extra: float = 0.0
 
 
 def linearized_matrices(patch, params, u_lin):

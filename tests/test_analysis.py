@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import DGState
 
 import oracles
-from conftest import desk_domain, perturbed_grid_mesh
+from conftest import desk_domain, make_params, perturbed_grid_mesh
 
 
 def small_mesh(n=2, coarse=(2, 2)):
@@ -187,6 +190,16 @@ class TestErrorReport:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             analysis.ErrorReport(float("nan"), 0.0, 0.0, 7, 6, {})
+
+    def test_metadata_holds_every_parameter_field(self, rng):
+        mesh, coarse = small_mesh()
+        params = make_params(penalty=6.0, n_steps=3)
+        ref = DGState(rng.standard_normal(6 * mesh.n_cells), rng.standard_normal(mesh.n_cells))
+        report = analysis.make_report(
+            ref, ref.velocity, np.zeros(coarse.n_cells), mesh, coarse, 3, True, params
+        )
+        meta = json.loads(json.dumps(report.metadata))
+        assert meta == {**dataclasses.asdict(params), "m": 3, "oversampled": True}
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 100))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import re
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from msflow import cli, gmsfem
+from msflow import analysis, cli, gmsfem
 from msflow.config import _KEYS, generate_inclusions, parse_config
 from msflow.errors import ConfigError
 from msflow.fine_solver import StepOperators
@@ -592,6 +593,25 @@ def test_sweep_builds_one_step_operators_per_darcy_value(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TINY_MS.format(n=2, run=run, out=tmp_path / "out"))
     assert cli.main(["sweep", "--config", str(cfg)]) == 0
     assert darcy_values == [1e-4, 1e-3]
+
+
+def test_sweep_keeps_every_field_but_the_darcy_number(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_runs(spec, mesh, coarse, params, settings, ref=None):
+        seen.append(params)
+        report = analysis.ErrorReport(0.0, 0.0, 0.0, 1, 1)
+        return ((m, oversampled, None, report) for oversampled in settings for m in spec.m_list)
+
+    monkeypatch.setattr(cli, "_multiscale_runs", fake_runs)
+    model = "[model]\nre = 3\nforchheimer = 2\nt_max = 0.4\nn_steps = 4\nda = 1e-2\ngamma = 7\n"
+    text = TINY_MS.format(n=2, run="m_list = 2 4\nda_list = 1e-4 1e-3", out=tmp_path / "out")
+    text = text.replace("[model]\npreset = test1\nn_steps = 2\nda = 1e-3\n", model)
+    spec = parse_config(str(write_config(tmp_path, text)), mode="sweep")
+    assert cli.run(spec) == 0
+    assert [p.darcy for p in seen] == [1e-4, 1e-3]
+    for params in seen:
+        assert params == dataclasses.replace(spec.params, darcy=params.darcy)
 
 
 @pytest.mark.parametrize(

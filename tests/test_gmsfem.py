@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import os
@@ -15,7 +16,7 @@ from msflow import analysis, forms, gmsfem
 from msflow.errors import ConfigError, MsflowError, SingularSystemError
 from msflow.fine_solver import StepOperators, march, ordered_step, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
-from msflow.parameters import BoundaryData
+from msflow.parameters import BoundaryData, ModelParameters
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import (
@@ -27,6 +28,7 @@ from msflow.saddle import (
 )
 
 from conftest import (
+    WiderParameters,
     assert_same_bases,
     desk_domain,
     layers,
@@ -798,6 +800,31 @@ class TestBasisCache:
         assert gmsfem.load_space(tmp_path, mesh, coarse, params, same, 3, False) is not None
         other = BoundaryData.inflow((1.0, 1.0))
         assert gmsfem.load_space(tmp_path, mesh, coarse, params, other, 3, False) is None
+
+    def test_every_parameter_field_and_the_flag_change_the_key(self):
+        mesh, _ = tiny_heterogeneous(n=2)
+        params = make_params(n_steps=1, penalty=5.0)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        keys = [gmsfem._space_key(mesh, params, bc, False), gmsfem._space_key(mesh, params, bc, True)]
+        for f in dataclasses.fields(ModelParameters):
+            if f.name == "t_max":
+                continue  # derived, tau * n_steps: it moves only with them
+            changed = dataclasses.replace(params, **{f.name: 2 * getattr(params, f.name), "t_max": None})
+            keys.append(gmsfem._space_key(mesh, changed, bc, False))
+        assert len(set(keys)) == len(keys)
+
+    def test_a_field_of_a_subclass_changes_the_key(self):
+        mesh, _ = tiny_heterogeneous(n=2)
+        bc = BoundaryData.inflow((1.0, 0.0))
+        fields = dataclasses.asdict(make_params(n_steps=1))
+        keys = {gmsfem._space_key(mesh, WiderParameters(**fields, extra=v), bc, False) for v in (0.0, 1.0)}
+        assert len(keys) == 2
+
+    def test_file_saved_under_another_basis_version_misses(self, tmp_path, monkeypatch):
+        _, args = self._saved(tmp_path)
+        assert gmsfem.load_space(*args) is not None
+        monkeypatch.setattr(gmsfem, "BASIS_VERSION", gmsfem.BASIS_VERSION + 1)
+        assert gmsfem.load_space(*args) is None
 
     def test_callable_boundary_data_cannot_key_the_cache(self, tmp_path):
         mesh, coarse = tiny_heterogeneous(n=2)

@@ -3,6 +3,8 @@ import pytest
 
 from msflow.parameters import BoundaryData, DGState, ModelParameters, preset_parameters
 
+from conftest import WiderParameters
+
 
 class TestModelParameters:
     def test_t_max_defaults_to_product(self):
@@ -63,6 +65,12 @@ class TestModelParameters:
         assert (q.reynolds, q.forchheimer, q.porosity, q.tau, q.n_steps, q.penalty) == (
             2.0, 3.0, 0.4, 0.02, 10, 6.0,
         )
+
+    def test_with_darcy_keeps_a_field_of_a_subclass(self):
+        p = WiderParameters(2.0, 1e-3, 3.0, 0.4, tau=0.02, n_steps=10, extra=7.0)
+        q = p.with_darcy(1e-5)
+        assert type(q) is WiderParameters
+        assert (q.darcy, q.extra, q.t_max) == (1e-5, 7.0, p.t_max)
 
     def test_presets(self):
         p1 = preset_parameters("test1", darcy=1e-4)

@@ -139,7 +139,7 @@ def test_relative_residual_is_per_column():
     matrix = sp.csr_matrix(rng.standard_normal((6, 6)))
     x = rng.standard_normal((6, 3))
     rhs = rng.standard_normal((6, 3))
-    rel = relative_residual(matrix, x, rhs, 2.0)
+    rel = column_residuals(matrix, x, rhs, 2.0)
     assert rel.shape == (3,)
     for j in range(3):
         one = relative_residual(matrix, x[:, j], rhs[:, j], 2.0)
