@@ -9,10 +9,13 @@ online stage (`run_multiscale`) on the plain and the oversampled space at
 every M of the config's m_list, each space built once at the largest M and
 cut to the others.  Every step's `SaddleSolver` is read through the run's
 observer.  A row gives the corrections of its steps (min-max and median),
-the steps in each of three columns, and the median, range and total of the
+the steps in each of three columns, the median, range and total of the
 time per step, from one observed step to the next (step 0 includes building
 the run's saddle and its kept factor, and an online run's step 0 on a new
-space the projected operators too).  The columns:
+space the projected operators too), and the run's total solves with a kept
+factor: the first solve and the corrections of every step that refined,
+a missed refinement's too.  Unlike the times, that count is the same on
+every run.  The columns:
 
 - kept: refined from a kept factor, the saddle's or a refreshed one
 - own: factored on its own, after a missed refinement or with no kept factor
@@ -47,12 +50,13 @@ PAPER = ROOT / "configs" / "paper_like.cfg"
 PAPER_M = 25
 PRESETS = ("test1", "test2", "test3")
 SPACES = ("plain", "oversampled")
-ROW = "{:<36}{:>5}  {:<20}{:>5}{:>5}{:>8}  {:<17}{:>7}"
+ROW = "{:<36}{:>5}  {:<20}{:>5}{:>5}{:>8}  {:<17}{:>7}{:>7}"
 
 
 def observer():
     """An observe callback for march and the list it fills: per step, the
-    corrections, the column (kept, own or refresh) and the wall time."""
+    corrections, the column (kept, own or refresh), the wall time and the
+    solves with a kept factor."""
     rows = []
     start = time.perf_counter()
     run_kept = False  # whether the run had a kept factor at step 0
@@ -67,7 +71,8 @@ def observer():
             path = "refresh"
         else:
             path = "own"
-        rows.append((solver.corrections, path, now - start))
+        solves = 1 + solver.corrections if solver.system.kept_lu is not None else 0
+        rows.append((solver.corrections, path, now - start, solves))
         start = now
 
     return observe, rows
@@ -75,7 +80,7 @@ def observer():
 
 def row(label, steps):
     """One printed line of a run's steps."""
-    corrections, paths, seconds = zip(*steps)
+    corrections, paths, seconds, solves = zip(*steps)
     corrections, paths, ms = np.array(corrections), np.array(paths), 1e3 * np.array(seconds)
     return ROW.format(
         label,
@@ -84,6 +89,7 @@ def row(label, steps):
         *(int((paths == p).sum()) for p in ("kept", "own", "refresh")),
         f"{np.median(ms):.2f} ({ms.min():.1f}-{ms.max():.0f})",
         f"{1e-3 * ms.sum():.2f}",
+        sum(solves),
     )
 
 
@@ -124,7 +130,7 @@ def main():
 
     spec = parse_config(str(CONFIG), mode="sweep")
     mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
-    print(ROW.format("run", "steps", "corrections (median)", "kept", "own", "refresh", "ms/step (range)", "total s"))
+    print(ROW.format("run", "steps", "corrections (median)", "kept", "own", "refresh", "ms/step (range)", "total s", "solves"))
     for preset in args.preset:
         for darcy in args.darcy or spec.da_list:
             reynolds, forchheimer, t_max = TEST_PRESETS[preset]

@@ -42,11 +42,12 @@ class StepOperators:
     divergence plus cell blocks: step_saddle() holds the static matrix in
     the nested-dissection cell order, step_blocks(u_lin) the convection and
     drag of each cell.  system(u_lin) adds them on a saddle built on the
-    first call and kept on ops, with the kept factor of its static matrix;
-    run_fine steps on a saddle of its own, so that its factor is freed when
-    the run ends.  From SINGLE_MIN unknowns on, a step's answer is the same
-    from either; below, run_fine may refresh its factor (see ordered_step)
-    and system() hands out the static one.
+    first call and kept on ops, with the kept factor of its static matrix,
+    and records u_lin on the system, where a refinement starts (see
+    SaddleSolver); run_fine steps on a saddle of its own, so that its factor
+    is freed when the run ends.  From SINGLE_MIN unknowns on, a step's
+    answer is the same from either; below, run_fine may refresh its factor
+    (see ordered_step) and system() hands out the static one.
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.
 
@@ -106,7 +107,7 @@ class StepOperators:
             upper = self.mass + self.viscous + self.darcy
             return SaddleSystem(saddle_matrix(upper, self.div), self.f_u, self.f_p)
         saddle = self._saddle
-        return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p)
+        return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p, u_lin)
 
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""
@@ -115,7 +116,8 @@ class StepOperators:
 
 def ordered_step(saddle, blocks, f_p):
     """march's step_solve on a CellOrderedSaddle: the step from u solves the
-    system of values saddle.static + blocks(u) with the loads (rhs_u, f_p).
+    system of values saddle.static + blocks(u), linearized at u, with the
+    loads (rhs_u, f_p).
 
     Below SINGLE_MIN unknowns, where the saddle's kept factor is float64,
     the run refreshes the factor it refines from.  A step that missed leaves
@@ -129,7 +131,7 @@ def ordered_step(saddle, blocks, f_p):
 
     def step_solve(u, rhs_u):
         nonlocal refreshed, due
-        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p)
+        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p, u)
         refreshes = system.kept_lu is not None and len(saddle.perm) < SINGLE_MIN
         if refreshes and (due or refreshed is not None):
             system.kept_lu = None if due else refreshed

@@ -412,6 +412,15 @@ class _OnlineOperators:
     nonlinear: _NonlinearBlocks
 
 
+def _project_blocks(r_u, m, matrix):
+    """r_u matrix r_u^T in canonical CSR form, multiplied in BSR blocks: a
+    coarse cell's m basis rows by a fine cell's 6 velocity DOFs."""
+    r = r_u.tobsr((m, 6))
+    product = (r @ matrix.tobsr((6, 6)) @ r.T).tocsr()
+    product.sort_indices()
+    return product
+
+
 def _online_operators(space, mesh, coarse, params, ops):
     """The online operators of a space, read from its root's record.
 
@@ -419,19 +428,17 @@ def _online_operators(space, mesh, coarse, params, ops):
     the first run_multiscale of the root or any slice of it, and rebuilt
     when a call brings other step operators (compared by identity) or other
     parameters (by value).  A size m reads the first m basis rows of every
-    coarse cell from it; the static blocks so read equal the products of the
-    sliced projection bit for bit.
+    coarse cell from it; the static blocks so read equal _project_blocks of
+    the sliced projection bit for bit.
     """
     root = space.root or space
     # Concurrent first calls may each build a record; either one is valid.
     record = root.online
     if record is None or record[0] is not ops or record[1] != params:
         r_u, r_p = root.r_u, root.r_p
-        mass = (r_u @ ops.mass @ r_u.T).tocsr()
-        upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
         full = _OnlineOperators(
-            mass=mass,
-            upper=upper,
+            mass=_project_blocks(r_u, root.m, ops.mass),
+            upper=_project_blocks(r_u, root.m, ops.mass + ops.viscous + ops.darcy),
             div=(r_p @ ops.div @ r_u.T).tocsr(),
             f_u=r_u @ ops.f_u,
             f_p=r_p @ ops.f_p,

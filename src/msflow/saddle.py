@@ -48,6 +48,8 @@ class SaddleSystem:
     f_u/f_p are the right-hand sides in S's order.  kept_lu is the factor
     that SaddleSolver refines the system's solves from (see
     CellOrderedSaddle.kept_lu and fine_solver.ordered_step), or None.
+    u_lin is the velocity the step was linearized at, or None: a refinement
+    from kept_lu starts from (u_lin, 0) (see SaddleSolver).
     """
 
     matrix: sp.spmatrix
@@ -55,6 +57,7 @@ class SaddleSystem:
     f_p: np.ndarray
     perm: np.ndarray = None
     kept_lu: object = None
+    u_lin: np.ndarray = None
 
     def __post_init__(self):
         n = len(self.f_u) + len(self.f_p)
@@ -218,14 +221,15 @@ class CellOrderedSaddle:
         except RuntimeError:  # singular
             return None
 
-    def system(self, values, f_u, f_p):
+    def system(self, values, f_u, f_p, u_lin=None):
         """The ordered system with values at the entries (rows, cols), and
-        the static values everywhere else."""
+        the static values everywhere else, linearized at the velocity u_lin
+        (see SaddleSystem)."""
         kept_lu, pattern = self.kept_lu, self.pattern
         data = pattern.data.copy()
         data[self.pos] = values
         matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu)
+        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu, u_lin)
 
 
 class SaddleSolver:
@@ -239,13 +243,18 @@ class SaddleSolver:
     solution are permuted around the triangular solves.
 
     A system with kept_lu (see CellOrderedSaddle) is solved with no factor
-    of its own: a solution y of kept_lu, in the factor's precision (float32
-    from SINGLE_MIN unknowns on, float64 below), is refined by
-    y -= LU^-1 (A y - rhs), with A and the residual in float64, until the
-    relative residual reaches REFINE_TARGET.  On a miss (see
-    KEPT_MAX) the solver makes its float64 factor, which solves that
-    right-hand side and every later one directly.  A system without kept_lu
-    gets its float64 factor at once.
+    of its own: y = x0 - LU^-1 (A x0 - rhs), a solve of kept_lu in its
+    precision (float32 from SINGLE_MIN unknowns on, float64 below), is
+    refined by y -= LU^-1 (A y - rhs), with A and the residual in float64,
+    until the relative residual reaches REFINE_TARGET.  x0 is (u_lin, 0),
+    and every column of a batch starts from it.  The step's convection and
+    drag E have no pressure columns, so the first error is S^-1 E applied
+    to one time step's change of the velocity, u - u_lin, rather than to u
+    (S the static matrix of kept_lu).  With no u_lin, x0 is 0 and y is
+    LU^-1 rhs bit for bit.
+    On a miss (see KEPT_MAX) the solver makes its float64 factor, which
+    solves that right-hand side and every later one directly.  A system
+    without kept_lu gets its float64 factor at once.
 
     kept tells whether the kept factor served the last solve, corrections
     counts the corrections of the last solve (a missed refinement's too),
@@ -327,7 +336,14 @@ class SaddleSolver:
         correction that did not halve the largest residual, or KEPT_MAX
         corrections short of the target."""
         precision = np.float32 if len(rhs) >= SINGLE_MIN else float
-        y = self.lu.solve(rhs.astype(precision, copy=False)).astype(float, copy=False)
+        system = self.system
+        u_lin = np.zeros(len(system.f_u)) if system.u_lin is None else system.u_lin
+        x0 = np.concatenate([u_lin, np.zeros(len(system.f_p))])
+        x0 = x0 if self.perm is None else x0[self.perm]
+        start = self.matrix @ x0
+        if rhs.ndim == 2:
+            x0, start = x0[:, None], start[:, None]
+        y = x0 - self.lu.solve((start - rhs).astype(precision, copy=False))
         last = np.inf
         for k in range(KEPT_MAX + 1):
             if not np.all(np.isfinite(y)):

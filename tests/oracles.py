@@ -19,8 +19,9 @@ step matrix: the convection and Forchheimer blocks as CSR matrices
 fancy-index permutation into the nested-dissection cell order, and a
 SuperLU factor in that order (from saddle.KEPT_MIN unknowns on, a kept
 factor of the step-0 matrix with float64 refinement, float32 from
-SINGLE_MIN on; on a miss, the float64 factor; block_run_fine applies the
-run's refresh rule below SINGLE_MIN).  That order comes from a copy of the recursion written
+SINGLE_MIN on, starting from the step's own linearization point; on a
+miss, the float64 factor; block_run_fine applies the run's refresh rule
+below SINGLE_MIN).  That order comes from a copy of the recursion written
 for a patch (its interior-edge graph, leaves of 8 cells), the reference for
 the package's general nested_dissection_order.
 
@@ -422,8 +423,10 @@ def block_step(ops, u_lin, rhs_u, lu):
     """The block-assembled step solved from the factor lu, or directly when
     lu is None; returns (u, p, corrections, own).
 
-    A solution y of lu, in its precision (float32 from saddle.SINGLE_MIN
-    unknowns on, float64 below), is refined in float64 by
+    The start is x0 = (u_lin, 0) in the permuted order, and
+    y = x0 - LU^-1 (A x0 - rhs) its first solve with lu, in lu's precision
+    (float32 from saddle.SINGLE_MIN unknowns on, float64 below).  y is
+    refined in float64 by
     y -= LU^-1 (A y - rhs) until |A y - rhs| / max(|rhs|, s |y|) <=
     REFINE_TARGET, s being the largest absolute row sum of A, for up to
     KEPT_MAX corrections that each halve the residual.  On a miss, or with
@@ -436,7 +439,8 @@ def block_step(ops, u_lin, rhs_u, lu):
     y, corrections, own = None, 0, None
     if lu is not None:
         scale = abs(matrix).sum(axis=1).max()
-        y, corrections = _refined(matrix, lu, rhs, scale)
+        x0 = np.concatenate([u_lin, np.zeros(ops.patch.n_pdof)])[perm][:, None]
+        y, corrections = _refined(matrix, lu, rhs, scale, x0)
     if y is None:
         own = spla.splu(matrix, **_ORDERED)
         y = own.solve(rhs)
@@ -453,13 +457,13 @@ def block_step_solve(ops, u_lin, rhs_u):
     return u, p
 
 
-def _refined(matrix, lu, rhs, scale):
-    """The solution of lu refined to REFINE_TARGET on matrix, or None when
-    a correction does not halve the relative residual or KEPT_MAX
-    corrections leave it short; and the corrections made."""
+def _refined(matrix, lu, rhs, scale, x0):
+    """The solution of lu refined to REFINE_TARGET on matrix from the start
+    x0, or None when a correction does not halve the relative residual or
+    KEPT_MAX corrections leave it short; and the corrections made."""
     norm = np.linalg.norm
     precision = np.float32 if matrix.shape[0] >= SINGLE_MIN else float
-    y = lu.solve(rhs.astype(precision)).astype(float)
+    y = x0 - lu.solve((matrix @ x0 - rhs).astype(precision))
     last = np.inf
     for k in range(KEPT_MAX + 1):
         resid = matrix @ y - rhs

@@ -460,14 +460,30 @@ class TestOnlineStage:
         small = gmsfem.resize_space(space, mesh, coarse, 2)
         online = gmsfem._online_operators(small, mesh, coarse, params, ops)
         r_u, r_p = small.r_u, small.r_p
-        mass = (r_u @ ops.mass @ r_u.T).tocsr()
-        upper = mass + (r_u @ ops.viscous @ r_u.T).tocsr() + (r_u @ ops.darcy @ r_u.T).tocsr()
+        # the root record projects in BSR blocks, a coarse cell's rows by a
+        # fine cell's six velocity DOFs; its slice equals that projection of
+        # the sliced space bit for bit
+        blocks = r_u.tobsr((2, 6))
+
+        def projected(matrix):
+            product = (blocks @ matrix.tobsr((6, 6)) @ blocks.T).tocsr()
+            product.sort_indices()
+            return product
+
+        mass = projected(ops.mass)
+        upper = projected(ops.mass + ops.viscous + ops.darcy)
         div = (r_p @ ops.div @ r_u.T).tocsr()
         for got, want in ((online.mass, mass), (online.upper, upper), (online.div, div)):
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
         assert np.array_equal(online.f_u, r_u @ ops.f_u)
         assert np.array_equal(online.f_p, r_p @ ops.f_p)
+        # and it is the CSR triple products up to roundoff
+        csr_mass = r_u @ ops.mass @ r_u.T
+        csr_upper = csr_mass + r_u @ ops.viscous @ r_u.T + r_u @ ops.darcy @ r_u.T
+        for got, want in ((online.mass, csr_mass), (online.upper, csr_upper)):
+            want = want.toarray()
+            assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_cached_space_runs_like_the_built_space(self, tmp_path):
         mesh, coarse = tiny_heterogeneous(n=2)

@@ -17,6 +17,7 @@ from msflow.parameters import BoundaryData, preset_parameters
 from msflow.saddle import (
     KEPT_MAX,
     KEPT_MIN,
+    REFINE_TARGET,
     RESIDUAL_TOL,
     SINGLE_MIN,
     CellOrderedSaddle,
@@ -364,6 +365,28 @@ def test_large_ordered_step_is_refined_from_a_float32_factor():
     assert rel <= 1e-16
     want = _ordered_direct(system.matrix, system.perm, np.concatenate([rhs_u, system.f_p]))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_a_step_refined_from_its_linearization_point_takes_fewer_corrections():
+    # desk test1 at Da=1e-3, step 20: the layers differ by one time step's
+    # change by then, so the refinement that starts from (u_lin, 0) takes
+    # fewer corrections than the same system refined from LU^-1 rhs; both
+    # answers are the float64 direct one
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops = StepOperators(mesh, preset_parameters("test1", 1e-3), BoundaryData.inflow((1.0, 0.0)))
+    u = np.zeros(ops.patch.n_vdof)
+    for _ in range(20):
+        u, _ = SaddleSolver(ops.system(u)).solve(ops.mass @ u + ops.f_u, ops.f_p)
+    system = ops.system(u)
+    assert system.u_lin is u and system.matrix.shape[0] >= SINGLE_MIN
+    rhs = np.concatenate([ops.mass @ u + ops.f_u, ops.f_p])
+    want = _ordered_direct(system.matrix, system.perm, rhs)
+    solvers = [SaddleSolver(system), SaddleSolver(dataclasses.replace(system, u_lin=None))]
+    for solver in solvers:
+        got, rel = solver.solve_stacked(rhs)
+        assert solver.kept and rel <= REFINE_TARGET
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert solvers[0].corrections < solvers[1].corrections
 
 
 def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
