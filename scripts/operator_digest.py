@@ -43,18 +43,25 @@ the version stays the same show as changed eigenvalue or `r_u` lines under
 an unchanged `basis_version` line.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
-array through its dtype and shape as well as its bytes.  Takes about twenty
-seconds.
+array through its dtype and shape as well as its bytes.  Every thread pool
+is pinned to one thread before numpy loads, as perfbench/run.py does: the
+oversampled eigenvalues and everything after them depend on the BLAS thread
+count, so two shells would otherwise print other hashes for the same code.
+Takes about twenty seconds.
 """
 
 import dataclasses
 import hashlib
+import os
 import pathlib
 import sys
 import tempfile
 
-import numpy as np
-import scipy.sparse as sp
+THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(THREADS, "1"))
+
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))

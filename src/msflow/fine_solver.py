@@ -21,8 +21,8 @@ from .saddle import (
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    permuted_saddle,
     relative_residual,
-    saddle_matrix,
 )
 
 
@@ -105,7 +105,8 @@ class StepOperators:
     def system(self, u_lin=None):
         if u_lin is None:
             upper = self.mass + self.viscous + self.darcy
-            return SaddleSystem(saddle_matrix(upper, self.div), self.f_u, self.f_p)
+            matrix = permuted_saddle(upper, self.div, np.arange(len(self.f_u) + len(self.f_p)))
+            return SaddleSystem(matrix, self.f_u, self.f_p)
         saddle = self._saddle
         return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p, u_lin)
 

@@ -35,8 +35,8 @@ from .saddle import (
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    permuted_saddle,
     relative_residual,
-    saddle_matrix,
 )
 
 S_RANK_TOL = 1e-10
@@ -141,7 +141,8 @@ def build_snapshots(mesh, coarse, params, i, oversampled, u_lin):
     every = np.arange(patch.n_cells)
     a = forms.viscous_block(patch, params) + forms.cell_block_matrix(patch, every, convection)
     d = forms.darcy_block(patch, params) + forms.cell_block_matrix(patch, porous, drag)
-    matrix = saddle_matrix(a + d, forms.assemble_divergence(patch), pin=True)
+    identity = np.arange(patch.n_vdof + patch.n_pdof)
+    matrix = permuted_saddle(a + d, forms.assemble_divergence(patch), identity, pin=True)
     rhs = _delta_rhs_batch(patch, params)
     rhs[patch.n_vdof] = 0.0  # the pinned row
     try:

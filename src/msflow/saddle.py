@@ -42,9 +42,10 @@ class SaddleSystem:
     """One saddle system: its matrix and right-hand sides.
 
     With perm None, matrix is S = [[M+A+D, B^T], [B, 0]], or S pinned, as
-    saddle_matrix builds it: velocity DOFs first and pressure DOFs after
-    them; SaddleSolver orders it by COLAMD.  Otherwise matrix is P S P^T in
-    CSC form, already in factor order: row i of matrix is row perm[i] of S.
+    permuted_saddle builds it at the identity position: velocity DOFs first
+    and pressure DOFs after them; SaddleSolver orders it by COLAMD.
+    Otherwise matrix is P S P^T in CSC form, already in factor order: row i
+    of matrix is row perm[i] of S.
     f_u/f_p are the right-hand sides in S's order.  kept_lu is the factor
     that SaddleSolver refines the system's solves from (see
     CellOrderedSaddle.kept_lu and fine_solver.ordered_step), or None.
@@ -65,33 +66,27 @@ class SaddleSystem:
             raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
 
 
-def saddle_matrix(upper, div, pin=False):
-    """The CSC saddle matrix [[upper, div^T], [div, 0]].  pin replaces the
-    first continuity row by the pin p_0 = rhs_p[0], which the local snapshot
-    problems use: their continuity data is compatible, so the caller sets
-    that row of rhs_p to zero."""
-    lower, corner = div, None
-    if pin:
-        lower = div.tolil(copy=True)
-        lower[0, :] = 0.0
-        corner = sp.coo_matrix(([1.0], ([0], [0])), shape=(div.shape[0],) * 2)
-    return sp.bmat([[upper, div.T], [lower, corner]], format="csc")
-
-
-def permuted_saddle(upper, div, position):
-    """The canonical CSC matrix P S P^T of S = saddle_matrix(upper, div):
-    row and column position[g] of it are row and column g of S.
+def permuted_saddle(upper, div, position, pin=False):
+    """The canonical CSC matrix P S P^T of S = [[upper, div^T], [div, 0]]:
+    row and column position[g] of it are row and column g of S.  pin
+    replaces the first continuity row of S by the pin p_0 = rhs_p[0], which
+    the local snapshot problems use: their continuity data is compatible,
+    so the caller sets that row of rhs_p to zero.
 
     Each column is copied straight from the blocks, a velocity column g
-    from column g of upper and of div, a pressure column p from row p of
-    div, so S, its triplets and a permuted copy are never formed.  A CSC
-    upper is used as it is.
+    from column g of upper and of div (rows 1.. of div with pin), a
+    pressure column p from row p of div (and the pin's 1 in column 0), so
+    S, its triplets and a permuted copy are never formed.  Every stored
+    entry of the blocks stays stored, explicit zeros included: COLAMD
+    orders an unpermuted S on its pattern.  A CSC upper is used as it is.
     """
-    n_u = upper.shape[0]
-    n = n_u + div.shape[0]
-    upper, div_cols, div_rows = upper.tocsc(), div.tocsc(), div.tocsr()
-    in_upper = np.diff(upper.indptr)
-    counts = np.concatenate([in_upper + np.diff(div_cols.indptr), np.diff(div_rows.indptr)])
+    n_u, n_p = upper.shape[0], div.shape[0]
+    n = n_u + n_p
+    upper, div_rows = upper.tocsc(), div.tocsr()
+    lower = (div_rows[1:] if pin else div_rows).tocsc()
+    corner = sp.csc_matrix(([1.0], ([0], [0])) if pin else (1, n_p), shape=(1, n_p))
+    in_upper, in_div = np.diff(upper.indptr), np.diff(div_rows.indptr)
+    counts = np.concatenate([in_upper + np.diff(lower.indptr), in_div + np.diff(corner.indptr)])
     nnz = int(counts.sum())
     index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
     position = position.astype(index)
@@ -100,7 +95,12 @@ def permuted_saddle(upper, div, position):
     np.cumsum(indptr, out=indptr)
     start = indptr[position]  # where column g of S starts
     data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
-    parts = ((upper, start[:n_u], 0), (div_cols, start[:n_u] + in_upper, n_u), (div_rows, start[n_u:], 0))
+    parts = (
+        (upper, start[:n_u], 0),
+        (lower, start[:n_u] + in_upper, n_u + 1 if pin else n_u),
+        (div_rows, start[n_u:], 0),
+        (corner, start[n_u:] + in_div, n_u),
+    )
     for block, first, row_offset in parts:
         dest = np.repeat(first - block.indptr[:-1], np.diff(block.indptr))
         dest += np.arange(block.nnz, dtype=dest.dtype)
@@ -128,35 +128,6 @@ def _locate(matrix, rows, cols):
     return found, stored
 
 
-def merged_pattern(matrix, rows, cols):
-    """The CSC pattern of matrix extended by the entries (rows, cols).
-
-    Returns the extended matrix, canonical (sorted, without duplicates) and
-    holding matrix's values with zeros at the added entries, and the data
-    positions of (rows, cols) in it, in the broadcast shape of rows and cols.
-    A CSC input is canonicalized in place, and is itself the result when
-    every entry is stored already.
-    """
-    matrix = matrix.tocsc()
-    matrix.sum_duplicates()
-    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
-    found, stored = _locate(matrix, rows, cols)
-    if stored.all():
-        return matrix, found.astype(matrix.indices.dtype)
-    n_rows, n_cols = matrix.shape
-    keys = np.repeat(np.arange(n_cols, dtype=np.int64), np.diff(matrix.indptr))
-    keys = keys * n_rows + matrix.indices
-    wanted = cols.astype(np.int64) * n_rows + rows
-    # Sorted unique keys; np.union1d hashes them, which is far slower here.
-    merged = np.sort(np.concatenate([keys, wanted.ravel()]), kind="stable")
-    merged = merged[np.append(True, merged[1:] != merged[:-1])]
-    data = np.zeros(len(merged))
-    data[np.searchsorted(merged, keys)] = matrix.data
-    indptr = np.searchsorted(merged // n_rows, np.arange(n_cols + 1))
-    extended = sp.csc_matrix((data, merged % n_rows, indptr), shape=matrix.shape)
-    return extended, np.searchsorted(merged, wanted).astype(extended.indices.dtype)
-
-
 class CellOrderedSaddle:
     """The saddle matrix [[upper, div^T], [div, 0]] in a cell order, kept in
     CSC form with a pattern fixed for its lifetime.  This static matrix is
@@ -166,8 +137,8 @@ class CellOrderedSaddle:
     perm lists each cell in order as its k = upper.shape[0] // len(order)
     velocity unknowns followed by its pressure unknown, so SaddleSolver
     factors the matrix as it stands, with diagonal pivots.  The pattern is
-    extended by the entries (rows, cols) of the unpermuted numbering (see
-    merged_pattern), at the data positions pos.
+    that of permuted_saddle, and the entries (rows, cols) of the unpermuted
+    numbering, found at the data positions pos, must be stored in it.
 
     From KEPT_MIN unknowns on, every system carries kept_lu, a factor of
     the static matrix (pattern), made on the first system() call and held
@@ -188,8 +159,11 @@ class CellOrderedSaddle:
             raise ValueError("perm is not a permutation: order must list every cell once")
         position = np.empty_like(self.perm)
         position[self.perm] = np.arange(len(self.perm))
-        static = permuted_saddle(upper, div, position)
-        self.pattern, self.pos = merged_pattern(static, position[rows], position[cols])
+        self.pattern = permuted_saddle(upper, div, position)
+        rows, cols = np.broadcast_arrays(position[rows], position[cols])
+        self.pos, stored = _locate(self.pattern, rows, cols)
+        if not stored.all():
+            raise ValueError(f"{np.count_nonzero(~stored)} step entries are not stored in the pattern")
 
     @cached_property
     def static(self):

@@ -5,10 +5,11 @@ triangles are integrated with a tensor Gauss rule under a Duffy transform,
 edges with high-order Gauss-Legendre, and P1 fields are evaluated by solving
 the 3x3 vertex interpolation system per cell.
 
-Five more references pin faster package code to the same bits, so they
+Six more references pin faster package code to the same bits, so they
 follow its arithmetic rather than avoid it: loop_edge_topology (the edge
 arrays, one edge at a time), concatenated_csr (the sparse assembly, from
-concatenated triplet copies), einsum_convection_blocks (the convection
+concatenated triplet copies), saddle_matrix (the saddle matrix, pinned or
+not, from sp.bmat and a LIL row edit), einsum_convection_blocks (the convection
 cell blocks as einsum contractions), repeated_weight_blocks (the online drag
 blocks, through np.repeat) and add_at_vtk_text (the VTK text, one value and
 one np.add.at at a time).
@@ -39,7 +40,7 @@ from msflow.errors import MeshFormatError
 from msflow.geometry import BOTTOM, INTERIOR, LEFT, POROUS, RIGHT, TOP
 from msflow.patches import bisect_cells, coarse_cell_patch
 from msflow.quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
-from msflow.saddle import KEPT_MAX, KEPT_MIN, REFINE_TARGET, REFRESH_AFTER, SINGLE_MIN, saddle_matrix
+from msflow.saddle import KEPT_MAX, KEPT_MIN, REFINE_TARGET, REFRESH_AFTER, SINGLE_MIN
 
 from conftest import linearized_matrices
 
@@ -119,6 +120,19 @@ def concatenated_csr(parts, shape):
     cols = np.concatenate(cols) if parts else np.empty(0, dtype=np.int64)
     vals = np.concatenate(vals) if parts else np.empty(0)
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def saddle_matrix(upper, div, pin=False):
+    """Reference for saddle.permuted_saddle at the identity position: the
+    CSC saddle matrix [[upper, div^T], [div, 0]] from sp.bmat.  pin replaces
+    the first continuity row by the pin p_0, deleting that row of div in a
+    LIL copy and adding a 1 in the pressure corner."""
+    lower, corner = div, None
+    if pin:
+        lower = div.tolil(copy=True)
+        lower[0, :] = 0.0
+        corner = sp.coo_matrix(([1.0], ([0], [0])), shape=(div.shape[0],) * 2)
+    return sp.bmat([[upper, div.T], [lower, corner]], format="csc")
 
 
 def einsum_convection_blocks(mesh, params, cells, coefs):

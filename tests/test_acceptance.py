@@ -18,7 +18,7 @@ from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.patches import coarse_cell_patch, full_patch
-from msflow.saddle import REFRESH_AFTER, SaddleSolver, SaddleSystem, saddle_matrix
+from msflow.saddle import REFRESH_AFTER, SaddleSolver, SaddleSystem
 
 from conftest import desk_domain, linearized_matrices, make_params, random_rect_two_cells
 
@@ -186,7 +186,7 @@ def test_criterion_2_manufactured_convergence():
         dom = DomainSpec(bbox=(0, 0, 1, 1))
         mesh, _ = generate_structured_mesh(dom, n, (1, 1))
         patch = full_patch(mesh)
-        matrix = saddle_matrix(forms.viscous_block(patch, params), forms.assemble_divergence(patch))
+        matrix = oracles.saddle_matrix(forms.viscous_block(patch, params), forms.assemble_divergence(patch))
         f_u, f_p = forms.assemble_rhs(patch, params, bc, forcing=forcing)
         u, _ = SaddleSolver(SaddleSystem(matrix, f_u, f_p)).solve()
         from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
@@ -291,6 +291,29 @@ def test_online_steps_refine_from_the_static_factor(rig, monkeypatch):
     assert len(steps) == 50 and not any(kept or corrections for kept, corrections, _ in steps)
     for got, want in ((refined.velocity, factored.velocity), (refined.pressure, factored.pressure)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_every_desk_saddle_stores_its_step_entries(rig, monkeypatch):
+    """A CellOrderedSaddle locates its step entries in its static matrix and
+    raises for one that is not stored, so the program's saddles must store
+    them all: the desk fine step saddle, and the coarse saddles that
+    run_multiscale builds for the plain M=16 space and its M=8 slice."""
+    darcy = 1e-3
+    built = []
+
+    class Recorded(saddle.CellOrderedSaddle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(gmsfem, "CellOrderedSaddle", Recorded)
+    fine = rig.ops(darcy).step_saddle()
+    space = rig.space(darcy, False)
+    for m in (16, 8):
+        sized = space if m == space.m else gmsfem.resize_space(space, rig.mesh, rig.coarse, m)
+        gmsfem.run_multiscale(rig.mesh, rig.coarse, rig.params(darcy), rig.bc, space=sized, ops=rig.ops(darcy))
+    n = rig.coarse.n_cells
+    assert [len(s.perm) for s in (fine, *built)] == [7 * rig.mesh.n_cells, 17 * n, 9 * n]
 
 
 def test_criterion_6_spectral_suite(rig):

@@ -141,7 +141,7 @@ def test_boundary_trace_convergence():
     # weakly imposed Poiseuille inflow (force-free exact Stokes solution):
     # the L2 boundary mismatch decays at first order or better
     from msflow.quadrature import EDGE_G2_S, EDGE_G2_W
-    from msflow.saddle import SaddleSolver, SaddleSystem, saddle_matrix
+    from msflow.saddle import SaddleSolver, SaddleSystem
 
     def profile(p):
         p = np.atleast_2d(p)
@@ -152,7 +152,7 @@ def test_boundary_trace_convergence():
     for n in (4, 8, 16):
         mesh, _, params = small_channel(n=n, nx=1, ny=1)
         patch = full_patch(mesh)
-        matrix = saddle_matrix(forms.viscous_block(patch, params), forms.assemble_divergence(patch))
+        matrix = oracles.saddle_matrix(forms.viscous_block(patch, params), forms.assemble_divergence(patch))
         f_u, f_p = forms.assemble_rhs(patch, params, bc)
         u, _ = SaddleSolver(SaddleSystem(matrix, f_u, f_p)).solve()
         coefs = u.reshape(mesh.n_cells, 3, 2)

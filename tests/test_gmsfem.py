@@ -24,7 +24,6 @@ from msflow.saddle import (
     SaddleSolver,
     SaddleSystem,
     column_residuals,
-    saddle_matrix,
 )
 
 from conftest import (
@@ -40,9 +39,11 @@ from conftest import (
 
 def coarse_saddle(upper, b_h, order):
     """The ordered coarse saddle with a dense m x m block per coarse cell,
-    as run_multiscale builds it."""
+    as run_multiscale builds it; upper stores every entry of those blocks,
+    as gmsfem._project_blocks does."""
     n = len(order)
     m = upper.shape[0] // n
+    upper = sp.bsr_matrix(upper, blocksize=(m, m)).tocsr()
     base = m * np.arange(n)[:, None, None]
     rows = base + np.arange(m)[None, :, None]
     cols = base + np.arange(m)[None, None, :]
@@ -90,7 +91,7 @@ def local_system(params, patch, u_lin):
     """The pinned snapshot system of a patch with zero loads; the caller
     zeroes the pinned row of every continuity load it solves for."""
     b = forms.assemble_divergence(patch)
-    matrix = saddle_matrix(local_upper(params, patch, u_lin), b, pin=True)
+    matrix = oracles.saddle_matrix(local_upper(params, patch, u_lin), b, pin=True)
     return SaddleSystem(matrix, np.zeros(patch.n_vdof), np.zeros(patch.n_pdof))
 
 

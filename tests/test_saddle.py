@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from msflow import analysis, forms, saddle
+from msflow import analysis, forms, gmsfem, saddle
 from msflow.config import parse_config
 from msflow.errors import SingularSystemError
 from msflow.fine_solver import StepOperators
@@ -24,12 +24,11 @@ from msflow.saddle import (
     SaddleSolver,
     SaddleSystem,
     column_residuals,
-    merged_pattern,
     relative_residual,
-    saddle_matrix,
 )
 
 from conftest import desk_domain, linearized_matrices, make_params, tiny_heterogeneous
+from oracles import saddle_matrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -94,9 +93,8 @@ def test_singular_system_reported_after_the_float32_factor(monkeypatch):
     monkeypatch.setattr(saddle, "KEPT_MIN", 1)
     n = 3
     diagonal = np.arange(n)
-    ordered = CellOrderedSaddle(
-        sp.csr_matrix((n, n)), sp.csr_matrix((1, n)), np.arange(1), diagonal, diagonal
-    )
+    zeros = sp.csr_matrix((np.zeros(n), (diagonal, diagonal)), shape=(n, n))  # stored
+    ordered = CellOrderedSaddle(zeros, sp.csr_matrix((1, n)), np.arange(1), diagonal, diagonal)
     assert ordered.kept_lu is None
     system = ordered.system(np.zeros(n), np.ones(n), np.zeros(1))
     with pytest.raises(SingularSystemError, match="factorization failed"):
@@ -117,6 +115,8 @@ def test_shape_validation():
     eye = sp.identity(n, format="csr")
     with pytest.raises(ValueError):  # the divergence does not fit the velocity block
         saddle_matrix(eye, sp.csr_matrix((2, n + 1)))
+    with pytest.raises(ValueError):
+        saddle.permuted_saddle(eye, sp.csr_matrix((2, n + 1)), np.arange(n + 2))
     with pytest.raises(ValueError, match="matrix shape"):
         SaddleSystem(saddle_matrix(eye, sp.csr_matrix((2, n))), np.zeros(n), np.zeros(3))
 
@@ -152,43 +152,58 @@ def test_relative_residual_is_per_column():
     assert relative_residual(matrix, np.zeros(6), np.zeros(6), 1.0) == 0.0
 
 
-@pytest.mark.parametrize("extra", [True, False], ids=["new_entries", "stored_entries"])
+@pytest.mark.parametrize("extra", [False, True], ids=["stored_entries", "new_entries"])
 def test_merged_pattern_keeps_values_and_finds_entries(extra):
+    # a saddle keeps the static matrix as its pattern and points pos at its
+    # step entries; an entry the static matrix does not store is an error
     rng = np.random.default_rng(4)
-    matrix = sp.random(9, 7, density=0.3, format="csc", random_state=rng)
-    stored = matrix.tocoo()
-    rows, cols = stored.row[:5], stored.col[:5]
+    n_u, n_p = 9, 3
+    upper = sp.random(n_u, n_u, density=0.3, format="csc", random_state=rng)
+    div = sp.random(n_p, n_u, density=0.4, format="csr", random_state=rng)
+    order = rng.permutation(n_p)
+    static = saddle_matrix(upper, div).toarray()
+    rows, cols = np.nonzero(upper.toarray())
     if extra:
-        missing = np.argwhere(matrix.toarray() == 0)[:4]
-        rows = np.concatenate([rows, missing[:, 0], missing[:1, 0]])  # one added twice
+        missing = np.argwhere(static[:n_u, :n_u] == 0)[:4]
+        rows = np.concatenate([rows, missing[:, 0], missing[:1, 0]])  # one asked twice
         cols = np.concatenate([cols, missing[:, 1], missing[:1, 1]])
-    merged, pos = merged_pattern(matrix, rows, cols)
-    assert (merged is matrix) == (not extra)  # no copy when every entry is stored
-    assert merged.has_canonical_format
-    assert np.array_equal(merged.toarray(), matrix.toarray())
-    assert merged.nnz == matrix.nnz + (4 if extra else 0)
-    keys = np.repeat(np.arange(7), np.diff(merged.indptr)) * 9 + merged.indices
-    assert np.array_equal(keys[pos], cols * 9 + rows)
+        with pytest.raises(ValueError, match="^5 step entries are not stored"):
+            CellOrderedSaddle(upper, div, order, rows, cols)
+        return
+    ordered = CellOrderedSaddle(upper, div, order, rows, cols)
+    pattern, perm = ordered.pattern, ordered.perm
+    assert pattern.has_canonical_format
+    assert np.array_equal(pattern.toarray(), static[perm][:, perm])
+    keys = np.repeat(np.arange(len(perm)), np.diff(pattern.indptr)) * len(perm) + pattern.indices
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm))
+    assert np.array_equal(keys[ordered.pos], position[cols] * len(perm) + position[rows])
+    assert np.array_equal(ordered.static, static[rows, cols])
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
 def test_permuted_saddle_equals_the_permuted_saddle_matrix(fmt):
-    # an unsymmetric upper and a div with explicit zeros, which stay stored
+    # an unsymmetric upper and a div with explicit zeros, which stay stored;
+    # pinned, row 0 of div leaves the velocity columns, its zeros too.  At
+    # the identity position and at a random one, plain and pinned.
     rng = np.random.default_rng(7)
     n_u, n_p = 12, 5
     upper = sp.random(n_u, n_u, density=0.3, format=fmt, random_state=rng)
     div = sp.random(n_p, n_u, density=0.4, format="csr", random_state=rng)
     div.data[::3] = 0.0
-    perm = rng.permutation(n_u + n_p)
-    position = np.empty_like(perm)
-    position[perm] = np.arange(len(perm))
-    got = saddle.permuted_saddle(upper, div, position)
-    want = saddle_matrix(upper, div)[perm][:, perm]
-    want.sort_indices()
-    assert got.format == "csc" and got.has_canonical_format
-    for part in ("data", "indices", "indptr"):
-        a, b = getattr(got, part), getattr(want, part)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+    assert not div[0].data.all()  # the pinned row stores a zero
+    for perm in (np.arange(n_u + n_p), rng.permutation(n_u + n_p)):
+        position = np.empty_like(perm)
+        position[perm] = np.arange(len(perm))
+        for pin in (False, True):
+            got = saddle.permuted_saddle(upper, div, position, pin=pin)
+            want = saddle_matrix(upper, div, pin=pin)[perm][:, perm]
+            want.sort_indices()
+            assert got.format == "csc" and got.has_canonical_format
+            assert got.nnz == upper.nnz + 2 * div.nnz - pin * (div[0].nnz - 1)
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (part, pin)
 
 
 def _step_system(mesh, params):
@@ -324,6 +339,37 @@ def test_pinned_system_ignores_cell_order():
     want = spla.splu(matrix, permc_spec="COLAMD").solve(np.concatenate([rhs_u, rhs_p])[:, None])
     x, _ = pinned.solve_stacked(np.concatenate([rhs_u, rhs_p])[:, None])
     assert np.array_equal(x, want)
+
+
+def test_program_saddles_equal_the_block_saddle_matrix(monkeypatch):
+    # the desk linear-run matrix and the pinned snapshot matrices of coarse
+    # cells 0 (a corner) and 5 (interior), plain and oversampled, are the
+    # sp.bmat reference's bit for bit: every explicit zero of the
+    # divergence stays stored, since COLAMD orders them on their pattern
+    mesh, coarse = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    params = preset_parameters("test1", 1e-3)
+    ops = StepOperators(mesh, params, BoundaryData.inflow((1.0, 0.0)))
+    pairs = [(ops.system(None).matrix, saddle_matrix(ops.mass + ops.viscous + ops.darcy, ops.div))]
+
+    class Built(Exception):
+        """Carries a snapshot matrix out of build_snapshots before its solve."""
+
+    def stop(system):
+        raise Built(system.matrix)
+
+    monkeypatch.setattr(gmsfem, "SaddleSolver", stop)
+    u_lin = np.random.default_rng(2).standard_normal(6 * mesh.n_cells)
+    for i in (0, 5):
+        for oversampled in (False, True):
+            with pytest.raises(Built) as built:
+                gmsfem.build_snapshots(mesh, coarse, params, i, oversampled, u_lin)
+            _, want, _, _ = oracles.snapshot_problem(mesh, coarse, params, i, oversampled, u_lin)
+            pairs.append((built.value.args[0], want))
+    for got, want in pairs:
+        assert got.format == want.format == "csc" and got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
 
 def test_cell_order_must_permute_the_cells():
