@@ -34,7 +34,10 @@ and on the desk config:
   directory, every coarse cell's eigenvalues in the plain and the
   oversampled space, the oversampled `r_u` and `r_p` at M=16, and the final
   coarse and fine states of the oversampled `run_multiscale` at every size.
-  The eigenvalues and the two `r_u` cover every pinned snapshot solve.
+  The eigenvalues and the two `r_u` cover every pinned snapshot solve;
+- the final coarse and fine states of the test2 preset's `run_multiscale`
+  at Da=1e-3 on its plain space at M=16.  Its coarse steps refresh the
+  kept factor they refine from, which no test1 run above does.
 
 Last come `gmsfem.BASIS_VERSION` (`None` in checkouts before it) and the
 basis-cache keys of the plain and the oversampled space at Da=1e-3, read
@@ -70,7 +73,7 @@ from msflow import forms, gmsfem  # noqa: E402
 from msflow.config import parse_config  # noqa: E402
 from msflow.fine_solver import StepOperators, run_fine  # noqa: E402
 from msflow.geometry import generate_structured_mesh  # noqa: E402
-from msflow.parameters import BoundaryData, DGState  # noqa: E402
+from msflow.parameters import TEST_PRESETS, BoundaryData, DGState  # noqa: E402
 from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
 from msflow.quadrature import EDGE_G2_W  # noqa: E402
 
@@ -172,7 +175,7 @@ def main():
 
 def multiscale(mesh, coarse, params, bc):
     """The offline stage at MS_DARCY, plain and oversampled, the online
-    stage of both and a cache round trip."""
+    stage of both, a cache round trip and the test2 online run."""
     ops = StepOperators(mesh, params, bc)
     m_max = max(MS_SIZES)
     u_lin = gmsfem.compute_linearization_field(mesh, params, bc)
@@ -200,6 +203,15 @@ def multiscale(mesh, coarse, params, bc):
     for m in MS_SIZES:
         sub = over if m == m_max else gmsfem.resize_space(over, mesh, coarse, m)
         online(mesh, coarse, params, bc, sub, ops, f"ms.da={MS_DARCY:g}.m{m} os")
+    reynolds, forchheimer, t_max = TEST_PRESETS["test2"]
+    test2 = dataclasses.replace(
+        params, reynolds=reynolds, forchheimer=forchheimer, tau=t_max / params.n_steps, t_max=None
+    )
+    refreshed = gmsfem.build_multiscale_space(mesh, coarse, test2, bc, m=m_max)
+    online(
+        mesh, coarse, test2, bc, refreshed, StepOperators(mesh, test2, bc),
+        f"ms.test2.da={MS_DARCY:g}.m{m_max}",
+    )
     with tempfile.TemporaryDirectory() as cache:
         os_file = gmsfem.save_space(cache, mesh, params, bc, over)
     print(f"basis_version {getattr(gmsfem, 'BASIS_VERSION', None)}")

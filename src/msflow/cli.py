@@ -23,14 +23,6 @@ def _build_mesh(spec):
     return generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
 
 
-def _stats_dict(stats):
-    out = {}
-    for name in ("fluid", "porous"):
-        region = getattr(stats, name)
-        out[name] = dataclasses.asdict(region) if region is not None else None
-    return out
-
-
 def _write_json(path, payload):
     with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -64,7 +56,7 @@ def run_fine_mode(spec, mesh, coarse):
     payload = {
         "dof_fine": analysis.dof_fine(mesh.n_cells),
         "max_div_residual": float(traj.div_residuals.max()),
-        "statistics": _stats_dict(stats),
+        "statistics": dataclasses.asdict(stats),
     }
     _write_json(os.path.join(spec.out_dir, "fine_stats.json"), payload)
     print(f"fine run: {spec.params.n_steps} steps -> {vtk_path}")

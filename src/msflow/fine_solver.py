@@ -16,11 +16,10 @@ from .errors import SingularSystemError
 from .parameters import DGState
 from .patches import ND_LEAF_CELLS, full_patch, nested_dissection_order
 from .saddle import (
-    REFRESH_AFTER,
-    SINGLE_MIN,
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    ordered_step,
     permuted_saddle,
     relative_residual,
 )
@@ -42,12 +41,11 @@ class StepOperators:
     divergence plus cell blocks: step_saddle() holds the static matrix in
     the nested-dissection cell order, step_blocks(u_lin) the convection and
     drag of each cell.  system(u_lin) adds them on a saddle built on the
-    first call and kept on ops, with the kept factor of its static matrix,
-    and records u_lin on the system, where a refinement starts (see
-    SaddleSolver); run_fine steps on a saddle of its own, so that its factor
-    is freed when the run ends.  From SINGLE_MIN unknowns on, a step's
-    answer is the same from either; below, run_fine may refresh its factor
-    (see ordered_step) and system() hands out the static one.
+    first call and kept on ops, hands out its static kept factor, and
+    records u_lin on the system, where a refinement starts (see
+    SaddleSolver).  run_fine steps on a saddle of its own, so that its
+    factor is freed when the run ends, and may refresh that factor (see the
+    kept-factor policy in saddle).
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.
 
@@ -113,38 +111,6 @@ class StepOperators:
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""
         return relative_residual(self.div, velocity, self.f_p, self._div_scale)
-
-
-def ordered_step(saddle, blocks, f_p):
-    """march's step_solve on a CellOrderedSaddle: the step from u solves the
-    system of values saddle.static + blocks(u), linearized at u, with the
-    loads (rhs_u, f_p).
-
-    Below SINGLE_MIN unknowns, where the saddle's kept factor is float64,
-    the run refreshes the factor it refines from.  A step that missed leaves
-    its own factor to the steps after it; after a step that took more than
-    REFRESH_AFTER corrections, the next step is factored directly and its
-    factor is kept.  The refreshed factor lives in this closure, not on the
-    saddle, so every run starts from the static factor and its answers
-    depend on its own sequence of systems alone.
-    """
-    refreshed, due = None, False  # the run's factor; factor the next step directly
-
-    def step_solve(u, rhs_u):
-        nonlocal refreshed, due
-        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p, u)
-        refreshes = system.kept_lu is not None and len(saddle.perm) < SINGLE_MIN
-        if refreshes and (due or refreshed is not None):
-            system.kept_lu = None if due else refreshed
-        solver = SaddleSolver(system)
-        u, p = solver.solve()
-        if refreshes:
-            if not solver.kept:
-                refreshed = solver.lu
-            due = solver.kept and solver.corrections > REFRESH_AFTER
-        return u, p, solver
-
-    return step_solve
 
 
 def march(step_solve, mass, f_u, n_p, div_residual, params, label, observe=None):

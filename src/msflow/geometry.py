@@ -191,12 +191,18 @@ class CoarseGrid:
         return self.nx * self.ny
 
     def locate(self, pts):
-        """Coarse cell index containing each point."""
-        x0, y0, x1, y1 = self.bbox
-        pts = np.atleast_2d(pts)
-        ix = np.clip(((pts[:, 0] - x0) / (x1 - x0) * self.nx).astype(int), 0, self.nx - 1)
-        iy = np.clip(((pts[:, 1] - y0) / (y1 - y0) * self.ny).astype(int), 0, self.ny - 1)
-        return iy * self.nx + ix
+        """Coarse cell index containing each point (see grid_cell)."""
+        return grid_cell(pts, self.bbox, self.nx, self.ny)
+
+
+def grid_cell(pts, bbox, nx, ny):
+    """Index iy * nx + ix of the cell of the nx x ny grid over bbox that
+    contains each point; a point outside bbox goes to the nearest cell."""
+    x0, y0, x1, y1 = bbox
+    pts = np.atleast_2d(pts)
+    ix = np.clip(np.floor((pts[:, 0] - x0) / (x1 - x0) * nx).astype(np.int64), 0, nx - 1)
+    iy = np.clip(np.floor((pts[:, 1] - y0) / (y1 - y0) * ny).astype(np.int64), 0, ny - 1)
+    return iy * nx + ix
 
 
 def oversample_region(coarse, i):
@@ -310,11 +316,7 @@ def generate_structured_mesh(domain, n_per_coarse, coarse_dims):
 
     centroids = verts[cells].mean(axis=1)
     region = np.where(domain.porous_mask(centroids), POROUS, FLUID)
-    cix = np.floor((centroids[:, 0] - x0) / (x1 - x0) * nx).astype(np.int64)
-    ciy = np.floor((centroids[:, 1] - y0) / (y1 - y0) * ny).astype(np.int64)
-    coarse_id = np.clip(ciy, 0, ny - 1) * nx + np.clip(cix, 0, nx - 1)
-
-    mesh = TriMesh(verts, cells, region, coarse_id, domain.bbox)
+    mesh = TriMesh(verts, cells, region, grid_cell(centroids, domain.bbox, nx, ny), domain.bbox)
     build_edge_topology(mesh)
     coarse = CoarseGrid(nx, ny, domain.bbox, mesh)
     return mesh, coarse

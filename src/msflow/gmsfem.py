@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import forms
 from .atomic import atomic_write
 from .errors import ConfigError, MsflowError, SingularSystemError
-from .fine_solver import StepOperators, march, ordered_step, run_fine
+from .fine_solver import StepOperators, march, run_fine
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_order, coarse_cell_patch
@@ -35,6 +35,7 @@ from .saddle import (
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    ordered_step,
     permuted_saddle,
     relative_residual,
 )
@@ -471,10 +472,10 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
     and builds the convection tensors and porous quadrature values at the
     root's size, and every call reads their m-prefix; the coarse
     saddle pattern is built once per call and the steps run in the fine
-    run's loop and step (fine_solver.march and ordered_step).  A step costs
-    O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the fine step
-    operators of params and bc) is built when not given; observe sees each
-    coarse step (see march).  Returns the coarse trajectory and the
+    run's loop and step (fine_solver.march and saddle.ordered_step).  A
+    step costs O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the
+    fine step operators of params and bc) is built when not given; observe
+    sees each coarse step (see march).  Returns the coarse trajectory and the
     reconstructed fine state at the final time.
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc)

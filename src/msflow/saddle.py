@@ -12,29 +12,65 @@ from .errors import SingularSystemError
 RESIDUAL_TOL = 1e-9
 # Columns per block of a batch's residual (see column_residuals).
 RESIDUAL_BLOCK = 16
-# The precision rule of CellOrderedSaddle.  SINGLE_MIN lies above every
-# coarse online system and below every fine step: a float32 factor of a few
-# hundred unknowns saves nothing, and each correction costs a solve and a
-# product.  REFINE_TARGET is the float64 unit roundoff; a float64 factor
-# leaves 4e-19 to 7e-17 on the fine steps, so a lower target can be out of
-# reach.
+# The kept-factor policy, which serves every step of the fine and the coarse
+# runs (a CellOrderedSaddle's static matrix plus the step's cell blocks):
+# - Kept factor.  From KEPT_MIN unknowns on, a saddle keeps a factor of its
+#   static matrix, made on first use and held as long as the saddle
+#   (CellOrderedSaddle.kept_lu): float32 from SINGLE_MIN unknowns on,
+#   float64 below.  SINGLE_MIN lies above every coarse online system and
+#   below every fine step: a float32 factor of a few hundred unknowns saves
+#   nothing, and each correction costs a solve and a product.  Smaller
+#   systems are factored directly, which costs less than the corrections.
+# - Refinement.  SaddleSolver refines each solve from the kept factor until
+#   the relative residual reaches REFINE_TARGET, the float64 unit roundoff:
+#   a float64 factor leaves 4e-19 to 7e-17 on the fine steps, so a lower
+#   target can be out of reach.
+# - Miss.  A refinement misses when a correction does not halve the
+#   residual, or after KEPT_MAX corrections; the solver then factors the
+#   system itself, in float64.  A correction costs 2.0-2.5 ms on desk and
+#   22.5 ms at paper_like scale, so KEPT_MAX of them cost about the float64
+#   factor and solve that a miss takes (88.8 ms on desk; 0.9 s against
+#   1.03 s at paper_like scale).
+# - Refresh (ordered_step).  Below SINGLE_MIN, where the kept factor is
+#   float64, a run refreshes the factor it refines from: a step that missed
+#   leaves its own factor to the steps after it, and after a step that took
+#   more than REFRESH_AFTER corrections the next step is factored directly
+#   and its factor is kept.  The refreshed factor lives in the run's
+#   closure, not on the saddle, so every run starts from the static factor
+#   and its answers depend on its own sequence of systems alone.  From
+#   SINGLE_MIN on nothing refreshes: a step's answer depends on its system
+#   and the static matrix alone.
 SINGLE_MIN = 4096
 REFINE_TARGET = np.finfo(float).eps / 2
-# Below SINGLE_MIN the kept factor is float64, from KEPT_MIN unknowns on: a
-# run on it refines each step with a few triangular solves, and refreshes it
-# from a step's own factor after a step that missed or that took more than
-# REFRESH_AFTER corrections (see fine_solver.ordered_step).  Smaller systems
-# are factored directly, which costs less than the corrections.
 KEPT_MIN = 100
 REFRESH_AFTER = 4
-# A refinement from a CellOrderedSaddle's kept factor misses when a
-# correction does not halve the residual, or after KEPT_MAX corrections.  A
-# correction costs 2.0-2.5 ms on desk and 22.5 ms at paper_like scale, so
-# KEPT_MAX of them cost about the float64 factor and solve that a miss takes
-# (88.8 ms on desk; 0.9 s against 1.03 s at paper_like scale).
 KEPT_MAX = 40
 # The options of a system factored in its own (perm) order.
 ORDERED = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+def ordered_step(saddle, blocks, f_p):
+    """fine_solver.march's step_solve on a CellOrderedSaddle: the step from
+    u solves the system of values saddle.static + blocks(u), linearized at
+    u, with the loads (rhs_u, f_p), and refreshes the run's factor by the
+    kept-factor policy above."""
+    refreshed, due = None, False  # the run's factor; factor the next step directly
+
+    def step_solve(u, rhs_u):
+        nonlocal refreshed, due
+        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p, u)
+        refreshes = system.kept_lu is not None and len(saddle.perm) < SINGLE_MIN
+        if refreshes and (due or refreshed is not None):
+            system.kept_lu = None if due else refreshed
+        solver = SaddleSolver(system)
+        u, p = solver.solve()
+        if refreshes:
+            if not solver.kept:
+                refreshed = solver.lu
+            due = solver.kept and solver.corrections > REFRESH_AFTER
+        return u, p, solver
+
+    return step_solve
 
 
 @dataclass
@@ -47,8 +83,8 @@ class SaddleSystem:
     Otherwise matrix is P S P^T in CSC form, already in factor order: row i
     of matrix is row perm[i] of S.
     f_u/f_p are the right-hand sides in S's order.  kept_lu is the factor
-    that SaddleSolver refines the system's solves from (see
-    CellOrderedSaddle.kept_lu and fine_solver.ordered_step), or None.
+    that SaddleSolver refines the system's solves from (see the kept-factor
+    policy), or None.
     u_lin is the velocity the step was linearized at, or None: a refinement
     from kept_lu starts from (u_lin, 0) (see SaddleSolver).
     """
@@ -139,15 +175,8 @@ class CellOrderedSaddle:
     factors the matrix as it stands, with diagonal pivots.  The pattern is
     that of permuted_saddle, and the entries (rows, cols) of the unpermuted
     numbering, found at the data positions pos, must be stored in it.
-
-    From KEPT_MIN unknowns on, every system carries kept_lu, a factor of
-    the static matrix (pattern), made on the first system() call and held
-    as long as the saddle: float32 from SINGLE_MIN unknowns on, float64
-    below.  SaddleSolver refines each solve from it and factors a system
-    itself, in float64, only when that misses.  So a solve of system()
-    depends on its system and this static matrix alone; a run below
-    SINGLE_MIN may refresh the factor it refines from, and keeps that
-    factor to itself (see fine_solver.ordered_step).
+    Every system carries kept_lu, the saddle's factor of its static matrix
+    (pattern), by the kept-factor policy at the top of this module.
     """
 
     def __init__(self, upper, div, order, rows, cols):
@@ -168,8 +197,7 @@ class CellOrderedSaddle:
     @cached_property
     def static(self):
         """The static values at the entries (rows, cols), gathered once and
-        read-only; a step adds its blocks to them (see
-        fine_solver.ordered_step)."""
+        read-only; a step adds its blocks to them (see ordered_step)."""
         values = self.pattern.data[self.pos]
         values.flags.writeable = False
         return values
@@ -216,16 +244,15 @@ class SaddleSolver:
     pressure block pivotable on the diagonal; the right-hand sides and the
     solution are permuted around the triangular solves.
 
-    A system with kept_lu (see CellOrderedSaddle) is solved with no factor
-    of its own: y = x0 - LU^-1 (A x0 - rhs), a solve of kept_lu in its
-    precision (float32 from SINGLE_MIN unknowns on, float64 below), is
-    refined by y -= LU^-1 (A y - rhs), with A and the residual in float64,
-    until the relative residual reaches REFINE_TARGET.  x0 is (u_lin, 0),
-    and every column of a batch starts from it.  The step's convection and
-    drag E have no pressure columns, so the first error is S^-1 E applied
-    to one time step's change of the velocity, u - u_lin, rather than to u
-    (S the static matrix of kept_lu).  With no u_lin, x0 is 0 and y is
-    LU^-1 rhs bit for bit.
+    A system with kept_lu (see the kept-factor policy) is solved with no
+    factor of its own: y = x0 - LU^-1 (A x0 - rhs), a solve of kept_lu in
+    its precision, is refined by y -= LU^-1 (A y - rhs), with A and the
+    residual in float64, until the relative residual reaches REFINE_TARGET.
+    x0 is (u_lin, 0), and every column of a batch starts from it.  The
+    step's convection and drag E have no pressure columns, so the first
+    error is S^-1 E applied to one time step's change of the velocity,
+    u - u_lin, rather than to u (S the static matrix of kept_lu).  With no
+    u_lin, x0 is 0 and y is LU^-1 rhs bit for bit.
     On a miss (see KEPT_MAX) the solver makes its float64 factor, which
     solves that right-hand side and every later one directly.  A system
     without kept_lu gets its float64 factor at once.

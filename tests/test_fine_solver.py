@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from msflow import forms, gmsfem
+from msflow import forms, gmsfem, saddle
 from msflow.errors import SingularSystemError
-from msflow.fine_solver import StepOperators, march, ordered_step, run_fine
+from msflow.fine_solver import StepOperators, march, run_fine
 from msflow.geometry import POROUS, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, DGState, ModelParameters, preset_parameters
 from msflow.patches import ND_LEAF_CELLS, bisect_cells, full_patch, nested_dissection_order
-from msflow.saddle import KEPT_MIN, REFRESH_AFTER, SINGLE_MIN, SaddleSolver
+from msflow.saddle import KEPT_MIN, REFRESH_AFTER, SINGLE_MIN, SaddleSolver, ordered_step
 
 from conftest import desk_domain, layers, make_params, tiny_heterogeneous
 
@@ -341,6 +342,51 @@ def test_a_run_over_the_budget_refreshes_a_factor_it_keeps_to_itself(tiny_step):
         for (got, *_), (want, *_) in zip(other, first):
             assert np.array_equal(got.velocity, want.velocity)
             assert np.array_equal(got.pressure, want.pressure)
+
+
+def ordered_run(ops, params, n_steps=8):
+    """The (saddle, solvers) of an ordered_step run of n_steps on a new
+    step saddle of ops."""
+    shared = ops.step_saddle()
+    solvers = []
+    march(
+        ordered_step(shared, ops.step_blocks, ops.f_p), ops.mass, ops.f_u, ops.patch.n_cells,
+        ops.div_residual, dataclasses.replace(params, n_steps=n_steps, t_max=None), "fine step",
+        lambda step, state, solver: solvers.append(solver),
+    )
+    return shared, solvers
+
+
+def test_the_refresh_budget_is_read_from_saddle(tiny_step, monkeypatch):
+    # with no corrections allowed, the step after any step that took one is
+    # factored directly, and its factor serves the step after it
+    _, params, _, ops = tiny_step
+    monkeypatch.setattr(saddle, "REFRESH_AFTER", 0)
+    shared, solvers = ordered_run(ops, params)
+    assert KEPT_MIN <= len(shared.perm) < SINGLE_MIN
+    refreshes = 0
+    for before, after in zip(solvers, solvers[1:]):
+        due = before.kept and before.corrections > 0
+        assert (after.system.kept_lu is None) == due
+        if due:
+            refreshes += 1
+            assert not after.kept and after.corrections == 0
+        elif not before.kept:
+            assert after.system.kept_lu is before.lu
+    assert refreshes >= 2
+
+
+def test_the_precision_floor_is_read_from_saddle(tiny_step, monkeypatch):
+    # from SINGLE_MIN unknowns on nothing refreshes: every step refines from
+    # the saddle's float32 factor, and no step hands its own to the next
+    _, params, _, ops = tiny_step
+    monkeypatch.setattr(saddle, "SINGLE_MIN", ops.patch.n_vdof + ops.patch.n_pdof)
+    shared, solvers = ordered_run(ops, params)
+    static = shared.kept_lu
+    assert static.U.dtype == np.float32
+    assert max(solver.corrections for solver in solvers) > REFRESH_AFTER
+    for solver in solvers:
+        assert solver.system.kept_lu is static and solver.kept and solver.lu is static
 
 
 def test_a_missed_step_hands_its_factor_to_the_next_step():

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 import oracles
 from msflow import analysis, forms, gmsfem
 from msflow.errors import ConfigError, MsflowError, SingularSystemError
-from msflow.fine_solver import StepOperators, march, ordered_step, run_fine
+from msflow.fine_solver import StepOperators, march, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, ModelParameters
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
@@ -24,6 +24,7 @@ from msflow.saddle import (
     SaddleSolver,
     SaddleSystem,
     column_residuals,
+    ordered_step,
 )
 
 from conftest import (
