@@ -17,7 +17,12 @@ The optional argument is the `src/` directory to import `msflow` from
 and the paper_like meshes (`configs/desk_test1.cfg`, `configs/paper_like.cfg`),
 and on the desk config:
 
-- the `StepOperators` blocks and loads for every Darcy value of the config,
+- the `StepOperators` blocks and loads for every Darcy value of the config:
+  `mass`, `div`, the static velocity block `upper` (mass + viscous +
+  Darcy; in checkouts without `StepOperators.upper`, the sum of their
+  `mass`, `viscous` and `darcy`), and the `viscous` and `darcy` blocks as
+  `forms.viscous_block` and `forms.darcy_block` assemble them, with their
+  zeros dropped as older checkouts' `StepOperators` stored them; then
   the convection and Forchheimer blocks at a seeded field (labelled
   `convection_block` and `forchheimer_block`, as older checkouts print
   them), and the step matrices `ops.system(None)` (linear) and
@@ -73,7 +78,7 @@ from msflow import forms, gmsfem  # noqa: E402
 from msflow.config import parse_config  # noqa: E402
 from msflow.fine_solver import StepOperators, run_fine  # noqa: E402
 from msflow.geometry import generate_structured_mesh  # noqa: E402
-from msflow.parameters import TEST_PRESETS, BoundaryData, DGState  # noqa: E402
+from msflow.parameters import BoundaryData, DGState, preset_parameters  # noqa: E402
 from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
 from msflow.quadrature import EDGE_G2_W  # noqa: E402
 
@@ -131,8 +136,16 @@ def main():
         params = spec.params.with_darcy(darcy)
         ops = StepOperators(mesh, params, spec.bc)
         tag = f"da={darcy:g}"
-        for name in ("mass", "div", "viscous", "darcy", "f_u", "f_p"):
-            show(f"{tag} step_operators.{name}", getattr(ops, name))
+        viscous_block = forms.viscous_block(ops.patch, params)
+        darcy_block = forms.darcy_block(ops.patch, params)
+        for block in (viscous_block, darcy_block):
+            block.eliminate_zeros()
+        upper = getattr(ops, "upper", None)
+        if upper is None:  # a checkout before StepOperators.upper
+            upper = ops.mass + ops.viscous + ops.darcy
+        blocks = ("mass", ops.mass), ("div", ops.div), ("viscous", viscous_block), ("darcy", darcy_block)
+        for name, array in (*blocks, ("upper", upper), ("f_u", ops.f_u), ("f_p", ops.f_p)):
+            show(f"{tag} step_operators.{name}", array)
         convection, porous, drag = forms.linearized_cell_blocks(ops.patch, params, field)
         every = np.arange(ops.patch.n_cells)
         show(f"{tag} convection_block", forms.cell_block_matrix(ops.patch, every, convection))
@@ -203,9 +216,8 @@ def multiscale(mesh, coarse, params, bc):
     for m in MS_SIZES:
         sub = over if m == m_max else gmsfem.resize_space(over, mesh, coarse, m)
         online(mesh, coarse, params, bc, sub, ops, f"ms.da={MS_DARCY:g}.m{m} os")
-    reynolds, forchheimer, t_max = TEST_PRESETS["test2"]
-    test2 = dataclasses.replace(
-        params, reynolds=reynolds, forchheimer=forchheimer, tau=t_max / params.n_steps, t_max=None
+    test2 = preset_parameters(
+        "test2", params.darcy, n_steps=params.n_steps, porosity=params.porosity, penalty=params.penalty
     )
     refreshed = gmsfem.build_multiscale_space(mesh, coarse, test2, bc, m=m_max)
     online(

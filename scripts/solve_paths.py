@@ -37,7 +37,6 @@ Takes about 2 minutes for the nine bundles at both levels.
 """
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 import time
@@ -126,17 +125,16 @@ def main():
     from msflow.config import parse_config
     from msflow.fine_solver import run_fine
     from msflow.geometry import generate_structured_mesh
-    from msflow.parameters import TEST_PRESETS
+    from msflow.parameters import preset_parameters
 
     spec = parse_config(str(CONFIG), mode="sweep")
     mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
     print(ROW.format("run", "steps", "corrections (median)", "kept", "own", "refresh", "ms/step (range)", "total s", "solves"))
+    base = spec.params
     for preset in args.preset:
         for darcy in args.darcy or spec.da_list:
-            reynolds, forchheimer, t_max = TEST_PRESETS[preset]
-            params = dataclasses.replace(
-                spec.params, reynolds=reynolds, forchheimer=forchheimer, darcy=darcy,
-                tau=t_max / spec.params.n_steps, t_max=None,
+            params = preset_parameters(
+                preset, darcy, n_steps=base.n_steps, porosity=base.porosity, penalty=base.penalty
             )
             bundle = f"{preset}, Da={darcy:g}"
             if "fine" in args.level:

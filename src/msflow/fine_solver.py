@@ -37,34 +37,33 @@ class StepOperators:
     """Blocks that persist across time steps for a fixed mesh and data.
 
     A step freezes convection and the quadratic drag at the previous layer,
-    so its matrix is the static saddle of mass + viscous + Darcy and the
-    divergence plus cell blocks: step_saddle() holds the static matrix in
-    the nested-dissection cell order, step_blocks(u_lin) the convection and
-    drag of each cell.  system(u_lin) adds them on a saddle built on the
-    first call and kept on ops, hands out its static kept factor, and
-    records u_lin on the system, where a refinement starts (see
-    SaddleSolver).  run_fine steps on a saddle of its own, so that its
-    factor is freed when the run ends, and may refresh that factor (see the
-    kept-factor policy in saddle).
+    so its matrix is a static saddle plus cell blocks.  The static saddle is
+    upper = mass + viscous + Darcy, summed once here, and the divergence:
+    step_saddle() holds it in the nested-dissection cell order,
+    step_blocks(u_lin) the convection and drag of each cell.  system(u_lin)
+    adds them on a saddle built on the first call and kept on ops, hands
+    out its static kept factor, and records u_lin on the system, where a
+    refinement starts (see SaddleSolver).  run_fine steps on a saddle of its
+    own, so that its factor is freed when the run ends, and may refresh
+    that factor (see the kept-factor policy in saddle).
     system(None), the constant system of the linear run, is left for
     SaddleSolver to order by COLAMD.
 
-    mass, viscous and darcy store no zeros: eliminate_zeros() drops the
-    zero cross-component entries of forms._kron2's cell blocks and keeps
-    every other value's bits.  div keeps its explicit zeros, since COLAMD
-    orders the linear run on its pattern.
+    mass and upper store no zeros: eliminate_zeros() drops the zero
+    cross-component entries of forms._kron2's cell blocks from mass and
+    keeps every other value's bits, and scipy's CSR sum stores no zero
+    result.  div keeps its explicit zeros, since COLAMD orders the linear
+    run on its pattern.
     """
 
     def __init__(self, mesh, params, bc, forcing=None):
-        self.mesh = mesh
         self.params = params
         self.patch = full_patch(mesh)
         self.mass = forms.assemble_mass(self.patch, params)
+        self.mass.eliminate_zeros()
         self.div = forms.assemble_divergence(self.patch)
-        self.viscous = forms.viscous_block(self.patch, params)
-        self.darcy = forms.darcy_block(self.patch, params)
-        for block in (self.mass, self.viscous, self.darcy):
-            block.eliminate_zeros()
+        viscous = forms.viscous_block(self.patch, params)
+        self.upper = self.mass + viscous + forms.darcy_block(self.patch, params)
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
         self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
 
@@ -82,14 +81,14 @@ class StepOperators:
         return self.step_saddle()
 
     def step_saddle(self):
-        """A new CellOrderedSaddle of mass + viscous + Darcy and the
-        divergence in cell_order; its step entries [c, d, a, b] couple test
-        vertex a to trial vertex b in component d of cell c."""
+        """A new CellOrderedSaddle of upper and the divergence in cell_order;
+        its step entries [c, d, a, b] couple test vertex a to trial vertex b
+        in component d of cell c."""
         n = self.patch.n_cells
         dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
         rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
         cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
-        upper = (self.mass + self.viscous + self.darcy).tocsc()  # read as it is, see permuted_saddle
+        upper = self.upper.tocsc()  # read as it is, see permuted_saddle
         return CellOrderedSaddle(upper, self.div, self.cell_order, rows, cols)
 
     def step_blocks(self, u_lin):
@@ -102,8 +101,7 @@ class StepOperators:
 
     def system(self, u_lin=None):
         if u_lin is None:
-            upper = self.mass + self.viscous + self.darcy
-            matrix = permuted_saddle(upper, self.div, np.arange(len(self.f_u) + len(self.f_p)))
+            matrix = permuted_saddle(self.upper, self.div, np.arange(len(self.f_u) + len(self.f_p)))
             return SaddleSystem(matrix, self.f_u, self.f_p)
         saddle = self._saddle
         return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p, u_lin)

@@ -440,7 +440,7 @@ def _online_operators(space, mesh, coarse, params, ops):
         r_u, r_p = root.r_u, root.r_p
         full = _OnlineOperators(
             mass=_project_blocks(r_u, root.m, ops.mass),
-            upper=_project_blocks(r_u, root.m, ops.mass + ops.viscous + ops.darcy),
+            upper=_project_blocks(r_u, root.m, ops.upper),
             div=(r_p @ ops.div @ r_u.T).tocsr(),
             f_u=r_u @ ops.f_u,
             f_p=r_p @ ops.f_p,

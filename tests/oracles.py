@@ -396,11 +396,12 @@ def patch_nested_dissection(patch):
 
 def block_step_matrix(ops, u_lin):
     """The saddle matrix of the nonlinear fine step linearized at u_lin,
-    assembled from CSR blocks, the static mass + viscous + Darcy plus
-    convection + Forchheimer, and permuted into the nested-dissection cell
-    order (each cell's six velocity DOFs, then its pressure DOF).  Returns
-    the permuted matrix, with sorted indices, and the permutation."""
-    upper = ops.mass + ops.viscous + ops.darcy
+    assembled from CSR blocks, the static ops.upper (mass + viscous +
+    Darcy) plus convection + Forchheimer, and permuted into the
+    nested-dissection cell order (each cell's six velocity DOFs, then its
+    pressure DOF).  Returns the permuted matrix, with sorted indices, and
+    the permutation."""
+    upper = ops.upper
     if np.any(u_lin):
         conv, drag = linearized_matrices(ops.patch, ops.params, u_lin)
         upper = upper + (conv + drag)

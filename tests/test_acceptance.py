@@ -15,9 +15,10 @@ import scipy.linalg as la
 import oracles
 from msflow import analysis, forms, gmsfem, saddle
 from msflow.fine_solver import StepOperators, run_fine
-from msflow.geometry import CircleInclusion, DomainSpec, generate_structured_mesh
+from msflow.geometry import POROUS, CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.patches import coarse_cell_patch, full_patch
+from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
 from msflow.saddle import REFRESH_AFTER, SaddleSolver, SaddleSystem
 
 from conftest import desk_domain, linearized_matrices, make_params, random_rect_two_cells
@@ -127,59 +128,94 @@ def test_criterion_1_dof_accounting():
     )
 
 
-def test_criterion_2_manufactured_convergence():
-    pi = np.pi
-    reynolds = 1.0
+# Criterion 2's exact field, shared with the porous-step MMS below: a
+# divergence-free velocity and a pressure on the unit square.
 
-    def u_ex(x):
-        x = np.atleast_2d(x)
-        return np.stack(
-            [
-                np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]),
-                np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]),
-            ],
-            axis=-1,
-        )
 
-    def grad_ex(x):
-        x = np.atleast_2d(x)
-        sx, cx = np.sin(pi * x[:, 0]), np.cos(pi * x[:, 0])
-        sy, cy = np.sin(pi * x[:, 1]), np.cos(pi * x[:, 1])
-        g = np.empty(x.shape[:1] + (2, 2))
-        g[:, 0, 0] = pi * cx * sy
-        g[:, 0, 1] = pi * sx * cy
-        g[:, 1, 0] = -pi * sx * cy
-        g[:, 1, 1] = -pi * cx * sy
-        return g
+def mms_velocity(x):
+    x = np.atleast_2d(x)
+    return np.stack(
+        [
+            np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
+            np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
+        ],
+        axis=-1,
+    )
 
-    def p_ex(x):
-        x = np.atleast_2d(x)
-        return np.sin(pi * x[:, 0]) * np.cos(pi * x[:, 1])
+
+def mms_grad(x):
+    """The velocity gradient, g[:, d, m] = d u_d / d x_m."""
+    x = np.atleast_2d(x)
+    sx, cx = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
+    sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
+    g = np.empty(x.shape[:1] + (2, 2))
+    g[:, 0, 0] = np.pi * cx * sy
+    g[:, 0, 1] = np.pi * sx * cy
+    g[:, 1, 0] = -np.pi * sx * cy
+    g[:, 1, 1] = -np.pi * cx * sy
+    return g
+
+
+def mms_pressure(x):
+    x = np.atleast_2d(x)
+    return np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
+
+
+def mms_fluid_forcing(reynolds, convection=False):
+    """The forcing hook of the fluid terms -lap(u)/Re + grad(p), plus
+    (u . grad) u with convection."""
 
     def forcing(x):
         x = np.atleast_2d(x)
         grad_p = np.stack(
             [
-                pi * np.cos(pi * x[:, 0]) * np.cos(pi * x[:, 1]),
-                -pi * np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]),
+                np.pi * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
+                -np.pi * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
             ],
             axis=-1,
         )
-        return (2.0 * pi * pi / reynolds) * u_ex(x) + grad_p
+        f = (2.0 * np.pi * np.pi / reynolds) * mms_velocity(x) + grad_p
+        if convection:
+            f += np.einsum("ndm,nm->nd", mms_grad(x), mms_velocity(x))
+        return f
+
+    return forcing
+
+
+def mms_boundary(reynolds):
+    """Dirichlet data of the exact field, and its traction on the outflow
+    side x = 1, n = (1, 0): the discrete natural flux is
+    (1/Re) grad(u) n - p n, built from the analytic boundary gradient.
+
+    The analytic gradient enters through the outflow traction; feeding it
+    to the Dirichlet-side boundary-gradient flux term instead adds an O(1)
+    consistency error and caps the observed L2 order near 1.5."""
 
     def traction(x):
-        # outflow side x = 1, n = (1, 0): the discrete natural flux is
-        # (1/Re) grad(u) n - p n, built from the analytic boundary gradient
         x = np.atleast_2d(x)
         n = np.array([1.0, 0.0])
-        return (1.0 / reynolds) * np.einsum("ndm,m->nd", grad_ex(x), n) - p_ex(x)[
-            :, None
-        ] * n
+        return (1.0 / reynolds) * np.einsum("ndm,m->nd", mms_grad(x), n) - mms_pressure(x)[:, None] * n
 
-    # The analytic gradient enters through the outflow traction; feeding it
-    # to the Dirichlet-side boundary-gradient flux term instead adds an
-    # O(1) consistency error and caps the observed L2 order near 1.5.
-    bc = BoundaryData(velocity=u_ex, traction=traction)
+    return BoundaryData(velocity=mms_velocity, traction=traction)
+
+
+def mms_errors(mesh, u):
+    """The velocity error of u against the exact field in L2 and in the
+    broken H1 seminorm, by the degree-4 rule."""
+    verts = mesh.verts[mesh.cells]
+    xq = np.einsum("qa,nad->nqd", TRI_D4_BARY, verts)
+    uq = np.einsum("qa,nad->nqd", TRI_D4_BARY, u.reshape(-1, 3, 2))
+    gap = uq - mms_velocity(xq.reshape(-1, 2)).reshape(uq.shape)
+    l2 = np.sqrt(np.einsum("n,q,nqd->", mesh.area, TRI_D4_W, gap**2))
+    gh = np.einsum("nad,nam->ndm", u.reshape(-1, 3, 2), mesh.grad)
+    ggap = gh[:, None, :, :] - mms_grad(xq.reshape(-1, 2)).reshape(xq.shape[0], xq.shape[1], 2, 2)
+    h1 = np.sqrt(np.einsum("n,q,nqdm->", mesh.area, TRI_D4_W, ggap**2))
+    return l2, h1
+
+
+def test_criterion_2_manufactured_convergence():
+    reynolds = 1.0
+    bc = mms_boundary(reynolds)
     params = make_params(reynolds=reynolds, porosity=1.0, forchheimer=0.0)
     errs_l2, errs_h1 = [], []
     for n in (4, 8, 16, 32):
@@ -187,24 +223,11 @@ def test_criterion_2_manufactured_convergence():
         mesh, _ = generate_structured_mesh(dom, n, (1, 1))
         patch = full_patch(mesh)
         matrix = oracles.saddle_matrix(forms.viscous_block(patch, params), forms.assemble_divergence(patch))
-        f_u, f_p = forms.assemble_rhs(patch, params, bc, forcing=forcing)
+        f_u, f_p = forms.assemble_rhs(patch, params, bc, forcing=mms_fluid_forcing(reynolds))
         u, _ = SaddleSolver(SaddleSystem(matrix, f_u, f_p)).solve()
-        from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
-
-        verts = mesh.verts[mesh.cells]
-        xq = np.einsum("qa,nad->nqd", TRI_D4_BARY, verts)
-        uq = np.einsum("qa,nad->nqd", TRI_D4_BARY, u.reshape(-1, 3, 2))
-        gap = uq - u_ex(xq.reshape(-1, 2)).reshape(uq.shape)
-        errs_l2.append(
-            np.sqrt(np.einsum("n,q,nqd->", mesh.area, TRI_D4_W, gap**2))
-        )
-        gh = np.einsum("nad,nam->ndm", u.reshape(-1, 3, 2), mesh.grad)
-        ggap = gh[:, None, :, :] - grad_ex(xq.reshape(-1, 2)).reshape(
-            xq.shape[0], xq.shape[1], 2, 2
-        )
-        errs_h1.append(
-            np.sqrt(np.einsum("n,q,nqdm->", mesh.area, TRI_D4_W, ggap**2))
-        )
+        l2, h1 = mms_errors(mesh, u)
+        errs_l2.append(l2)
+        errs_h1.append(h1)
     order_l2 = np.log2(errs_l2[-2] / errs_l2[-1])
     order_h1 = np.log2(errs_h1[-2] / errs_h1[-1])
     _report(
@@ -213,6 +236,56 @@ def test_criterion_2_manufactured_convergence():
         f"velocity L2 order {order_l2:.2f} (need >= 1.8), "
         f"broken-H1 order {order_h1:.2f} (need >= 0.9)",
     )
+
+
+def porous_load(mesh, params):
+    """The momentum load of the exact field's Darcy and Forchheimer drag,
+    u / (Re Da) + (C / sqrt(Da)) |u| u, on the porous cells only, by the
+    degree-4 rule.  The forcing hook sees points, not cells, so it cannot
+    carry this load."""
+    porous = np.flatnonzero(mesh.region == POROUS)
+    xq = np.einsum("qa,nad->nqd", TRI_D4_BARY, mesh.verts[mesh.cells[porous]])
+    uq = mms_velocity(xq.reshape(-1, 2)).reshape(xq.shape)
+    speed = np.linalg.norm(uq, axis=2, keepdims=True)
+    drag = 1.0 / (params.reynolds * params.darcy) + params.forchheimer / np.sqrt(params.darcy) * speed
+    contrib = mesh.area[porous, None, None] * np.einsum("q,qa,nqd->nad", TRI_D4_W, TRI_D4_BARY, drag * uq)
+    load = np.zeros(6 * mesh.n_cells)
+    np.add.at(load, forms.cell_dofs(porous).ravel(), contrib.ravel())
+    return load
+
+
+@pytest.mark.parametrize("reynolds, forchheimer", [(1.0, 1.0), (10.0, 10.0)])
+def test_fine_step_converges_to_a_manufactured_solution_with_porous_terms(reynolds, forchheimer):
+    # One fine step with Darcy, Forchheimer and convection against criterion
+    # 2's exact field, one inclusion tagged by cell centroid, porosity 1 (no
+    # jump in the viscous flux).  tau = 1e12 leaves a mass term 1e-12 of the
+    # rest, and ops.system(u_I) freezes convection and the drag at u_I, the
+    # vertex interpolant of the exact field, an O(h^2) perturbation.
+    params = make_params(reynolds=reynolds, darcy=1e-3, forchheimer=forchheimer, porosity=1.0, tau=1e12)
+    bc = mms_boundary(reynolds)
+    domain = DomainSpec(bbox=(0, 0, 1, 1), inclusions=[CircleInclusion(0.5, 0.5, 0.27)])
+    errs_l2, errs_h1 = [], []
+    for n in (8, 16, 32):
+        mesh, _ = generate_structured_mesh(domain, n, (1, 1))
+        ops = StepOperators(mesh, params, bc, forcing=mms_fluid_forcing(reynolds, convection=True))
+        u_interp = mms_velocity(mesh.verts[mesh.cells].reshape(-1, 2)).ravel()
+        solver = SaddleSolver(ops.system(u_interp))
+        u, _ = solver.solve(ops.f_u + porous_load(mesh, params), ops.f_p)
+        l2, h1 = mms_errors(mesh, u)
+        errs_l2.append(l2)
+        errs_h1.append(h1)
+    # the porous load matters: without it the n=32 error is far larger
+    bare_l2, _ = mms_errors(mesh, solver.solve(ops.f_u, ops.f_p)[0])
+    orders_l2 = np.log2(np.divide(errs_l2[:-1], errs_l2[1:]))
+    orders_h1 = np.log2(np.divide(errs_h1[:-1], errs_h1[1:]))
+    detail = (
+        f"Re={reynolds:g}, C={forchheimer:g}: L2 orders {np.round(orders_l2, 2)}, "
+        f"broken-H1 orders {np.round(orders_h1, 2)}, n=32 L2 {errs_l2[-1]:.2e} "
+        f"against {bare_l2:.2e} without the porous load"
+    )
+    print(f"[mms] {detail}", flush=True)
+    assert orders_l2.min() >= 1.8 and orders_h1.min() >= 0.9, detail
+    assert bare_l2 >= 100 * errs_l2[-1], detail
 
 
 def test_criterion_3_basis_refinement_trend(rig):

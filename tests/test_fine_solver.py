@@ -63,7 +63,7 @@ def test_stokes_step_matches_dense_oracle():
     zero = DGState.zeros(mesh.n_cells)
     state = step(ops, zero, zero.velocity)
     # dense solve of the same assembled block system
-    upper = (ops.mass + ops.viscous + ops.darcy).toarray()
+    upper = ops.upper.toarray()
     b = ops.div.toarray()
     n_u, n_p = upper.shape[0], b.shape[0]
     full = np.zeros((n_u + n_p, n_u + n_p))
@@ -231,25 +231,29 @@ def test_separator_splits_the_interior_edge_graph():
 @pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
 def test_step_blocks_store_no_zeros_and_keep_their_assembled_values(case):
     # forms._kron2 writes the zero cross-component entries of each cell
-    # block; the step operators drop them and keep every other value's bits.
-    # The divergence keeps its explicit zeros: COLAMD orders the linear
-    # run's system on its pattern.
+    # block; mass drops them and keeps every other value's bits, and upper,
+    # mass + viscous + Darcy summed once, stores none.  It equals the sum of
+    # the zero-free blocks bit for bit.  The divergence keeps its explicit
+    # zeros: COLAMD orders the linear run's system on its pattern.
     if case == "desk":
         mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     else:
         mesh, _ = tiny_heterogeneous()
     params = make_params()
     ops = StepOperators(mesh, params, BoundaryData.inflow((1.0, 0.0)))
-    assembled = {
-        "mass": forms.assemble_mass(ops.patch, params),
-        "viscous": forms.viscous_block(ops.patch, params),
-        "darcy": forms.darcy_block(ops.patch, params),
-    }
-    for name, want in assembled.items():
+    assert not any(hasattr(ops, name) for name in ("viscous", "darcy", "mesh"))
+    blocks = [
+        forms.assemble_mass(ops.patch, params),
+        forms.viscous_block(ops.patch, params),
+        forms.darcy_block(ops.patch, params),
+    ]
+    for block in blocks:
+        assert np.any(block.data == 0)
+        block.eliminate_zeros()
+    mass, viscous, darcy = blocks
+    for name, want in (("mass", mass), ("upper", mass + viscous + darcy)):
         got = getattr(ops, name)
         assert got.nnz and np.all(got.data != 0), name
-        assert np.any(want.data == 0), name
-        want.eliminate_zeros()
         for part in ("data", "indices", "indptr"):
             a, b = getattr(got, part), getattr(want, part)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
@@ -483,8 +487,7 @@ def test_linearization_field_keeps_the_colamd_factorization():
     ops.system(np.zeros(ops.patch.n_vdof))  # the order exists on ops
     u_lin = gmsfem.compute_linearization_field(mesh, params, bc, ops=ops)
 
-    upper = ops.mass + ops.viscous + ops.darcy
-    matrix = sp.bmat([[upper, ops.div.T], [ops.div, None]], format="csc")
+    matrix = sp.bmat([[ops.upper, ops.div.T], [ops.div, None]], format="csc")
     lu = spla.splu(matrix, permc_spec="COLAMD")
     nu = ops.patch.n_vdof
     u = np.zeros(nu)

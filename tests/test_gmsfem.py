@@ -65,10 +65,9 @@ class TestLinearizationField:
         states = []
         traj = run_fine(mesh, params, bc, linear=True, observe=layers(states))
         ops = StepOperators(mesh, params, bc)
-        upper = ops.mass + ops.viscous + ops.darcy
         u_prev = states[-2].velocity
         u, p = traj.final.velocity, traj.final.pressure
-        r_u = upper @ u + ops.div.T @ p - (ops.mass @ u_prev + ops.f_u)
+        r_u = ops.upper @ u + ops.div.T @ p - (ops.mass @ u_prev + ops.f_u)
         r_p = ops.div @ u - ops.f_p
         scale = max(np.linalg.norm(ops.mass @ u_prev + ops.f_u), 1e-300)
         assert np.linalg.norm(np.concatenate([r_u, r_p])) <= 1e-9 * scale
@@ -473,7 +472,7 @@ class TestOnlineStage:
             return product
 
         mass = projected(ops.mass)
-        upper = projected(ops.mass + ops.viscous + ops.darcy)
+        upper = projected(ops.upper)
         div = (r_p @ ops.div @ r_u.T).tocsr()
         for got, want in ((online.mass, mass), (online.upper, upper), (online.div, div)):
             for name in ("data", "indices", "indptr"):
@@ -482,7 +481,8 @@ class TestOnlineStage:
         assert np.array_equal(online.f_p, r_p @ ops.f_p)
         # and it is the CSR triple products up to roundoff
         csr_mass = r_u @ ops.mass @ r_u.T
-        csr_upper = csr_mass + r_u @ ops.viscous @ r_u.T + r_u @ ops.darcy @ r_u.T
+        viscous, darcy = forms.viscous_block(ops.patch, params), forms.darcy_block(ops.patch, params)
+        csr_upper = csr_mass + r_u @ viscous @ r_u.T + r_u @ darcy @ r_u.T
         for got, want in ((online.mass, csr_mass), (online.upper, csr_upper)):
             want = want.toarray()
             assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()

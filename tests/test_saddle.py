@@ -216,9 +216,11 @@ def _step_system(mesh, params):
 
 def _block_upper(ops, u_lin):
     """The velocity block of the step linearized at u_lin, summed from the
-    CSR blocks."""
-    conv, forch = linearized_matrices(ops.patch, ops.params, u_lin)
-    return ops.mass + (ops.viscous + conv) + (ops.darcy + forch)
+    CSR blocks in another association than ops.upper's."""
+    patch, params = ops.patch, ops.params
+    conv, forch = linearized_matrices(patch, params, u_lin)
+    viscous, darcy = forms.viscous_block(patch, params), forms.darcy_block(patch, params)
+    return ops.mass + (viscous + conv) + (darcy + forch)
 
 
 @pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
@@ -349,7 +351,7 @@ def test_program_saddles_equal_the_block_saddle_matrix(monkeypatch):
     mesh, coarse = generate_structured_mesh(desk_domain(), 8, (4, 4))
     params = preset_parameters("test1", 1e-3)
     ops = StepOperators(mesh, params, BoundaryData.inflow((1.0, 0.0)))
-    pairs = [(ops.system(None).matrix, saddle_matrix(ops.mass + ops.viscous + ops.darcy, ops.div))]
+    pairs = [(ops.system(None).matrix, saddle_matrix(ops.upper, ops.div))]
 
     class Built(Exception):
         """Carries a snapshot matrix out of build_snapshots before its solve."""
@@ -377,13 +379,12 @@ def test_cell_order_must_permute_the_cells():
     # its systems carry that perm unchecked
     mesh, _ = tiny_heterogeneous()
     ops, _ = _step_system(mesh, make_params())
-    upper = ops.mass + ops.viscous + ops.darcy
     velocity = np.arange(ops.patch.n_vdof)
     order = ops.cell_order.copy()
-    CellOrderedSaddle(upper, ops.div, order, velocity, velocity)
+    CellOrderedSaddle(ops.upper, ops.div, order, velocity, velocity)
     for bad in (np.append(order[:-1], order[0]), order[:-1], np.append(order, 0)):
         with pytest.raises(ValueError, match="perm is not a permutation"):
-            CellOrderedSaddle(upper, ops.div, bad, velocity, velocity)
+            CellOrderedSaddle(ops.upper, ops.div, bad, velocity, velocity)
 
 
 def _ordered_direct(matrix, perm, rhs):
@@ -442,9 +443,7 @@ def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
     ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
     velocity = np.arange(ops.patch.n_vdof)
-    ordered = CellOrderedSaddle(
-        ops.mass + ops.viscous + ops.darcy, ops.div, ops.cell_order, velocity, velocity
-    )
+    ordered = CellOrderedSaddle(ops.upper, ops.div, ops.cell_order, velocity, velocity)
     rhs_u = ops.mass @ u1 + ops.f_u
     system = ordered.system(3.0 * ordered.static, rhs_u, ops.f_p)
     assert system.kept_lu is not None and system.kept_lu is ordered.kept_lu
@@ -525,7 +524,7 @@ def _scaled_saddle_system(scale):
     scaled; the saddle keeps no float32 factor."""
     ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
     velocity = np.arange(ops.patch.n_vdof)
-    upper = scale * (ops.mass + ops.viscous + ops.darcy)
+    upper = scale * ops.upper
     ordered = CellOrderedSaddle(upper, scale * ops.div, ops.cell_order, velocity, velocity)
     assert ordered.kept_lu is None
     rhs_u = scale * (ops.mass @ u1 + ops.f_u)
