@@ -27,16 +27,25 @@ against any checkout's package:
     python scripts/fine_memory.py --scale paper
     python scripts/fine_memory.py --scale desk --src /path/to/other/checkout/src
 
+Every thread pool is pinned to one thread and numpy's hugepage advice is
+off before numpy loads, as perfbench/run.py does.  A stage's VmHWM still
+moves by a few MB between runs of the same code, so compare at least 5 runs
+per side, not one.
+
 Linux only (it reads /proc).  Takes about 3 seconds on desk and 20 on
 paper_like.
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import tracemalloc
 
-import numpy as np
+THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(THREADS, "1"), NUMPY_MADVISE_HUGEPAGE="0")
+
+import numpy as np  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = {"desk": ROOT / "configs" / "desk_test1.cfg", "paper": ROOT / "configs" / "paper_like.cfg"}

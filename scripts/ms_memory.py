@@ -21,13 +21,22 @@ calls, so it runs against any checkout's package:
     python scripts/ms_memory.py
     python scripts/ms_memory.py --src /path/to/other/checkout/src
 
+Every thread pool is pinned to one thread and numpy's hugepage advice is
+off before numpy loads, as perfbench/run.py does.  A phase's VmHWM still
+moves by a few MB between runs of the same code, so compare at least 5 runs
+per side, not one.
+
 Linux only (it reads /proc).  Takes about 25 seconds; no test runs it.
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import time
+
+THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(THREADS, "1"), NUMPY_MADVISE_HUGEPAGE="0")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "desk_test1.cfg"

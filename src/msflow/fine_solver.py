@@ -115,8 +115,9 @@ def march(step_solve, mass, f_u, n_p, div_residual, params, label, observe=None)
     """The implicit loop from the zero state, shared by the fine and the
     coarse runs: step k gets layer k + 1 and its SaddleSolver as (u, p,
     solver) = step_solve(u_k, mass @ u_k + f_u), records div_residual(u),
-    then calls observe(k, state, solver) if given.  Only the last layer is
-    kept.  A SingularSystemError is raised again as "{label} {k}: ..."."""
+    then calls observe(k, state, solver) if given; the solver's matrix may
+    be rewritten by the next step (see saddle.ordered_step).  Only the last
+    layer is kept.  A SingularSystemError is raised again as "{label} {k}: ..."."""
     state = DGState(np.zeros(mass.shape[0]), np.zeros(n_p))
     residuals = np.empty(params.n_steps)
     for step in range(params.n_steps):
@@ -128,7 +129,7 @@ def march(step_solve, mass, f_u, n_p, div_residual, params, label, observe=None)
         residuals[step] = div_residual(state.velocity)
         if observe is not None:
             observe(step, state, solver)
-        del solver  # no step matrix outlives its step
+        del solver  # no step's solver, or a factor it made, outlives its step
     return Trajectory(state, residuals)
 
 

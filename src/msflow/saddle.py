@@ -53,12 +53,15 @@ def ordered_step(saddle, blocks, f_p):
     """fine_solver.march's step_solve on a CellOrderedSaddle: the step from
     u solves the system of values saddle.static + blocks(u), linearized at
     u, with the loads (rhs_u, f_p), and refreshes the run's factor by the
-    kept-factor policy above."""
-    refreshed, due = None, False  # the run's factor; factor the next step directly
+    kept-factor policy above.  Every step writes its values into the run's
+    one matrix (see CellOrderedSaddle.system), so a step's system and
+    solver hold their values only until the next step."""
+    refreshed, due, matrix = None, False, None  # the run's factor, a refresh due, its matrix
 
     def step_solve(u, rhs_u):
-        nonlocal refreshed, due
-        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p, u)
+        nonlocal refreshed, due, matrix
+        system = saddle.system(saddle.static + blocks(u), rhs_u, f_p, u, matrix)
+        matrix = system.matrix
         refreshes = system.kept_lu is not None and len(saddle.perm) < SINGLE_MIN
         if refreshes and (due or refreshed is not None):
             system.kept_lu = None if due else refreshed
@@ -87,6 +90,9 @@ class SaddleSystem:
     policy), or None.
     u_lin is the velocity the step was linearized at, or None: a refinement
     from kept_lu starts from (u_lin, 0) (see SaddleSolver).
+    scale is the matrix's largest absolute row sum, from a maker that has
+    checked the values for finiteness (CellOrderedSaddle.system), or None:
+    SaddleSolver then checks and sums the matrix itself.
     """
 
     matrix: sp.spmatrix
@@ -95,6 +101,7 @@ class SaddleSystem:
     perm: np.ndarray = None
     kept_lu: object = None
     u_lin: np.ndarray = None
+    scale: float = None
 
     def __post_init__(self):
         n = len(self.f_u) + len(self.f_p)
@@ -176,7 +183,8 @@ class CellOrderedSaddle:
     that of permuted_saddle, and the entries (rows, cols) of the unpermuted
     numbering, found at the data positions pos, must be stored in it.
     Every system carries kept_lu, the saddle's factor of its static matrix
-    (pattern), by the kept-factor policy at the top of this module.
+    (pattern), by the kept-factor policy at the top of this module, and its
+    scale (see system).
     """
 
     def __init__(self, upper, div, order, rows, cols):
@@ -190,9 +198,10 @@ class CellOrderedSaddle:
         position[self.perm] = np.arange(len(self.perm))
         self.pattern = permuted_saddle(upper, div, position)
         rows, cols = np.broadcast_arrays(position[rows], position[cols])
-        self.pos, stored = _locate(self.pattern, rows, cols)
+        pos, stored = _locate(self.pattern, rows, cols)
         if not stored.all():
             raise ValueError(f"{np.count_nonzero(~stored)} step entries are not stored in the pattern")
+        self.pos = np.ascontiguousarray(pos, dtype=np.intp)  # numpy's fastest scatter index
 
     @cached_property
     def static(self):
@@ -201,6 +210,20 @@ class CellOrderedSaddle:
         values = self.pattern.data[self.pos]
         values.flags.writeable = False
         return values
+
+    @cached_property
+    def _row_sums(self):
+        """The absolute row sums of the static matrix, or None if a static
+        value is not finite; summed 2**14 entries at a time, so that no
+        full-size copy of the values or the indices is made."""
+        data, indices = self.pattern.data, self.pattern.indices
+        if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
+            return None
+        sums = np.zeros(len(self.perm))
+        for start in range(0, len(data), 1 << 14):
+            chunk = slice(start, start + (1 << 14))
+            sums += np.bincount(indices[chunk], np.abs(data[chunk]), len(sums))
+        return sums
 
     @cached_property
     def kept_lu(self):
@@ -223,15 +246,27 @@ class CellOrderedSaddle:
         except RuntimeError:  # singular
             return None
 
-    def system(self, values, f_u, f_p, u_lin=None):
+    def system(self, values, f_u, f_p, u_lin=None, matrix=None):
         """The ordered system with values at the entries (rows, cols), and
         the static values everywhere else, linearized at the velocity u_lin
-        (see SaddleSystem)."""
+        (see SaddleSystem).  The values go into matrix, an earlier system's
+        matrix of this saddle, or else into a new copy of the pattern, made
+        after kept_lu.  A non-finite value (or static value) raises
+        SingularSystemError before any factor is made.  The scale is the
+        static row sums corrected by |value| - |static| at the entries: the
+        largest absolute row sum to within a few ulps."""
+        row_sums = self._row_sums
+        if row_sums is None or not np.isfinite([values.min(initial=0), values.max(initial=0)]).all():
+            raise SingularSystemError("non-finite entries in assembled blocks")
         kept_lu, pattern = self.kept_lu, self.pattern
-        data = pattern.data.copy()
-        data[self.pos] = values
-        matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu, u_lin)
+        size = np.abs(values) - np.abs(self.static)
+        rows = pattern.indices[self.pos]
+        scale = (row_sums + np.bincount(rows.ravel(), size.ravel(), len(row_sums))).max()
+        del size, rows  # not alive beside the copy below
+        if matrix is None:
+            matrix = sp.csc_matrix((pattern.data.copy(), pattern.indices, pattern.indptr), shape=pattern.shape)
+        matrix.data[self.pos] = values
+        return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu, u_lin, scale)
 
 
 class SaddleSolver:
@@ -268,12 +303,14 @@ class SaddleSolver:
         self.perm = system.perm
         matrix = system.matrix.tocsc()
         self._options = dict(permc_spec="COLAMD") if self.perm is None else ORDERED
-        if not np.all(np.isfinite(matrix.data)):
-            raise SingularSystemError("non-finite entries in assembled blocks")
-        # The largest absolute row sum, each row summed in storage order on
-        # the matrix's own indices: no copy of them.
-        size = sp.csc_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
-        self.scale = (size @ np.ones(matrix.shape[1])).max()
+        self.scale = system.scale
+        if self.scale is None:
+            if not np.all(np.isfinite(matrix.data)):
+                raise SingularSystemError("non-finite entries in assembled blocks")
+            # The largest absolute row sum, each row summed in storage order
+            # on the matrix's own indices: no copy of them.
+            size = sp.csc_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
+            self.scale = (size @ np.ones(matrix.shape[1])).max()
         self.matrix = matrix
         self.corrections = 0
         self.kept = system.kept_lu is not None
@@ -345,12 +382,12 @@ class SaddleSolver:
         if rhs.ndim == 2:
             x0, start = x0[:, None], start[:, None]
         y = x0 - self.lu.solve((start - rhs).astype(precision, copy=False))
-        last = np.inf
+        last, rhs_norm = np.inf, np.linalg.norm(rhs, axis=0)
         for k in range(KEPT_MAX + 1):
             if not np.all(np.isfinite(y)):
                 break
             resid = self.matrix @ y - rhs
-            rel = _residual_ratio(resid, y, rhs, self.scale, axis=0)
+            rel = _residual_ratio(resid, y, rhs_norm, self.scale, axis=0)
             if np.all(rel <= REFINE_TARGET):
                 return y, rel
             if k == KEPT_MAX or not rel.max() <= last / 2:
@@ -365,7 +402,7 @@ def relative_residual(matrix, x, rhs, scale):
     """|matrix x - rhs| / max(|rhs|, scale |x|) of vectors x and rhs, with
     numpy's dot-product norm; scale is the operator size (its largest
     absolute row sum).  column_residuals takes one per column."""
-    return _residual_ratio(matrix @ x - rhs, x, rhs, scale, axis=None)
+    return _residual_ratio(matrix @ x - rhs, x, np.linalg.norm(rhs), scale, axis=None)
 
 
 def column_residuals(matrix, x, rhs, scale):
@@ -374,18 +411,20 @@ def column_residuals(matrix, x, rhs, scale):
     product, residual or norm temporary is as wide as a batch.  Every solve
     accepts a column only when this is at most RESIDUAL_TOL."""
     if np.ndim(x) == 1:
-        return _residual_ratio(matrix @ x - rhs, x, rhs, scale, axis=0)
+        return _residual_ratio(matrix @ x - rhs, x, np.linalg.norm(rhs, axis=0), scale, axis=0)
     rel = np.empty(x.shape[1])
     for start in range(0, x.shape[1], RESIDUAL_BLOCK):
         cols = slice(start, start + RESIDUAL_BLOCK)
         block, rhs_block = x[:, cols], rhs[:, cols]
-        rel[cols] = _residual_ratio(matrix @ block - rhs_block, block, rhs_block, scale, axis=0)
+        resid = matrix @ block - rhs_block
+        rel[cols] = _residual_ratio(resid, block, np.linalg.norm(rhs_block, axis=0), scale, axis=0)
     return rel
 
 
-def _residual_ratio(resid, x, rhs, scale, axis):
-    """relative_residual from the residual resid = matrix x - rhs, with the
-    norms taken along axis (None: the dot-product norm of a vector)."""
+def _residual_ratio(resid, x, rhs_norm, scale, axis):
+    """relative_residual from the residual resid = matrix x - rhs and the
+    norm of rhs, with the norms taken along axis (None: the dot-product
+    norm of a vector)."""
     resid = np.linalg.norm(resid, axis=axis)
-    denom = np.maximum(np.linalg.norm(rhs, axis=axis), scale * np.linalg.norm(x, axis=axis))
+    denom = np.maximum(rhs_norm, scale * np.linalg.norm(x, axis=axis))
     return resid / np.maximum(denom, 1e-300)

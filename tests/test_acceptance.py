@@ -15,7 +15,7 @@ import scipy.linalg as la
 import oracles
 from msflow import analysis, forms, gmsfem, saddle
 from msflow.fine_solver import StepOperators, run_fine
-from msflow.geometry import POROUS, CircleInclusion, DomainSpec, generate_structured_mesh
+from msflow.geometry import FLUID, POROUS, CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
 from msflow.patches import coarse_cell_patch, full_patch
 from msflow.quadrature import TRI_D4_BARY, TRI_D4_W
@@ -161,20 +161,24 @@ def mms_pressure(x):
     return np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
 
 
+def mms_pressure_grad(x):
+    x = np.atleast_2d(x)
+    return np.stack(
+        [
+            np.pi * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
+            -np.pi * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
+        ],
+        axis=-1,
+    )
+
+
 def mms_fluid_forcing(reynolds, convection=False):
     """The forcing hook of the fluid terms -lap(u)/Re + grad(p), plus
     (u . grad) u with convection."""
 
     def forcing(x):
         x = np.atleast_2d(x)
-        grad_p = np.stack(
-            [
-                np.pi * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
-                -np.pi * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
-            ],
-            axis=-1,
-        )
-        f = (2.0 * np.pi * np.pi / reynolds) * mms_velocity(x) + grad_p
+        f = (2.0 * np.pi * np.pi / reynolds) * mms_velocity(x) + mms_pressure_grad(x)
         if convection:
             f += np.einsum("ndm,nm->nd", mms_grad(x), mms_velocity(x))
         return f
@@ -199,16 +203,16 @@ def mms_boundary(reynolds):
     return BoundaryData(velocity=mms_velocity, traction=traction)
 
 
-def mms_errors(mesh, u):
-    """The velocity error of u against the exact field in L2 and in the
-    broken H1 seminorm, by the degree-4 rule."""
+def mms_errors(mesh, u, velocity=mms_velocity, grad=mms_grad):
+    """The velocity error of u against an exact field (criterion 2's by
+    default) in L2 and in the broken H1 seminorm, by the degree-4 rule."""
     verts = mesh.verts[mesh.cells]
     xq = np.einsum("qa,nad->nqd", TRI_D4_BARY, verts)
     uq = np.einsum("qa,nad->nqd", TRI_D4_BARY, u.reshape(-1, 3, 2))
-    gap = uq - mms_velocity(xq.reshape(-1, 2)).reshape(uq.shape)
+    gap = uq - velocity(xq.reshape(-1, 2)).reshape(uq.shape)
     l2 = np.sqrt(np.einsum("n,q,nqd->", mesh.area, TRI_D4_W, gap**2))
     gh = np.einsum("nad,nam->ndm", u.reshape(-1, 3, 2), mesh.grad)
-    ggap = gh[:, None, :, :] - mms_grad(xq.reshape(-1, 2)).reshape(xq.shape[0], xq.shape[1], 2, 2)
+    ggap = gh[:, None, :, :] - grad(xq.reshape(-1, 2)).reshape(xq.shape[0], xq.shape[1], 2, 2)
     h1 = np.sqrt(np.einsum("n,q,nqdm->", mesh.area, TRI_D4_W, ggap**2))
     return l2, h1
 
@@ -238,14 +242,14 @@ def test_criterion_2_manufactured_convergence():
     )
 
 
-def porous_load(mesh, params):
-    """The momentum load of the exact field's Darcy and Forchheimer drag,
-    u / (Re Da) + (C / sqrt(Da)) |u| u, on the porous cells only, by the
-    degree-4 rule.  The forcing hook sees points, not cells, so it cannot
-    carry this load."""
+def porous_load(mesh, params, velocity=mms_velocity):
+    """The momentum load of an exact field's (criterion 2's by default)
+    Darcy and Forchheimer drag, u / (Re Da) + (C / sqrt(Da)) |u| u, on the
+    porous cells only, by the degree-4 rule.  The forcing hook sees points,
+    not cells, so it cannot carry this load."""
     porous = np.flatnonzero(mesh.region == POROUS)
     xq = np.einsum("qa,nad->nqd", TRI_D4_BARY, mesh.verts[mesh.cells[porous]])
-    uq = mms_velocity(xq.reshape(-1, 2)).reshape(xq.shape)
+    uq = velocity(xq.reshape(-1, 2)).reshape(xq.shape)
     speed = np.linalg.norm(uq, axis=2, keepdims=True)
     drag = 1.0 / (params.reynolds * params.darcy) + params.forchheimer / np.sqrt(params.darcy) * speed
     contrib = mesh.area[porous, None, None] * np.einsum("q,qa,nqd->nad", TRI_D4_W, TRI_D4_BARY, drag * uq)
@@ -286,6 +290,100 @@ def test_fine_step_converges_to_a_manufactured_solution_with_porous_terms(reynol
     print(f"[mms] {detail}", flush=True)
     assert orders_l2.min() >= 1.8 and orders_h1.min() >= 0.9, detail
     assert bare_l2 >= 100 * errs_l2[-1], detail
+
+
+# A porosity-jump exact field on the unit square, porous (porosity JUMP_XI)
+# for x > 1/2: the stream function psi = a(x) b(y), with
+# a = 1 + JUMP_C xi(x) (x - 1/2)^2 and b = sin(pi y), gives the
+# divergence-free u = (a b', -a' b).  At x = 1/2, a = 1 and a' = 0 on both
+# sides, so u is continuous, and so is (1/(xi Re)) du/dx =
+# (a' b', -a'' b) / (xi Re), since a' and a'' carry the factor xi.  The
+# pressure is criterion 2's, smooth across the interface, and the
+# convection is not zero.
+JUMP_XI, JUMP_C = 0.3, 4.0
+
+
+def jump_xi(x):
+    return np.where(x[:, 0] > 0.5, JUMP_XI, 1.0)
+
+
+def _jump_factors(x):
+    """xi, (a, a', a'') and (b, b', b'', b''') at the points x."""
+    x = np.atleast_2d(x)
+    xi, s = jump_xi(x), x[:, 0] - 0.5
+    a = (1.0 + JUMP_C * xi * s * s, 2.0 * JUMP_C * xi * s, 2.0 * JUMP_C * xi)
+    sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
+    return xi, a, (sy, np.pi * cy, -np.pi**2 * sy, -np.pi**3 * cy)
+
+
+def jump_velocity(x):
+    _, (a, a1, _), (b, b1, _, _) = _jump_factors(x)
+    return np.stack([a * b1, -a1 * b], axis=-1)
+
+
+def jump_grad(x):
+    """The velocity gradient, g[:, d, m] = d u_d / d x_m."""
+    _, (a, a1, a2), (b, b1, b2, _) = _jump_factors(x)
+    return np.stack([np.stack([a1 * b1, a * b2], -1), np.stack([-a2 * b, -a1 * b1], -1)], 1)
+
+
+def jump_fluid_forcing(reynolds):
+    """The forcing hook of the fluid terms of the porous step,
+    -lap(u) / (xi Re) + (u . grad) u / xi^2 + grad(p), with the xi of each
+    point's side: every quadrature point lies inside a cell."""
+
+    def forcing(x):
+        x = np.atleast_2d(x)
+        xi, (a, a1, a2), (b, b1, b2, b3) = _jump_factors(x)
+        laplacian = np.stack([a2 * b1 + a * b3, -a1 * b2], axis=-1)
+        convection = np.einsum("ndm,nm->nd", jump_grad(x), jump_velocity(x)) / xi[:, None] ** 2
+        return mms_pressure_grad(x) - laplacian / (xi * reynolds)[:, None] + convection
+
+    return forcing
+
+
+def jump_boundary(reynolds):
+    """Dirichlet data of the jump field, and its traction
+    (1/(xi Re)) grad(u) n - p n on the porous outflow side x = 1."""
+
+    def traction(x):
+        x = np.atleast_2d(x)
+        flux = jump_grad(x)[:, :, 0] / (jump_xi(x) * reynolds)[:, None]
+        return flux - mms_pressure(x)[:, None] * np.array([1.0, 0.0])
+
+    return BoundaryData(velocity=jump_velocity, traction=traction)
+
+
+@pytest.mark.parametrize("reynolds, forchheimer", [(1.0, 1.0), (10.0, 10.0)])
+def test_fine_step_converges_across_a_porosity_jump(reynolds, forchheimer):
+    # One fine step with Darcy, Forchheimer and convection against the jump
+    # field, porous for x > 1/2: a grid line at every n, so the interface is
+    # exact.  As in the test above, tau = 1e12 and ops.system(u_I) freezes
+    # convection and the drag at the vertex interpolant.
+    params = make_params(
+        reynolds=reynolds, darcy=1e-3, forchheimer=forchheimer, porosity=JUMP_XI, tau=1e12
+    )
+    bc = jump_boundary(reynolds)
+    errs_l2, errs_h1 = [], []
+    for n in (8, 16, 32):
+        mesh, _ = generate_structured_mesh(DomainSpec(bbox=(0, 0, 1, 1)), n, (1, 1))
+        mesh.region = np.where(mesh.centroid[:, 0] > 0.5, POROUS, FLUID).astype(np.int8)
+        ops = StepOperators(mesh, params, bc, forcing=jump_fluid_forcing(reynolds))
+        u_interp = jump_velocity(mesh.verts[mesh.cells].reshape(-1, 2)).ravel()
+        solver = SaddleSolver(ops.system(u_interp))
+        u, _ = solver.solve(ops.f_u + porous_load(mesh, params, jump_velocity), ops.f_p)
+        l2, h1 = mms_errors(mesh, u, jump_velocity, jump_grad)
+        errs_l2.append(l2)
+        errs_h1.append(h1)
+    orders_l2 = np.log2(np.divide(errs_l2[:-1], errs_l2[1:]))
+    orders_h1 = np.log2(np.divide(errs_h1[:-1], errs_h1[1:]))
+    detail = (
+        f"Re={reynolds:g}, C={forchheimer:g}, porosity {JUMP_XI:g} for x > 1/2: "
+        f"L2 orders {np.round(orders_l2, 2)}, broken-H1 orders {np.round(orders_h1, 2)}, "
+        f"n=32 L2 {errs_l2[-1]:.2e}"
+    )
+    print(f"[mms] {detail}", flush=True)
+    assert orders_l2.min() >= 1.8 and orders_h1.min() >= 0.9, detail
 
 
 def test_criterion_3_basis_refinement_trend(rig):

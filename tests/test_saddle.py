@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -308,15 +309,131 @@ def test_column_residuals_equal_the_per_column_residuals(block, monkeypatch):
 
 
 def test_scale_is_the_row_sum_of_a_bincount():
-    # the largest absolute row sum, summed in storage order on the matrix's
-    # own indices, has the bits of np.bincount over the entries, on a desk
-    # fine step system and on a pinned snapshot system
+    # the largest absolute row sum that a solver sums itself, in storage
+    # order on the matrix's own indices, has the bits of np.bincount over
+    # the entries, on a desk fine step system without a carried scale and
+    # on a pinned snapshot system; the desk step's carried scale is within
+    # a few ulps of it
     mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     ops, u1 = _step_system(mesh, make_params(tau=2e-4))
-    for solver in (SaddleSolver(ops.system(u1)), _snapshot_batch()[0]):
+    step = ops.system(u1)
+    for solver in (SaddleSolver(dataclasses.replace(step, scale=None)), _snapshot_batch()[0]):
         matrix = solver.matrix
         want = np.bincount(matrix.indices, np.abs(matrix.data), matrix.shape[0]).max()
         assert solver.scale.tobytes() == want.tobytes()
+        if matrix is step.matrix:
+            assert abs(step.scale - want) <= 4 * np.spacing(want)
+
+
+def _coarse_m16(monkeypatch):
+    """The coarse saddle that run_multiscale builds for a plain M=16 space
+    on a 4x4 coarse grid of 32 fine cells each (272 unknowns, as desk's),
+    and the space's nonlinear blocks."""
+    mesh, coarse = generate_structured_mesh(desk_domain(), 4, (4, 4))
+    params, bc = make_params(n_steps=1), BoundaryData.inflow((1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # snapshot rank drops
+        space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=16)
+    ops = StepOperators(mesh, params, bc)
+    built = []
+
+    class Recorded(CellOrderedSaddle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(gmsfem, "CellOrderedSaddle", Recorded)
+    gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)
+    (ordered,) = built
+    assert len(ordered.perm) == 17 * coarse.n_cells
+    return ordered, gmsfem._online_operators(space, mesh, coarse, params, ops).nonlinear
+
+
+def test_an_ordered_run_writes_every_step_into_one_matrix():
+    # ordered_step makes its run's matrix once, on the pattern's own indices
+    # and indptr, and each step writes its step entries into it: after two
+    # steps at different fields it equals a new system's matrix bit for
+    # bit, with no entry left from the first step, and the pattern keeps
+    # its static values
+    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    ops = StepOperators(mesh, make_params(tau=2e-4), BoundaryData.inflow((1.0, 0.0)))
+    ordered = ops.step_saddle()
+    step_solve = saddle.ordered_step(ordered, ops.step_blocks, ops.f_p)
+    rng = np.random.default_rng(8)
+    systems = []
+    for _ in range(2):
+        u = rng.uniform(0.0, 2.0, ops.patch.n_vdof)
+        systems.append(step_solve(u, ops.mass @ u + ops.f_u)[2].system)
+    first, second = systems
+    assert second.matrix is first.matrix and first.kept_lu is ordered.kept_lu
+    pattern, run = ordered.pattern, second.matrix
+    assert np.shares_memory(run.indices, pattern.indices) and np.shares_memory(run.indptr, pattern.indptr)
+    assert not np.shares_memory(run.data, pattern.data)
+    assert np.array_equal(pattern.data[ordered.pos], ordered.static)
+    values = ordered.static + ops.step_blocks(second.u_lin)
+    assert not np.array_equal(values, ordered.static + ops.step_blocks(first.u_lin))
+    fresh = ordered.system(values, ops.f_u, ops.f_p).matrix
+    for part in ("data", "indices", "indptr"):
+        assert getattr(run, part).tobytes() == getattr(fresh, part).tobytes(), part
+
+
+@pytest.mark.parametrize("case", ["desk_fine", "coarse_m16"])
+def test_a_system_carries_the_largest_absolute_row_sum(case, monkeypatch):
+    # the static row sums corrected at the step entries: within a few ulps
+    # of the largest absolute row sum of the system's matrix, also when
+    # every step value of the largest rows cancels its static value; the
+    # solver takes the carried scale as it is
+    rng = np.random.default_rng(9)
+    if case == "desk_fine":
+        mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+        ops = StepOperators(mesh, make_params(tau=2e-4), BoundaryData.inflow((1.0, 0.0)))
+        ordered, blocks = ops.step_saddle(), ops.step_blocks
+    else:
+        ordered, blocks = _coarse_m16(monkeypatch)
+    n, n_p = len(ordered.perm), len(ordered.static)  # one pressure per cell
+    values = ordered.static + blocks(rng.uniform(0.0, 2.0, n - n_p))
+    largest = []
+    for cancel in (False, True):
+        if cancel:
+            sums = np.bincount(matrix.indices, np.abs(matrix.data), n)
+            # static + block = 0 at every step entry of the largest rows
+            values[np.isin(ordered.pattern.indices[ordered.pos], np.flatnonzero(sums == sums.max()))] = 0.0
+        system = ordered.system(values, np.zeros(n - n_p), np.zeros(n_p))
+        matrix = system.matrix
+        want = np.bincount(matrix.indices, np.abs(matrix.data), n).max()
+        assert abs(system.scale - want) <= 4 * np.spacing(want)
+        assert SaddleSolver(system).scale is system.scale
+        largest.append(want)
+    assert largest[1] < largest[0]  # the cancelled rows were the largest
+
+
+@pytest.mark.parametrize("where", ["step", "static"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_value_raises_before_any_factor(where, bad, monkeypatch):
+    # a saddle checks its static values once and each step's values, and a
+    # non-finite one raises before the kept factor, or any other, is made
+    ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
+    if where == "step":
+        ordered = ops.step_saddle()
+
+        def blocks(u):
+            out = ops.step_blocks(u)
+            out[3, 0, 1, 2] = bad
+            return out
+
+    else:
+        upper = ops.upper.copy()
+        upper.data[7] = bad
+        velocity = np.arange(ops.patch.n_vdof)
+        ordered = CellOrderedSaddle(upper, ops.div, ops.cell_order, velocity, velocity)
+        blocks = lambda u: 0.0
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a) or splu(a, **kw))
+    step_solve = saddle.ordered_step(ordered, blocks, ops.f_p)
+    with pytest.raises(SingularSystemError, match="non-finite entries"):
+        step_solve(u1, ops.mass @ u1 + ops.f_u)
+    assert factored == [] and "kept_lu" not in vars(ordered)
 
 
 def test_pinned_system_ignores_cell_order():
