@@ -4,25 +4,25 @@ bit-identical operators.
 
 Uses only public calls, and reads the `run_fine` layers through the run's
 observer, so it runs against the package of any checkout whose `run_fine`
-takes `observe` and whose `forms` has `linearized_cell_blocks` and
-`cell_block_matrix`.  To compare against an older checkout, run that
+takes `observe`, whose `StepOperators` has `upper`, whose `forms` has
+`linearized_cell_blocks` and `cell_block_matrix` and whose `gmsfem` has
+`BASIS_VERSION`.  To compare against an older checkout, run that
 checkout's own copy of the script:
 
     python scripts/operator_digest.py > change.txt
     (cd /path/to/other/checkout && python scripts/operator_digest.py) > other.txt
     diff other.txt change.txt
 
-The optional argument is the `src/` directory to import `msflow` from
-(default: this checkout's).  It digests the five edge arrays of the desk
-and the paper_like meshes (`configs/desk_test1.cfg`, `configs/paper_like.cfg`),
-and on the desk config:
+`--src DIR` names the `src/` directory to import `msflow` from (default:
+this checkout's).  It digests the five edge arrays of the desk and the
+paper_like meshes (`configs/desk_test1.cfg`, `configs/paper_like.cfg`), and
+on the desk config:
 
 - the `StepOperators` blocks and loads for every Darcy value of the config:
   `mass`, `div`, the static velocity block `upper` (mass + viscous +
-  Darcy; in checkouts without `StepOperators.upper`, the sum of their
-  `mass`, `viscous` and `darcy`), and the `viscous` and `darcy` blocks as
-  `forms.viscous_block` and `forms.darcy_block` assemble them, with their
-  zeros dropped as older checkouts' `StepOperators` stored them; then
+  Darcy), and the `viscous` and `darcy` blocks as `forms.viscous_block`
+  and `forms.darcy_block` assemble them, with their zeros dropped as older
+  checkouts' `StepOperators` stored them; then
   the convection and Forchheimer blocks at a seeded field (labelled
   `convection_block` and `forchheimer_block`, as older checkouts print
   them), and the step matrices `ops.system(None)` (linear) and
@@ -44,11 +44,11 @@ and on the desk config:
   at Da=1e-3 on its plain space at M=16.  Its coarse steps refresh the
   kept factor they refine from, which no test1 run above does.
 
-Last come `gmsfem.BASIS_VERSION` (`None` in checkouts before it) and the
-basis-cache keys of the plain and the oversampled space at Da=1e-3, read
-from the names of the files `save_space` writes.  Bases that move while
-the version stays the same show as changed eigenvalue or `r_u` lines under
-an unchanged `basis_version` line.
+Last come `gmsfem.BASIS_VERSION` and the basis-cache keys of the plain and
+the oversampled space at Da=1e-3, read from the names of the files
+`save_space` writes.  Bases that move while the version stays the same
+show as changed eigenvalue or `r_u` lines under an unchanged
+`basis_version` line.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
 array through its dtype and shape as well as its bytes.  Every thread pool
@@ -58,6 +58,7 @@ count, so two shells would otherwise print other hashes for the same code.
 Takes about twenty seconds.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -72,7 +73,10 @@ import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else str(ROOT / "src"))
+if __name__ == "__main__":  # --src names the msflow that the imports below load
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="the src/ to import msflow from")
+    sys.path.insert(0, parser.parse_args().src)
 
 from msflow import forms, gmsfem  # noqa: E402
 from msflow.config import parse_config  # noqa: E402
@@ -140,11 +144,8 @@ def main():
         darcy_block = forms.darcy_block(ops.patch, params)
         for block in (viscous_block, darcy_block):
             block.eliminate_zeros()
-        upper = getattr(ops, "upper", None)
-        if upper is None:  # a checkout before StepOperators.upper
-            upper = ops.mass + ops.viscous + ops.darcy
         blocks = ("mass", ops.mass), ("div", ops.div), ("viscous", viscous_block), ("darcy", darcy_block)
-        for name, array in (*blocks, ("upper", upper), ("f_u", ops.f_u), ("f_p", ops.f_p)):
+        for name, array in (*blocks, ("upper", ops.upper), ("f_u", ops.f_u), ("f_p", ops.f_p)):
             show(f"{tag} step_operators.{name}", array)
         convection, porous, drag = forms.linearized_cell_blocks(ops.patch, params, field)
         every = np.arange(ops.patch.n_cells)
@@ -226,7 +227,7 @@ def multiscale(mesh, coarse, params, bc):
     )
     with tempfile.TemporaryDirectory() as cache:
         os_file = gmsfem.save_space(cache, mesh, params, bc, over)
-    print(f"basis_version {getattr(gmsfem, 'BASIS_VERSION', None)}")
+    print(f"basis_version {gmsfem.BASIS_VERSION}")
     for kind, path in (("plain", plain_file), ("os", os_file)):
         print(f"ms.da={MS_DARCY:g}.{kind} cache_key {pathlib.Path(path).name.split('_')[1]}")
 

@@ -111,22 +111,23 @@ class StepOperators:
         return relative_residual(self.div, velocity, self.f_p, self._div_scale)
 
 
-def march(step_solve, mass, f_u, n_p, div_residual, params, label, observe=None):
-    """The implicit loop from the zero state, shared by the fine and the
+def march(step_solve, mass, f_u, div_residual, params, label, observe=None):
+    """The implicit loop from the zero velocity, shared by the fine and the
     coarse runs: step k gets layer k + 1 and its SaddleSolver as (u, p,
     solver) = step_solve(u_k, mass @ u_k + f_u), records div_residual(u),
     then calls observe(k, state, solver) if given; the solver's matrix may
     be rewritten by the next step (see saddle.ordered_step).  Only the last
-    layer is kept.  A SingularSystemError is raised again as "{label} {k}: ..."."""
-    state = DGState(np.zeros(mass.shape[0]), np.zeros(n_p))
+    layer is kept, a solved one since params.n_steps >= 1.  A
+    SingularSystemError is raised again as "{label} {k}: ..."."""
+    u = np.zeros(mass.shape[0])
     residuals = np.empty(params.n_steps)
     for step in range(params.n_steps):
         try:
-            u, p, solver = step_solve(state.velocity, mass @ state.velocity + f_u)
+            u, p, solver = step_solve(u, mass @ u + f_u)
         except SingularSystemError as exc:
             raise SingularSystemError(f"{label} {step}: {exc}") from exc
         state = DGState(u, p)
-        residuals[step] = div_residual(state.velocity)
+        residuals[step] = div_residual(u)
         if observe is not None:
             observe(step, state, solver)
         del solver  # no step's solver, or a factor it made, outlives its step
@@ -145,7 +146,4 @@ def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None, observe=Non
         step_solve = lambda u, rhs_u: (*solver.solve(rhs_u, ops.f_p), solver)
     else:
         step_solve = ordered_step(ops.step_saddle(), ops.step_blocks, ops.f_p)
-    return march(
-        step_solve, ops.mass, ops.f_u, ops.patch.n_cells, ops.div_residual, params, "fine step",
-        observe,
-    )
+    return march(step_solve, ops.mass, ops.f_u, ops.div_residual, params, "fine step", observe)

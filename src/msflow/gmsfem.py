@@ -493,8 +493,8 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
         return relative_residual(b_h, u_h, f_p, b_scale)
 
     coarse_traj = march(
-        ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, space.r_p.shape[0],
-        div_residual, params, "online step", observe,
+        ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, div_residual, params,
+        "online step", observe,
     )
     final = coarse_traj.final
     return coarse_traj, DGState(space.r_u.T @ final.velocity, space.r_p.T @ final.pressure)

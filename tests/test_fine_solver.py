@@ -328,7 +328,7 @@ def test_a_run_over_the_budget_refreshes_a_factor_it_keeps_to_itself(tiny_step):
 
         if run == "shared":
             step_solve = ordered_step(shared, ops.step_blocks, ops.f_p)
-            march(step_solve, ops.mass, ops.f_u, mesh.n_cells, ops.div_residual, params, "fine step", observe)
+            march(step_solve, ops.mass, ops.f_u, ops.div_residual, params, "fine step", observe)
         else:
             run_fine(mesh, params, bc, ops=ops, observe=observe)
         runs.append(steps)
@@ -354,8 +354,8 @@ def ordered_run(ops, params, n_steps=8):
     shared = ops.step_saddle()
     solvers = []
     march(
-        ordered_step(shared, ops.step_blocks, ops.f_p), ops.mass, ops.f_u, ops.patch.n_cells,
-        ops.div_residual, dataclasses.replace(params, n_steps=n_steps, t_max=None), "fine step",
+        ordered_step(shared, ops.step_blocks, ops.f_p), ops.mass, ops.f_u, ops.div_residual,
+        dataclasses.replace(params, n_steps=n_steps, t_max=None), "fine step",
         lambda step, state, solver: solvers.append(solver),
     )
     return shared, solvers

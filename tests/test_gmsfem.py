@@ -518,7 +518,7 @@ class TestOnlineStage:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="^online step 7: "):
                 march(
-                    step_solve, sp.identity(3), np.ones(3), 1, lambda u_h: 0.0,
+                    step_solve, sp.identity(3), np.ones(3), lambda u_h: 0.0,
                     make_params(n_steps=10), "online step",
                 )
 
@@ -548,7 +548,7 @@ class TestOnlineStage:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystemError, match="^online step 7: factorization failed"):
                 march(
-                    ordered_step(ordered, blocks, np.ones(1)), sp.identity(3), np.ones(3), 1,
+                    ordered_step(ordered, blocks, np.ones(1)), sp.identity(3), np.ones(3),
                     lambda u_h: 0.0, make_params(n_steps=10), "online step",
                     lambda step, state, solver: paths.append(solver.kept),
                 )
