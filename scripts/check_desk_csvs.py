@@ -26,6 +26,7 @@ import pathlib
 import sys
 import tempfile
 import warnings
+from itertools import groupby, zip_longest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # check this checkout's package
@@ -47,27 +48,44 @@ def check(out_dir):
     return want, bad
 
 
-def differing_cells(name, committed, new):
-    """Lines naming each cell of two CSV texts that differs, by M and column;
-    a row or header present in only one of them is named whole."""
+def cell_pairs(committed, new):
+    """The shared header of two CSV texts and their cells as (M, column,
+    committed, new) tuples, rows matched by M (the first cell) in the order
+    of the committed rows, then the new ones.  A cell that only one text has
+    is None in the other, and a cell past the header has column None.  The
+    header is None when the headers differ."""
     old_rows = [line.split(",") for line in committed.splitlines() if line]
     new_rows = [line.split(",") for line in new.splitlines() if line]
     if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
-        return [f"  {name}: header differs"]
-    header = old_rows[0]
+        return None, []
     old_by_m = {row[0]: row for row in old_rows[1:]}
     new_by_m = {row[0]: row for row in new_rows[1:]}
+    cells = []
+    for m in {**old_by_m, **new_by_m}:
+        row = zip_longest(old_rows[0], old_by_m.get(m, []), new_by_m.get(m, []))
+        cells += [(m, col, want, got) for col, want, got in row]
+    return old_rows[0], cells
+
+
+def differing_cells(name, committed, new):
+    """Lines naming each cell of two CSV texts that differs, by M and column;
+    a row or header present in only one of them is named whole."""
+    header, cells = cell_pairs(committed, new)
+    if header is None:
+        return [f"  {name}: header differs"]
     lines = []
-    for m in sorted(set(old_by_m) | set(new_by_m), key=lambda k: (len(k), k)):
-        old_row, new_row = old_by_m.get(m), new_by_m.get(m)
-        if old_row is None or new_row is None:
-            lines.append(f"  {name}: M={m} row {'added' if old_row is None else 'missing'}")
+    cells.sort(key=lambda cell: (len(cell[0]), cell[0]))  # stable: columns keep their order
+    for m, row in groupby(cells, key=lambda cell: cell[0]):
+        _, columns, wants, gots = zip(*row)
+        n_old, n_new = (sum(v is not None for v in values) for values in (wants, gots))
+        if not n_old or not n_new:
+            lines.append(f"  {name}: M={m} row {'added' if not n_old else 'missing'}")
             continue
-        for col, want, got in zip(header[1:], old_row[1:], new_row[1:]):
-            if want != got:
+        for col, want, got in zip(columns, wants, gots):
+            if None not in (col, want, got) and want != got:
                 lines.append(f"  {name}: M={m} {col} committed {want} new {got}")
-        if len(old_row) != len(new_row):
-            lines.append(f"  {name}: M={m} has {len(new_row)} cells, committed {len(old_row)}")
+        if n_old != n_new:
+            lines.append(f"  {name}: M={m} has {n_new} cells, committed {n_old}")
     if not lines:
         lines.append(f"  {name}: bytes differ outside the cells (line endings or order)")
     return lines
@@ -85,21 +103,17 @@ def relative_change(want, got):
 
 def column_changes(committed, new):
     """The largest relative change of each column of two CSV texts, as
-    {column: (change, M)}; None when their headers, M rows or row lengths
-    differ."""
-    old_rows = [line.split(",") for line in committed.splitlines() if line]
-    new_rows = [line.split(",") for line in new.splitlines() if line]
-    same_m = [row[0] for row in old_rows] == [row[0] for row in new_rows]
-    if not old_rows or not same_m or old_rows[0] != new_rows[0]:
+    {column: (change, M)}; None when their headers, M rows (in order) or
+    row lengths differ."""
+    header, cells = cell_pairs(committed, new)
+    m_old, m_new = ([line.split(",")[0] for line in t.splitlines() if line] for t in (committed, new))
+    if header is None or m_old != m_new or any(None in cell for cell in cells):
         return None
     changes = {}
-    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
-        if len(old_row) != len(new_row) or len(old_row) != len(old_rows[0]):
-            return None
-        for col, want, got in zip(old_rows[0][1:], old_row[1:], new_row[1:]):
-            change = relative_change(want, got)
-            if col not in changes or change > changes[col][0]:
-                changes[col] = (change, old_row[0])
+    for m, col, want, got in cells:
+        change = relative_change(want, got)
+        if col != header[0] and (col not in changes or change > changes[col][0]):
+            changes[col] = (change, m)
     return changes
 
 

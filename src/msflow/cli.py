@@ -7,6 +7,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, gmsfem, vtk_io
 from .atomic import atomic_write
 from .config import parse_config
@@ -30,11 +32,20 @@ def _write_json(path, payload):
 
 
 def _load_reference(path, mesh):
-    _, _, state, _ = vtk_io.read_vtk_state(path)
+    """The state of a VTK file written on this run's mesh: its points, cells
+    and region tags must equal the mesh's, bit for bit."""
+    points, cells, state, region = vtk_io.read_vtk_state(path)
     try:
         state.validate(mesh.n_cells)
     except ValueError as exc:
         raise MsflowError(f"{path}: {exc} (not a state on this run's mesh)") from exc
+    for name, got, want in (
+        ("points", points, mesh.verts),
+        ("cells", cells, mesh.cells),
+        ("region tags", region, mesh.region),
+    ):
+        if not np.array_equal(got, want):
+            raise MsflowError(f"{path}: {name} differ from this run's mesh")
     return state
 
 

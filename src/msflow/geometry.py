@@ -85,8 +85,9 @@ class DomainSpec:
 class TriMesh:
     """Fine triangulation with region tags, coarse ids and oriented edges.
 
-    Vertex/cell arrays are set at construction; edge arrays are populated by
-    :func:`build_edge_topology`.  Cells are counter-clockwise.
+    The constructor checks the cells (existing vertices, counter-clockwise)
+    and builds the five edge arrays of _edge_topology; a fault raises
+    MeshFormatError naming the first bad cell or edge.
     """
 
     def __init__(self, verts, cells, region, coarse_id, bbox):
@@ -95,15 +96,12 @@ class TriMesh:
         self.region = np.asarray(region, dtype=np.int8)
         self.coarse_id = np.asarray(coarse_id, dtype=np.int64)
         self.bbox = tuple(float(v) for v in bbox)
-        if self.cells.min(initial=0) < 0 or self.cells.max(initial=-1) >= len(self.verts):
-            raise MeshFormatError("cell references a missing vertex")
+        missing = ((self.cells < 0) | (self.cells >= len(self.verts))).any(axis=1)
+        if missing.any():
+            raise MeshFormatError(f"cell {int(np.argmax(missing))} references a missing vertex")
         self._compute_cell_geometry()
-        # Populated by build_edge_topology:
-        self.edge_verts = None  # (ne, 2) endpoint vertex ids
-        self.edge_cells = None  # (ne, 2) adjacent cells, col 1 == -1 on boundary
-        self.edge_normal = None  # (ne, 2) unit normal, plus -> minus / outward
-        self.edge_length = None  # (ne,)
-        self.edge_side = None  # (ne,) INTERIOR or side code
+        edges = _edge_topology(self)
+        self.edge_verts, self.edge_cells, self.edge_normal, self.edge_length, self.edge_side = edges
 
     @property
     def n_cells(self):
@@ -115,7 +113,7 @@ class TriMesh:
 
     @property
     def n_edges(self):
-        return 0 if self.edge_verts is None else len(self.edge_verts)
+        return len(self.edge_verts)
 
     def _compute_cell_geometry(self):
         p = self.verts[self.cells]  # (nc, 3, 2)
@@ -138,27 +136,6 @@ class TriMesh:
     def xi(self, porosity):
         """Per-cell permeability indicator: 1 on fluid cells, porosity on porous."""
         return np.where(self.region == POROUS, porosity, 1.0)
-
-    def validate(self, coarse=None):
-        """Check topology invariants; raises MeshFormatError on violation."""
-        if self.edge_verts is None:
-            raise MeshFormatError("edge topology not built")
-        interior = self.edge_cells[:, 1] >= 0
-        if np.any(self.edge_side[interior] != INTERIOR):
-            raise MeshFormatError("interior edge carries a boundary side label")
-        if np.any(self.edge_side[~interior] == INTERIOR):
-            raise MeshFormatError("boundary edge without side classification")
-        nrm = np.linalg.norm(self.edge_normal, axis=1)
-        if np.any(np.abs(nrm - 1.0) > 1e-12):
-            raise MeshFormatError("edge normals are not unit length")
-        if coarse is not None:
-            expect = coarse.locate(self.centroid)
-            if np.any(expect != self.coarse_id):
-                bad = int(np.argmax(expect != self.coarse_id))
-                raise MeshFormatError(
-                    f"cell {bad}: coarse id {self.coarse_id[bad]} does not match "
-                    f"its centroid location {expect[bad]}"
-                )
 
 
 class CoarseGrid:
@@ -190,10 +167,6 @@ class CoarseGrid:
     def n_cells(self):
         return self.nx * self.ny
 
-    def locate(self, pts):
-        """Coarse cell index containing each point (see grid_cell)."""
-        return grid_cell(pts, self.bbox, self.nx, self.ny)
-
 
 def grid_cell(pts, bbox, nx, ny):
     """Index iy * nx + ix of the cell of the nx x ny grid over bbox that
@@ -220,15 +193,17 @@ def oversample_region(coarse, i):
     return sorted(out)
 
 
-def build_edge_topology(mesh):
-    """Populate oriented edge arrays on the mesh.
+def _edge_topology(mesh):
+    """The oriented edge arrays of a mesh with its cell geometry: (ne, 2)
+    edge_verts, (ne, 2) edge_cells, (ne, 2) unit edge_normal, (ne,)
+    edge_length and (ne,) edge_side, INTERIOR or a side code.
 
     Edges are numbered in the order of their (lower, higher) vertex ids.
     Interior edges store (K+, K-) with the lower cell index as K+ and the
     unit normal pointing from K+ into K-.  Boundary edges store the single
-    adjacent cell, an outward normal and the bounding-box side they lie on.
-    An edge of more than two cells, of zero length, or on the boundary but
-    off every bbox side raises MeshFormatError naming the first such edge.
+    adjacent cell (K- is -1), an outward normal and the bounding-box side
+    they lie on.  An edge of more than two cells, or on the boundary but off
+    every bbox side, raises MeshFormatError naming the first such edge.
     """
     # Triple 3c + a is the edge of cell c opposite its vertex a.
     ends = mesh.cells[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
@@ -259,17 +234,13 @@ def build_edge_topology(mesh):
     ]
     side = np.select(on_side, [LEFT, RIGHT, BOTTOM, TOP], default=INTERIOR)
     off_bbox = ~inner & (side == INTERIOR)
-    faults = (count > 2) | (edge_length <= 0.0) | off_bbox
+    faults = (count > 2) | off_bbox
     if faults.any():
         e = int(np.argmax(faults))
         edge = tuple(int(v) for v in edge_verts[e])
         if count[e] > 2:
             raise MeshFormatError(f"edge {edge} shared by more than two cells")
-        if edge_length[e] <= 0.0:
-            raise MeshFormatError(f"edge {edge} has zero length")
-        raise MeshFormatError(
-            f"boundary edge {edge} near {mid[e]} does not lie on a bbox side"
-        )
+        raise MeshFormatError(f"boundary edge {edge} near {mid[e]} does not lie on a bbox side")
 
     normal = np.column_stack([t[:, 1], -t[:, 0]]) / edge_length[:, None]
     # Point away from K+ (or the only cell): toward K-, or the edge midpoint.
@@ -277,12 +248,8 @@ def build_edge_topology(mesh):
     away = away - mesh.centroid[edge_cells[:, 0]]
     flip = normal[:, 0] * away[:, 0] + normal[:, 1] * away[:, 1] < 0.0
 
-    mesh.edge_verts = edge_verts
-    mesh.edge_cells = edge_cells
-    mesh.edge_normal = np.where(flip[:, None], -normal, normal)
-    mesh.edge_length = edge_length
-    mesh.edge_side = np.where(inner, INTERIOR, side).astype(np.int8)
-    return mesh
+    side = np.where(inner, INTERIOR, side).astype(np.int8)
+    return edge_verts, edge_cells, np.where(flip[:, None], -normal, normal), edge_length, side
 
 
 def generate_structured_mesh(domain, n_per_coarse, coarse_dims):
@@ -317,7 +284,6 @@ def generate_structured_mesh(domain, n_per_coarse, coarse_dims):
     centroids = verts[cells].mean(axis=1)
     region = np.where(domain.porous_mask(centroids), POROUS, FLUID)
     mesh = TriMesh(verts, cells, region, grid_cell(centroids, domain.bbox, nx, ny), domain.bbox)
-    build_edge_topology(mesh)
     coarse = CoarseGrid(nx, ny, domain.bbox, mesh)
     return mesh, coarse
 
@@ -351,8 +317,9 @@ def save_mesh(path, mesh, coarse):
 def load_mesh(path):
     """Read the mesh text format and rebuild topology.
 
-    The coarse overlay comes from the file's `coarse nx ny` line; coarse
-    assignments are validated against centroids.
+    The coarse overlay comes from the file's `coarse nx ny` line; each
+    cell's coarse id must be the grid cell of its centroid.  Every
+    MeshFormatError starts with the file's path.
     """
     with open(path, errors="replace") as fh:
         raw = fh.read().splitlines()
@@ -440,22 +407,26 @@ def load_mesh(path):
         raise MeshFormatError(f"{path}: missing or empty vertices or cells section")
     if dims is None:
         raise MeshFormatError(f"{path}: no 'coarse nx ny' line")
-    if cells.min() < 0 or cells.max() >= len(verts):
-        bad = int(np.argmax((cells < 0) | (cells >= len(verts))).item() // 3)
-        raise MeshFormatError(f"{path}: cell {bad} references a missing vertex")
 
     bbox = (verts[:, 0].min(), verts[:, 1].min(), verts[:, 0].max(), verts[:, 1].max())
-    mesh = TriMesh(verts, cells, region, coarse_id, bbox)
-    build_edge_topology(mesh)
-    for key, side in boundary_labels.items():
-        hits = np.nonzero((mesh.edge_verts[:, 0] == key[0]) & (mesh.edge_verts[:, 1] == key[1]))[0]
-        if len(hits) != 1 or mesh.edge_cells[hits[0], 1] >= 0:
-            raise MeshFormatError(f"{path}: listed boundary edge {key} is not a boundary edge")
-        if mesh.edge_side[hits[0]] != side:
+    try:
+        mesh = TriMesh(verts, cells, region, coarse_id, bbox)
+        for key, side in boundary_labels.items():
+            e = np.flatnonzero(np.all(mesh.edge_verts == key, axis=1))
+            if len(e) != 1 or mesh.edge_side[e[0]] == INTERIOR:
+                raise MeshFormatError(f"listed boundary edge {key} is not a boundary edge")
+            if mesh.edge_side[e[0]] != side:
+                lies = SIDE_NAMES[int(mesh.edge_side[e[0]])]
+                message = f"boundary edge {key} labelled {SIDE_NAMES[side]} but lies on {lies}"
+                raise MeshFormatError(message)
+        coarse = CoarseGrid(dims[0], dims[1], bbox, mesh)
+        expect = grid_cell(mesh.centroid, bbox, *dims)
+        if np.any(expect != coarse_id):
+            bad = int(np.argmax(expect != coarse_id))
             raise MeshFormatError(
-                f"{path}: boundary edge {key} labelled {SIDE_NAMES[side]} but lies on "
-                f"{SIDE_NAMES[int(mesh.edge_side[hits[0]])]}"
+                f"cell {bad}: coarse id {coarse_id[bad]} does not match "
+                f"its centroid location {expect[bad]}"
             )
-    coarse = CoarseGrid(dims[0], dims[1], bbox, mesh)
-    mesh.validate(coarse)
+    except MeshFormatError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from exc
     return mesh, coarse

@@ -8,7 +8,6 @@ from msflow.geometry import (
     CircleInclusion,
     DomainSpec,
     TriMesh,
-    build_edge_topology,
     CoarseGrid,
     generate_structured_mesh,
 )
@@ -75,7 +74,6 @@ def random_rect_two_cells(rng):
         cells = np.array([[0, 1, 3], [1, 2, 3]])
     region = rng.integers(0, 2, size=2).astype(np.int8)
     mesh = TriMesh(verts, cells, region, np.zeros(2, dtype=int), (0, 0, w, h))
-    build_edge_topology(mesh)
     coarse = CoarseGrid(1, 1, mesh.bbox, mesh)
     return mesh, coarse
 
@@ -96,7 +94,6 @@ def perturbed_grid_mesh(rng, n=3):
     verts[interior] += shift
     region = rng.integers(0, 2, size=mesh.n_cells).astype(np.int8)
     new = TriMesh(verts, mesh.cells, region, mesh.coarse_id, mesh.bbox)
-    build_edge_topology(new)
     return new, CoarseGrid(1, 1, new.bbox, new)
 
 

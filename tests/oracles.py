@@ -7,12 +7,13 @@ the 3x3 vertex interpolation system per cell.
 
 Six more references pin faster package code to the same bits, so they
 follow its arithmetic rather than avoid it: loop_edge_topology (the edge
-arrays, one edge at a time), concatenated_csr (the sparse assembly, from
-concatenated triplet copies), saddle_matrix (the saddle matrix, pinned or
-not, from sp.bmat and a LIL row edit), einsum_convection_blocks (the convection
-cell blocks as einsum contractions), repeated_weight_blocks (the online drag
-blocks, through np.repeat) and add_at_vtk_text (the VTK text, one value and
-one np.add.at at a time).
+arrays that TriMesh builds, one edge at a time), concatenated_csr (the
+sparse assembly, from concatenated triplet copies), saddle_matrix (the
+saddle matrix, pinned or not, from sp.bmat and a LIL row edit),
+einsum_convection_blocks (the convection cell blocks as einsum
+contractions), repeated_weight_blocks (the online drag blocks, through
+np.repeat) and add_at_vtk_text (the VTK text, one value and one np.add.at
+at a time).
 
 The block-assembled fine step at the end is the reference for the ordered
 step matrix: the convection and Forchheimer blocks as CSR matrices
@@ -45,14 +46,15 @@ from msflow.saddle import KEPT_MAX, KEPT_MIN, REFINE_TARGET, REFRESH_AFTER, SING
 from conftest import linearized_matrices
 
 
-def loop_edge_topology(mesh):
-    """Reference edge topology, one edge at a time from a dict of incident
-    cells: (edge_verts, edge_cells, edge_normal, edge_length, edge_side) as
-    build_edge_topology sets them, raising its MeshFormatError for the first
-    faulty edge in vertex-pair order."""
+def loop_edge_topology(verts, cells, bbox):
+    """Reference edge topology of counter-clockwise cells, one edge at a time
+    from a dict of incident cells: (edge_verts, edge_cells, edge_normal,
+    edge_length, edge_side) as the TriMesh constructor sets them, raising its
+    MeshFormatError for the first faulty edge in vertex-pair order."""
+    centroid = verts[cells].mean(axis=1)
     incidence = {}
-    for c in range(mesh.n_cells):
-        v = [int(x) for x in mesh.cells[c]]
+    for c in range(len(cells)):
+        v = [int(x) for x in cells[c]]
         for a in range(3):
             key = (min(v[(a + 1) % 3], v[(a + 2) % 3]), max(v[(a + 1) % 3], v[(a + 2) % 3]))
             incidence.setdefault(key, []).append(c)
@@ -65,7 +67,7 @@ def loop_edge_topology(mesh):
     edge_length = np.empty(ne)
     edge_side = np.full(ne, INTERIOR, dtype=np.int8)
 
-    x0, y0, x1, y1 = mesh.bbox
+    x0, y0, x1, y1 = bbox
     tol = 1e-9 * max(x1 - x0, y1 - y0)
 
     for e, key in enumerate(keys):
@@ -73,21 +75,19 @@ def loop_edge_topology(mesh):
         if len(adj) > 2:
             raise MeshFormatError(f"edge {key} shared by more than two cells")
         edge_verts[e] = key
-        pa, pb = mesh.verts[key[0]], mesh.verts[key[1]]
+        pa, pb = verts[key[0]], verts[key[1]]
         t = pb - pa
         length = float(np.hypot(t[0], t[1]))
-        if length <= 0.0:
-            raise MeshFormatError(f"edge {key} has zero length")
         n = np.array([t[1], -t[0]]) / length
         if len(adj) == 2:
             cp, cm = min(adj), max(adj)
             edge_cells[e] = (cp, cm)
-            if np.dot(n, mesh.centroid[cm] - mesh.centroid[cp]) < 0.0:
+            if np.dot(n, centroid[cm] - centroid[cp]) < 0.0:
                 n = -n
         else:
             c = adj[0]
             edge_cells[e, 0] = c
-            if np.dot(n, mesh.centroid[c] - 0.5 * (pa + pb)) > 0.0:
+            if np.dot(n, centroid[c] - 0.5 * (pa + pb)) > 0.0:
                 n = -n
             mid = 0.5 * (pa + pb)
             if abs(pa[0] - x0) < tol and abs(pb[0] - x0) < tol:

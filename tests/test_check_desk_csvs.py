@@ -53,3 +53,16 @@ def test_report_passes_only_within_the_tolerance(capsys):
     texts["errors_da_1e-05.csv"] = (COMMITTED, COMMITTED.replace("M,", "m,"))
     assert check_desk_csvs.report_rtol(texts, 1.0) == 1
     assert "DIFFERS: errors_da_1e-05.csv" in capsys.readouterr().out
+
+
+def test_byte_mode_names_each_differing_cell_and_row():
+    new = "M,DOF_H,e_u_plain,e_p_os\n4,80,44.435165\n8,144,1.0,2.0\n"
+    assert check_desk_csvs.differing_cells("f.csv", COMMITTED, new) == [
+        "  f.csv: M=2 row missing",
+        "  f.csv: M=4 e_u_plain committed 44.435155 new 44.435165",
+        "  f.csv: M=4 has 3 cells, committed 4",
+        "  f.csv: M=8 row added",
+    ]
+    assert check_desk_csvs.differing_cells("f.csv", COMMITTED, "m" + COMMITTED[1:]) == [
+        "  f.csv: header differs"
+    ]

@@ -248,6 +248,32 @@ def test_reference_from_another_mesh_names_the_file(tmp_path, capsys, monkeypatc
     assert not list(out.glob("ms_*"))
 
 
+@pytest.mark.parametrize("mode", ["compare", "ms"])
+def test_reference_from_another_mesh_of_the_same_size_names_the_file(
+    tmp_path, capsys, monkeypatch, mode
+):
+    out = tmp_path / "out"
+    tail = "[mesh]\nnx = 2\nny = 2\nn_per_coarse = 3\n[model]\npreset = test1\nn_steps = 2\n"
+    domain = "[domain]\nbbox = -1 -1 1 1\ninclusions = 0 0 0.3\n"
+    cfg = write_config(tmp_path, domain + tail + f"[run]\nout = {out}\n")
+    assert cli.main(["fine", "--config", str(cfg)]) == 0
+    fine_vtk = out / "fine.vtk"  # 72 cells, as the runs below have, on another box
+    domain = "[domain]\nbbox = -2 -2 2 2\ninclusions = 0.5 0.5 0.3\n"
+    run = f"[run]\nreference = {fine_vtk}\nother = {fine_vtk}\nm_list = 4\nout = {out}\n"
+    cfg = write_config(tmp_path, domain + tail + run, name=f"{mode}.cfg")
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(gmsfem, "compute_linearization_field", no_basis)
+    monkeypatch.setattr(gmsfem, "build_multiscale_space", no_basis)
+    capsys.readouterr()
+    assert cli.main([mode, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {fine_vtk}: points differ from this run's mesh"]
+    assert not list(out.glob("ms_*")) and not (out / "compare.json").exists()
+
+
 def test_ms_mode_writes_reports(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -419,8 +445,9 @@ def test_cli_rejects_darcy_list_values_below_zero(tmp_path, capsys, value, bad):
         ("radius_min = 0\nradius_max = 0.1", "line 5: key 'radius_min': must be positive, got 0"),
         ("radius_min = 0.2\nradius_max = 0.1", "line 6: key 'radius_max': 0.1 is below radius_min 0.2"),
         ("n_inclusions = -3", "line 5: key 'n_inclusions': must be at least 0, got -3"),
+        ("radius_min = 1\nradius_max = 2", "inclusion radius too large for the domain"),
     ],
-    ids=["radius_min_zero", "radius_range_inverted", "negative_count"],
+    ids=["radius_min_zero", "radius_range_inverted", "negative_count", "radius_too_large"],
 )
 def test_cli_rejects_bad_random_inclusions(tmp_path, capsys, keys, message):
     cfg = write_config(
@@ -670,6 +697,7 @@ VALUES_CONFIG = (
     "key, value, message",
     [
         ("bbox", "1 -1 -1 1", "line 2: key 'bbox': x1 and y1 must exceed x0 and y0, got 1 -1 -1 1"),
+        ("bbox", "-1 -1 1", "line 2: key 'bbox': expected 4 numbers, got 3"),
         ("porosity", "1.5", "line 3: key 'porosity': must lie in (0, 1], got 1.5"),
         ("porosity", "0", "line 3: key 'porosity': must lie in (0, 1], got 0"),
         ("re", "0", "line 10: key 're': must be positive, got 0"),
@@ -691,7 +719,7 @@ VALUES_CONFIG = (
         ("da_list", "1e-3 0.001", "line 18: key 'da_list': 0.001 is repeated"),
     ],
     ids=[
-        "bbox_inverted", "porosity_above_one", "porosity_zero", "re_zero", "forchheimer_negative",
+        "bbox_inverted", "bbox_three_numbers", "porosity_above_one", "porosity_zero", "re_zero", "forchheimer_negative",
         "inclusion_radius_negative", "t_max_negative", "t_max_underflow", "n_steps_overflow",
         "da_negative",
         "gamma_zero", "m_list_repeat", "m_list_zero", "da_list_repeat",
@@ -729,6 +757,57 @@ def test_keys_the_run_does_not_read_are_still_checked(tmp_path, capsys, entries,
     assert cli.main(["fine", "--config", str(cfg), *args]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+MODEL = "[model]\npreset = test1\n"
+
+
+@pytest.mark.parametrize(
+    "mode, text, message",
+    [
+        ("fine", None, "config file not found: run.cfg"),
+        ("fine", MODEL + "junk\n", "line 3: expected 'key = value'"),
+        ("fine", "seed = 3\n" + MODEL, "line 1: key outside any section"),
+        (
+            "fine", MODEL + "[mesh]\nsource = foo\n",
+            "line 4: key 'source': must be one of generate, load, got 'foo'",
+        ),
+        ("fine", MODEL + "[mesh]\nsource = load\n", "line 4: mesh source 'load' requires a path"),
+        (
+            "fine", MODEL + "[mesh]\nsource = load\npath = mesh.txt\n",
+            "line 5: mesh file not found: mesh.txt",
+        ),
+        (
+            "fine", "[model]\nre = 1\nforchheimer = 1\n",
+            "model needs a preset or explicit re, forchheimer and t_max",
+        ),
+        ("compare", MODEL + "[run]\nother = run.cfg\n", "compare mode requires reference"),
+        (
+            "compare", MODEL + "[run]\nreference = fine.vtk\nother = run.cfg\n",
+            "line 4: reference file not found: fine.vtk",
+        ),
+        (
+            "ms", MODEL + "[run]\nm_list = 2\nreference = fine.vtk\n",
+            "line 5: reference file not found: fine.vtk",
+        ),
+        (
+            "fine", MODEL + "[run]\nout = run.cfg/out\n",
+            "output directory not creatable: [Errno 20] Not a directory: 'run.cfg/out'",
+        ),
+    ],
+    ids=[
+        "missing_config", "no_equals_sign", "key_before_section", "unknown_source",
+        "load_without_path", "missing_mesh_file", "no_model_bundle", "compare_without_reference",
+        "compare_missing_reference", "ms_missing_reference", "out_below_a_file",
+    ],
+)
+def test_cli_rejects_a_config_it_cannot_run(tmp_path, monkeypatch, capsys, mode, text, message):
+    monkeypatch.chdir(tmp_path)  # the paths above, and the default out, are relative
+    if text is not None:
+        write_config(tmp_path, text)
+    assert cli.main([mode, "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "msflow_out").exists()
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

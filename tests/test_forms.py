@@ -10,10 +10,7 @@ from msflow import forms
 from msflow.config import parse_config
 from msflow.geometry import (
     POROUS,
-    CoarseGrid,
     DomainSpec,
-    TriMesh,
-    build_edge_topology,
     generate_structured_mesh,
 )
 from msflow.parameters import BoundaryData
@@ -27,6 +24,7 @@ from conftest import (
     perturbed_grid_mesh,
     random_rect_two_cells,
     tiny_heterogeneous,
+    unit_square_mesh,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -41,25 +39,14 @@ def desk():
 
 
 def single_triangle_mesh(porous=False):
-    """Unit right triangle as a one-cell mesh (no boundary classification)."""
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cells = np.array([[0, 1, 2]])
-    region = np.array([1 if porous else 0], dtype=np.int8)
-    mesh = TriMesh(verts, cells, region, np.zeros(1, dtype=int), (0, 0, 1, 1))
-    # bypass bbox side classification: treat every edge as patch-interior data
-    mesh.edge_verts = np.array([[1, 2], [0, 2], [0, 1]])
-    mesh.edge_cells = np.array([[0, -1], [0, -1], [0, -1]])
-    mesh.edge_normal = np.array(
-        [[1 / np.sqrt(2), 1 / np.sqrt(2)], [-1.0, 0.0], [0.0, -1.0]]
-    )
-    mesh.edge_length = np.array([np.sqrt(2.0), 1.0, 1.0])
-    mesh.edge_side = np.array([0, 0, 2], dtype=np.int8)
-    return mesh
+    """The unit square as two cells, optionally porous; cell 0 is the right
+    triangle (0, 0), (1, 0), (1, 1) of area 1/2."""
+    return unit_square_mesh(porous=porous)[0]
 
 
 def volume_only_patch(mesh):
-    """Patch with no edge terms at all (volume contributions only)."""
-    return Patch(mesh, np.arange(mesh.n_cells), [], [])
+    """Cell 0 alone, with no edge terms (volume contributions only)."""
+    return Patch(mesh, [0], [], [])
 
 
 class TestMass:
@@ -192,7 +179,7 @@ class TestDarcyForchheimer:
         mesh = single_triangle_mesh(porous=True)
         params = make_params(forchheimer=1.0, reynolds=7.0, darcy=1e-4)
         patch = volume_only_patch(mesh)
-        ulin = np.tile([3.0, 4.0], 3)  # |u_lin| = 5 everywhere
+        ulin = np.tile([3.0, 4.0], 6)  # |u_lin| = 5 everywhere
         d = forms.darcy_block(patch, params) + linearized_matrices(patch, params, ulin)[1]
         d0 = forms.darcy_block(patch, params)
         u = np.tile([1.0, 0.0], 3)

@@ -14,8 +14,8 @@ from msflow.geometry import (
     CircleInclusion,
     DomainSpec,
     TriMesh,
-    build_edge_topology,
     generate_structured_mesh,
+    grid_cell,
     load_mesh,
     oversample_region,
     save_mesh,
@@ -74,7 +74,7 @@ class TestGenerate:
     def test_coarse_assignment(self):
         dom = desk_domain()
         mesh, coarse = generate_structured_mesh(dom, 4, (4, 4))
-        mesh.validate(coarse)
+        assert_coarse_ids_locate_the_centroids(mesh, coarse)
         assert sum(len(f) for f in coarse.cell_fine) == mesh.n_cells
 
     @pytest.mark.parametrize("n, dims", [(1, (1, 1)), (3, (2, 5)), (2, (4, 1))])
@@ -138,18 +138,13 @@ class TestEdgeTopology:
     def test_shared_by_three_cells_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0]])
         cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 2]])  # edge (0,1) used thrice
-        mesh = TriMesh(verts, cells, np.zeros(3, dtype=np.int8),
-                       np.zeros(3, dtype=int), (0, -1, 1, 1))
         with pytest.raises(MeshFormatError, match="more than two"):
-            build_edge_topology(mesh)
+            TriMesh(verts, cells, np.zeros(3, dtype=np.int8), np.zeros(3, dtype=int), (0, -1, 1, 1))
 
 
-def _square(bbox=(0.0, 0.0, 1.0, 1.0)):
-    """The unit square as cells (0, 1, 2) and (0, 2, 3), with the given
-    bounding box."""
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    cells = np.array([[0, 1, 2], [0, 2, 3]])
-    return TriMesh(verts, cells, np.zeros(2, dtype=np.int8), np.zeros(2, dtype=int), bbox)
+def assert_coarse_ids_locate_the_centroids(mesh, coarse):
+    located = grid_cell(mesh.centroid, coarse.bbox, coarse.nx, coarse.ny)
+    assert np.array_equal(mesh.coarse_id, located)
 
 
 def _shuffled(mesh, rng):
@@ -184,36 +179,29 @@ def _topology_mesh(kind, rng, tmp_path):
 )
 def test_edge_topology_equals_the_edge_loop(kind, rng, tmp_path):
     mesh = _topology_mesh(kind, rng, tmp_path)
-    want = oracles.loop_edge_topology(mesh)
-    build_edge_topology(mesh)
+    want = oracles.loop_edge_topology(mesh.verts, mesh.cells, mesh.bbox)
     for name, expected in zip(EDGE_ARRAYS, want):
         got = getattr(mesh, name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         assert got.tobytes() == expected.tobytes(), name
 
 
-def _collapsed():
-    mesh = _square()
-    mesh.verts[1] = mesh.verts[0]  # after construction: edge (0, 1) has no length
-    return mesh
-
-
 @pytest.mark.parametrize(
-    "make, message",
+    "bbox, message",
     [
-        (_collapsed, "edge (0, 1) has zero length"),
-        (lambda: _square(bbox=(0.0, 0.0, 2.0, 1.0)), "boundary edge (1, 2) near [1.  0.5] "),
-        (lambda: _square(bbox=(0.0, -1.0, 1.0, 1.0)), "boundary edge (0, 1) near [0.5 0. ] "),
+        ((0.0, 0.0, 2.0, 1.0), "boundary edge (1, 2) near [1.  0.5] "),
+        ((0.0, -1.0, 1.0, 1.0), "boundary edge (0, 1) near [0.5 0. ] "),
     ],
-    ids=["zero_length", "off_right", "off_bottom"],
+    ids=["off_right", "off_bottom"],
 )
-def test_faulty_edge_is_named_like_the_edge_loop(make, message):
-    # the first faulty edge in vertex-pair order is reported; the collapsed
-    # square's edge (1, 2) also leaves the bbox, but comes after (0, 1)
+def test_faulty_edge_is_named_like_the_edge_loop(bbox, message):
+    # the unit square as cells (0, 1, 2) and (0, 2, 3) in a larger bbox
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cells = np.array([[0, 1, 2], [0, 2, 3]])
     with pytest.raises(MeshFormatError) as want:
-        oracles.loop_edge_topology(make())
+        oracles.loop_edge_topology(verts, cells, bbox)
     with pytest.raises(MeshFormatError) as got:
-        build_edge_topology(make())
+        TriMesh(verts, cells, np.zeros(2, dtype=np.int8), np.zeros(2, dtype=int), bbox)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(message)
 
@@ -269,4 +257,4 @@ def test_mesh_invariants(nx, ny, n, with_inclusion):
     # tag consistency against the point-in-disk test
     expect = dom.porous_mask(mesh.centroid)
     assert np.array_equal(mesh.region == POROUS, expect)
-    mesh.validate(coarse)
+    assert_coarse_ids_locate_the_centroids(mesh, coarse)

@@ -419,9 +419,9 @@ class TestRunMultiscale:
 
 class TestOnlineStage:
     @staticmethod
-    def _check_cell_blocks(rng, m_built, m, oversampled):
+    def _check_cell_blocks(rng, m_built, m, oversampled, forchheimer=1.0):
         mesh, coarse = tiny_heterogeneous(n=2)
-        params = make_params()
+        params = make_params(forchheimer=forchheimer)
         bc = BoundaryData.inflow((1.0, 0.0))
         space = gmsfem.build_multiscale_space(
             mesh, coarse, params, bc, m=m_built, oversampled=oversampled
@@ -448,6 +448,11 @@ class TestOnlineStage:
     @pytest.mark.parametrize("oversampled", [False, True])
     def test_sliced_cell_blocks_equal_projected_fine_blocks(self, rng, oversampled):
         self._check_cell_blocks(rng, 5, 2, oversampled)
+
+    @pytest.mark.parametrize("oversampled", [False, True])
+    def test_cell_blocks_without_drag_cells(self, rng, oversampled):
+        # forchheimer = 0 leaves no drag cells: the blocks are the convection alone
+        self._check_cell_blocks(rng, 5, 5, oversampled, forchheimer=0.0)
 
     @pytest.mark.parametrize("oversampled", [False, True])
     def test_sliced_static_blocks_equal_the_sliced_products(self, oversampled):

@@ -8,7 +8,6 @@ from msflow.geometry import (
     CoarseGrid,
     DomainSpec,
     TriMesh,
-    build_edge_topology,
     generate_structured_mesh,
     load_mesh,
     save_mesh,
@@ -37,7 +36,6 @@ def test_coarse_cells_list_their_fine_cells_ascending_and_read_only(tmp_path):
     shuffled = TriMesh(
         mesh.verts, mesh.cells[perm], mesh.region[perm], mesh.coarse_id[perm], mesh.bbox
     )
-    build_edge_topology(shuffled)
     path = tmp_path / "shuffled.txt"
     save_mesh(path, shuffled, CoarseGrid(coarse.nx, coarse.ny, coarse.bbox, shuffled))
     loaded, lcoarse = load_mesh(path)
@@ -182,3 +180,40 @@ def test_binary_file_is_a_format_error(tmp_path):
     path.write_bytes(bytes(range(256)))
     with pytest.raises(MeshFormatError, match="header"):
         load_mesh(path)
+
+
+CELLS = "cells 4\n0 0 1 4 fluid 0\n1 0 4 3 fluid 0\n2 1 2 5 fluid 1\n3 1 5 4 fluid 1\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("0 0 1 4 fluid 0", "0 0 4 1 fluid 0", ": cell 0 is degenerate or not counter-clockwise"),
+        ("3 1 5 4 fluid 1", "3 0 1 4 fluid 0", ": edge (0, 4) shared by more than two cells"),
+        ("4 0.5 1.0", "4 0.5 0.9", ": boundary edge (3, 4) near [0.25 0.95] does not lie on a bbox side"),
+        ("3 1 5 4 fluid 1", "3 1 5 4 fluid 2", ": fine cell with coarse id outside the grid"),
+        ("coarse 2 1", "coarse 3 1", ": coarse cell without fine cells"),
+        ("0 0 1 4 fluid 0", "0 0 1 4 fluid", ":11: expected 'id v0 v1 v2 region coarse_id'"),
+        ("coarse 2 1", "coarse 2", ":2: expected 'coarse nx ny'"),
+        ("boundary 6", "edges 6", ":15: unknown section 'edges'"),
+        (CELLS, "", ": missing or empty vertices or cells section"),
+        ("0 1 bottom", "1 4 bottom", ": listed boundary edge (1, 4) is not a boundary edge"),
+        ("2 5 right", "2 5 left", ": boundary edge (2, 5) labelled left but lies on right"),
+    ],
+    ids=[
+        "clockwise_cell", "edge_of_three_cells", "boundary_off_bbox", "coarse_id_off_grid",
+        "empty_coarse_cell", "short_row", "malformed_coarse", "unknown_section", "no_cells",
+        "listed_interior_edge", "mislabelled_side",
+    ],
+)
+def test_mesh_file_fault_starts_with_the_path(tmp_path, old, new, where):
+    # 2 x 1 coarse cells over the unit square, one square (two cells) each
+    mesh, coarse = generate_structured_mesh(DomainSpec(bbox=(0, 0, 1, 1)), 1, (2, 1))
+    path = tmp_path / "mesh.txt"
+    save_mesh(path, mesh, coarse)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(MeshFormatError) as fault:
+        load_mesh(path)
+    assert str(fault.value) == f"{path}{where}"
