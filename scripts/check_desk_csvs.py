@@ -3,18 +3,19 @@
 
 Runs `msflow sweep --config configs/desk_test1.cfg` into a temporary
 directory and compares every `errors_da_*.csv` it writes with
-`results/desk_test1/` byte for byte.  Exits 0 when all match, 1 on any
-difference (a missing, extra or changed file).  For a changed file it prints
-every differing cell: file, M, column, committed value and new value.
-Takes a few minutes.
+`results/desk_test1/`.  It prints one report: every layout fault (a missing
+or extra file, a changed header, an added or missing M row, a row with
+another cell count, bytes that differ outside the cells), every differing
+cell with its file, M, column, committed value, new value and relative
+change, then the largest relative change of each column with its file and
+M.  Takes a few minutes.
 
     python scripts/check_desk_csvs.py
     python scripts/check_desk_csvs.py --rtol 1e-6
 
-With --rtol TOL it compares the numbers instead of the bytes: it prints the
-largest relative change of each column over all files and rows, and exits 0
-only when every change is at most TOL and the files, headers and M rows are
-the same.
+Without --rtol it exits 0 only when the same files are byte-identical.
+With --rtol TOL it exits 0 only when the same files have no layout fault
+and every relative change is at most TOL.
 """
 
 import argparse
@@ -23,10 +24,10 @@ import filecmp
 import io
 import math
 import pathlib
+import re
 import sys
 import tempfile
 import warnings
-from itertools import groupby, zip_longest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # check this checkout's package
@@ -37,106 +38,73 @@ CONFIG = ROOT / "configs" / "desk_test1.cfg"
 COMMITTED = ROOT / "results" / "desk_test1"
 
 
-def check(out_dir):
-    """Names of the CSVs that differ, are missing or are extra."""
-    want = sorted(p.name for p in COMMITTED.glob("errors_da_*.csv"))
-    got = sorted(p.name for p in out_dir.glob("errors_da_*.csv"))
-    bad = sorted(set(want) ^ set(got))
-    for name in sorted(set(want) & set(got)):
-        if not filecmp.cmp(COMMITTED / name, out_dir / name, shallow=False):
-            bad.append(name)
-    return want, bad
-
-
-def cell_pairs(committed, new):
-    """The shared header of two CSV texts and their cells as (M, column,
-    committed, new) tuples, rows matched by M (the first cell) in the order
-    of the committed rows, then the new ones.  A cell that only one text has
-    is None in the other, and a cell past the header has column None.  The
-    header is None when the headers differ."""
-    old_rows = [line.split(",") for line in committed.splitlines() if line]
-    new_rows = [line.split(",") for line in new.splitlines() if line]
-    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
-        return None, []
-    old_by_m = {row[0]: row for row in old_rows[1:]}
-    new_by_m = {row[0]: row for row in new_rows[1:]}
-    cells = []
-    for m in {**old_by_m, **new_by_m}:
-        row = zip_longest(old_rows[0], old_by_m.get(m, []), new_by_m.get(m, []))
-        cells += [(m, col, want, got) for col, want, got in row]
-    return old_rows[0], cells
-
-
-def differing_cells(name, committed, new):
-    """Lines naming each cell of two CSV texts that differs, by M and column;
-    a row or header present in only one of them is named whole."""
-    header, cells = cell_pairs(committed, new)
-    if header is None:
-        return [f"  {name}: header differs"]
-    lines = []
-    cells.sort(key=lambda cell: (len(cell[0]), cell[0]))  # stable: columns keep their order
-    for m, row in groupby(cells, key=lambda cell: cell[0]):
-        _, columns, wants, gots = zip(*row)
-        n_old, n_new = (sum(v is not None for v in values) for values in (wants, gots))
-        if not n_old or not n_new:
-            lines.append(f"  {name}: M={m} row {'added' if not n_old else 'missing'}")
-            continue
-        for col, want, got in zip(columns, wants, gots):
-            if None not in (col, want, got) and want != got:
-                lines.append(f"  {name}: M={m} {col} committed {want} new {got}")
-        if n_old != n_new:
-            lines.append(f"  {name}: M={m} has {n_new} cells, committed {n_old}")
-    if not lines:
-        lines.append(f"  {name}: bytes differ outside the cells (line endings or order)")
-    return lines
-
-
 def relative_change(want, got):
     """|got - want| / |want| of two CSV cells: 0 for equal text, inf for a
-    change from zero or to or from a value that is not finite."""
+    change from zero, to or from a value that is not finite, or of a cell
+    that is not a number."""
     if want == got:
         return 0.0
-    w, g = float(want), float(got)
+    try:
+        w, g = float(want), float(got)
+    except ValueError:
+        return math.inf
     change = abs(g - w) / abs(w) if w else math.inf
     return change if math.isfinite(change) else math.inf
 
 
-def column_changes(committed, new):
-    """The largest relative change of each column of two CSV texts, as
-    {column: (change, M)}; None when their headers, M rows (in order) or
-    row lengths differ."""
-    header, cells = cell_pairs(committed, new)
-    m_old, m_new = ([line.split(",")[0] for line in t.splitlines() if line] for t in (committed, new))
-    if header is None or m_old != m_new or any(None in cell for cell in cells):
-        return None
-    changes = {}
-    for m, col, want, got in cells:
-        change = relative_change(want, got)
-        if col != header[0] and (col not in changes or change > changes[col][0]):
-            changes[col] = (change, m)
-    return changes
+def compare(name, committed, new):
+    """The layout faults and the cells of two CSV texts of file name.
 
-
-def report_rtol(texts, rtol):
-    """Print the largest relative change per column over the CSV text pairs
-    {name: (committed, new)}; returns 0 when every change is at most rtol
-    and every pair has the same layout, else 1."""
-    worst, status = {}, 0
-    for name, (committed, new) in sorted(texts.items()):
-        changes = column_changes(committed, new)
-        if changes is None:
-            print(f"DIFFERS: {name}: header, M rows or row lengths differ")
-            status = 1
+    Rows are matched by M (the first cell), in the order of the committed
+    rows, then the new ones.  A fault is a line naming the file and what
+    differs: the header, an M row added or missing, a row whose cell count
+    differs from the other text's or the header's, or bytes outside the
+    cells (line endings or row order).  A cell is (name, M, column,
+    committed, new, relative change), one for each column after M that both
+    rows hold; equal cells have change 0."""
+    old_rows, new_rows = (
+        [line.split(",") for line in text.splitlines() if line] for text in (committed, new)
+    )
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
+        return [f"{name}: header differs"], []
+    header = old_rows[0]
+    old_by_m, new_by_m = ({row[0]: row for row in rows[1:]} for rows in (old_rows, new_rows))
+    faults, cells = [], []
+    for m in {**old_by_m, **new_by_m}:
+        old, got = old_by_m.get(m), new_by_m.get(m)
+        if old is None or got is None:
+            faults.append(f"{name}: M={m} row {'added' if old is None else 'missing'}")
             continue
-        for col, (change, m) in changes.items():
+        if not len(old) == len(got) == len(header):
+            counts = f"{len(got)} cells, committed {len(old)}, header {len(header)}"
+            faults.append(f"{name}: M={m} has {counts}")
+        row = zip(header[1:], old[1:], got[1:])
+        cells += [(name, m, col, want, value, relative_change(want, value)) for col, want, value in row]
+    # the texts with every cell after M emptied: M order, separators, line endings
+    outside = (re.sub(r",[^,\r\n]*", ",", text) for text in (committed, new))
+    if not faults and next(outside) != next(outside):
+        faults.append(f"{name}: bytes differ outside the cells (line endings or row order)")
+    return faults, cells
+
+
+def report(texts):
+    """Print the layout faults and the differing cells of the CSV text pairs
+    {name: (committed, new)}, then each column's largest relative change
+    with its file and M.  Returns the faults and the largest change."""
+    faults, worst = [], {}
+    for name, (committed, new) in sorted(texts.items()):
+        file_faults, cells = compare(name, committed, new)
+        faults += file_faults
+        for fault in file_faults:
+            print(f"DIFFERS: {fault}")
+        for _, m, col, want, got, change in cells:
+            if want != got:
+                print(f"DIFFERS: {name}: M={m} {col} committed {want} new {got} relative change {change:.3e}")
             if col not in worst or change > worst[col][0]:
                 worst[col] = (change, name, m)
     for col, (change, name, m) in worst.items():
-        verdict = "ok" if change <= rtol else "EXCEEDS"
-        print(f"{col}: largest relative change {change:.3e} ({name}, M={m}) {verdict}")
-        status = status if change <= rtol else 1
-    print(f"{'within' if status == 0 else 'not within'} rtol {rtol:g}")
-    return status
+        print(f"{col}: largest relative change {change:.3e} ({name}, M={m})")
+    return faults, max((change for change, _, _ in worst.values()), default=0.0)
 
 
 def run(rtol=None):
@@ -148,30 +116,29 @@ def run(rtol=None):
         if status != 0:
             print(f"msflow sweep exited with status {status}")
             return 1
-        want, bad = check(out_dir)
-        if rtol is not None:
-            got = sorted(p.name for p in out_dir.glob("errors_da_*.csv"))
-            if not want or got != want:
-                print(f"sweep CSVs {got} do not match {want} under {COMMITTED}")
-                return 1
-            texts = {
-                name: ((COMMITTED / name).read_text(), (out_dir / name).read_text())
-                for name in want
-            }
-            return report_rtol(texts, rtol)
-        for name in bad:
-            print(f"DIFFERS: {name}")
-            old, new = COMMITTED / name, out_dir / name
-            if old.exists() and new.exists():
-                for line in differing_cells(name, old.read_text(), new.read_text()):
-                    print(line)
+        want, got = (sorted(p.name for p in d.glob("errors_da_*.csv")) for d in (COMMITTED, out_dir))
+        identical = want == got and all(
+            filecmp.cmp(COMMITTED / name, out_dir / name, shallow=False) for name in want
+        )
+        texts = {
+            name: ((COMMITTED / name).read_bytes().decode(), (out_dir / name).read_bytes().decode())
+            for name in set(want) & set(got)
+        }
+    where = COMMITTED.relative_to(ROOT) if COMMITTED.is_relative_to(ROOT) else COMMITTED
     if not want:
-        print(f"no committed CSVs under {COMMITTED}")
+        print(f"no committed CSVs under {where}")
         return 1
-    if bad:
-        return 1
-    print(f"{len(want)} sweep CSVs byte-identical to {COMMITTED.relative_to(ROOT)}")
-    return 0
+    for name in sorted(set(want) ^ set(got)):
+        print(f"DIFFERS: {name}: {'missing from the sweep' if name in want else 'not committed'}")
+    faults, largest = report(texts)
+    if rtol is None:
+        ok = identical
+        verdict = f"{len(want)} sweep CSVs byte-identical to" if ok else "sweep CSVs differ from"
+    else:
+        ok = want == got and not faults and largest <= rtol
+        verdict = f"sweep CSVs {'within' if ok else 'not within'} rtol {rtol:g} of"
+    print(f"{verdict} {where}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

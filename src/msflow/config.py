@@ -290,7 +290,8 @@ def parse_config(path, mode, out_dir=None, seed=None):
     try:
         os.makedirs(final_out, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output directory not creatable: {exc}")
+        given = None if out_dir else line.get("out")  # --out has no line in the file
+        raise ConfigError(f"output directory not creatable: {exc}", line=given)
 
     return RunSpec(
         domain=domain, mesh_source=value["source"], nx=value["nx"], ny=value["ny"],

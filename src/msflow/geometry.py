@@ -153,14 +153,18 @@ class CoarseGrid:
         if self.nx < 1 or self.ny < 1:
             raise ValueError("coarse dimensions must be at least 1x1")
         ids = mesh.coarse_id
-        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.n_cells:
-            raise MeshFormatError("fine cell with coarse id outside the grid")
+        off_grid = (ids < 0) | (ids >= self.n_cells)
+        if off_grid.any():
+            cell = int(np.argmax(off_grid))
+            grid = f"{self.nx}x{self.ny}"
+            raise MeshFormatError(f"fine cell {cell} has coarse id {ids[cell]} outside the {grid} grid")
         order = np.argsort(ids, kind="stable")
         bounds = np.searchsorted(ids[order], np.arange(self.n_cells + 1))
+        counts = np.diff(bounds)
+        if not counts.all():
+            raise MeshFormatError(f"coarse cell {int(np.argmin(counts))} has no fine cells")
         order.flags.writeable = False
         self.cell_fine = [order[bounds[i] : bounds[i + 1]] for i in range(self.n_cells)]
-        if any(len(f) == 0 for f in self.cell_fine):
-            raise MeshFormatError("coarse cell without fine cells")
         self.cell_area = np.array([mesh.area[f].sum() for f in self.cell_fine])
 
     @property

@@ -792,7 +792,7 @@ MODEL = "[model]\npreset = test1\n"
         ),
         (
             "fine", MODEL + "[run]\nout = run.cfg/out\n",
-            "output directory not creatable: [Errno 20] Not a directory: 'run.cfg/out'",
+            "line 4: output directory not creatable: [Errno 20] Not a directory: 'run.cfg/out'",
         ),
     ],
     ids=[
@@ -806,6 +806,15 @@ def test_cli_rejects_a_config_it_cannot_run(tmp_path, monkeypatch, capsys, mode,
     if text is not None:
         write_config(tmp_path, text)
     assert cli.main([mode, "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "msflow_out").exists()
+
+
+def test_out_option_below_a_file_names_no_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, MODEL + "[run]\nout = msflow_out\n")
+    assert cli.main(["fine", "--config", "run.cfg", "--out", "run.cfg/out"]) == 2
+    message = "output directory not creatable: [Errno 20] Not a directory: 'run.cfg/out'"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "msflow_out").exists()
 

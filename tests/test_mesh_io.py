@@ -191,8 +191,8 @@ CELLS = "cells 4\n0 0 1 4 fluid 0\n1 0 4 3 fluid 0\n2 1 2 5 fluid 1\n3 1 5 4 flu
         ("0 0 1 4 fluid 0", "0 0 4 1 fluid 0", ": cell 0 is degenerate or not counter-clockwise"),
         ("3 1 5 4 fluid 1", "3 0 1 4 fluid 0", ": edge (0, 4) shared by more than two cells"),
         ("4 0.5 1.0", "4 0.5 0.9", ": boundary edge (3, 4) near [0.25 0.95] does not lie on a bbox side"),
-        ("3 1 5 4 fluid 1", "3 1 5 4 fluid 2", ": fine cell with coarse id outside the grid"),
-        ("coarse 2 1", "coarse 3 1", ": coarse cell without fine cells"),
+        ("3 1 5 4 fluid 1", "3 1 5 4 fluid 2", ": fine cell 3 has coarse id 2 outside the 2x1 grid"),
+        ("coarse 2 1", "coarse 3 1", ": coarse cell 2 has no fine cells"),
         ("0 0 1 4 fluid 0", "0 0 1 4 fluid", ":11: expected 'id v0 v1 v2 region coarse_id'"),
         ("coarse 2 1", "coarse 2", ":2: expected 'coarse nx ny'"),
         ("boundary 6", "edges 6", ":15: unknown section 'edges'"),
