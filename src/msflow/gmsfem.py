@@ -335,11 +335,16 @@ class _NonlinearBlocks:
         self.quad = quad  # (n_porous, 2q, m): basis values, row 2j + d at point j
         self.drag_weight = drag_weight  # (n_porous, q): rule weight x area x drag factor
         self.owner = owner  # coarse cell of each porous fine cell, ascending
-        # Each coarse cell's rows of quad.reshape(-1, m).
+        # Each coarse cell's rows of quad.reshape(-1, m), and their transpose.
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         stops = np.append(starts[1:], len(owner))
-        rows = quad.shape[1]
-        self.spans = [(owner[a], slice(rows * a, rows * b)) for a, b in zip(starts, stops)]
+        n_porous, n_rows, m = quad.shape
+        flat = quad.reshape(-1, m)
+        self.spans = []
+        for a, b in zip(starts, stops):
+            rows = slice(n_rows * a, n_rows * b)
+            self.spans.append((owner[a], rows, flat[rows].T))
+        self.by_point = quad.reshape(n_porous, n_rows // 2, 2, m)  # [cell, point, component, k]
 
     @classmethod
     def build(cls, mesh, params, cell_bases, m):
@@ -389,22 +394,19 @@ class _NonlinearBlocks:
         u = u_h.reshape(n, m)
         blocks = (u[:, None, :] @ self.conv.reshape(n, m, m * m)).reshape(n, m, m)
         if self.spans:
-            n_porous = len(self.owner)
-            at_points = (self.quad @ u[self.owner][:, :, None]).reshape(n_porous, -1, 2)
+            at_points = (self.quad @ u[self.owner][:, :, None]).reshape(len(self.owner), -1, 2)
             a0, a1 = at_points[:, :, 0], at_points[:, :, 1]
             speed = np.sqrt(a0 * a0 + a1 * a1)
-            by_point = self.quad.reshape(n_porous, -1, 2, m)  # [cell, point, component, k]
-            weighted = (by_point * (self.drag_weight * speed)[:, :, None, None]).reshape(-1, m)
-            flat = self.quad.reshape(-1, m)
-            for i, rows in self.spans:
-                blocks[i] += flat[rows].T @ weighted[rows]
+            weighted = (self.by_point * (self.drag_weight * speed)[:, :, None, None]).reshape(-1, m)
+            for i, rows, rows_t in self.spans:
+                blocks[i] += rows_t @ weighted[rows]
         return blocks
 
 
 @dataclass
 class _OnlineOperators:
     """The projected operators of one basis size: static blocks, loads and
-    the nonlinear per-cell blocks."""
+    the nonlinear per-cell blocks, with the coarse cells' saddle order."""
 
     mass: sp.csr_matrix  # r_u M r_u^T
     upper: sp.csr_matrix  # r_u (M + A + D) r_u^T
@@ -412,13 +414,14 @@ class _OnlineOperators:
     f_u: np.ndarray
     f_p: np.ndarray
     nonlinear: _NonlinearBlocks
+    order: np.ndarray  # coarse_cell_order of the coarse grid
 
 
-def _project_blocks(r_u, m, matrix):
-    """r_u matrix r_u^T in canonical CSR form, multiplied in BSR blocks: a
-    coarse cell's m basis rows by a fine cell's 6 velocity DOFs."""
-    r = r_u.tobsr((m, 6))
-    product = (r @ matrix.tobsr((6, 6)) @ r.T).tocsr()
+def _project_blocks(r, r_t, matrix):
+    """r_u matrix r_u^T in canonical CSR form, multiplied in BSR blocks: r
+    is r_u in blocks of a coarse cell's m basis rows by a fine cell's 6
+    velocity DOFs, and r_t its transpose."""
+    product = (r @ matrix.tobsr((6, 6)) @ r_t).tocsr()
     product.sort_indices()
     return product
 
@@ -431,20 +434,24 @@ def _online_operators(space, mesh, coarse, params, ops):
     when a call brings other step operators (compared by identity) or other
     parameters (by value).  A size m reads the first m basis rows of every
     coarse cell from it; the static blocks so read equal _project_blocks of
-    the sliced projection bit for bit.
+    the sliced projection bit for bit.  Every size shares the record's
+    coarse cell order.
     """
     root = space.root or space
     # Concurrent first calls may each build a record; either one is valid.
     record = root.online
     if record is None or record[0] is not ops or record[1] != params:
         r_u, r_p = root.r_u, root.r_p
+        r = r_u.tobsr((root.m, 6))
+        r_t = r.T
         full = _OnlineOperators(
-            mass=_project_blocks(r_u, root.m, ops.mass),
-            upper=_project_blocks(r_u, root.m, ops.upper),
+            mass=_project_blocks(r, r_t, ops.mass),
+            upper=_project_blocks(r, r_t, ops.upper),
             div=(r_p @ ops.div @ r_u.T).tocsr(),
             f_u=r_u @ ops.f_u,
             f_p=r_p @ ops.f_p,
             nonlinear=_NonlinearBlocks.build(mesh, params, root.cell_bases, root.m),
+            order=coarse_cell_order(coarse),
         )
         record = root.online = (ops, params, full)
     full = record[2]
@@ -458,6 +465,7 @@ def _online_operators(space, mesh, coarse, params, ops):
         f_u=full.f_u[rows],
         f_p=full.f_p,
         nonlinear=full.nonlinear.prefix(space.m),
+        order=full.order,
     )
 
 
@@ -487,7 +495,7 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
     base = m * np.arange(n)[:, None, None]
     rows = base + np.arange(m)[None, :, None]
     cols = base + np.arange(m)[None, None, :]
-    saddle = CellOrderedSaddle(online.upper, b_h, coarse_cell_order(coarse), rows, cols)
+    saddle = CellOrderedSaddle(online.upper, b_h, online.order, rows, cols)
 
     def div_residual(u_h):
         return relative_residual(b_h, u_h, f_p, b_scale)

@@ -368,11 +368,13 @@ class SaddleSolver:
         x[self.perm] = y
         return x, rel
 
+    @np.errstate(invalid="ignore")  # an infinite iterate's ratio is inf / inf
     def _refine(self, rhs):
         """The solution of the kept factor refined to REFINE_TARGET and its
         relative residuals, or (None, None) on a miss: a non-finite value, a
         correction that did not halve the largest residual, or KEPT_MAX
-        corrections short of the target."""
+        corrections short of the target.  A non-finite iterate has a NaN
+        ratio, which fails both tests."""
         precision = np.float32 if len(rhs) >= SINGLE_MIN else float
         system = self.system
         u_lin = np.zeros(len(system.f_u)) if system.u_lin is None else system.u_lin
@@ -382,17 +384,16 @@ class SaddleSolver:
         if rhs.ndim == 2:
             x0, start = x0[:, None], start[:, None]
         y = x0 - self.lu.solve((start - rhs).astype(precision, copy=False))
-        last, rhs_norm = np.inf, np.linalg.norm(rhs, axis=0)
+        last, rhs_norm = np.inf, _column_norms(rhs)
         for k in range(KEPT_MAX + 1):
-            if not np.all(np.isfinite(y)):
-                break
             resid = self.matrix @ y - rhs
-            rel = _residual_ratio(resid, y, rhs_norm, self.scale, axis=0)
-            if np.all(rel <= REFINE_TARGET):
+            rel = _residual_ratio(resid, y, rhs_norm, self.scale)
+            top = rel.max()
+            if top <= REFINE_TARGET:
                 return y, rel
-            if k == KEPT_MAX or not rel.max() <= last / 2:
+            if k == KEPT_MAX or not top <= last / 2:
                 break
-            last = rel.max()
+            last = top
             y -= self.lu.solve(resid.astype(precision, copy=False))
             self.corrections += 1
         return None, None
@@ -402,7 +403,8 @@ def relative_residual(matrix, x, rhs, scale):
     """|matrix x - rhs| / max(|rhs|, scale |x|) of vectors x and rhs, with
     numpy's dot-product norm; scale is the operator size (its largest
     absolute row sum).  column_residuals takes one per column."""
-    return _residual_ratio(matrix @ x - rhs, x, np.linalg.norm(rhs), scale, axis=None)
+    norm = np.linalg.norm
+    return _residual_ratio(matrix @ x - rhs, x, norm(rhs), scale, norm)
 
 
 def column_residuals(matrix, x, rhs, scale):
@@ -411,20 +413,24 @@ def column_residuals(matrix, x, rhs, scale):
     product, residual or norm temporary is as wide as a batch.  Every solve
     accepts a column only when this is at most RESIDUAL_TOL."""
     if np.ndim(x) == 1:
-        return _residual_ratio(matrix @ x - rhs, x, np.linalg.norm(rhs, axis=0), scale, axis=0)
+        return _residual_ratio(matrix @ x - rhs, x, _column_norms(rhs), scale)
     rel = np.empty(x.shape[1])
     for start in range(0, x.shape[1], RESIDUAL_BLOCK):
         cols = slice(start, start + RESIDUAL_BLOCK)
         block, rhs_block = x[:, cols], rhs[:, cols]
         resid = matrix @ block - rhs_block
-        rel[cols] = _residual_ratio(resid, block, np.linalg.norm(rhs_block, axis=0), scale, axis=0)
+        rel[cols] = _residual_ratio(resid, block, _column_norms(rhs_block), scale)
     return rel
 
 
-def _residual_ratio(resid, x, rhs_norm, scale, axis):
+def _column_norms(x):
+    """np.linalg.norm(x, axis=0) of a real array, bit for bit, without its
+    argument handling and conjugate copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=0))
+
+
+def _residual_ratio(resid, x, rhs_norm, scale, norm=_column_norms):
     """relative_residual from the residual resid = matrix x - rhs and the
-    norm of rhs, with the norms taken along axis (None: the dot-product
-    norm of a vector)."""
-    resid = np.linalg.norm(resid, axis=axis)
-    denom = np.maximum(rhs_norm, scale * np.linalg.norm(x, axis=axis))
-    return resid / np.maximum(denom, 1e-300)
+    norm of rhs, with the given norm (by default the column norms)."""
+    denom = np.maximum(rhs_norm, scale * norm(x))
+    return norm(resid) / np.maximum(denom, 1e-300)

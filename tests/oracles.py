@@ -562,7 +562,7 @@ def repeated_weight_blocks(nonlinear, u_h):
         speed = np.sqrt((at_points * at_points).sum(axis=2))
         flat = nonlinear.quad.reshape(-1, m)
         weighted = flat * np.repeat((nonlinear.drag_weight * speed).ravel(), 2)[:, None]
-        for i, rows in nonlinear.spans:
+        for i, rows, _ in nonlinear.spans:
             blocks[i] += flat[rows].T @ weighted[rows]
     return blocks
 

@@ -655,6 +655,37 @@ class TestFamilyRecord:
         stale = _run(mesh, coarse, params, bc, _fresh(small), ops)
         assert not np.allclose(got.velocity, stale.velocity)
 
+    def test_the_record_orders_and_converts_once(self, setting, monkeypatch):
+        # runs on a root at its size and on two of its slices order the
+        # coarse cells once and convert r_u to blocks once: both static
+        # projections of the record get the same r.  A second root, or the
+        # same root with other step operators, builds a new record
+        mesh, coarse, params, bc, ops, space = setting
+
+        def family(root):
+            return [root] + [gmsfem.resize_space(root, mesh, coarse, m) for m in (4, 2)]
+
+        want = [_run(mesh, coarse, params, bc, s, ops) for s in family(_fresh(space))]
+        orders, forms_of_r = [], []
+        order, project = gmsfem.coarse_cell_order, gmsfem._project_blocks
+        monkeypatch.setattr(gmsfem, "coarse_cell_order", lambda c: orders.append(c) or order(c))
+        monkeypatch.setattr(
+            gmsfem, "_project_blocks",
+            lambda r, r_t, matrix: forms_of_r.append((r, r_t)) or project(r, r_t, matrix),
+        )
+        root = _fresh(space)
+        got = [_run(mesh, coarse, params, bc, s, ops) for s in family(root)]
+        assert len(orders) == 1 and len(forms_of_r) == 2
+        (r, r_t), (r_again, r_t_again) = forms_of_r
+        assert r is r_again and r_t is r_t_again
+        for a, b in zip(got, want):
+            assert np.array_equal(a.velocity, b.velocity)
+            assert np.array_equal(a.pressure, b.pressure)
+        _run(mesh, coarse, params, bc, _fresh(space), ops)
+        assert len(orders) == 2 and len(forms_of_r) == 4
+        _run(mesh, coarse, params, bc, family(root)[2], StepOperators(mesh, params, bc))
+        assert len(orders) == 3 and len(forms_of_r) == 6
+
     def test_coarse_pattern_is_built_once_per_size(self, setting):
         # each run builds the coarse pattern of its size; a rerun of the same
         # space, built or sliced, repeats the first run bit for bit

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from msflow import analysis, forms, gmsfem, saddle
@@ -151,6 +153,30 @@ def test_relative_residual_is_per_column():
         assert one == pytest.approx(rel[j], rel=1e-14)
         assert one == pytest.approx(expect, rel=1e-14)
     assert relative_residual(matrix, np.zeros(6), np.zeros(6), 1.0) == 0.0
+
+
+# Values at the edges of float64: zeros, subnormals, magnitudes whose
+# squares overflow or underflow, and the non-finite ones.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1e-160, 1e160, -1e300, 1e300, np.inf, -np.inf, np.nan]
+
+
+@given(
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+        elements=st.one_of(st.floats(), st.sampled_from(EDGE_VALUES)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_column_norms_equal_numpy_norms_bit_for_bit(x):
+    # the residual ratios take their column norms through this helper; it
+    # must equal np.linalg.norm(x, axis=0) in every bit, also on the
+    # column slices and transposes that the batch residuals pass
+    with np.errstate(all="ignore"):
+        for view in (x, x[..., ::2], x.T):
+            got, want = saddle._column_norms(view), np.linalg.norm(view, axis=0)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("extra", [False, True], ids=["stored_entries", "new_entries"])
@@ -681,6 +707,50 @@ def test_float32_failure_falls_back_to_the_float64_answer(make, when, monkeypatc
     assert np.array_equal(x, want)
     assert rel[0] <= RESIDUAL_TOL
     assert np.array_equal(np.concatenate(solver.solve()), want[:, 0])
+
+
+class _PlantingFactor:
+    """A kept factor whose solves are 0.9 times its factor's, so each
+    correction leaves a tenth of the error, and whose third solve plants
+    value at position where of its answer."""
+
+    def __init__(self, lu, value, where):
+        self.lu, self.value, self.where, self.calls = lu, value, where, 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        x = 0.9 * self.lu.solve(rhs)
+        if self.calls == 3:
+            x[self.where] = self.value
+        return x
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_non_finite_iterate_is_a_miss(bad):
+    # the second correction makes the iterate non-finite: the refinement
+    # misses without a warning, and the solve gives the float64 answer.
+    # The value goes to an unknown whose matrix column stores no zero, so an
+    # inf leaves the residual infinite, not NaN: its ratio is inf / inf
+    ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
+    velocity = np.arange(ops.patch.n_vdof)
+    ordered = CellOrderedSaddle(ops.upper, ops.div, ops.cell_order, velocity, velocity)
+    rhs_u = ops.mass @ u1 + ops.f_u
+    system = ordered.system(ordered.static, rhs_u, ops.f_p)
+    assert system.kept_lu is not None and system.kept_lu.U.dtype == np.float64
+    matrix = system.matrix
+    assert matrix.format == "csc"
+    columns = np.split(matrix.data, matrix.indptr[1:-1])
+    where = next(j for j, column in enumerate(columns) if len(column) and np.all(column != 0))
+    planted = _PlantingFactor(system.kept_lu, bad, where)
+    solver = SaddleSolver(dataclasses.replace(system, kept_lu=planted))
+    rhs = np.concatenate([rhs_u, system.f_p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, rel = solver.solve_stacked(rhs)
+    assert planted.calls == 3 and not solver.kept and 0 < solver.corrections < KEPT_MAX
+    assert solver.lu.U.dtype == np.float64
+    assert np.array_equal(x, _ordered_direct(system.matrix, system.perm, rhs))
+    assert rel <= RESIDUAL_TOL
 
 
 def test_large_ordered_system_without_a_kept_factor_is_factored_once_in_float64(monkeypatch):
