@@ -6,6 +6,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularSystemError
 
@@ -21,6 +22,15 @@ RESIDUAL_BLOCK = 16
 #   below every fine step: a float32 factor of a few hundred unknowns saves
 #   nothing, and each correction costs a solve and a product.  Smaller
 #   systems are factored directly, which costs less than the corrections.
+# - Dense.  Every float64 factor of an ordered system (one with perm) of at
+#   most DENSE_MAX unknowns, kept or its own, is LAPACK's dense LU with
+#   partial pivoting (DenseLU): at that size SuperLU's per-call cost
+#   outweighs the arithmetic.  The float32 factor from SINGLE_MIN on stays
+#   SuperLU's.  DENSE_MAX takes every desk coarse system (48-272 unknowns)
+#   and leaves every paper_like coarse system (600-2,600) and every fine
+#   step (14,336 and 89,600) to SuperLU: per online step, LAPACK read 9-24%
+#   faster from 48 to 272 unknowns, 2% at 400, and 4% slower at 528 (the
+#   README's per-size table, "Fine solver").
 # - Refinement.  SaddleSolver refines each solve from the kept factor until
 #   the relative residual reaches REFINE_TARGET, the float64 unit roundoff:
 #   a float64 factor leaves 4e-19 to 7e-17 on the fine steps, so a lower
@@ -41,6 +51,7 @@ RESIDUAL_BLOCK = 16
 #   SINGLE_MIN on nothing refreshes: a step's answer depends on its system
 #   and the static matrix alone.
 SINGLE_MIN = 4096
+DENSE_MAX = 400
 REFINE_TARGET = np.finfo(float).eps / 2
 KEPT_MIN = 100
 REFRESH_AFTER = 4
@@ -227,21 +238,21 @@ class CellOrderedSaddle:
 
     @cached_property
     def kept_lu(self):
-        """The SuperLU factor of the static matrix: float32 from SINGLE_MIN
-        unknowns on, float64 from KEPT_MIN on.  None below KEPT_MIN, when
-        an entry leaves float32 range or when SuperLU finds the matrix (as
-        rounded) singular."""
+        """The factor of the static matrix: SuperLU's in float32 from
+        SINGLE_MIN unknowns on, else the float64 factor of _ordered_factor
+        from KEPT_MIN on.  None below KEPT_MIN, when an entry leaves float32
+        range or when the factor finds the matrix (as rounded) singular."""
         n, pattern = len(self.perm), self.pattern
         if n < KEPT_MIN:
             return None
-        data = pattern.data
-        if n >= SINGLE_MIN:
+        try:
+            if n < SINGLE_MIN:
+                return _ordered_factor(pattern)
             with np.errstate(over="ignore"):  # entries beyond float32 range become inf
-                data = data.astype(np.float32)
+                data = pattern.data.astype(np.float32)
             if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
                 return None
-        static = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        try:
+            static = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
             return spla.splu(static, **ORDERED)
         except RuntimeError:  # singular
             return None
@@ -269,6 +280,29 @@ class CellOrderedSaddle:
         return SaddleSystem(matrix, f_u, f_p, self.perm, kept_lu, u_lin, scale)
 
 
+class DenseLU:
+    """LAPACK's LU factor with partial pivoting (getrf) of a small square
+    sparse matrix, solved (getrs) like a SuperLU factor: solve(b) takes a
+    vector or a batch with one column per right-hand side.  An exactly
+    singular matrix raises RuntimeError, as SuperLU does."""
+
+    def __init__(self, matrix):
+        self.lu, self.piv, info = dgetrf(matrix.toarray(order="F"), overwrite_a=True)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, b):
+        return dgetrs(self.lu, self.piv, b)[0]
+
+
+def _ordered_factor(matrix):
+    """The float64 factor of an ordered system's CSC matrix: a DenseLU up
+    to DENSE_MAX unknowns, above it SuperLU's in the matrix's own order."""
+    if matrix.shape[0] <= DENSE_MAX:
+        return DenseLU(matrix)
+    return spla.splu(matrix, **ORDERED)
+
+
 class SaddleSolver:
     """LU factorization of a SaddleSystem reused across right-hand sides.
 
@@ -277,7 +311,9 @@ class SaddleSolver:
     diagonal pivots, in symmetric mode.  Its order must eliminate each
     cell's pressure after the cell's velocity, which keeps the zero
     pressure block pivotable on the diagonal; the right-hand sides and the
-    solution are permuted around the triangular solves.
+    solution are permuted around the triangular solves.  Up to DENSE_MAX
+    unknowns its float64 factor is a DenseLU instead (see the kept-factor
+    policy).
 
     A system with kept_lu (see the kept-factor policy) is solved with no
     factor of its own: y = x0 - LU^-1 (A x0 - rhs), a solve of kept_lu in
@@ -302,7 +338,6 @@ class SaddleSolver:
         self.system = system
         self.perm = system.perm
         matrix = system.matrix.tocsc()
-        self._options = dict(permc_spec="COLAMD") if self.perm is None else ORDERED
         self.scale = system.scale
         if self.scale is None:
             if not np.all(np.isfinite(matrix.data)):
@@ -317,10 +352,12 @@ class SaddleSolver:
         self.lu = system.kept_lu if self.kept else self._factor()
 
     def _factor(self):
-        """The float64 factor of self.matrix."""
+        """The float64 factor of self.matrix (see _ordered_factor)."""
         try:
-            return spla.splu(self.matrix, **self._options)
-        except RuntimeError as exc:  # SuperLU reports singularity this way
+            if self.perm is None:
+                return spla.splu(self.matrix, permc_spec="COLAMD")
+            return _ordered_factor(self.matrix)
+        except RuntimeError as exc:  # both factors report singularity this way
             raise SingularSystemError(f"factorization failed: {exc}") from exc
 
     def solve(self, rhs_u=None, rhs_p=None):

@@ -23,9 +23,11 @@ SuperLU factor in that order (from saddle.KEPT_MIN unknowns on, a kept
 factor of the step-0 matrix with float64 refinement, float32 from
 SINGLE_MIN on, starting from the step's own linearization point; on a
 miss, the float64 factor; block_run_fine applies the run's refresh rule
-below SINGLE_MIN).  That order comes from a copy of the recursion written
-for a patch (its interior-edge graph, leaves of 8 cells), the reference for
-the package's general nested_dissection_order.
+below SINGLE_MIN; a test that compares a step of at most saddle.DENSE_MAX
+unknowns with it pins DENSE_MAX to 0, so that the package factors with
+SuperLU too).  That order comes from a copy of the recursion written for a
+patch (its interior-edge graph, leaves of 8 cells), the reference for the
+package's general nested_dissection_order.
 
 two_part_snapshot_rows is the reference for the offline stage's stacked
 snapshot solve: the delta loads built as two arrays, joined by np.vstack,

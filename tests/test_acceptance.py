@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 import oracles
 from msflow import analysis, forms, gmsfem, saddle
@@ -443,24 +444,48 @@ def test_committed_sweep_numbers(rig):
 
 
 def test_online_steps_refine_from_the_static_factor(rig, monkeypatch):
-    """Desk test1 at M=16 (272 coarse unknowns, from saddle.KEPT_MIN on):
-    every online step is refined from the static matrix's float64 factor
-    with at most REFRESH_AFTER corrections, and the run ends within 1e-12
-    of one that factors every step."""
+    """Desk test1 at M=16 (272 coarse unknowns, from saddle.KEPT_MIN on, up
+    to saddle.DENSE_MAX): every online step is refined from one dense
+    float64 factor of the static matrix with at most REFRESH_AFTER
+    corrections, and the run ends within 1e-12 of one that factors every
+    step."""
     darcy = 1e-3
     args = (rig.mesh, rig.coarse, rig.params(darcy), rig.bc)
     steps = []
     observe = lambda step, state, solver: steps.append((solver.kept, solver.corrections, solver.lu))
     _, refined = gmsfem.run_multiscale(*args, space=rig.space(darcy, False), ops=rig.ops(darcy), observe=observe)
     static = steps[0][2]
-    assert static.U.dtype == np.float64 and static.shape[0] >= saddle.KEPT_MIN
+    n = static.lu.shape[0]
+    assert isinstance(static, saddle.DenseLU) and static.lu.dtype == np.float64
+    assert saddle.KEPT_MIN <= n <= saddle.DENSE_MAX
     assert len(steps) == 50
     assert all(kept and corrections <= REFRESH_AFTER and lu is static for kept, corrections, lu in steps)
-    monkeypatch.setattr(saddle, "KEPT_MIN", static.shape[0] + 1)
+    monkeypatch.setattr(saddle, "KEPT_MIN", n + 1)
     steps.clear()
     _, factored = gmsfem.run_multiscale(*args, space=rig.space(darcy, False), ops=rig.ops(darcy), observe=observe)
     assert len(steps) == 50 and not any(kept or corrections for kept, corrections, _ in steps)
     for got, want in ((refined.velocity, factored.velocity), (refined.pressure, factored.pressure)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_dense_coarse_factors_end_where_superlu_ends(rig, m, monkeypatch):
+    """Desk test1 online runs at M=2 (48 coarse unknowns, factored every
+    step) and M=16 (272, refined from the static factor) end within 1e-12
+    of the same runs with every coarse factor SuperLU's (DENSE_MAX 0)."""
+    darcy = 1e-3
+    space = rig.space(darcy, False)
+    space = space if m == space.m else gmsfem.resize_space(space, rig.mesh, rig.coarse, m)
+    args = (rig.mesh, rig.coarse, rig.params(darcy), rig.bc)
+    ends = []
+    for dense_max, kind in ((saddle.DENSE_MAX, saddle.DenseLU), (0, spla.SuperLU)):
+        monkeypatch.setattr(saddle, "DENSE_MAX", dense_max)
+        kinds = set()
+        observe = lambda step, state, solver: kinds.add(type(solver.lu))
+        coarse, fine = gmsfem.run_multiscale(*args, space=space, ops=rig.ops(darcy), observe=observe)
+        assert kinds == {kind}
+        ends.append((coarse.final.velocity, coarse.final.pressure, fine.velocity, fine.pressure))
+    for got, want in zip(*ends):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -298,7 +298,8 @@ def test_ordered_step_matrix_equals_the_permuted_blocks(tiny_step):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_run_fine_equals_the_block_assembled_loop(tiny_step):
+def test_run_fine_equals_the_block_assembled_loop(tiny_step, monkeypatch):
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)  # the oracle's SuperLU factors
     mesh, params, bc, ops = tiny_step
     states = [DGState.zeros(mesh.n_cells)]
     run_fine(mesh, params, bc, ops=ops, observe=layers(states))
@@ -309,12 +310,14 @@ def test_run_fine_equals_the_block_assembled_loop(tiny_step):
         assert np.array_equal(state.pressure, p)
 
 
-def test_a_run_over_the_budget_refreshes_a_factor_it_keeps_to_itself(tiny_step):
-    # the tiny step (224 unknowns) is refined from a float64 factor.  Step 1
+def test_a_run_over_the_budget_refreshes_a_factor_it_keeps_to_itself(tiny_step, monkeypatch):
+    # the tiny step (224 unknowns) is refined from a float64 SuperLU factor
+    # (DENSE_MAX pinned below its size, as on a fine mesh).  Step 1
     # takes more than REFRESH_AFTER corrections from the static one, so step
     # 2 is factored directly and its factor serves step 3.  That factor
     # stays with the run: two runs on one saddle, and run_fine, agree bit
     # for bit, and the saddle still holds its static factor.
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)
     mesh, params, bc, ops = tiny_step
     shared = ops.step_saddle()
     static = shared.kept_lu
@@ -393,12 +396,13 @@ def test_the_precision_floor_is_read_from_saddle(tiny_step, monkeypatch):
         assert solver.system.kept_lu is static and solver.kept and solver.lu is static
 
 
-def test_a_missed_step_hands_its_factor_to_the_next_step():
+def test_a_missed_step_hands_its_factor_to_the_next_step(monkeypatch):
     # test3 (Re=100) on the tiny mesh: step 1 misses its refinement from the
     # static factor, so its own float64 factor serves step 2, which takes
     # more than REFRESH_AFTER corrections; step 3 refreshes, and step 4
     # refines from step 3's factor.  The run equals the block-assembled loop
-    # under the same rule bit for bit.
+    # under the same rule bit for bit, on SuperLU factors as a fine mesh's.
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)
     mesh, _ = tiny_heterogeneous()
     params = preset_parameters("test3", 1e-3, n_steps=10)
     bc = BoundaryData.inflow((1.0, 0.0))

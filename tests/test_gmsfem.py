@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from msflow import analysis, forms, gmsfem
+from msflow import analysis, forms, gmsfem, saddle
 from msflow.errors import ConfigError, MsflowError, SingularSystemError
 from msflow.fine_solver import StepOperators, march, run_fine
 from msflow.geometry import DomainSpec, generate_structured_mesh
@@ -530,34 +530,39 @@ class TestOnlineStage:
     @pytest.mark.parametrize("singular", ["static", "step"])
     def test_singular_system_from_a_kept_factor_raises_without_warning(self, singular, monkeypatch):
         # from KEPT_MIN unknowns on, the coarse run refines from a float64
-        # factor of the static matrix.  A singular static matrix keeps none,
+        # factor of the static matrix: LAPACK's dense LU up to DENSE_MAX
+        # unknowns, SuperLU's above.  A singular static matrix keeps none,
         # so the run factors every step; a step singular only itself misses
-        # its refinement.  Either way step 7 fails its own factor.
+        # its refinement.  Either way step 7 fails its own factor, with
+        # either kind of factor.
         monkeypatch.setattr("msflow.saddle.KEPT_MIN", 1)
         upper = sp.diags([1.0, 0.0 if singular == "static" else 1.0, 2.0])
         b_h = sp.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
-        ordered = coarse_saddle(upper, b_h, np.array([0]))
-        assert (ordered.kept_lu is None) == (singular == "static")
-        steps = iter(range(10))
-        paths = []
+        for dense_max, kind in ((saddle.DENSE_MAX, saddle.DenseLU), (0, spla.SuperLU)):
+            monkeypatch.setattr("msflow.saddle.DENSE_MAX", dense_max)
+            ordered = coarse_saddle(upper, b_h, np.array([0]))
+            assert (ordered.kept_lu is None) == (singular == "static")
+            assert singular == "static" or isinstance(ordered.kept_lu, kind)
+            steps = iter(range(10))
+            paths = []
 
-        def blocks(u_h):
-            # static: the block couples the second mode until step 7;
-            # step: from step 7 on it cancels the second mode's diagonal
-            late = next(steps) >= 7
-            if singular == "static":
-                return np.eye(3)[None] * (not late)
-            return -np.diag([0.0, 1.0, 0.0])[None] * late
+            def blocks(u_h):
+                # static: the block couples the second mode until step 7;
+                # step: from step 7 on it cancels the second mode's diagonal
+                late = next(steps) >= 7
+                if singular == "static":
+                    return np.eye(3)[None] * (not late)
+                return -np.diag([0.0, 1.0, 0.0])[None] * late
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularSystemError, match="^online step 7: factorization failed"):
-                march(
-                    ordered_step(ordered, blocks, np.ones(1)), sp.identity(3), np.ones(3),
-                    lambda u_h: 0.0, make_params(n_steps=10), "online step",
-                    lambda step, state, solver: paths.append(solver.kept),
-                )
-        assert paths == [singular == "step"] * 7
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularSystemError, match="^online step 7: factorization failed"):
+                    march(
+                        ordered_step(ordered, blocks, np.ones(1)), sp.identity(3), np.ones(3),
+                        lambda u_h: 0.0, make_params(n_steps=10), "online step",
+                        lambda step, state, solver: paths.append((solver.kept, type(solver.lu))),
+                    )
+            assert paths == [(singular == "step", kind)] * 7
 
 
 def _run(mesh, coarse, params, bc, space, ops):
@@ -718,15 +723,16 @@ class TestFamilyRecord:
             want = saddle[ordered.perm][:, ordered.perm]
             system = ordered.system(ordered.static + blocks, online.f_u, online.f_p)
             got = system.matrix
-            # a coarse system is factored and solved in float64, as it stands
+            # a small coarse system is factored and solved in float64 by
+            # LAPACK's dense LU, in its order
             solver = SaddleSolver(system)
             stacked, _ = solver.solve_stacked(np.concatenate([online.f_u, online.f_p])[:, None])
             assert system.kept_lu is None and not solver.kept and solver.corrections == 0
-            lu = spla.splu(
-                got, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-            )
+            lu, piv, info = la.lapack.dgetrf(got.toarray())
+            assert info == 0
             x = np.empty((len(ordered.perm), 1))
-            x[ordered.perm] = lu.solve(np.concatenate([online.f_u, online.f_p])[ordered.perm, None])
+            rhs = np.concatenate([online.f_u, online.f_p])[ordered.perm, None]
+            x[ordered.perm] = la.lapack.dgetrs(lu, piv, rhs)[0]
             assert np.array_equal(stacked, x)
             for x in (got, want):
                 x.eliminate_zeros()  # the fixed pattern may store zeros

@@ -251,7 +251,8 @@ def _block_upper(ops, u_lin):
 
 
 @pytest.mark.parametrize("case", ["tiny_heterogeneous", "desk"])
-def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
+def test_cell_ordered_solve_matches_colamd_with_less_fill(case, monkeypatch):
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)  # the tiny step's SuperLU factor and fill
     if case == "desk":
         mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     else:
@@ -285,19 +286,24 @@ def test_cell_ordered_solve_matches_colamd_with_less_fill(case):
     assert fill(ordered) < fill(colamd)
 
 
-@pytest.mark.parametrize("path", ["kept", "colamd"])
+@pytest.mark.parametrize("path", ["kept", "colamd", "dense"])
 def test_a_vector_solves_as_its_one_column_batch(path):
     # solve() hands solve_stacked a vector: solution, corrections and
     # residual are those of the same right-hand side as an (n, 1) batch, on
-    # the refined desk step and on the COLAMD linear step
-    mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+    # the refined desk step, on the COLAMD linear step and on the tiny step
+    # refined from its dense factor
+    if path == "dense":
+        mesh, _ = tiny_heterogeneous()
+    else:
+        mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
     ops, u1 = _step_system(mesh, make_params(tau=2e-4))
-    system = ops.system(u1) if path == "kept" else ops.system(None)
+    system = ops.system(None) if path == "colamd" else ops.system(u1)
+    assert isinstance(system.kept_lu, saddle.DenseLU) == (path == "dense")
     rhs = np.concatenate([ops.mass @ u1 + ops.f_u, ops.f_p])
     vector, column = SaddleSolver(system), SaddleSolver(system)
     x, rel = vector.solve_stacked(rhs)
     x_col, rel_col = column.solve_stacked(rhs[:, None])
-    assert vector.kept == column.kept == (path == "kept")
+    assert vector.kept == column.kept == (path != "colamd")
     assert vector.corrections == column.corrections
     assert x.shape == rhs.shape and np.array_equal(x, x_col[:, 0])
     assert np.ndim(rel) == 0 and rel.tobytes() == rel_col[0].tobytes()
@@ -582,8 +588,9 @@ def test_a_step_refined_from_its_linearization_point_takes_fewer_corrections():
 def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
     # a step far from the static matrix: the kept refinement stalls, and
     # the solve then equals that of the same system without a kept factor,
-    # from a float64 factor
+    # from a float64 SuperLU factor
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)
     ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
     velocity = np.arange(ops.patch.n_vdof)
     ordered = CellOrderedSaddle(ops.upper, ops.div, ops.cell_order, velocity, velocity)
@@ -603,6 +610,27 @@ def test_kept_factor_miss_takes_the_system_own_chain(monkeypatch):
     # the kept refinement stopped at a correction that did not halve the
     # residual, before KEPT_MAX
     assert own.corrections == 0 < solver.corrections < KEPT_MAX
+
+
+def test_a_lowered_single_min_keeps_the_float32_superlu_factor(monkeypatch):
+    # the float32 factor takes precedence over the dense rule: with
+    # SINGLE_MIN lowered below the tiny step's 224 unknowns, which are at
+    # most DENSE_MAX, the saddle keeps SuperLU's float32 factor, while the
+    # system's own float64 factor is LAPACK's; both answers agree
+    monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
+    ordered = ops.step_saddle()
+    assert len(ordered.perm) <= saddle.DENSE_MAX
+    assert isinstance(ordered.kept_lu, spla.SuperLU) and ordered.kept_lu.U.dtype == np.float32
+    values = ordered.static + ops.step_blocks(u1)
+    system = ordered.system(values, ops.mass @ u1 + ops.f_u, ops.f_p, u1)
+    kept = SaddleSolver(system)
+    x_kept = np.concatenate(kept.solve())
+    assert kept.kept and kept.lu is ordered.kept_lu
+    own = SaddleSolver(dataclasses.replace(system, kept_lu=None))
+    x_own = np.concatenate(own.solve())
+    assert isinstance(own.lu, saddle.DenseLU) and own.lu.lu.dtype == np.float64
+    assert np.linalg.norm(x_kept - x_own) <= 1e-12 * np.linalg.norm(x_own)
 
 
 def test_refined_steps_match_a_float64_solve_on_the_hardest_bundle():
@@ -693,6 +721,7 @@ def _near_singular():
 )
 def test_float32_failure_falls_back_to_the_float64_answer(make, when, monkeypatch):
     monkeypatch.setattr(saddle, "SINGLE_MIN", 1)
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)  # the float64 fallback is SuperLU's
     system = make()
     solver = SaddleSolver(system)
     assert (system.kept_lu is None) == (when == "factor") and solver.kept == (when == "solve")
@@ -726,11 +755,13 @@ class _PlantingFactor:
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-def test_a_non_finite_iterate_is_a_miss(bad):
+def test_a_non_finite_iterate_is_a_miss(bad, monkeypatch):
     # the second correction makes the iterate non-finite: the refinement
-    # misses without a warning, and the solve gives the float64 answer.
-    # The value goes to an unknown whose matrix column stores no zero, so an
-    # inf leaves the residual infinite, not NaN: its ratio is inf / inf
+    # misses without a warning, and the solve gives the float64 SuperLU
+    # answer.  The value goes to an unknown whose matrix column stores no
+    # zero, so an inf leaves the residual infinite, not NaN: its ratio is
+    # inf / inf
+    monkeypatch.setattr(saddle, "DENSE_MAX", 0)
     ops, u1 = _step_system(tiny_heterogeneous()[0], make_params())
     velocity = np.arange(ops.patch.n_vdof)
     ordered = CellOrderedSaddle(ops.upper, ops.div, ops.cell_order, velocity, velocity)
