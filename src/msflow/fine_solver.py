@@ -19,9 +19,9 @@ from .saddle import (
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    column_residuals,
     ordered_step,
     permuted_saddle,
-    relative_residual,
 )
 
 
@@ -108,7 +108,7 @@ class StepOperators:
 
     def div_residual(self, velocity):
         """Relative continuity residual of a velocity vector."""
-        return relative_residual(self.div, velocity, self.f_p, self._div_scale)
+        return column_residuals(self.div, velocity, self.f_p, self._div_scale)
 
 
 def march(step_solve, mass, f_u, div_residual, params, label, observe=None):

@@ -35,9 +35,9 @@ from .saddle import (
     CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
+    column_residuals,
     ordered_step,
     permuted_saddle,
-    relative_residual,
 )
 
 S_RANK_TOL = 1e-10
@@ -498,7 +498,7 @@ def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
     saddle = CellOrderedSaddle(online.upper, b_h, online.order, rows, cols)
 
     def div_residual(u_h):
-        return relative_residual(b_h, u_h, f_p, b_scale)
+        return column_residuals(b_h, u_h, f_p, b_scale)
 
     coarse_traj = march(
         ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, div_residual, params,

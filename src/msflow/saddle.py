@@ -30,7 +30,8 @@ RESIDUAL_BLOCK = 16
 #   and leaves every paper_like coarse system (600-2,600) and every fine
 #   step (14,336 and 89,600) to SuperLU: per online step, LAPACK read 9-24%
 #   faster from 48 to 272 unknowns, 2% at 400, and 4% slower at 528 (the
-#   README's per-size table, "Fine solver").
+#   per-size table of the CHANGES.md entry "Small ordered saddle systems
+#   get LAPACK's dense LU").
 # - Refinement.  SaddleSolver refines each solve from the kept factor until
 #   the relative residual reaches REFINE_TARGET, the float64 unit roundoff:
 #   a float64 factor leaves 4e-19 to 7e-17 on the fine steps, so a lower
@@ -436,19 +437,12 @@ class SaddleSolver:
         return None, None
 
 
-def relative_residual(matrix, x, rhs, scale):
-    """|matrix x - rhs| / max(|rhs|, scale |x|) of vectors x and rhs, with
-    numpy's dot-product norm; scale is the operator size (its largest
-    absolute row sum).  column_residuals takes one per column."""
-    norm = np.linalg.norm
-    return _residual_ratio(matrix @ x - rhs, x, norm(rhs), scale, norm)
-
-
 def column_residuals(matrix, x, rhs, scale):
-    """relative_residual per column of x and rhs, from column norms (a
-    vector is one column), taken RESIDUAL_BLOCK columns at a time: no
-    product, residual or norm temporary is as wide as a batch.  Every solve
-    accepts a column only when this is at most RESIDUAL_TOL."""
+    """|matrix x - rhs| / max(|rhs|, scale |x|) per column of x and rhs (a
+    vector is one column); scale is the operator size (its largest absolute
+    row sum).  Taken RESIDUAL_BLOCK columns at a time: no product, residual
+    or norm temporary is as wide as a batch.  Every solve accepts a column
+    only when this is at most RESIDUAL_TOL."""
     if np.ndim(x) == 1:
         return _residual_ratio(matrix @ x - rhs, x, _column_norms(rhs), scale)
     rel = np.empty(x.shape[1])
@@ -466,8 +460,8 @@ def _column_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=0))
 
 
-def _residual_ratio(resid, x, rhs_norm, scale, norm=_column_norms):
-    """relative_residual from the residual resid = matrix x - rhs and the
-    norm of rhs, with the given norm (by default the column norms)."""
-    denom = np.maximum(rhs_norm, scale * norm(x))
-    return norm(resid) / np.maximum(denom, 1e-300)
+def _residual_ratio(resid, x, rhs_norm, scale):
+    """column_residuals from the residual resid = matrix x - rhs and the
+    column norms of rhs."""
+    denom = np.maximum(rhs_norm, scale * _column_norms(x))
+    return _column_norms(resid) / np.maximum(denom, 1e-300)

@@ -1,7 +1,8 @@
 """scripts/solve_paths.py on one desk bundle: every test1 fine step is served
 by the kept float32 factor, and every online step at M=16 by the kept
-float64 factor with at most REFRESH_AFTER corrections, as the README's
-solve-path tables say; the last column counts the kept-factor solves."""
+float64 factor with at most REFRESH_AFTER corrections, as the kept-factor
+policy at the top of saddle.py says; the last column counts the kept-factor
+solves."""
 
 import pathlib
 import subprocess
