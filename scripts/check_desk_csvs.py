@@ -8,7 +8,7 @@ or extra file, a changed header, an added or missing M row, a row with
 another cell count, bytes that differ outside the cells), every differing
 cell with its file, M, column, committed value, new value and relative
 change, then the largest relative change of each column with its file and
-M.  Takes a few minutes.
+M.  Took 31.8 s at 8578881 on 2 cores.
 
     python scripts/check_desk_csvs.py
     python scripts/check_desk_csvs.py --rtol 1e-6

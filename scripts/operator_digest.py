@@ -34,15 +34,17 @@ on the desk config:
   continuity residuals;
 - the multiscale stage at Da=1e-3: the linearization field, the plain
   `r_u` and `r_p` at M=16, their `resize_space` slices at M=2, 4 and 8, the
-  final coarse and fine states of `run_multiscale` at every size, `r_u`
-  after a `save_space` / `load_space` round trip through a temporary
-  directory, every coarse cell's eigenvalues in the plain and the
-  oversampled space, the oversampled `r_u` and `r_p` at M=16, and the final
-  coarse and fine states of the oversampled `run_multiscale` at every size.
-  The eigenvalues and the two `r_u` cover every pinned snapshot solve;
-- the final coarse and fine states of the test2 preset's `run_multiscale`
-  at Da=1e-3 on its plain space at M=16.  Its coarse steps refresh the
-  kept factor they refine from, which no test1 run above does.
+  final coarse and fine states and the continuity residuals of
+  `run_multiscale` at every size, `r_u` after a `save_space` / `load_space`
+  round trip through a temporary directory, every coarse cell's eigenvalues
+  in the plain and the oversampled space, the oversampled `r_u` and `r_p`
+  at M=16, and the final coarse and fine states and the continuity
+  residuals of the oversampled `run_multiscale` at every size.  The
+  eigenvalues and the two `r_u` cover every pinned snapshot solve;
+- the final coarse and fine states and the continuity residuals of the
+  test2 preset's `run_multiscale` at Da=1e-3 on its plain space at M=16.
+  Its coarse steps refresh the kept factor they refine from, which no test1
+  run above does.
 
 Last come `gmsfem.BASIS_VERSION` and the basis-cache keys of the plain and
 the oversampled space at Da=1e-3, read from the names of the files
@@ -233,12 +235,14 @@ def multiscale(mesh, coarse, params, bc):
 
 
 def online(mesh, coarse, params, bc, space, ops, tag):
-    """The final coarse and fine states of run_multiscale on a space."""
+    """The final coarse and fine states and the continuity residuals of
+    run_multiscale on a space."""
     traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)
     show(f"{tag} coarse.velocity", traj.final.velocity)
     show(f"{tag} coarse.pressure", traj.final.pressure)
     show(f"{tag} fine.velocity", fine_state.velocity)
     show(f"{tag} fine.pressure", fine_state.pressure)
+    show(f"{tag} coarse.div_residuals", traj.div_residuals)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ time per step, from one observed step to the next (step 0 includes building
 the run's saddle and its kept factor, and an online run's step 0 on a new
 space the projected operators too), and the run's total solves with a kept
 factor: the first solve and the corrections of every step that refined,
-a missed refinement's too.  Unlike the times, that count is the same on
-every run.  The columns:
+a missed refinement's too.  The counts move with the BLAS thread count, so
+every thread pool is pinned to one thread before numpy loads, as
+scripts/operator_digest.py does; then, unlike the times, they are the same
+on every run.  The columns:
 
 - kept: refined from a kept factor, the saddle's or a refreshed one
 - own: factored on its own, after a missed refinement or with no kept factor
@@ -37,11 +39,15 @@ Takes about 2 minutes for the nine bundles at both levels.
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import time
 
-import numpy as np
+THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(THREADS, "1"))
+
+import numpy as np  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "desk_test1.cfg"

@@ -65,14 +65,22 @@ def error_pressure(p_ref, p_ms, mesh, coarse):
     return float(np.sqrt(np.dot(coarse.cell_area, diff**2) / ref_sq))
 
 
+def relative_errors(ref_state, velocity, coarse_pressure, mesh, coarse):
+    """(e_u, e_s, e_p): the relative velocity, stress and coarse pressure
+    errors of a fine velocity and a coarse pressure against a reference."""
+    return (
+        error_velocity(ref_state.velocity, velocity, mesh),
+        error_stress(ref_state.velocity, velocity, mesh),
+        error_pressure(ref_state.pressure, coarse_pressure, mesh, coarse),
+    )
+
+
 def check_reference(ref_state, mesh, coarse):
     """Raise make_report's ValueError at once when a reference norm that its
     relative errors divide by is zero: each error of the reference against
     itself divides by the same norm."""
-    error_velocity(ref_state.velocity, ref_state.velocity, mesh)
-    error_stress(ref_state.velocity, ref_state.velocity, mesh)
     p_bar = coarse_average(ref_state.pressure, mesh, coarse)
-    error_pressure(ref_state.pressure, p_bar, mesh, coarse)
+    relative_errors(ref_state, ref_state.velocity, p_bar, mesh, coarse)
 
 
 def dof_fine(n_fine_cells):
@@ -156,14 +164,9 @@ class ErrorReport:
 def make_report(ref_state, ms_fine_velocity, ms_coarse_pressure, mesh, coarse, m, oversampled, params):
     """Assemble the error report of one multiscale run.  Its metadata holds
     every field of params, m and the oversampling flag."""
-    e_u = error_velocity(ref_state.velocity, ms_fine_velocity, mesh)
-    e_s = error_stress(ref_state.velocity, ms_fine_velocity, mesh)
-    e_p = error_pressure(ref_state.pressure, ms_coarse_pressure, mesh, coarse)
     meta = {**asdict(params), "m": int(m), "oversampled": bool(oversampled)}
     return ErrorReport(
-        e_u=e_u,
-        e_s=e_s,
-        e_p=e_p,
+        *relative_errors(ref_state, ms_fine_velocity, ms_coarse_pressure, mesh, coarse),
         dof_h=dof_fine(mesh.n_cells),
         dof_ms=dof_multiscale(coarse.n_cells, m),
         metadata=meta,

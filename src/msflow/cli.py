@@ -207,10 +207,8 @@ def run_compare_mode(spec, mesh, coarse):
     ref = _load_reference(spec.reference, mesh)
     other = _load_reference(spec.other, mesh)
     try:
-        e_u = analysis.error_velocity(ref.velocity, other.velocity, mesh)
-        e_s = analysis.error_stress(ref.velocity, other.velocity, mesh)
         p_other = analysis.coarse_average(other.pressure, mesh, coarse)
-        e_p = analysis.error_pressure(ref.pressure, p_other, mesh, coarse)
+        e_u, e_s, e_p = analysis.relative_errors(ref, other.velocity, p_other, mesh, coarse)
     except ValueError as exc:
         raise MsflowError(f"{spec.other} against {spec.reference}: {exc}") from exc
     payload = {

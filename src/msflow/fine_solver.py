@@ -33,21 +33,47 @@ class Trajectory:
     div_residuals: np.ndarray
 
 
-class StepOperators:
-    """Blocks that persist across time steps for a fixed mesh and data.
+class Steps:
+    """The step record of one level, fine or coarse.  A step freezes
+    convection and the quadratic drag at the previous layer, so its matrix
+    is a static saddle, upper = mass + viscous + Darcy and the divergence
+    div, plus cell blocks; mass, f_u and f_p give its loads.  A subclass
+    sets these and gives cell_order, step_entries() (the entries of the
+    cell blocks) and step_blocks(u_lin) (their values linearized at u_lin).
+    system(u_lin) adds the blocks on a step saddle built on the first call
+    and kept on the record, hands out its static kept factor and records
+    u_lin, where a refinement starts (see SaddleSolver).  march_steps steps
+    on a saddle of its own, whose factor is freed when the run ends and may
+    be refreshed (see the kept-factor policy in saddle).
+    """
 
-    A step freezes convection and the quadratic drag at the previous layer,
-    so its matrix is a static saddle plus cell blocks.  The static saddle is
-    upper = mass + viscous + Darcy, summed once here, and the divergence:
-    step_saddle() holds it in the nested-dissection cell order,
-    step_blocks(u_lin) the convection and drag of each cell.  system(u_lin)
-    adds them on a saddle built on the first call and kept on ops, hands
-    out its static kept factor, and records u_lin on the system, where a
-    refinement starts (see SaddleSolver).  run_fine steps on a saddle of its
-    own, so that its factor is freed when the run ends, and may refresh
-    that factor (see the kept-factor policy in saddle).
-    system(None), the constant system of the linear run, is left for
-    SaddleSolver to order by COLAMD.
+    @cached_property
+    def _div_scale(self):
+        """Taken on first use: abs() sorts the indices of an unsorted CSR div in place."""
+        return abs(self.div).sum(axis=1).max() or 1.0
+
+    @cached_property
+    def _saddle(self):
+        """The step saddle that system() steps on, built on first use."""
+        return self.step_saddle()
+
+    def step_saddle(self):
+        """A new CellOrderedSaddle of upper and div in cell_order."""
+        return CellOrderedSaddle(self.upper, self.div, self.cell_order, *self.step_entries())
+
+    def system(self, u_lin):
+        saddle = self._saddle
+        return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p, u_lin)
+
+    def div_residual(self, velocity):
+        """Relative continuity residual of a velocity vector."""
+        return column_residuals(self.div, velocity, self.f_p, self._div_scale)
+
+
+class StepOperators(Steps):
+    """The fine step record of a mesh and its data (see Steps): a block per
+    fine cell holds its convection and drag.  system(None), the constant
+    system of the linear run, is left for SaddleSolver to order by COLAMD.
 
     mass and upper store no zeros: eliminate_zeros() drops the zero
     cross-component entries of forms._kron2's cell blocks from mass and
@@ -65,7 +91,6 @@ class StepOperators:
         viscous = forms.viscous_block(self.patch, params)
         self.upper = self.mass + viscous + forms.darcy_block(self.patch, params)
         self.f_u, self.f_p = forms.assemble_rhs(self.patch, params, bc, forcing=forcing)
-        self._div_scale = abs(self.div).sum(axis=1).max() or 1.0
 
     @cached_property
     def cell_order(self):
@@ -75,21 +100,14 @@ class StepOperators:
         edges = np.column_stack([patch.plus.cell, patch.minus.cell])
         return nested_dissection_order(patch.mesh.centroid[patch.cells], edges, ND_LEAF_CELLS)
 
-    @cached_property
-    def _saddle(self):
-        """The step saddle that system() steps on, built on first use."""
-        return self.step_saddle()
-
-    def step_saddle(self):
-        """A new CellOrderedSaddle of upper and the divergence in cell_order;
-        its step entries [c, d, a, b] couple test vertex a to trial vertex b
-        in component d of cell c."""
+    def step_entries(self):
+        """The entries [c, d, a, b] that couple test vertex a to trial
+        vertex b in component d of cell c."""
         n = self.patch.n_cells
         dofs = forms.cell_dofs(np.arange(n)).transpose(0, 2, 1)
         rows = np.broadcast_to(dofs[:, :, :, None], (n, 2, 3, 3))
         cols = np.broadcast_to(dofs[:, :, None, :], (n, 2, 3, 3))
-        upper = self.upper.tocsc()  # read as it is, see permuted_saddle
-        return CellOrderedSaddle(upper, self.div, self.cell_order, rows, cols)
+        return rows, cols
 
     def step_blocks(self, u_lin):
         """Convection plus drag linearized at the global field u_lin, one
@@ -103,12 +121,7 @@ class StepOperators:
         if u_lin is None:
             matrix = permuted_saddle(self.upper, self.div, np.arange(len(self.f_u) + len(self.f_p)))
             return SaddleSystem(matrix, self.f_u, self.f_p)
-        saddle = self._saddle
-        return saddle.system(saddle.static + self.step_blocks(u_lin), self.f_u, self.f_p, u_lin)
-
-    def div_residual(self, velocity):
-        """Relative continuity residual of a velocity vector."""
-        return column_residuals(self.div, velocity, self.f_p, self._div_scale)
+        return super().system(u_lin)
 
 
 def march(step_solve, mass, f_u, div_residual, params, label, observe=None):
@@ -134,6 +147,13 @@ def march(step_solve, mass, f_u, div_residual, params, label, observe=None):
     return Trajectory(state, residuals)
 
 
+def march_steps(steps, params, label, observe=None):
+    """march on a new step saddle of a Steps record (see saddle.ordered_step),
+    with the record's div_residual as it stands when the run starts."""
+    step_solve = ordered_step(steps.step_saddle(), steps.step_blocks, steps.f_p)
+    return march(step_solve, steps.mass, steps.f_u, steps.div_residual, params, label, observe)
+
+
 def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None, observe=None):
     """Run the implicit loop from the zero state (see march for observe).
 
@@ -141,9 +161,8 @@ def run_fine(mesh, params, bc, linear=False, forcing=None, ops=None, observe=Non
     which makes the step matrix constant (factored once, by COLAMD).
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc, forcing=forcing)
-    if linear:
-        solver = SaddleSolver(ops.system(None))
-        step_solve = lambda u, rhs_u: (*solver.solve(rhs_u, ops.f_p), solver)
-    else:
-        step_solve = ordered_step(ops.step_saddle(), ops.step_blocks, ops.f_p)
+    if not linear:
+        return march_steps(ops, params, "fine step", observe)
+    solver = SaddleSolver(ops.system(None))
+    step_solve = lambda u, rhs_u: (*solver.solve(rhs_u, ops.f_p), solver)
     return march(step_solve, ops.mass, ops.f_u, ops.div_residual, params, "fine step", observe)

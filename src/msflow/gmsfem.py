@@ -25,20 +25,12 @@ import scipy.sparse as sp
 from . import forms
 from .atomic import atomic_write
 from .errors import ConfigError, MsflowError, SingularSystemError
-from .fine_solver import StepOperators, march, run_fine
+from .fine_solver import StepOperators, Steps, march_steps, run_fine
 from .geometry import POROUS
 from .parameters import DGState
 from .patches import coarse_cell_order, coarse_cell_patch
 from .quadrature import EDGE_G2_W, TRI_D4_BARY, TRI_D4_W
-from .saddle import (
-    RESIDUAL_TOL,
-    CellOrderedSaddle,
-    SaddleSolver,
-    SaddleSystem,
-    column_residuals,
-    ordered_step,
-    permuted_saddle,
-)
+from .saddle import RESIDUAL_TOL, SaddleSolver, SaddleSystem, permuted_saddle
 
 S_RANK_TOL = 1e-10
 # Part of every basis-cache key: a change that moves the bits of a basis
@@ -404,17 +396,26 @@ class _NonlinearBlocks:
 
 
 @dataclass
-class _OnlineOperators:
-    """The projected operators of one basis size: static blocks, loads and
-    the nonlinear per-cell blocks, with the coarse cells' saddle order."""
+class _OnlineOperators(Steps):
+    """The coarse step record of one basis size (see fine_solver.Steps): the
+    projected blocks and loads, in the coarse cells' saddle order, with a
+    dense m x m block of step entries per coarse cell."""
 
     mass: sp.csr_matrix  # r_u M r_u^T
     upper: sp.csr_matrix  # r_u (M + A + D) r_u^T
     div: sp.csr_matrix  # r_p B r_u^T
     f_u: np.ndarray
     f_p: np.ndarray
-    nonlinear: _NonlinearBlocks
-    order: np.ndarray  # coarse_cell_order of the coarse grid
+    step_blocks: _NonlinearBlocks
+    cell_order: np.ndarray  # coarse_cell_order of the coarse grid
+
+    def step_entries(self):
+        n = len(self.cell_order)
+        m = self.upper.shape[0] // n
+        base = m * np.arange(n)[:, None, None]
+        rows = base + np.arange(m)[None, :, None]
+        cols = base + np.arange(m)[None, None, :]
+        return rows, cols
 
 
 def _project_blocks(r, r_t, matrix):
@@ -450,8 +451,8 @@ def _online_operators(space, mesh, coarse, params, ops):
             div=(r_p @ ops.div @ r_u.T).tocsr(),
             f_u=r_u @ ops.f_u,
             f_p=r_p @ ops.f_p,
-            nonlinear=_NonlinearBlocks.build(mesh, params, root.cell_bases, root.m),
-            order=coarse_cell_order(coarse),
+            step_blocks=_NonlinearBlocks.build(mesh, params, root.cell_bases, root.m),
+            cell_order=coarse_cell_order(coarse),
         )
         record = root.online = (ops, params, full)
     full = record[2]
@@ -464,46 +465,25 @@ def _online_operators(space, mesh, coarse, params, ops):
         div=full.div[:, rows],
         f_u=full.f_u[rows],
         f_p=full.f_p,
-        nonlinear=full.nonlinear.prefix(space.m),
-        order=full.order,
+        step_blocks=full.step_blocks.prefix(space.m),
+        cell_order=full.cell_order,
     )
 
 
 def run_multiscale(mesh, coarse, params, bc, space, ops=None, observe=None):
     """Online stage on a built, loaded or resized space: march the projected
-    system and reconstruct the fine velocity.
-
-    The nonlinear weights are refreshed every step from the reconstructed
-    field of the previous coarse step; the basis stays fixed.  Fine-mesh
-    work happens once per root space (see _online_operators): the first call
-    on a space or any resize_space slice of it projects the static blocks
-    and builds the convection tensors and porous quadrature values at the
-    root's size, and every call reads their m-prefix; the coarse
-    saddle pattern is built once per call and the steps run in the fine
-    run's loop and step (fine_solver.march and saddle.ordered_step).  A
-    step costs O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the
-    fine step operators of params and bc) is built when not given; observe
-    sees each coarse step (see march).  Returns the coarse trajectory and the
+    system on the fine run's path (fine_solver.march_steps) and reconstruct
+    the fine velocity.  The basis stays fixed, and each step linearizes the
+    nonlinear terms at the previous coarse step.  Fine-mesh work happens
+    once per root space (see _online_operators); a step costs
+    O(n_coarse m^3) plus O(m^2) per porous fine cell.  ops (the fine step
+    operators of params and bc) is built when not given; observe sees each
+    coarse step (see march).  Returns the coarse trajectory and the
     reconstructed fine state at the final time.
     """
     ops = ops if ops is not None else StepOperators(mesh, params, bc)
     online = _online_operators(space, mesh, coarse, params, ops)
-    b_h, f_p = online.div, online.f_p
-    b_scale = abs(b_h).sum(axis=1).max() or 1.0
-    # A dense m x m block per coarse cell holds the nonlinear terms.
-    n, m = coarse.n_cells, space.m
-    base = m * np.arange(n)[:, None, None]
-    rows = base + np.arange(m)[None, :, None]
-    cols = base + np.arange(m)[None, None, :]
-    saddle = CellOrderedSaddle(online.upper, b_h, online.order, rows, cols)
-
-    def div_residual(u_h):
-        return column_residuals(b_h, u_h, f_p, b_scale)
-
-    coarse_traj = march(
-        ordered_step(saddle, online.nonlinear, f_p), online.mass, online.f_u, div_residual, params,
-        "online step", observe,
-    )
+    coarse_traj = march_steps(online, params, "online step", observe)
     final = coarse_traj.final
     return coarse_traj, DGState(space.r_u.T @ final.velocity, space.r_p.T @ final.pressure)
 

@@ -489,27 +489,20 @@ def test_dense_coarse_factors_end_where_superlu_ends(rig, m, monkeypatch):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_every_desk_saddle_stores_its_step_entries(rig, monkeypatch):
+def test_every_desk_saddle_stores_its_step_entries(rig):
     """A CellOrderedSaddle locates its step entries in its static matrix and
     raises for one that is not stored, so the program's saddles must store
-    them all: the desk fine step saddle, and the coarse saddles that
-    run_multiscale builds for the plain M=16 space and its M=8 slice."""
+    them all: the step saddles of the desk fine record and of the coarse
+    records of the plain M=16 space and its M=8 slice."""
     darcy = 1e-3
-    built = []
-
-    class Recorded(saddle.CellOrderedSaddle):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(gmsfem, "CellOrderedSaddle", Recorded)
-    fine = rig.ops(darcy).step_saddle()
-    space = rig.space(darcy, False)
+    ops, space = rig.ops(darcy), rig.space(darcy, False)
+    built = [ops.step_saddle()]
     for m in (16, 8):
         sized = space if m == space.m else gmsfem.resize_space(space, rig.mesh, rig.coarse, m)
-        gmsfem.run_multiscale(rig.mesh, rig.coarse, rig.params(darcy), rig.bc, space=sized, ops=rig.ops(darcy))
+        online = gmsfem._online_operators(sized, rig.mesh, rig.coarse, rig.params(darcy), ops)
+        built.append(online.step_saddle())
     n = rig.coarse.n_cells
-    assert [len(s.perm) for s in (fine, *built)] == [7 * rig.mesh.n_cells, 17 * n, 9 * n]
+    assert [len(s.perm) for s in built] == [7 * rig.mesh.n_cells, 17 * n, 9 * n]
 
 
 def test_criterion_6_spectral_suite(rig):

@@ -20,7 +20,6 @@ from msflow.parameters import BoundaryData, ModelParameters
 from msflow.patches import coarse_cell_order, coarse_cell_patch, full_patch
 from msflow.quadrature import EDGE_G2_W
 from msflow.saddle import (
-    CellOrderedSaddle,
     SaddleSolver,
     SaddleSystem,
     column_residuals,
@@ -39,16 +38,12 @@ from conftest import (
 
 
 def coarse_saddle(upper, b_h, order):
-    """The ordered coarse saddle with a dense m x m block per coarse cell,
-    as run_multiscale builds it; upper stores every entry of those blocks,
-    as gmsfem._project_blocks does."""
-    n = len(order)
-    m = upper.shape[0] // n
+    """The step saddle of a coarse step record of upper and b_h; upper is
+    stored with every entry of its dense m x m cell blocks, as
+    gmsfem._project_blocks stores it."""
+    m = upper.shape[0] // len(order)
     upper = sp.bsr_matrix(upper, blocksize=(m, m)).tocsr()
-    base = m * np.arange(n)[:, None, None]
-    rows = base + np.arange(m)[None, :, None]
-    cols = base + np.arange(m)[None, None, :]
-    return CellOrderedSaddle(upper, b_h, order, rows, cols)
+    return gmsfem._OnlineOperators(None, upper, b_h, None, None, None, order).step_saddle()
 
 
 class TestLinearizationField:
@@ -437,7 +432,7 @@ class TestOnlineStage:
         want = (r_u @ fine @ r_u.T).toarray()
         ops = StepOperators(mesh, params, bc)
         online = gmsfem._online_operators(space, mesh, coarse, params, ops)
-        got = la.block_diag(*online.nonlinear(u_h))
+        got = la.block_diag(*online.step_blocks(u_h))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("m", [2, 5])
@@ -716,13 +711,11 @@ class TestFamilyRecord:
         for m in (5, 2):
             sized = gmsfem.resize_space(space, mesh, coarse, m)
             online = gmsfem._online_operators(sized, mesh, coarse, params, ops)
-            blocks = online.nonlinear(rng.standard_normal(m * coarse.n_cells))
-            upper = online.upper + sp.block_diag(blocks)
+            u_h = rng.standard_normal(m * coarse.n_cells)
+            upper = online.upper + sp.block_diag(online.step_blocks(u_h))
             saddle = sp.bmat([[upper, online.div.T], [online.div, None]], format="csc")
-            ordered = coarse_saddle(online.upper, online.div, coarse_cell_order(coarse))
-            want = saddle[ordered.perm][:, ordered.perm]
-            system = ordered.system(ordered.static + blocks, online.f_u, online.f_p)
-            got = system.matrix
+            system = online.system(u_h)
+            want, got = saddle[system.perm][:, system.perm], system.matrix
             # a small coarse system is factored and solved in float64 by
             # LAPACK's dense LU, in its order
             solver = SaddleSolver(system)
@@ -730,9 +723,9 @@ class TestFamilyRecord:
             assert system.kept_lu is None and not solver.kept and solver.corrections == 0
             lu, piv, info = la.lapack.dgetrf(got.toarray())
             assert info == 0
-            x = np.empty((len(ordered.perm), 1))
-            rhs = np.concatenate([online.f_u, online.f_p])[ordered.perm, None]
-            x[ordered.perm] = la.lapack.dgetrs(lu, piv, rhs)[0]
+            x = np.empty((len(system.perm), 1))
+            rhs = np.concatenate([online.f_u, online.f_p])[system.perm, None]
+            x[system.perm] = la.lapack.dgetrs(lu, piv, rhs)[0]
             assert np.array_equal(stacked, x)
             for x in (got, want):
                 x.eliminate_zeros()  # the fixed pattern may store zeros
@@ -745,7 +738,7 @@ class TestFamilyRecord:
         rng = np.random.default_rng(9)
         for m in (5, 2):
             sized = gmsfem.resize_space(space, mesh, coarse, m)
-            nonlinear = gmsfem._online_operators(sized, mesh, coarse, params, ops).nonlinear
+            nonlinear = gmsfem._online_operators(sized, mesh, coarse, params, ops).step_blocks
             assert nonlinear.spans  # the porous cells carry drag
             for _ in range(3):
                 u_h = rng.standard_normal(m * coarse.n_cells)

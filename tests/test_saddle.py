@@ -357,28 +357,18 @@ def test_scale_is_the_row_sum_of_a_bincount():
             assert abs(step.scale - want) <= 4 * np.spacing(want)
 
 
-def _coarse_m16(monkeypatch):
-    """The coarse saddle that run_multiscale builds for a plain M=16 space
-    on a 4x4 coarse grid of 32 fine cells each (272 unknowns, as desk's),
-    and the space's nonlinear blocks."""
+def _coarse_m16():
+    """The coarse step saddle of a plain M=16 space on a 4x4 coarse grid of
+    32 fine cells each (272 unknowns, as desk's), and its step blocks."""
     mesh, coarse = generate_structured_mesh(desk_domain(), 4, (4, 4))
     params, bc = make_params(n_steps=1), BoundaryData.inflow((1.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # snapshot rank drops
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=16)
-    ops = StepOperators(mesh, params, bc)
-    built = []
-
-    class Recorded(CellOrderedSaddle):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(gmsfem, "CellOrderedSaddle", Recorded)
-    gmsfem.run_multiscale(mesh, coarse, params, bc, space=space, ops=ops)
-    (ordered,) = built
+    online = gmsfem._online_operators(space, mesh, coarse, params, StepOperators(mesh, params, bc))
+    ordered = online.step_saddle()
     assert len(ordered.perm) == 17 * coarse.n_cells
-    return ordered, gmsfem._online_operators(space, mesh, coarse, params, ops).nonlinear
+    return ordered, online.step_blocks
 
 
 def test_an_ordered_run_writes_every_step_into_one_matrix():
@@ -410,7 +400,7 @@ def test_an_ordered_run_writes_every_step_into_one_matrix():
 
 
 @pytest.mark.parametrize("case", ["desk_fine", "coarse_m16"])
-def test_a_system_carries_the_largest_absolute_row_sum(case, monkeypatch):
+def test_a_system_carries_the_largest_absolute_row_sum(case):
     # the static row sums corrected at the step entries: within a few ulps
     # of the largest absolute row sum of the system's matrix, also when
     # every step value of the largest rows cancels its static value; the
@@ -421,7 +411,7 @@ def test_a_system_carries_the_largest_absolute_row_sum(case, monkeypatch):
         ops = StepOperators(mesh, make_params(tau=2e-4), BoundaryData.inflow((1.0, 0.0)))
         ordered, blocks = ops.step_saddle(), ops.step_blocks
     else:
-        ordered, blocks = _coarse_m16(monkeypatch)
+        ordered, blocks = _coarse_m16()
     n, n_p = len(ordered.perm), len(ordered.static)  # one pressure per cell
     values = ordered.static + blocks(rng.uniform(0.0, 2.0, n - n_p))
     largest = []

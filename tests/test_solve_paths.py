@@ -2,15 +2,20 @@
 by the kept float32 factor, and every online step at M=16 by the kept
 float64 factor with at most REFRESH_AFTER corrections, as the kept-factor
 policy at the top of saddle.py says; the last column counts the kept-factor
-solves."""
+solves.  Each script whose numbers depend on the BLAS thread count pins
+every thread pool to one thread before numpy loads."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from msflow.saddle import REFRESH_AFTER
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_desk_test1_steps_are_served_by_the_kept_factor():
@@ -29,3 +34,14 @@ def test_desk_test1_steps_are_served_by_the_kept_factor():
         # one first solve per kept step, and its corrections
         assert 50 <= int(solves) <= 50 * (1 + int(corrections.split("-")[1]))
     assert int(corrections.split("-")[1]) <= REFRESH_AFTER  # the online row's most
+
+
+@pytest.mark.parametrize("script", ["solve_paths.py", "operator_digest.py", "memory_stages.py"])
+def test_a_script_pins_every_thread_pool_to_one_thread(script):
+    # run_path under another name than __main__ runs the prologue, not main
+    run = "import os, runpy, sys; runpy.run_path(sys.argv[1], run_name='probe')"
+    probe = f"{run}; print(*map(os.environ.get, {THREADS!r}))"
+    env = {**os.environ, **dict.fromkeys(THREADS, "2"), "PYTHONPATH": str(ROOT / "src")}
+    args = [sys.executable, "-c", probe, str(ROOT / "scripts" / script)]
+    out = subprocess.run(args, capture_output=True, text=True, check=True, env=env).stdout
+    assert out.split() == ["1"] * len(THREADS)
