@@ -15,34 +15,22 @@ traced peak above the stage's start and the memory it leaves traced
 (without SuperLU's factor, and with tracemalloc's own bookkeeping).
 `--darcy` (default 1e-3, both configs' `da`), `--seed` (the mesh seed) and
 `--src` (the `src/` to import msflow from) serve both runs, which use only
-public calls.  It replaces two scripts, and traces only when asked:
+public calls.
 
-    fine_memory.py ARGS                  ->  memory_stages.py --run fine --tracemalloc ARGS
-    fine_memory.py --no-tracemalloc ARGS ->  memory_stages.py --run fine ARGS
-    ms_memory.py ARGS                    ->  memory_stages.py --run ms ARGS
-
-Thread pools are pinned to one thread and numpy's hugepage advice is off
-before numpy loads, as in perfbench/run.py, yet a stage's VmHWM moves by a
-few MB between runs: compare 5 or more runs per side.  Linux only.  Takes
-about 2 s (fine, desk), 20 s (fine, paper_like) or 25 s (ms).
+The thread pools and numpy's hugepage advice are pinned as perfbench pins
+them (scripts/harness.py), yet a stage's VmHWM moves by a few MB between
+runs: compare 5 or more runs per side.  Linux only.  Takes about 2 s (fine,
+desk), 20 s (fine, paper_like) or 25 s (ms).
 """
 
 import argparse
-import itertools
-import os
-import pathlib
-import sys
 import time
 import tracemalloc
 import warnings
 
-THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-os.environ.update(dict.fromkeys(THREADS, "1"), NUMPY_MADVISE_HUGEPAGE="0")
+import harness  # before numpy, which reads the environment it pins
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-CONFIGS = {"desk": ROOT / "configs" / "desk_test1.cfg", "paper": ROOT / "configs" / "paper_like.cfg"}
 ROW = "{:<22}{:>10}{:>10}{:>8}{:>14}{:>12}"
 
 
@@ -115,33 +103,27 @@ def ms(traced, mesh, coarse, params, bc):
             mesh, coarse, params, bc, m=16, oversampled=oversampled, u_lin=u_lin
         ))
         stages.mark(name)
-    for space, m in itertools.product(spaces, (2, 4, 8, 16)):
-        sub = space if m == space.m else gmsfem.resize_space(space, mesh, coarse, m)
-        traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space=sub, ops=ops)
-        u, p = fine_state.velocity, traj.final.pressure
-        reports.append(analysis.make_report(reference, u, p, mesh, coarse, m, sub.oversampled, params))
+    for space in spaces:
+        for m, sub in harness.slices(space, mesh, coarse, (2, 4, 8, 16)):
+            traj, fine_state = gmsfem.run_multiscale(mesh, coarse, params, bc, space=sub, ops=ops)
+            u, p = fine_state.velocity, traj.final.pressure
+            reports.append(analysis.make_report(reference, u, p, mesh, coarse, m, sub.oversampled, params))
     stages.mark(f"online runs ({len(reports)})")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--run", choices=("fine", "ms"), required=True)
-    parser.add_argument("--scale", choices=sorted(CONFIGS), help="fine: default paper; ms: desk only")
+    parser.add_argument("--scale", choices=sorted(harness.CONFIGS), help="fine: default paper; ms: desk only")
     parser.add_argument("--darcy", type=float, default=1e-3)
     parser.add_argument("--seed", type=int, help="mesh seed override, as perfbench's --seed")
     parser.add_argument("--tracemalloc", action="store_true", help="add each stage's traced memory")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="the src/ to import msflow from")
-    args = parser.parse_args()
+    args = harness.parse_args(parser)
     if args.run == "ms" and args.scale not in (None, "desk"):
         parser.error("--run ms splits the desk slice only")
-    sys.path.insert(0, args.src)
-    from msflow.config import parse_config
-    from msflow.geometry import generate_structured_mesh
-
     warnings.simplefilter("ignore", RuntimeWarning)  # the snapshot rank drops
     scale = args.scale or {"fine": "paper", "ms": "desk"}[args.run]
-    spec = parse_config(str(CONFIGS[scale]), mode="sweep", seed=args.seed)
-    mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+    spec, mesh, coarse = harness.config_mesh(scale, seed=args.seed)
     run = {"fine": fine, "ms": ms}[args.run]
     run(args.tracemalloc, mesh, coarse, spec.params.with_darcy(args.darcy), spec.bc)
 

@@ -53,43 +53,32 @@ show as changed eigenvalue or `r_u` lines under an unchanged
 `basis_version` line.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
-array through its dtype and shape as well as its bytes.  Every thread pool
-is pinned to one thread before numpy loads, as perfbench/run.py does: the
-oversampled eigenvalues and everything after them depend on the BLAS thread
-count, so two shells would otherwise print other hashes for the same code.
-Takes about twenty seconds.
+array through its dtype and shape as well as its bytes.  The thread pools
+are pinned as perfbench pins them (scripts/harness.py): the oversampled
+eigenvalues and everything after them depend on the BLAS thread count, so
+two shells would otherwise print other hashes for the same code.  Takes
+about twenty seconds.
 """
 
 import argparse
 import dataclasses
 import hashlib
-import os
 import pathlib
-import sys
 import tempfile
 
-THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-os.environ.update(dict.fromkeys(THREADS, "1"))
+import harness  # before numpy, which reads the environment it pins
+import numpy as np
+import scipy.sparse as sp
 
-import numpy as np  # noqa: E402
-import scipy.sparse as sp  # noqa: E402
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # --src names the msflow that the imports below load
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"), help="the src/ to import msflow from")
-    sys.path.insert(0, parser.parse_args().src)
+    harness.parse_args(argparse.ArgumentParser(description=__doc__.splitlines()[0]))
 
 from msflow import forms, gmsfem  # noqa: E402
-from msflow.config import parse_config  # noqa: E402
 from msflow.fine_solver import StepOperators, run_fine  # noqa: E402
-from msflow.geometry import generate_structured_mesh  # noqa: E402
 from msflow.parameters import BoundaryData, DGState, preset_parameters  # noqa: E402
 from msflow.patches import coarse_cell_patch, full_patch  # noqa: E402
 from msflow.quadrature import EDGE_G2_W  # noqa: E402
 
-CONFIG = ROOT / "configs" / "desk_test1.cfg"
-PAPER_CONFIG = ROOT / "configs" / "paper_like.cfg"
 EDGE_ARRAYS = ("edge_verts", "edge_cells", "edge_normal", "edge_length", "edge_side")
 MS_DARCY = 1e-3
 MS_SIZES = (2, 4, 8, 16)
@@ -124,18 +113,12 @@ def manufactured_bc():
     return BoundaryData(velocity=velocity, grad=grad, traction=traction)
 
 
-def config_mesh(path):
-    spec = parse_config(str(path), mode="fine")
-    mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
-    return spec, mesh, coarse
-
-
 def main():
-    for tag, path in (("desk", CONFIG), ("paper_like", PAPER_CONFIG)):
-        built = config_mesh(path)[1]
+    for tag, scale in (("desk", "desk"), ("paper_like", "paper")):
+        built = harness.config_mesh(scale)[1]
         for name in EDGE_ARRAYS:
             show(f"{tag}.mesh.{name}", getattr(built, name))
-    spec, mesh, coarse = config_mesh(CONFIG)
+    spec, mesh, coarse = harness.config_mesh("desk")
     field = np.random.default_rng(0).standard_normal(6 * mesh.n_cells)
 
     for darcy in spec.da_list:
@@ -197,8 +180,7 @@ def multiscale(mesh, coarse, params, bc):
     u_lin = gmsfem.compute_linearization_field(mesh, params, bc)
     show(f"ms.da={MS_DARCY:g} linearization_field", u_lin)
     space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=m_max, u_lin=u_lin)
-    for m in MS_SIZES:
-        sub = space if m == m_max else gmsfem.resize_space(space, mesh, coarse, m)
+    for m, sub in harness.slices(space, mesh, coarse, MS_SIZES):
         tag = f"ms.da={MS_DARCY:g}.m{m}"
         show(f"{tag} r_u", sub.r_u)
         show(f"{tag} r_p", sub.r_p)
@@ -216,8 +198,7 @@ def multiscale(mesh, coarse, params, bc):
             show(f"{tag}.eigenvalues", basis.eigenvalues)
     show(f"ms.da={MS_DARCY:g}.m{m_max} os.r_u", over.r_u)
     show(f"ms.da={MS_DARCY:g}.m{m_max} os.r_p", over.r_p)
-    for m in MS_SIZES:
-        sub = over if m == m_max else gmsfem.resize_space(over, mesh, coarse, m)
+    for m, sub in harness.slices(over, mesh, coarse, MS_SIZES):
         online(mesh, coarse, params, bc, sub, ops, f"ms.da={MS_DARCY:g}.m{m} os")
     test2 = preset_parameters(
         "test2", params.darcy, n_steps=params.n_steps, porosity=params.porosity, penalty=params.penalty

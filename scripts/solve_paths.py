@@ -13,22 +13,23 @@ the steps in each of three columns, the median, range and total of the
 time per step, from one observed step to the next (step 0 includes building
 the run's saddle and its kept factor, and an online run's step 0 on a new
 space the projected operators too), and the run's total solves with a kept
-factor: the first solve and the corrections of every step that refined,
-a missed refinement's too.  The counts move with the BLAS thread count, so
-every thread pool is pinned to one thread before numpy loads, as
-scripts/operator_digest.py does; then, unlike the times, they are the same
-on every run.  The columns:
+factor (`SaddleSolver.kept_solves`: the first solve and the corrections of
+every step that refined, a missed refinement's too).  The three columns
+count the steps by `SaddleSolver.path`:
 
 - kept: refined from a kept factor, the saddle's or a refreshed one
 - own: factored on its own, after a missed refinement or with no kept factor
-- refresh: factored directly to refresh a run's kept factor (a run that had
-  a kept factor at step 0 factors a step directly for no other reason)
+- refresh: factored directly to refresh a run's kept factor
+
+The counts move with the BLAS thread count; with the thread pools pinned
+(scripts/harness.py) they are, unlike the times, the same on every run.
 
 `--paper` adds one opt-in row: the online stage of `configs/paper_like.cfg`
 on the plain space at M=25 (the space takes about 15 s to build).  A run
 raises if a step misses the residual gate.  Uses only public calls and
 attributes, so it runs against the package of any checkout whose
-`run_fine` and `run_multiscale` take `observe`:
+`run_fine` and `run_multiscale` take `observe` and whose `SaddleSolver`
+has `path` and `kept_solves`:
 
     python scripts/solve_paths.py
     python scripts/solve_paths.py --preset test3 --darcy 1e-4 --level online --m 16
@@ -39,19 +40,11 @@ Takes about 2 minutes for the nine bundles at both levels.
 """
 
 import argparse
-import os
-import pathlib
-import sys
 import time
 
-THREADS = ("MSFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-os.environ.update(dict.fromkeys(THREADS, "1"))
+import harness  # before numpy, which reads the environment it pins
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-CONFIG = ROOT / "configs" / "desk_test1.cfg"
-PAPER = ROOT / "configs" / "paper_like.cfg"
 PAPER_M = 25
 PRESETS = ("test1", "test2", "test3")
 SPACES = ("plain", "oversampled")
@@ -60,24 +53,14 @@ ROW = "{:<36}{:>5}  {:<20}{:>5}{:>5}{:>8}  {:<17}{:>7}{:>7}"
 
 def observer():
     """An observe callback for march and the list it fills: per step, the
-    corrections, the column (kept, own or refresh), the wall time and the
-    solves with a kept factor."""
+    corrections, the solve path, the wall time and the kept-factor solves."""
     rows = []
     start = time.perf_counter()
-    run_kept = False  # whether the run had a kept factor at step 0
 
     def observe(step, state, solver):
-        nonlocal start, run_kept
+        nonlocal start
         now = time.perf_counter()
-        run_kept = solver.kept if step == 0 else run_kept
-        if solver.kept:
-            path = "kept"
-        elif solver.system.kept_lu is None and run_kept:
-            path = "refresh"
-        else:
-            path = "own"
-        solves = 1 + solver.corrections if solver.system.kept_lu is not None else 0
-        rows.append((solver.corrections, path, now - start, solves))
+        rows.append((solver.corrections, solver.path, now - start, solver.kept_solves))
         start = now
 
     return observe, rows
@@ -110,8 +93,7 @@ def online_rows(mesh, coarse, params, bc, m_list, spaces):
         space = gmsfem.build_multiscale_space(
             mesh, coarse, params, bc, m=max(m_list), oversampled=name == "oversampled", u_lin=u_lin
         )
-        for m in sorted(m_list):
-            sub = space if m == space.m else gmsfem.resize_space(space, mesh, coarse, m)
+        for m, sub in harness.slices(space, mesh, coarse, m_list):
             observe, steps = observer()
             gmsfem.run_multiscale(mesh, coarse, params, bc, space=sub, ops=ops, observe=observe)
             yield f"M={m}, {name}", steps
@@ -125,16 +107,11 @@ def main():
     parser.add_argument("--m", nargs="+", type=int, help="online basis sizes; default: the config's m_list")
     parser.add_argument("--space", nargs="+", choices=SPACES, default=SPACES)
     parser.add_argument("--paper", action="store_true", help=f"add the paper_like plain M={PAPER_M} online row")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="the src/ to import msflow from")
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    from msflow.config import parse_config
+    args = harness.parse_args(parser)
     from msflow.fine_solver import run_fine
-    from msflow.geometry import generate_structured_mesh
     from msflow.parameters import preset_parameters
 
-    spec = parse_config(str(CONFIG), mode="sweep")
-    mesh, coarse = generate_structured_mesh(spec.domain, spec.n_per_coarse, (spec.nx, spec.ny))
+    spec, mesh, coarse = harness.config_mesh("desk")
     print(ROW.format("run", "steps", "corrections (median)", "kept", "own", "refresh", "ms/step (range)", "total s", "solves"))
     base = spec.params
     for preset in args.preset:
@@ -152,8 +129,7 @@ def main():
                 for label, steps in online_rows(mesh, coarse, params, spec.bc, m_list, args.space):
                     print(row(f"{bundle}, {label}", steps), flush=True)
     if args.paper:
-        paper = parse_config(str(PAPER), mode="ms")
-        mesh, coarse = generate_structured_mesh(paper.domain, paper.n_per_coarse, (paper.nx, paper.ny))
+        paper, mesh, coarse = harness.config_mesh("paper")
         label, steps = next(online_rows(mesh, coarse, paper.params, paper.bc, [PAPER_M], ["plain"]))
         print(row(f"paper_like, Da={paper.params.darcy:g}, {label}", steps), flush=True)
 

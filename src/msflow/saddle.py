@@ -78,6 +78,8 @@ def ordered_step(saddle, blocks, f_p):
         if refreshes and (due or refreshed is not None):
             system.kept_lu = None if due else refreshed
         solver = SaddleSolver(system)
+        if refreshes and due:
+            solver.path = "refresh"
         u, p = solver.solve()
         if refreshes:
             if not solver.kept:
@@ -329,8 +331,11 @@ class SaddleSolver:
     solves that right-hand side and every later one directly.  A system
     without kept_lu gets its float64 factor at once.
 
-    kept tells whether the kept factor served the last solve, corrections
-    counts the corrections of the last solve (a missed refinement's too),
+    kept tells whether the kept factor served the last solve, and path how
+    it was served: kept, own (after a miss or with no kept_lu) or refresh
+    (own, as ordered_step marks a refresh).  corrections counts the
+    corrections of the last solve (a missed refinement's too), kept_solves
+    its kept-factor solves (1 + corrections if kept_lu was tried, else 0),
     and lu is the factor in use.  self.matrix is the float64 matrix; the
     residual gate is taken on it.
     """
@@ -348,8 +353,9 @@ class SaddleSolver:
             size = sp.csc_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
             self.scale = (size @ np.ones(matrix.shape[1])).max()
         self.matrix = matrix
-        self.corrections = 0
+        self.corrections = self.kept_solves = 0
         self.kept = system.kept_lu is not None
+        self.path = "kept" if self.kept else "own"
         self.lu = system.kept_lu if self.kept else self._factor()
 
     def _factor(self):
@@ -392,11 +398,12 @@ class SaddleSolver:
         rhs = np.asarray(rhs, dtype=float)
         if self.perm is not None:
             rhs = rhs[self.perm]
-        self.corrections = 0
+        self.corrections = self.kept_solves = 0
         if self.kept:
             y, rel = self._refine(rhs)
+            self.kept_solves = 1 + self.corrections
             if y is None:
-                self.kept, self.lu = False, self._factor()
+                self.kept, self.path, self.lu = False, "own", self._factor()
         if not self.kept:
             y = self.lu.solve(rhs)
             rel = column_residuals(self.matrix, y, rhs, self.scale)

@@ -470,20 +470,24 @@ def test_online_steps_refine_from_the_static_factor(rig, monkeypatch):
 
 @pytest.mark.parametrize("m", [2, 16])
 def test_dense_coarse_factors_end_where_superlu_ends(rig, m, monkeypatch):
-    """Desk test1 online runs at M=2 (48 coarse unknowns, factored every
-    step) and M=16 (272, refined from the static factor) end within 1e-12
+    """Desk test1 online runs at M=2 (48 coarse unknowns, below KEPT_MIN:
+    factored every step, its path own with no kept-factor solve) and M=16
+    (272, refined from the static factor, its path kept) end within 1e-12
     of the same runs with every coarse factor SuperLU's (DENSE_MAX 0)."""
     darcy = 1e-3
     space = rig.space(darcy, False)
     space = space if m == space.m else gmsfem.resize_space(space, rig.mesh, rig.coarse, m)
     args = (rig.mesh, rig.coarse, rig.params(darcy), rig.bc)
+    path = "own" if rig.coarse.n_cells * (m + 1) < saddle.KEPT_MIN else "kept"
     ends = []
     for dense_max, kind in ((saddle.DENSE_MAX, saddle.DenseLU), (0, spla.SuperLU)):
         monkeypatch.setattr(saddle, "DENSE_MAX", dense_max)
         kinds = set()
-        observe = lambda step, state, solver: kinds.add(type(solver.lu))
+        observe = lambda step, state, solver: kinds.add(
+            (type(solver.lu), solver.path, solver.kept_solves > 0)
+        )
         coarse, fine = gmsfem.run_multiscale(*args, space=space, ops=rig.ops(darcy), observe=observe)
-        assert kinds == {kind}
+        assert kinds == {(kind, path, path == "kept")}
         ends.append((coarse.final.velocity, coarse.final.pressure, fine.velocity, fine.pressure))
     for got, want in zip(*ends):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

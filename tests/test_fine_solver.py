@@ -400,8 +400,10 @@ def test_a_missed_step_hands_its_factor_to_the_next_step(monkeypatch):
     # test3 (Re=100) on the tiny mesh: step 1 misses its refinement from the
     # static factor, so its own float64 factor serves step 2, which takes
     # more than REFRESH_AFTER corrections; step 3 refreshes, and step 4
-    # refines from step 3's factor.  The run equals the block-assembled loop
-    # under the same rule bit for bit, on SuperLU factors as a fine mesh's.
+    # refines from step 3's factor, and misses too.  Each solver names its
+    # path and counts its kept-factor solves, a missed refinement's too.
+    # The run equals the block-assembled loop under the same rule bit for
+    # bit, on SuperLU factors as a fine mesh's.
     monkeypatch.setattr(saddle, "DENSE_MAX", 0)
     mesh, _ = tiny_heterogeneous()
     params = preset_parameters("test3", 1e-3, n_steps=10)
@@ -416,6 +418,11 @@ def test_a_missed_step_hands_its_factor_to_the_next_step(monkeypatch):
     assert served.corrections > REFRESH_AFTER
     assert not refresh.kept and refresh.system.kept_lu is None and refresh.corrections == 0
     assert after.system.kept_lu is refresh.lu
+    paths = [solver.path for solver in (zero, missed, served, refresh, after)]
+    assert paths == ["kept", "own", "kept", "refresh", "own"]
+    assert [solver.kept_solves for solver in (missed, refresh, after)] == [
+        1 + missed.corrections, 0, 1 + after.corrections
+    ]
     want = oracles.block_run_fine(ops, params.n_steps)[1:]
     for (state, _), (u, p) in zip(steps, want, strict=True):
         assert np.array_equal(state.velocity, u) and np.array_equal(state.pressure, p)

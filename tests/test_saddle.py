@@ -180,7 +180,7 @@ def test_column_norms_equal_numpy_norms_bit_for_bit(x):
 
 
 @pytest.mark.parametrize("extra", [False, True], ids=["stored_entries", "new_entries"])
-def test_merged_pattern_keeps_values_and_finds_entries(extra):
+def test_static_pattern_keeps_values_and_locates_step_entries(extra):
     # a saddle keeps the static matrix as its pattern and points pos at its
     # step entries; an entry the static matrix does not store is an error
     rng = np.random.default_rng(4)
