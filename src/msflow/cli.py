@@ -234,7 +234,12 @@ _MODE_RUNNERS = {
 
 
 def run(spec):
-    """Execute a validated RunSpec; returns a process exit status."""
+    """Execute a validated RunSpec; returns a process exit status.  Every
+    mode writes into spec.out_dir, which is made first."""
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory not creatable: {exc}", line=spec.out_line)
     mesh, coarse = _build_mesh(spec)
     return _MODE_RUNNERS[spec.mode](spec, mesh, coarse)
 

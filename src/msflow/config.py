@@ -158,6 +158,7 @@ class RunSpec:
     da_list: list
     oversampled: bool
     out_dir: str
+    out_line: int = None  # the config line that gave out_dir, if one did
     reference: str = None
     other: str = None
     basis_cache: str = None
@@ -235,7 +236,7 @@ def parse_config(path, mode, out_dir=None, seed=None):
 
     out_dir/seed, when given (e.g. from the command line), override the
     file's [run] entries.  Every given key is checked, whether or not the
-    mode reads it.
+    mode reads it.  Nothing is written: cli.run makes the output directory.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -286,18 +287,13 @@ def parse_config(path, mode, out_dir=None, seed=None):
                 raise ConfigError(f"{label} file not found: {p}", line=line.get(label))
     if reference is not None and mode == "ms" and not os.path.exists(reference):
         raise ConfigError(f"reference file not found: {reference}", line=line.get("reference"))
-    final_out = out_dir or value["out"]
-    try:
-        os.makedirs(final_out, exist_ok=True)
-    except OSError as exc:
-        given = None if out_dir else line.get("out")  # --out has no line in the file
-        raise ConfigError(f"output directory not creatable: {exc}", line=given)
 
     return RunSpec(
         domain=domain, mesh_source=value["source"], nx=value["nx"], ny=value["ny"],
         n_per_coarse=value["n_per_coarse"], mesh_path=value["path"], params=params,
         bc=value["inflow"], mode=mode, m_list=value["m_list"],
         da_list=[value["da"]] if value["da_list"] is None else value["da_list"],
-        oversampled=value["oversampled"], out_dir=final_out, reference=reference,
-        other=other, basis_cache=value["basis_cache"],
+        oversampled=value["oversampled"], out_dir=out_dir or value["out"],
+        out_line=None if out_dir else line.get("out"),  # --out has no line in the file
+        reference=reference, other=other, basis_cache=value["basis_cache"],
     )

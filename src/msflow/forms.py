@@ -234,8 +234,7 @@ def linearized_cell_blocks(patch, params, u_lin):
     field u_lin: (convection (n, 3, 3) on every local cell, the local drag
     cells, drag (len(drag cells), 3, 3)).  The drag cells are the porous
     cells, none when params.forchheimer is 0."""
-    u_local = patch.restrict_velocity(np.asarray(u_lin, dtype=float))
-    coefs = u_local.reshape(patch.n_cells, 3, 2)
+    coefs = np.asarray(u_lin, dtype=float).reshape(patch.mesh.n_cells, 3, 2)[patch.cells]
     convection = convection_cell_blocks(patch.mesh, params, patch.cells, coefs)
     porous = np.flatnonzero(
         (patch.mesh.region[patch.cells] == POROUS) & (params.forchheimer != 0.0)

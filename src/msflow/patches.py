@@ -79,10 +79,6 @@ class Patch:
     def n_pdof(self):
         return self.n_cells
 
-    def restrict_velocity(self, global_vec):
-        """Restrict a global fine velocity vector to patch-local layout."""
-        return global_vec.reshape(self.mesh.n_cells, 6)[self.cells].ravel()
-
 
 def bisect_cells(xy, cells, edges):
     """Split `cells` at the median of their centroids `xy[cells]` along the

@@ -14,7 +14,8 @@ RESIDUAL_TOL = 1e-9
 # Columns per block of a batch's residual (see column_residuals).
 RESIDUAL_BLOCK = 16
 # The kept-factor policy, which serves every step of the fine and the coarse
-# runs (a CellOrderedSaddle's static matrix plus the step's cell blocks):
+# runs (a CellOrderedSaddle's static matrix plus the step's cell blocks); the
+# function factor makes every factor by it:
 # - Kept factor.  From KEPT_MIN unknowns on, a saddle keeps a factor of its
 #   static matrix, made on first use and held as long as the saddle
 #   (CellOrderedSaddle.kept_lu): float32 from SINGLE_MIN unknowns on,
@@ -168,23 +169,6 @@ def permuted_saddle(upper, div, position, pin=False):
     return matrix
 
 
-def _locate(matrix, rows, cols):
-    """Data positions of the entries (rows, cols) of a canonical CSC matrix,
-    found by a binary search of each entry's column, and whether each is
-    stored."""
-    indptr, indices = matrix.indptr, matrix.indices
-    rows = rows.astype(indices.dtype)
-    found, end = indptr[cols], indptr[cols + 1]
-    step = 1 << int(np.diff(indptr).max(initial=0)).bit_length()
-    while step > 1:  # found counts the entries of the column above each row
-        step >>= 1
-        probe = found + step
-        found += step * ((probe <= end) & (indices.take(probe - 1, mode="clip") < rows))
-    stored = found < end
-    stored[stored] = indices[found[stored]] == rows[stored]
-    return found, stored
-
-
 class CellOrderedSaddle:
     """The saddle matrix [[upper, div^T], [div, 0]] in a cell order, kept in
     CSC form with a pattern fixed for its lifetime.  This static matrix is
@@ -212,10 +196,16 @@ class CellOrderedSaddle:
         position[self.perm] = np.arange(len(self.perm))
         self.pattern = permuted_saddle(upper, div, position)
         rows, cols = np.broadcast_arrays(position[rows], position[cols])
-        pos, stored = _locate(self.pattern, rows, cols)
-        if not stored.all():
-            raise ValueError(f"{np.count_nonzero(~stored)} step entries are not stored in the pattern")
-        self.pos = np.ascontiguousarray(pos, dtype=np.intp)  # numpy's fastest scatter index
+        # scipy's element lookup on the pattern's structure with the values
+        # 1 + data position (intp, numpy's fastest scatter index): 0 marks an
+        # entry that is not stored
+        pattern = self.pattern
+        keys = np.arange(1, pattern.nnz + 1, dtype=np.intp)
+        keys = sp.csc_array((keys, pattern.indices, pattern.indptr), shape=pattern.shape)
+        self.pos = keys[rows.ravel(), cols.ravel()].reshape(rows.shape) - 1
+        missing = np.count_nonzero(self.pos < 0)
+        if missing:
+            raise ValueError(f"{missing} step entries are not stored in the pattern")
 
     @cached_property
     def static(self):
@@ -241,23 +231,16 @@ class CellOrderedSaddle:
 
     @cached_property
     def kept_lu(self):
-        """The factor of the static matrix: SuperLU's in float32 from
-        SINGLE_MIN unknowns on, else the float64 factor of _ordered_factor
-        from KEPT_MIN on.  None below KEPT_MIN, when an entry leaves float32
-        range or when the factor finds the matrix (as rounded) singular."""
-        n, pattern = len(self.perm), self.pattern
+        """The factor of the static matrix from KEPT_MIN unknowns on, in
+        float32 from SINGLE_MIN on (see factor).  None below KEPT_MIN, when
+        an entry leaves float32 range or when the factor finds the matrix
+        (as rounded) singular."""
+        n = len(self.perm)
         if n < KEPT_MIN:
             return None
         try:
-            if n < SINGLE_MIN:
-                return _ordered_factor(pattern)
-            with np.errstate(over="ignore"):  # entries beyond float32 range become inf
-                data = pattern.data.astype(np.float32)
-            if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
-                return None
-            static = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-            return spla.splu(static, **ORDERED)
-        except RuntimeError:  # singular
+            return factor(self.pattern, single=n >= SINGLE_MIN)
+        except RuntimeError:
             return None
 
     def system(self, values, f_u, f_p, u_lin=None, matrix=None):
@@ -298,10 +281,22 @@ class DenseLU:
         return dgetrs(self.lu, self.piv, b)[0]
 
 
-def _ordered_factor(matrix):
-    """The float64 factor of an ordered system's CSC matrix: a DenseLU up
-    to DENSE_MAX unknowns, above it SuperLU's in the matrix's own order."""
-    if matrix.shape[0] <= DENSE_MAX:
+def factor(matrix, ordered=True, single=False):
+    """The LU factor of a square CSC matrix, by the kept-factor policy:
+    SuperLU's in COLAMD's column order unless ordered; else in the matrix's
+    own order (ORDERED), SuperLU's of its values rounded to float32 if
+    single, and otherwise a DenseLU up to DENSE_MAX unknowns and SuperLU's
+    above.  Raises RuntimeError when the matrix (as rounded) is exactly
+    singular or, if single, has an entry beyond float32 range."""
+    if not ordered:
+        return spla.splu(matrix, permc_spec="COLAMD")
+    if single:
+        with np.errstate(over="ignore"):  # entries beyond float32 range become inf
+            data = matrix.data.astype(np.float32)
+        if not np.isfinite([data.min(initial=0), data.max(initial=0)]).all():
+            raise RuntimeError("an entry leaves float32 range")
+        matrix = sp.csc_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    elif matrix.shape[0] <= DENSE_MAX:
         return DenseLU(matrix)
     return spla.splu(matrix, **ORDERED)
 
@@ -309,14 +304,12 @@ def _ordered_factor(matrix):
 class SaddleSolver:
     """LU factorization of a SaddleSystem reused across right-hand sides.
 
-    A system without perm is factored with SuperLU's COLAMD column order.
-    A system with perm is factored as it is: no further reordering and
-    diagonal pivots, in symmetric mode.  Its order must eliminate each
-    cell's pressure after the cell's velocity, which keeps the zero
-    pressure block pivotable on the diagonal; the right-hand sides and the
-    solution are permuted around the triangular solves.  Up to DENSE_MAX
-    unknowns its float64 factor is a DenseLU instead (see the kept-factor
-    policy).
+    A system's float64 factor comes from factor, in COLAMD's column order
+    without perm.  A system with perm is factored as it is (no further
+    reordering, diagonal pivots): its order must eliminate each cell's
+    pressure after the cell's velocity, which keeps the zero pressure block
+    pivotable on the diagonal; the right-hand sides and the solution are
+    permuted around the triangular solves.
 
     A system with kept_lu (see the kept-factor policy) is solved with no
     factor of its own: y = x0 - LU^-1 (A x0 - rhs), a solve of kept_lu in
@@ -359,12 +352,10 @@ class SaddleSolver:
         self.lu = system.kept_lu if self.kept else self._factor()
 
     def _factor(self):
-        """The float64 factor of self.matrix (see _ordered_factor)."""
+        """The float64 factor of self.matrix (see factor)."""
         try:
-            if self.perm is None:
-                return spla.splu(self.matrix, permc_spec="COLAMD")
-            return _ordered_factor(self.matrix)
-        except RuntimeError as exc:  # both factors report singularity this way
+            return factor(self.matrix, ordered=self.perm is not None)
+        except RuntimeError as exc:
             raise SingularSystemError(f"factorization failed: {exc}") from exc
 
     def solve(self, rhs_u=None, rhs_p=None):

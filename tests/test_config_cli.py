@@ -855,6 +855,23 @@ def test_committed_configs_parse_to_their_settings(tmp_path, name, mode):
         assert override.domain.inclusions == generate_inclusions(bbox, 24, 0.05, 0.12, seed=5)
 
 
+@pytest.mark.parametrize("name", ["desk_test1", "paper_like"])
+def test_parsing_a_committed_config_creates_nothing(tmp_path, monkeypatch, name):
+    # only cli.run makes the output directory: a probe that parses a config,
+    # in any mode, with its own out or with --out, leaves no directory behind
+    monkeypatch.chdir(tmp_path)  # the configs' out is relative
+    path = ROOT / "configs" / f"{name}.cfg"
+    for mode in cli._MODE_RUNNERS:
+        for out_dir in (None, str(tmp_path / "fresh" / "out")):
+            if mode == "compare":  # neither config names the two states
+                with pytest.raises(ConfigError, match="compare mode requires reference"):
+                    parse_config(path, mode, out_dir=out_dir)
+            else:
+                spec = parse_config(path, mode, out_dir=out_dir)
+                assert spec.out_dir == (out_dir or f"results/{name}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_config_table_lists_every_key_and_default():
     readme = (ROOT / "README.md").read_text()
     rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]*) \|", readme, flags=re.MULTILINE)

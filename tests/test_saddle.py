@@ -179,10 +179,15 @@ def test_column_norms_equal_numpy_norms_bit_for_bit(x):
             assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("extra", [False, True], ids=["stored_entries", "new_entries"])
-def test_static_pattern_keeps_values_and_locates_step_entries(extra):
+@pytest.mark.parametrize("case", ["stored_entries", "new_entries", "desk_fine", "coarse_m16"])
+def test_static_pattern_keeps_values_and_locates_step_entries(case):
     # a saddle keeps the static matrix as its pattern and points pos at its
-    # step entries; an entry the static matrix does not store is an error
+    # step entries; an entry the static matrix does not store is an error.
+    # A random 9x9 velocity block, the desk fine step saddle and a coarse one
+    if case in ("desk_fine", "coarse_m16"):
+        ordered, record = _step_saddle(case)
+        _assert_pos_points_at(ordered, *record.step_entries())
+        return
     rng = np.random.default_rng(4)
     n_u, n_p = 9, 3
     upper = sp.random(n_u, n_u, density=0.3, format="csc", random_state=rng)
@@ -190,7 +195,7 @@ def test_static_pattern_keeps_values_and_locates_step_entries(extra):
     order = rng.permutation(n_p)
     static = saddle_matrix(upper, div).toarray()
     rows, cols = np.nonzero(upper.toarray())
-    if extra:
+    if case == "new_entries":
         missing = np.argwhere(static[:n_u, :n_u] == 0)[:4]
         rows = np.concatenate([rows, missing[:, 0], missing[:1, 0]])  # one asked twice
         cols = np.concatenate([cols, missing[:, 1], missing[:1, 1]])
@@ -201,11 +206,20 @@ def test_static_pattern_keeps_values_and_locates_step_entries(extra):
     pattern, perm = ordered.pattern, ordered.perm
     assert pattern.has_canonical_format
     assert np.array_equal(pattern.toarray(), static[perm][:, perm])
+    _assert_pos_points_at(ordered, rows, cols)
+    assert np.array_equal(ordered.static, static[rows, cols])
+
+
+def _assert_pos_points_at(ordered, rows, cols):
+    """pos holds, in the broadcast shape of rows and cols, the data position
+    of each entry (rows, cols) of the unpermuted numbering."""
+    pattern, perm = ordered.pattern, ordered.perm
     keys = np.repeat(np.arange(len(perm)), np.diff(pattern.indptr)) * len(perm) + pattern.indices
     position = np.empty_like(perm)
     position[perm] = np.arange(len(perm))
-    assert np.array_equal(keys[ordered.pos], position[cols] * len(perm) + position[rows])
-    assert np.array_equal(ordered.static, static[rows, cols])
+    want = position[cols] * len(perm) + position[rows]
+    assert ordered.pos.dtype == np.intp and ordered.pos.shape == want.shape
+    assert np.array_equal(keys[ordered.pos], want)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
@@ -357,9 +371,14 @@ def test_scale_is_the_row_sum_of_a_bincount():
             assert abs(step.scale - want) <= 4 * np.spacing(want)
 
 
-def _coarse_m16():
-    """The coarse step saddle of a plain M=16 space on a 4x4 coarse grid of
-    32 fine cells each (272 unknowns, as desk's), and its step blocks."""
+def _step_saddle(case):
+    """A new step saddle and its Steps record: the desk fine step's, or
+    (coarse_m16) the coarse one of a plain M=16 space on a 4x4 coarse grid
+    of 32 fine cells each (272 unknowns, as desk's)."""
+    if case == "desk_fine":
+        mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
+        ops = StepOperators(mesh, make_params(tau=2e-4), BoundaryData.inflow((1.0, 0.0)))
+        return ops.step_saddle(), ops
     mesh, coarse = generate_structured_mesh(desk_domain(), 4, (4, 4))
     params, bc = make_params(n_steps=1), BoundaryData.inflow((1.0, 0.0))
     with warnings.catch_warnings():
@@ -368,7 +387,7 @@ def _coarse_m16():
     online = gmsfem._online_operators(space, mesh, coarse, params, StepOperators(mesh, params, bc))
     ordered = online.step_saddle()
     assert len(ordered.perm) == 17 * coarse.n_cells
-    return ordered, online.step_blocks
+    return ordered, online
 
 
 def test_an_ordered_run_writes_every_step_into_one_matrix():
@@ -406,12 +425,8 @@ def test_a_system_carries_the_largest_absolute_row_sum(case):
     # every step value of the largest rows cancels its static value; the
     # solver takes the carried scale as it is
     rng = np.random.default_rng(9)
-    if case == "desk_fine":
-        mesh, _ = generate_structured_mesh(desk_domain(), 8, (4, 4))
-        ops = StepOperators(mesh, make_params(tau=2e-4), BoundaryData.inflow((1.0, 0.0)))
-        ordered, blocks = ops.step_saddle(), ops.step_blocks
-    else:
-        ordered, blocks = _coarse_m16()
+    ordered, record = _step_saddle(case)
+    blocks = record.step_blocks
     n, n_p = len(ordered.perm), len(ordered.static)  # one pressure per cell
     values = ordered.static + blocks(rng.uniform(0.0, 2.0, n - n_p))
     largest = []
