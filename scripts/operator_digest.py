@@ -47,10 +47,9 @@ on the desk config:
   run above does.
 
 Last come `gmsfem.BASIS_VERSION` and the basis-cache keys of the plain and
-the oversampled space at Da=1e-3, read from the names of the files
-`save_space` writes.  Bases that move while the version stays the same
-show as changed eigenvalue or `r_u` lines under an unchanged
-`basis_version` line.
+the oversampled space at Da=1e-3, from `gmsfem._space_key`.  Bases that
+move while the version stays the same show as changed eigenvalue or `r_u`
+lines under an unchanged `basis_version` line.
 
 A sparse matrix is hashed through its data, indices and indptr, and every
 array through its dtype and shape as well as its bytes.  The thread pools
@@ -63,7 +62,6 @@ about twenty seconds.
 import argparse
 import dataclasses
 import hashlib
-import pathlib
 import tempfile
 
 import harness  # before numpy, which reads the environment it pins
@@ -186,7 +184,7 @@ def multiscale(mesh, coarse, params, bc):
         show(f"{tag} r_p", sub.r_p)
         online(mesh, coarse, params, bc, sub, ops, tag)
     with tempfile.TemporaryDirectory() as cache:
-        plain_file = gmsfem.save_space(cache, mesh, params, bc, space)
+        gmsfem.save_space(cache, mesh, params, bc, space)
         loaded = gmsfem.load_space(cache, mesh, coarse, params, bc, m_max, False)
     show(f"ms.da={MS_DARCY:g}.m{m_max} cached.r_u", loaded.r_u)
     over = gmsfem.build_multiscale_space(
@@ -208,11 +206,9 @@ def multiscale(mesh, coarse, params, bc):
         mesh, coarse, test2, bc, refreshed, StepOperators(mesh, test2, bc),
         f"ms.test2.da={MS_DARCY:g}.m{m_max}",
     )
-    with tempfile.TemporaryDirectory() as cache:
-        os_file = gmsfem.save_space(cache, mesh, params, bc, over)
     print(f"basis_version {gmsfem.BASIS_VERSION}")
-    for kind, path in (("plain", plain_file), ("os", os_file)):
-        print(f"ms.da={MS_DARCY:g}.{kind} cache_key {pathlib.Path(path).name.split('_')[1]}")
+    for kind, oversampled in (("plain", False), ("os", True)):
+        print(f"ms.da={MS_DARCY:g}.{kind} cache_key {gmsfem._space_key(mesh, params, bc, oversampled)}")
 
 
 def online(mesh, coarse, params, bc, space, ops, tag):

@@ -503,13 +503,17 @@ def _space_key(mesh, params, bc, oversampled):
     return digest.hexdigest()[:16]
 
 
+def _space_path(directory, mesh, params, bc, oversampled):
+    """The one cache file of the inputs' key in directory."""
+    return os.path.join(directory, f"basis_{_space_key(mesh, params, bc, oversampled)}.npz")
+
+
 def save_space(directory, mesh, params, bc, space):
     """Write each coarse cell's first space.m basis rows, fine cells and
-    eigenvalues, keyed by the hash of the inputs, so a later run with the
-    same inputs can skip the offline stage.  An OSError on the way is an
-    MsflowError naming the file."""
-    key = _space_key(mesh, params, bc, space.oversampled)
-    path = os.path.join(directory, f"basis_{key}_m{space.m}.npz")
+    eigenvalues to the one file of the inputs' key, replacing it, so a later
+    run with the same inputs can skip the offline stage.  An OSError on the
+    way is an MsflowError naming the file."""
+    path = _space_path(directory, mesh, params, bc, space.oversampled)
     payload = {}
     for basis in space.cell_bases:
         i = basis.cell_index
@@ -526,31 +530,20 @@ def save_space(directory, mesh, params, bc, space):
 
 
 def load_space(directory, mesh, coarse, params, bc, m, oversampled):
-    """Load a cached space with basis size >= m, or None when absent.  A file
-    that cannot be read or does not fit the mesh is a miss with a
-    RuntimeWarning naming it."""
-    prefix = f"basis_{_space_key(mesh, params, bc, oversampled)}_m"
-    if not os.path.isdir(directory):
+    """Load the cached space of these inputs at basis size m, or None when
+    its file is absent or holds fewer than m rows per cell.  A file that
+    cannot be read or does not fit the mesh is a miss with a RuntimeWarning
+    naming it."""
+    path = _space_path(directory, mesh, params, bc, oversampled)
+    if not os.path.exists(path):
         return None
-    candidates = []
-    for name in os.listdir(directory):
-        if name.startswith(prefix) and name.endswith(".npz"):
-            size = name[len(prefix) : -4]
-            if not size.isdecimal():
-                path = os.path.join(directory, name)
-                warnings.warn(f"basis cache file {path} ignored: malformed size", RuntimeWarning)
-            elif int(size) >= m:
-                candidates.append((int(size), name))
-    if not candidates:
-        return None
-    stored_m, name = min(candidates)
-    path = os.path.join(directory, name)
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             bases = [
                 CellBasis(i, data[f"cells_{i}"], data[f"eig_{i}"], data[f"vec_{i}"])
                 for i in range(coarse.n_cells)
             ]
+        stored_m = len(bases[0].rows)
         for i, basis in enumerate(bases):
             target = coarse.cell_fine[i]
             if not np.array_equal(basis.target_cells, target):
@@ -562,6 +555,8 @@ def load_space(directory, mesh, coarse, params, bc, m, oversampled):
                 raise ValueError(f"eigenvalues of coarse cell {i} are malformed")
     except (OSError, EOFError, KeyError, TypeError, ValueError, BadZipFile, zlib.error) as exc:
         warnings.warn(f"basis cache file {path} ignored: {exc!r}", RuntimeWarning)
+        return None
+    if stored_m < m:
         return None
     r_u, r_p = build_projection(bases, mesh, coarse, m)
     return MultiscaleSpace(m=m, oversampled=bool(oversampled), cell_bases=bases, r_u=r_u, r_p=r_p)

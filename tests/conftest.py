@@ -1,9 +1,11 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msflow import forms
+from msflow.config import parse_config
 from msflow.geometry import (
     CircleInclusion,
     DomainSpec,
@@ -12,6 +14,8 @@ from msflow.geometry import (
     generate_structured_mesh,
 )
 from msflow.parameters import ModelParameters
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_test1.cfg"
 
 
 def make_params(**overrides):
@@ -103,14 +107,9 @@ def rng():
 
 
 def desk_domain():
-    """Four-inclusion setup used by the desk-scale multiscale checks."""
-    inclusions = [
-        CircleInclusion(-0.5, -0.5, 0.18),
-        CircleInclusion(0.5, -0.45, 0.15),
-        CircleInclusion(-0.45, 0.5, 0.2),
-        CircleInclusion(0.5, 0.5, 0.16),
-    ]
-    return DomainSpec(bbox=(-1, -1, 1, 1), inclusions=inclusions)
+    """The four-inclusion domain of configs/desk_test1.cfg, which the desk
+    probes and perfbench read too."""
+    return parse_config(str(DESK_CONFIG), mode="fine").domain
 
 
 def tiny_heterogeneous(n=2, coarse=(2, 2), radius=0.2):

@@ -14,7 +14,7 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 import oracles
-from msflow import analysis, forms, gmsfem, saddle
+from msflow import analysis, cli, forms, gmsfem, saddle
 from msflow.fine_solver import StepOperators, run_fine
 from msflow.geometry import FLUID, POROUS, CircleInclusion, DomainSpec, generate_structured_mesh
 from msflow.parameters import BoundaryData, preset_parameters
@@ -67,7 +67,7 @@ class DeskRig:
     def u_lin(self, darcy):
         if darcy not in self._ulin:
             self._ulin[darcy] = gmsfem.compute_linearization_field(
-                self.mesh, self.params(darcy), self.bc
+                self.mesh, self.params(darcy), self.bc, ops=self.ops(darcy)
             )
         return self._ulin[darcy]
 
@@ -100,10 +100,12 @@ class DeskRig:
                 space=space,
                 ops=self.ops(darcy),
             )
-            ref = self.fine(darcy).final
-            e_u = analysis.error_velocity(ref.velocity, fine_state.velocity, self.mesh)
+            report = analysis.make_report(
+                self.fine(darcy).final, fine_state.velocity, traj.final.pressure,
+                self.mesh, self.coarse, m, oversampled, self.params(darcy),
+            )
             self._ms[key] = {
-                "e_u": e_u,
+                "report": report,
                 "div_residual": float(traj.div_residuals.max()),
             }
         return self._ms[key]
@@ -389,12 +391,12 @@ def test_fine_step_converges_across_a_porosity_jump(reynolds, forchheimer):
 
 def test_criterion_3_basis_refinement_trend(rig):
     darcy = 1e-3
-    errors = [rig.multiscale(darcy, False, m)["e_u"] for m in rig.M_LIST]
+    errors = [rig.multiscale(darcy, False, m)["report"].e_u for m in rig.M_LIST]
     monotone = all(
         later <= 1.05 * earlier for earlier, later in zip(errors, errors[1:])
     )
-    e_plain = rig.multiscale(darcy, False, 16)["e_u"]
-    e_os = rig.multiscale(darcy, True, 16)["e_u"]
+    e_plain = rig.multiscale(darcy, False, 16)["report"].e_u
+    e_os = rig.multiscale(darcy, True, 16)["report"].e_u
     oversampling_wins = e_os <= e_plain
     detail = (
         "e_u over M=(2,4,8,16): "
@@ -405,8 +407,8 @@ def test_criterion_3_basis_refinement_trend(rig):
 
 
 def test_criterion_4_darcy_ordering(rig):
-    e_high = rig.multiscale(1e-3, True, 16)["e_u"]
-    e_low = rig.multiscale(1e-5, True, 16)["e_u"]
+    e_high = rig.multiscale(1e-3, True, 16)["report"].e_u
+    e_low = rig.multiscale(1e-5, True, 16)["report"].e_u
     _report(
         4,
         e_high <= e_low,
@@ -426,21 +428,20 @@ def test_criterion_5_conservation(rig):
     )
 
 
-def test_committed_sweep_numbers(rig):
-    """The e_u cells of results/desk_test1 agree with the desk runs that
-    criteria 3 and 4 already make, to the printed digits; no extra solve."""
+def test_committed_sweep_numbers(rig, tmp_path):
+    """results/desk_test1/errors_da_0.001.csv, the rows perfbench's sweep_csv
+    check compares, byte for byte from the desk runs through
+    cli.write_sweep_csv; and the Da=1e-5 oversampled M=16 e_u cell, from the
+    run criterion 4 makes."""
     results = Path(__file__).resolve().parent.parent / "results" / "desk_test1"
-    keys = [(1e-3, False, m) for m in rig.M_LIST] + [(1e-3, True, 16), (1e-5, True, 16)]
-    mismatches = []
-    for darcy, oversampled, m in keys:
-        with open(results / f"errors_da_{darcy:g}.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        row = next(r for r in rows if int(r["M"]) == m)
-        stored = row["e_u_os" if oversampled else "e_u_plain"]
-        computed = f"{100 * rig.multiscale(darcy, oversampled, m)['e_u']:.6f}"
-        if computed != stored:
-            mismatches.append(f"Da={darcy:g} M={m} os={oversampled}: {computed} != {stored}")
-    assert not mismatches, "; ".join(mismatches)
+    runs = [(m, over) for m in rig.M_LIST for over in (False, True)]
+    reports = {(m, over): rig.multiscale(1e-3, over, m)["report"] for m, over in runs}
+    written = tmp_path / "errors_da_0.001.csv"
+    cli.write_sweep_csv(written, rig.M_LIST, reports, rig.coarse)
+    assert written.read_bytes() == (results / "errors_da_0.001.csv").read_bytes()
+    with open(results / "errors_da_1e-05.csv") as fh:
+        row = next(r for r in csv.DictReader(fh) if int(r["M"]) == 16)
+    assert f"{100 * rig.multiscale(1e-5, True, 16)['report'].e_u:.6f}" == row["e_u_os"]
 
 
 def test_online_steps_refine_from_the_static_factor(rig, monkeypatch):

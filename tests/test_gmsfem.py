@@ -831,17 +831,31 @@ class TestConcurrency:
 
 
 class TestBasisCache:
-    def test_save_and_load_round_trip(self, tmp_path):
+    def test_save_and_load_round_trip(self, tmp_path, monkeypatch):
+        # one file per key, which serves every size up to its own
         mesh, coarse = tiny_heterogeneous(n=2)
         params = make_params(n_steps=1)
         bc = BoundaryData.inflow((1.0, 0.0))
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=4)
-        gmsfem.save_space(tmp_path, mesh, params, bc, space)
-        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 3, False)
-        assert loaded is not None
-        expect = gmsfem.resize_space(space, mesh, coarse, 3)
-        assert np.allclose((loaded.r_u - expect.r_u).toarray(), 0.0)
-        # different parameters miss the cache
+        path = gmsfem.save_space(tmp_path, mesh, params, bc, space)
+        key = gmsfem._space_key(mesh, params, bc, False)
+        assert path == str(tmp_path / f"basis_{key}.npz") and os.listdir(tmp_path) == [f"basis_{key}.npz"]
+
+        def refuse(*args):
+            raise AssertionError("load_space lists a directory")
+
+        monkeypatch.setattr(os, "listdir", refuse)
+        monkeypatch.setattr(os, "scandir", refuse)
+        for m in (1, 2, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, m, False)
+            want = gmsfem.resize_space(space, mesh, coarse, m)
+            assert loaded.m == m
+            for got, expect in ((loaded.r_u, want.r_u), (loaded.r_p, want.r_p)):
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(got, name), getattr(expect, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, name)
         other = params.with_darcy(params.darcy * 10)
         assert gmsfem.load_space(tmp_path, mesh, coarse, other, bc, 3, False) is None
 
@@ -895,7 +909,7 @@ class TestBasisCache:
         space = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=3)
         blocker = tmp_path / "cache"
         blocker.write_text("a file, not a directory\n")
-        name = rf"{blocker}/basis_\w+_m3\.npz"
+        name = rf"{blocker}/basis_[0-9a-f]{{16}}\.npz"
         with pytest.raises(MsflowError, match=f"basis cache file {name} not saved"):
             gmsfem.save_space(blocker, mesh, params, bc, space)
         assert not any(tmp_path.glob("**/*.npz*"))
@@ -915,11 +929,18 @@ class TestBasisCache:
             payload = dict(data)
         older = io.BytesIO()  # the format before the eigenvalues were stored
         np.savez_compressed(older, **{k: v for k, v in payload.items() if not k.startswith("eig_")})
-        payload["eig_1"] = payload["eig_1"].copy()
-        payload["eig_1"][0] = np.nan
-        non_finite = io.BytesIO()
-        np.savez_compressed(non_finite, **payload)
-        for body in (b"not a basis cache" * 10, older.getvalue(), non_finite.getvalue()):
+        faults = {  # each one of the content checks
+            "eig_1": lambda eig: np.where(np.arange(len(eig)) == 0, np.nan, eig),
+            "vec_1": lambda rows: np.where(np.arange(rows.shape[1]) == 0, np.inf, rows),
+            "vec_2": lambda rows: rows[:-1],
+            "cells_1": lambda cells: cells[::-1],
+        }
+        bodies = [b"not a basis cache" * 10, older.getvalue()]
+        for name, fault in faults.items():
+            faulty = io.BytesIO()
+            np.savez_compressed(faulty, **{**payload, name: fault(payload[name])})
+            bodies.append(faulty.getvalue())
+        for body in bodies:
             with open(path, "wb") as fh:
                 fh.write(body)
             with pytest.warns(RuntimeWarning, match=os.path.basename(path)):
@@ -956,9 +977,14 @@ class TestBasisCache:
             assert np.array_equal(a.toarray(), b.toarray())
         assert_same_bases(older.cell_bases, current.cell_bases)
 
-    def test_malformed_size_in_the_name_is_a_warned_miss(self, tmp_path):
-        path, args = self._saved(tmp_path)
-        bad = path.replace("_m3.npz", "_m3x.npz")
-        os.replace(path, bad)
-        with pytest.warns(RuntimeWarning, match=os.path.basename(bad)):
-            assert gmsfem.load_space(*args) is None
+    def test_a_smaller_file_is_a_plain_miss_that_the_rebuild_replaces(self, tmp_path):
+        path, args = self._saved(tmp_path)  # 3 rows per cell
+        mesh, coarse, params, bc = args[1:5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 4, False) is None
+        larger = gmsfem.build_multiscale_space(mesh, coarse, params, bc, m=4)
+        assert gmsfem.save_space(tmp_path, mesh, params, bc, larger) == path
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        loaded = gmsfem.load_space(tmp_path, mesh, coarse, params, bc, 4, False)
+        assert_same_bases(loaded.cell_bases, larger.cell_bases)
